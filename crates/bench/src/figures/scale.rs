@@ -19,9 +19,9 @@
 //! trial morsels (leased to exactly one core).
 
 use popt_core::exec::program::CompiledProgram;
+use popt_core::observe::ExecObservers;
 use popt_core::parallel::{
-    run_parallel_program, run_parallel_program_traced, MorselConfig, MorselDispatcher,
-    ParallelReport,
+    run_parallel_program_observed, MorselConfig, MorselDispatcher, ParallelReport,
 };
 use popt_core::plan::{Expr, PlanBuilder};
 use popt_core::progressive::{run_progressive_program, ProgressiveConfig, VectorConfig};
@@ -52,19 +52,15 @@ fn run_pool(
     reopt: Option<&ProgressiveConfig>,
     trace: Option<&TraceCapture>,
 ) -> ParallelReport {
-    match trace {
-        Some(capture) => run_parallel_program_traced(
-            program,
-            initial_order,
-            morsels,
-            pool,
-            reopt,
-            capture.tracer(),
+    let obs = match trace {
+        Some(capture) => ExecObservers::none().with_trace(
+            std::sync::Arc::clone(capture.tracer()),
             capture.next_query(),
         ),
-        None => run_parallel_program(program, initial_order, morsels, pool, reopt),
-    }
-    .expect("parallel run")
+        None => ExecObservers::none(),
+    };
+    run_parallel_program_observed(program, initial_order, morsels, pool, reopt, &obs)
+        .expect("parallel run")
 }
 
 struct SweepPoint {

@@ -32,7 +32,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use popt_core::parallel::{run_parallel_program, run_parallel_program_traced, MorselConfig};
+use popt_core::observe::ExecObservers;
+use popt_core::parallel::{run_parallel_program, run_parallel_program_observed, MorselConfig};
 use popt_core::plan::{Expr, PlanBuilder};
 use popt_core::progressive::ProgressiveConfig;
 use popt_core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
@@ -107,14 +108,13 @@ pub fn run(ctx: &FigureCtx) {
         let tracer = Arc::new(Tracer::for_workers(sink.clone(), workers));
         let mut traced_program = build();
         let mut traced_pool = CpuPool::new(scaled_cpu(), workers);
-        let traced = run_parallel_program_traced(
+        let traced = run_parallel_program_observed(
             &mut traced_program,
             &[1, 0],
             morsels,
             &mut traced_pool,
             Some(&config),
-            &tracer,
-            query,
+            &ExecObservers::none().with_trace(Arc::clone(&tracer), query),
         )
         .expect("traced run");
         (plain, traced, sink.take())

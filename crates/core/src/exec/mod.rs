@@ -2,19 +2,16 @@
 //!
 //! * [`scan`] — the vectorized multi-selection scan (the paper's compiled
 //!   short-circuit loop, Section 2.1);
-//! * [`pipeline`] — a generalized filter pipeline mixing selections and
-//!   foreign-key join filters (Sections 5.5–5.6);
 //! * [`program`] — the compiled flat stage form logical plans lower to:
-//!   one stage table plus an evaluation-order permutation, bit-identical
-//!   in execution semantics to [`pipeline`];
+//!   a filter pipeline mixing selections and foreign-key join filters
+//!   (Sections 5.5–5.6) as one stage table plus an evaluation-order
+//!   permutation;
 //! * [`enumerator`] — the invasive, explicit-counter instrumentation
 //!   baseline of the overhead experiment (Section 5.7).
 
 pub mod enumerator;
-pub mod pipeline;
 pub mod program;
 pub mod scan;
 
-pub use pipeline::{FilterOp, Pipeline};
 pub use program::{CompiledProgram, CompiledStage};
 pub use scan::{CompiledSelection, InstrCosts, VectorStats};

@@ -5,13 +5,24 @@
 //! canonical conjunct (column base address, stream id, comparison op,
 //! literal, optional probe geometry into a dimension) — plus a separate
 //! evaluation-order permutation. A progressive reorder is therefore a
-//! cheap re-emit of the permutation ([`CompiledProgram::reorder`]), not
-//! a re-chaining of boxed primitives: the stage table never moves.
+//! cheap re-emit of the permutation ([`CompiledProgram::reorder`]): the
+//! stage table never moves.
 //!
-//! Execution semantics and simulated CPU events are bit-identical to the
-//! boxed [`crate::exec::pipeline::Pipeline`] executor on every workload
-//! (pinned by `tests/proptest_frontend.rs`): same loads, same
-//! instruction charges, same branch sites, same short-circuit order.
+//! Stages are *filters* over the fact table's tuple stream (Sections
+//! 5.5–5.6): a join stage probes the dimension tuple addressed by the
+//! foreign key and tests a predicate on its payload, so the same
+//! short-circuit loop shape applies and operators reorder exactly like
+//! predicates. The cache behaviour is what differs — a probe into a
+//! co-clustered dimension (lineitem→orders) is a near-sequential access
+//! stream, a probe into a randomly keyed one (lineitem→part) is the
+//! random pattern Equation 1 prices.
+//!
+//! The reference semantics are the program's own scalar oracle,
+//! [`CompiledProgram::run_range_scalar`] — one `SimCpu` call per
+//! simulated event. The batched [`CompiledProgram::run_range`] produces
+//! the same results and the same simulated CPU events (loads,
+//! instruction charges, branch sites, short-circuit order), pinned by
+//! `tests/proptest_fastpath.rs`.
 
 use std::hash::{Hash, Hasher};
 
@@ -26,8 +37,7 @@ use crate::plan::logical::{Expr, LogicalNode, LogicalPlan};
 use crate::predicate::CompareOp;
 
 /// Instructions charged per probe over the base per-eval charge — the
-/// index arithmetic of a foreign-key probe, identical to the boxed
-/// executor's `FilterOp::join_filter`.
+/// index arithmetic (or hashing) of a foreign-key probe.
 const PROBE_INSTRUCTIONS: u64 = 6;
 
 /// The probe half of a join stage: the dimension payload column.
@@ -119,8 +129,8 @@ impl CompiledStage<'_> {
         hasher.finish()
     }
 
-    /// Evaluate the stage for row `i`, driving the same CPU events as
-    /// the boxed executor.
+    /// Evaluate the stage for row `i` on the scalar oracle path: returns
+    /// pass/fail and drives one CPU event per load, charge and branch.
     #[inline]
     fn eval(&self, cpu: &mut SimCpu, i: usize, costs: &InstrCosts) -> bool {
         match &self.probe {
@@ -163,7 +173,7 @@ impl std::fmt::Debug for CompiledStage<'_> {
 
 /// A compiled program: the flat stage table, the evaluation-order
 /// permutation, and the aggregate columns. Count/sum semantics are
-/// identical to the scan and pipeline executors.
+/// identical to the scan executor.
 #[derive(Clone)]
 pub struct CompiledProgram<'t> {
     /// Stages in plan (lowering) order.
@@ -200,8 +210,10 @@ impl<'t> CompiledProgram<'t> {
     /// the static passes do, so the passes are an optimization, never a
     /// prerequisite. Branch sites are numbered by stage emission order;
     /// dimension streams are `100 + join ordinal` (the convention the
-    /// figures established). Foreign-key ranges are validated here, like
-    /// the boxed constructor.
+    /// figures established). Every foreign key is validated against its
+    /// dimension's row range here: a dangling or negative key would
+    /// otherwise surface as a slice-index panic deep inside the hot loop
+    /// (negative keys wrap via `as usize`).
     pub fn from_plan(plan: &LogicalPlan<'t>) -> Result<Self, EngineError> {
         let fact = plan.fact();
         let mut stages: Vec<CompiledStage<'t>> = Vec::new();
@@ -356,7 +368,7 @@ impl<'t> CompiledProgram<'t> {
     }
 
     /// Execute rows `start..end`; measurement semantics identical to the
-    /// scan and pipeline executors. Dispatches to the batched fast path
+    /// scan executor. Dispatches to the batched fast path
     /// (register-held stream states, bulk PMU flush per call) unless the
     /// scalar oracle was requested or the program shape exceeds the fixed
     /// scratch.
@@ -544,9 +556,18 @@ impl<'t> CompiledProgram<'t> {
         }
     }
 
-    /// Counter-model geometry for the current evaluation order; same
-    /// contract as `Pipeline::plan_geometry` (`clustering` is per *plan*
-    /// stage, `llc_bytes` the effective last-level capacity).
+    /// Counter-model geometry for the current evaluation order, the
+    /// program analogue of `CompiledSelection::plan_geometry`.
+    ///
+    /// `clustering` holds one entry per *plan* stage: the measured
+    /// clustering ratio of that stage's dimension probe (ignored for
+    /// selects; `1.0` = assume uniform random). Line size, predictor
+    /// shape and the private L2 capacity (which gates whether probes
+    /// reach L3 at all) come from the CPU the program runs on;
+    /// `llc_bytes` is the **effective** last-level capacity the executing
+    /// core sees — the full configured LLC on a private socket, the
+    /// contention-shrunken share under the shared-socket partition — so
+    /// the Equation-1 probe predictions price contended miss rates.
     pub fn plan_geometry(
         &self,
         n_input: u64,
@@ -604,8 +625,9 @@ impl<'t> CompiledProgram<'t> {
 
     /// [`CompiledProgram::plan_geometry`] with NUMA-aware probe pricing:
     /// each join stage's probe gains the fraction of its dimension homed
-    /// on a socket other than `socket` under `placement` (see
-    /// `Pipeline::plan_geometry_numa`).
+    /// on a socket other than `socket` under `placement`, so the
+    /// per-socket cost model prices the hop into a remote partition. Both
+    /// inputs are static topology — the geometry stays deterministic.
     pub fn plan_geometry_numa(
         &self,
         n_input: u64,
@@ -631,8 +653,11 @@ impl<'t> CompiledProgram<'t> {
     }
 
     /// Hot-set footprint declared to a shared-socket capacity partition:
-    /// probed dimensions in full plus the streaming window per touched
-    /// column (stages, aggregates, and surviving projected columns).
+    /// every probed dimension in full (probes re-reference it across
+    /// morsels) plus a fixed streaming window per touched column (stages,
+    /// aggregates, and surviving projected columns — streamed lines are
+    /// touched once, so only a small in-flight window ever competes for
+    /// capacity).
     pub fn hot_set_bytes(&self) -> u64 {
         let dims: u64 = self
             .stages
@@ -646,7 +671,7 @@ impl<'t> CompiledProgram<'t> {
     }
 
     /// Instructions charged per evaluation of each stage, in the current
-    /// evaluation order.
+    /// evaluation order — an input to the cost-per-input-tuple ranking.
     pub fn stage_instructions(&self) -> Vec<f64> {
         self.order
             .iter()
@@ -733,6 +758,9 @@ mod tests {
     use crate::plan::{Expr, PlanBuilder};
     use popt_storage::{AddressSpace, ColumnData, Table};
 
+    /// Fact with a strided pseudo-random FK (`fk`), a value column and a
+    /// sequential (co-clustered) FK (`fk_seq`); dimension with payload =
+    /// key parity.
     fn tables(n: usize, dim_n: usize) -> (Table, Table) {
         let mut space = AddressSpace::new();
         let mut fact = Table::new("fact");
@@ -744,6 +772,11 @@ mod tests {
         fact.add_column(
             "val",
             ColumnData::I32((0..n).map(|i| (i % 100) as i32).collect()),
+            &mut space,
+        );
+        fact.add_column(
+            "fk_seq",
+            ColumnData::I32((0..n).map(|i| (i * dim_n / n) as i32).collect()),
             &mut space,
         );
         let mut dim_space = AddressSpace::new();
@@ -760,33 +793,73 @@ mod tests {
         SimCpu::new(popt_cpu::CpuConfig::tiny_test())
     }
 
+    /// The absolute pin of the per-event reference: on a table small
+    /// enough to count by hand, the scalar oracle's instruction, branch
+    /// and load counts are exactly what `InstrCosts` and the per-stage
+    /// pass counts dictate — and the batched path reports the same.
     #[test]
-    fn lowering_matches_the_boxed_executor_exactly() {
-        use crate::exec::pipeline::{FilterOp, Pipeline};
-        let (fact, dim) = tables(4000, 128);
-        let program = PlanBuilder::scan(&fact)
-            .filter_costed(Expr::col("val").less_than(50), 30)
-            .join(&dim, "fk", Expr::col("payload").equal_to(0))
-            .aggregate("val")
-            .build()
-            .compile()
-            .unwrap();
-        let sel = FilterOp::select(&fact, "val", CompareOp::Lt, 50, 0, 30).unwrap();
-        let join =
-            FilterOp::join_filter(&fact, "fk", &dim, "payload", CompareOp::Eq, 0, 1, 100).unwrap();
-        let pipeline = Pipeline::new(vec![sel, join], fact.rows())
-            .unwrap()
-            .with_aggregate(&fact, "val")
-            .unwrap();
+    fn scalar_oracle_event_counts_match_hand_derivation() {
+        // 8 rows. `val < 50` passes rows 0..5 (5 rows); the join keeps
+        // payload == 0, i.e. even keys: rows 0, 2, 3, 6, 7 (5 rows);
+        // both: rows 0, 2, 3 (3 rows).
+        let mut space = AddressSpace::new();
+        let mut fact = Table::new("fact");
+        fact.add_column(
+            "val",
+            ColumnData::I32(vec![10, 20, 30, 40, 45, 60, 70, 80]),
+            &mut space,
+        );
+        fact.add_column(
+            "fk",
+            ColumnData::I32(vec![0, 1, 2, 2, 3, 1, 0, 2]),
+            &mut space,
+        );
+        let mut dim_space = AddressSpace::new();
+        let mut dim = Table::new("dim");
+        dim.add_column("payload", ColumnData::I32(vec![0, 1, 0, 1]), &mut dim_space);
+        let (n, sel_pass, join_pass, both) = (8u64, 5u64, 5u64, 3u64);
+        let extra = 30u64;
+        let costs = InstrCosts::default();
 
-        let mut c1 = cpu();
-        let a = program.run_range(&mut c1, 0, 4000);
-        let mut c2 = cpu();
-        let b = pipeline.run_range(&mut c2, 0, 4000);
-        assert_eq!(a.qualified, b.qualified);
-        assert_eq!(a.sum, b.sum);
-        assert_eq!(a.counters, b.counters, "bit-identical CPU events");
-        assert_eq!(c1.counters().cycles, c2.counters().cycles);
+        // (order, tuples reaching the select, tuples reaching the join)
+        for (order, sel_in, join_in) in [([0usize, 1], n, sel_pass), ([1, 0], join_pass, n)] {
+            let mut program = PlanBuilder::scan(&fact)
+                .filter_costed(Expr::col("val").less_than(50), extra)
+                .join(&dim, "fk", Expr::col("payload").equal_to(0))
+                .aggregate("val")
+                .build()
+                .compile()
+                .unwrap();
+            program.reorder(&order).unwrap();
+            let mut c = cpu();
+            let stats = program.run_range_scalar(&mut c, 0, n as usize);
+            assert_eq!(stats.qualified, both);
+            assert_eq!(stats.sum, 10 + 30 + 40);
+            let k = &stats.counters;
+            assert_eq!(
+                k.instructions,
+                n * costs.loop_overhead
+                    + sel_in * (costs.per_eval + extra)
+                    + join_in * (costs.per_eval + PROBE_INSTRUCTIONS)
+                    + both * costs.per_agg_column,
+                "order {order:?}"
+            );
+            // One back-edge per row plus one branch per stage evaluation.
+            assert_eq!(k.branches, n + sel_in + join_in, "order {order:?}");
+            // Every load is either a new-line access or a same-line
+            // element hit: one per select evaluation, two (FK + probe)
+            // per join evaluation, one per aggregated tuple.
+            assert_eq!(
+                k.l1_accesses + k.l1_element_hits,
+                sel_in + 2 * join_in + both,
+                "order {order:?}"
+            );
+
+            program.set_scalar_oracle(false);
+            let mut c = cpu();
+            let batched = program.run_range(&mut c, 0, n as usize);
+            assert_eq!(batched, stats, "batched path must report the same events");
+        }
     }
 
     #[test]
@@ -805,6 +878,11 @@ mod tests {
         let backward = program.run_range(&mut c, 0, 2000);
         assert_eq!(forward.qualified, backward.qualified);
         assert_eq!(forward.sum, backward.sum);
+        // Orders are absolute over plan indices: re-applying the same
+        // permutation is idempotent, not a swap back.
+        program.reorder(&[1, 0]).unwrap();
+        assert_eq!(program.order(), &[1, 0]);
+        assert!(program.stage(1).is_join());
     }
 
     #[test]
@@ -922,22 +1000,162 @@ mod tests {
     }
 
     #[test]
-    fn dangling_foreign_keys_are_rejected_at_lowering() {
-        let mut space = AddressSpace::new();
-        let mut fact = Table::new("fact");
-        fact.add_column("fk", ColumnData::I32(vec![0, 99, 2]), &mut space);
-        let mut dim_space = AddressSpace::new();
-        let mut dim = Table::new("dim");
-        dim.add_column("payload", ColumnData::I32(vec![1; 10]), &mut dim_space);
-        let err = PlanBuilder::scan(&fact)
+    fn out_of_range_foreign_keys_are_rejected_at_lowering() {
+        let lower = |keys: Vec<i32>| {
+            let mut space = AddressSpace::new();
+            let mut fact = Table::new("fact");
+            fact.add_column("fk", ColumnData::I32(keys), &mut space);
+            let mut dim_space = AddressSpace::new();
+            let mut dim = Table::new("dim");
+            dim.add_column("payload", ColumnData::I32(vec![1; 10]), &mut dim_space);
+            PlanBuilder::scan(&fact)
+                .join(&dim, "fk", Expr::col("payload").equal_to(0))
+                .build()
+                .compile()
+                .unwrap_err()
+        };
+        // Dangling: one past the dimension's last row.
+        let err = lower(vec![0, 10, 2]);
+        assert!(
+            matches!(err, EngineError::ForeignKeyOutOfRange { key: 10, .. }),
+            "{err:?}"
+        );
+        // Negative: would wrap via `as usize` inside the hot loop.
+        assert_eq!(
+            lower(vec![0, 3, -1, 2]),
+            EngineError::ForeignKeyOutOfRange {
+                column: "fk".into(),
+                key: -1,
+                dim_rows: 10,
+            }
+        );
+    }
+
+    #[test]
+    fn aggregates_match_the_scan_executor() {
+        use crate::exec::scan::CompiledSelection;
+        use crate::plan::SelectionPlan;
+        use crate::predicate::Predicate;
+
+        let (fact, _dim) = tables(3000, 100);
+        // Same conjunction on both executors: val < 50 AND fk < 60,
+        // summing the val column for qualifying tuples.
+        let plan = SelectionPlan::new(
+            vec![
+                Predicate::new("val", CompareOp::Lt, 50),
+                Predicate::new("fk", CompareOp::Lt, 60),
+            ],
+            vec!["val".into()],
+        )
+        .unwrap();
+        let compiled = CompiledSelection::compile(&fact, &plan, &[0, 1]).unwrap();
+        let mut cpu1 = cpu();
+        let scan_stats = compiled.run_range(&mut cpu1, 0, 3000);
+
+        let program = PlanBuilder::scan(&fact)
+            .filter(Expr::col("val").less_than(50))
+            .filter(Expr::col("fk").less_than(60))
+            .aggregate("val")
+            .build()
+            .compile()
+            .unwrap();
+        let mut cpu2 = cpu();
+        let program_stats = program.run_range_scalar(&mut cpu2, 0, 3000);
+
+        assert_eq!(program_stats.qualified, scan_stats.qualified);
+        assert_eq!(program_stats.sum, scan_stats.sum);
+        assert!(program_stats.sum > 0, "aggregate path must actually sum");
+    }
+
+    #[test]
+    fn join_aggregate_matches_host_evaluation() {
+        let (fact, dim) = tables(2000, 100);
+        let program = PlanBuilder::scan(&fact)
             .join(&dim, "fk", Expr::col("payload").equal_to(0))
+            .aggregate("val")
+            .build()
+            .compile()
+            .unwrap();
+        let mut c = cpu();
+        let stats = program.run_range_scalar(&mut c, 0, 2000);
+
+        // Host-side ground truth.
+        let fk = fact.column("fk").unwrap().data().as_i32().unwrap();
+        let val = fact.column("val").unwrap().data().as_i32().unwrap();
+        let payload = dim.column("payload").unwrap().data().as_i32().unwrap();
+        let qualifying = (0..2000).filter(|&i| payload[fk[i] as usize] == 0);
+        assert_eq!(stats.qualified, qualifying.clone().count() as u64);
+        assert_eq!(
+            stats.sum,
+            qualifying.map(|i| i64::from(val[i])).sum::<i64>()
+        );
+    }
+
+    #[test]
+    fn aggregate_on_unknown_column_is_rejected() {
+        let (fact, _dim) = tables(100, 10);
+        let err = PlanBuilder::scan(&fact)
+            .filter(Expr::col("val").less_than(50))
+            .aggregate("nope")
             .build()
             .compile()
             .unwrap_err();
+        assert_eq!(err, EngineError::UnknownColumn("nope".into()));
+    }
+
+    #[test]
+    fn plan_geometry_carries_probes_in_evaluation_order() {
+        let probe_lines = |geom: &PlanGeometry| {
+            geom.probe(0)
+                .expect("front stage is a join")
+                .relation
+                .cache_lines
+        };
+        let (fact, dim) = tables(1000, 100);
+        let mut program = PlanBuilder::scan(&fact)
+            .filter(Expr::col("val").less_than(50))
+            .join(&dim, "fk", Expr::col("payload").equal_to(0))
+            .build()
+            .compile()
+            .unwrap();
+        program.reorder(&[1, 0]).unwrap();
+        let cfg = CpuConfig::tiny_test();
+        let geom = program.plan_geometry(1000, &cfg, cfg.llc().capacity_bytes, &[1.0, 0.25]);
+        assert_eq!(geom.predicates(), 2);
+        assert_eq!(probe_lines(&geom), cfg.llc().lines());
+        // A contended share rebinds the probe's Equation-1 capacity.
+        let contended =
+            program.plan_geometry(1000, &cfg, cfg.llc().capacity_bytes / 4, &[1.0, 0.25]);
+        assert_eq!(probe_lines(&contended), cfg.llc().lines() / 4);
+        // Join first: probe at position 0 with the join's clustering.
+        let probe = geom.probe(0).expect("join stage has a probe");
+        assert_eq!(probe.relation.relation_tuples, 100);
+        assert!((probe.clustering - 0.25).abs() < 1e-12);
+        assert!(geom.probe(1).is_none());
+        let instr = program.stage_instructions();
         assert!(
-            matches!(err, EngineError::ForeignKeyOutOfRange { key: 99, .. }),
-            "{err:?}"
+            instr[0] > instr[1],
+            "probe arithmetic costs extra: {instr:?}"
         );
+    }
+
+    #[test]
+    fn coclustered_probe_has_fewer_l3_misses_than_random() {
+        let n = 20_000;
+        // Dimension much larger than the tiny L3 (16 KiB = 4096 values).
+        let (fact, dim) = tables(n, 16_384);
+        let run = |fk: &str| {
+            let program = PlanBuilder::scan(&fact)
+                .join(&dim, fk, Expr::col("payload").equal_to(0))
+                .build()
+                .compile()
+                .unwrap();
+            let mut cpu = cpu();
+            program.run_range_scalar(&mut cpu, 0, n).counters.l3_misses
+        };
+        let seq = run("fk_seq");
+        let rand = run("fk");
+        assert!(seq * 3 < rand, "seq={seq} rand={rand}");
     }
 
     #[test]

@@ -321,7 +321,7 @@ impl<'t> CompiledSelection<'t> {
                 slots[t] = batch.stream_state(slot_streams[t]);
             }
             // Hot counters in plain locals, flushed in bulk after the row
-            // loop (see the pipeline executor for the same structure).
+            // loop (see the program executor for the same structure).
             let mut instrs = 0u64;
             let mut hits = 0u64;
             let mut branches = 0u64;

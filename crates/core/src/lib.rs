@@ -15,16 +15,16 @@
 //!   the compiled flat stage form ([`exec::program::CompiledProgram`])
 //!   the progressive runtime reorders with a cheap permutation re-emit;
 //! * [`exec`] — the "compiled" scan loop (the short-circuit branch
-//!   code of Section 2.1 driven against the simulated CPU), the foreign-key
-//!   join-filter operator, and the invasive enumerator baseline of
-//!   Section 5.7;
+//!   code of Section 2.1 driven against the simulated CPU), the compiled
+//!   program executor with its foreign-key join-filter stages, and the
+//!   invasive enumerator baseline of Section 5.7;
 //! * [`progressive`] — the progressive optimization loop of Figure 10:
 //!   sample counters per vector, estimate selectivities, reorder, trial,
 //!   revert on regression. The loop is executor-agnostic
 //!   ([`progressive::ProgressiveTarget`]): it drives both the
 //!   multi-selection scan and — via
-//!   [`progressive::run_progressive_pipeline`] — mixed
-//!   selection/join-filter pipelines, where stages are ranked by estimated
+//!   [`progressive::run_progressive_program`] — compiled mixed
+//!   selection/join-filter programs, where stages are ranked by estimated
 //!   cost per input tuple and probe locality is calibrated from the
 //!   counters (Sections 5.5–5.6);
 //! * [`parallel`] — morsel-driven parallel execution with *shared*
@@ -68,22 +68,19 @@ pub mod serve;
 pub mod sortedness;
 
 pub use error::EngineError;
-pub use exec::pipeline::{FilterOp, Pipeline};
 pub use exec::program::{CompiledProgram, CompiledStage};
 pub use observe::ExecObservers;
 pub use parallel::{
-    run_parallel_pipeline, run_parallel_pipeline_observed, run_parallel_program,
-    run_parallel_program_observed, run_parallel_program_traced, run_parallel_scan,
-    run_parallel_scan_traced, run_parallel_target, run_parallel_target_observed,
-    run_parallel_target_traced, MorselConfig, MorselDispatcher, ParallelReport, ShardableTarget,
+    run_parallel_program, run_parallel_program_observed, run_parallel_scan, run_parallel_target,
+    run_parallel_target_observed, MorselConfig, MorselDispatcher, ParallelReport, ShardableTarget,
     TargetShard,
 };
 pub use plan::{Expr, LogicalNode, LogicalPlan, PassRegistry, Peo, PlanBuilder, SelectionPlan};
 pub use predicate::{CompareOp, Predicate};
 pub use progressive::{
-    run_baseline, run_progressive, run_progressive_pipeline, run_progressive_program,
-    run_progressive_program_observed, run_progressive_target, run_progressive_target_observed,
-    CompiledTarget, ProgressiveConfig, ProgressiveReport, ProgressiveTarget, VectorConfig,
+    run_baseline, run_progressive, run_progressive_program, run_progressive_program_observed,
+    run_progressive_target, run_progressive_target_observed, CompiledTarget, ProgressiveConfig,
+    ProgressiveReport, ProgressiveTarget, VectorConfig,
 };
 pub use query::{QueryBuilder, QueryReport, RunMode};
 pub use serve::{

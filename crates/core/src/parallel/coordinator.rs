@@ -44,13 +44,12 @@ use popt_obs::{DriftObservatory, MetricsRegistry, TraceEvent, Tracer};
 use popt_solver::{estimate_selectivities, EstimateResult, SampledCounters};
 
 use crate::error::EngineError;
-use crate::exec::pipeline::Pipeline;
 use crate::exec::scan::VectorStats;
 use crate::observe::{front_stage_key, morsel_stage_parts, record_fit_drift, ExecObservers};
 use crate::plan::{Peo, SelectionPlan};
 use popt_storage::Table;
 
-use crate::progressive::{PipelineTarget, ProgressiveConfig, ScanTarget, SwitchEvent};
+use crate::progressive::{ProgressiveConfig, ScanTarget, SwitchEvent};
 
 use super::morsel::{MorselConfig, MorselDispatcher};
 use super::{ShardableTarget, TargetShard};
@@ -891,73 +890,6 @@ pub fn run_parallel_scan(
     run_parallel_target(&mut target, morsels, pool, reopt)
 }
 
-/// [`run_parallel_scan`] with the run's decisions traced into `tracer`.
-/// Tracing is non-invasive: the report is bit-identical to the untraced
-/// run's.
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_scan_traced(
-    table: &Table,
-    plan: &SelectionPlan,
-    initial_peo: &[usize],
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-    tracer: &Arc<Tracer>,
-    query: usize,
-) -> Result<ParallelReport, EngineError> {
-    let mut target = ScanTarget::new(table, plan, initial_peo)?;
-    run_parallel_target_traced(&mut target, morsels, pool, reopt, tracer, query)
-}
-
-/// Execute a filter pipeline with morsel-driven parallelism, optionally
-/// with shared progressive operator reordering. The pipeline is left in
-/// the final accepted order. The parallel generalization of
-/// [`crate::progressive::run_progressive_pipeline`].
-pub fn run_parallel_pipeline(
-    pipeline: &mut Pipeline<'_>,
-    initial_order: &[usize],
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-) -> Result<ParallelReport, EngineError> {
-    pipeline.reorder(initial_order)?;
-    let mut target = PipelineTarget::new(pipeline);
-    run_parallel_target(&mut target, morsels, pool, reopt)
-}
-
-/// [`run_parallel_pipeline`] with observers attached (see
-/// [`ExecObservers`]); every observer is non-invasive — the report is
-/// bit-identical to the unobserved run's.
-pub fn run_parallel_pipeline_observed(
-    pipeline: &mut Pipeline<'_>,
-    initial_order: &[usize],
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-    obs: &ExecObservers,
-) -> Result<ParallelReport, EngineError> {
-    pipeline.reorder(initial_order)?;
-    let mut target = PipelineTarget::new(pipeline);
-    run_parallel_target_inner(&mut target, morsels, pool, reopt, obs)
-}
-
-/// [`run_parallel_pipeline`] with the run's decisions traced into
-/// `tracer`. Tracing is non-invasive: the report is bit-identical to the
-/// untraced run's.
-pub fn run_parallel_pipeline_traced(
-    pipeline: &mut Pipeline<'_>,
-    initial_order: &[usize],
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-    tracer: &Arc<Tracer>,
-    query: usize,
-) -> Result<ParallelReport, EngineError> {
-    pipeline.reorder(initial_order)?;
-    let mut target = PipelineTarget::new(pipeline);
-    run_parallel_target_traced(&mut target, morsels, pool, reopt, tracer, query)
-}
-
 /// Execute a compiled program with morsel-driven parallelism, optionally
 /// with shared progressive operator reordering. The program is left in
 /// the final accepted order. The parallel generalization of
@@ -974,23 +906,6 @@ pub fn run_parallel_program(
     run_parallel_target(&mut target, morsels, pool, reopt)
 }
 
-/// [`run_parallel_program`] with the run's decisions traced into
-/// `tracer`. Tracing is non-invasive: the report is bit-identical to the
-/// untraced run's.
-pub fn run_parallel_program_traced(
-    program: &mut crate::exec::program::CompiledProgram<'_>,
-    initial_order: &[usize],
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-    tracer: &Arc<Tracer>,
-    query: usize,
-) -> Result<ParallelReport, EngineError> {
-    program.reorder(initial_order)?;
-    let mut target = crate::progressive::CompiledTarget::new(program);
-    run_parallel_target_traced(&mut target, morsels, pool, reopt, tracer, query)
-}
-
 /// [`run_parallel_program`] with observers attached (see
 /// [`ExecObservers`]); every observer is non-invasive — the report is
 /// bit-identical to the unobserved run's.
@@ -1004,7 +919,7 @@ pub fn run_parallel_program_observed(
 ) -> Result<ParallelReport, EngineError> {
     program.reorder(initial_order)?;
     let mut target = crate::progressive::CompiledTarget::new(program);
-    run_parallel_target_inner(&mut target, morsels, pool, reopt, obs)
+    run_parallel_target_observed(&mut target, morsels, pool, reopt, obs)
 }
 
 /// Drive any range-shardable progressive target across the pool.
@@ -1017,26 +932,7 @@ pub fn run_parallel_target<T>(
 where
     T: ShardableTarget + Send,
 {
-    run_parallel_target_inner(target, morsels, pool, reopt, &ExecObservers::none())
-}
-
-/// [`run_parallel_target`] with every decision traced into `tracer`,
-/// tagged with `query`. The tracer's sink hangs outside the
-/// simulated-cost path, so the returned report is bit-identical to the
-/// untraced run's.
-pub fn run_parallel_target_traced<T>(
-    target: &mut T,
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-    tracer: &Arc<Tracer>,
-    query: usize,
-) -> Result<ParallelReport, EngineError>
-where
-    T: ShardableTarget + Send,
-{
-    let obs = ExecObservers::none().with_trace(Arc::clone(tracer), query);
-    run_parallel_target_inner(target, morsels, pool, reopt, &obs)
+    run_parallel_target_observed(target, morsels, pool, reopt, &ExecObservers::none())
 }
 
 /// [`run_parallel_target`] with any combination of observers attached:
@@ -1046,19 +942,6 @@ where
 /// per-worker wall cycles (stage + optimizer lanes per worker equal that
 /// worker's entry in `per_worker_cycles`; idle pads to the fleet wall).
 pub fn run_parallel_target_observed<T>(
-    target: &mut T,
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-    obs: &ExecObservers,
-) -> Result<ParallelReport, EngineError>
-where
-    T: ShardableTarget + Send,
-{
-    run_parallel_target_inner(target, morsels, pool, reopt, obs)
-}
-
-fn run_parallel_target_inner<T>(
     target: &mut T,
     morsels: MorselConfig,
     pool: &mut CpuPool,

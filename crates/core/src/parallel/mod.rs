@@ -27,8 +27,8 @@
 //! mint per-worker [`TargetShard`]s (the *execution* side: an
 //! independently order-switchable executor over the same immutable
 //! data). Both built-in targets — the multi-selection scan and the
-//! mixed selection/join-filter pipeline — are shardable, via
-//! [`run_parallel_scan`] and [`run_parallel_pipeline`].
+//! compiled selection/join-filter program — are shardable, via
+//! [`run_parallel_scan`] and [`run_parallel_program`].
 //!
 //! Results are bit-identical to the single-core executor for any worker
 //! count and morsel size: qualifying counts and aggregate sums are
@@ -69,20 +69,17 @@ pub mod coordinator;
 pub mod morsel;
 
 pub use coordinator::{
-    run_parallel_pipeline, run_parallel_pipeline_observed, run_parallel_pipeline_traced,
-    run_parallel_program, run_parallel_program_observed, run_parallel_program_traced,
-    run_parallel_scan, run_parallel_scan_traced, run_parallel_target, run_parallel_target_observed,
-    run_parallel_target_traced, ParallelReport,
+    run_parallel_program, run_parallel_program_observed, run_parallel_scan, run_parallel_target,
+    run_parallel_target_observed, ParallelReport,
 };
 pub use morsel::{MorselConfig, MorselDispatcher};
 
 use popt_cpu::SimCpu;
 
 use crate::error::EngineError;
-use crate::exec::pipeline::Pipeline;
 use crate::exec::program::CompiledProgram;
 use crate::exec::scan::VectorStats;
-use crate::progressive::{CompiledTarget, PipelineTarget, ProgressiveTarget, ScanTarget};
+use crate::progressive::{CompiledTarget, ProgressiveTarget, ScanTarget};
 
 /// A per-worker executor: the execution half of a progressive target,
 /// runnable over arbitrary row ranges and switchable to any published
@@ -123,32 +120,6 @@ impl<'p, 't> ShardableTarget for ScanTarget<'p, 't> {
 
     fn shard(&self) -> Result<Self::Shard, EngineError> {
         ScanTarget::new(self.table, self.plan, self.compiled.peo())
-    }
-}
-
-/// A worker-owned pipeline clone (stages borrow the shared immutable
-/// column data, so the clone is cheap).
-pub struct PipelineShard<'t> {
-    pipeline: Pipeline<'t>,
-}
-
-impl TargetShard for PipelineShard<'_> {
-    fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError> {
-        self.pipeline.reorder(order)
-    }
-
-    fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
-        self.pipeline.run_range(cpu, start, end)
-    }
-}
-
-impl<'t> ShardableTarget for PipelineTarget<'_, 't> {
-    type Shard = PipelineShard<'t>;
-
-    fn shard(&self) -> Result<Self::Shard, EngineError> {
-        Ok(PipelineShard {
-            pipeline: self.pipeline.clone(),
-        })
     }
 }
 

@@ -7,8 +7,7 @@
 //! [`crate::plan::passes`] rewrite it, and lowering
 //! ([`crate::exec::program::CompiledProgram::from_plan`]) emits the flat
 //! compiled stage form the progressive runtime reorders at execution
-//! time. (Hand-chained `Pipeline` construction survives only as hidden
-//! test support — see `crate::exec::pipeline`.)
+//! time.
 //!
 //! Expressions are general trees; [`Expr::normalize`] rewrites them into
 //! the canonical `column OP literal` conjunction the short-circuit loop

@@ -25,7 +25,7 @@ use crate::predicate::Predicate;
 pub type Peo = Vec<usize>;
 
 /// Whether `order` is a permutation of `0..stages` — the one validity
-/// rule every order-bearing structure shares (plans, pipelines, the
+/// rule every order-bearing structure shares (plans, programs, the
 /// serving layer's order cache).
 pub fn is_valid_peo(order: &[usize], stages: usize) -> bool {
     let mut seen = vec![false; stages];

@@ -27,7 +27,7 @@
 //! compile an order, execute a row range, and describe its counter-model
 //! geometry participates, via [`ProgressiveTarget`]. [`run_progressive`]
 //! drives the multi-selection scan ([`CompiledSelection`]);
-//! [`run_progressive_pipeline`] drives a [`Pipeline`] of mixed
+//! [`run_progressive_program`] drives a [`CompiledProgram`] of mixed
 //! selections and join filters, where the reorder decision ranks stages
 //! by estimated **cost per input tuple** (an LLC-thrashing probe is not
 //! comparable to a register compare) and the target *calibrates* each
@@ -44,7 +44,6 @@ use popt_solver::{estimate_selectivities, CalibrationSnapshot, EstimatorConfig, 
 use popt_storage::Table;
 
 use crate::error::EngineError;
-use crate::exec::pipeline::Pipeline;
 use crate::exec::program::CompiledProgram;
 use crate::exec::scan::{CompiledSelection, VectorStats};
 use crate::observe::{front_stage_key, morsel_stage_parts, record_fit_drift, ExecObservers};
@@ -424,9 +423,8 @@ impl ProgressiveTarget for ScanTarget<'_, '_> {
     }
 }
 
-/// Runtime-learned probe locality, shared by every target whose stages
-/// include foreign-key joins ([`PipelineTarget`], [`CompiledTarget`]):
-/// one clustering estimate per *plan* stage, which stages were ever
+/// Runtime-learned probe locality of a [`CompiledTarget`]: one
+/// clustering estimate per *plan* stage, which stages were ever
 /// observed, and which already spent their measurement probe.
 pub(crate) struct ProbeCalibration {
     /// Per plan-stage clustering estimate (1.0 = assume uniform random,
@@ -529,138 +527,16 @@ impl ProbeCalibration {
     }
 }
 
-/// A filter pipeline (selections + foreign-key join filters) as a
+/// A [`CompiledProgram`] (selections + foreign-key join filters) as a
 /// progressive target. Orders are ranked by estimated cost per input
 /// tuple, and each join stage's probe clustering is calibrated from the
-/// counters whenever the stage runs at the front of the pipeline (the
-/// position where its signal dominates the sample).
-pub(crate) struct PipelineTarget<'p, 't> {
-    pub(crate) pipeline: &'p mut Pipeline<'t>,
-    cal: ProbeCalibration,
-}
-
-impl<'p, 't> PipelineTarget<'p, 't> {
-    pub(crate) fn new(pipeline: &'p mut Pipeline<'t>) -> Self {
-        let stages = pipeline.len();
-        Self {
-            pipeline,
-            cal: ProbeCalibration::cold(stages),
-        }
-    }
-}
-
-impl ProgressiveTarget for PipelineTarget<'_, '_> {
-    fn rows(&self) -> usize {
-        self.pipeline.rows()
-    }
-
-    fn order(&self) -> Peo {
-        self.pipeline.order().to_vec()
-    }
-
-    fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError> {
-        self.pipeline.reorder(order)
-    }
-
-    fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
-        self.pipeline.run_range(cpu, start, end)
-    }
-
-    fn plan_geometry(&self, n_input: u64, cpu: &CpuConfig, llc_bytes: u64) -> PlanGeometry {
-        self.pipeline
-            .plan_geometry(n_input, cpu, llc_bytes, self.cal.clustering())
-    }
-
-    fn plan_geometry_numa(
-        &self,
-        n_input: u64,
-        cpu: &CpuConfig,
-        llc_bytes: u64,
-        placement: &NumaPlacement,
-        socket: usize,
-    ) -> PlanGeometry {
-        self.pipeline.plan_geometry_numa(
-            n_input,
-            cpu,
-            llc_bytes,
-            self.cal.clustering(),
-            placement,
-            socket,
-        )
-    }
-
-    fn hot_set_bytes(&self) -> u64 {
-        self.pipeline.hot_set_bytes()
-    }
-
-    fn propose_order(&self, geom: &PlanGeometry, selectivities: &[f64]) -> Peo {
-        let costs = stage_costs_per_input_tuple(
-            geom,
-            &self.pipeline.stage_instructions(),
-            selectivities,
-            &CycleParams::default(),
-        );
-        order_by_cost_per_tuple(self.pipeline.order(), &costs, selectivities)
-    }
-
-    fn calibrate(&mut self, geom: &PlanGeometry, sampled: &SampledCounters, survivors: &[f64]) {
-        let front = self.pipeline.order()[0];
-        if !self.pipeline.op(front).is_join() {
-            return;
-        }
-        self.cal.calibrate_front(front, geom, sampled, survivors);
-    }
-
-    fn take_probe_order(&mut self) -> Option<Peo> {
-        let order = self.pipeline.order().to_vec();
-        self.cal
-            .take_probe_order(&order, |j| self.pipeline.op(j).is_join())
-    }
-
-    fn wants_trial_calibration(&self) -> bool {
-        true
-    }
-
-    fn calibration_snapshot(&self) -> Option<CalibrationSnapshot> {
-        Some(CalibrationSnapshot::new(
-            self.cal.clustering.clone(),
-            self.cal.measured.clone(),
-        ))
-    }
-
-    fn restore_calibration(&mut self, snapshot: &CalibrationSnapshot) {
-        if !snapshot.matches(self.pipeline.len()) {
-            return;
-        }
-        self.cal.restore(snapshot);
-    }
-
-    fn stage_profile_weights(&self) -> Vec<f64> {
-        // `stage_instructions` is evaluation-ordered; map it back to plan
-        // indices and surcharge join probes for their memory stalls.
-        let order = self.pipeline.order();
-        let instr = self.pipeline.stage_instructions();
-        let mut weights = vec![1.0; order.len()];
-        for (k, &j) in order.iter().enumerate() {
-            let probe = if self.pipeline.op(j).is_join() {
-                PROFILE_PROBE_WEIGHT
-            } else {
-                0.0
-            };
-            weights[j] = instr.get(k).copied().unwrap_or(1.0) + probe;
-        }
-        weights
-    }
-}
-
-/// A [`CompiledProgram`] as a progressive target — the frontend's
-/// counterpart of [`PipelineTarget`], with identical ranking, probe
-/// calibration, and trial semantics. The one difference is snapshot
-/// identity: compiled programs key their calibration to the program's
-/// literal-free [`CompiledProgram::stage_keys`], so a cached snapshot
-/// warm-starts any query of the same *structure* regardless of its
-/// literals, and is ignored for a structurally different program even
-/// when the stage count happens to match.
+/// counters whenever the stage runs at the front of the program (the
+/// position where its signal dominates the sample). Calibration
+/// snapshots are keyed to the program's literal-free
+/// [`CompiledProgram::stage_keys`], so a cached snapshot warm-starts any
+/// query of the same *structure* regardless of its literals, and is
+/// ignored for a structurally different program even when the stage
+/// count happens to match.
 pub struct CompiledTarget<'p, 't> {
     program: &'p mut CompiledProgram<'t>,
     cal: ProbeCalibration,
@@ -774,6 +650,8 @@ impl ProgressiveTarget for CompiledTarget<'_, '_> {
     }
 
     fn stage_profile_weights(&self) -> Vec<f64> {
+        // `stage_instructions` is evaluation-ordered; map it back to plan
+        // indices and surcharge join probes for their memory stalls.
         let order = self.program.order();
         let instr = self.program.stage_instructions();
         let mut weights = vec![1.0; order.len()];
@@ -803,27 +681,12 @@ pub fn run_progressive(
     run_progressive_target(&mut target, vectors, cpu, config)
 }
 
-/// Execute a filter pipeline starting from `initial_order` with
-/// progressive operator reordering enabled (Sections 5.5–5.6): stages are
-/// reordered by estimated cost per input tuple, with probe clustering
-/// calibrated from the sampled counters and trial-vector accept/revert
-/// semantics shared with the scan path.
-///
-/// The pipeline is left in the final order the run converged to.
-pub fn run_progressive_pipeline(
-    pipeline: &mut Pipeline<'_>,
-    initial_order: &[usize],
-    vectors: VectorConfig,
-    cpu: &mut SimCpu,
-    config: &ProgressiveConfig,
-) -> Result<ProgressiveReport, EngineError> {
-    pipeline.reorder(initial_order)?;
-    let mut target = PipelineTarget::new(pipeline);
-    run_progressive_target(&mut target, vectors, cpu, config)
-}
-
-/// [`run_progressive_pipeline`] for a [`CompiledProgram`] — the execution
-/// entry point the frontend's `plan → passes → compile` chain feeds into.
+/// Execute a compiled program starting from `initial_order` with
+/// progressive operator reordering enabled (Sections 5.5–5.6) — the
+/// execution entry point the frontend's `plan → passes → compile` chain
+/// feeds into: stages are reordered by estimated cost per input tuple,
+/// with probe clustering calibrated from the sampled counters and
+/// trial-vector accept/revert semantics shared with the scan path.
 ///
 /// The program is left in the final order the run converged to.
 pub fn run_progressive_program(
@@ -1432,7 +1295,7 @@ mod tests {
 
     mod pipeline {
         use super::*;
-        use crate::exec::pipeline::{FilterOp, Pipeline};
+        use crate::plan::{Expr, PlanBuilder};
         use popt_cpu::CacheLevelConfig;
 
         /// Small hierarchy (4/16/64 KiB) so a modest dimension table
@@ -1516,38 +1379,38 @@ mod tests {
             }
         }
 
+        /// The shared shape: an expensive selection (`val < 50`, 50 extra
+        /// instructions) then a join on `fk` probing `payload < 50`,
+        /// optionally summing `val`. Plan order is construction order.
+        fn build<'t>(
+            fact: &'t Table,
+            dim: &'t Table,
+            fk: &str,
+            aggregate: bool,
+        ) -> CompiledProgram<'t> {
+            let mut plan = PlanBuilder::scan(fact)
+                .filter_costed(Expr::col("val").less_than(50), 50)
+                .join(dim, fk, Expr::col("payload").less_than(50));
+            if aggregate {
+                plan = plan.aggregate("val");
+            }
+            plan.build().compile().unwrap()
+        }
+
         /// Expensive selection + LLC-thrashing random join: the selection
         /// belongs in front. Start join-first and let the loop fix it.
         #[test]
         fn converges_to_selection_first_for_random_join() {
             let n = 1 << 17;
             let (fact, dim) = tables(n);
-            let build = |order: &[usize]| {
-                let sel = FilterOp::select(&fact, "val", CompareOp::Lt, 50, 0, 50).unwrap();
-                let join = FilterOp::join_filter(
-                    &fact,
-                    "fk_rand",
-                    &dim,
-                    "payload",
-                    CompareOp::Lt,
-                    50,
-                    1,
-                    100,
-                )
-                .unwrap();
-                let mut p = Pipeline::new(vec![sel, join], fact.rows()).unwrap();
-                p.reorder(order).unwrap();
-                p
-            };
+            let mut bad_static = build(&fact, &dim, "fk_rand", false);
+            bad_static.reorder(&[1, 0]).unwrap();
             let mut static_cpu = SimCpu::new(small_cache_cpu());
-            let bad = build(&[1, 0])
-                .run_range(&mut static_cpu, 0, n)
-                .counters
-                .cycles;
-            let mut pipeline = build(&[1, 0]);
+            let bad = bad_static.run_range(&mut static_cpu, 0, n).counters.cycles;
+            let mut program = build(&fact, &dim, "fk_rand", false);
             let mut cpu = SimCpu::new(small_cache_cpu());
-            let prog = run_progressive_pipeline(
-                &mut pipeline,
+            let prog = run_progressive_program(
+                &mut program,
                 &[1, 0],
                 pipeline_vectors(),
                 &mut cpu,
@@ -1568,25 +1431,10 @@ mod tests {
         fn converges_to_join_first_for_coclustered_join() {
             let n = 1 << 17;
             let (fact, dim) = tables(n);
-            let build = || {
-                let sel = FilterOp::select(&fact, "val", CompareOp::Lt, 50, 0, 50).unwrap();
-                let join = FilterOp::join_filter(
-                    &fact,
-                    "fk_seq",
-                    &dim,
-                    "payload",
-                    CompareOp::Lt,
-                    50,
-                    1,
-                    100,
-                )
-                .unwrap();
-                Pipeline::new(vec![sel, join], fact.rows()).unwrap()
-            };
-            let mut pipeline = build();
+            let mut program = build(&fact, &dim, "fk_seq", false);
             let mut cpu = SimCpu::new(small_cache_cpu());
-            let prog = run_progressive_pipeline(
-                &mut pipeline,
+            let prog = run_progressive_program(
+                &mut program,
                 &[0, 1],
                 pipeline_vectors(),
                 &mut cpu,
@@ -1602,31 +1450,13 @@ mod tests {
         fn progressive_pipeline_preserves_results() {
             let n = 1 << 16;
             let (fact, dim) = tables(n);
-            let build = || {
-                let sel = FilterOp::select(&fact, "val", CompareOp::Lt, 50, 0, 50).unwrap();
-                let join = FilterOp::join_filter(
-                    &fact,
-                    "fk_rand",
-                    &dim,
-                    "payload",
-                    CompareOp::Lt,
-                    50,
-                    1,
-                    100,
-                )
-                .unwrap();
-                Pipeline::new(vec![sel, join], fact.rows())
-                    .unwrap()
-                    .with_aggregate(&fact, "val")
-                    .unwrap()
-            };
-            let static_pipeline = build();
+            let static_program = build(&fact, &dim, "fk_rand", true);
             let mut cpu1 = SimCpu::new(small_cache_cpu());
-            let expect = static_pipeline.run_range(&mut cpu1, 0, n);
-            let mut pipeline = build();
+            let expect = static_program.run_range(&mut cpu1, 0, n);
+            let mut program = build(&fact, &dim, "fk_rand", true);
             let mut cpu2 = SimCpu::new(small_cache_cpu());
-            let prog = run_progressive_pipeline(
-                &mut pipeline,
+            let prog = run_progressive_program(
+                &mut program,
                 &[1, 0],
                 pipeline_vectors(),
                 &mut cpu2,
@@ -1643,14 +1473,10 @@ mod tests {
         fn good_pipeline_order_is_left_alone() {
             let n = 1 << 16;
             let (fact, dim) = tables(n);
-            let sel = FilterOp::select(&fact, "val", CompareOp::Lt, 50, 0, 50).unwrap();
-            let join =
-                FilterOp::join_filter(&fact, "fk_rand", &dim, "payload", CompareOp::Lt, 50, 1, 100)
-                    .unwrap();
-            let mut pipeline = Pipeline::new(vec![sel, join], fact.rows()).unwrap();
+            let mut program = build(&fact, &dim, "fk_rand", false);
             let mut cpu = SimCpu::new(small_cache_cpu());
-            let prog = run_progressive_pipeline(
-                &mut pipeline,
+            let prog = run_progressive_program(
+                &mut program,
                 &[0, 1],
                 pipeline_vectors(),
                 &mut cpu,
@@ -1658,6 +1484,31 @@ mod tests {
             )
             .unwrap();
             assert_eq!(prog.final_peo, vec![0, 1], "{:?}", prog.switches);
+        }
+
+        /// A snapshot warm-starts only the stage *shapes* it was learned
+        /// on: one without structural keys is ignored (cold start, no
+        /// panic) even when its arity fits.
+        #[test]
+        fn unkeyed_snapshot_of_equal_arity_is_ignored() {
+            let (fact, dim) = tables(1 << 10);
+            let mut program = build(&fact, &dim, "fk_rand", false);
+            let mut target = CompiledTarget::new(&mut program);
+            let cold = target.calibration_snapshot().expect("programs calibrate");
+            assert!(cold.is_cold());
+            let mut unkeyed = CalibrationSnapshot::cold(2);
+            unkeyed.clustering = vec![0.0, 0.0];
+            unkeyed.measured = vec![true, true];
+            target.restore_calibration(&unkeyed);
+            assert_eq!(target.calibration_snapshot(), Some(cold));
+            // The same beliefs keyed to this program's stages do restore.
+            let keyed = CalibrationSnapshot::keyed(
+                unkeyed.clustering,
+                unkeyed.measured,
+                target.stage_keys(),
+            );
+            target.restore_calibration(&keyed);
+            assert_eq!(target.calibration_snapshot(), Some(keyed));
         }
     }
 

@@ -25,7 +25,6 @@ use popt_solver::CalibrationSnapshot;
 use popt_storage::Table;
 
 use crate::error::EngineError;
-use crate::exec::pipeline::Pipeline;
 use crate::exec::program::CompiledProgram;
 use crate::plan::{Peo, SelectionPlan};
 use crate::predicate::{CompareOp, Predicate};
@@ -116,36 +115,6 @@ impl WorkloadSignature {
             stages,
             literals: plan.predicates.iter().map(|p| p.literal).collect(),
         })
-    }
-
-    /// Signature of a filter pipeline, taken over the stages in plan
-    /// (construction) order so it is invariant under reordering.
-    pub fn of_pipeline(pipeline: &Pipeline<'_>) -> Self {
-        let stages = (0..pipeline.len())
-            .map(|j| {
-                let op = pipeline.op(j);
-                match op.dim_rows() {
-                    Some(dim_rows) => StageSignature::Join {
-                        fk_base: op.column_base(),
-                        dim_base: op.dim_base().expect("joins have a dimension"),
-                        dim_rows,
-                        op: op.compare_op(),
-                    },
-                    None => StageSignature::Select {
-                        base: op.column_base(),
-                        op: op.compare_op(),
-                        extra_instructions: op.extra_instructions(),
-                    },
-                }
-            })
-            .collect();
-        Self {
-            rows: pipeline.rows(),
-            stages,
-            literals: (0..pipeline.len())
-                .map(|j| pipeline.op(j).literal())
-                .collect(),
-        }
     }
 
     /// Signature of a compiled program, taken over the stages in plan
@@ -496,27 +465,47 @@ mod tests {
         assert_eq!(a.stages(), 2);
     }
 
-    #[test]
-    fn compiled_signature_matches_the_pipeline_signature() {
-        use crate::exec::pipeline::{FilterOp, Pipeline};
-        use crate::plan::PlanBuilder;
-        let t = table();
+    /// `table()` plus a 4-row dimension, compiled as `a < 10` then a join
+    /// on `b` ("b" holds 2s — valid keys) probing `p = 0`.
+    fn compiled_select_join<'t>(t: &'t Table, dim: &'t Table) -> CompiledProgram<'t> {
+        use crate::plan::{Expr, PlanBuilder};
+        PlanBuilder::scan(t)
+            .filter(Expr::col("a").less_than(10))
+            .join(dim, "b", Expr::col("p").equal_to(0))
+            .build()
+            .compile()
+            .unwrap()
+    }
+
+    fn dim() -> Table {
         let mut dim_space = AddressSpace::new();
         let mut dim = Table::new("dim");
         dim.add_column("p", ColumnData::I32(vec![0; 4]), &mut dim_space);
-        let sel = FilterOp::select(&t, "a", CompareOp::Lt, 10, 0, 0).unwrap();
-        let join = FilterOp::join_filter(&t, "b", &dim, "p", CompareOp::Eq, 0, 1, 100).unwrap();
-        let pipeline = Pipeline::new(vec![sel, join], t.rows()).unwrap();
-        let plan = PlanBuilder::scan(&t)
-            .filter(crate::plan::Expr::col("a").less_than(10))
-            .join(&dim, "b", crate::plan::Expr::col("p").equal_to(0))
-            .build();
-        let program = plan.compile().unwrap();
+        dim
+    }
+
+    #[test]
+    fn compiled_signature_describes_stage_structure() {
+        let (t, dim) = (table(), dim());
+        let sig = WorkloadSignature::of_compiled(&compiled_select_join(&t, &dim));
+        assert_eq!(sig.rows, t.rows());
         assert_eq!(
-            WorkloadSignature::of_pipeline(&pipeline),
-            WorkloadSignature::of_compiled(&program),
-            "a compiled plan and the equivalent hand-built pipeline share a template"
+            sig.stages,
+            vec![
+                StageSignature::Select {
+                    base: t.column("a").unwrap().base_addr(),
+                    op: CompareOp::Lt,
+                    extra_instructions: 0,
+                },
+                StageSignature::Join {
+                    fk_base: t.column("b").unwrap().base_addr(),
+                    dim_base: dim.column("p").unwrap().base_addr(),
+                    dim_rows: 4,
+                    op: CompareOp::Eq,
+                },
+            ]
         );
+        assert_eq!(sig.literals(), &[10, 0]);
     }
 
     #[test]
@@ -531,24 +520,14 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_signature_is_order_invariant() {
-        use crate::exec::pipeline::{FilterOp, Pipeline};
-        let t = table();
-        let mut dim_space = AddressSpace::new();
-        let mut dim = Table::new("dim");
-        dim.add_column("p", ColumnData::I32(vec![0; 4]), &mut dim_space);
-        let build = || {
-            let sel = FilterOp::select(&t, "a", CompareOp::Lt, 10, 0, 0).unwrap();
-            let join = FilterOp::join_filter(&t, "b", &dim, "p", CompareOp::Eq, 0, 1, 100);
-            // "b" holds 2s — valid keys into the 4-row dimension.
-            Pipeline::new(vec![sel, join.unwrap()], t.rows()).unwrap()
-        };
-        let in_plan_order = WorkloadSignature::of_pipeline(&build());
-        let mut reordered = build();
+    fn compiled_signature_is_order_invariant() {
+        let (t, dim) = (table(), dim());
+        let in_plan_order = WorkloadSignature::of_compiled(&compiled_select_join(&t, &dim));
+        let mut reordered = compiled_select_join(&t, &dim);
         reordered.reorder(&[1, 0]).unwrap();
         assert_eq!(
             in_plan_order,
-            WorkloadSignature::of_pipeline(&reordered),
+            WorkloadSignature::of_compiled(&reordered),
             "signature must not depend on the evaluation order"
         );
     }

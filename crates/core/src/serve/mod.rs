@@ -6,10 +6,9 @@
 //! morsel-driven parallel executor without touching the execution or
 //! optimization machinery — the non-invasive theme, one level up:
 //!
-//! * [`server::QueryServer`] admits [`server::QuerySpec`]s (scan,
-//!   pipeline, or compiled frontend program — see
-//!   [`server::QuerySpec::from_plan`] — each with a [`server::Priority`]
-//!   and an arrival time) and
+//! * [`server::QueryServer`] admits [`server::QuerySpec`]s (scan or
+//!   compiled frontend program — see [`server::QuerySpec::from_plan`] —
+//!   each with a [`server::Priority`] and an arrival time) and
 //!   executes them as interleaved morsel streams over one pool. Each
 //!   query keeps its own progressive coordination state — epoch-published
 //!   orders, trial leasing, rejection memory — exactly as if it ran

@@ -1,9 +1,10 @@
 //! The query server: admission, interleaved scheduling, and per-query
 //! progressive reoptimization over one shared [`CpuPool`].
 //!
-//! A [`QueryServer`] holds a batch of [`QuerySpec`]s — scan or pipeline
-//! targets, each with a [`Priority`] and an arrival time in simulated
-//! cycles — and executes them as *interleaved morsel streams*:
+//! A [`QueryServer`] holds a batch of [`QuerySpec`]s — scan or
+//! compiled-program targets, each with a [`Priority`] and an arrival
+//! time in simulated cycles — and executes them as *interleaved morsel
+//! streams*:
 //!
 //! * **Admission** — a query becomes schedulable once a worker's
 //!   wall-clock position (busy + idle + charged optimizer cycles)
@@ -42,7 +43,6 @@ use popt_obs::{DriftObservatory, MetricsRegistry, TraceEvent, Tracer};
 use popt_storage::Table;
 
 use crate::error::EngineError;
-use crate::exec::pipeline::Pipeline;
 use crate::exec::program::CompiledProgram;
 use crate::exec::scan::VectorStats;
 use crate::parallel::coordinator::{
@@ -101,13 +101,6 @@ pub enum QueryKind<'t> {
         /// Evaluation order to start from on a cache miss.
         initial_peo: Peo,
     },
-    /// A mixed selection/join-filter pipeline.
-    Pipeline {
-        /// The pipeline (stages borrow immutable column data).
-        pipeline: Pipeline<'t>,
-        /// Evaluation order to start from on a cache miss.
-        initial_order: Peo,
-    },
     /// A compiled frontend program ([`crate::plan::LogicalPlan`] →
     /// [`CompiledProgram`]). Signatures are literal-free, so sliding a
     /// plan's literals keeps the template warm across arrivals.
@@ -148,25 +141,6 @@ impl<'t> QuerySpec<'t> {
                 table,
                 plan,
                 initial_peo,
-            },
-            priority,
-            arrival_cycles,
-        }
-    }
-
-    /// A pipeline query.
-    pub fn pipeline(
-        label: impl Into<String>,
-        pipeline: Pipeline<'t>,
-        initial_order: Peo,
-        priority: Priority,
-        arrival_cycles: u64,
-    ) -> Self {
-        Self {
-            label: label.into(),
-            kind: QueryKind::Pipeline {
-                pipeline,
-                initial_order,
             },
             priority,
             arrival_cycles,
@@ -809,26 +783,6 @@ fn build_target<'p, 't>(
             let target = crate::progressive::ScanTarget::new(table, plan, start)?;
             Ok((
                 ServeTarget::Scan(target),
-                signature,
-                cached.map(|entry| entry.order),
-            ))
-        }
-        QueryKind::Pipeline {
-            pipeline,
-            initial_order,
-        } => {
-            let signature = WorkloadSignature::of_pipeline(pipeline);
-            let cached = cache.and_then(|c| c.lookup(&signature));
-            match cached.as_ref() {
-                Some(entry) => pipeline.reorder(&entry.order)?,
-                None => pipeline.reorder(initial_order)?,
-            }
-            let mut target = crate::progressive::PipelineTarget::new(pipeline);
-            if let Some(calibration) = cached.as_ref().and_then(|e| e.calibration.as_ref()) {
-                target.restore_calibration(calibration);
-            }
-            Ok((
-                ServeTarget::Pipeline(target),
                 signature,
                 cached.map(|entry| entry.order),
             ))

@@ -1,10 +1,9 @@
 //! The uniform target type the server schedules: a served query is a
-//! multi-selection scan, a mixed selection/join-filter pipeline, or a
-//! compiled frontend program, and the scheduler must hold a
-//! heterogeneous set of them in one collection. A closed enum (rather
-//! than trait objects) keeps the [`ShardableTarget`] associated-type
-//! machinery — and with it the zero-cost shard dispatch in the morsel
-//! hot path — fully static.
+//! multi-selection scan or a compiled frontend program, and the
+//! scheduler must hold a heterogeneous set of them in one collection. A
+//! closed enum (rather than trait objects) keeps the
+//! [`ShardableTarget`] associated-type machinery — and with it the
+//! zero-cost shard dispatch in the morsel hot path — fully static.
 
 use popt_cost::estimate::PlanGeometry;
 use popt_cpu::{CpuConfig, SimCpu};
@@ -12,14 +11,13 @@ use popt_solver::{CalibrationSnapshot, SampledCounters};
 
 use crate::error::EngineError;
 use crate::exec::scan::VectorStats;
-use crate::parallel::{CompiledShard, PipelineShard, ShardableTarget, TargetShard};
+use crate::parallel::{CompiledShard, ShardableTarget, TargetShard};
 use crate::plan::Peo;
-use crate::progressive::{CompiledTarget, PipelineTarget, ProgressiveTarget, ScanTarget};
+use crate::progressive::{CompiledTarget, ProgressiveTarget, ScanTarget};
 
-/// A served query's master target: scan, pipeline, or compiled program.
+/// A served query's master target: scan or compiled program.
 pub(crate) enum ServeTarget<'p, 't> {
     Scan(ScanTarget<'p, 't>),
-    Pipeline(PipelineTarget<'p, 't>),
     Compiled(CompiledTarget<'p, 't>),
 }
 
@@ -27,7 +25,6 @@ impl ProgressiveTarget for ServeTarget<'_, '_> {
     fn rows(&self) -> usize {
         match self {
             Self::Scan(t) => t.rows(),
-            Self::Pipeline(t) => t.rows(),
             Self::Compiled(t) => t.rows(),
         }
     }
@@ -35,7 +32,6 @@ impl ProgressiveTarget for ServeTarget<'_, '_> {
     fn order(&self) -> Peo {
         match self {
             Self::Scan(t) => ProgressiveTarget::order(t),
-            Self::Pipeline(t) => ProgressiveTarget::order(t),
             Self::Compiled(t) => ProgressiveTarget::order(t),
         }
     }
@@ -43,7 +39,6 @@ impl ProgressiveTarget for ServeTarget<'_, '_> {
     fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError> {
         match self {
             Self::Scan(t) => ProgressiveTarget::set_order(t, order),
-            Self::Pipeline(t) => ProgressiveTarget::set_order(t, order),
             Self::Compiled(t) => ProgressiveTarget::set_order(t, order),
         }
     }
@@ -51,7 +46,6 @@ impl ProgressiveTarget for ServeTarget<'_, '_> {
     fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
         match self {
             Self::Scan(t) => ProgressiveTarget::run_range(t, cpu, start, end),
-            Self::Pipeline(t) => ProgressiveTarget::run_range(t, cpu, start, end),
             Self::Compiled(t) => ProgressiveTarget::run_range(t, cpu, start, end),
         }
     }
@@ -59,7 +53,6 @@ impl ProgressiveTarget for ServeTarget<'_, '_> {
     fn plan_geometry(&self, n_input: u64, cpu: &CpuConfig, llc_bytes: u64) -> PlanGeometry {
         match self {
             Self::Scan(t) => t.plan_geometry(n_input, cpu, llc_bytes),
-            Self::Pipeline(t) => t.plan_geometry(n_input, cpu, llc_bytes),
             Self::Compiled(t) => t.plan_geometry(n_input, cpu, llc_bytes),
         }
     }
@@ -67,7 +60,6 @@ impl ProgressiveTarget for ServeTarget<'_, '_> {
     fn hot_set_bytes(&self) -> u64 {
         match self {
             Self::Scan(t) => t.hot_set_bytes(),
-            Self::Pipeline(t) => t.hot_set_bytes(),
             Self::Compiled(t) => t.hot_set_bytes(),
         }
     }
@@ -75,7 +67,6 @@ impl ProgressiveTarget for ServeTarget<'_, '_> {
     fn propose_order(&self, geom: &PlanGeometry, selectivities: &[f64]) -> Peo {
         match self {
             Self::Scan(t) => t.propose_order(geom, selectivities),
-            Self::Pipeline(t) => t.propose_order(geom, selectivities),
             Self::Compiled(t) => t.propose_order(geom, selectivities),
         }
     }
@@ -83,7 +74,6 @@ impl ProgressiveTarget for ServeTarget<'_, '_> {
     fn calibrate(&mut self, geom: &PlanGeometry, sampled: &SampledCounters, survivors: &[f64]) {
         match self {
             Self::Scan(t) => t.calibrate(geom, sampled, survivors),
-            Self::Pipeline(t) => t.calibrate(geom, sampled, survivors),
             Self::Compiled(t) => t.calibrate(geom, sampled, survivors),
         }
     }
@@ -91,7 +81,6 @@ impl ProgressiveTarget for ServeTarget<'_, '_> {
     fn take_probe_order(&mut self) -> Option<Peo> {
         match self {
             Self::Scan(t) => t.take_probe_order(),
-            Self::Pipeline(t) => t.take_probe_order(),
             Self::Compiled(t) => t.take_probe_order(),
         }
     }
@@ -99,7 +88,6 @@ impl ProgressiveTarget for ServeTarget<'_, '_> {
     fn wants_trial_calibration(&self) -> bool {
         match self {
             Self::Scan(t) => t.wants_trial_calibration(),
-            Self::Pipeline(t) => t.wants_trial_calibration(),
             Self::Compiled(t) => t.wants_trial_calibration(),
         }
     }
@@ -107,7 +95,6 @@ impl ProgressiveTarget for ServeTarget<'_, '_> {
     fn calibration_snapshot(&self) -> Option<CalibrationSnapshot> {
         match self {
             Self::Scan(t) => t.calibration_snapshot(),
-            Self::Pipeline(t) => t.calibration_snapshot(),
             Self::Compiled(t) => t.calibration_snapshot(),
         }
     }
@@ -115,7 +102,6 @@ impl ProgressiveTarget for ServeTarget<'_, '_> {
     fn restore_calibration(&mut self, snapshot: &CalibrationSnapshot) {
         match self {
             Self::Scan(t) => t.restore_calibration(snapshot),
-            Self::Pipeline(t) => t.restore_calibration(snapshot),
             Self::Compiled(t) => t.restore_calibration(snapshot),
         }
     }
@@ -124,7 +110,6 @@ impl ProgressiveTarget for ServeTarget<'_, '_> {
 /// A worker's private executor for one served query.
 pub(crate) enum ServeShard<'p, 't> {
     Scan(ScanTarget<'p, 't>),
-    Pipeline(PipelineShard<'t>),
     Compiled(CompiledShard<'t>),
 }
 
@@ -132,7 +117,6 @@ impl TargetShard for ServeShard<'_, '_> {
     fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError> {
         match self {
             Self::Scan(s) => TargetShard::set_order(s, order),
-            Self::Pipeline(s) => TargetShard::set_order(s, order),
             Self::Compiled(s) => TargetShard::set_order(s, order),
         }
     }
@@ -140,7 +124,6 @@ impl TargetShard for ServeShard<'_, '_> {
     fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
         match self {
             Self::Scan(s) => TargetShard::run_range(s, cpu, start, end),
-            Self::Pipeline(s) => TargetShard::run_range(s, cpu, start, end),
             Self::Compiled(s) => TargetShard::run_range(s, cpu, start, end),
         }
     }
@@ -152,7 +135,6 @@ impl<'p, 't> ShardableTarget for ServeTarget<'p, 't> {
     fn shard(&self) -> Result<Self::Shard, EngineError> {
         Ok(match self {
             Self::Scan(t) => ServeShard::Scan(t.shard()?),
-            Self::Pipeline(t) => ServeShard::Pipeline(t.shard()?),
             Self::Compiled(t) => ServeShard::Compiled(t.shard()?),
         })
     }

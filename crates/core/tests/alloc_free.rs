@@ -6,6 +6,10 @@
 //! zero allocations (serial), and the parallel claim → execute → sample
 //! loop performs none per morsel (total allocations are independent of
 //! the morsel count when reoptimization is off).
+//!
+//! The counter is process-wide, so this target runs without the libtest
+//! harness (`harness = false`): `main` runs the checks one after another
+//! on the only thread there is.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,10 +82,15 @@ fn plan() -> SelectionPlan {
     .unwrap()
 }
 
+fn main() {
+    serial_vector_loop_is_allocation_free();
+    parallel_morsel_loop_is_allocation_free();
+    println!("alloc_free: 2 checks passed");
+}
+
 /// Serial morsel loop: after one warmup vector (stream-state slots may
 /// lazily extend on first touch), executing any number of further
 /// vectors through the batched fast path allocates nothing.
-#[test]
 fn serial_vector_loop_is_allocation_free() {
     let rows = 64 * 1024;
     let t = table(rows);
@@ -103,7 +112,6 @@ fn serial_vector_loop_is_allocation_free() {
 /// shards, report), not of how many morsels stream through it. Running
 /// 4× the rows over the same morsel size must allocate exactly as often
 /// as the short run.
-#[test]
 fn parallel_morsel_loop_is_allocation_free() {
     let run = |rows: usize| {
         let t = table(rows);

@@ -1,5 +1,4 @@
-//! Chrome-trace-event JSON export (viewable in Perfetto / chrome://tracing)
-//! and a dependency-free JSON validator for smokes and tests.
+//! Chrome-trace-event JSON export (viewable in Perfetto / chrome://tracing).
 //!
 //! Morsel claims become `"X"` (complete) events — `ts` is the morsel's
 //! start position, `dur` its simulated cost, `tid` the worker lane, `pid`
@@ -105,180 +104,11 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
     format!("{{\"traceEvents\":[{}]}}", events.join(","))
 }
 
-/// Validate that `text` is a single well-formed JSON value (recursive
-/// descent; no external parser exists in this workspace). Returns the
-/// number of bytes consumed on success.
-pub fn validate_json(text: &str) -> Result<usize, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(pos)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if *c == b'-' || c.is_ascii_digit() => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {:?} at {}", *c as char, *pos)),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') | Some(b'\\') | Some(b'/') | Some(b'b') | Some(b'f')
-                    | Some(b'n') | Some(b'r') | Some(b't') => *pos += 1,
-                    Some(b'u') => {
-                        if b.len() < *pos + 5
-                            || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at byte {}", *pos));
-                        }
-                        *pos += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-            }
-            c if c < 0x20 => return Err(format!("raw control byte in string at {}", *pos)),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let int_start = *pos;
-    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-    }
-    if *pos == int_start {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let frac_start = *pos;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        if *pos == frac_start {
-            return Err(format!("bad fraction at byte {start}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e') | Some(b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+') | Some(b'-')) {
-            *pos += 1;
-        }
-        let exp_start = *pos;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        if *pos == exp_start {
-            return Err(format!("bad exponent at byte {start}"));
-        }
-    }
-    Ok(())
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-                skip_ws(b, pos);
-            }
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {}", *pos));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{Stamp, TraceEvent};
+    use crate::json::validate_json;
 
     fn morsel_record() -> TraceRecord {
         TraceRecord {
@@ -369,38 +199,6 @@ mod tests {
             },
         };
         validate_json(&event_json(&rec)).expect("escaped label stays valid");
-    }
-
-    #[test]
-    fn validator_accepts_json_and_rejects_non_json() {
-        for good in [
-            "null",
-            "true",
-            "-12.5e3",
-            "\"s\"",
-            "[]",
-            "[1,2,[3]]",
-            "{\"a\":{\"b\":[null,false]}}",
-            "  { \"x\" : 1 }  ",
-        ] {
-            validate_json(good).unwrap_or_else(|e| panic!("{good}: {e}"));
-        }
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "\"unterminated",
-            "01x",
-            "nul",
-            "{} {}",
-            "1.",
-            "[1 2]",
-            "{\"a\":1,}",
-        ] {
-            assert!(validate_json(bad).is_err(), "accepted bad JSON: {bad:?}");
-        }
     }
 
     #[test]

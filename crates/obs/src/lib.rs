@@ -27,7 +27,9 @@
 //! * [`metrics`] — counters, gauges, and fixed-bucket histograms,
 //!   snapshotable at any point;
 //! * [`chrome`] — Chrome-trace-event JSON export (Perfetto per-core
-//!   timelines) plus a dependency-free JSON validator;
+//!   timelines);
+//! * [`json`] — the workspace's one dependency-free JSON parser and
+//!   validator;
 //! * [`explain`] — the human-readable progressive decision log: *why*
 //!   each order was accepted;
 //! * [`drift`] — the model-drift observatory: predicted-vs-observed
@@ -41,15 +43,17 @@ pub mod chrome;
 pub mod drift;
 pub mod event;
 pub mod explain;
+pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod sink;
 pub mod tracer;
 
-pub use chrome::{chrome_trace, validate_json};
+pub use chrome::chrome_trace;
 pub use drift::{DriftObservatory, DriftStats};
 pub use event::{Arg, Stamp, TraceEvent, TraceRecord};
 pub use explain::{decision_line, decision_log};
+pub use json::{parse_json, validate_json, Json};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use profile::{apportion, ProfLane, ProfSlice, Profiler};
 pub use sink::{MemorySink, NullSink, StreamSink, TraceSink};

@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::chrome::validate_json;
+use crate::json::validate_json;
 
 /// Attribution lane of a profiled slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

@@ -220,7 +220,7 @@ mod tests {
         sink.record(record(2)); // post-finish records are dropped
         assert_eq!(sink.written(), 2);
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        crate::chrome::validate_json(&text).expect("streamed document is valid JSON");
+        crate::json::validate_json(&text).expect("streamed document is valid JSON");
         assert!(text.starts_with("{\"traceEvents\":["));
         assert!(text.ends_with("]}"));
     }
@@ -231,6 +231,6 @@ mod tests {
         let sink = StreamSink::new(Box::new(buf.clone())).expect("stream opens");
         drop(sink); // drop finishes
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        crate::chrome::validate_json(&text).expect("empty document is valid JSON");
+        crate::json::validate_json(&text).expect("empty document is valid JSON");
     }
 }

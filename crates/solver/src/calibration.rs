@@ -1,6 +1,6 @@
 //! Snapshot/restore of a target's runtime calibration state.
 //!
-//! The progressive pipeline target learns each join probe's *clustering*
+//! The compiled-program target learns each join probe's *clustering*
 //! (co-clustered vs. random dimension access, Section 5.5) from sampled
 //! counters while the query runs. That knowledge is a property of the
 //! *workload template*, not of one execution: a repeated query probes the
@@ -23,9 +23,9 @@ pub struct CalibrationSnapshot {
     /// Whether the stage's clustering was ever calibrated from a sample.
     pub measured: Vec<bool>,
     /// Literal-free structural keys of the stages the calibration was
-    /// learned on (one per stage), for targets that can describe their
-    /// stages beyond a count. Empty for legacy snapshots: those are
-    /// matched by arity alone.
+    /// learned on (one per stage). A restore must match them exactly, so
+    /// a snapshot without keys ([`CalibrationSnapshot::cold`]) restores
+    /// into nothing.
     pub stage_keys: Vec<u64>,
 }
 
@@ -40,33 +40,27 @@ impl CalibrationSnapshot {
         }
     }
 
-    /// Build a snapshot from per-stage state; the vectors must be of
-    /// equal length and clustering values are clamped into `[0, 1]`.
-    pub fn new(clustering: Vec<f64>, measured: Vec<bool>) -> Self {
+    /// Build a snapshot from per-stage state and the stages' structural
+    /// keys; the vectors must be of equal length and clustering values
+    /// are clamped into `[0, 1]`. The keys let a restore verify it is
+    /// seeding the same stage *shapes* the calibration was learned on —
+    /// not merely the same stage count.
+    pub fn keyed(clustering: Vec<f64>, measured: Vec<bool>, stage_keys: Vec<u64>) -> Self {
         assert_eq!(
             clustering.len(),
             measured.len(),
             "one measured flag per stage"
         );
-        Self {
-            clustering: clustering.into_iter().map(|c| c.clamp(0.0, 1.0)).collect(),
-            measured,
-            stage_keys: Vec::new(),
-        }
-    }
-
-    /// [`CalibrationSnapshot::new`] with per-stage structural keys, so a
-    /// restore can verify it is seeding the same stage *shapes* the
-    /// calibration was learned on — not merely the same stage count.
-    pub fn keyed(clustering: Vec<f64>, measured: Vec<bool>, stage_keys: Vec<u64>) -> Self {
         assert_eq!(
             clustering.len(),
             stage_keys.len(),
             "one structural key per stage"
         );
-        let mut snapshot = Self::new(clustering, measured);
-        snapshot.stage_keys = stage_keys;
-        snapshot
+        Self {
+            clustering: clustering.into_iter().map(|c| c.clamp(0.0, 1.0)).collect(),
+            measured,
+            stage_keys,
+        }
     }
 
     /// Number of plan stages the snapshot describes.
@@ -74,24 +68,17 @@ impl CalibrationSnapshot {
         self.clustering.len()
     }
 
-    /// Whether the snapshot fits a target with `stages` plan stages — the
-    /// guard a restore must pass before overwriting a target's beliefs.
-    /// Both vectors must have the right arity (the fields are public, so
-    /// a hand-built or mutated snapshot can be lopsided; restoring one
-    /// must degrade to a cold start, never panic downstream).
-    pub fn matches(&self, stages: usize) -> bool {
-        self.clustering.len() == stages && self.measured.len() == stages
-    }
-
     /// Whether the snapshot fits a target whose stages carry the given
-    /// structural keys. A keyed snapshot must match them exactly; a
-    /// legacy (unkeyed) snapshot falls back to the arity check, so old
-    /// producers keep restoring into key-aware targets.
+    /// structural keys — the guard a restore must pass before
+    /// overwriting a target's beliefs. The keys must match exactly and
+    /// both state vectors must have the same arity (the fields are
+    /// public, so a hand-built or mutated snapshot can be lopsided or
+    /// unkeyed; restoring one must degrade to a cold start, never panic
+    /// downstream).
     pub fn matches_keys(&self, keys: &[u64]) -> bool {
-        if self.stage_keys.is_empty() {
-            return self.matches(keys.len());
-        }
-        self.matches(keys.len()) && self.stage_keys == keys
+        self.clustering.len() == keys.len()
+            && self.measured.len() == keys.len()
+            && self.stage_keys == keys
     }
 
     /// How many stages carry a measured (not prior) clustering.
@@ -117,23 +104,26 @@ mod tests {
         assert!(s.is_cold());
         assert_eq!(s.observed(), 0);
         assert!(s.clustering.iter().all(|&c| c == 1.0));
-        assert!(s.matches(3));
-        assert!(!s.matches(2));
     }
 
     #[test]
     fn lopsided_snapshot_matches_nothing() {
-        // Public fields allow a mutated, inconsistent snapshot; matches()
-        // must reject it for every arity so restores degrade to cold.
-        let mut s = CalibrationSnapshot::cold(2);
+        // Public fields allow a mutated, inconsistent snapshot;
+        // matches_keys() must reject it so restores degrade to cold.
+        let mut s = CalibrationSnapshot::keyed(vec![0.5, 1.0], vec![true, false], vec![7, 9]);
+        assert!(s.matches_keys(&[7, 9]));
         s.measured = vec![];
-        assert!(!s.matches(2));
-        assert!(!s.matches(0));
+        assert!(!s.matches_keys(&[7, 9]));
+        assert!(!s.matches_keys(&[]));
     }
 
     #[test]
-    fn new_clamps_clustering_into_unit_interval() {
-        let s = CalibrationSnapshot::new(vec![-0.5, 0.25, 7.0], vec![true, true, false]);
+    fn keyed_clamps_clustering_into_unit_interval() {
+        let s = CalibrationSnapshot::keyed(
+            vec![-0.5, 0.25, 7.0],
+            vec![true, true, false],
+            vec![1, 2, 3],
+        );
         assert_eq!(s.clustering, vec![0.0, 0.25, 1.0]);
         assert_eq!(s.observed(), 2);
         assert!(!s.is_cold());
@@ -142,19 +132,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "one measured flag per stage")]
     fn mismatched_lengths_are_rejected() {
-        let _ = CalibrationSnapshot::new(vec![0.5], vec![true, false]);
+        let _ = CalibrationSnapshot::keyed(vec![0.5], vec![true, false], vec![1]);
     }
 
     #[test]
-    fn keyed_snapshots_match_on_structure_not_arity() {
+    fn snapshots_match_on_structure_not_arity() {
         let s = CalibrationSnapshot::keyed(vec![0.5, 1.0], vec![true, false], vec![7, 9]);
         assert!(s.matches_keys(&[7, 9]));
         assert!(!s.matches_keys(&[9, 7]), "same arity, different structure");
         assert!(!s.matches_keys(&[7]));
-        // Legacy snapshots (no keys) keep matching by arity alone.
-        let legacy = CalibrationSnapshot::new(vec![0.5, 1.0], vec![true, false]);
-        assert!(legacy.matches_keys(&[1, 2]));
-        assert!(!legacy.matches_keys(&[1]));
+        // An unkeyed snapshot of the right arity matches no keyed target.
+        assert!(!CalibrationSnapshot::cold(2).matches_keys(&[1, 2]));
     }
 
     #[test]

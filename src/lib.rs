@@ -19,12 +19,15 @@
 //!   bit-identical — see the README's "Observability" section);
 //! * [`core`] — the vectorized execution engine and the progressive
 //!   optimizer itself, unified across executors: the multi-selection
-//!   scan and mixed selection/join-filter pipelines share one §4.4 loop
-//!   (`core::progressive::ProgressiveTarget`), with pipeline stages
+//!   scan and compiled selection/join-filter programs share one §4.4
+//!   loop (`core::progressive::ProgressiveTarget`), with program stages
 //!   ranked by estimated cost per input tuple (Sections 5.5–5.6).
 //!
-//! See `README.md` for a quickstart, `DESIGN.md` for the system inventory
-//! and `EXPERIMENTS.md` for the paper-vs-measured record of every figure.
+//! See `README.md`: "Quickstart" for a tour, "Workspace map" for the
+//! system inventory, and the per-subsystem sections ("Parallel
+//! execution", "Memory model", "Serving architecture", "Observability",
+//! "Simulator performance") for the measured record of what each figure
+//! reproduces.
 //!
 //! ```
 //! // The five-minute tour: run TPC-H Q6 with and without progressive

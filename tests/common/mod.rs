@@ -1,6 +1,13 @@
 //! Helpers shared by the integration-test binaries.
 
+// Each test binary compiles its own copy and uses a subset.
+#![allow(dead_code)]
+
+use popt::core::exec::program::CompiledProgram;
+use popt::core::plan::{Expr, LogicalPlan, PlanBuilder};
 use popt::cpu::{CacheLevelConfig, CpuConfig};
+use popt::storage::{AddressSpace, ColumnData, Table};
+use popt_bench::figures::workload::xorshift64;
 
 /// A deliberately small hierarchy (4 KiB L1 / 16 KiB L2 / 64 KiB LLC) so
 /// that modest dimension tables thrash the LLC under random probes at
@@ -28,4 +35,88 @@ pub fn small_cache_cpu() -> CpuConfig {
         },
     ];
     cfg
+}
+
+/// Fact rows of the random proptest workload ([`tables`]).
+pub const ROWS: usize = 2_048;
+
+/// The random proptest workload: a fact table with four value columns
+/// (`val0..val3`, uniform in `0..1000`), a co-clustered (`fk_seq`) and a
+/// random (`fk_rand`) foreign key, and a payload dimension big enough to
+/// feel the tiny test hierarchy's LLC — so private/shared/NUMA pools
+/// really simulate different cache behaviour while the properties demand
+/// identical results. Fact and dimension share one address space, so a
+/// NUMA placement registered on the payload homes nothing else.
+pub fn tables(seed: u64) -> (Table, Table) {
+    let dim_n = ROWS / 2;
+    let mut state = seed | 1;
+    let mut space = AddressSpace::new();
+    let mut fact = Table::new("fact");
+    for c in 0..4 {
+        let data: Vec<i32> = (0..ROWS)
+            .map(|_| (xorshift64(&mut state) % 1000) as i32)
+            .collect();
+        fact.add_column(format!("val{c}"), ColumnData::I32(data), &mut space);
+    }
+    fact.add_column(
+        "fk_seq",
+        ColumnData::I32((0..ROWS).map(|i| (i * dim_n / ROWS) as i32).collect()),
+        &mut space,
+    );
+    fact.add_column(
+        "fk_rand",
+        ColumnData::I32(
+            (0..ROWS)
+                .map(|_| (xorshift64(&mut state) % dim_n as u64) as i32)
+                .collect(),
+        ),
+        &mut space,
+    );
+    let mut dim = Table::new("dim");
+    dim.add_column(
+        "payload",
+        ColumnData::I32(
+            (0..dim_n)
+                .map(|_| (xorshift64(&mut state) % 1000) as i32)
+                .collect(),
+        ),
+        &mut space,
+    );
+    (fact, dim)
+}
+
+/// Random mixed plan over [`tables`], summing `val0`: bit `k` of
+/// `kinds` picks select (`val{k} < lit`) vs. join (`payload < lit`,
+/// alternating the co-clustered and the random key) for stage `k`.
+pub fn plan<'t>(
+    fact: &'t Table,
+    dim: &'t Table,
+    stages: usize,
+    kinds: u64,
+    lit: i64,
+) -> LogicalPlan<'t> {
+    let mut builder = PlanBuilder::scan(fact);
+    for k in 0..stages {
+        builder = if (kinds >> k) & 1 == 1 {
+            let fk = if k % 2 == 0 { "fk_seq" } else { "fk_rand" };
+            builder.join(dim, fk, Expr::col("payload").less_than(lit))
+        } else {
+            builder.filter(Expr::col(format!("val{k}")).less_than(lit))
+        };
+    }
+    builder.aggregate("val0").build()
+}
+
+/// [`plan`] compiled as built: no optimizer passes run, so plan order is
+/// construction order.
+pub fn build<'t>(
+    fact: &'t Table,
+    dim: &'t Table,
+    stages: usize,
+    kinds: u64,
+    lit: i64,
+) -> CompiledProgram<'t> {
+    plan(fact, dim, stages, kinds, lit)
+        .compile()
+        .expect("program compiles")
 }

@@ -1,17 +1,13 @@
 //! Integration tests for the query frontend: [`PlanBuilder`] → static
 //! optimizer passes → [`CompiledProgram`] → the progressive, parallel,
-//! and serving runtimes. The compiled form must be a drop-in for the
-//! boxed pipeline executor — same results, same simulated CPU events —
-//! and its literal-free template signature must warm the order cache
-//! across sliding parameters.
+//! and serving runtimes. The batched compiled form must be a drop-in
+//! for its per-event scalar oracle — same results, same simulated CPU
+//! events — and its literal-free template signature must warm the order
+//! cache across sliding parameters.
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
-use popt::core::parallel::{run_parallel_pipeline, run_parallel_program, MorselConfig};
+use popt::core::parallel::{run_parallel_program, MorselConfig};
 use popt::core::plan::{passes, Expr, PassRegistry, PlanBuilder};
-use popt::core::predicate::CompareOp;
-use popt::core::progressive::{
-    run_progressive_pipeline, run_progressive_program, ProgressiveConfig, VectorConfig,
-};
+use popt::core::progressive::{run_progressive_program, ProgressiveConfig, VectorConfig};
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
 use popt::cpu::{CpuConfig, CpuPool, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
@@ -70,30 +66,31 @@ fn program<'t>(
         .expect("plan lowers to a two-stage program")
 }
 
-fn pipeline<'t>(fact: &'t Table, dim: &'t Table, lit: i64) -> Pipeline<'t> {
-    let sel = FilterOp::select(fact, "val0", CompareOp::Lt, lit, 0, 30).unwrap();
-    let join =
-        FilterOp::join_filter(fact, "fk", dim, "payload", CompareOp::Lt, lit, 1, 100).unwrap();
-    Pipeline::new(vec![sel, join], fact.rows())
-        .unwrap()
-        .with_aggregate(fact, "val1")
-        .unwrap()
+/// [`program`] forced through the scalar per-event oracle.
+fn oracle<'t>(
+    fact: &'t Table,
+    dim: &'t Table,
+    lit: i64,
+) -> popt::core::exec::program::CompiledProgram<'t> {
+    let mut prog = program(fact, dim, lit);
+    prog.set_scalar_oracle(true);
+    prog
 }
 
-/// The compiled frontend program drives the same CPU events as the
-/// hand-chained boxed pipeline: identical results *and* identical
-/// counters, solo, progressively reoptimized, and morsel-parallel.
+/// The batched frontend program drives the same CPU events as its
+/// scalar per-event oracle: identical results *and* identical counters,
+/// solo, progressively reoptimized, and morsel-parallel.
 #[test]
-fn frontend_program_is_a_drop_in_for_the_boxed_pipeline() {
+fn frontend_program_is_a_drop_in_for_its_scalar_oracle() {
     let (fact, dim) = tables(0xF60);
 
     // Solo: bit-identical counters and cycles.
     let prog = program(&fact, &dim, 500);
-    let pipe = pipeline(&fact, &dim, 500);
+    let reference = oracle(&fact, &dim, 500);
     let mut c1 = SimCpu::new(CpuConfig::tiny_test());
     let a = prog.run_range(&mut c1, 0, ROWS);
     let mut c2 = SimCpu::new(CpuConfig::tiny_test());
-    let b = pipe.run_range(&mut c2, 0, ROWS);
+    let b = reference.run_range(&mut c2, 0, ROWS);
     assert_eq!(a.qualified, b.qualified);
     assert_eq!(a.sum, b.sum);
     assert_eq!(a.counters, b.counters, "bit-identical CPU events");
@@ -112,16 +109,13 @@ fn frontend_program_is_a_drop_in_for_the_boxed_pipeline() {
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
     let via_program =
         run_progressive_program(&mut prog, &[1, 0], vectors, &mut cpu, &reopt).unwrap();
-    let mut pipe = pipeline(&fact, &dim, 500);
+    let mut reference = oracle(&fact, &dim, 500);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let via_pipeline =
-        run_progressive_pipeline(&mut pipe, &[1, 0], vectors, &mut cpu, &reopt).unwrap();
-    assert_eq!(via_program.qualified, via_pipeline.qualified);
-    assert_eq!(via_program.sum, via_pipeline.sum);
-    assert_eq!(via_program.final_peo, via_pipeline.final_peo);
+    let via_oracle =
+        run_progressive_program(&mut reference, &[1, 0], vectors, &mut cpu, &reopt).unwrap();
     assert_eq!(
-        via_program.cycles, via_pipeline.cycles,
-        "same simulated cost"
+        via_program, via_oracle,
+        "same trajectory, same simulated cost"
     );
 
     // Morsel-parallel with shared reoptimization: same results at every
@@ -139,10 +133,10 @@ fn frontend_program_is_a_drop_in_for_the_boxed_pipeline() {
             Some(&reopt),
         )
         .unwrap();
-        let mut pipe = pipeline(&fact, &dim, 500);
+        let mut reference = oracle(&fact, &dim, 500);
         let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-        let q = run_parallel_pipeline(
-            &mut pipe,
+        let q = run_parallel_program(
+            &mut reference,
             &[1, 0],
             MorselConfig::new(1024),
             &mut pool,
@@ -216,9 +210,9 @@ fn optimizer_passes_preserve_results_and_lower_estimates() {
 
 /// Parameterized templates through the serving layer: a compiled plan
 /// whose literal slides between arrivals warm-hits its template's cache
-/// entry; a structural change misses; and a hand-built pipeline of the
-/// same shape shares the template (the signature is representation-
-/// agnostic).
+/// entry; a structural change misses; and a program admitted through
+/// `QuerySpec::compiled` shares the template `QuerySpec::from_plan`
+/// built (the signature is a property of the stages, not of the door).
 #[test]
 fn compiled_templates_warm_across_sliding_literals() {
     let (fact, dim) = tables(0xF62);
@@ -276,19 +270,18 @@ fn compiled_templates_warm_across_sliding_literals() {
     assert!(!changed.queries[0].warm_start, "operator flip must miss");
     assert_eq!(server.cache().len(), 2);
 
-    // A hand-chained pipeline with the original shape maps to the same
-    // template and warms from the compiled queries' converged state.
-    server.admit(QuerySpec::pipeline(
-        "q-boxed",
-        pipeline(&fact, &dim, 750),
-        vec![0, 1],
+    // A pre-compiled program with the original shape maps to the same
+    // template and warms from the plan-built queries' converged state.
+    server.admit(QuerySpec::compiled(
+        "q-compiled",
+        program(&fact, &dim, 750),
         Priority::Normal,
         0,
     ));
-    let boxed = server.run(&mut pool).unwrap();
+    let compiled = server.run(&mut pool).unwrap();
     assert!(
-        boxed.queries[0].warm_start,
-        "the signature is representation-agnostic"
+        compiled.queries[0].warm_start,
+        "the signature does not depend on the admission door"
     );
     assert_eq!(server.cache().len(), 2);
 }

@@ -1,8 +1,8 @@
-//! Cross-crate integration: join-filter pipelines, sortedness detection
+//! Cross-crate integration: join-filter programs, sortedness detection
 //! and counter-driven join reordering (Sections 5.5–5.6).
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
-use popt::core::predicate::CompareOp;
+use popt::core::exec::program::CompiledProgram;
+use popt::core::plan::{Expr, PlanBuilder};
 use popt::core::sortedness::{classify, recommend_join_order, AccessPattern, JoinObservation};
 use popt::cost::join_model::JoinGeometry;
 use popt::cpu::SimCpu;
@@ -24,17 +24,28 @@ fn setup() -> (
     )
 }
 
+/// A single always-true join filter probing `dim.col` through `fk`.
+fn lone_join<'t>(
+    lineitem: &'t popt::storage::Table,
+    fk: &str,
+    dim: &'t popt::storage::Table,
+    col: &str,
+) -> CompiledProgram<'t> {
+    PlanBuilder::scan(lineitem)
+        .join(dim, fk, Expr::col(col).less_than(i64::MAX / 2))
+        .build()
+        .compile()
+        .expect("join compiles")
+}
+
 #[test]
 fn orders_join_is_coclustered_part_join_is_not() {
     let (lineitem, orders, part) = setup();
     let cpu_cfg = small_cache_cpu();
     let probe = |fk: &str, dim: &popt::storage::Table, col: &str| {
-        let join =
-            FilterOp::join_filter(&lineitem, fk, dim, col, CompareOp::Lt, i64::MAX / 2, 0, 100)
-                .expect("join compiles");
-        let pipeline = Pipeline::new(vec![join], lineitem.rows()).expect("pipeline");
+        let program = lone_join(&lineitem, fk, dim, col);
         let mut cpu = SimCpu::new(cpu_cfg.clone());
-        let stats = pipeline.run_range(&mut cpu, 0, lineitem.rows());
+        let stats = program.run_range(&mut cpu, 0, lineitem.rows());
         let geometry = JoinGeometry {
             relation_tuples: dim.rows() as u64,
             tuple_bytes: 4,
@@ -57,36 +68,25 @@ fn orders_join_is_coclustered_part_join_is_not() {
 fn coclustered_join_first_is_faster() {
     let (lineitem, orders, part) = setup();
     let run = |orders_first: bool| {
-        let jo = FilterOp::join_filter(
-            &lineitem,
-            "l_orderkey",
-            &orders,
-            "o_totalprice",
-            CompareOp::Lt,
-            250_000,
-            0,
-            100,
-        )
-        .expect("orders join");
-        let jp = FilterOp::join_filter(
-            &lineitem,
-            "l_partkey",
-            &part,
-            "p_retailprice",
-            CompareOp::Lt,
-            1_500,
-            1,
-            101,
-        )
-        .expect("part join");
-        let ops = if orders_first {
-            vec![jo, jp]
-        } else {
-            vec![jp, jo]
-        };
-        let pipeline = Pipeline::new(ops, lineitem.rows()).expect("pipeline");
+        let mut program = PlanBuilder::scan(&lineitem)
+            .join(
+                &orders,
+                "l_orderkey",
+                Expr::col("o_totalprice").less_than(250_000),
+            )
+            .join(
+                &part,
+                "l_partkey",
+                Expr::col("p_retailprice").less_than(1_500),
+            )
+            .build()
+            .compile()
+            .expect("two-join program");
+        if !orders_first {
+            program.reorder(&[1, 0]).expect("reorder");
+        }
         let mut cpu = SimCpu::new(small_cache_cpu());
-        let stats = pipeline.run_range(&mut cpu, 0, lineitem.rows());
+        let stats = program.run_range(&mut cpu, 0, lineitem.rows());
         (cpu.cycles(), stats.qualified)
     };
     let (orders_first, q1) = run(true);
@@ -103,12 +103,9 @@ fn detector_recommends_the_fast_order() {
     let (lineitem, orders, part) = setup();
     let cpu_cfg = small_cache_cpu();
     let observe = |fk: &str, dim: &popt::storage::Table, col: &str, name: &str| {
-        let join =
-            FilterOp::join_filter(&lineitem, fk, dim, col, CompareOp::Lt, i64::MAX / 2, 0, 100)
-                .expect("join compiles");
-        let pipeline = Pipeline::new(vec![join], lineitem.rows()).expect("pipeline");
+        let program = lone_join(&lineitem, fk, dim, col);
         let mut cpu = SimCpu::new(cpu_cfg.clone());
-        let stats = pipeline.run_range(&mut cpu, 0, 1 << 14);
+        let stats = program.run_range(&mut cpu, 0, 1 << 14);
         JoinObservation {
             name: name.into(),
             geometry: JoinGeometry {
@@ -133,23 +130,19 @@ fn detector_recommends_the_fast_order() {
 fn mixed_selection_join_pipeline_is_order_invariant() {
     let (lineitem, orders, _) = setup();
     let run = |order: [usize; 2]| {
-        let sel =
-            FilterOp::select(&lineitem, "l_quantity", CompareOp::Lt, 24, 0, 0).expect("selection");
-        let join = FilterOp::join_filter(
-            &lineitem,
-            "l_orderkey",
-            &orders,
-            "o_totalprice",
-            CompareOp::Lt,
-            250_000,
-            1,
-            100,
-        )
-        .expect("join");
-        let mut pipeline = Pipeline::new(vec![sel, join], lineitem.rows()).expect("pipeline");
-        pipeline.reorder(&order).expect("reorder");
+        let mut program = PlanBuilder::scan(&lineitem)
+            .filter(Expr::col("l_quantity").less_than(24))
+            .join(
+                &orders,
+                "l_orderkey",
+                Expr::col("o_totalprice").less_than(250_000),
+            )
+            .build()
+            .compile()
+            .expect("select + join program");
+        program.reorder(&order).expect("reorder");
         let mut cpu = SimCpu::new(small_cache_cpu());
-        pipeline.run_range(&mut cpu, 0, lineitem.rows()).qualified
+        program.run_range(&mut cpu, 0, lineitem.rows()).qualified
     };
     assert_eq!(run([0, 1]), run([1, 0]));
 }
@@ -161,27 +154,21 @@ fn expensive_selection_changes_the_best_order() {
     // when the join is co-clustered (the Figure 14 trade-off).
     let (lineitem, orders, _) = setup();
     let run = |expensive: u64, join_first: bool| {
-        let sel = FilterOp::select(&lineitem, "l_quantity", CompareOp::Lt, 45, 0, expensive)
-            .expect("selection");
-        let join = FilterOp::join_filter(
-            &lineitem,
-            "l_orderkey",
-            &orders,
-            "o_totalprice",
-            CompareOp::Lt,
-            100_000,
-            1,
-            100,
-        )
-        .expect("join");
-        let ops = if join_first {
-            vec![join, sel]
-        } else {
-            vec![sel, join]
-        };
-        let pipeline = Pipeline::new(ops, lineitem.rows()).expect("pipeline");
+        let mut program = PlanBuilder::scan(&lineitem)
+            .filter_costed(Expr::col("l_quantity").less_than(45), expensive)
+            .join(
+                &orders,
+                "l_orderkey",
+                Expr::col("o_totalprice").less_than(100_000),
+            )
+            .build()
+            .compile()
+            .expect("select + join program");
+        if join_first {
+            program.reorder(&[1, 0]).expect("reorder");
+        }
         let mut cpu = SimCpu::new(small_cache_cpu());
-        pipeline.run_range(&mut cpu, 0, lineitem.rows());
+        program.run_range(&mut cpu, 0, lineitem.rows());
         cpu.cycles()
     };
     // Expensive selection + co-clustered (cheap) join: join-first wins.

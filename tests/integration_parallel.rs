@@ -7,12 +7,12 @@
 //! same operator order the serial loop finds; and four workers deliver a
 //! ≥ 2.5× wall-clock speedup over one on the Figure-14-style workload.
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
-use popt::core::parallel::{run_parallel_pipeline, run_parallel_scan, MorselConfig};
-use popt::core::plan::SelectionPlan;
+use popt::core::exec::program::CompiledProgram;
+use popt::core::parallel::{run_parallel_program, run_parallel_scan, MorselConfig};
+use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::{
-    run_baseline, run_progressive_pipeline, ProgressiveConfig, VectorConfig,
+    run_baseline, run_progressive_program, ProgressiveConfig, VectorConfig,
 };
 use popt::cpu::{CpuConfig, CpuPool, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
@@ -50,22 +50,13 @@ fn scan_table(n: usize) -> (Table, SelectionPlan) {
 
 /// Expensive selection + fully random FK probe into an LLC-thrashing
 /// dimension (the fig14 "Mem" workload) — selection-first is optimal.
-fn build_pipeline<'t>(fact: &'t Table, dim: &'t Table) -> Pipeline<'t> {
-    let sel = FilterOp::select(fact, "val", CompareOp::Lt, DOMAIN / 2, 0, 50).unwrap();
-    let join = FilterOp::join_filter(
-        fact,
-        "fk",
-        dim,
-        "payload",
-        CompareOp::Lt,
-        DOMAIN / 2,
-        1,
-        100,
-    )
-    .unwrap();
-    Pipeline::new(vec![sel, join], fact.rows())
-        .unwrap()
-        .with_aggregate(fact, "val")
+fn build_program<'t>(fact: &'t Table, dim: &'t Table) -> CompiledProgram<'t> {
+    PlanBuilder::scan(fact)
+        .filter_costed(Expr::col("val").less_than(DOMAIN / 2), 50)
+        .join(dim, "fk", Expr::col("payload").less_than(DOMAIN / 2))
+        .aggregate("val")
+        .build()
+        .compile()
         .unwrap()
 }
 
@@ -148,15 +139,15 @@ fn parallel_pipeline_matches_serial_and_converges_to_same_order() {
     let (fact, dim) = fig14_mem_tables(ROWS, 0xF00D);
     // Single-core ground truth (static, selection-first already applied
     // or not — results are order-invariant).
-    let static_pipeline = build_pipeline(&fact, &dim);
+    let static_program = build_program(&fact, &dim);
     let mut serial_cpu = SimCpu::new(small_cache_cpu());
-    let expect = static_pipeline.run_range(&mut serial_cpu, 0, ROWS);
+    let expect = static_program.run_range(&mut serial_cpu, 0, ROWS);
 
     // Serial progressive from the bad (join-first) order.
-    let mut serial_pipeline = build_pipeline(&fact, &dim);
+    let mut serial_program = build_program(&fact, &dim);
     let mut cpu = SimCpu::new(small_cache_cpu());
-    let serial = run_progressive_pipeline(
-        &mut serial_pipeline,
+    let serial = run_progressive_program(
+        &mut serial_program,
         &[1, 0],
         VectorConfig {
             vector_tuples: 4_096,
@@ -171,10 +162,10 @@ fn parallel_pipeline_matches_serial_and_converges_to_same_order() {
     .unwrap();
 
     // Parallel progressive from the same bad order, 4 workers.
-    let mut pipeline = build_pipeline(&fact, &dim);
+    let mut program = build_program(&fact, &dim);
     let mut pool = CpuPool::new(small_cache_cpu(), 4);
-    let report = run_parallel_pipeline(
-        &mut pipeline,
+    let report = run_parallel_program(
+        &mut program,
         &[1, 0],
         MorselConfig::new(4_096),
         &mut pool,
@@ -192,18 +183,18 @@ fn parallel_pipeline_matches_serial_and_converges_to_same_order() {
         "parallel switches: {:?}",
         report.switches
     );
-    // The caller's pipeline is left in the accepted order.
-    assert_eq!(pipeline.order(), &report.final_order[..]);
+    // The caller's program is left in the accepted order.
+    assert_eq!(program.order(), &report.final_order[..]);
 }
 
 #[test]
 fn four_workers_speed_up_the_pipeline_at_least_2_5x() {
     let (fact, dim) = fig14_mem_tables(ROWS, 0xF00D);
     let run = |workers: usize| {
-        let mut pipeline = build_pipeline(&fact, &dim);
+        let mut program = build_program(&fact, &dim);
         let mut pool = CpuPool::new(small_cache_cpu(), workers);
-        run_parallel_pipeline(
-            &mut pipeline,
+        run_parallel_program(
+            &mut program,
             &[0, 1],
             MorselConfig::new(4_096),
             &mut pool,
@@ -226,12 +217,12 @@ fn four_workers_speed_up_the_pipeline_at_least_2_5x() {
 #[test]
 fn rejected_trials_never_spread_and_always_revert() {
     let (fact, dim) = fig14_mem_tables(1 << 16, 0xF00D);
-    let mut pipeline = build_pipeline(&fact, &dim);
+    let mut program = build_program(&fact, &dim);
     let mut pool = CpuPool::new(small_cache_cpu(), 4);
     // Every trial "regresses" under a negative tolerance: the published
     // order must never change, and each trial must be marked reverted.
-    let report = run_parallel_pipeline(
-        &mut pipeline,
+    let report = run_parallel_program(
+        &mut program,
         &[1, 0],
         MorselConfig::new(4_096),
         &mut pool,
@@ -249,7 +240,7 @@ fn rejected_trials_never_spread_and_always_revert() {
         "{:?}",
         report.switches
     );
-    assert_eq!(pipeline.order(), &[1, 0]);
+    assert_eq!(program.order(), &[1, 0]);
 }
 
 #[test]

@@ -2,14 +2,14 @@
 //! pipelines (Sections 5.5–5.6, Figure 14).
 //!
 //! The acceptance bar: starting from the worse static order on *both*
-//! sides of the Figure 14 sortedness crossover, progressive pipeline
+//! sides of the Figure 14 sortedness crossover, progressive program
 //! execution must finish within 10% of the better static order's cycles
 //! — the optimizer's trial vectors, estimator time, and late convergence
 //! all have to fit inside that envelope.
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
-use popt::core::predicate::CompareOp;
-use popt::core::progressive::{run_progressive_pipeline, ProgressiveConfig, VectorConfig};
+use popt::core::exec::program::CompiledProgram;
+use popt::core::plan::{Expr, PlanBuilder};
+use popt::core::progressive::{run_progressive_program, ProgressiveConfig, VectorConfig};
 use popt::cpu::SimCpu;
 use popt::storage::distribution::knuth_shuffle_window;
 use popt::storage::{AddressSpace, ColumnData, Table};
@@ -50,29 +50,24 @@ fn fact_and_dim(window: usize, seed: u64) -> (Table, Table) {
     (fact, dim)
 }
 
-fn build_pipeline<'t>(fact: &'t Table, dim: &'t Table) -> Pipeline<'t> {
-    let sel =
-        FilterOp::select(fact, "val", CompareOp::Lt, DOMAIN / 2, 0, 50).expect("select compiles");
-    let join = FilterOp::join_filter(
-        fact,
-        "fk",
-        dim,
-        "payload",
-        CompareOp::Lt,
-        DOMAIN / 2,
-        1,
-        100,
-    )
-    .expect("join compiles");
-    Pipeline::new(vec![sel, join], fact.rows()).expect("pipeline")
+/// The expensive selection (50 extra instructions) then the join,
+/// optionally summing `val`; plan order is construction order.
+fn build_program<'t>(fact: &'t Table, dim: &'t Table, aggregate: bool) -> CompiledProgram<'t> {
+    let mut plan = PlanBuilder::scan(fact)
+        .filter_costed(Expr::col("val").less_than(DOMAIN / 2), 50)
+        .join(dim, "fk", Expr::col("payload").less_than(DOMAIN / 2));
+    if aggregate {
+        plan = plan.aggregate("val");
+    }
+    plan.build().compile().expect("program compiles")
 }
 
 /// Static cycles for one order.
 fn static_cycles(fact: &Table, dim: &Table, order: [usize; 2]) -> (u64, u64) {
-    let mut pipeline = build_pipeline(fact, dim);
-    pipeline.reorder(&order).expect("valid order");
+    let mut program = build_program(fact, dim, false);
+    program.reorder(&order).expect("valid order");
     let mut cpu = SimCpu::new(small_cache_cpu());
-    let stats = pipeline.run_range(&mut cpu, 0, fact.rows());
+    let stats = program.run_range(&mut cpu, 0, fact.rows());
     (stats.counters.cycles, stats.qualified)
 }
 
@@ -89,10 +84,10 @@ fn assert_progressive_recovers(window: usize) {
         (join_first, [0usize, 1])
     };
 
-    let mut pipeline = build_pipeline(&fact, &dim);
+    let mut program = build_program(&fact, &dim, false);
     let mut cpu = SimCpu::new(small_cache_cpu());
-    let prog = run_progressive_pipeline(
-        &mut pipeline,
+    let prog = run_progressive_program(
+        &mut program,
         &worse_order,
         VectorConfig {
             vector_tuples: 4096,
@@ -104,7 +99,7 @@ fn assert_progressive_recovers(window: usize) {
             ..Default::default()
         },
     )
-    .expect("progressive pipeline runs");
+    .expect("progressive program runs");
 
     assert_eq!(prog.qualified, q1, "reordering must not change the result");
     let bound = better as f64 * 1.10;
@@ -151,18 +146,14 @@ fn progressive_recovers_on_the_shuffled_side() {
 #[test]
 fn progressive_pipeline_aggregate_is_order_independent() {
     let (fact, dim) = fact_and_dim(1, 0xF1614);
-    let static_pipeline = build_pipeline(&fact, &dim)
-        .with_aggregate(&fact, "val")
-        .expect("aggregate column");
+    let static_program = build_program(&fact, &dim, true);
     let mut cpu = SimCpu::new(small_cache_cpu());
-    let expect = static_pipeline.run_range(&mut cpu, 0, fact.rows());
+    let expect = static_program.run_range(&mut cpu, 0, fact.rows());
 
-    let mut pipeline = build_pipeline(&fact, &dim)
-        .with_aggregate(&fact, "val")
-        .expect("aggregate column");
+    let mut program = build_program(&fact, &dim, true);
     let mut cpu = SimCpu::new(small_cache_cpu());
-    let prog = run_progressive_pipeline(
-        &mut pipeline,
+    let prog = run_progressive_program(
+        &mut program,
         &[0, 1],
         VectorConfig {
             vector_tuples: 4096,
@@ -174,7 +165,7 @@ fn progressive_pipeline_aggregate_is_order_independent() {
             ..Default::default()
         },
     )
-    .expect("progressive pipeline runs");
+    .expect("progressive program runs");
     assert_eq!(prog.qualified, expect.qualified);
     assert_eq!(prog.sum, expect.sum);
     assert!(prog.sum > 0);

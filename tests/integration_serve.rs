@@ -2,9 +2,9 @@
 //! fairness and isolation, result exactness under interleaving, warm
 //! order-cache reuse, and admission/idle accounting.
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
+use popt::core::exec::program::CompiledProgram;
 use popt::core::exec::scan::CompiledSelection;
-use popt::core::plan::SelectionPlan;
+use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
@@ -63,14 +63,29 @@ fn scan_plan(lits: [i64; 3]) -> SelectionPlan {
     .unwrap()
 }
 
-fn pipeline<'t>(fact: &'t Table, dim: &'t Table, lit: i64) -> Pipeline<'t> {
-    let sel = FilterOp::select(fact, "val0", CompareOp::Lt, lit, 0, 30).unwrap();
-    let join =
-        FilterOp::join_filter(fact, "fk", dim, "payload", CompareOp::Lt, lit, 1, 100).unwrap();
-    Pipeline::new(vec![sel, join], fact.rows())
+/// `val0 < lit` (30 extra instructions) then a join probing
+/// `payload < lit`, summing `val1`; plan order is construction order.
+fn program<'t>(fact: &'t Table, dim: &'t Table, lit: i64) -> CompiledProgram<'t> {
+    PlanBuilder::scan(fact)
+        .filter_costed(Expr::col("val0").less_than(lit), 30)
+        .join(dim, "fk", Expr::col("payload").less_than(lit))
+        .aggregate("val1")
+        .build()
+        .compile()
         .unwrap()
-        .with_aggregate(fact, "val1")
-        .unwrap()
+}
+
+/// A compiled-program query submitted in `order` (the order a cache miss
+/// starts from).
+fn program_spec<'t>(
+    label: &str,
+    mut program: CompiledProgram<'t>,
+    order: &[usize],
+    priority: Priority,
+    arrival_cycles: u64,
+) -> QuerySpec<'t> {
+    program.reorder(order).unwrap();
+    QuerySpec::compiled(label, program, priority, arrival_cycles)
 }
 
 fn config(reopt: bool) -> ServeConfig {
@@ -85,7 +100,7 @@ fn config(reopt: bool) -> ServeConfig {
     }
 }
 
-/// A mixed batch of scans and pipelines with staggered arrivals and
+/// A mixed batch of scans and programs with staggered arrivals and
 /// mixed priorities stays bit-identical to solo single-core execution
 /// at every worker count, with and without reoptimization.
 #[test]
@@ -98,7 +113,7 @@ fn mixed_batch_matches_solo_execution() {
         .unwrap()
         .run_range(&mut cpu, 0, ROWS);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let pipe_ref = pipeline(&fact, &dim, 500).run_range(&mut cpu, 0, ROWS);
+    let pipe_ref = program(&fact, &dim, 500).run_range(&mut cpu, 0, ROWS);
 
     for reopt in [false, true] {
         for workers in [1usize, 2, 4] {
@@ -111,10 +126,10 @@ fn mixed_batch_matches_solo_execution() {
                 Priority::High,
                 0,
             ));
-            server.admit(QuerySpec::pipeline(
+            server.admit(program_spec(
                 "pipe-norm",
-                pipeline(&fact, &dim, 500),
-                vec![1, 0],
+                program(&fact, &dim, 500),
+                &[1, 0],
                 Priority::Normal,
                 5_000,
             ));
@@ -230,10 +245,10 @@ fn warm_cache_reuses_converged_state() {
     let workers = 2;
 
     let mut server = QueryServer::new(config(true));
-    server.admit(QuerySpec::pipeline(
+    server.admit(program_spec(
         "pipe",
-        pipeline(&fact, &dim, 500),
-        vec![1, 0],
+        program(&fact, &dim, 500),
+        &[1, 0],
         Priority::Normal,
         0,
     ));
@@ -242,10 +257,10 @@ fn warm_cache_reuses_converged_state() {
     assert!(!cold.queries[0].warm_start, "first sighting must be cold");
     assert_eq!(server.cache().len(), 1);
 
-    server.admit(QuerySpec::pipeline(
+    server.admit(program_spec(
         "pipe",
-        pipeline(&fact, &dim, 500),
-        vec![1, 0],
+        program(&fact, &dim, 500),
+        &[1, 0],
         Priority::Normal,
         0,
     ));
@@ -268,10 +283,10 @@ fn warm_cache_reuses_converged_state() {
     // A slid literal is the *same* template: parameterized queries
     // (`val0 < ?`) share one cache entry, so the tweaked instance
     // warm-starts from the converged state of its 500-literal mate.
-    server.admit(QuerySpec::pipeline(
+    server.admit(program_spec(
         "pipe-tweaked",
-        pipeline(&fact, &dim, 501),
-        vec![1, 0],
+        program(&fact, &dim, 501),
+        &[1, 0],
         Priority::Normal,
         0,
     ));
@@ -285,17 +300,17 @@ fn warm_cache_reuses_converged_state() {
 
     // A *structural* change (different comparison operator) is a new
     // template and must miss.
-    let sel = FilterOp::select(&fact, "val0", CompareOp::Ge, 500, 0, 30).unwrap();
-    let join =
-        FilterOp::join_filter(&fact, "fk", &dim, "payload", CompareOp::Lt, 500, 1, 100).unwrap();
-    let restructured = Pipeline::new(vec![sel, join], fact.rows())
-        .unwrap()
-        .with_aggregate(&fact, "val1")
+    let restructured = PlanBuilder::scan(&fact)
+        .filter_costed(Expr::col("val0").at_least(500), 30)
+        .join(&dim, "fk", Expr::col("payload").less_than(500))
+        .aggregate("val1")
+        .build()
+        .compile()
         .unwrap();
-    server.admit(QuerySpec::pipeline(
+    server.admit(program_spec(
         "pipe-restructured",
         restructured,
-        vec![1, 0],
+        &[1, 0],
         Priority::Normal,
         0,
     ));
@@ -666,7 +681,7 @@ fn dynamic_repartition_cycles_are_host_schedule_independent() {
         .unwrap()
         .run_range(&mut cpu, 0, ROWS);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let pipe_ref = pipeline(&fact, &dim, 500).run_range(&mut cpu, 0, ROWS);
+    let pipe_ref = program(&fact, &dim, 500).run_range(&mut cpu, 0, ROWS);
 
     let run = || {
         let mut server = QueryServer::new(ServeConfig {
@@ -674,10 +689,10 @@ fn dynamic_repartition_cycles_are_host_schedule_independent() {
             reopt: None,
             ..config(false)
         });
-        server.admit(QuerySpec::pipeline(
+        server.admit(program_spec(
             "pipe-0",
-            pipeline(&fact, &dim, 500),
-            vec![0, 1],
+            program(&fact, &dim, 500),
+            &[0, 1],
             Priority::Normal,
             0,
         ));
@@ -689,10 +704,10 @@ fn dynamic_repartition_cycles_are_host_schedule_independent() {
             Priority::Normal,
             2_000,
         ));
-        server.admit(QuerySpec::pipeline(
+        server.admit(program_spec(
             "pipe-1",
-            pipeline(&fact, &dim, 500),
-            vec![0, 1],
+            program(&fact, &dim, 500),
+            &[0, 1],
             Priority::Low,
             4_000,
         ));
@@ -729,7 +744,7 @@ fn dynamic_repartition_prices_co_runners_and_reclaims_at_completion() {
     let (long_fact, long_dim) = tables_n(ROWS, 0xC0DE);
 
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let fg_ref = pipeline(&fact, &dim, 500).run_range(&mut cpu, 0, ROWS);
+    let fg_ref = program(&fact, &dim, 500).run_range(&mut cpu, 0, ROWS);
 
     let fg_exec = |co_fact: &Table, co_dim: &Table, dynamic: bool| {
         let mut server = QueryServer::new(ServeConfig {
@@ -737,17 +752,17 @@ fn dynamic_repartition_prices_co_runners_and_reclaims_at_completion() {
             reopt: None,
             ..config(false)
         });
-        server.admit(QuerySpec::pipeline(
+        server.admit(program_spec(
             "fg",
-            pipeline(&fact, &dim, 500),
-            vec![0, 1],
+            program(&fact, &dim, 500),
+            &[0, 1],
             Priority::Normal,
             0,
         ));
-        server.admit(QuerySpec::pipeline(
+        server.admit(program_spec(
             "co",
-            pipeline(co_fact, co_dim, 500),
-            vec![0, 1],
+            program(co_fact, co_dim, 500),
+            &[0, 1],
             Priority::Normal,
             0,
         ));

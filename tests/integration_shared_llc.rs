@@ -4,10 +4,10 @@
 //! private model on one core, flips the cost model's operator ranking
 //! under contention — and never, in any mode, moves a query result.
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
+use popt::core::exec::program::CompiledProgram;
 use popt::core::exec::scan::CompiledSelection;
-use popt::core::parallel::{run_parallel_pipeline, MorselConfig};
-use popt::core::plan::{order_by_cost_per_tuple, SelectionPlan};
+use popt::core::parallel::{run_parallel_program, MorselConfig};
+use popt::core::plan::{order_by_cost_per_tuple, Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
 use popt::cost::cycles::{stage_costs_per_input_tuple, CycleParams};
@@ -27,19 +27,23 @@ fn tables(dim_rows: usize, seed: u64) -> (Table, Table) {
     mem_tables_with_dim(ROWS, dim_rows, seed)
 }
 
-fn build<'t>(fact: &'t Table, dim: &'t Table) -> Pipeline<'t> {
+/// A selection costing `extra` instructions then the join, both 50%
+/// selective; plan order is construction order.
+fn build<'t>(fact: &'t Table, dim: &'t Table, extra: u64) -> CompiledProgram<'t> {
     let half = literal_for(0.5);
-    let sel = FilterOp::select(fact, "val", CompareOp::Lt, half, 0, 50).unwrap();
-    let join =
-        FilterOp::join_filter(fact, "fk", dim, "payload", CompareOp::Lt, half, 1, 100).unwrap();
-    Pipeline::new(vec![sel, join], fact.rows()).unwrap()
+    PlanBuilder::scan(fact)
+        .filter_costed(Expr::col("val").less_than(half), extra)
+        .join(dim, "fk", Expr::col("payload").less_than(half))
+        .build()
+        .compile()
+        .unwrap()
 }
 
 fn wall_cycles(fact: &Table, dim: &Table, workers: usize, mode: LlcMode) -> (u64, (u64, i64)) {
-    let mut pipeline = build(fact, dim);
+    let mut program = build(fact, dim, 50);
     let mut pool = CpuPool::with_mode(small_cache_cpu(), workers, mode);
-    let report = run_parallel_pipeline(
-        &mut pipeline,
+    let report = run_parallel_program(
+        &mut program,
         &[0, 1],
         MorselConfig::new(1024),
         &mut pool,
@@ -107,22 +111,18 @@ fn single_core_shared_socket_matches_private_exactly() {
 fn contended_capacity_flips_the_operator_ranking() {
     let cfg = small_cache_cpu();
     let (fact, dim) = tables(12 * 1024, 0x7A8); // 48 KiB dim
-    let half = literal_for(0.5);
-    let sel = FilterOp::select(&fact, "val", CompareOp::Lt, half, 0, 120).unwrap();
-    let join =
-        FilterOp::join_filter(&fact, "fk", &dim, "payload", CompareOp::Lt, half, 1, 100).unwrap();
-    let pipeline = Pipeline::new(vec![sel, join], fact.rows()).unwrap();
+    let program = build(&fact, &dim, 120);
     let params = CycleParams::default();
     let selectivities = [0.5, 0.5];
     let rank = |llc_bytes: u64| {
-        let geom = pipeline.plan_geometry(ROWS as u64, &cfg, llc_bytes, &[1.0, 1.0]);
+        let geom = program.plan_geometry(ROWS as u64, &cfg, llc_bytes, &[1.0, 1.0]);
         let costs = stage_costs_per_input_tuple(
             &geom,
-            &pipeline.stage_instructions(),
+            &program.stage_instructions(),
             &selectivities,
             &params,
         );
-        order_by_cost_per_tuple(pipeline.order(), &costs, &selectivities)
+        order_by_cost_per_tuple(program.order(), &costs, &selectivities)
     };
     let full = cfg.llc().capacity_bytes;
     assert_eq!(
@@ -155,7 +155,9 @@ fn serve_on_shared_socket_is_bit_identical() {
         .unwrap()
         .run_range(&mut cpu, 0, ROWS);
     let mut cpu = SimCpu::new(small_cache_cpu());
-    let pipe_ref = build(&fact, &dim).run_range(&mut cpu, 0, ROWS);
+    let mut program = build(&fact, &dim, 50);
+    let program_ref = program.run_range(&mut cpu, 0, ROWS);
+    program.reorder(&[1, 0]).unwrap();
 
     let mut server = QueryServer::new(ServeConfig::default());
     server.admit(QuerySpec::scan(
@@ -166,19 +168,13 @@ fn serve_on_shared_socket_is_bit_identical() {
         Priority::High,
         0,
     ));
-    server.admit(QuerySpec::pipeline(
-        "pipe",
-        build(&fact, &dim),
-        vec![1, 0],
-        Priority::Low,
-        0,
-    ));
+    server.admit(QuerySpec::compiled("program", program, Priority::Low, 0));
     let mut pool = CpuPool::new_shared(small_cache_cpu(), 4);
     let report = server.run(&mut pool).unwrap();
     assert_eq!(report.queries[0].qualified, scan_ref.qualified);
     assert_eq!(report.queries[0].sum, scan_ref.sum);
-    assert_eq!(report.queries[1].qualified, pipe_ref.qualified);
-    assert_eq!(report.queries[1].sum, pipe_ref.sum);
+    assert_eq!(report.queries[1].qualified, program_ref.qualified);
+    assert_eq!(report.queries[1].sum, program_ref.sum);
     // The batch's aggregate footprint really contended the socket.
     let full = small_cache_cpu().llc().capacity_bytes;
     assert!(pool.min_effective_llc_bytes() < full);

@@ -1,243 +1,34 @@
 //! Properties of the query frontend.
 //!
-//! 1. A [`CompiledProgram`] lowered from a random logical plan is
-//!    **bit-identical** to the hand-chained boxed [`Pipeline`] of the
-//!    same shape — identical results *and* identical simulated CPU
-//!    events — solo, under progressive reoptimization, and
-//!    morsel-parallel across worker counts, morsel sizes, and
-//!    shared/private LLC modes.
-//! 2. The static optimizer passes commute semantically: *any* order of
+//! 1. The static optimizer passes commute semantically: *any* order of
 //!    the four passes compiles to a program with the same answer as the
 //!    unoptimized plan (lowering normalizes on its own).
-//! 3. Filter pushdown never increases any node's estimated input
+//! 2. Filter pushdown never increases any node's estimated input
 //!    cardinality.
+//!
+//! (That the batched program executor matches its per-event reference,
+//! the scalar oracle, is `tests/proptest_fastpath.rs`.)
 //!
 //! Case count is the vendored proptest default (256), pinnable via the
 //! upstream-compatible `PROPTEST_CASES` environment variable.
 
 use proptest::prelude::*;
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
 use popt::core::exec::program::CompiledProgram;
-use popt::core::parallel::{run_parallel_pipeline, run_parallel_program, MorselConfig};
 use popt::core::plan::passes::{
     constant_folding, filter_pushdown, join_condition_extraction, projection_pruning, Pass,
 };
 use popt::core::plan::{Expr, LogicalPlan, PassRegistry, PlanBuilder};
-use popt::core::predicate::CompareOp;
-use popt::core::progressive::{
-    run_progressive_pipeline, run_progressive_program, ProgressiveConfig, VectorConfig,
-};
-use popt::cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
-use popt::storage::{AddressSpace, ColumnData, Table};
-use popt_bench::figures::workload::xorshift64;
+use popt::cpu::{CpuConfig, SimCpu};
 
-const ROWS: usize = 2_048;
-
-/// Fact with four value columns, a co-clustered and a random FK, plus a
-/// payload dimension — the random-workload shape of the parallel
-/// proptests.
-fn tables(seed: u64) -> (Table, Table) {
-    let dim_n = ROWS / 4;
-    let mut state = seed | 1;
-    let mut space = AddressSpace::new();
-    let mut fact = Table::new("fact");
-    for c in 0..4 {
-        let data: Vec<i32> = (0..ROWS)
-            .map(|_| (xorshift64(&mut state) % 1000) as i32)
-            .collect();
-        fact.add_column(format!("val{c}"), ColumnData::I32(data), &mut space);
-    }
-    fact.add_column(
-        "fk_seq",
-        ColumnData::I32((0..ROWS).map(|i| (i / 4) as i32).collect()),
-        &mut space,
-    );
-    fact.add_column(
-        "fk_rand",
-        ColumnData::I32(
-            (0..ROWS)
-                .map(|_| (xorshift64(&mut state) % dim_n as u64) as i32)
-                .collect(),
-        ),
-        &mut space,
-    );
-    let mut dim_space = AddressSpace::new();
-    let mut dim = Table::new("dim");
-    dim.add_column(
-        "payload",
-        ColumnData::I32(
-            (0..dim_n)
-                .map(|_| (xorshift64(&mut state) % 1000) as i32)
-                .collect(),
-        ),
-        &mut dim_space,
-    );
-    (fact, dim)
-}
-
-/// Random mixed plan through the builder: bit `k` of `kinds` picks
-/// select vs. join for stage `k`; joins alternate FKs, selections carry
-/// per-stage UDF cost.
-fn plan<'t>(
-    fact: &'t Table,
-    dim: &'t Table,
-    stages: usize,
-    kinds: u64,
-    lit: i64,
-) -> LogicalPlan<'t> {
-    let mut builder = PlanBuilder::scan(fact);
-    let mut join_ordinal = 0usize;
-    for k in 0..stages {
-        if (kinds >> k) & 1 == 1 {
-            let fk = if join_ordinal % 2 == 0 {
-                "fk_seq"
-            } else {
-                "fk_rand"
-            };
-            join_ordinal += 1;
-            builder = builder.join(dim, fk, Expr::col("payload").less_than(lit));
-        } else {
-            builder =
-                builder.filter_costed(Expr::col(format!("val{k}")).less_than(lit), k as u64 * 10);
-        }
-    }
-    builder.aggregate("val0").build()
-}
-
-/// The same shape, hand-chained through the legacy boxed constructors
-/// with the lowering conventions (branch sites by emission order, dim
-/// streams `100 + join ordinal`).
-fn boxed<'t>(fact: &'t Table, dim: &'t Table, stages: usize, kinds: u64, lit: i64) -> Pipeline<'t> {
-    let mut ops = Vec::new();
-    let mut join_ordinal = 0usize;
-    for k in 0..stages {
-        let op = if (kinds >> k) & 1 == 1 {
-            let fk = if join_ordinal % 2 == 0 {
-                "fk_seq"
-            } else {
-                "fk_rand"
-            };
-            let stream = 100 + join_ordinal;
-            join_ordinal += 1;
-            FilterOp::join_filter(
-                fact,
-                fk,
-                dim,
-                "payload",
-                CompareOp::Lt,
-                lit,
-                k as u32,
-                stream,
-            )
-            .expect("join compiles")
-        } else {
-            FilterOp::select(
-                fact,
-                &format!("val{k}"),
-                CompareOp::Lt,
-                lit,
-                k as u32,
-                k as u64 * 10,
-            )
-            .expect("select compiles")
-        };
-        ops.push(op);
-    }
-    Pipeline::new(ops, fact.rows())
-        .expect("pipeline")
-        .with_aggregate(fact, "val0")
-        .expect("aggregate")
-}
+mod common;
+use common::{plan, tables, ROWS};
 
 fn compile<'t>(plan: &LogicalPlan<'t>) -> CompiledProgram<'t> {
     plan.compile().expect("plan lowers")
 }
 
 proptest! {
-    /// The compiled program and the boxed pipeline are the same
-    /// executor: identical bits and identical simulated cycles — solo,
-    /// progressive, and parallel under both LLC modes.
-    #[test]
-    fn compiled_program_is_bit_identical_to_the_boxed_pipeline(
-        stages in 2usize..5,
-        kinds in any::<u64>(),
-        lit in 100i64..900,
-        seed in any::<u64>(),
-        workers in 1usize..9,
-        morsel_tuples in 128usize..1500,
-        vector_tuples in 128usize..1500,
-        reop_interval in 2usize..6,
-    ) {
-        let (fact, dim) = tables(seed);
-        let logical = plan(&fact, &dim, stages, kinds, lit);
-        let identity: Vec<usize> = (0..stages).collect();
-
-        // Solo: the same CPU events, not just the same answer.
-        let program = compile(&logical);
-        let pipeline = boxed(&fact, &dim, stages, kinds, lit);
-        let mut c1 = SimCpu::new(CpuConfig::tiny_test());
-        let a = program.run_range(&mut c1, 0, ROWS);
-        let mut c2 = SimCpu::new(CpuConfig::tiny_test());
-        let b = pipeline.run_range(&mut c2, 0, ROWS);
-        prop_assert_eq!(a.qualified, b.qualified);
-        prop_assert_eq!(a.sum, b.sum);
-        prop_assert_eq!(a.counters, b.counters, "solo CPU events diverged");
-        prop_assert_eq!(c1.counters().cycles, c2.counters().cycles);
-
-        // Progressive: the same convergence trajectory and cost.
-        let config = ProgressiveConfig { reop_interval, ..Default::default() };
-        let vectors = VectorConfig { vector_tuples, max_vectors: None };
-        let mut program = compile(&logical);
-        let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-        let via_program =
-            run_progressive_program(&mut program, &identity, vectors, &mut cpu, &config)
-                .expect("progressive program runs");
-        let mut pipeline = boxed(&fact, &dim, stages, kinds, lit);
-        let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-        let via_pipeline =
-            run_progressive_pipeline(&mut pipeline, &identity, vectors, &mut cpu, &config)
-                .expect("progressive pipeline runs");
-        prop_assert_eq!(via_program.qualified, via_pipeline.qualified);
-        prop_assert_eq!(via_program.sum, via_pipeline.sum);
-        prop_assert_eq!(&via_program.final_peo, &via_pipeline.final_peo);
-        prop_assert_eq!(via_program.cycles, via_pipeline.cycles, "progressive cost diverged");
-
-        // Parallel: shared and private sockets, reopt on and off. Wall
-        // cycles are not compared — morsel→worker assignment follows
-        // host thread timing, so only results are deterministic.
-        for mode in [LlcMode::Private, LlcMode::Shared] {
-            for progressive in [false, true] {
-                let mut program = compile(&logical);
-                let mut pool = CpuPool::with_mode(CpuConfig::tiny_test(), workers, mode);
-                let p = run_parallel_program(
-                    &mut program,
-                    &identity,
-                    MorselConfig::new(morsel_tuples),
-                    &mut pool,
-                    progressive.then_some(&config),
-                ).expect("parallel program runs");
-                let mut pipeline = boxed(&fact, &dim, stages, kinds, lit);
-                let mut pool = CpuPool::with_mode(CpuConfig::tiny_test(), workers, mode);
-                let q = run_parallel_pipeline(
-                    &mut pipeline,
-                    &identity,
-                    MorselConfig::new(morsel_tuples),
-                    &mut pool,
-                    progressive.then_some(&config),
-                ).expect("parallel pipeline runs");
-                prop_assert_eq!(
-                    p.qualified, q.qualified,
-                    "mode={:?} workers={} progressive={}", mode, workers, progressive
-                );
-                prop_assert_eq!(p.sum, q.sum);
-                // The caller's program ends in the published order.
-                prop_assert_eq!(program.order(), &p.final_order[..]);
-                prop_assert_eq!(pipeline.order(), &q.final_order[..]);
-            }
-        }
-    }
-
     /// Any order of the four static passes compiles to the same answer
     /// as the unoptimized plan: passes move stages around, lowering
     /// normalizes expressions either way, the result never moves.

@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
 use popt::core::exec::scan::CompiledSelection;
 use popt::core::plan::{order_by_selectivity, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
@@ -13,6 +12,10 @@ use popt::cpu::{CpuConfig, SimCpu};
 use popt::solver::bounds::bnt_bounds;
 use popt::storage::distribution::{knuth_shuffle_window, max_displacement};
 use popt::storage::{AddressSpace, ColumnData, Table};
+use popt_bench::figures::workload::xorshift64;
+
+mod common;
+use common::{build, tables, ROWS};
 
 fn table_with_columns(rows: usize, literals: &[i64], seed: u64) -> (Table, SelectionPlan) {
     let mut space = AddressSpace::new();
@@ -176,7 +179,7 @@ proptest! {
         prop_assert!(max_displacement(&v) < window.max(1));
     }
 
-    /// For random N-stage pipelines mixing selections and foreign-key
+    /// For random N-stage programs mixing selections and foreign-key
     /// join filters, any permutation of the stages yields the same
     /// qualifying count and aggregate sum, and non-permutations are
     /// rejected.
@@ -186,83 +189,32 @@ proptest! {
         lit in 100i64..900,
         seed in any::<u64>(),
     ) {
-        let rows = 2048usize;
-        let dim_n = rows / 4;
-        let mut space = AddressSpace::new();
-        let mut fact = Table::new("fact");
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for c in 0..4 {
-            let data: Vec<i32> = (0..rows).map(|_| ((next() >> 17) % 1000) as i32).collect();
-            fact.add_column(format!("val{c}"), ColumnData::I32(data), &mut space);
-        }
-        fact.add_column(
-            "fk_seq",
-            ColumnData::I32((0..rows).map(|i| (i / 4) as i32).collect()),
-            &mut space,
-        );
-        fact.add_column(
-            "fk_rand",
-            ColumnData::I32((0..rows).map(|_| (next() % dim_n as u64) as i32).collect()),
-            &mut space,
-        );
-        let mut dim_space = AddressSpace::new();
-        let mut dim = Table::new("dim");
-        dim.add_column(
-            "payload",
-            ColumnData::I32((0..dim_n).map(|_| (next() % 1000) as i32).collect()),
-            &mut dim_space,
-        );
+        // Bit k of the seed picks stage k's kind; joins alternate
+        // between the co-clustered and the random foreign key.
+        let (fact, dim) = tables(seed);
 
         // A random permutation of 0..stages (Fisher–Yates off the seed).
+        let mut state = seed | 1;
         let mut perm: Vec<usize> = (0..stages).collect();
         for i in (1..stages).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
+            let j = (xorshift64(&mut state) % (i as u64 + 1)) as usize;
             perm.swap(i, j);
         }
 
-        let build = |seed: u64| -> Pipeline<'_> {
-            let mut p = Vec::new();
-            for k in 0..stages {
-                // Bit k of the seed picks the stage kind; joins alternate
-                // between the co-clustered and the random foreign key.
-                let op = if (seed >> k) & 1 == 1 {
-                    let fk = if k % 2 == 0 { "fk_seq" } else { "fk_rand" };
-                    FilterOp::join_filter(
-                        &fact, fk, &dim, "payload", CompareOp::Lt, lit, k as u32, 100 + k,
-                    )
-                    .expect("join compiles")
-                } else {
-                    FilterOp::select(&fact, &format!("val{k}"), CompareOp::Lt, lit, k as u32, 0)
-                        .expect("select compiles")
-                };
-                p.push(op);
-            }
-            Pipeline::new(p, fact.rows())
-                .expect("pipeline")
-                .with_aggregate(&fact, "val0")
-                .expect("aggregate")
-        };
-
-        let identity = build(seed);
+        let identity = build(&fact, &dim, stages, seed, lit);
         let mut cpu1 = SimCpu::new(CpuConfig::tiny_test());
-        let base = identity.run_range(&mut cpu1, 0, rows);
+        let base = identity.run_range(&mut cpu1, 0, ROWS);
 
-        let mut permuted = build(seed);
+        let mut permuted = build(&fact, &dim, stages, seed, lit);
         permuted.reorder(&perm).expect("valid permutation");
         let mut cpu2 = SimCpu::new(CpuConfig::tiny_test());
-        let got = permuted.run_range(&mut cpu2, 0, rows);
+        let got = permuted.run_range(&mut cpu2, 0, ROWS);
 
         prop_assert_eq!(got.qualified, base.qualified);
         prop_assert_eq!(got.sum, base.sum);
 
-        // Non-permutations are rejected without touching the pipeline.
-        let mut broken = build(seed);
+        // Non-permutations are rejected without touching the program.
+        let mut broken = build(&fact, &dim, stages, seed, lit);
         prop_assert!(broken.reorder(&vec![0; stages]).is_err());
         prop_assert!(broken.reorder(&perm[..stages - 1]).is_err());
         prop_assert!(broken.reorder(&(1..=stages).collect::<Vec<_>>()).is_err());

@@ -1,6 +1,6 @@
 //! Property: the NUMA socket topology moves *cycles*, never results.
 //!
-//! Two guarantees, for random mixed pipelines:
+//! Two guarantees, for random mixed programs:
 //!
 //! * sockets × workers × LLC mode × reopt on/off — execution on a
 //!   multi-socket pool (with a placement that homes the probed dimension
@@ -18,81 +18,12 @@
 
 use proptest::prelude::*;
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
-use popt::core::parallel::{run_parallel_pipeline, MorselConfig};
-use popt::core::predicate::CompareOp;
+use popt::core::parallel::{run_parallel_program, MorselConfig};
 use popt::core::progressive::ProgressiveConfig;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode, NumaPlacement, SimCpu};
-use popt::storage::{AddressSpace, ColumnData, Table};
-use popt_bench::figures::workload::xorshift64;
 
-const ROWS: usize = 2_048;
-
-/// Fact with value columns and a random FK into a dimension big enough
-/// to feel the tiny test hierarchy's LLC, so the placement's remote
-/// surcharge prices real memory-served probes while the property demands
-/// identical results.
-fn tables(seed: u64) -> (Table, Table) {
-    let dim_n = ROWS / 2;
-    let mut state = seed | 1;
-    let mut space = AddressSpace::new();
-    let mut fact = Table::new("fact");
-    for c in 0..3 {
-        let data: Vec<i32> = (0..ROWS)
-            .map(|_| (xorshift64(&mut state) % 1000) as i32)
-            .collect();
-        fact.add_column(format!("val{c}"), ColumnData::I32(data), &mut space);
-    }
-    fact.add_column(
-        "fk",
-        ColumnData::I32(
-            (0..ROWS)
-                .map(|_| (xorshift64(&mut state) % dim_n as u64) as i32)
-                .collect(),
-        ),
-        &mut space,
-    );
-    let mut dim = Table::new("dim");
-    dim.add_column(
-        "payload",
-        ColumnData::I32(
-            (0..dim_n)
-                .map(|_| (xorshift64(&mut state) % 1000) as i32)
-                .collect(),
-        ),
-        &mut space,
-    );
-    (fact, dim)
-}
-
-/// Random mixed pipeline: bit `k` of `kinds` picks select vs. join for
-/// stage `k`.
-fn build<'t>(fact: &'t Table, dim: &'t Table, stages: usize, kinds: u64, lit: i64) -> Pipeline<'t> {
-    let mut ops = Vec::new();
-    for k in 0..stages {
-        let op = if (kinds >> k) & 1 == 1 {
-            FilterOp::join_filter(
-                fact,
-                "fk",
-                dim,
-                "payload",
-                CompareOp::Lt,
-                lit,
-                k as u32,
-                100,
-            )
-            .expect("join compiles")
-        } else {
-            FilterOp::select(fact, &format!("val{k}"), CompareOp::Lt, lit, k as u32, 0)
-                .expect("select compiles")
-        };
-        ops.push(op);
-    }
-    Pipeline::new(ops, fact.rows())
-        .expect("pipeline")
-        .with_aggregate(fact, "val0")
-        .expect("aggregate")
-}
+mod common;
+use common::{build, tables, ROWS};
 
 proptest! {
     /// Sockets × LLC mode × reopt on/off × workers × morsel sizes: every
@@ -119,7 +50,7 @@ proptest! {
             }
             for mode in [LlcMode::Private, LlcMode::Shared] {
                 for progressive in [false, true] {
-                    let mut pipeline = build(&fact, &dim, stages, kinds, lit);
+                    let mut program = build(&fact, &dim, stages, kinds, lit);
                     let mut pool =
                         CpuPool::with_topology(CpuConfig::tiny_test(), workers, mode, sockets);
                     if sockets > 1 {
@@ -133,8 +64,8 @@ proptest! {
                         pool.set_placement(&placement);
                     }
                     let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
-                    let report = run_parallel_pipeline(
-                        &mut pipeline,
+                    let report = run_parallel_program(
+                        &mut program,
                         &(0..stages).collect::<Vec<_>>(),
                         MorselConfig::new(morsel_tuples),
                         &mut pool,
@@ -176,20 +107,20 @@ proptest! {
         let (fact, dim) = tables(seed);
         for mode in [LlcMode::Private, LlcMode::Shared] {
             let order: Vec<usize> = (0..stages).collect();
-            let mut flat_pipeline = build(&fact, &dim, stages, kinds, lit);
+            let mut flat_program = build(&fact, &dim, stages, kinds, lit);
             let mut flat_pool = CpuPool::with_mode(CpuConfig::tiny_test(), workers, mode);
-            let flat = run_parallel_pipeline(
-                &mut flat_pipeline,
+            let flat = run_parallel_program(
+                &mut flat_program,
                 &order,
                 MorselConfig::new(morsel_tuples),
                 &mut flat_pool,
                 None,
             ).expect("flat run succeeds");
 
-            let mut numa_pipeline = build(&fact, &dim, stages, kinds, lit);
+            let mut numa_program = build(&fact, &dim, stages, kinds, lit);
             let mut numa_pool = CpuPool::with_topology(CpuConfig::tiny_test(), workers, mode, 1);
-            let numa = run_parallel_pipeline(
-                &mut numa_pipeline,
+            let numa = run_parallel_program(
+                &mut numa_program,
                 &order,
                 MorselConfig::new(morsel_tuples),
                 &mut numa_pool,

@@ -3,7 +3,7 @@
 //! simulator measures, and what the profiler attributes is conserved
 //! bit-exactly.
 //!
-//! For random mixed pipelines, across sockets × workers × LLC mode ×
+//! For random mixed programs, across sockets × workers × LLC mode ×
 //! reopt on/off:
 //!
 //! * results are always identical between the traced and untraced run
@@ -33,84 +33,17 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
 use popt::core::parallel::{
-    run_parallel_pipeline, run_parallel_pipeline_observed, run_parallel_pipeline_traced,
-    MorselConfig, ParallelReport,
+    run_parallel_program, run_parallel_program_observed, MorselConfig, ParallelReport,
 };
-use popt::core::predicate::CompareOp;
 use popt::core::progressive::ProgressiveConfig;
 use popt::core::ExecObservers;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode};
 use popt::obs::{chrome_trace, validate_json, MemorySink, Profiler, TraceRecord, Tracer};
-use popt::storage::{AddressSpace, ColumnData, Table};
-use popt_bench::figures::workload::xorshift64;
+use popt::storage::Table;
 
-const ROWS: usize = 2_048;
-
-/// Fact with value columns and a random FK into a dimension sized to
-/// exercise the tiny test hierarchy's LLC.
-fn tables(seed: u64) -> (Table, Table) {
-    let dim_n = ROWS / 2;
-    let mut state = seed | 1;
-    let mut space = AddressSpace::new();
-    let mut fact = Table::new("fact");
-    for c in 0..3 {
-        let data: Vec<i32> = (0..ROWS)
-            .map(|_| (xorshift64(&mut state) % 1000) as i32)
-            .collect();
-        fact.add_column(format!("val{c}"), ColumnData::I32(data), &mut space);
-    }
-    fact.add_column(
-        "fk",
-        ColumnData::I32(
-            (0..ROWS)
-                .map(|_| (xorshift64(&mut state) % dim_n as u64) as i32)
-                .collect(),
-        ),
-        &mut space,
-    );
-    let mut dim = Table::new("dim");
-    dim.add_column(
-        "payload",
-        ColumnData::I32(
-            (0..dim_n)
-                .map(|_| (xorshift64(&mut state) % 1000) as i32)
-                .collect(),
-        ),
-        &mut space,
-    );
-    (fact, dim)
-}
-
-/// Random mixed pipeline: bit `k` of `kinds` picks select vs. join for
-/// stage `k`.
-fn build<'t>(fact: &'t Table, dim: &'t Table, stages: usize, kinds: u64, lit: i64) -> Pipeline<'t> {
-    let mut ops = Vec::new();
-    for k in 0..stages {
-        let op = if (kinds >> k) & 1 == 1 {
-            FilterOp::join_filter(
-                fact,
-                "fk",
-                dim,
-                "payload",
-                CompareOp::Lt,
-                lit,
-                k as u32,
-                100,
-            )
-            .expect("join compiles")
-        } else {
-            FilterOp::select(fact, &format!("val{k}"), CompareOp::Lt, lit, k as u32, 0)
-                .expect("select compiles")
-        };
-        ops.push(op);
-    }
-    Pipeline::new(ops, fact.rows())
-        .expect("pipeline")
-        .with_aggregate(fact, "val0")
-        .expect("aggregate")
-}
+mod common;
+use common::{build, tables};
 
 struct Run {
     report: ParallelReport,
@@ -134,19 +67,18 @@ fn run_config(
     traced: bool,
 ) -> Run {
     let order: Vec<usize> = (0..stages).collect();
-    let mut pipeline = build(fact, dim, stages, kinds, lit);
+    let mut program = build(fact, dim, stages, kinds, lit);
     let mut pool = CpuPool::with_topology(CpuConfig::tiny_test(), workers, mode, sockets);
     if traced {
         let sink = Arc::new(MemorySink::new());
         let tracer = Arc::new(Tracer::for_workers(sink.clone(), workers));
-        let report = run_parallel_pipeline_traced(
-            &mut pipeline,
+        let report = run_parallel_program_observed(
+            &mut program,
             &order,
             MorselConfig::new(morsel_tuples),
             &mut pool,
             reopt,
-            &tracer,
-            7,
+            &ExecObservers::none().with_trace(Arc::clone(&tracer), 7),
         )
         .expect("traced run succeeds");
         Run {
@@ -155,8 +87,8 @@ fn run_config(
             lanes: tracer.lanes(),
         }
     } else {
-        let report = run_parallel_pipeline(
-            &mut pipeline,
+        let report = run_parallel_program(
+            &mut program,
             &order,
             MorselConfig::new(morsel_tuples),
             &mut pool,
@@ -282,10 +214,10 @@ proptest! {
         let (fact, dim) = tables(seed);
         let order: Vec<usize> = (0..stages).collect();
 
-        let mut plain_pipeline = build(&fact, &dim, stages, kinds, lit);
+        let mut plain_program = build(&fact, &dim, stages, kinds, lit);
         let mut plain_pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-        let plain = run_parallel_pipeline(
-            &mut plain_pipeline,
+        let plain = run_parallel_program(
+            &mut plain_program,
             &order,
             MorselConfig::new(morsel_tuples),
             &mut plain_pool,
@@ -294,16 +226,15 @@ proptest! {
         .expect("untraced run succeeds");
 
         let tracer = Arc::new(Tracer::disabled());
-        let mut traced_pipeline = build(&fact, &dim, stages, kinds, lit);
+        let mut traced_program = build(&fact, &dim, stages, kinds, lit);
         let mut traced_pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-        let traced = run_parallel_pipeline_traced(
-            &mut traced_pipeline,
+        let traced = run_parallel_program_observed(
+            &mut traced_program,
             &order,
             MorselConfig::new(morsel_tuples),
             &mut traced_pool,
             None,
-            &tracer,
-            0,
+            &ExecObservers::none().with_trace(Arc::clone(&tracer), 0),
         )
         .expect("disabled-tracer run succeeds");
 
@@ -344,11 +275,11 @@ proptest! {
 
                     let profiler = Arc::new(Profiler::new(workers));
                     let obs = ExecObservers::none().with_profiler(Arc::clone(&profiler));
-                    let mut pipeline = build(&fact, &dim, stages, kinds, lit);
+                    let mut program = build(&fact, &dim, stages, kinds, lit);
                     let mut pool =
                         CpuPool::with_topology(CpuConfig::tiny_test(), workers, mode, sockets);
-                    let report = run_parallel_pipeline_observed(
-                        &mut pipeline,
+                    let report = run_parallel_program_observed(
+                        &mut program,
                         &order,
                         MorselConfig::new(morsel_tuples),
                         &mut pool,
@@ -393,7 +324,7 @@ proptest! {
                         report.wall_cycles * workers as u64
                     );
 
-                    // Attribution lands only on stages the pipeline has,
+                    // Attribution lands only on stages the program has,
                     // and the stage totals plus every optimizer lane
                     // re-add to the pool's busy cycles.
                     let totals = profiler.stage_totals();

@@ -9,8 +9,7 @@
 
 use proptest::prelude::*;
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
-use popt::core::parallel::{run_parallel_pipeline, run_parallel_scan, MorselConfig};
+use popt::core::parallel::{run_parallel_program, run_parallel_scan, MorselConfig};
 use popt::core::plan::SelectionPlan;
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
@@ -18,82 +17,11 @@ use popt::cpu::{CpuConfig, CpuPool, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::xorshift64;
 
-const ROWS: usize = 2_048;
-
-/// Fact with four value columns, a co-clustered and a random FK, plus a
-/// payload dimension — the same random-workload shape as the serial
-/// reorder proptest.
-fn tables(seed: u64) -> (Table, Table) {
-    let dim_n = ROWS / 4;
-    let mut state = seed | 1;
-    let mut space = AddressSpace::new();
-    let mut fact = Table::new("fact");
-    for c in 0..4 {
-        let data: Vec<i32> = (0..ROWS)
-            .map(|_| (xorshift64(&mut state) % 1000) as i32)
-            .collect();
-        fact.add_column(format!("val{c}"), ColumnData::I32(data), &mut space);
-    }
-    fact.add_column(
-        "fk_seq",
-        ColumnData::I32((0..ROWS).map(|i| (i / 4) as i32).collect()),
-        &mut space,
-    );
-    fact.add_column(
-        "fk_rand",
-        ColumnData::I32(
-            (0..ROWS)
-                .map(|_| (xorshift64(&mut state) % dim_n as u64) as i32)
-                .collect(),
-        ),
-        &mut space,
-    );
-    let mut dim_space = AddressSpace::new();
-    let mut dim = Table::new("dim");
-    dim.add_column(
-        "payload",
-        ColumnData::I32(
-            (0..dim_n)
-                .map(|_| (xorshift64(&mut state) % 1000) as i32)
-                .collect(),
-        ),
-        &mut dim_space,
-    );
-    (fact, dim)
-}
-
-/// Random mixed pipeline: bit `k` of `kinds` picks select vs. join for
-/// stage `k`; joins alternate between the co-clustered and random FK.
-fn build<'t>(fact: &'t Table, dim: &'t Table, stages: usize, kinds: u64, lit: i64) -> Pipeline<'t> {
-    let mut ops = Vec::new();
-    for k in 0..stages {
-        let op = if (kinds >> k) & 1 == 1 {
-            let fk = if k % 2 == 0 { "fk_seq" } else { "fk_rand" };
-            FilterOp::join_filter(
-                fact,
-                fk,
-                dim,
-                "payload",
-                CompareOp::Lt,
-                lit,
-                k as u32,
-                100 + k,
-            )
-            .expect("join compiles")
-        } else {
-            FilterOp::select(fact, &format!("val{k}"), CompareOp::Lt, lit, k as u32, 0)
-                .expect("select compiles")
-        };
-        ops.push(op);
-    }
-    Pipeline::new(ops, fact.rows())
-        .expect("pipeline")
-        .with_aggregate(fact, "val0")
-        .expect("aggregate")
-}
+mod common;
+use common::{build, tables, ROWS};
 
 proptest! {
-    /// Parallel pipeline execution: identical results for every worker
+    /// Parallel program execution: identical results for every worker
     /// count and morsel size, baseline and progressive.
     #[test]
     fn parallel_pipeline_is_exact(
@@ -110,11 +38,11 @@ proptest! {
         let expect = serial.run_range(&mut cpu, 0, ROWS);
 
         for progressive in [false, true] {
-            let mut pipeline = build(&fact, &dim, stages, kinds, lit);
+            let mut program = build(&fact, &dim, stages, kinds, lit);
             let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
             let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
-            let report = run_parallel_pipeline(
-                &mut pipeline,
+            let report = run_parallel_program(
+                &mut program,
                 &(0..stages).collect::<Vec<_>>(),
                 MorselConfig::new(morsel_tuples),
                 &mut pool,
@@ -125,8 +53,8 @@ proptest! {
                 "workers={} morsel={} progressive={}", workers, morsel_tuples, progressive
             );
             prop_assert_eq!(report.sum, expect.sum);
-            // The caller's pipeline ends in the published order.
-            prop_assert_eq!(pipeline.order(), &report.final_order[..]);
+            // The caller's program ends in the published order.
+            prop_assert_eq!(program.order(), &report.final_order[..]);
         }
     }
 

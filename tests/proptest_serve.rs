@@ -1,4 +1,4 @@
-//! Property: serving a random mix of queries — scan/pipeline kinds,
+//! Property: serving a random mix of queries — scan/program kinds,
 //! random priorities, arrival times, worker counts and morsel sizes,
 //! with and without progressive reoptimization — yields per-query
 //! results bit-identical to running each query alone on a single core.
@@ -8,9 +8,9 @@
 
 use proptest::prelude::*;
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
+use popt::core::exec::program::CompiledProgram;
 use popt::core::exec::scan::CompiledSelection;
-use popt::core::plan::SelectionPlan;
+use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
@@ -67,14 +67,16 @@ fn scan_plan(lit: i64) -> SelectionPlan {
     .expect("plan")
 }
 
-fn build_pipeline<'t>(fact: &'t Table, dim: &'t Table, lit: i64) -> Pipeline<'t> {
-    let sel = FilterOp::select(fact, "val0", CompareOp::Lt, lit, 0, 0).expect("select");
-    let join = FilterOp::join_filter(fact, "fk", dim, "payload", CompareOp::Lt, lit, 1, 100)
-        .expect("join");
-    Pipeline::new(vec![sel, join], fact.rows())
-        .expect("pipeline")
-        .with_aggregate(fact, "val1")
-        .expect("aggregate")
+/// `val0 < lit` then a join probing `payload < lit`, summing `val1`;
+/// plan order is construction order.
+fn build_program<'t>(fact: &'t Table, dim: &'t Table, lit: i64) -> CompiledProgram<'t> {
+    PlanBuilder::scan(fact)
+        .filter(Expr::col("val0").less_than(lit))
+        .join(dim, "fk", Expr::col("payload").less_than(lit))
+        .aggregate("val1")
+        .build()
+        .compile()
+        .expect("program")
 }
 
 proptest! {
@@ -126,14 +128,15 @@ proptest! {
                     format!("q{k}"), &fact, plan, vec![1, 0], priority, arrival,
                 ));
             } else {
-                let pipeline = build_pipeline(&fact, &dim, lit);
+                let mut program = build_program(&fact, &dim, lit);
                 let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-                let expect = pipeline.run_range(&mut cpu, 0, ROWS);
+                let expect = program.run_range(&mut cpu, 0, ROWS);
                 refs.push((expect.qualified, expect.sum));
-                server.admit(QuerySpec::pipeline(
+                // Served from the join-first order.
+                program.reorder(&[1, 0]).expect("valid order");
+                server.admit(QuerySpec::compiled(
                     format!("q{k}"),
-                    build_pipeline(&fact, &dim, lit),
-                    vec![1, 0],
+                    program,
                     priority,
                     arrival,
                 ));

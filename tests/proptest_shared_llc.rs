@@ -1,5 +1,5 @@
 //! Property: the shared-LLC socket model moves *cycles*, never results.
-//! For random mixed pipelines swept across worker counts and morsel
+//! For random mixed programs swept across worker counts and morsel
 //! sizes, execution on a shared-socket pool is bit-identical to the
 //! private-LLC pool and to the serial single-core executor — with and
 //! without progressive reoptimization, i.e. regardless of how the
@@ -10,82 +10,12 @@
 
 use proptest::prelude::*;
 
-use popt::core::exec::pipeline::{FilterOp, Pipeline};
-use popt::core::parallel::{run_parallel_pipeline, MorselConfig};
-use popt::core::predicate::CompareOp;
+use popt::core::parallel::{run_parallel_program, MorselConfig};
 use popt::core::progressive::ProgressiveConfig;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
-use popt::storage::{AddressSpace, ColumnData, Table};
-use popt_bench::figures::workload::xorshift64;
 
-const ROWS: usize = 2_048;
-
-/// Fact with value columns and a random FK into a dimension big enough
-/// to feel the tiny test hierarchy's LLC — so private and shared pools
-/// really do simulate different cache behaviour while the property
-/// demands identical results.
-fn tables(seed: u64) -> (Table, Table) {
-    let dim_n = ROWS / 2;
-    let mut state = seed | 1;
-    let mut space = AddressSpace::new();
-    let mut fact = Table::new("fact");
-    for c in 0..3 {
-        let data: Vec<i32> = (0..ROWS)
-            .map(|_| (xorshift64(&mut state) % 1000) as i32)
-            .collect();
-        fact.add_column(format!("val{c}"), ColumnData::I32(data), &mut space);
-    }
-    fact.add_column(
-        "fk",
-        ColumnData::I32(
-            (0..ROWS)
-                .map(|_| (xorshift64(&mut state) % dim_n as u64) as i32)
-                .collect(),
-        ),
-        &mut space,
-    );
-    let mut dim_space = AddressSpace::new();
-    let mut dim = Table::new("dim");
-    dim.add_column(
-        "payload",
-        ColumnData::I32(
-            (0..dim_n)
-                .map(|_| (xorshift64(&mut state) % 1000) as i32)
-                .collect(),
-        ),
-        &mut dim_space,
-    );
-    (fact, dim)
-}
-
-/// Random mixed pipeline: bit `k` of `kinds` picks select vs. join for
-/// stage `k`.
-fn build<'t>(fact: &'t Table, dim: &'t Table, stages: usize, kinds: u64, lit: i64) -> Pipeline<'t> {
-    let mut ops = Vec::new();
-    for k in 0..stages {
-        let op = if (kinds >> k) & 1 == 1 {
-            FilterOp::join_filter(
-                fact,
-                "fk",
-                dim,
-                "payload",
-                CompareOp::Lt,
-                lit,
-                k as u32,
-                100,
-            )
-            .expect("join compiles")
-        } else {
-            FilterOp::select(fact, &format!("val{k}"), CompareOp::Lt, lit, k as u32, 0)
-                .expect("select compiles")
-        };
-        ops.push(op);
-    }
-    Pipeline::new(ops, fact.rows())
-        .expect("pipeline")
-        .with_aggregate(fact, "val0")
-        .expect("aggregate")
-}
+mod common;
+use common::{build, tables, ROWS};
 
 proptest! {
     /// Shared-LLC mode on/off × reopt on/off × workers × morsel sizes:
@@ -106,11 +36,11 @@ proptest! {
 
         for mode in [LlcMode::Private, LlcMode::Shared] {
             for progressive in [false, true] {
-                let mut pipeline = build(&fact, &dim, stages, kinds, lit);
+                let mut program = build(&fact, &dim, stages, kinds, lit);
                 let mut pool = CpuPool::with_mode(CpuConfig::tiny_test(), workers, mode);
                 let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
-                let report = run_parallel_pipeline(
-                    &mut pipeline,
+                let report = run_parallel_program(
+                    &mut program,
                     &(0..stages).collect::<Vec<_>>(),
                     MorselConfig::new(morsel_tuples),
                     &mut pool,
