@@ -3,9 +3,10 @@
 //! A counting wrapper around the system allocator pins the
 //! allocation-free property of the hot loops: after compilation and CPU
 //! construction, executing rows through the batched fast path performs
-//! zero allocations (serial), and the parallel claim → execute → sample
+//! zero allocations (serial), the parallel claim → execute → sample
 //! loop performs none per morsel (total allocations are independent of
-//! the morsel count when reoptimization is off).
+//! the morsel count when reoptimization is off), and one evaluation of
+//! the estimator's counter model performs none.
 //!
 //! The counter is process-wide, so this target runs without the libtest
 //! harness (`harness = false`): `main` runs the checks one after another
@@ -85,7 +86,39 @@ fn plan() -> SelectionPlan {
 fn main() {
     serial_vector_loop_is_allocation_free();
     parallel_morsel_loop_is_allocation_free();
-    println!("alloc_free: 2 checks passed");
+    model_evaluation_is_allocation_free();
+    println!("alloc_free: 3 checks passed");
+}
+
+/// The estimator's objective calls `estimate_counters` once per
+/// evaluation, a few hundred times per fit: on a 4-stage star geometry
+/// (selection + three join probes) it must not touch the heap.
+fn model_evaluation_is_allocation_free() {
+    use popt_cost::estimate::{estimate_counters, PlanGeometry, ProbeGeometry};
+    use popt_cost::join_model::JoinGeometry;
+    let mut geom = PlanGeometry::uniform_i32(1 << 20, 4);
+    let probe = |tuples| {
+        let relation = JoinGeometry {
+            relation_tuples: tuples,
+            tuple_bytes: 4,
+            line_bytes: 64,
+            cache_lines: 1024 * 1024 / 64,
+        };
+        Some(ProbeGeometry::random(relation, 64.0 * 1024.0))
+    };
+    geom.probes = vec![None, probe(500_000), probe(60_000), probe(8_000)];
+    let survivors = [700_000.0, 400_000.0, 90_000.0, 20_000.0];
+    let warm = estimate_counters(&geom, &survivors);
+    let before = allocations();
+    let mut l3 = 0.0;
+    for k in 0..100 {
+        let mut s = survivors;
+        s[1] += f64::from(k) * 100.0;
+        l3 += estimate_counters(&geom, &s).l3_accesses;
+    }
+    let delta = allocations() - before;
+    assert_eq!(delta, 0, "100 model evaluations allocated {delta} times");
+    assert!(l3 > warm.l3_accesses);
 }
 
 /// Serial morsel loop: after one warmup vector (stream-state slots may

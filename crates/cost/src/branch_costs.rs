@@ -48,6 +48,20 @@ impl PeoBranchEstimate {
     }
 }
 
+/// The PEO-wide sums of a [`PeoBranchEstimate`], without the
+/// per-predicate breakdown.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BranchTotals {
+    /// Total branches not taken across predicates.
+    pub bnt: f64,
+    /// Total branches taken (including the loop back-edge if modelled).
+    pub bt: f64,
+    /// Total mispredicted taken branches.
+    pub mp_taken: f64,
+    /// Total mispredicted not-taken branches.
+    pub mp_not_taken: f64,
+}
+
 /// Estimate branch counters for `n` input tuples filtered by predicates
 /// with the given selectivities (in evaluation order), using `chain` as
 /// the predictor model.
@@ -62,12 +76,49 @@ pub fn estimate_peo_branches(
     include_loop_branch: bool,
 ) -> PeoBranchEstimate {
     let mut predicates = Vec::with_capacity(selectivities.len());
+    let totals = accumulate(
+        n,
+        selectivities.iter().copied(),
+        chain,
+        include_loop_branch,
+        |est| predicates.push(est),
+    );
+    PeoBranchEstimate {
+        predicates,
+        bnt: totals.bnt,
+        bt: totals.bt,
+        mp_taken: totals.mp_taken,
+        mp_not_taken: totals.mp_not_taken,
+    }
+}
+
+/// The totals of [`estimate_peo_branches`] — the same floating-point
+/// operations in the same order — without touching the heap: the form
+/// the estimator's objective evaluates hundreds of times per fit.
+pub fn peo_branch_totals(
+    n: u64,
+    selectivities: impl IntoIterator<Item = f64>,
+    chain: &ChainSpec,
+    include_loop_branch: bool,
+) -> BranchTotals {
+    accumulate(n, selectivities, chain, include_loop_branch, |_| {})
+}
+
+fn accumulate(
+    n: u64,
+    selectivities: impl IntoIterator<Item = f64>,
+    chain: &ChainSpec,
+    include_loop_branch: bool,
+    mut each: impl FnMut(PredicateBranchEstimate),
+) -> BranchTotals {
     let mut input = n as f64;
-    let mut bnt = 0.0;
-    let mut bt = 0.0;
-    let mut mp_taken = 0.0;
-    let mut mp_not_taken = 0.0;
-    for &p in selectivities {
+    let mut totals = BranchTotals {
+        bnt: 0.0,
+        bt: 0.0,
+        mp_taken: 0.0,
+        mp_not_taken: 0.0,
+    };
+    for p in selectivities {
         assert!((0.0..=1.0).contains(&p), "selectivity out of range: {p}");
         let probs = chain.probabilities(p);
         let est = PredicateBranchEstimate {
@@ -78,24 +129,18 @@ pub fn estimate_peo_branches(
             mp_taken: input * probs.mp_taken,
             mp_not_taken: input * probs.mp_not_taken,
         };
-        bnt += est.bnt;
-        bt += est.bt;
-        mp_taken += est.mp_taken;
-        mp_not_taken += est.mp_not_taken;
+        totals.bnt += est.bnt;
+        totals.bt += est.bt;
+        totals.mp_taken += est.mp_taken;
+        totals.mp_not_taken += est.mp_not_taken;
         input *= p;
-        predicates.push(est);
+        each(est);
     }
     if include_loop_branch {
         // One taken branch per tuple at the end of the loop body.
-        bt += n as f64;
+        totals.bt += n as f64;
     }
-    PeoBranchEstimate {
-        predicates,
-        bnt,
-        bt,
-        mp_taken,
-        mp_not_taken,
-    }
+    totals
 }
 
 /// The paper's qualifying-tuple identity: `qualifying = 2·n − bT`

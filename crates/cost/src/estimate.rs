@@ -11,7 +11,7 @@
 //! accesses the paper attributes to column `j`; selectivities fall out as
 //! `p_j = a_j / a_{j-1}` with `a_0 = tupsin`.
 
-use crate::branch_costs::estimate_peo_branches;
+use crate::branch_costs::peo_branch_totals;
 use crate::cache_model::{l3_accesses, CacheGeometry};
 use crate::join_model::{random_misses_f, sequential_misses_f, JoinGeometry};
 use crate::markov::ChainSpec;
@@ -175,23 +175,27 @@ pub struct CounterEstimate {
 /// ascending-selectivity reorder pushes it to the back instead of
 /// rewarding it for work it never did.
 pub fn survivors_to_selectivities(n_input: u64, survivors: &[f64]) -> Vec<f64> {
+    selectivities(n_input, survivors).collect()
+}
+
+/// [`survivors_to_selectivities`] as a lazy sequence, for callers that
+/// consume each selectivity once and need no vector.
+pub fn selectivities(n_input: u64, survivors: &[f64]) -> impl Iterator<Item = f64> + '_ {
     let mut prev = n_input as f64;
-    survivors
-        .iter()
-        .map(|&a| {
-            let p = if prev <= 0.0 {
-                1.0
-            } else {
-                (a / prev).clamp(0.0, 1.0)
-            };
-            prev = a.max(0.0);
-            p
-        })
-        .collect()
+    survivors.iter().map(move |&a| {
+        let p = if prev <= 0.0 {
+            1.0
+        } else {
+            (a / prev).clamp(0.0, 1.0)
+        };
+        prev = a.max(0.0);
+        p
+    })
 }
 
 /// Predict all counters for the survivor hypothesis `survivors`
-/// (`survivors.len()` must equal the number of predicates).
+/// (`survivors.len()` must equal the number of predicates). Performs no
+/// heap allocation: the estimator evaluates it once per objective call.
 pub fn estimate_counters(geom: &PlanGeometry, survivors: &[f64]) -> CounterEstimate {
     assert_eq!(
         survivors.len(),
@@ -207,8 +211,8 @@ pub fn estimate_counters(geom: &PlanGeometry, survivors: &[f64]) -> CounterEstim
         geom.probes.is_empty() || geom.probes.len() == geom.predicates(),
         "probes must be empty or one per predicate"
     );
-    let sels = survivors_to_selectivities(geom.n_input, survivors);
-    let branches = estimate_peo_branches(geom.n_input, &sels, &geom.chain, true);
+    let sels = selectivities(geom.n_input, survivors);
+    let branches = peo_branch_totals(geom.n_input, sels, &geom.chain, true);
 
     // Column read densities: predicate j reads its column for every tuple
     // that survived predicates 0..j. Densities only shrink along the
@@ -299,6 +303,49 @@ mod tests {
         let a = estimate_counters(&geom, &[400_000.0, 80_000.0]);
         let b = estimate_counters(&geom, &[200_000.0, 80_000.0]);
         assert!((a.mp_not_taken - b.mp_not_taken).abs() > 1000.0);
+    }
+
+    #[test]
+    fn branch_totals_are_bit_identical_to_the_allocating_breakdown() {
+        // `estimate_counters` sums branch counters without building the
+        // per-predicate vectors; the vector-building public functions are
+        // the reference, off the feasible manifold included (zero and
+        // non-monotone survivors, survivors above the input).
+        use crate::branch_costs::estimate_peo_branches;
+        let hypotheses: [&[f64]; 6] = [
+            &[80.0, 70.0, 50.0, 10.0],
+            &[100.0, 100.0, 100.0, 100.0],
+            &[0.0, 0.0, 0.0, 0.0],
+            &[33.3, 77.7, 1e-9, 250.0],
+            &[99.999, 0.001, 0.001, 0.0],
+            &[50.0, 25.0, 12.5, 6.25],
+        ];
+        for chain in [ChainSpec::SIX, ChainSpec::FOUR, ChainSpec::even(16)] {
+            let mut geom = PlanGeometry::uniform_i32(100, 4);
+            geom.chain = chain;
+            for survivors in hypotheses {
+                let got = estimate_counters(&geom, survivors);
+                let sels = survivors_to_selectivities(geom.n_input, survivors);
+                let want = estimate_peo_branches(geom.n_input, &sels, &chain, true);
+                for (g, w) in [
+                    (got.bnt, want.bnt),
+                    (got.bt, want.bt),
+                    (got.mp_taken, want.mp_taken),
+                    (got.mp_not_taken, want.mp_not_taken),
+                ] {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{chain:?} {survivors:?}");
+                }
+                // ... and the breakdown's own mispredictions come from the
+                // vector-returning stationary distribution.
+                for (est, &p) in want.predicates.iter().zip(&sels) {
+                    let pi = chain.stationary(p);
+                    let k = chain.not_taken_states as usize;
+                    let predict_not_taken: f64 = pi[..k].iter().sum();
+                    let mp_taken = est.input * ((1.0 - p) * predict_not_taken);
+                    assert_eq!(est.mp_taken.to_bits(), mp_taken.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,10 @@
 
 use crate::linalg;
 
+/// Largest supported state count: a stationary distribution fits a
+/// fixed array, so deriving one never allocates.
+pub const MAX_STATES: usize = 16;
+
 /// An n-state chain with a configurable prediction split.
 ///
 /// `not_taken_states` is the number of leftmost states predicting *not
@@ -23,7 +27,7 @@ use crate::linalg;
 /// variants `states/2` on an odd state count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainSpec {
-    /// Total number of states (2–16).
+    /// Total number of states (2–[`MAX_STATES`]).
     pub states: u8,
     /// Leftmost states predicting "not taken".
     pub not_taken_states: u8,
@@ -126,7 +130,7 @@ impl ChainSpec {
 
     fn validate(&self) {
         assert!(
-            (2..=16).contains(&self.states),
+            (2..=MAX_STATES).contains(&usize::from(self.states)),
             "state count {} out of supported range",
             self.states
         );
@@ -139,31 +143,36 @@ impl ChainSpec {
     /// Stationary distribution over states for selectivity `p` (probability
     /// of "not taken"), in closed form. State 0 is "strongly not taken".
     pub fn stationary(&self, p: f64) -> Vec<f64> {
+        self.stationary_array(p)[..self.states as usize].to_vec()
+    }
+
+    /// [`ChainSpec::stationary`] in the first `states` entries of a fixed
+    /// array — the allocation-free form the per-evaluation model path
+    /// ([`ChainSpec::probabilities`]) runs on.
+    fn stationary_array(&self, p: f64) -> [f64; MAX_STATES] {
         self.validate();
         assert!((0.0..=1.0).contains(&p), "selectivity out of range: {p}");
         let n = self.states as usize;
+        let mut v = [0.0; MAX_STATES];
         // Degenerate endpoints: all mass in a corner state.
         if p <= 0.0 {
-            let mut v = vec![0.0; n];
             v[n - 1] = 1.0;
             return v;
         }
         if p >= 1.0 {
-            let mut v = vec![0.0; n];
             v[0] = 1.0;
             return v;
         }
         // π_{i+1}/π_i = (1-p)/p; normalize the geometric sequence.
         let r = (1.0 - p) / p;
-        let mut v = Vec::with_capacity(n);
         let mut acc = 0.0;
         let mut cur = 1.0;
-        for _ in 0..n {
-            v.push(cur);
+        for x in &mut v[..n] {
+            *x = cur;
             acc += cur;
             cur *= r;
         }
-        for x in &mut v {
+        for x in &mut v[..n] {
             *x /= acc;
         }
         v
@@ -202,7 +211,7 @@ impl ChainSpec {
 
     /// Per-branch probabilities (Equations 5a–5f) at selectivity `p`.
     pub fn probabilities(&self, p: f64) -> BranchProbabilities {
-        let pi = self.stationary(p);
+        let pi = self.stationary_array(p);
         let k = self.not_taken_states as usize;
         let predict_not_taken: f64 = pi[..k].iter().sum();
         let predict_taken = 1.0 - predict_not_taken;

@@ -89,7 +89,12 @@ pub struct Prediction {
 /// while i.i.d. inputs keep the Markov behaviour per history bucket.
 #[derive(Debug, Clone)]
 pub struct BranchPredictor {
-    table: Vec<SaturatingAutomaton>,
+    /// Current state of every automaton. The state count and the
+    /// not-taken split are the same for all of them and live below, so
+    /// the hot table is one byte per entry.
+    table: Vec<u8>,
+    states: u8,
+    not_taken_states: u8,
     mask: u32,
     history: u32,
     history_mask: u32,
@@ -108,8 +113,12 @@ impl BranchPredictor {
         } else {
             (1u32 << config.history_bits.min(31)) - 1
         };
+        // Validates the split and names the initial state.
+        let initial = SaturatingAutomaton::new(config.states, config.not_taken_states);
         Self {
-            table: vec![SaturatingAutomaton::new(config.states, config.not_taken_states); size],
+            table: vec![initial.state; size],
+            states: config.states,
+            not_taken_states: config.not_taken_states,
             mask: (size - 1) as u32,
             history: 0,
             history_mask,
@@ -151,11 +160,11 @@ impl BranchPredictor {
     #[inline(always)]
     pub fn execute_hist(&mut self, history: &mut u32, site: BranchSite, taken: bool) -> bool {
         let h = site.0.wrapping_mul(0x9E37_79B1) ^ (*history & self.history_mask);
-        let a = &mut self.table[(h & self.mask) as usize];
-        let predicted = a.state >= a.not_taken_states;
-        let inc = (taken & (a.state + 1 < a.states)) as u8;
-        let dec = (!taken & (a.state > 0)) as u8;
-        a.state = a.state + inc - dec;
+        let state = &mut self.table[(h & self.mask) as usize];
+        let predicted = *state >= self.not_taken_states;
+        let inc = (taken & (*state + 1 < self.states)) as u8;
+        let dec = (!taken & (*state > 0)) as u8;
+        *state = *state + inc - dec;
         *history = ((*history << 1) | u32::from(taken)) & self.history_mask;
         predicted == taken
     }
@@ -175,9 +184,8 @@ impl BranchPredictor {
 
     /// Reset all automata and the history register to their initial state.
     pub fn reset(&mut self) {
-        for a in &mut self.table {
-            *a = SaturatingAutomaton::new(a.states, a.not_taken_states);
-        }
+        self.table
+            .fill(SaturatingAutomaton::new(self.states, self.not_taken_states).state);
         self.history = 0;
     }
 }

@@ -34,29 +34,116 @@ pub struct LevelStats {
 
 /// One set-associative cache level with true-LRU replacement.
 ///
-/// Lines are tracked by line number (address divided by line size). All
-/// sets live in one flat pre-sized allocation (`set_count × configured
-/// ways` slots plus one occupancy byte per set) built once at
-/// construction; LRU repositioning and eviction are in-place rotates of
-/// a ≤ 16-element slice, so the steady state never allocates or shifts
-/// a `Vec`.
+/// Lines are tracked by line number (address divided by line size). A
+/// resident line's **tag never moves**: each set owns a fixed run of tag
+/// slots plus two bytes of metadata per slot, packed eight slots to a
+/// `u64` word so that one word operation works on eight slots at once —
+///
+/// * a **fingerprint** byte, a hash of `line / set_count`. A lookup
+///   compares every fingerprint of the set against the probe's and
+///   reads a full tag only to confirm a match. The fingerprint is a
+///   filter and the tag decides, so a collision costs one wasted
+///   compare, never a wrong answer;
+/// * an **age** byte, the slot's LRU rank (0 = MRU). The ages of a set
+///   are always a permutation of `0..8 * words`, i.e. exactly the
+///   information of a physical LRU order: a hit or fill at the slot of
+///   age `a` is "ages below `a` grow by one, this slot becomes 0", and
+///   the victim of a fill is the slot whose age is `ways − 1`.
+///
+/// A vacant slot holds the tag [`VACANT`] and ranks behind every
+/// occupant, so "the slot of age `ways − 1`" is a vacant slot until the
+/// set's allocation is full and its LRU occupant from then on — a fill
+/// needs no occupancy count and no separate vacancy search. All storage
+/// is allocated once at construction; the steady state never allocates.
 #[derive(Debug, Clone)]
 pub struct CacheLevel {
-    /// Flat slot storage: set `s` owns `lines[s*stride .. s*stride+len(s)]`,
-    /// LRU first, MRU last.
-    lines: Box<[u64]>,
-    /// Occupied slots per set (`<= ways`).
-    occupancy: Box<[u8]>,
-    /// Configured ways = slot stride per set (fixed; `ways` may shrink).
-    stride: usize,
+    /// Tag slots, `8 * words` per set. Slots past the configured ways
+    /// are padding: vacant forever, their ages above every victim age.
+    tags: Box<[u64]>,
+    /// Per set `2 * words` words: `words` of fingerprint bytes, then
+    /// `words` of age bytes; slot `i` is byte `i % 8` of word `i / 8`.
+    meta: Box<[u64]>,
+    /// Metadata words per set and kind: `ceil(configured ways / 8)`.
+    words: usize,
+    /// Associativity the level was built with (`ways` may shrink).
+    configured_ways: usize,
     /// `set_count - 1` when the set count is a power of two, else 0.
     set_mask: u64,
+    /// `log2(set_count)` when the set count is a power of two.
+    set_shift: u32,
     set_count: u64,
     ways: usize,
     /// Running statistics, split by requester.
     pub demand: LevelStats,
     /// Statistics for prefetch-initiated lookups.
     pub prefetch: LevelStats,
+}
+
+/// Tag of a vacant slot — never a real line number (lines are
+/// `addr >> line_shift`).
+const VACANT: u64 = u64::MAX;
+/// Multiplier of [`fingerprint`]: 2^64 / golden ratio, odd.
+const FINGERPRINT_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The low bit of every byte of a word.
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+/// The high bit of every byte of a word.
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// Flag (by its high bit) every byte of `word` equal to `byte`. The
+/// lowest flag is always a true match; bytes above a match can be
+/// flagged falsely (the subtraction's borrow runs upward). Searches for
+/// a unique byte take the lowest flag, filters confirm every flag.
+#[inline(always)]
+fn bytes_eq(word: u64, byte: u8) -> u64 {
+    let x = word ^ (LOW_BITS * u64::from(byte));
+    x.wrapping_sub(LOW_BITS) & !x & HIGH_BITS
+}
+
+/// Flag (by its high bit) every byte of `ages` equal to `age` — exact,
+/// unlike [`bytes_eq`], because ages stay below 128.
+#[inline(always)]
+fn ages_eq(ages: u64, age: usize) -> u64 {
+    debug_assert!(age < 128 && ages & HIGH_BITS == 0);
+    !((ages ^ (LOW_BITS * age as u64)) + (HIGH_BITS - LOW_BITS)) & HIGH_BITS
+}
+
+/// A word holding 1 in every byte of `ages` that is below `age` and 0
+/// elsewhere. Exact for bytes up to 127 and `age` up to 128: no byte's
+/// sum carries into its neighbour.
+#[inline(always)]
+fn bytes_below(ages: u64, age: usize) -> u64 {
+    debug_assert!(age <= 128 && ages & HIGH_BITS == 0);
+    (!(ages + LOW_BITS * (128 - age as u64)) & HIGH_BITS) >> 7
+}
+
+/// Index of the lowest non-zero byte of `flags` (non-zero, at most one
+/// bit set per byte — the output of [`bytes_eq`] or [`bytes_below`]).
+#[inline(always)]
+fn lowest_flag(flags: u64) -> usize {
+    (flags.trailing_zeros() / 8) as usize
+}
+
+/// `word` with byte `index` replaced by `byte`.
+#[inline(always)]
+fn with_byte(word: u64, index: usize, byte: u8) -> u64 {
+    let shift = 8 * index;
+    (word & !(0xFF << shift)) | (u64::from(byte) << shift)
+}
+
+/// One-byte fingerprint of a tag: the top byte of a multiplicative
+/// hash, so every tag bit reaches it. (The tag's own low byte would
+/// collide for lines a power of two apart — the same row of two
+/// equal-length columns, which a scan probes back to back.)
+#[inline(always)]
+fn fingerprint(tag: u64) -> u8 {
+    (tag.wrapping_mul(FINGERPRINT_MIX) >> 56) as u8
+}
+
+/// Where a line lives in one level: its set and its fingerprint.
+#[derive(Debug, Clone, Copy)]
+struct Home {
+    set: usize,
+    fp: u8,
 }
 
 impl CacheLevel {
@@ -66,24 +153,22 @@ impl CacheLevel {
         let sets = config.sets();
         assert!(sets >= 1, "cache level needs at least one set");
         let ways = config.ways as usize;
-        assert!(
-            (1..=255).contains(&ways),
-            "ways must fit the occupancy byte"
-        );
-        Self {
-            // Empty slots hold the sentinel `u64::MAX` (never a real line
-            // number: lines are `addr >> line_shift`), so lookups can scan
-            // the full fixed stride branchlessly instead of an
-            // occupancy-bounded prefix.
-            lines: vec![u64::MAX; sets as usize * ways].into_boxed_slice(),
-            occupancy: vec![0u8; sets as usize].into_boxed_slice(),
-            stride: ways,
+        assert!((1..=128).contains(&ways), "ages must stay below 128");
+        let words = ways.div_ceil(8);
+        let mut level = Self {
+            tags: vec![VACANT; sets as usize * 8 * words].into_boxed_slice(),
+            meta: vec![0; sets as usize * 2 * words].into_boxed_slice(),
+            words,
+            configured_ways: ways,
             set_mask: if sets.is_power_of_two() { sets - 1 } else { 0 },
+            set_shift: sets.trailing_zeros(),
             set_count: sets,
             ways,
             demand: LevelStats::default(),
             prefetch: LevelStats::default(),
-        }
+        };
+        level.reset();
+        level
     }
 
     /// Current associativity limit of the level (ways per set).
@@ -91,103 +176,168 @@ impl CacheLevel {
         self.ways
     }
 
+    /// The associativity the level was built with — the ceiling of
+    /// [`CacheLevel::set_ways`].
+    pub fn configured_ways(&self) -> usize {
+        self.configured_ways
+    }
+
     /// Number of sets.
     pub fn set_count(&self) -> u64 {
         self.set_count
     }
 
-    /// Restrict (or re-widen) the level to `ways` ways per set — the
-    /// way-partitioning mechanism behind the socket model's capacity
-    /// contention (Intel CAT style). Shrinking trims each set's LRU tail
-    /// immediately, so residency never exceeds the new allocation; the
-    /// trim is a pure function of current contents, keeping the
+    /// Restrict (or re-widen) the level to `ways` ways per set, clamped
+    /// to the associativity it was built with — the way-partitioning
+    /// mechanism behind the socket model's capacity contention (Intel
+    /// CAT style). Shrinking vacates every slot whose age is outside
+    /// the new allocation immediately, so residency never exceeds it;
+    /// the trim is a pure function of current contents, keeping the
     /// simulation deterministic.
     ///
     /// # Panics
     /// Panics if `ways` is zero — every occupant keeps at least one way.
     pub fn set_ways(&mut self, ways: usize) {
         assert!(ways >= 1, "a cache occupant keeps at least one way");
+        let ways = ways.min(self.configured_ways);
         if ways < self.ways {
-            for set in 0..self.set_count as usize {
-                let n = self.occupancy[set] as usize;
-                if n > ways {
-                    // Keep the `ways` MRU entries (the slice tail).
-                    let base = set * self.stride;
-                    self.lines.copy_within(base + n - ways..base + n, base);
-                    // Vacated slots go back to the sentinel so the
-                    // full-stride scans stay exact.
-                    self.lines[base + ways..base + n].fill(u64::MAX);
-                    self.occupancy[set] = ways as u8;
+            let words = self.words;
+            for (set, tags) in self.tags.chunks_exact_mut(8 * words).enumerate() {
+                let ages = &self.meta[set * 2 * words + words..][..words];
+                for (w, &word) in ages.iter().enumerate() {
+                    let mut stale = bytes_below(word, ways) ^ LOW_BITS;
+                    while stale != 0 {
+                        tags[8 * w + lowest_flag(stale)] = VACANT;
+                        stale &= stale - 1;
+                    }
                 }
             }
         }
         self.ways = ways;
     }
 
-    #[inline]
-    fn set_of(&self, line: u64) -> usize {
+    /// Split `line` into its set index and the tag that tells the
+    /// lines of one set apart (`line / set_count`).
+    #[inline(always)]
+    fn split(&self, line: u64) -> (usize, u64) {
         if self.set_mask != 0 {
-            (line & self.set_mask) as usize
+            ((line & self.set_mask) as usize, line >> self.set_shift)
         } else {
-            (line % self.set_count) as usize
+            ((line % self.set_count) as usize, line / self.set_count)
         }
     }
 
-    /// Occupants of one set, LRU first (introspection for tests and the
-    /// batched span path; no statistics side effects).
-    #[inline]
-    pub fn set_lines(&self, set: usize) -> &[u64] {
-        let base = set * self.stride;
-        &self.lines[base..base + self.occupancy[set] as usize]
+    #[inline(always)]
+    fn home_of(&self, line: u64) -> Home {
+        let (set, tag) = self.split(line);
+        Home {
+            set,
+            fp: fingerprint(tag),
+        }
     }
 
-    /// Look up `line`; on hit, refresh LRU position. Returns `true` on hit.
-    #[inline]
-    pub fn access(&mut self, line: u64, is_prefetch: bool) -> bool {
-        let set_idx = self.set_of(line);
-        let base = set_idx * self.stride;
-        let set = &mut self.lines[base..base + self.occupancy[set_idx] as usize];
+    /// Occupants of one set, LRU first (introspection for tests; no
+    /// statistics side effects).
+    pub fn set_lines(&self, set: usize) -> Vec<u64> {
+        let words = self.words;
+        let ages = &self.meta[set * 2 * words + words..][..words];
+        let mut aged: Vec<(u8, u64)> = self.tags[set * 8 * words..][..8 * words]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &tag)| tag != VACANT)
+            .map(|(slot, &tag)| ((ages[slot / 8] >> (8 * (slot % 8))) as u8, tag))
+            .collect();
+        aged.sort_unstable_by_key(|&(age, _)| std::cmp::Reverse(age));
+        aged.into_iter().map(|(_, tag)| tag).collect()
+    }
+
+    /// The slot of `home.set` that holds `line`, if it is resident.
+    ///
+    /// `words` is always `self.words`; the monomorphized walk passes it
+    /// as a constant so that this and the other per-set primitives
+    /// unroll to straight-line word operations.
+    #[inline(always)]
+    fn find(&self, words: usize, home: Home, line: u64) -> Option<usize> {
+        debug_assert_eq!(words, self.words);
+        let fps = &self.meta[home.set * 2 * words..][..words];
+        let tags = &self.tags[home.set * 8 * words..][..8 * words];
+        for (w, &word) in fps.iter().enumerate() {
+            let mut candidates = bytes_eq(word, home.fp);
+            while candidates != 0 {
+                let slot = 8 * w + lowest_flag(candidates);
+                if tags[slot] == line {
+                    return Some(slot);
+                }
+                candidates &= candidates - 1;
+            }
+        }
+        None
+    }
+
+    /// Look up `line` at its `home`, count the lookup for the requester
+    /// and, on a hit, make the line its set's MRU: every younger slot
+    /// ages by one.
+    #[inline(always)]
+    fn probe(&mut self, words: usize, home: Home, line: u64, is_prefetch: bool) -> bool {
+        let found = self.find(words, home, line);
         let stats = if is_prefetch {
             &mut self.prefetch
         } else {
             &mut self.demand
         };
         stats.accesses += 1;
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            stats.hits += 1;
-            // Move to MRU position: rotate the tail left by one.
-            set[pos..].rotate_left(1);
-            true
-        } else {
+        let Some(slot) = found else {
             stats.misses += 1;
-            false
+            return false;
+        };
+        stats.hits += 1;
+        let ages = &mut self.meta[home.set * 2 * words + words..][..words];
+        let shift = 8 * (slot % 8);
+        let age = (ages[slot / 8] >> shift) as u8;
+        for word in ages.iter_mut() {
+            *word += bytes_below(*word, usize::from(age));
         }
+        ages[slot / 8] &= !(0xFF << shift);
+        true
+    }
+
+    /// Install `line` (not resident) at its `home` as the set's MRU, in
+    /// place of the slot whose age is `ways − 1`. Branch-free: the
+    /// victim's position is data, never a host branch.
+    #[inline(always)]
+    fn install(&mut self, words: usize, home: Home, line: u64) {
+        debug_assert!(self.find(words, home, line).is_none(), "already resident");
+        let victim_age = self.ways - 1;
+        let (fps, ages) = self.meta[home.set * 2 * words..][..2 * words].split_at_mut(words);
+        let mut slot = 0;
+        for w in 0..words {
+            // The ages of a set are a permutation: one flag in one word.
+            let victim = ages_eq(ages[w], victim_age);
+            let byte = (victim >> 7) * 0xFF;
+            ages[w] = (ages[w] + bytes_below(ages[w], victim_age)) & !byte;
+            fps[w] = (fps[w] & !byte) | ((LOW_BITS * u64::from(home.fp)) & byte);
+            if victim != 0 {
+                slot = 8 * w + lowest_flag(victim);
+            }
+        }
+        self.tags[home.set * 8 * words + slot] = line;
+    }
+
+    /// Look up `line`; on hit, refresh LRU position. Returns `true` on hit.
+    #[inline]
+    pub fn access(&mut self, line: u64, is_prefetch: bool) -> bool {
+        self.probe(self.words, self.home_of(line), line, is_prefetch)
     }
 
     /// Insert `line` as MRU, evicting the LRU line if the set is full.
     #[inline]
     pub fn fill(&mut self, line: u64) {
-        let set_idx = self.set_of(line);
-        let base = set_idx * self.stride;
-        let n = self.occupancy[set_idx] as usize;
-        debug_assert!(
-            !self.lines[base..base + n].contains(&line),
-            "fill of already-resident line"
-        );
-        if n == self.ways {
-            // Evict LRU (front): rotate left and overwrite the tail slot.
-            let set = &mut self.lines[base..base + n];
-            set.rotate_left(1);
-            set[n - 1] = line;
-        } else {
-            self.lines[base + n] = line;
-            self.occupancy[set_idx] = (n + 1) as u8;
-        }
+        self.install(self.words, self.home_of(line), line);
     }
 
     /// Whether `line` is resident (no statistics side effects).
     pub fn contains(&self, line: u64) -> bool {
-        self.set_lines(self.set_of(line)).contains(&line)
+        self.find(self.words, self.home_of(line), line).is_some()
     }
 
     /// Total lookups (demand + prefetch).
@@ -202,60 +352,17 @@ impl CacheLevel {
 
     /// Drop all resident lines and statistics.
     pub fn reset(&mut self) {
-        self.lines.fill(u64::MAX);
-        self.occupancy.fill(0);
+        self.tags.fill(VACANT);
+        for set in self.meta.chunks_exact_mut(2 * self.words) {
+            let (fps, ages) = set.split_at_mut(self.words);
+            fps.fill(0);
+            // Slot `i` starts at age `i`: any permutation would do.
+            for (w, word) in ages.iter_mut().enumerate() {
+                *word = u64::from_le_bytes([0, 1, 2, 3, 4, 5, 6, 7]) + LOW_BITS * 8 * w as u64;
+            }
+        }
         self.demand = LevelStats::default();
         self.prefetch = LevelStats::default();
-    }
-
-    #[inline(always)]
-    fn scan_n<const N: usize>(&self, base: usize, line: u64) -> usize {
-        let set: &[u64; N] = self.lines[base..base + N]
-            .try_into()
-            .expect("stride-sized slice");
-        let mut pos = usize::MAX;
-        for (i, &l) in set.iter().enumerate() {
-            if l == line {
-                pos = i;
-            }
-        }
-        pos
-    }
-
-    /// Refresh the LRU position of the occupant at `base + pos` (a
-    /// position returned by [`CacheLevel::scan`]).
-    #[inline(always)]
-    fn promote(&mut self, set_idx: usize, base: usize, pos: usize) {
-        let occ = self.occupancy[set_idx] as usize;
-        self.lines[base + pos..base + occ].rotate_left(1);
-    }
-
-    /// [`CacheLevel::fill`] with the set index and slot base pre-computed.
-    /// [`CacheLevel::fill_at`] with the stride known at compile time —
-    /// the monomorphized walk's fill. Falls back to runtime lengths when
-    /// way-partitioning has shrunk `ways` below the stride.
-    #[inline(always)]
-    fn fill_at_c<const N: usize>(&mut self, set_idx: usize, base: usize, line: u64) {
-        debug_assert_eq!(self.stride, N);
-        let n = self.occupancy[set_idx] as usize;
-        if n == self.ways {
-            if n == N {
-                self.evict_fill_n::<N>(base, line);
-            } else {
-                let set = &mut self.lines[base..base + n];
-                set.rotate_left(1);
-                set[n - 1] = line;
-            }
-        } else {
-            self.lines[base + n] = line;
-            self.occupancy[set_idx] = (n + 1) as u8;
-        }
-    }
-
-    #[inline(always)]
-    fn evict_fill_n<const N: usize>(&mut self, base: usize, line: u64) {
-        self.lines.copy_within(base + 1..base + N, base);
-        self.lines[base + N - 1] = line;
     }
 
     /// Whether any line in `lo..=hi` is resident (no statistics side
@@ -263,31 +370,26 @@ impl CacheLevel {
     /// (all compulsory misses) before applying closed-form accounting.
     pub(crate) fn any_resident_in_range(&self, lo: u64, hi: u64) -> bool {
         if hi - lo + 1 >= self.set_count {
-            // Every set can hold range lines: scan occupants once.
-            for set in 0..self.set_count as usize {
-                if self.set_lines(set).iter().any(|&l| l >= lo && l <= hi) {
-                    return true;
-                }
-            }
-            false
+            // Every set can hold range lines: scan all tags once
+            // (`VACANT` is above any range).
+            self.tags.iter().any(|&tag| tag >= lo && tag <= hi)
         } else {
             (lo..=hi).any(|l| self.contains(l))
         }
     }
 
     /// Fill every line of `lo..=hi` in ascending order, as if
-    /// [`CacheLevel::fill`] were called per line — but with one batched
-    /// LRU rebuild per set instead of a rotate per line. Statistics are
-    /// untouched (the caller accounts them in closed form).
+    /// [`CacheLevel::fill`] were called per line — but with one age
+    /// update per set instead of one per line. Statistics are untouched
+    /// (the caller accounts them in closed form).
     ///
     /// Precondition (checked by the caller via
     /// [`CacheLevel::any_resident_in_range`]): none of the lines is
-    /// currently resident. Per-line fills then never *hit*, so the final
-    /// per-set content is the LRU-tail of `old occupants ++ new lines in
-    /// ascending order` — the suffix rule this method applies directly.
+    /// currently resident, so no per-line fill would *hit*.
     pub(crate) fn fill_range_ascending(&mut self, lo: u64, hi: u64) {
         debug_assert!(lo <= hi);
-        if hi - lo + 1 < self.set_count {
+        let sets = self.set_count;
+        if hi - lo + 1 < sets {
             // Fewer lines than sets: at most one line per set — the
             // per-line path is already one operation per set.
             for line in lo..=hi {
@@ -295,34 +397,42 @@ impl CacheLevel {
             }
             return;
         }
-        let s_count = self.set_count;
-        let rem = lo % s_count;
-        for set in 0..s_count {
-            // First line >= lo that maps to this set.
-            let first_s = lo + (set + s_count - rem) % s_count;
-            if first_s > hi {
-                continue;
-            }
-            let k = ((hi - first_s) / s_count + 1) as usize;
-            let set_idx = set as usize;
-            let base = set_idx * self.stride;
-            let ways = self.ways;
-            if k >= ways {
-                // The new lines alone fill the set: keep the last `ways`.
-                let last_s = first_s + (k as u64 - 1) * s_count;
-                for t in 0..ways {
-                    self.lines[base + t] = last_s - ((ways - 1 - t) as u64) * s_count;
-                }
-                self.occupancy[set_idx] = ways as u8;
-            } else {
-                let n_old = self.occupancy[set_idx] as usize;
-                let keep_old = (ways - k).min(n_old);
-                self.lines
-                    .copy_within(base + n_old - keep_old..base + n_old, base);
-                for t in 0..k {
-                    self.lines[base + keep_old + t] = first_s + t as u64 * s_count;
-                }
-                self.occupancy[set_idx] = (keep_old + k) as u8;
+        let ways = self.ways as u64;
+        for set in 0..sets {
+            // First line >= lo that maps to this set; with at least
+            // `sets` lines in the range every set has one.
+            let first = lo + (set + sets - lo % sets) % sets;
+            let arrivals = (hi - first) / sets + 1;
+            // Only the last `ways` arrivals can survive.
+            let kept = arrivals.min(ways);
+            let first_kept = first + (arrivals - kept) * sets;
+            self.install_ascending(set as usize, first_kept, kept as usize);
+        }
+    }
+
+    /// `count <= ways` consecutive fills of `first`, `first + set_count`,
+    /// … into `set` as one pass over its metadata. The fills would evict
+    /// the slots of age `ways − 1` down to `ways − count` in that order:
+    /// the slot of age `a` in that band receives arrival `ways − 1 − a`
+    /// and ends at age `a − (ways − count)`, every younger slot ages by
+    /// `count`, and slots outside the allocation keep their age.
+    fn install_ascending(&mut self, set: usize, first: u64, count: usize) {
+        let (words, ways, sets) = (self.words, self.ways, self.set_count);
+        let spared = ways - count;
+        let first_tag = self.split(first).1;
+        let (fps, ages) = self.meta[set * 2 * words..][..2 * words].split_at_mut(words);
+        let tags = &mut self.tags[set * 8 * words..][..8 * words];
+        for w in 0..words {
+            let old = ages[w];
+            let younger = bytes_below(old, spared);
+            let mut band = bytes_below(old, ways) - younger;
+            ages[w] = old + younger * count as u64 - band * spared as u64;
+            while band != 0 {
+                let i = lowest_flag(band);
+                let arrival = ways as u64 - 1 - ((old >> (8 * i)) & 0xFF);
+                tags[8 * w + i] = first + arrival * sets;
+                fps[w] = with_byte(fps[w], i, fingerprint(first_tag + arrival));
+                band &= band - 1;
             }
         }
     }
@@ -361,8 +471,6 @@ pub struct CacheHierarchy {
     private: Vec<CacheLevel>,
     /// This core's slice of the last-level cache.
     llc: CacheLevel,
-    /// The socket's full LLC associativity, for re-widening a slice.
-    llc_configured_ways: usize,
     adjacent_line_prefetch: bool,
     /// Demand requests that reached main memory.
     pub memory_demand: u64,
@@ -380,7 +488,6 @@ impl CacheHierarchy {
         Self {
             private: upper.iter().map(CacheLevel::new).collect(),
             llc: CacheLevel::new(last),
-            llc_configured_ways: last.ways as usize,
             adjacent_line_prefetch: config.adjacent_line_prefetch,
             memory_demand: 0,
             memory_prefetch: 0,
@@ -411,7 +518,7 @@ impl CacheHierarchy {
     /// `1..=configured`). Called by the pool when a shared socket's
     /// capacity partition changes; private levels are never touched.
     pub fn set_llc_ways(&mut self, ways: usize) {
-        self.llc.set_ways(ways.clamp(1, self.llc_configured_ways));
+        self.llc.set_ways(ways.max(1));
     }
 
     /// Current associativity of the LLC slice.
@@ -421,34 +528,32 @@ impl CacheHierarchy {
 
     /// The socket's full LLC associativity.
     pub fn llc_configured_ways(&self) -> usize {
-        self.llc_configured_ways
+        self.llc.configured_ways()
     }
 
     /// Perform a demand access for `line`, filling every level on the way
     /// back and (on an L2 demand miss) triggering the adjacent-line
     /// prefetcher for the buddy line.
     pub fn demand_access(&mut self, line: u64) -> AccessResult {
-        if self.private.len() == 2 {
-            // Monomorphize the frequent way-count shapes so every scan and
-            // fill in the walk has a compile-time trip count (the shape is
-            // fixed per hierarchy, so this dispatch predicts perfectly).
-            match (
-                self.private[0].stride,
-                self.private[1].stride,
-                self.llc.stride,
-            ) {
-                (8, 8, 16) => self.demand_access_2p_c::<8, 8, 16>(line),
-                (8, 8, 20) => self.demand_access_2p_c::<8, 8, 20>(line),
-                _ => self.demand_access_general(line),
+        if let [l1, l2] = &self.private[..] {
+            // Monomorphize the frequent shapes (8/8/16 ways and a 20-way
+            // LLC) so every per-set primitive of the walk has a
+            // compile-time word count (the shape is fixed per hierarchy,
+            // so this dispatch predicts perfectly).
+            match (l1.words, l2.words, self.llc.words) {
+                (1, 1, 2) => return self.demand_access_3::<1, 1, 2>(line),
+                (1, 1, 3) => return self.demand_access_3::<1, 1, 3>(line),
+                _ => {}
             }
-        } else {
-            self.demand_access_general(line)
         }
+        self.demand_access_general(line)
     }
 
-    /// [`CacheHierarchy::demand_access_2p`] monomorphized over the three
-    /// way counts — identical logic with const-size scans and fills.
-    fn demand_access_2p_c<const W1: usize, const W2: usize, const W3: usize>(
+    /// The L1/L2 + LLC walk monomorphized over the three levels'
+    /// metadata word counts — the logic of
+    /// [`CacheHierarchy::demand_access_general`], with each line's set
+    /// and fingerprint computed once per level.
+    fn demand_access_3<const W1: usize, const W2: usize, const W3: usize>(
         &mut self,
         line: u64,
     ) -> AccessResult {
@@ -461,68 +566,42 @@ impl CacheHierarchy {
             .try_into()
             .expect("two private levels");
         let llc = &mut self.llc;
-        let set1 = l1.set_of(line);
-        let base1 = set1 * W1;
-        let pos1 = l1.scan_n::<W1>(base1, line);
-        l1.demand.accesses += 1;
-        if pos1 != usize::MAX {
-            l1.demand.hits += 1;
-            l1.promote(set1, base1, pos1);
+        let home1 = l1.home_of(line);
+        if l1.probe(W1, home1, line, false) {
             return NO_PREFETCH;
         }
-        l1.demand.misses += 1;
-        let set2 = l2.set_of(line);
-        let base2 = set2 * W2;
-        let pos2 = l2.scan_n::<W2>(base2, line);
-        l2.demand.accesses += 1;
-        if pos2 != usize::MAX {
-            l2.demand.hits += 1;
-            l2.promote(set2, base2, pos2);
-            l1.fill_at_c::<W1>(set1, base1, line);
+        let home2 = l2.home_of(line);
+        if l2.probe(W2, home2, line, false) {
+            l1.install(W1, home1, line);
             return AccessResult {
                 served_by: ServedBy::Level(1),
                 ..NO_PREFETCH
             };
         }
-        l2.demand.misses += 1;
-        let set3 = llc.set_of(line);
-        let base3 = set3 * W3;
-        let pos3 = llc.scan_n::<W3>(base3, line);
-        llc.demand.accesses += 1;
-        let served_by = if pos3 != usize::MAX {
-            llc.demand.hits += 1;
-            llc.promote(set3, base3, pos3);
+        let home3 = llc.home_of(line);
+        let served_by = if llc.probe(W3, home3, line, false) {
             ServedBy::Level(2)
         } else {
-            llc.demand.misses += 1;
             self.memory_demand += 1;
-            llc.fill_at_c::<W3>(set3, base3, line);
+            llc.install(W3, home3, line);
             ServedBy::Memory
         };
-        l1.fill_at_c::<W1>(set1, base1, line);
-        l2.fill_at_c::<W2>(set2, base2, line);
+        l1.install(W1, home1, line);
+        l2.install(W2, home2, line);
         let mut prefetch_issued = false;
         let mut prefetch_memory = false;
         if self.adjacent_line_prefetch {
             let buddy = line ^ 1;
-            let b2_set = l2.set_of(buddy);
-            let b2_base = b2_set * W2;
-            if l2.scan_n::<W2>(b2_base, buddy) == usize::MAX {
+            let buddy2 = l2.home_of(buddy);
+            if l2.find(W2, buddy2, buddy).is_none() {
                 prefetch_issued = true;
-                let b3_set = llc.set_of(buddy);
-                let b3_base = b3_set * W3;
-                let b3_pos = llc.scan_n::<W3>(b3_base, buddy);
-                llc.prefetch.accesses += 1;
-                if b3_pos != usize::MAX {
-                    llc.prefetch.hits += 1;
-                    llc.promote(b3_set, b3_base, b3_pos);
-                } else {
-                    llc.prefetch.misses += 1;
+                let buddy3 = llc.home_of(buddy);
+                if !llc.probe(W3, buddy3, buddy, true) {
                     self.memory_prefetch += 1;
                     prefetch_memory = true;
-                    llc.fill_at_c::<W3>(b3_base / W3, b3_base, buddy);
+                    llc.install(W3, buddy3, buddy);
                 }
-                l2.fill_at_c::<W2>(b2_set, b2_base, buddy);
+                l2.install(W2, buddy2, buddy);
             }
         }
         AccessResult {
@@ -876,11 +955,11 @@ mod tests {
     }
 
     #[test]
-    fn flat_storage_matches_reference_lru_eviction_order() {
+    fn age_bytes_match_reference_lru_eviction_order() {
         // Drive one CacheLevel and a naive Vec-per-set reference model with
         // the same access/fill sequence and assert the per-set LRU order
-        // (and therefore the eviction order) is unchanged by the flat
-        // rotate-based storage.
+        // (and therefore the eviction order) read back from the age bytes
+        // is the reference's physical order.
         let cfg = CacheLevelConfig {
             capacity_bytes: 1024,
             line_bytes: 64,
@@ -928,6 +1007,146 @@ mod tests {
         for (s, set) in reference.iter().enumerate() {
             let keep = &set[set.len().saturating_sub(2)..];
             assert_eq!(level.set_lines(s), keep, "set {s} after trim");
+        }
+    }
+
+    #[test]
+    fn byte_parallel_primitives_agree_with_per_byte_loops() {
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..2000 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let word = s;
+            let byte = (s >> 24) as u8;
+            let bytes = word.to_le_bytes();
+            let flags = bytes_eq(word, byte);
+            // No match goes unflagged; the lowest flag is a true match.
+            for (i, &b) in bytes.iter().enumerate() {
+                assert!(b != byte || flags & (0x80 << (8 * i)) != 0);
+            }
+            assert_eq!(flags == 0, !bytes.contains(&byte));
+            if flags != 0 {
+                assert_eq!(bytes[lowest_flag(flags)], byte);
+            }
+            let ages = word & !HIGH_BITS;
+            let age = usize::from(byte & 0x7F);
+            for (i, &b) in ages.to_le_bytes().iter().enumerate() {
+                let below = (bytes_below(ages, age) >> (8 * i)) & 0xFF;
+                assert_eq!(below, u64::from(usize::from(b) < age));
+                let equal = (ages_eq(ages, age) >> (8 * i)) & 0xFF;
+                assert_eq!(equal, if usize::from(b) == age { 0x80 } else { 0 });
+            }
+        }
+        assert_eq!(bytes_below(0x7F7F_7F7F_7F7F_7F7F, 128), LOW_BITS);
+    }
+
+    fn level(ways: u32, sets: u64) -> CacheLevel {
+        CacheLevel::new(&CacheLevelConfig {
+            capacity_bytes: u64::from(ways) * sets * 64,
+            line_bytes: 64,
+            ways,
+            hit_latency_cycles: 1,
+        })
+    }
+
+    #[test]
+    fn lines_sharing_a_fingerprint_are_told_apart_by_tag() {
+        // Five lines of set 3 whose tags have one fingerprint byte.
+        let mut l = level(4, 8);
+        let target = fingerprint(0);
+        let twins: Vec<u64> = (0..u64::MAX)
+            .filter(|&tag| fingerprint(tag) == target)
+            .map(|tag| tag * 8 + 3)
+            .take(5)
+            .collect();
+        for &line in &twins[..4] {
+            assert!(!l.access(line, false));
+            l.fill(line);
+        }
+        assert_eq!(l.set_lines(3), twins[..4]);
+        assert!(!l.contains(twins[4]), "a matching fingerprint is not a hit");
+        // A hit on the second twin refreshes it and nothing else.
+        assert!(l.access(twins[1], false));
+        assert_eq!(l.set_lines(3), [twins[0], twins[2], twins[3], twins[1]]);
+        l.fill(twins[4]); // evicts the LRU twin only
+        assert_eq!(l.set_lines(3), [twins[2], twins[3], twins[1], twins[4]]);
+        assert!(!l.contains(twins[0]));
+    }
+
+    #[test]
+    fn over_widening_clamps_and_leaves_neighbouring_sets_intact() {
+        // 20 configured ways (24 slots per set with padding): asking for
+        // more than was built must neither widen the sets nor let a
+        // set's fills spill into the next set's slots.
+        let mut l = level(20, 3);
+        for k in 0..20u64 {
+            l.fill(k * 3 + 1); // set 1, full
+            l.fill(k * 3 + 2); // set 2, full
+        }
+        let (set1, set2) = (l.set_lines(1), l.set_lines(2));
+        l.set_ways(64);
+        assert_eq!(l.ways(), 20);
+        for k in 0..40u64 {
+            l.fill(k * 3); // 40 fills into set 0
+        }
+        assert_eq!(
+            l.set_lines(0),
+            (20..40u64).map(|k| k * 3).collect::<Vec<_>>()
+        );
+        assert_eq!(l.set_lines(1), set1);
+        assert_eq!(l.set_lines(2), set2);
+        // Shrink below, then over-widen again: back to the built ways.
+        l.set_ways(5);
+        assert_eq!(
+            l.set_lines(0),
+            (35..40u64).map(|k| k * 3).collect::<Vec<_>>()
+        );
+        l.set_ways(usize::MAX);
+        assert_eq!(l.ways(), 20);
+    }
+
+    #[test]
+    fn ascending_range_fill_equals_per_line_fills() {
+        // Every pre-state x range shape: empty / partly / fully occupied
+        // sets, a shrunk allocation, fewer and more arrivals per set than
+        // ways, a range shorter than the set count, odd set counts.
+        for (ways, sets) in [(8u32, 4u64), (16, 8), (20, 6), (4, 5)] {
+            for shrink_to in [ways as usize, 3] {
+                for warm in [0u64, 7, 200] {
+                    for (lo, len) in [
+                        (1000u64, 2u64),
+                        (1001, sets),
+                        (1003, 3 * sets + 1),
+                        (999, 40 * sets),
+                    ] {
+                        let mut batched = level(ways, sets);
+                        batched.set_ways(shrink_to);
+                        for k in 0..warm {
+                            let line = k * 5 % 600; // below the range
+                            if !batched.access(line, false) {
+                                batched.fill(line);
+                            }
+                        }
+                        let mut per_line = batched.clone();
+                        batched.fill_range_ascending(lo, lo + len - 1);
+                        for line in lo..lo + len {
+                            per_line.fill(line);
+                        }
+                        for set in 0..sets as usize {
+                            assert_eq!(
+                                batched.set_lines(set),
+                                per_line.set_lines(set),
+                                "ways {ways}->{shrink_to} sets {sets} warm {warm} range {lo}+{len} set {set}"
+                            );
+                        }
+                        // Same answers afterwards, fingerprints included.
+                        for line in lo.saturating_sub(5)..lo + len + 5 {
+                            assert_eq!(batched.contains(line), per_line.contains(line));
+                        }
+                    }
+                }
+            }
         }
     }
 

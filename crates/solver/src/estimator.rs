@@ -23,7 +23,9 @@
 //! and weighted by [`CounterWeights`], whose default enables all four
 //! counters; the ablation benches zero individual weights.
 
-use popt_cost::estimate::{estimate_counters, survivors_to_selectivities, PlanGeometry};
+use popt_cost::estimate::{
+    estimate_counters, survivors_to_selectivities, CounterEstimate, PlanGeometry,
+};
 
 use crate::bounds::{bnt_bounds, SearchBounds};
 use crate::nelder_mead::{minimize, NelderMeadOptions};
@@ -175,14 +177,14 @@ pub struct EstimateResult {
     pub bounds: SearchBounds,
 }
 
-/// The Equation-10 objective for a full survivor vector.
+/// The Equation-10 objective for a full survivor vector whose predicted
+/// counters are `est`.
 fn objective(
-    geom: &PlanGeometry,
+    est: CounterEstimate,
     sampled: &SampledCounters,
     weights: &CounterWeights,
     survivors: &[f64],
 ) -> f64 {
-    let est = estimate_counters(geom, survivors);
     let rel = |s: u64, e: f64| -> f64 { (s as f64 - e).abs() / (s as f64).max(1.0) };
     let mut cost = weights.bnt * rel(sampled.bnt, est.bnt)
         + weights.mp_taken * rel(sampled.mp_taken, est.mp_taken)
@@ -208,6 +210,18 @@ pub fn estimate_selectivities(
     sampled: &SampledCounters,
     config: &EstimatorConfig,
 ) -> EstimateResult {
+    fit(geom, sampled, config, estimate_counters)
+}
+
+/// [`estimate_selectivities`] over an explicit counter `model` — always
+/// [`estimate_counters`], except in the test that pins it bit for bit
+/// against the vector-building model functions.
+fn fit(
+    geom: &PlanGeometry,
+    sampled: &SampledCounters,
+    config: &EstimatorConfig,
+    model: impl Fn(&PlanGeometry, &[f64]) -> CounterEstimate,
+) -> EstimateResult {
     let p = geom.predicates();
     assert!(p >= 1, "need at least one predicate");
     assert_eq!(geom.n_input, sampled.n_input, "geometry/sample mismatch");
@@ -219,7 +233,12 @@ pub fn estimate_selectivities(
     if p == 1 {
         let survivors = vec![out];
         let selectivities = survivors_to_selectivities(sampled.n_input, &survivors);
-        let objective = objective(geom, sampled, &config.weights, &survivors);
+        let objective = objective(
+            model(geom, &survivors),
+            sampled,
+            &config.weights,
+            &survivors,
+        );
         return EstimateResult {
             survivors,
             selectivities,
@@ -250,7 +269,7 @@ pub fn estimate_selectivities(
             |x| {
                 full[..dims].copy_from_slice(x);
                 full[dims] = out;
-                objective(geom, sampled, &config.weights, &full)
+                objective(model(geom, &full), sampled, &config.weights, &full)
             },
             &start,
             &free_bounds.lower,
@@ -431,6 +450,86 @@ mod tests {
             (r.selectivities[1] - 0.5).abs() < 0.05,
             "sels = {:?}",
             r.selectivities
+        );
+    }
+
+    /// The counter model as it was before `estimate_counters` stopped
+    /// allocating: branch counters from the vector-building functions
+    /// (selectivity vector, per-predicate breakdown); the L3 term never
+    /// allocated.
+    fn allocating_model(geom: &PlanGeometry, survivors: &[f64]) -> CounterEstimate {
+        use popt_cost::branch_costs::estimate_peo_branches;
+        let sels = survivors_to_selectivities(geom.n_input, survivors);
+        let branches = estimate_peo_branches(geom.n_input, &sels, &geom.chain, true);
+        CounterEstimate {
+            bnt: branches.bnt,
+            bt: branches.bt,
+            mp_taken: branches.mp_taken,
+            mp_not_taken: branches.mp_not_taken,
+            l3_accesses: estimate_counters(geom, survivors).l3_accesses,
+        }
+    }
+
+    #[test]
+    fn fits_are_bit_identical_to_the_allocating_model() {
+        // The shapes the benchmark fits: the 4-stage star (selection +
+        // three dimension probes, as `join_star` samples it), plain
+        // multi-selections of 2-5 predicates, and samples the model cannot
+        // match exactly (counters off by a few percent), so the search
+        // runs its full course instead of stopping at a zero objective.
+        use popt_cost::estimate::ProbeGeometry;
+        use popt_cost::join_model::JoinGeometry;
+        let probe = |tuples| {
+            let relation = JoinGeometry {
+                relation_tuples: tuples,
+                tuple_bytes: 4,
+                line_bytes: 64,
+                cache_lines: 1024 * 1024 / 64,
+            };
+            Some(ProbeGeometry::random(relation, 64.0 * 1024.0))
+        };
+        let mut star = PlanGeometry::uniform_i32(32_768, 4);
+        star.probes = vec![None, probe(500_000), probe(60_000), probe(8_000)];
+        let mut clustered = star.clone();
+        if let Some(p) = clustered.probes[1].as_mut() {
+            p.clustering = 0.35;
+        }
+        let cases: Vec<(PlanGeometry, Vec<f64>)> = vec![
+            (star, vec![26_000.0, 14_000.0, 9_000.0, 2_500.0]),
+            (clustered, vec![30_000.0, 6_000.0, 5_500.0, 300.0]),
+            (
+                PlanGeometry::uniform_i32(1_000_000, 2),
+                vec![400_000.0, 80_000.0],
+            ),
+            (
+                PlanGeometry::uniform_i32(1_000_000, 3),
+                vec![700_000.0, 210_000.0, 105_000.0],
+            ),
+            (
+                PlanGeometry::uniform_i32(65_536, 5),
+                vec![60_000.0, 31_000.0, 30_000.0, 4_000.0, 3_999.0],
+            ),
+        ];
+        let mut total_evaluations = 0;
+        for (geom, survivors) in &cases {
+            let mut sampled = synthetic_sample(geom, survivors);
+            sampled.mp_taken = sampled.mp_taken * 103 / 100;
+            sampled.l3_accesses = sampled.l3_accesses * 97 / 100;
+            for config in [EstimatorConfig::default(), tight_config()] {
+                let got = estimate_selectivities(geom, &sampled, &config);
+                let want = fit(geom, &sampled, &config, allocating_model);
+                total_evaluations += got.evaluations;
+                assert_eq!(got.evaluations, want.evaluations);
+                assert_eq!(got.starts_used, want.starts_used);
+                assert_eq!(got.objective.to_bits(), want.objective.to_bits());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.survivors), bits(&want.survivors));
+                assert_eq!(bits(&got.selectivities), bits(&want.selectivities));
+            }
+        }
+        assert!(
+            total_evaluations > 2_000,
+            "searches too short to pin anything: {total_evaluations} evaluations"
         );
     }
 
