@@ -72,9 +72,9 @@ impl<'t> EnumeratedSelection<'t> {
             cpu.instr(costs.loop_overhead);
             let mut pass = true;
             for (k, p) in inner.preds.iter().enumerate() {
-                cpu.load(p.stream, p.base + (i as u64) * 4, 4);
+                cpu.load(p.column.stream, p.column.base + (i as u64) * 4, 4);
                 cpu.instr(costs.per_eval + p.extra_instructions);
-                let ok = p.op.eval(i64::from(p.values[i]), p.literal);
+                let ok = p.op.eval(i64::from(p.column.values[i]), p.literal);
                 // The instrumentation: update this predicate's counter.
                 cpu.instr(COUNTER_UPDATE_INSTRUCTIONS);
                 cpu.store(COUNTER_STREAM, COUNTER_BASE_ADDR + (k as u64) * 8, 8);

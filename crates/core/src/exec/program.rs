@@ -32,7 +32,8 @@ use popt_cost::markov::ChainSpec;
 use popt_cpu::{BranchSite, CpuConfig, NumaPlacement, SimCpu};
 
 use crate::error::EngineError;
-use crate::exec::scan::{AggColumn, InstrCosts, VectorStats, LOOP_BRANCH_SITE};
+use crate::exec::kernel::{ColumnRef, RowKernel};
+use crate::exec::scan::{InstrCosts, VectorStats, LOOP_BRANCH_SITE};
 use crate::plan::logical::{Expr, LogicalNode, LogicalPlan};
 use crate::predicate::CompareOp;
 
@@ -40,30 +41,21 @@ use crate::predicate::CompareOp;
 /// index arithmetic (or hashing) of a foreign-key probe.
 const PROBE_INSTRUCTIONS: u64 = 6;
 
-/// The probe half of a join stage: the dimension payload column.
-#[derive(Clone)]
-struct ProbeSpec<'t> {
-    dim_values: &'t [i32],
-    dim_base: u64,
-    dim_stream: usize,
-}
-
 /// One compiled stage: evaluate `op(column[i], literal)` per tuple —
 /// directly for selections, through a foreign-key probe for joins (the
 /// stage's column is then the FK and the tested value is the probed
 /// dimension payload).
 #[derive(Clone)]
 pub struct CompiledStage<'t> {
-    values: &'t [i32],
-    base: u64,
-    stream: usize,
+    column: ColumnRef<'t>,
     site: BranchSite,
     op: CompareOp,
     literal: i64,
     /// Per-eval instructions over the base charge: UDF cost for
     /// selections, probe arithmetic for joins.
     extra_instructions: u64,
-    probe: Option<ProbeSpec<'t>>,
+    /// The dimension payload column a join stage probes.
+    probe: Option<ColumnRef<'t>>,
 }
 
 impl CompiledStage<'_> {
@@ -84,22 +76,22 @@ impl CompiledStage<'_> {
 
     /// Base address of the fact column the stage reads per tuple.
     pub fn column_base(&self) -> u64 {
-        self.base
+        self.column.base
     }
 
     /// Stream id of that fact column.
     pub fn column_stream(&self) -> usize {
-        self.stream
+        self.column.stream
     }
 
     /// Base address of the probed dimension payload, for joins.
     pub fn dim_base(&self) -> Option<u64> {
-        self.probe.as_ref().map(|p| p.dim_base)
+        self.probe.map(|p| p.base)
     }
 
     /// Rows of the probed dimension, for joins.
     pub fn dim_rows(&self) -> Option<usize> {
-        self.probe.as_ref().map(|p| p.dim_values.len())
+        self.probe.map(|p| p.values.len())
     }
 
     /// Instructions charged per evaluation over the base charge.
@@ -113,16 +105,16 @@ impl CompiledStage<'_> {
     /// calibration snapshot to the stage shape it was learned on.
     pub fn structural_key(&self) -> u64 {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        self.base.hash(&mut hasher);
-        self.stream.hash(&mut hasher);
+        self.column.base.hash(&mut hasher);
+        self.column.stream.hash(&mut hasher);
         self.op.hash(&mut hasher);
         self.extra_instructions.hash(&mut hasher);
         match &self.probe {
             Some(p) => {
                 1u8.hash(&mut hasher);
-                p.dim_base.hash(&mut hasher);
-                p.dim_stream.hash(&mut hasher);
-                p.dim_values.len().hash(&mut hasher);
+                p.base.hash(&mut hasher);
+                p.stream.hash(&mut hasher);
+                p.values.len().hash(&mut hasher);
             }
             None => 0u8.hash(&mut hasher),
         }
@@ -133,22 +125,27 @@ impl CompiledStage<'_> {
     /// pass/fail and drives one CPU event per load, charge and branch.
     #[inline]
     fn eval(&self, cpu: &mut SimCpu, i: usize, costs: &InstrCosts) -> bool {
+        let ColumnRef {
+            values,
+            base,
+            stream,
+        } = self.column;
         match &self.probe {
             None => {
-                cpu.load(self.stream, self.base + (i as u64) * 4, 4);
+                cpu.load(stream, base + (i as u64) * 4, 4);
                 cpu.instr(costs.per_eval + self.extra_instructions);
-                let ok = self.op.eval(i64::from(self.values[i]), self.literal);
+                let ok = self.op.eval(i64::from(values[i]), self.literal);
                 cpu.branch(self.site, !ok);
                 ok
             }
             Some(p) => {
-                cpu.load(self.stream, self.base + (i as u64) * 4, 4);
-                let key = self.values[i] as usize;
+                cpu.load(stream, base + (i as u64) * 4, 4);
+                let key = values[i] as usize;
                 // The full key range was validated at lowering.
-                debug_assert!(key < p.dim_values.len(), "dangling foreign key");
-                cpu.load(p.dim_stream, p.dim_base + (key as u64) * 4, 4);
+                debug_assert!(key < p.values.len(), "dangling foreign key");
+                cpu.load(p.stream, p.base + (key as u64) * 4, 4);
                 cpu.instr(costs.per_eval + self.extra_instructions);
-                let ok = self.op.eval(i64::from(p.dim_values[key]), self.literal);
+                let ok = self.op.eval(i64::from(p.values[key]), self.literal);
                 cpu.branch(self.site, !ok);
                 ok
             }
@@ -163,7 +160,7 @@ impl std::fmt::Debug for CompiledStage<'_> {
             Some(p) => write!(
                 f,
                 "Probe({} rows, {:?} {})",
-                p.dim_values.len(),
+                p.values.len(),
                 self.op,
                 self.literal
             ),
@@ -180,7 +177,7 @@ pub struct CompiledProgram<'t> {
     stages: Vec<CompiledStage<'t>>,
     /// Evaluation order: a permutation of plan indices.
     order: Vec<usize>,
-    agg: Vec<AggColumn<'t>>,
+    agg: Vec<ColumnRef<'t>>,
     /// Projected columns materialized beyond what stages/aggregates
     /// already read — they widen the declared hot set, nothing else.
     extra_hot_columns: usize,
@@ -236,7 +233,8 @@ impl<'t> CompiledProgram<'t> {
                     }
                 }
                 LogicalNode::Join { dim, fk_column, on } => {
-                    let (fk, fk_base, fk_stream) = resolve_fact_column(fact, fk_column)?;
+                    let fk = ColumnRef::resolve(fact, fk_column)?;
+                    let fk_col = fact.column_at(fk.stream);
                     let dim_stream = 100 + join_ordinal;
                     join_ordinal += 1;
                     for conjunct in on.clone().normalize().conjuncts() {
@@ -246,19 +244,17 @@ impl<'t> CompiledProgram<'t> {
                                 let dim_values = dim_col.data().as_i32().ok_or_else(|| {
                                     EngineError::UnsupportedColumnType(column.to_string())
                                 })?;
-                                validate_fk_range(fk, fk_column, dim_values.len())?;
+                                validate_fk_range(fk_col, dim_values.len())?;
                                 stages.push(CompiledStage {
-                                    values: fk,
-                                    base: fk_base,
-                                    stream: fk_stream,
+                                    column: fk,
                                     site: BranchSite(stages.len() as u32),
                                     op,
                                     literal,
                                     extra_instructions: PROBE_INSTRUCTIONS,
-                                    probe: Some(ProbeSpec {
-                                        dim_values,
-                                        dim_base: dim_col.base_addr(),
-                                        dim_stream,
+                                    probe: Some(ColumnRef {
+                                        values: dim_values,
+                                        base: dim_col.base_addr(),
+                                        stream: dim_stream,
                                     }),
                                 });
                             }
@@ -288,20 +284,16 @@ impl<'t> CompiledProgram<'t> {
             return Err(EngineError::EmptyPlan);
         }
 
-        let mut agg = Vec::with_capacity(plan.aggregates().len());
-        for column in plan.aggregates() {
-            let (values, base, stream) = resolve_fact_column(fact, column)?;
-            agg.push(AggColumn {
-                values,
-                base,
-                stream,
-            });
-        }
+        let agg = plan
+            .aggregates()
+            .iter()
+            .map(|column| ColumnRef::resolve(fact, column))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut extra_hot_columns = 0usize;
         for column in plan.projection() {
-            let (_, _, stream) = resolve_fact_column(fact, column)?;
-            let covered =
-                stages.iter().any(|s| s.stream == stream) || agg.iter().any(|a| a.stream == stream);
+            let stream = ColumnRef::resolve(fact, column)?.stream;
+            let covered = stages.iter().any(|s| s.column.stream == stream)
+                || agg.iter().any(|a| a.stream == stream);
             if !covered {
                 extra_hot_columns += 1;
             }
@@ -368,152 +360,37 @@ impl<'t> CompiledProgram<'t> {
     }
 
     /// Execute rows `start..end`; measurement semantics identical to the
-    /// scan executor. Dispatches to the batched fast path
-    /// (register-held stream states, bulk PMU flush per call) unless the
-    /// scalar oracle was requested or the program shape exceeds the fixed
-    /// scratch.
+    /// scan executor. Dispatches to the batched row kernel
+    /// ([`crate::exec::kernel`]) unless the scalar oracle was requested or
+    /// the program shape exceeds the kernel's fixed scratch.
     pub fn run_range(&self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
         assert!(start <= end && end <= self.rows, "row range out of bounds");
-        const MAX_STAGES: usize = 12;
-        const MAX_SLOTS: usize = 32;
-        if self.scalar_oracle || self.order.len() > MAX_STAGES || self.agg.len() > MAX_STAGES {
-            return self.run_range_scalar(cpu, start, end);
+        match (!self.scalar_oracle).then(|| self.kernel()).flatten() {
+            Some(kernel) => kernel.run(cpu, start, end),
+            None => self.run_range_scalar(cpu, start, end),
         }
-        // Deduplicate streams into slots: stages sharing a column must
-        // share one adjacency state, exactly like `SimCpu::load` does
-        // through its per-stream table.
-        fn slot_for(
-            slot_streams: &mut [usize],
-            n_slots: &mut usize,
-            stream: usize,
-        ) -> Option<usize> {
-            for (k, &s) in slot_streams.iter().enumerate().take(*n_slots) {
-                if s == stream {
-                    return Some(k);
-                }
-            }
-            if *n_slots == slot_streams.len() {
-                return None;
-            }
-            slot_streams[*n_slots] = stream;
-            *n_slots += 1;
-            Some(*n_slots - 1)
-        }
-        let mut slot_streams = [usize::MAX; MAX_SLOTS];
-        let mut n_slots = 0usize;
-        let mut stage_slot = [0usize; MAX_STAGES];
-        let mut probe_slot = [0usize; MAX_STAGES];
-        let mut agg_slot = [0usize; MAX_STAGES];
-        for (k, &j) in self.order.iter().enumerate() {
+    }
+
+    /// The stages in the current evaluation order and the aggregate
+    /// columns, resolved for the row kernel; `None` when they exceed its
+    /// scratch.
+    fn kernel(&self) -> Option<RowKernel<'t>> {
+        let mut kernel = RowKernel::new(self.costs);
+        for &j in &self.order {
             let s = &self.stages[j];
-            match slot_for(&mut slot_streams, &mut n_slots, s.stream) {
-                Some(t) => stage_slot[k] = t,
-                None => return self.run_range_scalar(cpu, start, end),
-            }
-            if let Some(p) = &s.probe {
-                match slot_for(&mut slot_streams, &mut n_slots, p.dim_stream) {
-                    Some(t) => probe_slot[k] = t,
-                    None => return self.run_range_scalar(cpu, start, end),
-                }
-            }
+            kernel.push_stage(
+                s.column,
+                s.probe,
+                s.site,
+                s.op,
+                s.literal,
+                s.extra_instructions,
+            )?;
         }
-        for (k, a) in self.agg.iter().enumerate() {
-            match slot_for(&mut slot_streams, &mut n_slots, a.stream) {
-                Some(t) => agg_slot[k] = t,
-                None => return self.run_range_scalar(cpu, start, end),
-            }
+        for a in &self.agg {
+            kernel.push_agg(*a)?;
         }
-        let before = cpu.counters();
-        let mut qualified = 0u64;
-        let mut sum = 0i64;
-        {
-            let mut batch = cpu.batch();
-            let mut slots = [0u64; MAX_SLOTS];
-            for t in 0..n_slots {
-                slots[t] = batch.stream_state(slot_streams[t]);
-            }
-            // Hot counters live in plain locals (registers) and flush in
-            // bulk after the row loop; the simulated state machines
-            // (predictor table, caches, stream adjacency) still advance
-            // per event, in exact program order.
-            let mut instrs = 0u64;
-            let mut hits = 0u64;
-            let mut branches = 0u64;
-            let mut taken_n = 0u64;
-            let mut mp_taken = 0u64;
-            let mut mp_not_taken = 0u64;
-            let mut hist = batch.history();
-            for i in start..end {
-                instrs += self.costs.loop_overhead;
-                let mut pass = true;
-                for (k, &j) in self.order.iter().enumerate() {
-                    let stg = &self.stages[j];
-                    let t = stage_slot[k];
-                    let mut llpo = slots[t];
-                    hits += batch.load_quiet(&mut llpo, stg.base + (i as u64) * 4, 4);
-                    slots[t] = llpo;
-                    let ok = match &stg.probe {
-                        None => {
-                            instrs += self.costs.per_eval + stg.extra_instructions;
-                            stg.op.eval(i64::from(stg.values[i]), stg.literal)
-                        }
-                        Some(p) => {
-                            let key = stg.values[i] as usize;
-                            debug_assert!(key < p.dim_values.len(), "dangling foreign key");
-                            let tp = probe_slot[k];
-                            let mut pl = slots[tp];
-                            hits += batch.load_quiet(&mut pl, p.dim_base + (key as u64) * 4, 4);
-                            slots[tp] = pl;
-                            instrs += self.costs.per_eval + stg.extra_instructions;
-                            stg.op.eval(i64::from(p.dim_values[key]), stg.literal)
-                        }
-                    };
-                    let tk = u64::from(!ok);
-                    let w = batch.branch_hist(&mut hist, stg.site, !ok);
-                    branches += 1;
-                    taken_n += tk;
-                    mp_taken += w & tk;
-                    mp_not_taken += w & (1 - tk);
-                    if !ok {
-                        pass = false;
-                        break;
-                    }
-                }
-                if pass {
-                    qualified += 1;
-                    let mut product = 1i64;
-                    for (k, a) in self.agg.iter().enumerate() {
-                        let t = agg_slot[k];
-                        let mut llpo = slots[t];
-                        hits += batch.load_quiet(&mut llpo, a.base + (i as u64) * 4, 4);
-                        slots[t] = llpo;
-                        instrs += self.costs.per_agg_column;
-                        product *= i64::from(a.values[i]);
-                    }
-                    if !self.agg.is_empty() {
-                        sum += product;
-                    }
-                }
-                let w = batch.branch_hist(&mut hist, LOOP_BRANCH_SITE, true);
-                branches += 1;
-                taken_n += 1;
-                mp_taken += w;
-            }
-            batch.set_history(hist);
-            batch.instr(instrs);
-            batch.add_element_hits(hits);
-            batch.add_branch_block(branches, taken_n, mp_taken, mp_not_taken);
-            for t in 0..n_slots {
-                batch.set_stream_state(slot_streams[t], slots[t]);
-            }
-        }
-        let after = cpu.counters();
-        VectorStats {
-            tuples: (end - start) as u64,
-            qualified,
-            sum,
-            counters: after.since(&before),
-        }
+        Some(kernel)
     }
 
     /// The scalar per-event oracle: one `SimCpu` call per simulated
@@ -583,7 +460,11 @@ impl<'t> CompiledProgram<'t> {
             states: cpu.predictor.states,
             not_taken_states: cpu.predictor.not_taken_states,
         };
-        let column_ids: Vec<usize> = self.order.iter().map(|&j| self.stages[j].stream).collect();
+        let column_ids: Vec<usize> = self
+            .order
+            .iter()
+            .map(|&j| self.stages[j].column.stream)
+            .collect();
         let probes: Vec<Option<ProbeGeometry>> = self
             .order
             .iter()
@@ -689,32 +570,26 @@ impl<'t> CompiledProgram<'t> {
     }
 }
 
-/// Resolve a fact-table i32 column to `(values, base address, stream)`.
-fn resolve_fact_column<'t>(
-    fact: &'t popt_storage::Table,
-    column: &str,
-) -> Result<(&'t [i32], u64, usize), EngineError> {
-    let idx = fact
-        .column_index(column)
-        .ok_or_else(|| EngineError::UnknownColumn(column.to_string()))?;
-    let col = fact.column_at(idx);
-    let values = col
-        .data()
-        .as_i32()
-        .ok_or_else(|| EngineError::UnsupportedColumnType(column.to_string()))?;
-    Ok((values, col.base_addr(), idx))
-}
-
 /// Validate every foreign key against the probed dimension's row range.
-fn validate_fk_range(fk: &[i32], fk_column: &str, dim_rows: usize) -> Result<(), EngineError> {
-    if let Some(&bad) = fk.iter().find(|&&k| k < 0 || k as usize >= dim_rows) {
-        return Err(EngineError::ForeignKeyOutOfRange {
-            column: fk_column.to_string(),
-            key: i64::from(bad),
-            dim_rows,
-        });
+/// The check itself is O(1) on the column's cached value range; the
+/// column is scanned (again) only to name the first offending key.
+fn validate_fk_range(fk: &popt_storage::Column, dim_rows: usize) -> Result<(), EngineError> {
+    let in_range = |k: i32| k >= 0 && (k as usize) < dim_rows;
+    match fk.i32_range() {
+        Some((min, max)) if !(in_range(min) && in_range(max)) => {
+            let keys = fk.data().as_i32().expect("an i32 range implies i32 data");
+            let bad = keys
+                .iter()
+                .find(|&&k| !in_range(k))
+                .expect("range out of bounds");
+            Err(EngineError::ForeignKeyOutOfRange {
+                column: fk.name().to_string(),
+                key: i64::from(*bad),
+                dim_rows,
+            })
+        }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Lower one normalized filter conjunct over the fact table; `TRUE`
@@ -731,19 +606,14 @@ fn lower_select_conjunct<'t>(
             "predicate is constant FALSE — the plan qualifies nothing".to_string(),
         )),
         _ => match conjunct.as_comparison() {
-            Some((column, op, literal)) => {
-                let (values, base, stream) = resolve_fact_column(fact, column)?;
-                Ok(Some(CompiledStage {
-                    values,
-                    base,
-                    stream,
-                    site: BranchSite(site as u32),
-                    op,
-                    literal,
-                    extra_instructions,
-                    probe: None,
-                }))
-            }
+            Some((column, op, literal)) => Ok(Some(CompiledStage {
+                column: ColumnRef::resolve(fact, column)?,
+                site: BranchSite(site as u32),
+                op,
+                literal,
+                extra_instructions,
+                probe: None,
+            })),
             None => Err(EngineError::UnsupportedExpr(format!(
                 "conjunct {:?} does not normalize to `column OP literal`",
                 conjunct.display()

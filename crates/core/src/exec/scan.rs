@@ -24,11 +24,12 @@ use popt_cpu::pmu::CounterDelta;
 use popt_solver::SampledCounters;
 
 use crate::error::EngineError;
+use crate::exec::kernel::{ColumnRef, RowKernel};
 use crate::plan::{Peo, SelectionPlan};
 use crate::predicate::CompareOp;
 
-/// Instruction charges of the generated loop (see DESIGN.md; mirrored by
-/// the analytic cycle model's defaults).
+/// Instruction charges of the generated loop (mirrored by the analytic
+/// cycle model's defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstrCosts {
     /// Per loop iteration: counter increment + bounds test.
@@ -54,26 +55,17 @@ impl Default for InstrCosts {
 pub const LOOP_BRANCH_SITE: BranchSite = BranchSite(u32::MAX);
 
 pub(crate) struct CompiledPredicate<'t> {
-    pub(crate) values: &'t [i32],
-    pub(crate) base: u64,
-    pub(crate) stream: usize,
+    pub(crate) column: ColumnRef<'t>,
     pub(crate) site: BranchSite,
     pub(crate) op: CompareOp,
     pub(crate) literal: i64,
     pub(crate) extra_instructions: u64,
 }
 
-#[derive(Clone)]
-pub(crate) struct AggColumn<'t> {
-    pub(crate) values: &'t [i32],
-    pub(crate) base: u64,
-    pub(crate) stream: usize,
-}
-
 /// A selection plan compiled for one PEO over one table.
 pub struct CompiledSelection<'t> {
     pub(crate) preds: Vec<CompiledPredicate<'t>>,
-    pub(crate) agg: Vec<AggColumn<'t>>,
+    pub(crate) agg: Vec<ColumnRef<'t>>,
     peo: Peo,
     rows: usize,
     pub(crate) costs: InstrCosts,
@@ -173,43 +165,22 @@ impl<'t> CompiledSelection<'t> {
         costs: InstrCosts,
     ) -> Result<Self, EngineError> {
         plan.validate_peo(peo)?;
-        let lookup = |name: &str| -> Result<(usize, &'t popt_storage::Column), EngineError> {
-            let idx = table
-                .column_index(name)
-                .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))?;
-            Ok((idx, table.column_at(idx)))
-        };
         let mut preds = Vec::with_capacity(peo.len());
         for &plan_idx in peo {
             let p = &plan.predicates[plan_idx];
-            let (col_idx, col) = lookup(&p.column)?;
-            let values = col
-                .data()
-                .as_i32()
-                .ok_or_else(|| EngineError::UnsupportedColumnType(p.column.clone()))?;
             preds.push(CompiledPredicate {
-                values,
-                base: col.base_addr(),
-                stream: col_idx,
+                column: ColumnRef::resolve(table, &p.column)?,
                 site: BranchSite(plan_idx as u32),
                 op: p.op,
                 literal: p.literal,
                 extra_instructions: p.extra_instructions,
             });
         }
-        let mut agg = Vec::with_capacity(plan.aggregate_columns.len());
-        for name in &plan.aggregate_columns {
-            let (col_idx, col) = lookup(name)?;
-            let values = col
-                .data()
-                .as_i32()
-                .ok_or_else(|| EngineError::UnsupportedColumnType(name.clone()))?;
-            agg.push(AggColumn {
-                values,
-                base: col.base_addr(),
-                stream: col_idx,
-            });
-        }
+        let agg = plan
+            .aggregate_columns
+            .iter()
+            .map(|name| ColumnRef::resolve(table, name))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             preds,
             agg,
@@ -235,7 +206,7 @@ impl<'t> CompiledSelection<'t> {
     /// evaluation order. Aggregate columns already read by a predicate are
     /// cache-resident and excluded from the geometry's fresh-column list.
     pub fn plan_geometry(&self, n_input: u64, chain: ChainSpec, line_bytes: u32) -> PlanGeometry {
-        let column_ids: Vec<usize> = self.preds.iter().map(|p| p.stream).collect();
+        let column_ids: Vec<usize> = self.preds.iter().map(|p| p.column.stream).collect();
         let mut seen_agg: Vec<usize> = Vec::with_capacity(self.agg.len());
         let agg_bytes: Vec<u32> = self
             .agg
@@ -267,154 +238,35 @@ impl<'t> CompiledSelection<'t> {
     }
 
     /// Execute rows `start..end` against `cpu`, returning measurements for
-    /// exactly that range. Dispatches to the batched fast path
-    /// (register-held stream states, bulk PMU flush per call) unless the
-    /// scalar oracle was requested or the shape exceeds the fixed scratch.
+    /// exactly that range. Dispatches to the batched row kernel
+    /// ([`crate::exec::kernel`]) unless the scalar oracle was requested or
+    /// the shape exceeds the kernel's fixed scratch.
     pub fn run_range(&self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
         assert!(start <= end && end <= self.rows, "row range out of bounds");
-        const MAX_PREDS: usize = 12;
-        const MAX_SLOTS: usize = 24;
-        if self.scalar_oracle || self.preds.len() > MAX_PREDS || self.agg.len() > MAX_PREDS {
-            return self.run_range_scalar(cpu, start, end);
+        match (!self.scalar_oracle).then(|| self.kernel()).flatten() {
+            Some(kernel) => kernel.run(cpu, start, end),
+            None => self.run_range_scalar(cpu, start, end),
         }
-        fn slot_for(
-            slot_streams: &mut [usize],
-            n_slots: &mut usize,
-            stream: usize,
-        ) -> Option<usize> {
-            for (k, &s) in slot_streams.iter().enumerate().take(*n_slots) {
-                if s == stream {
-                    return Some(k);
-                }
-            }
-            if *n_slots == slot_streams.len() {
-                return None;
-            }
-            slot_streams[*n_slots] = stream;
-            *n_slots += 1;
-            Some(*n_slots - 1)
+    }
+
+    /// The predicates in evaluation order and the aggregate columns,
+    /// resolved for the row kernel; `None` when they exceed its scratch.
+    fn kernel(&self) -> Option<RowKernel<'t>> {
+        let mut kernel = RowKernel::new(self.costs);
+        for p in &self.preds {
+            kernel.push_stage(
+                p.column,
+                None,
+                p.site,
+                p.op,
+                p.literal,
+                p.extra_instructions,
+            )?;
         }
-        let mut slot_streams = [usize::MAX; MAX_SLOTS];
-        let mut n_slots = 0usize;
-        let mut pred_slot = [0usize; MAX_PREDS];
-        let mut agg_slot = [0usize; MAX_PREDS];
-        for (k, p) in self.preds.iter().enumerate() {
-            match slot_for(&mut slot_streams, &mut n_slots, p.stream) {
-                Some(t) => pred_slot[k] = t,
-                None => return self.run_range_scalar(cpu, start, end),
-            }
+        for a in &self.agg {
+            kernel.push_agg(*a)?;
         }
-        for (k, a) in self.agg.iter().enumerate() {
-            match slot_for(&mut slot_streams, &mut n_slots, a.stream) {
-                Some(t) => agg_slot[k] = t,
-                None => return self.run_range_scalar(cpu, start, end),
-            }
-        }
-        let before = cpu.counters();
-        let mut qualified = 0u64;
-        let mut sum = 0i64;
-        let costs = self.costs;
-        {
-            let mut batch = cpu.batch();
-            let mut slots = [0u64; MAX_SLOTS];
-            for t in 0..n_slots {
-                slots[t] = batch.stream_state(slot_streams[t]);
-            }
-            // Hot counters in plain locals, flushed in bulk after the row
-            // loop (see the program executor for the same structure).
-            let mut instrs = 0u64;
-            let mut hits = 0u64;
-            let mut branches = 0u64;
-            let mut taken_n = 0u64;
-            let mut mp_taken = 0u64;
-            let mut mp_not_taken = 0u64;
-            let mut hist = batch.history();
-            if self.preds.len() == 1 && self.agg.is_empty() {
-                // Single-predicate count scan: every simulated load in the
-                // morsel belongs to the one predicate stream, so the
-                // sequential touches are accounted in bulk (closed form
-                // for clean spans) and the row loop carries only the
-                // predicate evaluation and the two branch events. Loads
-                // and branches drive disjoint simulated state machines,
-                // so hoisting the loads preserves bit-identity; the
-                // branch sequence itself stays in exact row order.
-                let p = &self.preds[0];
-                let n = (end - start) as u64;
-                let mut llpo = slots[pred_slot[0]];
-                hits += batch.load_elements_seq(&mut llpo, p.base + (start as u64) * 4, 4, n);
-                slots[pred_slot[0]] = llpo;
-                for i in start..end {
-                    let ok = p.op.eval(i64::from(p.values[i]), p.literal);
-                    let tk = u64::from(!ok);
-                    let w = batch.branch_hist(&mut hist, p.site, !ok);
-                    taken_n += tk;
-                    mp_taken += w & tk;
-                    mp_not_taken += w & (1 - tk);
-                    qualified += 1 - tk;
-                    let wl = batch.branch_hist(&mut hist, LOOP_BRANCH_SITE, true);
-                    mp_taken += wl;
-                }
-                instrs += (costs.loop_overhead + costs.per_eval + p.extra_instructions) * n;
-                branches += 2 * n;
-                taken_n += n;
-            } else {
-                for i in start..end {
-                    instrs += costs.loop_overhead;
-                    let mut pass = true;
-                    for (k, p) in self.preds.iter().enumerate() {
-                        let t = pred_slot[k];
-                        let mut llpo = slots[t];
-                        hits += batch.load_quiet(&mut llpo, p.base + (i as u64) * 4, 4);
-                        slots[t] = llpo;
-                        instrs += costs.per_eval + p.extra_instructions;
-                        let ok = p.op.eval(i64::from(p.values[i]), p.literal);
-                        let tk = u64::from(!ok);
-                        let w = batch.branch_hist(&mut hist, p.site, !ok);
-                        branches += 1;
-                        taken_n += tk;
-                        mp_taken += w & tk;
-                        mp_not_taken += w & (1 - tk);
-                        if !ok {
-                            pass = false;
-                            break;
-                        }
-                    }
-                    if pass {
-                        qualified += 1;
-                        let mut product = 1i64;
-                        for (k, a) in self.agg.iter().enumerate() {
-                            let t = agg_slot[k];
-                            let mut llpo = slots[t];
-                            hits += batch.load_quiet(&mut llpo, a.base + (i as u64) * 4, 4);
-                            slots[t] = llpo;
-                            instrs += costs.per_agg_column;
-                            product *= i64::from(a.values[i]);
-                        }
-                        if !self.agg.is_empty() {
-                            sum += product;
-                        }
-                    }
-                    let w = batch.branch_hist(&mut hist, LOOP_BRANCH_SITE, true);
-                    branches += 1;
-                    taken_n += 1;
-                    mp_taken += w;
-                }
-            }
-            batch.set_history(hist);
-            batch.instr(instrs);
-            batch.add_element_hits(hits);
-            batch.add_branch_block(branches, taken_n, mp_taken, mp_not_taken);
-            for t in 0..n_slots {
-                batch.set_stream_state(slot_streams[t], slots[t]);
-            }
-        }
-        let after = cpu.counters();
-        VectorStats {
-            tuples: (end - start) as u64,
-            qualified,
-            sum,
-            counters: after.since(&before),
-        }
+        Some(kernel)
     }
 
     /// The scalar per-event oracle: one `SimCpu` call per simulated
@@ -430,9 +282,9 @@ impl<'t> CompiledSelection<'t> {
             cpu.instr(costs.loop_overhead);
             let mut pass = true;
             for p in &self.preds {
-                cpu.load(p.stream, p.base + (i as u64) * 4, 4);
+                cpu.load(p.column.stream, p.column.base + (i as u64) * 4, 4);
                 cpu.instr(costs.per_eval + p.extra_instructions);
-                let ok = p.op.eval(i64::from(p.values[i]), p.literal);
+                let ok = p.op.eval(i64::from(p.column.values[i]), p.literal);
                 // Qualifying tuple: fall through (not taken). Failing
                 // tuple: jump past the remaining predicate code (taken).
                 cpu.branch(p.site, !ok);

@@ -17,11 +17,13 @@
 //!   through a two-entry segment cache, not by scanning the region list
 //!   per missing line.
 //!
-//! Executors that own their inner loop (the compiled program/selection
-//! `run_range` fast paths in `popt-core`) additionally keep per-stream
-//! adjacency state in registers via [`BatchCpu::load_with`] +
-//! [`BatchCpu::stream_state`]/[`BatchCpu::set_stream_state`], so the
-//! steady-state tuple loop touches no `Vec` at all.
+//! The executor that owns the inner loop (the row kernel behind the
+//! compiled program/selection `run_range` fast paths in `popt-core`)
+//! additionally keeps per-stream adjacency state and the history
+//! register in locals via [`BatchCpu::load_quiet`] +
+//! [`BatchCpu::stream_state`]/[`BatchCpu::set_stream_state`] and
+//! [`BatchCpu::branch_hist`], so the steady-state tuple loop touches no
+//! `Vec` at all.
 //!
 //! The scalar path ([`SimCpu::load`]/[`SimCpu::load_span`] et al.)
 //! remains the **oracle**: it is the reference semantics, and every
@@ -118,26 +120,23 @@ impl<'a> BatchCpu<'a> {
         c.cycles += self.mispredict_penalty * w;
     }
 
-    /// Execute a branch, returning 1 if mispredicted else 0, **without**
-    /// touching the counter bank — the register-resident executor form.
-    /// The caller accumulates branch totals in plain locals and flushes
-    /// them once per morsel via [`BatchCpu::add_branch_block`]; the
-    /// predictor itself (table + history) still transitions per event, in
-    /// exact program order, so simulated state is identical to
-    /// [`BatchCpu::branch`].
+    /// Execute a branch against a caller-held gshare history register
+    /// **without** touching the counter bank — the register-resident
+    /// executor form. Returns `(mispredicted as 0/1, moved)`, where
+    /// `moved` says whether the indexed automaton changed state (see
+    /// [`BranchPredictor::execute_hist`] for the fixed-point argument it
+    /// serves). The caller accumulates branch totals in plain locals and
+    /// flushes them once per morsel via [`BatchCpu::add_branch_block`];
+    /// the predictor table still transitions per event, in exact program
+    /// order, so simulated state is identical to [`BatchCpu::branch`].
+    /// Obtain the register with [`BatchCpu::history`], write it back with
+    /// [`BatchCpu::set_history`].
+    ///
+    /// [`BranchPredictor::execute_hist`]: crate::branch::BranchPredictor::execute_hist
     #[inline(always)]
-    pub fn branch_quiet(&mut self, site: BranchSite, taken: bool) -> u64 {
-        u64::from(!self.cpu.predictor.execute_fast(site, taken))
-    }
-
-    /// [`BatchCpu::branch_quiet`] against a caller-held gshare history
-    /// register (see [`BranchPredictor::execute_hist`]): the serial
-    /// history dependence between consecutive branches stays in a host
-    /// register. Obtain the register with [`BatchCpu::history`], write it
-    /// back with [`BatchCpu::set_history`].
-    #[inline(always)]
-    pub fn branch_hist(&mut self, history: &mut u32, site: BranchSite, taken: bool) -> u64 {
-        u64::from(!self.cpu.predictor.execute_hist(history, site, taken))
+    pub fn branch_hist(&mut self, history: &mut u32, site: BranchSite, taken: bool) -> (u64, bool) {
+        let (correct, moved) = self.cpu.predictor.execute_hist(history, site, taken);
+        (u64::from(!correct), moved)
     }
 
     /// Read the predictor's global history register.
@@ -152,7 +151,7 @@ impl<'a> BatchCpu<'a> {
         self.cpu.predictor.set_history(history);
     }
 
-    /// Bulk-add the branch statistics a [`BatchCpu::branch_quiet`] loop
+    /// Bulk-add the branch statistics a [`BatchCpu::branch_hist`] loop
     /// accumulated: total branches, taken count, and mispredictions split
     /// by direction. Equivalent to the per-event bookkeeping of
     /// [`BatchCpu::branch`] applied `branches` times.
@@ -175,11 +174,12 @@ impl<'a> BatchCpu<'a> {
         c.cycles += self.mispredict_penalty * (mp_taken + mp_not_taken);
     }
 
-    /// [`BatchCpu::load_with`] that returns 1 instead of counting when
-    /// the access is an element hit on the stream's current line — the
-    /// register-resident executor form. The caller accumulates the hits
-    /// in a local and flushes once via [`BatchCpu::add_element_hits`];
-    /// line crossings are accounted directly (and return 0).
+    /// Load `bytes` at `addr` against a caller-held stream state,
+    /// returning 1 instead of counting when the access is an element hit
+    /// on the stream's current line — the register-resident executor
+    /// form of [`BatchCpu::load`]. The caller accumulates the hits in a
+    /// local and flushes once via [`BatchCpu::add_element_hits`]; line
+    /// crossings are accounted directly (and return 0).
     #[inline(always)]
     pub fn load_quiet(&mut self, llpo: &mut u64, addr: u64, bytes: u64) -> u64 {
         debug_assert!(bytes >= 1);
@@ -188,7 +188,7 @@ impl<'a> BatchCpu<'a> {
         if (*llpo == first + 1) & (first == last) {
             1
         } else {
-            self.load_with_cold(llpo, first, last);
+            self.load_quiet_cold(llpo, first, last);
             0
         }
     }
@@ -204,7 +204,8 @@ impl<'a> BatchCpu<'a> {
     #[inline]
     pub fn load(&mut self, stream: StreamId, addr: u64, bytes: u32) {
         let mut llpo = self.stream_state(stream);
-        self.load_with(&mut llpo, addr, u64::from(bytes));
+        let hits = self.load_quiet(&mut llpo, addr, u64::from(bytes));
+        self.acc.l1_element_hits += hits;
         self.cpu.streams[stream].last_line_plus_one = llpo;
     }
 
@@ -217,7 +218,7 @@ impl<'a> BatchCpu<'a> {
 
     /// Read (creating if needed) the adjacency state of `stream`:
     /// last-touched line number plus one, 0 if untouched. An executor
-    /// fast path copies this into a local, drives [`BatchCpu::load_with`]
+    /// fast path copies this into a local, drives [`BatchCpu::load_quiet`]
     /// against it, and writes it back once per morsel via
     /// [`BatchCpu::set_stream_state`].
     #[inline]
@@ -236,27 +237,10 @@ impl<'a> BatchCpu<'a> {
         self.cpu.streams[stream].last_line_plus_one = last_line_plus_one;
     }
 
-    /// [`BatchCpu::load`] against a caller-held stream state — the
-    /// register-resident inner-loop form.
-    #[inline(always)]
-    pub fn load_with(&mut self, llpo: &mut u64, addr: u64, bytes: u64) {
-        debug_assert!(bytes >= 1);
-        let first = addr >> self.line_shift;
-        let last = (addr + bytes - 1) >> self.line_shift;
-        // The overwhelmingly common case: an element access within the
-        // stream's current line. One combined compare keeps the executor
-        // loop's hot path to a handful of host instructions.
-        if (*llpo == first + 1) & (first == last) {
-            self.acc.l1_element_hits += 1;
-        } else {
-            self.load_with_cold(llpo, first, last);
-        }
-    }
-
-    /// Out-of-line remainder of [`BatchCpu::load_with`]: line crossings
+    /// Out-of-line remainder of [`BatchCpu::load_quiet`]: line crossings
     /// and non-adjacent accesses.
     #[inline]
-    fn load_with_cold(&mut self, llpo: &mut u64, first: u64, last: u64) {
+    fn load_quiet_cold(&mut self, llpo: &mut u64, first: u64, last: u64) {
         for line in first..=last {
             if *llpo == line + 1 {
                 self.acc.l1_element_hits += 1;
@@ -383,7 +367,7 @@ impl<'a> BatchCpu<'a> {
 
     /// Account `n` sequential element loads (`elem` bytes each, starting
     /// at `addr`) against a caller-held stream state, bit-identically to
-    /// `n` individual [`BatchCpu::load_with`] calls, and return how many
+    /// `n` individual [`BatchCpu::load_quiet`] calls, and return how many
     /// of them were element hits (the caller flushes those in bulk via
     /// [`BatchCpu::add_element_hits`]).
     ///
@@ -399,8 +383,13 @@ impl<'a> BatchCpu<'a> {
         if n == 0 {
             return 0;
         }
-        let line_bytes = 1u64 << self.line_shift;
-        if addr % elem != 0 || line_bytes % elem != 0 {
+        // The line size is a power of two, so the element divides it iff
+        // it is a smaller power of two: the test needs no division, which
+        // matters to callers accounting runs of a few rows.
+        let aligned = elem.is_power_of_two()
+            && elem.trailing_zeros() <= self.line_shift
+            && addr & (elem - 1) == 0;
+        if !aligned {
             let mut hits = 0u64;
             for k in 0..n {
                 hits += self.load_quiet(llpo, addr + k * elem, elem);

@@ -87,7 +87,10 @@ pub struct Prediction {
 /// predictor *is* the Markov process of Section 3.2. With history, runs in
 /// the input (sorted data, Section 5.4) become almost perfectly predictable
 /// while i.i.d. inputs keep the Markov behaviour per history bucket.
-#[derive(Debug, Clone)]
+///
+/// Equality is whole-state equality (every automaton plus the history
+/// register): what the oracle-equivalence suites compare.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchPredictor {
     /// Current state of every automaton. The state count and the
     /// not-taken split are the same for all of them and live below, so
@@ -146,19 +149,33 @@ impl BranchPredictor {
     #[inline(always)]
     pub fn execute_fast(&mut self, site: BranchSite, taken: bool) -> bool {
         let mut h = self.history;
-        let correct = self.execute_hist(&mut h, site, taken);
+        let (correct, _) = self.execute_hist(&mut h, site, taken);
         self.history = h;
         correct
     }
 
     /// [`BranchPredictor::execute_fast`] against a caller-held history
-    /// register. Each branch's table index depends on the history written
-    /// by the previous branch, so an executor loop that keeps the
-    /// register in a local (via [`BranchPredictor::history`] /
-    /// [`BranchPredictor::set_history`]) turns that serial dependence
-    /// into register arithmetic instead of a store-to-load chain.
+    /// register, returning `(correct, moved)`. Each branch's table index
+    /// depends on the history written by the previous branch, so an
+    /// executor loop that keeps the register in a local (via
+    /// [`BranchPredictor::history`] / [`BranchPredictor::set_history`])
+    /// turns that serial dependence into register arithmetic instead of a
+    /// store-to-load chain.
+    ///
+    /// `moved` says whether the indexed automaton changed state. A
+    /// branch sequence after which the history register is what it was
+    /// before and during which nothing moved left the whole predictor
+    /// where it found it, so — the predictor being a deterministic
+    /// function of `(history, table)` — replaying the sequence repeats
+    /// the same predictions and is again a no-op: the fixed point that
+    /// lets an executor account a run of identical rows by multiplication.
     #[inline(always)]
-    pub fn execute_hist(&mut self, history: &mut u32, site: BranchSite, taken: bool) -> bool {
+    pub fn execute_hist(
+        &mut self,
+        history: &mut u32,
+        site: BranchSite,
+        taken: bool,
+    ) -> (bool, bool) {
         let h = site.0.wrapping_mul(0x9E37_79B1) ^ (*history & self.history_mask);
         let state = &mut self.table[(h & self.mask) as usize];
         let predicted = *state >= self.not_taken_states;
@@ -166,7 +183,7 @@ impl BranchPredictor {
         let dec = (!taken & (*state > 0)) as u8;
         *state = *state + inc - dec;
         *history = ((*history << 1) | u32::from(taken)) & self.history_mask;
-        predicted == taken
+        (predicted == taken, inc | dec != 0)
     }
 
     /// Current global history register (for register-resident loops).

@@ -284,6 +284,11 @@ impl SimCpu {
         &self.hierarchy
     }
 
+    /// Borrow the branch predictor (tests: whole-state comparison).
+    pub fn predictor(&self) -> &BranchPredictor {
+        &self.predictor
+    }
+
     /// Restrict this core's LLC slice to `ways` ways (clamped into
     /// `1..=configured`). Called by a shared-socket pool when its
     /// capacity partition changes.

@@ -117,7 +117,7 @@ proptest! {
                             let site = BranchSite((xorshift(&mut s) % 8) as u32);
                             let taken = xorshift(&mut s) % 3 == 0;
                             let tk = u64::from(taken);
-                            let w = b.branch_hist(&mut hist, site, taken);
+                            let (w, _) = b.branch_hist(&mut hist, site, taken);
                             branches += 1;
                             taken_n += tk;
                             mp_taken += w & tk;

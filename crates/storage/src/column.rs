@@ -1,5 +1,7 @@
 //! Typed, fixed-width columns with simulated physical placement.
 
+use std::sync::OnceLock;
+
 use crate::addr::AddressSpace;
 
 /// The value buffer of a column.
@@ -70,6 +72,16 @@ pub struct Column {
     name: String,
     data: ColumnData,
     base_addr: u64,
+    /// `(min, max)` of an `i32` column, computed on first request: the
+    /// values never change after [`Column::new`], and lazily keeps table
+    /// set-up free of a scan most columns never need.
+    i32_range: OnceLock<Option<(i32, i32)>>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Full-column scans [`Column::i32_range`] performed on this thread.
+    static RANGE_SCANS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl Column {
@@ -81,6 +93,7 @@ impl Column {
             name: name.into(),
             data,
             base_addr,
+            i32_range: OnceLock::new(),
         }
     }
 
@@ -112,6 +125,23 @@ impl Column {
     /// Base of the simulated address range.
     pub fn base_addr(&self) -> u64 {
         self.base_addr
+    }
+
+    /// Smallest and largest value of a non-empty `i32` column (`None` for
+    /// an empty or a 64-bit one). The first call scans the column, later
+    /// calls are O(1) — what lets foreign-key validation run on every
+    /// plan lowering without re-reading the fact table.
+    pub fn i32_range(&self) -> Option<(i32, i32)> {
+        *self.i32_range.get_or_init(|| {
+            #[cfg(test)]
+            RANGE_SCANS.with(|n| n.set(n.get() + 1));
+            let values = self.data.as_i32()?;
+            let (&first, rest) = values.split_first()?;
+            Some(
+                rest.iter()
+                    .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v))),
+            )
+        })
     }
 
     /// Simulated address of element `idx`.
@@ -164,6 +194,24 @@ mod tests {
         let b = Column::new("b", ColumnData::I32(vec![0; 1000]), &mut space);
         let a_end = a.addr_of(999) + 4;
         assert!(b.base_addr() >= a_end);
+    }
+
+    #[test]
+    fn i32_range_scans_once_and_only_on_request() {
+        let scans = || RANGE_SCANS.with(std::cell::Cell::get);
+        let mut space = AddressSpace::new();
+        let before = scans();
+        let c = Column::new("k", ColumnData::I32(vec![4, -2, 9, 0]), &mut space);
+        assert_eq!(scans(), before, "construction must not scan");
+        assert_eq!(c.i32_range(), Some((-2, 9)));
+        assert_eq!(c.i32_range(), Some((-2, 9)));
+        assert_eq!(c.clone().i32_range(), Some((-2, 9)));
+        assert_eq!(scans(), before + 1, "later requests reuse the first scan");
+
+        let empty = Column::new("e", ColumnData::I32(vec![]), &mut space);
+        assert_eq!(empty.i32_range(), None);
+        let wide = Column::new("w", ColumnData::I64(vec![1, 2]), &mut space);
+        assert_eq!(wide.i32_range(), None);
     }
 
     #[test]
