@@ -61,6 +61,7 @@ pub mod exec;
 pub mod observe;
 pub mod parallel;
 pub mod plan;
+mod policy;
 pub mod predicate;
 pub mod progressive;
 pub mod query;
@@ -71,7 +72,7 @@ pub use error::EngineError;
 pub use exec::program::{CompiledProgram, CompiledStage};
 pub use observe::ExecObservers;
 pub use parallel::{
-    run_parallel_program, run_parallel_program_observed, run_parallel_scan, run_parallel_target,
+    run_parallel_program, run_parallel_program_observed, run_parallel_scan,
     run_parallel_target_observed, MorselConfig, MorselDispatcher, ParallelReport, ShardableTarget,
     TargetShard,
 };
@@ -79,8 +80,8 @@ pub use plan::{Expr, LogicalNode, LogicalPlan, PassRegistry, Peo, PlanBuilder, S
 pub use predicate::{CompareOp, Predicate};
 pub use progressive::{
     run_baseline, run_progressive, run_progressive_program, run_progressive_program_observed,
-    run_progressive_target, run_progressive_target_observed, CompiledTarget, ProgressiveConfig,
-    ProgressiveReport, ProgressiveTarget, VectorConfig,
+    run_progressive_target_observed, CompiledTarget, ProgressiveConfig, ProgressiveReport,
+    ProgressiveTarget, VectorConfig,
 };
 pub use query::{QueryBuilder, QueryReport, RunMode};
 pub use serve::{

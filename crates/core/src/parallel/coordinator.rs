@@ -1,16 +1,18 @@
-//! The progressive coordinator: the §4.4 loop generalized to N workers.
+//! The pooled drive of the §4.4 policy: N workers, one policy state per
+//! socket.
 //!
 //! Worker threads (one per [`CpuPool`] core) claim morsels from the
 //! shared dispatcher and execute them on their private simulated cores.
-//! The coordinator state behind one mutex holds the *master* target —
-//! the single shared estimator model (selectivity beliefs, probe
-//! clustering calibration, rejection memory) that all workers feed and
-//! follow:
+//! The *decisions* — when an order is explored, probed, proposed,
+//! accepted, reverted or remembered as rejected, and what a fit costs —
+//! are the crate-private `policy` module's, the same object the serial
+//! drive in [`crate::progressive`] owns (its module docs list the four
+//! things a drive decides for itself, and why). What this module adds is
+//! what only a pool needs:
 //!
 //! * **Sampling** — every morsel executed under the currently accepted
-//!   order accumulates into its worker's window; at each reoptimization
-//!   point the per-worker windows are fused
-//!   ([`SampledCounters::merged`]) into one pool-wide sample for a
+//!   order accumulates into its worker's window; a due round fuses the
+//!   socket's windows ([`SampledCounters::merged`]) into one sample for a
 //!   single Nelder–Mead estimate, so optimization cost is paid once per
 //!   interval, not once per core.
 //! * **Epoch publication** — an accepted order bumps the epoch; workers
@@ -18,35 +20,35 @@
 //!   pre-compiled primitives (the vectorized switch of §4.4, now
 //!   concurrent). Morsels measured under a stale epoch still count
 //!   toward the query result but are excluded from the sample window.
-//! * **Trial leasing** — a proposed order (estimator-driven,
-//!   exploratory, or a §5.5 measurement probe) becomes a *trial* leased
-//!   to exactly one worker: that worker runs one morsel under the
-//!   candidate order and resolves it against the accepted order's
-//!   cycles-per-tuple. A bad trial order therefore never runs on more
-//!   than one core, while the other workers keep streaming at full
-//!   speed under the incumbent order.
+//! * **Trial leasing** — a scheduled trial is leased to exactly one
+//!   worker: it runs one morsel under the candidate order and resolves
+//!   it. A bad candidate therefore never runs on more than one core,
+//!   while the other workers keep streaming under the incumbent order.
 //!
-//! The coordination state itself is factored into [`CoordState`], whose
-//! methods are each a *locked step* of the protocol (the caller holds
-//! whatever mutex guards the state; the expensive Nelder–Mead estimate
-//! always runs between two locked steps, outside the lock). This module
-//! drives one `CoordState` per query via [`run_parallel_target`]; the
-//! serving layer (`crate::serve`) drives many concurrently — one per
-//! admitted query — multiplexed over the same pool.
+//! [`CoordState`]'s methods are each a *locked step* (the caller holds
+//! whatever mutex guards the state; the expensive estimate always runs
+//! between two locked steps, outside the lock), and [`enter_morsel`] /
+//! [`finish_morsel`] are the per-morsel choreography over those steps.
+//! This module drives one `CoordState` per query via
+//! [`run_parallel_target_observed`]; the serving layer (`crate::serve`)
+//! drives many concurrently — one per admitted query — through the same
+//! two functions, keeping only its own lock scope, LLC repartition and
+//! completion accounting around them.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use popt_cost::cycles::{fleet_speedup, fleet_wall_cycles};
 use popt_cost::estimate::PlanGeometry;
 use popt_cpu::pmu::CounterDelta;
 use popt_cpu::{CpuConfig, CpuPool, LlcMode, NumaPlacement, SimCpu};
 use popt_obs::{DriftObservatory, MetricsRegistry, TraceEvent, Tracer};
-use popt_solver::{estimate_selectivities, EstimateResult, SampledCounters};
+use popt_solver::SampledCounters;
 
 use crate::error::EngineError;
 use crate::exec::scan::VectorStats;
-use crate::observe::{front_stage_key, morsel_stage_parts, record_fit_drift, ExecObservers};
+use crate::observe::{morsel_stage_parts, ExecObservers};
 use crate::plan::{Peo, SelectionPlan};
+use crate::policy::{book_fit, Fit, ReoptPolicy};
 use popt_storage::Table;
 
 use crate::progressive::{ProgressiveConfig, ScanTarget, SwitchEvent};
@@ -133,15 +135,6 @@ impl ParallelReport {
     }
 }
 
-/// A candidate order being tried on exactly one worker.
-struct Trial {
-    order: Peo,
-    switch_idx: usize,
-    /// Accepted-order cycles-per-tuple the trial must not regress from.
-    prev_cpt: f64,
-    leased: bool,
-}
-
 /// What a worker should do with the morsel it just claimed, decided at
 /// the boundary sync ([`CoordState::begin_morsel`]).
 pub(crate) enum BoundaryAction {
@@ -157,31 +150,23 @@ pub(crate) enum BoundaryAction {
         epoch: u64,
     },
     /// The worker's chained order is still the published one.
-    Keep {
-        /// The epoch the morsel will run under.
-        epoch: u64,
-    },
+    Keep,
 }
 
-/// Per-socket slice of the coordination state: the §4.4 loop's order
-/// tracking, trial lease, rejection memory and epoch reference, one per
-/// socket. Sockets optimize independently — a trial accepted on socket
-/// 0 never re-chains socket 1's workers — which is what lets the two
-/// halves of a NUMA pool converge to *different* accepted orders when
-/// their placements price the same dims differently. A single-socket
-/// pool has exactly one slice, making the state identical to the flat
-/// pre-NUMA coordinator.
+/// Per-socket slice of the coordination state: the socket's §4.4
+/// policy (accepted order, pending trial, rejection memory, rounds) plus
+/// what only a pooled drive needs around it — the epoch its workers sync
+/// to, the in-epoch morsel count that makes a round due, and the epoch
+/// average trials are judged against. Sockets optimize independently — a
+/// trial accepted on socket 0 never re-chains socket 1's workers — which
+/// is what lets the two halves of a NUMA pool converge to *different*
+/// accepted orders when their placements price the same dims
+/// differently. A single-socket pool has exactly one slice.
 struct SocketCoord {
+    policy: ReoptPolicy,
     /// Bumped on every accepted switch; this socket's workers resync
     /// when it moves.
     epoch: u64,
-    /// The accepted evaluation order on this socket.
-    published: Peo,
-    trial: Option<Trial>,
-    /// Recently reverted orders: (order, reopt round rejected at).
-    rejected: Vec<(Peo, usize)>,
-    reopt_round: usize,
-    last_accept_round: usize,
     morsels_since_reopt: usize,
     /// Cycles and tuples accumulated under the current epoch's order —
     /// their ratio is the accepted order's cycles-per-tuple, the
@@ -211,12 +196,8 @@ struct SocketCoord {
 impl SocketCoord {
     fn new(published: Peo, llc_share_bytes: u64) -> Self {
         Self {
+            policy: ReoptPolicy::new(published),
             epoch: 0,
-            published,
-            trial: None,
-            rejected: Vec::new(),
-            reopt_round: 0,
-            last_accept_round: 0,
             morsels_since_reopt: 0,
             epoch_cycles: 0,
             epoch_tuples: 0,
@@ -224,6 +205,19 @@ impl SocketCoord {
             llc_share_bytes,
             fit_window_cycles: 0,
         }
+    }
+
+    /// The baseline of a trial scheduled now. Rounds only open after a
+    /// full interval of in-epoch morsels, so the average is populated.
+    fn epoch_cpt(&self) -> f64 {
+        self.epoch_cycles as f64 / self.epoch_tuples.max(1) as f64
+    }
+
+    /// The order of the trial a worker of this socket is resolving.
+    fn leased_trial(&self) -> &Peo {
+        self.policy
+            .trial_order()
+            .expect("a leased trial to resolve")
     }
 }
 
@@ -238,7 +232,8 @@ impl SocketCoord {
 /// step that derives geometry, calibrates, or proposes for socket `s`
 /// first re-establishes `s`'s published (or trial) order on the target;
 /// cross-socket interleaving between locked steps can therefore never
-/// leak one socket's order into another's fit.
+/// leak one socket's order into another's fit. A `set_order` the target
+/// refuses ends the run with that error.
 pub(crate) struct CoordState<'a, T> {
     /// The master target: order tracking plus the shared estimator model
     /// (probe clustering, proposal logic). Never executes a morsel.
@@ -331,12 +326,15 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
 
     /// The accepted order on `socket`.
     pub(crate) fn published_order(&self, socket: usize) -> &Peo {
-        &self.sockets[socket].published
+        self.sockets[socket].policy.published()
     }
 
     /// The accepted order of every socket, in socket order.
     pub(crate) fn socket_orders(&self) -> Vec<Peo> {
-        self.sockets.iter().map(|s| s.published.clone()).collect()
+        self.sockets
+            .iter()
+            .map(|s| s.policy.published().clone())
+            .collect()
     }
 
     /// Geometry for socket `s`'s current target order: NUMA-priced when
@@ -361,27 +359,13 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
     pub(crate) fn begin_morsel(&mut self, w: usize, local_epoch: u64) -> BoundaryAction {
         let s = self.socket_of[w];
         let sc = &mut self.sockets[s];
-        let lease = match sc.trial.as_mut() {
-            Some(trial) if !trial.leased => {
-                trial.leased = true;
-                Some(trial.order.clone())
-            }
-            _ => None,
-        };
-        if let Some(order) = lease {
-            // Ground the comparison in this core's own recent rate under
-            // the incumbent order when it has one — consecutive morsels
-            // on one core control for cache state, like the serial
-            // loop's vector-to-vector comparison. The socket-wide epoch
-            // average (snapshot at scheduling) remains the fallback for
-            // a cold core.
-            if self.windows[w].tuples > 0 {
-                let own_cpt = self.windows[w].cycles_per_tuple();
-                if let Some(trial) = sc.trial.as_mut() {
-                    trial.prev_cpt = own_cpt;
-                }
-            }
-            let baseline_cpt = sc.trial.as_ref().map_or(0.0, |t| t.prev_cpt);
+        // Ground the comparison in this core's own recent rate under the
+        // incumbent order when it has one — consecutive morsels on one
+        // core control for cache state, like the serial drive's
+        // vector-to-vector comparison. The socket-wide epoch average
+        // (snapshot at scheduling) remains the fallback for a cold core.
+        let own_cpt = (self.windows[w].tuples > 0).then(|| self.windows[w].cycles_per_tuple());
+        if let Some((order, baseline_cpt)) = sc.policy.lease_trial(own_cpt) {
             if let Some((tracer, query)) = &self.trace {
                 tracer.emit(w, *query, || TraceEvent::TrialLease {
                     socket: s,
@@ -392,11 +376,11 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             BoundaryAction::Trial(order)
         } else if local_epoch != sc.epoch {
             BoundaryAction::Adopt {
-                order: sc.published.clone(),
+                order: sc.policy.published().clone(),
                 epoch: sc.epoch,
             }
         } else {
-            BoundaryAction::Keep { epoch: sc.epoch }
+            BoundaryAction::Keep
         }
     }
 
@@ -415,103 +399,86 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
     ) -> Result<Option<(PlanGeometry, SampledCounters)>, EngineError> {
         self.morsels_done += 1;
         let s = self.socket_of[w];
-        let trial_order = self.sockets[s]
-            .trial
-            .as_ref()
-            .expect("a leased trial to resolve")
-            .order
-            .clone();
-        if self.target.wants_trial_calibration() {
-            let sampled = stats.sampled_counters();
-            self.target.set_order(&trial_order)?;
-            let geom = self.geometry(s, sampled.n_input, cpu_cfg);
-            Ok(Some((geom, sampled)))
-        } else {
-            Ok(None)
+        if !self.target.wants_trial_calibration() {
+            return Ok(None);
         }
+        let sampled = stats.sampled_counters();
+        self.target.set_order(self.sockets[s].leased_trial())?;
+        let geom = self.geometry(s, sampled.n_input, cpu_cfg);
+        Ok(Some((geom, sampled)))
     }
 
-    /// Locked step 2 of trial resolution: calibrate from the (externally
-    /// computed) fit, then accept — publishing a new epoch — or revert
-    /// into the rejection memory. Returns the published order and epoch
-    /// after resolution so the resolving worker can resync its shard.
+    /// Book a fit whose sample ran under the master target's current
+    /// order, charging its cycles to worker `w`.
+    fn book(&mut self, w: usize, cfg: &ProgressiveConfig, fit: &Fit, observed_cpt: f64) -> u64 {
+        let drift = self.drift.as_deref().map(|d| (d, &self.stage_keys[..]));
+        let spent = book_fit(
+            self.target,
+            cfg,
+            fit,
+            true,
+            observed_cpt,
+            drift,
+            &mut self.estimates,
+        );
+        self.optimizer_cycles[w] += spent;
+        spent
+    }
+
+    /// Locked step 2 of trial resolution: learn from the (externally
+    /// computed) fit, then let the policy accept — which publishes a new
+    /// epoch — or revert. Returns the published order and epoch after
+    /// resolution so the resolving worker can resync its shard, and the
+    /// optimizer cycles charged to `w`.
     pub(crate) fn resolve_trial(
         &mut self,
         w: usize,
         stats: &VectorStats,
-        fitted: Option<(PlanGeometry, SampledCounters, EstimateResult)>,
+        fit: Option<Fit>,
         cfg: &ProgressiveConfig,
-    ) -> Result<(Peo, u64), EngineError> {
+    ) -> Result<(Peo, u64, u64), EngineError> {
         let s = self.socket_of[w];
-        if let Some((geom, sampled, estimate)) = fitted {
-            self.estimates += 1;
-            self.optimizer_cycles[w] += estimate.evaluations as u64 * cfg.cycles_per_estimator_eval;
-            // Another socket's locked step may have moved the master
-            // order since the fit inputs were derived; the calibration
-            // must run under the geometry's (trial) order.
-            let trial_order = self.sockets[s]
-                .trial
-                .as_ref()
-                .expect("a leased trial to resolve")
-                .order
-                .clone();
-            self.target.set_order(&trial_order)?;
-            if let Some(drift) = &self.drift {
-                // The trial morsel is a one-morsel window under the
-                // trial order; its fit residual scores the model at a
-                // stage position the accepted order may never expose.
-                record_fit_drift(
-                    drift,
-                    front_stage_key(&self.stage_keys, &trial_order),
-                    &geom,
-                    &sampled,
-                    &estimate.survivors,
-                    stats.cycles_per_tuple(),
-                );
-            }
-            self.target.calibrate(&geom, &sampled, &estimate.survivors);
-        }
-        let trial = self.sockets[s]
-            .trial
-            .take()
-            .expect("a leased trial to resolve");
         let cpt = stats.cycles_per_tuple();
-        let regressed =
-            cfg.revert_on_regression && cpt > trial.prev_cpt * (1.0 + cfg.regression_tolerance);
+        let mut spent = 0;
+        if let Some(fit) = fit {
+            // Another socket's locked step may have moved the master
+            // order since the fit inputs were derived; the trial morsel
+            // is a one-morsel window under the trial order, and its fit
+            // must be learnt from under that order.
+            self.target.set_order(self.sockets[s].leased_trial())?;
+            spent = self.book(w, cfg, &fit, cpt);
+        }
         let sc = &mut self.sockets[s];
-        if regressed {
-            let round = sc.reopt_round;
-            self.switches[trial.switch_idx].reverted = true;
+        let (trial, reverted) = sc
+            .policy
+            .resolve_trial(cfg, cpt, &mut self.switches)
+            .expect("a leased trial to resolve");
+        self.target.set_order(sc.policy.published())?;
+        if reverted {
             if let Some((tracer, query)) = &self.trace {
                 tracer.emit(w, *query, || TraceEvent::TrialRevert {
                     socket: s,
                     order: trial.order.clone(),
-                    baseline_cpt: trial.prev_cpt,
+                    baseline_cpt: trial.baseline_cpt,
                     trial_cpt: cpt,
                 });
             }
-            sc.rejected.push((trial.order, round));
-            let published = sc.published.clone();
-            self.target.set_order(&published)?;
         } else {
-            self.target.set_order(&trial.order)?;
-            sc.published = trial.order;
             sc.epoch += 1;
-            sc.last_accept_round = sc.reopt_round;
             sc.morsels_since_reopt = 0;
             sc.epoch_cycles = stats.counters.cycles;
             sc.epoch_tuples = stats.tuples;
             if let Some((tracer, query)) = &self.trace {
                 tracer.emit(w, *query, || TraceEvent::TrialAccept {
                     socket: s,
-                    order: sc.published.clone(),
-                    baseline_cpt: trial.prev_cpt,
+                    order: trial.order.clone(),
+                    baseline_cpt: trial.baseline_cpt,
                     trial_cpt: cpt,
                     epoch: sc.epoch,
                 });
                 tracer.emit(w, *query, || TraceEvent::OrderPublish {
                     socket: s,
-                    order: sc.published.clone(),
+                    order: trial.order.clone(),
                     epoch: sc.epoch,
                     warm_seed: false,
                 });
@@ -526,7 +493,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             }
         }
         let sc = &self.sockets[s];
-        Ok((sc.published.clone(), sc.epoch))
+        Ok((sc.policy.published().clone(), sc.epoch, spent))
     }
 
     /// Locked step for a morsel executed under the accepted order:
@@ -544,13 +511,13 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         reopt: Option<&ProgressiveConfig>,
         cpu_cfg: &CpuConfig,
         work_remains: bool,
-    ) -> Option<(PlanGeometry, SampledCounters)> {
+    ) -> Result<Option<(PlanGeometry, SampledCounters)>, EngineError> {
         self.morsels_done += 1;
         let s = self.socket_of[w];
         if epoch != self.sockets[s].epoch {
             // Measured under a stale epoch: counts toward the result,
             // excluded from the sample window.
-            return None;
+            return Ok(None);
         }
         self.windows[w].accumulate(stats);
         let sc = &mut self.sockets[s];
@@ -560,84 +527,70 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         match reopt {
             Some(cfg)
                 if sc.morsels_since_reopt >= cfg.reop_interval
-                    && sc.trial.is_none()
+                    && sc.policy.trial_order().is_none()
                     && !sc.estimate_in_flight
                     && work_remains =>
             {
                 self.begin_reoptimize(s, cfg, cpu_cfg)
             }
-            _ => None,
+            _ => Ok(None),
         }
     }
 
     /// Locked step closing a reoptimization round whose estimate ran
-    /// outside the lock: calibrate, propose, and schedule a trial if the
-    /// proposal differs from the published order. No trial can have been
+    /// outside the lock: learn from the fit, ask the target for its
+    /// proposal and hand it to the policy. No trial can have been
     /// scheduled nor the epoch moved since [`CoordState::note_normal`]
     /// returned the snapshot — both only happen inside reopt rounds, and
-    /// `estimate_in_flight` excluded those.
+    /// `estimate_in_flight` excluded those. Returns the optimizer cycles
+    /// charged to `w`.
     pub(crate) fn finish_reoptimize(
         &mut self,
         w: usize,
-        geom: &PlanGeometry,
-        merged: &SampledCounters,
-        estimate: EstimateResult,
+        fit: &Fit,
         cfg: &ProgressiveConfig,
-    ) {
+    ) -> Result<u64, EngineError> {
         let s = self.socket_of[w];
-        self.sockets[s].estimate_in_flight = false;
-        self.estimates += 1;
-        self.optimizer_cycles[w] += estimate.evaluations as u64 * cfg.cycles_per_estimator_eval;
+        let sc = &mut self.sockets[s];
+        sc.estimate_in_flight = false;
         // Another socket's locked step may have moved the master order
         // since the snapshot; re-establish this socket's published order
         // (which the geometry was built under, and which `s`'s pending
-        // state guarantees is unchanged) before calibrating/proposing.
-        if self.target.set_order(&self.sockets[s].published).is_err() {
-            return;
-        }
-        if let Some(drift) = &self.drift {
-            let observed_cpt = if merged.n_input > 0 {
-                self.sockets[s].fit_window_cycles as f64 / merged.n_input as f64
-            } else {
-                0.0
-            };
-            record_fit_drift(
-                drift,
-                front_stage_key(&self.stage_keys, &self.sockets[s].published),
-                geom,
-                merged,
-                &estimate.survivors,
-                observed_cpt,
-            );
-        }
-        self.target.calibrate(geom, merged, &estimate.survivors);
-        let proposed = self.target.propose_order(geom, &estimate.selectivities);
-        let differs = proposed != self.sockets[s].published;
+        // state guarantees is unchanged) before learning and proposing.
+        self.target.set_order(sc.policy.published())?;
+        let observed_cpt = if fit.sampled.n_input > 0 {
+            sc.fit_window_cycles as f64 / fit.sampled.n_input as f64
+        } else {
+            0.0
+        };
+        let spent = self.book(w, cfg, fit, observed_cpt);
+        let sc = &mut self.sockets[s];
+        let proposed = self
+            .target
+            .propose_order(&fit.geom, &fit.estimate.selectivities);
         if let Some((tracer, query)) = &self.trace {
-            let round = self.sockets[s].reopt_round;
+            let differs = &proposed != sc.policy.published();
             tracer.emit(w, *query, || TraceEvent::ReoptRound {
                 socket: s,
-                round,
-                selectivities: estimate.selectivities.clone(),
-                fit_error: estimate.objective,
+                round: sc.policy.round(),
+                selectivities: fit.estimate.selectivities.clone(),
+                fit_error: fit.estimate.objective,
                 proposed: differs.then(|| proposed.clone()),
             });
         }
-        if self.sockets[s]
-            .rejected
-            .iter()
-            .any(|(order, _)| order == &proposed)
-        {
-            return;
-        }
-        if differs {
-            self.schedule_trial(s, proposed, false);
-        }
+        let baseline_cpt = sc.epoch_cpt();
+        sc.policy.consider(
+            proposed,
+            &mut self.switches,
+            self.morsels_done,
+            baseline_cpt,
+        );
+        Ok(spent)
     }
 
-    /// Start a reoptimization round on socket `s`: age out rejections,
-    /// handle the cheap stall-exploration and measurement-probe paths
-    /// directly, or snapshot the fused windows of `s`'s workers for an
+    /// Start a reoptimization round on socket `s`: the policy takes the
+    /// cheap paths (stall exploration, measurement probe) itself;
+    /// otherwise snapshot the fused windows of `s`'s workers for an
     /// estimator round the caller runs outside the lock — the solver
     /// fits *per-socket* counter windows, so each socket's estimate sees
     /// only counters generated under its own order and placement.
@@ -646,87 +599,41 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         s: usize,
         cfg: &ProgressiveConfig,
         cpu_cfg: &CpuConfig,
-    ) -> Option<(PlanGeometry, SampledCounters)> {
-        self.sockets[s].reopt_round += 1;
-        self.sockets[s].morsels_since_reopt = 0;
-        let round = self.sockets[s].reopt_round;
-        self.sockets[s]
-            .rejected
-            .retain(|(_, at)| round - at <= cfg.rejection_ttl);
-
-        // Stall-triggered exploration (§4.5), same trigger as the serial
-        // loop: no recently accepted switch AND an active disagreement.
-        let stalled =
-            round >= self.sockets[s].last_accept_round + 3 && !self.sockets[s].rejected.is_empty();
-        if cfg.explore_correlation && stalled && round % 2 == 0 {
-            let mut explored = self.sockets[s].published.clone();
-            explored.rotate_right(1);
-            if explored != self.sockets[s].published {
-                self.schedule_trial(s, explored, true);
-            }
-            return None;
-        }
-
-        // Measurement probe: an order the target wants to observe once.
-        if let Some(probe) = self.target.take_probe_order() {
-            if probe != self.sockets[s].published {
-                self.schedule_trial(s, probe, true);
-                return None;
-            }
+    ) -> Result<Option<(PlanGeometry, SampledCounters)>, EngineError> {
+        let sc = &mut self.sockets[s];
+        sc.morsels_since_reopt = 0;
+        let baseline_cpt = sc.epoch_cpt();
+        if !sc.policy.open_round(
+            self.target,
+            cfg,
+            &mut self.switches,
+            self.morsels_done,
+            baseline_cpt,
+        ) {
+            return Ok(None);
         }
 
         // Fuse this socket's per-worker windows into one socket-wide
-        // sample; one estimator round serves the socket.
-        let samples: Vec<SampledCounters> = self
-            .windows
-            .iter()
-            .enumerate()
-            .filter(|(wi, window)| self.socket_of[*wi] == s && window.tuples > 0)
-            .map(|(_, window)| window.sampled_counters())
-            .collect();
-        let merged = SampledCounters::merged(&samples)?;
-        // The observed side of the round's cycles-per-tuple residual,
-        // captured before the windows are zeroed below.
-        self.sockets[s].fit_window_cycles = self
-            .windows
-            .iter()
-            .enumerate()
-            .filter(|(wi, _)| self.socket_of[*wi] == s)
-            .map(|(_, window)| window.counters.cycles)
-            .sum();
-        // The geometry must describe the order the windows sampled.
-        self.target.set_order(&self.sockets[s].published).ok()?;
-        let geom = self.geometry(s, merged.n_input, cpu_cfg);
-        // The windows feed this estimate; the next interval accumulates
-        // fresh while the fit runs.
+        // sample — one estimator round serves the socket — and empty
+        // them: the next interval accumulates fresh while the fit runs.
+        // Their cycles are the observed side of the round's
+        // cycles-per-tuple residual.
+        let mut samples = Vec::new();
+        sc.fit_window_cycles = 0;
         for (wi, window) in self.windows.iter_mut().enumerate() {
-            if self.socket_of[wi] == s {
+            if self.socket_of[wi] == s && window.tuples > 0 {
+                samples.push(window.sampled_counters());
+                sc.fit_window_cycles += window.counters.cycles;
                 *window = VectorStats::zero();
             }
         }
-        self.sockets[s].estimate_in_flight = true;
-        Some((geom, merged))
-    }
-
-    fn schedule_trial(&mut self, s: usize, order: Peo, exploratory: bool) {
-        let sc = &mut self.sockets[s];
-        self.switches.push(SwitchEvent {
-            vector: self.morsels_done,
-            from: sc.published.clone(),
-            to: order.clone(),
-            reverted: false,
-            exploratory,
-        });
-        // Trials are only scheduled after at least one full reopt
-        // interval of in-epoch morsels, so the epoch average is always
-        // populated.
-        debug_assert!(sc.epoch_tuples > 0, "trial scheduled with no reference");
-        sc.trial = Some(Trial {
-            order,
-            switch_idx: self.switches.len() - 1,
-            prev_cpt: sc.epoch_cycles as f64 / sc.epoch_tuples.max(1) as f64,
-            leased: false,
-        });
+        let Some(merged) = SampledCounters::merged(&samples) else {
+            return Ok(None);
+        };
+        // The geometry must describe the order the windows sampled.
+        self.target.set_order(sc.policy.published())?;
+        sc.estimate_in_flight = true;
+        Ok(Some((self.geometry(s, merged.n_input, cpu_cfg), merged)))
     }
 
     /// Re-seed a query that has not yet executed any morsel from a cached
@@ -747,7 +654,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             return false;
         }
         for sc in &mut self.sockets {
-            sc.published = order.to_vec();
+            sc.policy.republish(order);
             sc.epoch += 1;
         }
         if let Some((tracer, query)) = &self.trace {
@@ -755,7 +662,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
                 tracer.emit(tracer.coordinator_lane(), *query, || {
                     TraceEvent::OrderPublish {
                         socket: s,
-                        order: sc.published.clone(),
+                        order: sc.policy.published().clone(),
                         epoch: sc.epoch,
                         warm_seed: true,
                     }
@@ -768,21 +675,12 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         true
     }
 
-    /// A trial scheduled after the last morsel was claimed never ran; it
-    /// was never accepted either, so record it as reverted. Call once
-    /// after the last morsel of the stream resolved.
-    pub(crate) fn abandon_unleased_trial(&mut self) {
+    /// End of stream on every socket (see
+    /// [`ReoptPolicy::abandon_trial`]). Call once after the last morsel
+    /// of the stream resolved.
+    pub(crate) fn abandon_trials(&mut self) {
         for sc in &mut self.sockets {
-            if let Some(trial) = sc.trial.take() {
-                if !trial.leased {
-                    self.switches[trial.switch_idx].reverted = true;
-                } else {
-                    // A leased trial is always resolved by the worker
-                    // that ran it; putting it back preserves that
-                    // invariant.
-                    sc.trial = Some(trial);
-                }
-            }
+            sc.policy.abandon_trial(&mut self.switches);
         }
     }
 }
@@ -790,9 +688,9 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
 /// Locked access to one query's [`CoordState`], abstracting over *which*
 /// mutex guards it: the dedicated-pool executor wraps a single state in
 /// its own mutex, while the serving layer keeps many queries behind one
-/// server lock. The trial/reopt choreography is written once against
-/// this trait ([`trial_round`] / [`normal_round`]) so the two executors
-/// cannot drift apart.
+/// server lock. The per-morsel choreography ([`finish_morsel`]) is
+/// written once against this trait so the two executors cannot drift
+/// apart.
 pub(crate) trait WithCoord<'a, T> {
     /// Run `f` with the coordination state locked.
     fn with<R>(&self, f: impl FnOnce(&mut CoordState<'a, T>) -> R) -> R;
@@ -806,72 +704,81 @@ struct SharedState<'a, T> {
     error: Option<EngineError>,
 }
 
+/// The pool's one mutex. A poisoned lock means a sibling worker
+/// panicked mid-step; the state is not trusted past that.
+fn locked<'s, 'a, T>(state: &'s Mutex<SharedState<'a, T>>) -> MutexGuard<'s, SharedState<'a, T>> {
+    state.lock().expect("coordinator lock")
+}
+
 impl<'a, T> WithCoord<'a, T> for Mutex<SharedState<'a, T>> {
     fn with<R>(&self, f: impl FnOnce(&mut CoordState<'a, T>) -> R) -> R {
-        f(&mut self.lock().expect("coordinator lock").coord)
+        f(&mut locked(self).coord)
     }
 }
 
-/// The trial-resolution choreography: locked fit-input derivation,
-/// unlocked estimate, locked resolution. Returns the published (order,
-/// epoch) for the resolving worker to resync its shard, plus the
-/// optimizer cycles the resolution charged to worker `w` (callers that
-/// track a wall-clock position fold them in; the dedicated-pool
-/// executor reads the per-worker totals from the state at the end and
-/// discards the delta).
-pub(crate) fn trial_round<'a, T: ShardableTarget>(
-    coord: &impl WithCoord<'a, T>,
-    w: usize,
-    stats: &VectorStats,
-    cfg: &ProgressiveConfig,
-    cpu_cfg: &CpuConfig,
-) -> Result<((Peo, u64), u64), EngineError> {
-    let fit_inputs = coord.with(|c| c.trial_fit_inputs(w, stats, cpu_cfg))?;
-    // Unlocked: the expensive estimate. The still-leased trial excludes
-    // reopt rounds and double-leasing while the pool keeps streaming.
-    let fitted = fit_inputs.map(|(geom, sampled)| {
-        let estimate = estimate_selectivities(&geom, &sampled, &cfg.estimator);
-        (geom, sampled, estimate)
-    });
-    coord.with(|c| {
-        let before = c.optimizer_cycles[w];
-        let resolved = c.resolve_trial(w, stats, fitted, cfg)?;
-        Ok((resolved, c.optimizer_cycles[w] - before))
-    })
+/// The morsel step both pooled drives share, first half: apply the
+/// boundary decision to the worker's shard. Returns whether the morsel
+/// runs a leased trial and, when the shard was re-chained, the order it
+/// now runs under.
+pub(crate) fn enter_morsel<S: TargetShard>(
+    action: BoundaryAction,
+    shard: &mut S,
+    local_epoch: &mut u64,
+) -> Result<(bool, Option<Peo>), EngineError> {
+    let (is_trial, order) = match action {
+        BoundaryAction::Trial(order) => (true, order),
+        BoundaryAction::Adopt { order, epoch } => {
+            *local_epoch = epoch;
+            (false, order)
+        }
+        BoundaryAction::Keep => return Ok((false, None)),
+    };
+    shard.set_order(&order)?;
+    Ok((is_trial, Some(order)))
 }
 
-/// The normal-morsel choreography: locked window accumulation (possibly
-/// opening a reopt round), unlocked estimate, locked calibration +
-/// proposal. Returns the optimizer cycles charged to worker `w` (zero
-/// when no round ran).
-pub(crate) fn normal_round<'a, T: ShardableTarget>(
+/// The morsel step, second half: report the executed morsel to the
+/// query's coordination state. Both branches are locked step (cheap
+/// bookkeeping), unlocked estimate, locked step: the multi-start
+/// Nelder–Mead fit never runs under the drive's mutex, so one worker's
+/// optimizer round never stalls the rest of the pool in host time.
+/// Returns the optimizer cycles charged to `w` and, when the shard was
+/// re-chained, its new order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn finish_morsel<'a, T: ShardableTarget, S: TargetShard>(
     coord: &impl WithCoord<'a, T>,
     w: usize,
-    epoch: u64,
+    is_trial: bool,
     stats: &VectorStats,
+    shard: &mut S,
+    local_epoch: &mut u64,
     reopt: Option<&ProgressiveConfig>,
     cpu_cfg: &CpuConfig,
     work_remains: bool,
-) -> u64 {
-    let prepared = coord.with(|c| c.note_normal(w, epoch, stats, reopt, cpu_cfg, work_remains));
+) -> Result<(u64, Option<Peo>), EngineError> {
+    if is_trial {
+        let cfg = reopt.expect("trials are only scheduled when reopt is on");
+        let fit_inputs = coord.with(|c| c.trial_fit_inputs(w, stats, cpu_cfg))?;
+        // The still-leased trial excludes reopt rounds and double-leasing
+        // while the estimate runs and the pool keeps streaming.
+        let fit = fit_inputs.map(|(geom, sampled)| Fit::run(geom, sampled, &cfg.estimator));
+        // Adopt whatever order the resolution left published (the trial
+        // order if accepted, the incumbent if not).
+        let (published, epoch, opt) = coord.with(|c| c.resolve_trial(w, stats, fit, cfg))?;
+        shard.set_order(&published)?;
+        *local_epoch = epoch;
+        return Ok((opt, Some(published)));
+    }
+    let prepared =
+        coord.with(|c| c.note_normal(w, *local_epoch, stats, reopt, cpu_cfg, work_remains))?;
     let Some((geom, merged)) = prepared else {
-        return 0;
+        return Ok((0, None));
     };
     let cfg = reopt.expect("a prepared reopt round implies a config");
-    // Unlocked: the expensive pool-wide estimate.
-    let estimate = estimate_selectivities(&geom, &merged, &cfg.estimator);
-    coord.with(|c| {
-        let before = c.optimizer_cycles[w];
-        c.finish_reoptimize(w, &geom, &merged, estimate, cfg);
-        c.optimizer_cycles[w] - before
-    })
-}
-
-enum MorselMode {
-    /// Executed under the accepted order of the recorded epoch.
-    Normal { epoch: u64 },
-    /// Executed under the leased trial order.
-    Trial,
+    // `estimate_in_flight` keeps concurrent rounds exclusive meanwhile.
+    let fit = Fit::run(geom, merged, &cfg.estimator);
+    let opt = coord.with(|c| c.finish_reoptimize(w, &fit, cfg))?;
+    Ok((opt, None))
 }
 
 /// Execute `plan` over `table` with morsel-driven parallelism across the
@@ -887,7 +794,7 @@ pub fn run_parallel_scan(
     reopt: Option<&ProgressiveConfig>,
 ) -> Result<ParallelReport, EngineError> {
     let mut target = ScanTarget::new(table, plan, initial_peo)?;
-    run_parallel_target(&mut target, morsels, pool, reopt)
+    run_parallel_target_observed(&mut target, morsels, pool, reopt, &ExecObservers::none())
 }
 
 /// Execute a compiled program with morsel-driven parallelism, optionally
@@ -901,9 +808,14 @@ pub fn run_parallel_program(
     pool: &mut CpuPool,
     reopt: Option<&ProgressiveConfig>,
 ) -> Result<ParallelReport, EngineError> {
-    program.reorder(initial_order)?;
-    let mut target = crate::progressive::CompiledTarget::new(program);
-    run_parallel_target(&mut target, morsels, pool, reopt)
+    run_parallel_program_observed(
+        program,
+        initial_order,
+        morsels,
+        pool,
+        reopt,
+        &ExecObservers::none(),
+    )
 }
 
 /// [`run_parallel_program`] with observers attached (see
@@ -922,22 +834,9 @@ pub fn run_parallel_program_observed(
     run_parallel_target_observed(&mut target, morsels, pool, reopt, obs)
 }
 
-/// Drive any range-shardable progressive target across the pool.
-pub fn run_parallel_target<T>(
-    target: &mut T,
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-) -> Result<ParallelReport, EngineError>
-where
-    T: ShardableTarget + Send,
-{
-    run_parallel_target_observed(target, morsels, pool, reopt, &ExecObservers::none())
-}
-
-/// [`run_parallel_target`] with any combination of observers attached:
-/// tracer, per-stage cycle profiler, model-drift observatory. All
-/// non-invasive — the report is bit-identical to the unobserved run's,
+/// Drive any range-shardable progressive target across the pool, with
+/// any combination of observers attached: tracer, per-stage cycle
+/// profiler, model-drift observatory. All non-invasive — the report is bit-identical to the unobserved run's,
 /// and the profiler's attributed cycles sum bit-exactly to the pool's
 /// per-worker wall cycles (stage + optimizer lanes per worker equal that
 /// worker's entry in `per_worker_cycles`; idle pads to the fleet wall).
@@ -1048,6 +947,12 @@ where
                         initial_order,
                         plan_weights,
                     )
+                    .unwrap_or_else(|err| {
+                        // Siblings see the slot at their next boundary
+                        // and stop; the totals of a failed run are moot.
+                        locked(state).error = Some(err);
+                        (VectorStats::zero(), 0)
+                    })
                 })
             })
             .collect();
@@ -1060,7 +965,7 @@ where
     if let Some(err) = st.error.take() {
         return Err(err);
     }
-    st.coord.abandon_unleased_trial();
+    st.coord.abandon_trials();
 
     let mut total = VectorStats::zero();
     for (stats, _) in &worker_totals {
@@ -1081,10 +986,7 @@ where
     // Leave the master target in socket 0's accepted order: callers read
     // one final order off the target, and socket 0 is the deterministic
     // representative (`final_order` carries the same choice).
-    st.coord
-        .target
-        .set_order(&socket_orders[0])
-        .expect("published order was accepted before");
+    st.coord.target.set_order(&socket_orders[0])?;
     if let Some((tracer, query)) = &obs.trace {
         let morsels = st.coord.morsels_done;
         tracer.emit_at(tracer.coordinator_lane(), *query, wall_cycles, || {
@@ -1117,14 +1019,9 @@ where
 
 /// One worker: claim morsels, sync order / lease trials at morsel
 /// boundaries, execute on the private core, report to the coordinator.
-/// Returns the worker's result total and its execution cycles.
-///
-/// Locking discipline: the coordinator mutex is held only for cheap
-/// bookkeeping (order sync, window accumulation, proposal application).
-/// The expensive multi-start Nelder–Mead estimate runs *outside* the
-/// lock — `estimate_in_flight` (and, for trial fits, the still-leased
-/// trial itself) keeps concurrent rounds exclusive — so one worker's
-/// optimizer round never stalls the rest of the pool in host time.
+/// Returns the worker's result total and its execution cycles, or the
+/// error that stopped it. The coordinator mutex is held only for the
+/// boundary sync and inside [`finish_morsel`]'s locked steps.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<T, S>(
     w: usize,
@@ -1138,7 +1035,7 @@ fn worker_loop<T, S>(
     obs: &ExecObservers,
     initial_order: &[usize],
     plan_weights: &[f64],
-) -> (VectorStats, u64)
+) -> Result<(VectorStats, u64), EngineError>
 where
     T: ShardableTarget,
     S: TargetShard,
@@ -1159,32 +1056,14 @@ where
         // Boundary sync: adopt the published order, or lease a pending
         // trial so the candidate runs on exactly this core.
         let action = {
-            let mut st = state.lock().expect("coordinator lock");
+            let mut st = locked(state);
             if st.error.is_some() {
                 break;
             }
             st.coord.begin_morsel(w, local_epoch)
         };
-        let mode = match action {
-            BoundaryAction::Trial(order) => {
-                if let Err(err) = shard.set_order(&order) {
-                    state.lock().expect("coordinator lock").error = Some(err);
-                    break;
-                }
-                cur_order = order;
-                MorselMode::Trial
-            }
-            BoundaryAction::Adopt { order, epoch } => {
-                if let Err(err) = shard.set_order(&order) {
-                    state.lock().expect("coordinator lock").error = Some(err);
-                    break;
-                }
-                cur_order = order;
-                local_epoch = epoch;
-                MorselMode::Normal { epoch }
-            }
-            BoundaryAction::Keep { epoch } => MorselMode::Normal { epoch },
-        };
+        let (is_trial, rechained) = enter_morsel(action, shard, &mut local_epoch)?;
+        cur_order = rechained.unwrap_or(cur_order);
 
         let start_pos = (core.counters().cycles - cycles_before) + opt_total;
         let stats = shard.run_range(core, start, end);
@@ -1195,65 +1074,41 @@ where
             prof.record_morsel(w, socket, start_pos, &parts);
         }
 
+        // The lane position an optimizer round this boundary runs at:
+        // the morsel's end (execution so far plus prior optimizer time).
+        let round_pos = (core.counters().cycles - cycles_before) + opt_total;
         if let Some((tracer, query)) = &obs.trace {
-            let query = *query;
             // Publish this lane's wall position at the morsel boundary so
             // the decision events the locked round below emits (accept /
             // revert / reopt) stamp at the morsel's end.
-            tracer.set_clock(w, (core.counters().cycles - cycles_before) + opt_total);
-            tracer.emit(w, query, || TraceEvent::MorselClaim {
+            tracer.set_clock(w, round_pos);
+            tracer.emit(w, *query, || TraceEvent::MorselClaim {
                 socket,
                 start_row: start,
                 rows: end - start,
                 start_cycles: start_pos,
                 cycles: stats.counters.cycles,
-                trial: matches!(mode, MorselMode::Trial),
+                trial: is_trial,
                 epoch: local_epoch,
             });
         }
 
-        // The lane position an optimizer round this boundary runs at:
-        // the morsel's end (execution so far plus prior optimizer time).
-        let round_pos = (core.counters().cycles - cycles_before) + opt_total;
-        let outcome = match mode {
-            MorselMode::Trial => {
-                let cfg = reopt.expect("trials are only scheduled when reopt is on");
-                trial_round(state, w, &stats, cfg, cpu_cfg).and_then(|((published, epoch), opt)| {
-                    // Adopt whatever order the resolution left
-                    // published (the trial order if accepted, the
-                    // incumbent if not). Optimizer cycles are read
-                    // from the state's per-worker totals at the end.
-                    if let Some(prof) = &obs.profiler {
-                        prof.record_optimizer(w, socket, round_pos, opt);
-                    }
-                    opt_total += opt;
-                    shard.set_order(&published)?;
-                    cur_order = published;
-                    local_epoch = epoch;
-                    Ok(())
-                })
-            }
-            MorselMode::Normal { epoch } => {
-                let opt = normal_round(
-                    state,
-                    w,
-                    epoch,
-                    &stats,
-                    reopt,
-                    cpu_cfg,
-                    !dispatcher.exhausted(),
-                );
-                if let Some(prof) = &obs.profiler {
-                    prof.record_optimizer(w, socket, round_pos, opt);
-                }
-                opt_total += opt;
-                Ok(())
-            }
-        };
-        if let Err(err) = outcome {
-            state.lock().expect("coordinator lock").error = Some(err);
-            break;
+        let (opt, rechained) = finish_morsel(
+            state,
+            w,
+            is_trial,
+            &stats,
+            shard,
+            &mut local_epoch,
+            reopt,
+            cpu_cfg,
+            !dispatcher.exhausted(),
+        )?;
+        if let Some(prof) = &obs.profiler {
+            prof.record_optimizer(w, socket, round_pos, opt);
         }
+        opt_total += opt;
+        cur_order = rechained.unwrap_or(cur_order);
     }
-    (total, core.counters().cycles - cycles_before)
+    Ok((total, core.counters().cycles - cycles_before))
 }

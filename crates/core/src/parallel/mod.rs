@@ -13,8 +13,9 @@
 //!   division) claimed lazily by real `std::thread` workers — placement
 //!   independent of host scheduling, so simulated per-core cycle counts
 //!   are reproducible on any machine;
-//! * a progressive **coordinator** ([`run_parallel_target`]) that
-//!   generalizes the serial `run_progressive*` runners to N workers:
+//! * a progressive **coordinator** ([`run_parallel_target_observed`]),
+//!   the pooled drive of the same §4.4 policy object the serial
+//!   `run_progressive*` runners drive:
 //!   per-worker counter samples are fused into one pool-wide estimate,
 //!   accepted operator orders are epoch-published (workers re-chain
 //!   their pre-compiled primitives at the next morsel boundary), and
@@ -69,7 +70,7 @@ pub mod coordinator;
 pub mod morsel;
 
 pub use coordinator::{
-    run_parallel_program, run_parallel_program_observed, run_parallel_scan, run_parallel_target,
+    run_parallel_program, run_parallel_program_observed, run_parallel_scan,
     run_parallel_target_observed, ParallelReport,
 };
 pub use morsel::{MorselConfig, MorselDispatcher};

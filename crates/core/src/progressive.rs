@@ -19,11 +19,50 @@
 //! additionally be probed by occasional exploratory orders (Section 4.5),
 //! enabled via [`ProgressiveConfig::explore_correlation`].
 //!
-//! ## One loop, two executors
+//! ## One policy, two drives
+//!
+//! Every *decision* of that loop — aging the rejection memory, the stall
+//! test and its rotated exploratory order, spending a measurement probe,
+//! skipping a recently rejected proposal, scheduling a trial, the
+//! accept/revert verdict, abandoning a trial at end of stream, and what a
+//! fit is charged and teaches — is stated once, in the crate-private
+//! `policy` module. This module holds the **serial drive**
+//! ([`run_progressive_target_observed`]: one core, one vector at a time);
+//! [`crate::parallel`] holds the **pooled drive** (N workers over
+//! morsels, also what the query server runs per query). A drive owns
+//! only what legitimately differs, which is exactly this:
+//!
+//! * **When a round is due.** Serial: after every `reop_interval`-th
+//!   vector while another remains. Pooled: after `reop_interval` morsels
+//!   ran *under the socket's current epoch* with no trial pending and no
+//!   fit in flight. A pool has no single vector clock, and morsels run
+//!   under a superseded order must not count.
+//! * **What the sample is.** Serial: the vector that just ran. Pooled:
+//!   the socket's per-worker windows since the last round, fused — so one
+//!   fit per interval serves every core.
+//! * **The trial baseline.** Serial: the cycles-per-tuple of the vector
+//!   before the trial (same core, adjacent rows). Pooled: the epoch
+//!   average, rebased to the leasing worker's own window when it has one
+//!   — there is no "previous vector" across cores, and one core's
+//!   momentary cache state must not judge another's trial.
+//! * **Fit reuse (serial only).** When a trial vector is also a round's
+//!   vector, the round reuses the trial's fit — unless the trial was
+//!   reverted, which leaves the sample describing an order no longer in
+//!   effect: the round then refits without calibrating (the stale-sample
+//!   guard). In a pool the trial morsel and the round's fused window are
+//!   different samples; there is nothing to reuse.
+//!
+//! Epochs, leases, decision tracing and locks exist only in the pooled
+//! drive. The *sequence of [`ProgressiveTarget`] calls* the serial drive
+//! makes (each `run_range` followed by the `plan_geometry` of any fit on
+//! it, one `set_order` per switch and per revert) is observable through
+//! a delegating target, and the repo benchmark reads it.
+//!
+//! ## Two executors
 //!
 //! Sections 5.5–5.6 generalize the approach from predicate orders to
 //! *operator* orders — expensive selections versus foreign-key join
-//! filters. The loop itself is executor-agnostic: anything that can
+//! filters. Policy and drives are executor-agnostic: anything that can
 //! compile an order, execute a row range, and describe its counter-model
 //! geometry participates, via [`ProgressiveTarget`]. [`run_progressive`]
 //! drives the multi-selection scan ([`CompiledSelection`]);
@@ -40,14 +79,15 @@ use popt_cost::estimate::{estimate_counters, PlanGeometry};
 use popt_cost::markov::ChainSpec;
 use popt_cpu::pmu::CounterDelta;
 use popt_cpu::{CpuConfig, NumaPlacement, SimCpu};
-use popt_solver::{estimate_selectivities, CalibrationSnapshot, EstimatorConfig, SampledCounters};
+use popt_solver::{CalibrationSnapshot, EstimatorConfig, SampledCounters};
 use popt_storage::Table;
 
 use crate::error::EngineError;
 use crate::exec::program::CompiledProgram;
 use crate::exec::scan::{CompiledSelection, VectorStats};
-use crate::observe::{front_stage_key, morsel_stage_parts, record_fit_drift, ExecObservers};
+use crate::observe::{morsel_stage_parts, ExecObservers};
 use crate::plan::{order_by_cost_per_tuple, order_by_selectivity, Peo, SelectionPlan};
+use crate::policy::{book_fit, Fit, ReoptPolicy};
 
 /// Streaming footprint one scanned column claims in the last-level
 /// cache, for [`ProgressiveTarget::hot_set_bytes`] declarations: streamed
@@ -678,7 +718,7 @@ pub fn run_progressive(
     config: &ProgressiveConfig,
 ) -> Result<ProgressiveReport, EngineError> {
     let mut target = ScanTarget::new(table, plan, initial_peo)?;
-    run_progressive_target(&mut target, vectors, cpu, config)
+    run_progressive_target_observed(&mut target, vectors, cpu, config, &ExecObservers::none())
 }
 
 /// Execute a compiled program starting from `initial_order` with
@@ -721,25 +761,17 @@ pub fn run_progressive_program_observed(
     run_progressive_target_observed(&mut target, vectors, cpu, config, obs)
 }
 
-/// The §4.4 loop over any [`ProgressiveTarget`]: sample counters per
-/// vector, estimate per-stage pass rates, reorder, trial, revert on
-/// regression, with stall-triggered exploration (Section 4.5), rejection
-/// memory, and measurement probes for targets that calibrate at runtime.
-pub fn run_progressive_target<T: ProgressiveTarget>(
-    target: &mut T,
-    vectors: VectorConfig,
-    cpu: &mut SimCpu,
-    config: &ProgressiveConfig,
-) -> Result<ProgressiveReport, EngineError> {
-    run_progressive_target_observed(target, vectors, cpu, config, &ExecObservers::none())
-}
-
-/// [`run_progressive_target`] with observers attached: the profiler
-/// receives every vector's cycles (attributed across the stages of the
-/// order it ran under, worker 0 / socket 0, zero idle) and every
-/// estimator charge; the drift observatory receives every fit's
-/// predicted-vs-observed residuals. Observation is non-invasive — the
-/// report is bit-identical with and without observers.
+/// The serial drive of the §4.4 policy over any [`ProgressiveTarget`]:
+/// one vector at a time on one core, a round after every
+/// `reop_interval`-th vector, every trial resolved by the vector after
+/// its switch (see the module docs for what the drive decides and what
+/// the shared [`ReoptPolicy`] does).
+///
+/// Observers are non-invasive — the report is bit-identical with and
+/// without them: the profiler receives every vector's cycles (attributed
+/// across the stages of the order it ran under, worker 0 / socket 0,
+/// zero idle) and every estimator charge; the drift observatory receives
+/// every fit's predicted-vs-observed residuals.
 pub fn run_progressive_target_observed<T: ProgressiveTarget>(
     target: &mut T,
     vectors: VectorConfig,
@@ -761,22 +793,13 @@ pub fn run_progressive_target_observed<T: ProgressiveTarget>(
     let mut switches: Vec<SwitchEvent> = Vec::new();
     let mut estimates = 0usize;
     let mut optimizer_cycles = 0u64;
-    // Pending trial: (pre-switch cycles-per-tuple, index into `switches`).
-    let mut pending_trial: Option<(f64, usize)> = None;
-    let mut reopt_count = 0usize;
-    // Reopt round of the most recent *accepted* switch (for stall
-    // detection).
-    let mut last_accept_reopt = 0usize;
-    // Recently reverted orders: (order, reopt round it was rejected at).
-    let mut rejected: Vec<(Peo, usize)> = Vec::new();
-    // Cycles-per-tuple of the most recent vector, for end-of-scan trial
-    // resolution.
-    let mut last_cpt = 0.0f64;
+    let mut policy = ReoptPolicy::new(target.order());
     // Observation-only state: literal-free keys and profiling weights
     // (plan-indexed, order-independent), and the profiler's timeline
     // position (executed + optimizer cycles so far).
     let stage_keys = target.stage_keys();
     let plan_weights = target.stage_profile_weights();
+    let drift = obs.drift.as_deref().map(|d| (d, &stage_keys[..]));
     let mut prof_pos = 0u64;
 
     for (v_idx, &(start, end)) in ranges.iter().enumerate() {
@@ -789,190 +812,59 @@ pub fn run_progressive_target_observed<T: ProgressiveTarget>(
         }
         prof_pos += stats.counters.cycles;
         per_vector.push(stats.counters.cycles);
-        last_cpt = stats.cycles_per_tuple();
+        // The sample of every fit below, and the baseline of any trial
+        // scheduled below: the vector that just ran.
+        let cpt = stats.cycles_per_tuple();
+        let mut fit_vector = |target: &mut T, learn: bool| {
+            let sampled = stats.sampled_counters();
+            let geom = target.plan_geometry(sampled.n_input, &cpu_cfg, llc_bytes);
+            let fit = Fit::run(geom, sampled, &config.estimator);
+            let spent = book_fit(target, config, &fit, learn, cpt, drift, &mut estimates);
+            optimizer_cycles += spent;
+            if let Some(prof) = &obs.profiler {
+                prof.record_optimizer(0, 0, prof_pos, spent);
+            }
+            prof_pos += spent;
+            fit
+        };
 
-        // Estimate fitted to this vector's sample, valid only while the
-        // order that produced the sample is still in effect (a revert
-        // invalidates it). Lets a trial resolution that coincides with a
-        // reopt round share one estimator run instead of paying twice.
-        let mut vector_estimate = None;
-        // Whether a revert made this vector's sample describe an order
-        // that is no longer the current one.
+        // Fit reuse and its stale-sample guard (module docs): a trial's
+        // fit serves a coinciding round while the trial's order stands.
+        let mut trial_fit = None;
         let mut sample_is_stale = false;
-
-        // Resolve an outstanding trial against this vector's counters.
-        if let Some((prev_cpt, switch_idx)) = pending_trial.take() {
-            // Trial vectors double as measurement opportunities: estimate
-            // the sample *under the order that produced it* and let the
+        if policy.trial_order().is_some() {
+            // Trial vectors double as measurement opportunities: fit the
+            // sample *under the order that produced it* and let the
             // target calibrate, before any revert discards that order.
             if target.wants_trial_calibration() {
-                let sampled = stats.sampled_counters();
-                let geom = target.plan_geometry(sampled.n_input, &cpu_cfg, llc_bytes);
-                let estimate = estimate_selectivities(&geom, &sampled, &config.estimator);
-                estimates += 1;
-                let spent = estimate.evaluations as u64 * config.cycles_per_estimator_eval;
-                optimizer_cycles += spent;
-                if let Some(prof) = &obs.profiler {
-                    prof.record_optimizer(0, 0, prof_pos, spent);
-                }
-                prof_pos += spent;
-                if let Some(drift) = &obs.drift {
-                    // The trial order that produced the sample is still
-                    // in effect here (a revert happens below).
-                    record_fit_drift(
-                        drift,
-                        front_stage_key(&stage_keys, &target.order()),
-                        &geom,
-                        &sampled,
-                        &estimate.survivors,
-                        stats.cycles_per_tuple(),
-                    );
-                }
-                target.calibrate(&geom, &sampled, &estimate.survivors);
-                vector_estimate = Some((geom, estimate));
+                trial_fit = Some(fit_vector(target, true));
             }
-            let cpt = stats.cycles_per_tuple();
-            if config.revert_on_regression && cpt > prev_cpt * (1.0 + config.regression_tolerance) {
-                let old = switches[switch_idx].from.clone();
-                rejected.push((target.order(), reopt_count));
-                target.set_order(&old)?;
-                switches[switch_idx].reverted = true;
-                vector_estimate = None;
+            if let Some((_, true)) = policy.resolve_trial(config, cpt, &mut switches) {
+                target.set_order(policy.published())?;
+                trial_fit = None;
                 sample_is_stale = true;
-            } else {
-                last_accept_reopt = reopt_count;
             }
         }
 
         total.accumulate(&stats);
 
-        // Optimization point?
-        let at_interval = (v_idx + 1) % config.reop_interval == 0;
-        let more_vectors_remain = v_idx + 1 < ranges.len();
-        if !(at_interval && more_vectors_remain) {
+        let at = v_idx + 1;
+        if at % config.reop_interval != 0 || at == ranges.len() {
             continue;
         }
-        reopt_count += 1;
-        // Age out rejections every reopt round — including rounds that
-        // end up exploratory — so a stale revert cannot suppress a
-        // proposal for longer than its TTL.
-        rejected.retain(|(_, at)| reopt_count - at <= config.rejection_ttl);
-
-        // Explore a rotated order when optimization has stalled
-        // (Section 4.5: "periodically execute different PEOs"). The tail
-        // predicate is the one the sample says least about — it sees the
-        // fewest tuples — so rotating it to the front gives it full
-        // exposure and escapes local optima of the under-determined
-        // estimation. Runs that keep converging never pay for this.
-        // "Stalled" requires both no recent accepted switch AND an active
-        // disagreement (a recently rejected proposal): a converged run
-        // where the estimator proposes nothing never pays for exploration.
-        let stalled = reopt_count >= last_accept_reopt + 3 && !rejected.is_empty();
-        if config.explore_correlation && stalled && reopt_count % 2 == 0 {
-            let current = target.order();
-            let mut explored = current.clone();
-            explored.rotate_right(1);
-            if explored != current {
-                switches.push(SwitchEvent {
-                    vector: v_idx + 1,
-                    from: current,
-                    to: explored.clone(),
-                    reverted: false,
-                    exploratory: true,
-                });
-                pending_trial = Some((stats.cycles_per_tuple(), switches.len() - 1));
-                target.set_order(&explored)?;
-            }
-            continue;
+        if policy.open_round(target, config, &mut switches, at, cpt) {
+            // After a revert the sample describes the trial order, the
+            // geometry the reinstated one: a residual the model never
+            // produced must not reach the calibration or the drift series.
+            let fit = trial_fit.unwrap_or_else(|| fit_vector(target, !sample_is_stale));
+            let proposed = target.propose_order(&fit.geom, &fit.estimate.selectivities);
+            policy.consider(proposed, &mut switches, at, cpt);
         }
-
-        // Measurement probe: an order the target wants to observe once
-        // (e.g. an unmeasured join moved to the front). Runs under the
-        // same trial semantics as any other switch.
-        if let Some(probe) = target.take_probe_order() {
-            let current = target.order();
-            if probe != current {
-                switches.push(SwitchEvent {
-                    vector: v_idx + 1,
-                    from: current,
-                    to: probe.clone(),
-                    reverted: false,
-                    exploratory: true,
-                });
-                pending_trial = Some((stats.cycles_per_tuple(), switches.len() - 1));
-                target.set_order(&probe)?;
-                continue;
-            }
-        }
-
-        // Estimate selectivities from the most recent vector's sample,
-        // reusing the trial-resolution fit when this vector was a trial
-        // whose order survived.
-        let (geom, estimate) = match vector_estimate {
-            Some(fitted) => fitted,
-            None => {
-                let sampled = stats.sampled_counters();
-                let geom = target.plan_geometry(sampled.n_input, &cpu_cfg, llc_bytes);
-                let estimate = estimate_selectivities(&geom, &sampled, &config.estimator);
-                estimates += 1;
-                let spent = estimate.evaluations as u64 * config.cycles_per_estimator_eval;
-                optimizer_cycles += spent;
-                if let Some(prof) = &obs.profiler {
-                    prof.record_optimizer(0, 0, prof_pos, spent);
-                }
-                prof_pos += spent;
-                // A reverted trial leaves the sample describing the trial
-                // order while `geom` describes the reinstated one —
-                // calibrating (or scoring drift) against that mismatch
-                // would corrupt a settled belief with a residual the
-                // model never produced.
-                if !sample_is_stale {
-                    if let Some(drift) = &obs.drift {
-                        record_fit_drift(
-                            drift,
-                            front_stage_key(&stage_keys, &target.order()),
-                            &geom,
-                            &sampled,
-                            &estimate.survivors,
-                            stats.cycles_per_tuple(),
-                        );
-                    }
-                    target.calibrate(&geom, &sampled, &estimate.survivors);
-                }
-                (geom, estimate)
-            }
-        };
-
-        let new_order = target.propose_order(&geom, &estimate.selectivities);
-        // Skip orders a recent trial already rejected (correlation guard).
-        if rejected.iter().any(|(order, _)| order == &new_order) {
-            continue;
-        }
-        let current = target.order();
-        if new_order != current {
-            switches.push(SwitchEvent {
-                vector: v_idx + 1,
-                from: current,
-                to: new_order.clone(),
-                reverted: false,
-                exploratory: false,
-            });
-            pending_trial = Some((stats.cycles_per_tuple(), switches.len() - 1));
-            target.set_order(&new_order)?;
+        if let Some(order) = policy.trial_order() {
+            target.set_order(order)?;
         }
     }
-
-    // Resolve a trial left outstanding at end of scan (defensive: the
-    // loop above only schedules trials when another vector remains, but a
-    // switch must never stay silently accepted without its comparison).
-    if let Some((prev_cpt, switch_idx)) = pending_trial.take() {
-        if config.revert_on_regression && last_cpt > prev_cpt * (1.0 + config.regression_tolerance)
-        {
-            let old = switches[switch_idx].from.clone();
-            target.set_order(&old)?;
-            switches[switch_idx].reverted = true;
-        }
-    }
+    policy.abandon_trial(&mut switches);
 
     if let Some(prof) = &obs.profiler {
         // One lane, no co-runners: wall == busy, idle == 0. `prof_pos`

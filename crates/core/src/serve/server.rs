@@ -35,7 +35,7 @@
 //! interleaving, the priorities, nor mid-query order switches can change
 //! them.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use popt_cost::cycles::{fleet_occupancy, fleet_wall_cycles_interleaved};
 use popt_cpu::{CpuConfig, CpuPool, SimCpu};
@@ -46,7 +46,7 @@ use crate::error::EngineError;
 use crate::exec::program::CompiledProgram;
 use crate::exec::scan::VectorStats;
 use crate::parallel::coordinator::{
-    normal_round, trial_round, BoundaryAction, CoordState, WithCoord,
+    enter_morsel, finish_morsel, BoundaryAction, CoordState, WithCoord,
 };
 use crate::parallel::{MorselConfig, MorselDispatcher, ShardableTarget, TargetShard};
 use crate::plan::{Peo, SelectionPlan};
@@ -693,6 +693,12 @@ impl<'t> QueryServer<'t> {
                             cpu_cfg,
                             trace,
                         )
+                        .unwrap_or_else(|err| {
+                            // Siblings see the slot at their next claim
+                            // and stop; a failed batch reports no clocks.
+                            locked(state).error = Some(err);
+                            (0, 0, 0)
+                        })
                     })
                 })
                 .collect();
@@ -711,8 +717,7 @@ impl<'t> QueryServer<'t> {
         // the report only reads.
         let mut queries = Vec::with_capacity(st.queries.len());
         for (entry, (label, priority, arrival)) in st.queries.into_iter().zip(metas) {
-            let mut coord = entry.coord;
-            coord.abandon_unleased_trial();
+            let coord = entry.coord;
             let final_order = coord.published_order(0).clone();
             let finish = entry.finish_vt.unwrap_or(arrival);
             let first = entry.first_vt.unwrap_or(arrival);
@@ -878,6 +883,14 @@ struct ServerState<'a, 'p, 't> {
     cache: Option<&'a mut OrderCache>,
 }
 
+/// The server's one mutex. A poisoned lock means a sibling worker
+/// panicked mid-step; the state is not trusted past that.
+fn locked<'s, 'a, 'p, 't>(
+    state: &'s Mutex<ServerState<'a, 'p, 't>>,
+) -> MutexGuard<'s, ServerState<'a, 'p, 't>> {
+    state.lock().expect("coordination lock")
+}
+
 /// What a worker decided to do after consulting its scheduler.
 enum Step {
     /// Serve one morsel of query `qid`.
@@ -907,7 +920,7 @@ enum Step {
 /// which is bounded to single-morsel effects exactly as in the
 /// dedicated-pool executor. `w` is the worker's slot in the pool, used
 /// as its window index in every query's coordination state. Returns
-/// (busy, idle, optimizer) cycles.
+/// (busy, idle, optimizer) cycles, or the error that stopped it.
 #[allow(clippy::too_many_arguments)]
 fn serve_worker<'a, 'p, 't>(
     w: usize,
@@ -923,9 +936,14 @@ fn serve_worker<'a, 'p, 't>(
     reopt: Option<&ProgressiveConfig>,
     cpu_cfg: &CpuConfig,
     trace: Option<&Arc<Tracer>>,
-) -> (u64, u64, u64) {
+) -> Result<(u64, u64, u64), EngineError> {
     let base_cycles = core.cycles();
     let base_idle = core.idle_cycles();
+    // This worker's wall-clock position: busy + idle + the optimizer
+    // cycles (`opt`) its own estimator rounds were charged.
+    let wall = |core: &SimCpu, opt: u64| {
+        (core.cycles() - base_cycles) + (core.idle_cycles() - base_idle) + opt
+    };
     let mut opt_cycles = 0u64;
     let mut local_epochs = vec![0u64; shards.len()];
     let mut sched = StrideScheduler::new(shards.len());
@@ -940,8 +958,7 @@ fn serve_worker<'a, 'p, 't>(
     let mut live = vec![false; shards.len()];
 
     loop {
-        let idle_now = core.idle_cycles() - base_idle;
-        let now = (core.cycles() - base_cycles) + idle_now + opt_cycles;
+        let now = wall(core, opt_cycles);
         // Admission: every arrived query with a non-empty share for this
         // worker joins the worker's scheduler at the worker's clock.
         for qid in 0..arrivals.len() {
@@ -967,7 +984,7 @@ fn serve_worker<'a, 'p, 't>(
                     sched.retire(qid);
                     live[qid] = false;
                 }
-                let mut guard = state.lock().expect("coordination lock");
+                let mut guard = locked(state);
                 if guard.error.is_some() {
                     break;
                 }
@@ -1032,7 +1049,7 @@ fn serve_worker<'a, 'p, 't>(
                         // path's own lock) — the busy path must not pay
                         // an extra acquisition of the shared mutex per
                         // morsel just for the error flag.
-                        if state.lock().expect("coordination lock").error.is_some() {
+                        if locked(state).error.is_some() {
                             break;
                         }
                         Step::Idle(arrival.saturating_sub(now).max(1))
@@ -1054,24 +1071,7 @@ fn serve_worker<'a, 'p, 't>(
                 end,
                 action,
             } => {
-                let (is_trial, epoch) = match action {
-                    BoundaryAction::Trial(order) => {
-                        if let Err(err) = shards[qid].set_order(&order) {
-                            state.lock().expect("scheduler lock").error = Some(err);
-                            break;
-                        }
-                        (true, local_epochs[qid])
-                    }
-                    BoundaryAction::Adopt { order, epoch } => {
-                        if let Err(err) = shards[qid].set_order(&order) {
-                            state.lock().expect("scheduler lock").error = Some(err);
-                            break;
-                        }
-                        local_epochs[qid] = epoch;
-                        (false, epoch)
-                    }
-                    BoundaryAction::Keep { epoch } => (false, epoch),
-                };
+                let (is_trial, _) = enter_morsel(action, &mut shards[qid], &mut local_epochs[qid])?;
 
                 if dynamic_repartition {
                     // Serve this morsel with the query's footprint-
@@ -1094,19 +1094,13 @@ fn serve_worker<'a, 'p, 't>(
                         });
                     }
                 }
-                let start_pos =
-                    (core.cycles() - base_cycles) + (core.idle_cycles() - base_idle) + opt_cycles;
+                let start_pos = wall(core, opt_cycles);
                 let stats = shards[qid].run_range(core, start, end);
                 if let Some(tracer) = trace {
                     // Publish this worker's wall position so the locked
                     // round below stamps its decisions at the morsel's
                     // end, then log the claim itself.
-                    tracer.set_clock(
-                        w,
-                        (core.cycles() - base_cycles)
-                            + (core.idle_cycles() - base_idle)
-                            + opt_cycles,
-                    );
+                    tracer.set_clock(w, wall(core, opt_cycles));
                     tracer.emit(w, qid, || TraceEvent::MorselClaim {
                         socket,
                         start_row: start,
@@ -1114,51 +1108,33 @@ fn serve_worker<'a, 'p, 't>(
                         start_cycles: start_pos,
                         cycles: stats.counters.cycles,
                         trial: is_trial,
-                        epoch,
+                        epoch: local_epochs[qid],
                     });
                 }
 
-                // The shared trial/reopt choreography from the
-                // coordinator, with the estimator cycles it charged to
-                // this worker mirrored into the wall-clock position.
-                let coord_ref = QueryCoordRef { state, qid };
-                let outcome = if is_trial {
-                    let cfg = reopt.expect("trials are only scheduled when reopt is on");
-                    match trial_round(&coord_ref, w, &stats, cfg, cpu_cfg) {
-                        Ok(((published, new_epoch), opt)) => {
-                            // Adopt whatever order the resolution left
-                            // published (the trial order if accepted,
-                            // the incumbent if not).
-                            opt_cycles += opt;
-                            local_epochs[qid] = new_epoch;
-                            shards[qid].set_order(&published)
-                        }
-                        Err(err) => Err(err),
-                    }
-                } else {
-                    opt_cycles += normal_round(
-                        &coord_ref,
-                        w,
-                        epoch,
-                        &stats,
-                        reopt,
-                        cpu_cfg,
-                        // A trial can be leased by any worker still
-                        // serving this query, so "work remains" is
-                        // pool-wide, not this worker's share.
-                        !dispatchers[qid].exhausted(),
-                    );
-                    Ok(())
-                };
-                if let Err(err) = outcome {
-                    state.lock().expect("scheduler lock").error = Some(err);
-                    break;
-                }
+                // The shared morsel step from the coordinator, with the
+                // estimator cycles it charged to this worker mirrored
+                // into the wall-clock position.
+                let (opt, _) = finish_morsel(
+                    &QueryCoordRef { state, qid },
+                    w,
+                    is_trial,
+                    &stats,
+                    &mut shards[qid],
+                    &mut local_epochs[qid],
+                    reopt,
+                    cpu_cfg,
+                    // A trial can be leased by any worker still serving
+                    // this query, so "work remains" is pool-wide, not
+                    // this worker's share.
+                    !dispatchers[qid].exhausted(),
+                )?;
+                opt_cycles += opt;
 
                 // Completion accounting: the query finishes at the
                 // wall-clock position of the worker that ran its last
                 // morsel.
-                let mut guard = state.lock().expect("scheduler lock");
+                let mut guard = locked(state);
                 let st = &mut *guard;
                 let entry = &mut st.queries[qid];
                 entry.totals.accumulate(&stats);
@@ -1169,8 +1145,7 @@ fn serve_worker<'a, 'p, 't>(
                 // wall-clock position any of its morsels reached (a
                 // lagging core's completion never rewinds the clock of
                 // an earlier one).
-                let idle_total = core.idle_cycles() - base_idle;
-                let vt = (core.cycles() - base_cycles) + idle_total + opt_cycles;
+                let vt = wall(core, opt_cycles);
                 entry.finish_vt = Some(entry.finish_vt.unwrap_or(0).max(vt));
                 // Mid-run publication: the query just completed (every
                 // one of its morsels has resolved — a leased trial
@@ -1180,7 +1155,7 @@ fn serve_worker<'a, 'p, 't>(
                 // the template in this same batch can warm from it; a
                 // warm instance feeds the staleness accounting instead.
                 if entry.completed == entry.total_morsels {
-                    entry.coord.abandon_unleased_trial();
+                    entry.coord.abandon_trials();
                     if let Some(tracer) = trace {
                         tracer.emit_at(w, qid, vt, || TraceEvent::Complete {
                             qualified: entry.totals.qualified,
@@ -1233,16 +1208,16 @@ fn serve_worker<'a, 'p, 't>(
         // footprint declaration repartitions it anyway.
         core.set_llc_ways(base_ways);
     }
-    (
+    Ok((
         core.cycles() - base_cycles,
         core.idle_cycles() - base_idle,
         opt_cycles,
-    )
+    ))
 }
 
 /// Locked access to one served query's coordination state: the server's
 /// single mutex plus the query index, plugged into the coordinator's
-/// shared [`trial_round`] / [`normal_round`] choreography.
+/// shared [`finish_morsel`] choreography.
 struct QueryCoordRef<'s, 'a, 'p, 't> {
     state: &'s Mutex<ServerState<'a, 'p, 't>>,
     qid: usize,
@@ -1250,6 +1225,6 @@ struct QueryCoordRef<'s, 'a, 'p, 't> {
 
 impl<'a, 'p, 't> WithCoord<'a, ServeTarget<'p, 't>> for QueryCoordRef<'_, 'a, 'p, 't> {
     fn with<R>(&self, f: impl FnOnce(&mut CoordState<'a, ServeTarget<'p, 't>>) -> R) -> R {
-        f(&mut self.state.lock().expect("coordination lock").queries[self.qid].coord)
+        f(&mut locked(self.state).queries[self.qid].coord)
     }
 }
