@@ -16,20 +16,31 @@
 //! Clustered data makes consecutive rows *identical* to the simulator:
 //! once the shipdate predicate that fails for the current months leads,
 //! thousands of rows in a row are "load the leading column(s), fail at
-//! stage `k`, take the back-edge". After [`RUN_TRIGGER`] consecutive rows
-//! failed at the same stage `k` behind a selection-only prefix (no probe
-//! in stages `0..=k`, so every address is a function of the row number),
-//! the kernel looks ahead with plain host compares for how far that
-//! outcome repeats and accounts the whole run in bulk:
+//! stage `k`, take the back-edge"; once a join through a co-clustered
+//! foreign key leads, so are the rows whose keys share a failing
+//! dimension tuple. After [`RUN_TRIGGER`] consecutive rows failed at the
+//! same stage `k` behind the *run prefix* — the leading stages whose
+//! streams are their own (read at the base of the slot's first user, so
+//! a column's addresses are a function of the row number and a probe's
+//! of the row's key) — the kernel looks ahead with plain host compares
+//! (a probe's outcome is `probe[fk[i]]`) for how far that outcome repeats
+//! and accounts the whole run in bulk:
 //!
 //! * **instructions** by multiplication;
-//! * **loads** — `k == 0`: every load of the run belongs to one dense
-//!   stream, which is [`BatchCpu::load_elements_seq`]'s closed form.
-//!   `k ≥ 1`: several streams interleave, and the hierarchy is shared
-//!   state, so line crossings are walked in exactly the fused loop's
-//!   order (row-major, never reordered across streams); only the element
-//!   hits between two crossings — which touch no simulated state — are
-//!   a counter add;
+//! * **loads** — `k == 0` on a selection: every load of the run belongs
+//!   to one dense stream, which is [`BatchCpu::load_elements_seq`]'s
+//!   closed form. Otherwise several streams interleave, and the
+//!   hierarchy is shared state, so line crossings are walked in exactly
+//!   the fused loop's order (row-major, never reordered across streams;
+//!   within a row each stage's column, then its probe); only the element
+//!   hits between two crossings — which touch no simulated state — are a
+//!   counter add. A column's next possible crossing is where its address
+//!   leaves the current line; a probe's is the first later row whose key
+//!   addresses another line, found by scanning the keys up to the
+//!   nearest column crossing. Every row in between finds each stream on
+//!   the line its own last load left it on, which is exactly the
+//!   condition under which [`BatchCpu::load_quiet`] counts an element
+//!   hit and touches nothing;
 //! * **branches** by stepping the predictor row by row until a *fixed
 //!   point*: a whole row after which the history register is what it was
 //!   before the row and no automaton moved. The predictor is a
@@ -132,10 +143,21 @@ impl Stage<'_> {
         probe: None,
     };
 
-    /// The outcome of a selection stage for row `i`, on the host alone.
+    /// The stage's probe, as the loop instance for shapes with
+    /// (`PROBES`) or without probes sees it.
     #[inline(always)]
-    fn selects(&self, i: usize) -> bool {
-        self.op.eval(i64::from(self.column.values[i]), self.literal)
+    fn probe<const PROBES: bool>(&self) -> Option<&Slotted<'_>> {
+        self.probe.as_ref().filter(|_| PROBES)
+    }
+
+    /// The outcome of the stage for row `i`, on the host alone.
+    #[inline(always)]
+    fn selects<const PROBES: bool>(&self, i: usize) -> bool {
+        let value = match self.probe::<PROBES>() {
+            Some(p) => p.values[self.column.values[i] as usize],
+            None => self.column.values[i],
+        };
+        self.op.eval(i64::from(value), self.literal)
     }
 }
 
@@ -172,8 +194,9 @@ pub(crate) struct RowKernel<'t> {
     /// `SimCpu::load` does through its per-stream table.
     slot_streams: [(usize, u64); MAX_SLOTS],
     n_slots: usize,
-    /// Leading stages without a probe: where runs can be compressed.
-    select_prefix: usize,
+    /// Leading stages whose streams are their own: where runs can be
+    /// compressed.
+    run_prefix: usize,
     costs: InstrCosts,
 }
 
@@ -186,7 +209,7 @@ impl<'t> RowKernel<'t> {
             n_aggs: 0,
             slot_streams: [(usize::MAX, 0); MAX_SLOTS],
             n_slots: 0,
-            select_prefix: 0,
+            run_prefix: 0,
             costs,
         }
     }
@@ -236,9 +259,9 @@ impl<'t> RowKernel<'t> {
         // The bulk paths model one address sequence per slot, so a stage
         // reading its stream at another base than the slot's first user
         // (stream ids colliding across tables) ends the prefix too.
-        let own_slot = self.slot_streams[column.slot].1 == column.base;
-        if probe.is_none() && own_slot && self.select_prefix == self.n_stages {
-            self.select_prefix += 1;
+        let own = |s: &Slotted<'_>| self.slot_streams[s.slot].1 == s.base;
+        if own(&column) && probe.as_ref().is_none_or(own) && self.run_prefix == self.n_stages {
+            self.run_prefix += 1;
         }
         self.stages[self.n_stages] = Stage {
             column,
@@ -351,15 +374,15 @@ impl<'t> RowKernel<'t> {
             let mut failed = stages.len();
             for (k, stg) in stages.iter().enumerate() {
                 hits += batch.load_quiet(&mut slots[stg.column.slot], stg.column.addr(i), 4);
-                let value = match &stg.probe {
-                    Some(p) if PROBES => {
+                let value = match stg.probe::<PROBES>() {
+                    Some(p) => {
                         let key = stg.column.values[i] as usize;
                         // The full key range was validated at lowering.
                         debug_assert!(key < p.values.len(), "dangling foreign key");
                         hits += batch.load_quiet(&mut slots[p.slot], p.addr(key), 4);
                         p.values[key]
                     }
-                    _ => stg.column.values[i],
+                    None => stg.column.values[i],
                 };
                 instrs += stg.instrs;
                 let ok = stg.op.eval(i64::from(value), stg.literal);
@@ -398,14 +421,14 @@ impl<'t> RowKernel<'t> {
             mp_taken += w;
             i += 1;
 
-            if streak >= RUN_TRIGGER && failed < self.select_prefix {
+            if streak >= RUN_TRIGGER && failed < self.run_prefix {
                 streak = 0;
                 let prefix = &stages[..=failed];
-                let rows = run_length(prefix, i, end);
+                let rows = run_length::<PROBES>(prefix, i, end);
                 if rows == 0 {
                     continue;
                 }
-                let run = account_run(batch, slots, hist, prefix, i, rows, line_bytes);
+                let run = account_run::<PROBES>(batch, slots, hist, prefix, i, rows, line_bytes);
                 let n = rows as u64;
                 let row_instrs: u64 = prefix.iter().map(|s| s.instrs).sum();
                 instrs += n * (costs.loop_overhead + row_instrs);
@@ -456,7 +479,7 @@ fn count_scan(
     let mut mp_taken = 0u64;
     let mut mp_not_taken = 0u64;
     for i in rows {
-        let ok = only.selects(i);
+        let ok = only.selects::<false>(i);
         let tk = u64::from(!ok);
         let (w, _) = batch.branch_hist(&mut hist, only.site, !ok);
         failed += tk;
@@ -481,19 +504,19 @@ fn count_scan(
 /// How many rows from `from` on repeat the outcome "pass every stage of
 /// `prefix` but the last, fail the last" — plain host compares, no
 /// simulated event.
-fn run_length(prefix: &[Stage<'_>], from: usize, end: usize) -> usize {
+fn run_length<const PROBES: bool>(prefix: &[Stage<'_>], from: usize, end: usize) -> usize {
     let (last, passing) = prefix.split_last().expect("a failing stage");
     (from..end)
-        .position(|i| last.selects(i) || !passing.iter().all(|s| s.selects(i)))
+        .position(|i| last.selects::<PROBES>(i) || !passing.iter().all(|s| s.selects::<PROBES>(i)))
         .unwrap_or(end - from)
 }
 
 /// Account `rows` rows starting at `from` that all fail at the last stage
-/// of `prefix` (selections only): the run's loads and branch events, in
-/// bulk (see the [module documentation](self)). Instruction and branch
+/// of `prefix` (a run prefix): the run's loads and branch events, in bulk
+/// (see the [module documentation](self)). Instruction and branch
 /// *counts* are plain products the caller adds.
 #[inline(never)]
-fn account_run(
+fn account_run<const PROBES: bool>(
     batch: &mut BatchCpu<'_>,
     slots: &mut [u64; MAX_SLOTS],
     mut history: u32,
@@ -506,15 +529,18 @@ fn account_run(
     let end = from + rows;
 
     let mut hits = 0u64;
-    if passing.is_empty() {
+    if passing.is_empty() && last.probe::<PROBES>().is_none() {
         let column = &last.column;
         hits = batch.load_elements_seq(&mut slots[column.slot], column.addr(from), 4, rows as u64);
     } else {
-        // Row-major over the prefix columns. A row that may enter a new
+        // Row-major over the prefix streams. A row that may enter a new
         // line on some stream is loaded event by event, so crossings
         // reach the hierarchy in the fused loop's order; the rows up to
         // the next possible crossing stay within every stream's current
         // line and are element hits.
+        let probes = prefix.iter().filter(|s| s.probe::<PROBES>().is_some());
+        let loads = prefix.len() + probes.count();
+        let line_shift = line_bytes.trailing_zeros();
         let mut row = from;
         while row < end {
             let mut next = end;
@@ -523,8 +549,28 @@ fn account_run(
                 hits += batch.load_quiet(&mut slots[stg.column.slot], addr, 4);
                 let in_line = (line_bytes - (addr & (line_bytes - 1))) / 4;
                 next = next.min(row + (in_line as usize).max(1));
+                if let Some(p) = stg.probe::<PROBES>() {
+                    let key = stg.column.values[row] as usize;
+                    hits += batch.load_quiet(&mut slots[p.slot], p.addr(key), 4);
+                }
             }
-            hits += ((next - row - 1) * prefix.len()) as u64;
+            // A probe stream stays put while the keys address the line
+            // its last load ended on (wholly: an element straddling into
+            // the next line crosses).
+            for stg in prefix {
+                if let Some(p) = stg.probe::<PROBES>() {
+                    let keys = &stg.column.values[row..next];
+                    let line = (p.addr(keys[0] as usize) + 3) >> line_shift;
+                    let leaves = keys[1..].iter().position(|&key| {
+                        let addr = p.addr(key as usize);
+                        (addr >> line_shift != line) | ((addr + 3) >> line_shift != line)
+                    });
+                    if let Some(k) = leaves {
+                        next = row + 1 + k;
+                    }
+                }
+            }
+            hits += ((next - row - 1) * loads) as u64;
             row = next;
         }
     }

@@ -5,8 +5,9 @@
 //! construction, executing rows through the batched fast path performs
 //! zero allocations (serial), the parallel claim → execute → sample
 //! loop performs none per morsel (total allocations are independent of
-//! the morsel count when reoptimization is off), and one evaluation of
-//! the estimator's counter model performs none.
+//! the morsel count when reoptimization is off), one evaluation of the
+//! estimator's prepared counter model performs none, and a whole fit
+//! allocates per optimization start, never per evaluation.
 //!
 //! The counter is process-wide, so this target runs without the libtest
 //! harness (`harness = false`): `main` runs the checks one after another
@@ -87,16 +88,16 @@ fn main() {
     serial_vector_loop_is_allocation_free();
     parallel_morsel_loop_is_allocation_free();
     model_evaluation_is_allocation_free();
-    println!("alloc_free: 3 checks passed");
+    fit_allocates_per_start_not_per_evaluation();
+    println!("alloc_free: 4 checks passed");
 }
 
-/// The estimator's objective calls `estimate_counters` once per
-/// evaluation, a few hundred times per fit: on a 4-stage star geometry
-/// (selection + three join probes) it must not touch the heap.
-fn model_evaluation_is_allocation_free() {
-    use popt_cost::estimate::{estimate_counters, PlanGeometry, ProbeGeometry};
+/// The 4-stage star geometry (selection + three join probes) the
+/// benchmark's `join_star` fits.
+fn star_geometry(n_input: u64) -> popt_cost::estimate::PlanGeometry {
+    use popt_cost::estimate::{PlanGeometry, ProbeGeometry};
     use popt_cost::join_model::JoinGeometry;
-    let mut geom = PlanGeometry::uniform_i32(1 << 20, 4);
+    let mut geom = PlanGeometry::uniform_i32(n_input, 4);
     let probe = |tuples| {
         let relation = JoinGeometry {
             relation_tuples: tuples,
@@ -107,18 +108,74 @@ fn model_evaluation_is_allocation_free() {
         Some(ProbeGeometry::random(relation, 64.0 * 1024.0))
     };
     geom.probes = vec![None, probe(500_000), probe(60_000), probe(8_000)];
+    geom
+}
+
+/// The estimator's objective evaluates the prepared counter model once
+/// per evaluation, a few hundred times per fit: on the star geometry it
+/// must not touch the heap.
+fn model_evaluation_is_allocation_free() {
+    use popt_cost::estimate::CounterModel;
+    let geom = star_geometry(1 << 20);
     let survivors = [700_000.0, 400_000.0, 90_000.0, 20_000.0];
-    let warm = estimate_counters(&geom, &survivors);
+    let model = CounterModel::new(&geom, survivors[3]);
+    let warm = model.estimate(&survivors);
     let before = allocations();
     let mut l3 = 0.0;
     for k in 0..100 {
         let mut s = survivors;
         s[1] += f64::from(k) * 100.0;
-        l3 += estimate_counters(&geom, &s).l3_accesses;
+        l3 += model.estimate(&s).l3_accesses;
     }
     let delta = allocations() - before;
     assert_eq!(delta, 0, "100 model evaluations allocated {delta} times");
     assert!(l3 > warm.l3_accesses);
+}
+
+/// A whole fit on the star geometry: the search allocates for each
+/// optimization start (its start point, simplex and result) and once per
+/// fit (bounds, prepared model, estimate), never per evaluation — a
+/// bound on allocations in `starts_used` alone, far below the evaluation
+/// count.
+fn fit_allocates_per_start_not_per_evaluation() {
+    use popt_cost::estimate::estimate_counters;
+    use popt_solver::{estimate_selectivities, EstimatorConfig, SampledCounters};
+    /// Allocations a start may make (start point, region split, simplex),
+    /// and a fit besides its starts.
+    const PER_START: u64 = 32;
+    const PER_FIT: u64 = 32;
+    let geom = star_geometry(32_768);
+    let est = estimate_counters(&geom, &[26_000.0, 14_000.0, 9_000.0, 2_500.0]);
+    let sampled = SampledCounters {
+        n_input: geom.n_input,
+        n_output: 2_500,
+        bnt: est.bnt.round() as u64,
+        mp_taken: (est.mp_taken * 1.03).round() as u64,
+        mp_not_taken: est.mp_not_taken.round() as u64,
+        l3_accesses: (est.l3_accesses * 0.97).round() as u64,
+    };
+    let fit = |config: &EstimatorConfig| {
+        let before = allocations();
+        let fit = estimate_selectivities(&geom, &sampled, config);
+        let delta = allocations() - before;
+        let starts = fit.starts_used as u64;
+        assert!(
+            delta <= PER_START * starts + PER_FIT,
+            "{delta} allocations for {starts} starts, {} evaluations",
+            fit.evaluations
+        );
+        (delta, fit.evaluations as u64)
+    };
+    fit(&EstimatorConfig::default());
+    // A tolerance so tight that each search runs for hundreds of
+    // evaluations: still no more allocations than its starts explain.
+    let mut tight = EstimatorConfig::default();
+    tight.nelder_mead.ftol_abs = 1e-12;
+    let (delta, evaluations) = fit(&tight);
+    assert!(
+        evaluations > 10 * delta,
+        "{delta} allocations against {evaluations} evaluations"
+    );
 }
 
 /// Serial morsel loop: after one warmup vector (stream-state slots may

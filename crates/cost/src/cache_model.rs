@@ -59,9 +59,31 @@ pub fn l3_accesses(geom: &CacheGeometry, n: u64, density: f64) -> f64 {
         (0.0..=1.0).contains(&density),
         "density out of range: {density}"
     );
-    let lines = geom.lines(n);
-    let v = geom.values_per_line();
-    lines * (1.0 - (1.0 - density).powf(2.0 * v))
+    ColumnL3::new(geom, n).at(density)
+}
+
+/// The per-column constants of [`l3_accesses`] — the column's line count
+/// and the exponent `2v` — for a caller that prices one column at many
+/// densities.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnL3 {
+    lines: f64,
+    two_v: f64,
+}
+
+impl ColumnL3 {
+    pub(crate) fn new(geom: &CacheGeometry, n: u64) -> Self {
+        Self {
+            lines: geom.lines(n),
+            two_v: 2.0 * geom.values_per_line(),
+        }
+    }
+
+    /// [`l3_accesses`] at `density` (in `[0, 1]`).
+    pub(crate) fn at(&self, density: f64) -> f64 {
+        debug_assert!((0.0..=1.0).contains(&density), "density {density}");
+        self.lines * (1.0 - (1.0 - density).powf(self.two_v))
+    }
 }
 
 /// The unmodified Pirk et al. estimate (touched lines only, no double

@@ -12,8 +12,8 @@
 //! `p_j = a_j / a_{j-1}` with `a_0 = tupsin`.
 
 use crate::branch_costs::peo_branch_totals;
-use crate::cache_model::{l3_accesses, CacheGeometry};
-use crate::join_model::{random_misses_f, sequential_misses_f, JoinGeometry};
+use crate::cache_model::{CacheGeometry, ColumnL3};
+use crate::join_model::{random_misses_f, sequential_misses_f, JoinGeometry, SequentialLines};
 use crate::markov::ChainSpec;
 
 /// A foreign-key join filter at one plan position: per surviving tuple the
@@ -68,13 +68,7 @@ impl ProbeGeometry {
     /// pair: one access per touched line. The measured clustering blends
     /// the two regimes.
     pub fn l3_accesses(&self, r: f64) -> f64 {
-        let r = r.max(0.0);
-        if self.relation.relation_bytes() <= self.upper_cache_bytes {
-            return 0.0;
-        }
-        let random = 2.0 * r;
-        let sequential = sequential_misses_f(&self.relation, r);
-        self.clustering * random + (1.0 - self.clustering) * sequential
+        ProbeL3::new(self).at(r)
     }
 
     /// Expected L3 *misses* for `r` probes: the Equation-1 random miss
@@ -86,6 +80,40 @@ impl ProbeGeometry {
         }
         self.clustering * random_misses_f(&self.relation, r)
             + (1.0 - self.clustering) * sequential_misses_f(&self.relation, r)
+    }
+}
+
+/// The per-probe constants of [`ProbeGeometry::l3_accesses`], for a
+/// caller that prices one probe at many reaching counts.
+#[derive(Debug, Clone, Copy)]
+struct ProbeL3 {
+    /// The relation fits the upper cache: probes never reach L3.
+    resident: bool,
+    clustering: f64,
+    /// `1 − clustering`.
+    unclustered: f64,
+    sequential: SequentialLines,
+}
+
+impl ProbeL3 {
+    fn new(probe: &ProbeGeometry) -> Self {
+        Self {
+            resident: probe.relation.relation_bytes() <= probe.upper_cache_bytes,
+            clustering: probe.clustering,
+            unclustered: 1.0 - probe.clustering,
+            sequential: SequentialLines::new(&probe.relation),
+        }
+    }
+
+    /// [`ProbeGeometry::l3_accesses`] for `r` probes.
+    fn at(&self, r: f64) -> f64 {
+        let r = r.max(0.0);
+        if self.resident {
+            return 0.0;
+        }
+        let random = 2.0 * r;
+        let sequential = self.sequential.at(r);
+        self.clustering * random + self.unclustered * sequential
     }
 }
 
@@ -194,68 +222,145 @@ pub fn selectivities(n_input: u64, survivors: &[f64]) -> impl Iterator<Item = f6
 }
 
 /// Predict all counters for the survivor hypothesis `survivors`
-/// (`survivors.len()` must equal the number of predicates). Performs no
-/// heap allocation: the estimator evaluates it once per objective call.
+/// (`survivors.len()` must equal the number of predicates). A one-off
+/// prediction: a search that evaluates one geometry many times prepares a
+/// [`CounterModel`] once instead.
 pub fn estimate_counters(geom: &PlanGeometry, survivors: &[f64]) -> CounterEstimate {
-    assert_eq!(
-        survivors.len(),
-        geom.predicates(),
-        "one survivor count per predicate required"
-    );
-    assert_eq!(
-        geom.column_ids.len(),
-        geom.predicates(),
-        "one column id per predicate required"
-    );
-    assert!(
-        geom.probes.is_empty() || geom.probes.len() == geom.predicates(),
-        "probes must be empty or one per predicate"
-    );
-    let sels = selectivities(geom.n_input, survivors);
-    let branches = peo_branch_totals(geom.n_input, sels, &geom.chain, true);
+    CounterModel::new(geom, survivors.last().copied().unwrap_or(0.0)).estimate(survivors)
+}
 
-    // Column read densities: predicate j reads its column for every tuple
-    // that survived predicates 0..j. Densities only shrink along the
-    // chain, so a column's first read dominates and repeated reads of the
-    // same column are cache-resident — they cost no further L3 accesses.
-    // A join-filter stage additionally probes its dimension once per
-    // reaching tuple, priced by the stage's [`ProbeGeometry`].
-    let n = geom.n_input as f64;
-    let mut l3 = 0.0;
-    let mut density = 1.0;
-    let mut reaching = n;
-    for (j, &width) in geom.value_bytes.iter().enumerate() {
-        if geom.first_read(j) {
+/// The counter model of one geometry, prepared for a search that pins the
+/// last survivor count (the estimator's `n_output`). What depends only on
+/// the geometry or that count is computed once — per-position line
+/// counts, exponents, first-read flags and probe constants; position 0's
+/// L3 term (density 1, all `n` tuples reaching its probe); the aggregate
+/// columns' terms (at the pinned output density). [`CounterModel::estimate`]
+/// performs the remaining floating-point operations in the model's order
+/// and adds the constants where they always stood: bit-identical to the
+/// model computed anew, and free of heap allocation.
+#[derive(Debug, Clone)]
+pub struct CounterModel<'g> {
+    geom: &'g PlanGeometry,
+    /// The pinned last survivor count.
+    output: f64,
+    /// L3 accesses of position 0: its column, then its probe.
+    head: f64,
+    /// Per position from 1 on: the column's L3 constants where the
+    /// position is the first to read it (repeated reads are resident),
+    /// and the probe's where the position is a join.
+    positions: Vec<(Option<ColumnL3>, Option<ProbeL3>)>,
+    /// L3 accesses of each aggregate column, in order.
+    aggs: Vec<f64>,
+}
+
+impl<'g> CounterModel<'g> {
+    /// Prepare `geom` for hypotheses whose last survivor count is
+    /// `output`.
+    pub fn new(geom: &'g PlanGeometry, output: f64) -> Self {
+        let p = geom.predicates();
+        assert_eq!(
+            geom.column_ids.len(),
+            p,
+            "one column id per predicate required"
+        );
+        assert!(
+            geom.probes.is_empty() || geom.probes.len() == p,
+            "probes must be empty or one per predicate"
+        );
+        let n = geom.n_input as f64;
+        let column = |width: u32| {
             let cg = CacheGeometry {
                 line_bytes: geom.line_bytes,
                 value_bytes: width,
             };
-            l3 += l3_accesses(&cg, geom.n_input, density);
-        }
-        if let Some(probe) = geom.probe(j) {
-            l3 += probe.l3_accesses(reaching);
-        }
-        density = if n > 0.0 {
-            (survivors[j] / n).clamp(0.0, 1.0)
-        } else {
-            0.0
+            ColumnL3::new(&cg, geom.n_input)
         };
-        reaching = survivors[j].clamp(0.0, reaching);
-    }
-    for &width in &geom.agg_bytes {
-        let cg = CacheGeometry {
-            line_bytes: geom.line_bytes,
-            value_bytes: width,
-        };
-        l3 += l3_accesses(&cg, geom.n_input, density);
+        let mut head = 0.0;
+        if let Some(&width) = geom.value_bytes.first() {
+            head += column(width).at(1.0);
+            if let Some(probe) = geom.probe(0) {
+                head += probe.l3_accesses(n);
+            }
+        }
+        let positions = (1..p)
+            .map(|j| {
+                let read = geom.first_read(j).then(|| column(geom.value_bytes[j]));
+                (read, geom.probe(j).map(ProbeL3::new))
+            })
+            .collect();
+        let density = if p == 0 { 1.0 } else { read_density(n, output) };
+        let aggs = geom
+            .agg_bytes
+            .iter()
+            .map(|&width| column(width).at(density))
+            .collect();
+        Self {
+            geom,
+            output,
+            head,
+            positions,
+            aggs,
+        }
     }
 
-    CounterEstimate {
-        bnt: branches.bnt,
-        bt: branches.bt,
-        mp_taken: branches.mp_taken,
-        mp_not_taken: branches.mp_not_taken,
-        l3_accesses: l3,
+    /// Predict all counters for `survivors`, whose last entry must be the
+    /// pinned output count.
+    pub fn estimate(&self, survivors: &[f64]) -> CounterEstimate {
+        let geom = self.geom;
+        assert_eq!(
+            survivors.len(),
+            geom.predicates(),
+            "one survivor count per predicate required"
+        );
+        debug_assert!(
+            survivors
+                .last()
+                .is_none_or(|a| a.to_bits() == self.output.to_bits()),
+            "the last survivor count is pinned"
+        );
+        let sels = selectivities(geom.n_input, survivors);
+        let branches = peo_branch_totals(geom.n_input, sels, &geom.chain, true);
+
+        // Column read densities: predicate j reads its column for every
+        // tuple that survived predicates 0..j. Densities only shrink along
+        // the chain, so a column's first read dominates and repeated reads
+        // of the same column are cache-resident — they cost no further L3
+        // accesses. A join-filter stage additionally probes its dimension
+        // once per reaching tuple, priced by the stage's
+        // [`ProbeGeometry`].
+        let n = geom.n_input as f64;
+        let mut l3 = self.head;
+        let mut reaching = n;
+        for (&before, (read, probe)) in survivors.iter().zip(&self.positions) {
+            reaching = before.clamp(0.0, reaching);
+            if let Some(read) = read {
+                l3 += read.at(read_density(n, before));
+            }
+            if let Some(probe) = probe {
+                l3 += probe.at(reaching);
+            }
+        }
+        for &agg in &self.aggs {
+            l3 += agg;
+        }
+
+        CounterEstimate {
+            bnt: branches.bnt,
+            bt: branches.bt,
+            mp_taken: branches.mp_taken,
+            mp_not_taken: branches.mp_not_taken,
+            l3_accesses: l3,
+        }
+    }
+}
+
+/// The density at which a column is read behind `survivors` of `n` input
+/// tuples.
+fn read_density(n: f64, survivors: f64) -> f64 {
+    if n > 0.0 {
+        (survivors / n).clamp(0.0, 1.0)
+    } else {
+        0.0
     }
 }
 

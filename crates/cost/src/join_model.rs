@@ -105,8 +105,33 @@ pub fn sequential_misses(geom: &JoinGeometry, r: u64) -> f64 {
 
 /// [`sequential_misses`] over a fractional access count.
 pub fn sequential_misses_f(geom: &JoinGeometry, r: f64) -> f64 {
-    let touched = (r.max(0.0) * f64::from(geom.tuple_bytes) / f64::from(geom.line_bytes)).ceil();
-    touched.min(geom.relation_lines())
+    SequentialLines::new(geom).at(r)
+}
+
+/// The per-relation constants of [`sequential_misses_f`] — tuple and line
+/// width, relation lines — for a caller that prices one relation at many
+/// access counts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SequentialLines {
+    tuple_bytes: f64,
+    line_bytes: f64,
+    relation_lines: f64,
+}
+
+impl SequentialLines {
+    pub(crate) fn new(geom: &JoinGeometry) -> Self {
+        Self {
+            tuple_bytes: f64::from(geom.tuple_bytes),
+            line_bytes: f64::from(geom.line_bytes),
+            relation_lines: geom.relation_lines(),
+        }
+    }
+
+    /// [`sequential_misses_f`] for `r` accesses.
+    pub(crate) fn at(&self, r: f64) -> f64 {
+        let touched = (r.max(0.0) * self.tuple_bytes / self.line_bytes).ceil();
+        touched.min(self.relation_lines)
+    }
 }
 
 /// Co-clusteredness score from measured counters (Sections 5.5–5.6):

@@ -16,8 +16,7 @@
 
 use crate::linalg;
 
-/// Largest supported state count: a stationary distribution fits a
-/// fixed array, so deriving one never allocates.
+/// Largest supported state count.
 pub const MAX_STATES: usize = 16;
 
 /// An n-state chain with a configurable prediction split.
@@ -128,7 +127,8 @@ impl ChainSpec {
         }
     }
 
-    fn validate(&self) {
+    /// Check the chain's shape and that `p` is a selectivity.
+    fn validate(&self, p: f64) {
         assert!(
             (2..=MAX_STATES).contains(&usize::from(self.states)),
             "state count {} out of supported range",
@@ -138,51 +138,55 @@ impl ChainSpec {
             self.not_taken_states >= 1 && self.not_taken_states < self.states,
             "prediction split must leave states on both sides"
         );
+        assert!((0.0..=1.0).contains(&p), "selectivity out of range: {p}");
     }
 
     /// Stationary distribution over states for selectivity `p` (probability
     /// of "not taken"), in closed form. State 0 is "strongly not taken".
     pub fn stationary(&self, p: f64) -> Vec<f64> {
-        self.stationary_array(p)[..self.states as usize].to_vec()
-    }
-
-    /// [`ChainSpec::stationary`] in the first `states` entries of a fixed
-    /// array — the allocation-free form the per-evaluation model path
-    /// ([`ChainSpec::probabilities`]) runs on.
-    fn stationary_array(&self, p: f64) -> [f64; MAX_STATES] {
-        self.validate();
-        assert!((0.0..=1.0).contains(&p), "selectivity out of range: {p}");
+        self.validate(p);
         let n = self.states as usize;
-        let mut v = [0.0; MAX_STATES];
+        let mut v = vec![0.0; n];
         // Degenerate endpoints: all mass in a corner state.
         if p <= 0.0 {
             v[n - 1] = 1.0;
-            return v;
-        }
-        if p >= 1.0 {
+        } else if p >= 1.0 {
             v[0] = 1.0;
-            return v;
-        }
-        // π_{i+1}/π_i = (1-p)/p; normalize the geometric sequence.
-        let r = (1.0 - p) / p;
-        let mut acc = 0.0;
-        let mut cur = 1.0;
-        for x in &mut v[..n] {
-            *x = cur;
-            acc += cur;
-            cur *= r;
-        }
-        for x in &mut v[..n] {
-            *x /= acc;
+        } else {
+            for (x, pi) in v.iter_mut().zip(self.interior(p, n)) {
+                *x = pi;
+            }
         }
         v
+    }
+
+    /// The first `take` stationary probabilities at a selectivity strictly
+    /// inside `(0, 1)`, in state order: `π_{i+1}/π_i = (1-p)/p`, the
+    /// geometric sequence normalised by its total over all states one
+    /// term at a time — so a caller summing a prefix
+    /// ([`ChainSpec::probabilities`]) divides only that prefix and needs
+    /// no buffer.
+    fn interior(&self, p: f64, take: usize) -> impl Iterator<Item = f64> {
+        let r = (1.0 - p) / p;
+        let mut total = 0.0;
+        let mut cur = 1.0;
+        for _ in 0..self.states {
+            total += cur;
+            cur *= r;
+        }
+        let mut cur = 1.0;
+        (0..take).map(move |_| {
+            let pi = cur / total;
+            cur *= r;
+            pi
+        })
     }
 
     /// Stationary distribution computed by solving the balance equations
     /// `π·P = π`, `Σπ = 1` (the route of the paper's Equations 4a–4g).
     /// Slower; exists to cross-validate [`ChainSpec::stationary`].
     pub fn stationary_linear(&self, p: f64) -> Vec<f64> {
-        self.validate();
+        self.validate(p);
         let n = self.states as usize;
         if p <= 0.0 || p >= 1.0 {
             return self.stationary(p);
@@ -211,9 +215,14 @@ impl ChainSpec {
 
     /// Per-branch probabilities (Equations 5a–5f) at selectivity `p`.
     pub fn probabilities(&self, p: f64) -> BranchProbabilities {
-        let pi = self.stationary_array(p);
-        let k = self.not_taken_states as usize;
-        let predict_not_taken: f64 = pi[..k].iter().sum();
+        self.validate(p);
+        let predict_not_taken = if p <= 0.0 {
+            0.0
+        } else if p >= 1.0 {
+            1.0
+        } else {
+            self.interior(p, self.not_taken_states as usize).sum()
+        };
         let predict_taken = 1.0 - predict_not_taken;
         BranchProbabilities {
             predict_taken,
@@ -256,6 +265,58 @@ mod tests {
                 for (x, y) in a.iter().zip(&b) {
                     assert!((x - y).abs() < 1e-9, "{spec:?} p={p}: {a:?} vs {b:?}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn buffer_free_distribution_is_bit_identical_to_the_buffered_one() {
+        // The closed form as it was computed into a buffer: every state's
+        // weight, then every state divided by the total, then the
+        // not-taken prefix summed. `stationary` must hold the same
+        // quotients and `probabilities` the same sum, though it divides
+        // only the states it sums.
+        let buffered = |spec: ChainSpec, p: f64| {
+            let n = spec.states as usize;
+            let mut v = vec![0.0; n];
+            if p <= 0.0 {
+                v[n - 1] = 1.0;
+            } else if p >= 1.0 {
+                v[0] = 1.0;
+            } else {
+                let r = (1.0 - p) / p;
+                let mut acc = 0.0;
+                let mut cur = 1.0;
+                for x in &mut v {
+                    *x = cur;
+                    acc += cur;
+                    cur *= r;
+                }
+                for x in &mut v {
+                    *x /= acc;
+                }
+            }
+            let k = spec.not_taken_states as usize;
+            let not_taken: f64 = v[..k].iter().sum();
+            (v, not_taken)
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for spec in [
+            ChainSpec::SIX,
+            ChainSpec::FOUR,
+            ChainSpec::even(16),
+            ChainSpec::plus_one_taken(5),
+            ChainSpec::plus_one_not_taken(7),
+        ] {
+            for p in [0.0, 1e-9, 0.05, 0.3, 0.5, 0.77, 0.999_999, 1.0] {
+                let (v, not_taken) = buffered(spec, p);
+                assert_eq!(bits(&spec.stationary(p)), bits(&v), "{spec:?} p={p}");
+                let pr = spec.probabilities(p);
+                assert_eq!(
+                    pr.predict_not_taken.to_bits(),
+                    not_taken.to_bits(),
+                    "{spec:?} p={p}"
+                );
             }
         }
     }

@@ -24,7 +24,7 @@
 //! counters; the ablation benches zero individual weights.
 
 use popt_cost::estimate::{
-    estimate_counters, survivors_to_selectivities, CounterEstimate, PlanGeometry,
+    survivors_to_selectivities, CounterEstimate, CounterModel, PlanGeometry,
 };
 
 use crate::bounds::{bnt_bounds, SearchBounds};
@@ -179,7 +179,7 @@ pub struct EstimateResult {
 
 /// The Equation-10 objective for a full survivor vector whose predicted
 /// counters are `est`.
-fn objective(
+pub(crate) fn objective(
     est: CounterEstimate,
     sampled: &SampledCounters,
     weights: &CounterWeights,
@@ -210,17 +210,20 @@ pub fn estimate_selectivities(
     sampled: &SampledCounters,
     config: &EstimatorConfig,
 ) -> EstimateResult {
-    fit(geom, sampled, config, estimate_counters)
+    // Every hypothesis the search evaluates pins the last survivor count
+    // to the sampled output, so the model is prepared for it once.
+    let model = CounterModel::new(geom, sampled.n_output as f64);
+    fit(geom, sampled, config, |survivors| model.estimate(survivors))
 }
 
 /// [`estimate_selectivities`] over an explicit counter `model` — always
-/// [`estimate_counters`], except in the test that pins it bit for bit
-/// against the vector-building model functions.
+/// the prepared [`CounterModel`], except in the test that pins it bit for
+/// bit against the model computed anew on every call.
 fn fit(
     geom: &PlanGeometry,
     sampled: &SampledCounters,
     config: &EstimatorConfig,
-    model: impl Fn(&PlanGeometry, &[f64]) -> CounterEstimate,
+    model: impl Fn(&[f64]) -> CounterEstimate,
 ) -> EstimateResult {
     let p = geom.predicates();
     assert!(p >= 1, "need at least one predicate");
@@ -233,12 +236,7 @@ fn fit(
     if p == 1 {
         let survivors = vec![out];
         let selectivities = survivors_to_selectivities(sampled.n_input, &survivors);
-        let objective = objective(
-            model(geom, &survivors),
-            sampled,
-            &config.weights,
-            &survivors,
-        );
+        let objective = objective(model(&survivors), sampled, &config.weights, &survivors);
         return EstimateResult {
             survivors,
             selectivities,
@@ -269,7 +267,7 @@ fn fit(
             |x| {
                 full[..dims].copy_from_slice(x);
                 full[dims] = out;
-                objective(model(geom, &full), sampled, &config.weights, &full)
+                objective(model(&full), sampled, &config.weights, &full)
             },
             &start,
             &free_bounds.lower,
@@ -453,48 +451,102 @@ mod tests {
         );
     }
 
-    /// The counter model as it was before `estimate_counters` stopped
-    /// allocating: branch counters from the vector-building functions
-    /// (selectivity vector, per-predicate breakdown); the L3 term never
-    /// allocated.
-    fn allocating_model(geom: &PlanGeometry, survivors: &[f64]) -> CounterEstimate {
-        use popt_cost::branch_costs::estimate_peo_branches;
+    /// The counter model computed anew on every call, as it was
+    /// before it was prepared per fit: branch counters over fully
+    /// normalised stationary distributions, every L3 term — the head
+    /// column, first reads, probes, aggregates — recomputed from the
+    /// geometry.
+    fn reference_model(geom: &PlanGeometry, survivors: &[f64]) -> CounterEstimate {
+        use popt_cost::cache_model::CacheGeometry;
         let sels = survivors_to_selectivities(geom.n_input, survivors);
-        let branches = estimate_peo_branches(geom.n_input, &sels, &geom.chain, true);
+        let k = geom.chain.not_taken_states as usize;
+        let n = geom.n_input as f64;
+        let mut input = n;
+        let (mut bnt, mut bt, mut mp_taken, mut mp_not_taken) = (0.0, 0.0, 0.0, 0.0);
+        for &p in &sels {
+            let predict_not_taken: f64 = geom.chain.stationary(p)[..k].iter().sum();
+            let predict_taken = 1.0 - predict_not_taken;
+            bnt += input * p;
+            bt += input * (1.0 - p);
+            mp_taken += input * ((1.0 - p) * predict_not_taken);
+            mp_not_taken += input * (p * predict_taken);
+            input *= p;
+        }
+        bt += n;
+        let column_l3 = |width: u32, density: f64| {
+            let cg = CacheGeometry {
+                line_bytes: geom.line_bytes,
+                value_bytes: width,
+            };
+            let lines = cg.lines(geom.n_input);
+            lines * (1.0 - (1.0 - density).powf(2.0 * cg.values_per_line()))
+        };
+        let mut l3 = 0.0;
+        let mut density = 1.0;
+        let mut reaching = n;
+        for (j, &width) in geom.value_bytes.iter().enumerate() {
+            if geom.first_read(j) {
+                l3 += column_l3(width, density);
+            }
+            if let Some(probe) = geom.probe(j) {
+                l3 += probe.l3_accesses(reaching);
+            }
+            density = if n > 0.0 {
+                (survivors[j] / n).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            reaching = survivors[j].clamp(0.0, reaching);
+        }
+        for &width in &geom.agg_bytes {
+            l3 += column_l3(width, density);
+        }
         CounterEstimate {
-            bnt: branches.bnt,
-            bt: branches.bt,
-            mp_taken: branches.mp_taken,
-            mp_not_taken: branches.mp_not_taken,
-            l3_accesses: estimate_counters(geom, survivors).l3_accesses,
+            bnt,
+            bt,
+            mp_taken,
+            mp_not_taken,
+            l3_accesses: l3,
         }
     }
 
     #[test]
     fn fits_are_bit_identical_to_the_allocating_model() {
-        // The shapes the benchmark fits: the 4-stage star (selection +
-        // three dimension probes, as `join_star` samples it), plain
-        // multi-selections of 2-5 predicates, and samples the model cannot
-        // match exactly (counters off by a few percent), so the search
-        // runs its full course instead of stopping at a zero objective.
+        // The shapes the benchmark fits — the 4-stage star (selection +
+        // three dimension probes, as `join_star` samples it) and plain
+        // multi-selections — plus, for every p = 2…6, a star whose
+        // co-clustered probe leads and a Q6-style plan whose positions
+        // re-read one column (a range's two bounds), over 0/1/2 aggregate
+        // columns and four predictor chains. The samples are ones the
+        // model cannot match exactly (counters off by a few percent), so
+        // each search runs its full course instead of stopping at a zero
+        // objective.
         use popt_cost::estimate::ProbeGeometry;
         use popt_cost::join_model::JoinGeometry;
-        let probe = |tuples| {
+        use popt_cost::markov::ChainSpec;
+        let probe = |tuples, clustering| {
             let relation = JoinGeometry {
                 relation_tuples: tuples,
                 tuple_bytes: 4,
                 line_bytes: 64,
                 cache_lines: 1024 * 1024 / 64,
             };
-            Some(ProbeGeometry::random(relation, 64.0 * 1024.0))
+            let mut probe = ProbeGeometry::random(relation, 64.0 * 1024.0);
+            probe.clustering = clustering;
+            Some(probe)
         };
         let mut star = PlanGeometry::uniform_i32(32_768, 4);
-        star.probes = vec![None, probe(500_000), probe(60_000), probe(8_000)];
+        star.probes = vec![
+            None,
+            probe(500_000, 1.0),
+            probe(60_000, 1.0),
+            probe(8_000, 1.0),
+        ];
         let mut clustered = star.clone();
         if let Some(p) = clustered.probes[1].as_mut() {
             p.clustering = 0.35;
         }
-        let cases: Vec<(PlanGeometry, Vec<f64>)> = vec![
+        let mut cases: Vec<(PlanGeometry, Vec<f64>)> = vec![
             (star, vec![26_000.0, 14_000.0, 9_000.0, 2_500.0]),
             (clustered, vec![30_000.0, 6_000.0, 5_500.0, 300.0]),
             (
@@ -510,6 +562,43 @@ mod tests {
                 vec![60_000.0, 31_000.0, 30_000.0, 4_000.0, 3_999.0],
             ),
         ];
+        let chains = [
+            ChainSpec::SIX,
+            ChainSpec::FOUR,
+            ChainSpec::even(16),
+            ChainSpec::plus_one_not_taken(7),
+        ];
+        let selectivities = [0.3, 0.9, 0.55, 0.8, 0.35, 0.95];
+        for p in 2..=6 {
+            let survivors = |n: u64| -> Vec<f64> {
+                let fractions = selectivities[..p].iter();
+                fractions
+                    .scan(n as f64, |a, q| {
+                        *a *= q;
+                        Some(a.round())
+                    })
+                    .collect()
+            };
+            let mut star = PlanGeometry::uniform_i32(32_768, p);
+            star.probes = (0..p)
+                .map(|j| match j {
+                    0 => probe(8_192, 0.1),
+                    1 => None,
+                    _ => probe(40_000 * j as u64, 1.0),
+                })
+                .collect();
+            star.chain = chains[p % 4];
+            star.agg_bytes = vec![4; p % 3];
+            let n = star.n_input;
+            cases.push((star, survivors(n)));
+
+            let mut q6 = PlanGeometry::uniform_i32(65_536, p);
+            q6.column_ids = (0..p).map(|j| j / 2).collect();
+            q6.chain = chains[(p + 1) % 4];
+            q6.agg_bytes = vec![4; (p + 1) % 3];
+            let n = q6.n_input;
+            cases.push((q6, survivors(n)));
+        }
         let mut total_evaluations = 0;
         for (geom, survivors) in &cases {
             let mut sampled = synthetic_sample(geom, survivors);
@@ -517,18 +606,23 @@ mod tests {
             sampled.l3_accesses = sampled.l3_accesses * 97 / 100;
             for config in [EstimatorConfig::default(), tight_config()] {
                 let got = estimate_selectivities(geom, &sampled, &config);
-                let want = fit(geom, &sampled, &config, allocating_model);
+                let want = fit(geom, &sampled, &config, |s| reference_model(geom, s));
                 total_evaluations += got.evaluations;
-                assert_eq!(got.evaluations, want.evaluations);
-                assert_eq!(got.starts_used, want.starts_used);
-                assert_eq!(got.objective.to_bits(), want.objective.to_bits());
+                let case = format!("{:?} {:?}", geom.column_ids, geom.chain);
+                assert_eq!(got.evaluations, want.evaluations, "{case}");
+                assert_eq!(got.starts_used, want.starts_used, "{case}");
+                assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "{case}");
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got.survivors), bits(&want.survivors));
-                assert_eq!(bits(&got.selectivities), bits(&want.selectivities));
+                assert_eq!(bits(&got.survivors), bits(&want.survivors), "{case}");
+                assert_eq!(
+                    bits(&got.selectivities),
+                    bits(&want.selectivities),
+                    "{case}"
+                );
             }
         }
         assert!(
-            total_evaluations > 2_000,
+            total_evaluations > 20_000,
             "searches too short to pin anything: {total_evaluations} evaluations"
         );
     }

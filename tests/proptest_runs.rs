@@ -10,7 +10,12 @@
 //! and morsel boundaries), two stages share one column (as Q6's
 //! `shipdate ≥`/`<` do), selections sit before and after a join, and the
 //! predictor is varied down to a table so small that the leading site
-//! and the loop back-edge alias one automaton. Beyond `VectorStats` and
+//! and the loop back-edge alias one automaton. Joins probe either through
+//! a run-valued FK or through a monotone co-clustered one (`key = offset +
+//! i / group`, the offset putting group boundaries anywhere in a line), so
+//! consecutive rows probe the same or the next dimension line; such a
+//! join leads, sits between or follows the selections, and a second join
+//! may probe the same dimension. Beyond `VectorStats` and
 //! the counter bank, the comparison covers what a bulk-accounting
 //! shortcut could silently corrupt: remote-access counts, the whole
 //! predictor state (every automaton and the history register) and the
@@ -51,6 +56,15 @@ fn run_column(state: &mut u64, rows: usize, domain: u64) -> Vec<i32> {
 /// dimension with a random payload. One address space, so a placement
 /// can home parts of either table on another socket.
 fn tables(seed: u64) -> (Table, Table) {
+    let (fact, dim, _) = co_tables(seed, 1, 0);
+    (fact, dim)
+}
+
+/// [`tables`], plus a monotone co-clustered FK `fk_co = offset + i /
+/// group` on the fact table and the dimension it keys, whose payload is
+/// run-clustered (so consecutive keys fail or pass together for long
+/// stretches, as well as for a few groups).
+fn co_tables(seed: u64, group: usize, offset: usize) -> (Table, Table, Table) {
     let mut state = seed | 1;
     let mut space = AddressSpace::new();
     let mut fact = Table::new("fact");
@@ -65,7 +79,14 @@ fn tables(seed: u64) -> (Table, Table) {
         .map(|_| (xorshift64(&mut state) % DOMAIN) as i32)
         .collect();
     dim.add_column("payload", ColumnData::I32(payload), &mut space);
-    (fact, dim)
+    let fk_co = (0..ROWS).map(|i| (offset + i / group) as i32).collect();
+    fact.add_column("fk_co", ColumnData::I32(fk_co), &mut space);
+    // At least DIM_ROWS rows, so the run-valued FK may key it too.
+    let co_rows = (offset + ROWS.div_ceil(group)).max(DIM_ROWS);
+    let mut co_dim = Table::new("co_dim");
+    let payload = run_column(&mut state, co_rows, DOMAIN);
+    co_dim.add_column("payload", ColumnData::I32(payload), &mut space);
+    (fact, dim, co_dim)
 }
 
 /// `column ≥ lit` on even stage ordinals, `column < lit` on odd ones, so
@@ -82,6 +103,15 @@ fn stage_literal(k: usize, lit: i64) -> i64 {
     1 + (lit + 3 * k as i64) % (DOMAIN as i64 - 1)
 }
 
+/// One join of a plan: inserted before selection `at` (`at == stages`:
+/// after all of them; `> stages`: left out), probing `dim` through `fk`.
+struct JoinAt<'t> {
+    at: usize,
+    dim: &'t Table,
+    fk: &'static str,
+    on: Expr,
+}
+
 /// `stages` selections with a join inserted before selection `join_at`
 /// (`join_at == stages`: after all of them; `> stages`: no join).
 fn program_plan<'t>(
@@ -92,12 +122,33 @@ fn program_plan<'t>(
     lit: i64,
     with_agg: bool,
 ) -> LogicalPlan<'t> {
-    let join = |b: PlanBuilder<'t>| b.join(dim, "fk", Expr::col("payload").less_than(lit));
+    let join = JoinAt {
+        at: join_at,
+        dim,
+        fk: "fk",
+        on: Expr::col("payload").less_than(lit),
+    };
+    plan_with_joins(fact, stages, &[join], lit, with_agg)
+}
+
+/// `stages` selections with `joins` inserted where each says, in the
+/// given order where two share a position.
+fn plan_with_joins<'t>(
+    fact: &'t Table,
+    stages: usize,
+    joins: &[JoinAt<'t>],
+    lit: i64,
+    with_agg: bool,
+) -> LogicalPlan<'t> {
+    let join_at = |mut b: PlanBuilder<'t>, k: usize| {
+        for j in joins.iter().filter(|j| j.at == k) {
+            b = b.join(j.dim, j.fk, j.on.clone());
+        }
+        b
+    };
     let mut builder = PlanBuilder::scan(fact);
     for (k, &column) in STAGE_COLUMN.iter().enumerate().take(stages) {
-        if k == join_at {
-            builder = join(builder);
-        }
+        builder = join_at(builder, k);
         let col = Expr::col(format!("c{column}"));
         let literal = stage_literal(k, lit);
         let predicate = match stage_op(k) {
@@ -106,9 +157,7 @@ fn program_plan<'t>(
         };
         builder = builder.filter_costed(predicate, k as u64 * 7);
     }
-    if join_at == stages {
-        builder = join(builder);
-    }
+    builder = join_at(builder, stages);
     if with_agg {
         builder = builder.aggregate("c3");
     }
@@ -227,6 +276,73 @@ proptest! {
             if !flipped && start >= ROWS / 2 {
                 fast.reorder(&reversed).expect("reorder");
                 oracle.reorder(&reversed).expect("reorder");
+                flipped = true;
+            }
+            let sf = fast.run_range(&mut cpu_f, start, end);
+            let so = oracle.run_range(&mut cpu_o, start, end);
+            prop_assert_eq!(&sf, &so, "vector {}..{}", start, end);
+            prop_assert_eq!(cpu_f.counters(), cpu_o.counters(), "vector {}..{}", start, end);
+            start = end;
+        }
+        assert_same_core(&cpu_f, &cpu_o);
+    }
+
+    /// A join through the co-clustered FK (`group` ∈ {1, 2, 4, 16, 64}
+    /// rows per key) leading, between or after the selections, optionally
+    /// a second join into the same dimension — through the same FK or the
+    /// run-valued one — over random vector boundaries and a mid-run
+    /// reorder that moves the last stage to the front.
+    #[test]
+    fn co_clustered_probe_matches_oracle(
+        stages in 0usize..5,
+        join_at in 0usize..5,
+        second in 0usize..3,
+        second_at in 0usize..5,
+        group_pick in 0usize..5,
+        offset in 0usize..16,
+        lit in 0i64..7,
+        seed in any::<u64>(),
+        vector in 100usize..3000,
+        with_agg in any::<bool>(),
+        history_pick in 0usize..4,
+        states in 2u8..9,
+        skewed in any::<bool>(),
+        table_pick in 0usize..3,
+        scaled in any::<bool>(),
+        numa in any::<bool>(),
+    ) {
+        let group = [1, 2, 4, 16, 64][group_pick];
+        let (fact, _dim, co_dim) = co_tables(seed, group, offset);
+        let mut joins = vec![JoinAt {
+            at: join_at.min(stages),
+            dim: &co_dim,
+            fk: "fk_co",
+            on: Expr::col("payload").less_than(stage_literal(0, lit)),
+        }];
+        if second > 0 {
+            joins.push(JoinAt {
+                at: second_at.min(stages),
+                dim: &co_dim,
+                fk: if second == 1 { "fk_co" } else { "fk" },
+                on: Expr::col("payload").at_least(stage_literal(1, lit)),
+            });
+        }
+        let plan = plan_with_joins(&fact, stages, &joins, lit, with_agg);
+        let mut fast = plan.compile().expect("plan lowers");
+        let mut oracle = fast.clone();
+        oracle.set_scalar_oracle(true);
+        let cfg = cpu_config(scaled, predictor(history_pick, states, skewed, table_pick));
+        let mut cpu_f = core(&cfg, &fact, numa);
+        let mut cpu_o = core(&cfg, &fact, numa);
+        let n = fast.len();
+        let rotated: Vec<usize> = (0..n).map(|k| (k + n - 1) % n).collect();
+        let mut start = 0usize;
+        let mut flipped = false;
+        while start < ROWS {
+            let end = (start + vector).min(ROWS);
+            if !flipped && start >= ROWS / 2 {
+                fast.reorder(&rotated).expect("reorder");
+                oracle.reorder(&rotated).expect("reorder");
                 flipped = true;
             }
             let sf = fast.run_range(&mut cpu_f, start, end);
