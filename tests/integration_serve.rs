@@ -8,7 +8,7 @@ use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
-use popt::core::MorselConfig;
+use popt::core::{EngineError, MorselConfig};
 use popt::cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::xorshift64;
@@ -503,6 +503,51 @@ fn rejected_batch_is_not_drained() {
     let report = server2.run(&mut pool).unwrap();
     assert_eq!(report.queries.len(), 1);
     assert_eq!(server2.queued(), 0, "a served batch drains the queue");
+}
+
+/// A scan spec naming a column its table lacks — in a predicate or in the
+/// aggregate — is accepted by `admit` and rejected by `run` with the
+/// column's name, whether or not the order cache is consulted.
+#[test]
+fn unknown_scan_column_is_rejected_by_run() {
+    let (fact, _dim) = tables(0xC01);
+    let bad_predicate = SelectionPlan::new(
+        vec![
+            Predicate::new("val0", CompareOp::Lt, 500),
+            Predicate::new("no_such_column", CompareOp::Lt, 1),
+        ],
+        vec![],
+    )
+    .unwrap();
+    let bad_aggregate = SelectionPlan::new(
+        vec![Predicate::new("val0", CompareOp::Lt, 500)],
+        vec!["no_such_aggregate".into()],
+    )
+    .unwrap();
+    let mut pool = CpuPool::new(CpuConfig::tiny_test(), 2);
+    for reopt in [false, true] {
+        for (plan, column) in [
+            (&bad_predicate, "no_such_column"),
+            (&bad_aggregate, "no_such_aggregate"),
+        ] {
+            let mut server = QueryServer::new(config(reopt));
+            let order = plan.identity_peo();
+            server.admit(QuerySpec::scan(
+                "bad",
+                &fact,
+                plan.clone(),
+                order,
+                Priority::Normal,
+                0,
+            ));
+            assert_eq!(
+                server.run(&mut pool).unwrap_err(),
+                EngineError::UnknownColumn(column.into()),
+                "reopt {reopt}"
+            );
+            assert_eq!(server.queued(), 1);
+        }
+    }
 }
 
 /// Stride shares: with two long queries of unequal priority arriving

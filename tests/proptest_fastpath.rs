@@ -17,6 +17,8 @@ use popt::core::plan::SelectionPlan;
 use popt::core::plan::{Expr, LogicalPlan, PlanBuilder};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
+use popt::cost::estimate::estimate_counters;
+use popt::cost::markov::ChainSpec;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::xorshift64;
@@ -132,34 +134,79 @@ proptest! {
     }
 
     /// Serial multi-selection scans (including the specialized
-    /// single-predicate bulk path): batched vs scalar oracle.
+    /// single-predicate bulk path): batched vs scalar oracle. The same
+    /// predicates built as a `PlanBuilder` conjunction and run in the same
+    /// random evaluation order must produce the same stats, counters and
+    /// predictor state — Q6's shapes included: two predicates on one
+    /// column, an aggregate a predicate also reads, up to six predicates.
+    /// The scan's stream geometry (no probe list) and the same geometry
+    /// with one `None` probe per position must price identically.
     #[test]
     fn scan_fast_path_matches_oracle(
-        preds in 1usize..4,
+        preds in 1usize..7,
+        columns in any::<u64>(),
+        ops in any::<u64>(),
+        costly in any::<u64>(),
         lit in 0i64..1000,
         seed in any::<u64>(),
+        shuffle in any::<u64>(),
         vector in 128usize..1200,
-        with_agg in any::<bool>(),
+        aggregates in 0usize..4,
     ) {
         let mut state = seed | 1;
         let mut space = AddressSpace::new();
         let mut t = Table::new("t");
-        for c in 0..3 {
+        for c in 0..4 {
             let data: Vec<i32> = (0..ROWS)
                 .map(|_| (xorshift64(&mut state) % 1000) as i32)
                 .collect();
             t.add_column(format!("c{c}"), ColumnData::I32(data), &mut space);
         }
-        let plan = SelectionPlan::new(
-            (0..preds)
-                .map(|c| Predicate::new(format!("c{c}"), CompareOp::Lt, lit + c as i64 * 37))
-                .collect(),
-            if with_agg { vec!["c0".into()] } else { vec![] },
-        ).expect("plan");
-        let peo: Vec<usize> = (0..preds).collect();
+        let predicates: Vec<Predicate> = (0..preds)
+            .map(|k| {
+                let op = [CompareOp::Lt, CompareOp::Ge, CompareOp::Le, CompareOp::Gt]
+                    [(ops >> (2 * k)) as usize & 3];
+                let mut p = Predicate::new(
+                    format!("c{}", (columns >> (2 * k)) & 3),
+                    op,
+                    (lit + k as i64 * 37) % 1000,
+                );
+                p.extra_instructions = ((costly >> k) & 1) * 20;
+                p
+            })
+            .collect();
+        let aggregate_columns: Vec<String> = match aggregates {
+            0 => vec![],
+            1 => vec!["c0".into()],
+            2 => vec!["c1".into(), "c0".into()],
+            _ => vec!["c3".into()],
+        };
+        let plan = SelectionPlan::new(predicates.clone(), aggregate_columns.clone())
+            .expect("plan");
+        // A random evaluation order (Fisher–Yates).
+        let mut peo: Vec<usize> = (0..preds).collect();
+        let mut shuffle_state = shuffle | 1;
+        for k in (1..preds).rev() {
+            peo.swap(k, (xorshift64(&mut shuffle_state) % (k as u64 + 1)) as usize);
+        }
         let mut fast = CompiledSelection::compile(&t, &plan, &peo).expect("compiles");
+        let mut builder = PlanBuilder::scan(&t);
+        for p in &predicates {
+            let conjunct = Expr::Cmp(
+                Box::new(Expr::col(p.column.clone())),
+                p.op,
+                Box::new(Expr::lit(p.literal)),
+            );
+            builder = builder.filter_costed(conjunct, p.extra_instructions);
+        }
+        for column in &aggregate_columns {
+            builder = builder.aggregate(column.clone());
+        }
+        let mut lowered = builder.build().compile().expect("plan lowers");
+        lowered.reorder(&peo).expect("reorder");
         let mut cpu_f = SimCpu::new(CpuConfig::tiny_test());
         let mut cpu_o = SimCpu::new(CpuConfig::tiny_test());
+        let mut cpu_l = SimCpu::new(CpuConfig::tiny_test());
         let mut start = 0usize;
         while start < ROWS {
             let end = (start + vector).min(ROWS);
@@ -167,10 +214,33 @@ proptest! {
             let sf = fast.run_range(&mut cpu_f, start, end);
             fast.set_scalar_oracle(true);
             let so = fast.run_range(&mut cpu_o, start, end);
+            let sl = lowered.run_range(&mut cpu_l, start, end);
             prop_assert_eq!(&sf, &so, "vector {}..{} preds {}", start, end, preds);
             prop_assert_eq!(cpu_f.counters(), cpu_o.counters());
+            prop_assert_eq!(&sl, &sf, "lowered, vector {}..{} peo {:?}", start, end, &peo);
+            prop_assert_eq!(cpu_l.counters(), cpu_f.counters());
+            prop_assert!(cpu_l.predictor() == cpu_f.predictor(), "predictor, peo {:?}", &peo);
             start = end;
         }
+
+        let cfg = CpuConfig::tiny_test();
+        let chain = ChainSpec {
+            states: cfg.predictor.states,
+            not_taken_states: cfg.predictor.not_taken_states,
+        };
+        let streams = fast.plan_geometry(ROWS as u64, chain, cfg.line_bytes() as u32);
+        let mut all_none = streams.clone();
+        all_none.probes = vec![None; preds];
+        let mut survivors = Vec::with_capacity(preds);
+        let mut left = ROWS as f64;
+        for _ in 0..preds {
+            left *= (xorshift64(&mut state) % 1001) as f64 / 1000.0;
+            survivors.push(left);
+        }
+        prop_assert_eq!(
+            estimate_counters(&streams, &survivors),
+            estimate_counters(&all_none, &survivors)
+        );
     }
 
     /// Morsel-parallel execution: with reoptimization off the batched
