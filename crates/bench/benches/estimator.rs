@@ -1,6 +1,6 @@
 //! Criterion bench: selectivity-estimation latency — the optimization
 //! time the paper trades against estimate quality (Sections 4.4/5.7) —
-//! plus the start-point-count ablation called out in DESIGN.md.
+//! plus an ablation over the number of optimization start points.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -13,7 +13,6 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use popt_core::exec::program::CompiledProgram;
-use popt_core::exec::scan::CompiledSelection;
 use popt_core::parallel::{run_parallel_program, MorselConfig};
 use popt_core::plan::{Expr, LogicalPlan, PlanBuilder, SelectionPlan};
 use popt_core::predicate::{CompareOp, Predicate};
@@ -102,7 +101,7 @@ fn scan_serial(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.throughput(Throughput::Elements(ROWS as u64));
     for (name, oracle) in [("batched", false), ("scalar_oracle", true)] {
-        let mut compiled = CompiledSelection::compile(&table, &plan, &[0]).expect("compiles");
+        let mut compiled = CompiledProgram::from_selection(&table, &plan, &[0]).expect("compiles");
         compiled.set_scalar_oracle(oracle);
         group.bench_function(name, |b| {
             b.iter(|| {

@@ -8,7 +8,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use popt_bench::figures::workload::{uniform_plan, uniform_table};
-use popt_core::exec::scan::CompiledSelection;
+use popt_core::exec::program::CompiledProgram;
 use popt_cpu::{CpuConfig, SimCpu};
 
 const ROWS: usize = 1 << 16;
@@ -23,7 +23,7 @@ fn scan_by_predicates(c: &mut Criterion) {
     for preds in [1usize, 3, 5] {
         let plan = uniform_plan(&vec![0.5; preds]);
         let peo: Vec<usize> = (0..preds).collect();
-        let compiled = CompiledSelection::compile(&table, &plan, &peo).unwrap();
+        let compiled = CompiledProgram::from_selection(&table, &plan, &peo).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(preds), &preds, |b, _| {
             b.iter(|| {
                 let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
@@ -45,7 +45,7 @@ fn scan_best_vs_worst_order(c: &mut Criterion) {
         ("ascending", vec![0usize, 1, 2]),
         ("descending", vec![2usize, 1, 0]),
     ] {
-        let compiled = CompiledSelection::compile(&table, &plan, &peo).unwrap();
+        let compiled = CompiledProgram::from_selection(&table, &plan, &peo).unwrap();
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());

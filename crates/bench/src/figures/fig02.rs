@@ -6,7 +6,7 @@
 //! not-taken / total). Reproduces the saturation of L3 accesses around
 //! 20% selectivity and the misprediction peak at 50%.
 
-use popt_core::exec::scan::CompiledSelection;
+use popt_core::exec::program::CompiledProgram;
 use popt_cpu::{CpuConfig, SimCpu};
 
 use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
@@ -26,7 +26,7 @@ pub fn run(ctx: &FigureCtx) {
     let measured = parallel_map(&sels, |&pct| {
         let plan = uniform_plan(&[pct / 100.0]);
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let compiled = CompiledSelection::compile(&table, &plan, &[0]).expect("plan compiles");
+        let compiled = CompiledProgram::from_selection(&table, &plan, &[0]).expect("plan compiles");
         let stats = compiled.run_range(&mut cpu, 0, rows);
         let c = stats.counters;
         [

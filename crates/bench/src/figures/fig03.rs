@@ -6,7 +6,7 @@
 //! The six-state chain should track the measured Ivy-Bridge-like sample
 //! "almost exactly".
 
-use popt_core::exec::scan::CompiledSelection;
+use popt_core::exec::program::CompiledProgram;
 use popt_cost::markov::ChainSpec;
 use popt_cpu::{CpuConfig, SimCpu};
 
@@ -39,7 +39,7 @@ pub fn run(ctx: &FigureCtx) {
     let samples = parallel_map(&sels, |&pct| {
         let plan = uniform_plan(&[pct / 100.0]);
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let compiled = CompiledSelection::compile(&table, &plan, &[0]).expect("plan compiles");
+        let compiled = CompiledProgram::from_selection(&table, &plan, &[0]).expect("plan compiles");
         let stats = compiled.run_range(&mut cpu, 0, rows);
         let n = rows as f64;
         (

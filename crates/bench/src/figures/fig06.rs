@@ -7,7 +7,7 @@
 //! configurations, the Equation-5 estimates, and Equation 3's piecewise
 //! total.
 
-use popt_core::exec::scan::CompiledSelection;
+use popt_core::exec::program::CompiledProgram;
 use popt_cost::markov::ChainSpec;
 use popt_cost::piecewise;
 use popt_cpu::{CpuConfig, SimCpu};
@@ -54,7 +54,7 @@ pub fn run(ctx: &FigureCtx) {
                 let plan = uniform_plan(&[pct / 100.0]);
                 let mut cpu = SimCpu::new(cfg.clone());
                 let compiled =
-                    CompiledSelection::compile(&table, &plan, &[0]).expect("plan compiles");
+                    CompiledProgram::from_selection(&table, &plan, &[0]).expect("plan compiles");
                 let stats = compiled.run_range(&mut cpu, 0, rows);
                 (
                     stats.counters.mispredictions(),

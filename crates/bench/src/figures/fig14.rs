@@ -11,8 +11,7 @@
 //!
 //! Runs on a proportionally scaled-down cache hierarchy (8 KiB / 64 KiB /
 //! 1 MiB) so the dimension table thrashes the LLC at laptop-scale row
-//! counts; window labels L1/L2/L3 refer to those scaled capacities (see
-//! EXPERIMENTS.md).
+//! counts; window labels L1/L2/L3 refer to those scaled capacities.
 
 use popt_core::plan::{Expr, PlanBuilder};
 use popt_core::progressive::{run_progressive_program, ProgressiveConfig, VectorConfig};

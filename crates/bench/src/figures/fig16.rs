@@ -7,7 +7,7 @@
 //! the paper.
 
 use popt_core::exec::enumerator::EnumeratedSelection;
-use popt_core::exec::scan::CompiledSelection;
+use popt_core::exec::program::CompiledProgram;
 use popt_cpu::{CpuConfig, SimCpu};
 
 use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
@@ -30,7 +30,7 @@ pub fn run(ctx: &FigureCtx) {
         let plan = uniform_plan(&vec![0.9; p]);
         let peo: Vec<usize> = (0..p).collect();
 
-        let plain = CompiledSelection::compile(&table, &plan, &peo).expect("compiles");
+        let plain = CompiledProgram::from_selection(&table, &plan, &peo).expect("compiles");
         let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
         plain.run_range(&mut cpu, 0, rows);
         let base = cpu.cycles() as f64;

@@ -24,7 +24,6 @@
 //! solo single-core execution in all three experiments.
 
 use popt_core::exec::program::CompiledProgram;
-use popt_core::exec::scan::CompiledSelection;
 use popt_core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt_core::serve::{Priority, QueryOutcome, QueryServer, QuerySpec, ServeConfig, ServeReport};
 use popt_cost::cycles::fleet_occupancy_per_socket;
@@ -139,13 +138,14 @@ impl Mix {
     /// (qualified, sum).
     fn solo_refs(&self) -> [(u64, i64); 3] {
         let mut cpu = SimCpu::new(serve_cpu());
-        let scan = CompiledSelection::compile(&self.scan_table, &self.scan_plan, &self.scan_worst)
-            .expect("scan compiles")
-            .run_range(&mut cpu, 0, self.scan_table.rows());
+        let scan =
+            CompiledProgram::from_selection(&self.scan_table, &self.scan_plan, &self.scan_worst)
+                .expect("scan compiles")
+                .run_range(&mut cpu, 0, self.scan_table.rows());
         let mut cpu = SimCpu::new(serve_cpu());
         let pipe = self.program().run_range(&mut cpu, 0, self.fact.rows());
         let mut cpu = SimCpu::new(serve_cpu());
-        let bg = CompiledSelection::compile(&self.bg_table, &self.bg_plan, &[0, 1])
+        let bg = CompiledProgram::from_selection(&self.bg_table, &self.bg_plan, &[0, 1])
             .expect("bg scan compiles")
             .run_range(&mut cpu, 0, self.bg_table.rows());
         [
@@ -462,7 +462,7 @@ fn warm_vs_cold<'t>(mix: &'t Mix, refs: &[(u64, i64); 3], shared: bool) {
         let best = match template {
             "scan" => {
                 let mut cpu = SimCpu::new(serve_cpu());
-                CompiledSelection::compile(&mix.scan_table, &mix.scan_plan, optimal)
+                CompiledProgram::from_selection(&mix.scan_table, &mix.scan_plan, optimal)
                     .expect("optimal order compiles")
                     .run_range(&mut cpu, 0, mix.scan_table.rows())
                     .counters

@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use popt_core::exec::scan::CompiledSelection;
+use popt_core::exec::program::CompiledProgram;
 use popt_core::parallel::{run_parallel_program, MorselConfig};
 use popt_core::plan::SelectionPlan;
 use popt_core::predicate::{CompareOp, Predicate};
@@ -102,7 +102,7 @@ pub fn run(ctx: &FigureCtx) {
     table.add_column("val", ColumnData::I32(val), &mut space);
     let plan = SelectionPlan::new(vec![Predicate::new("val", CompareOp::Lt, 500)], vec![])
         .expect("scan plan");
-    let mut compiled = CompiledSelection::compile(&table, &plan, &[0]).expect("scan compiles");
+    let mut compiled = CompiledProgram::from_selection(&table, &plan, &[0]).expect("scan compiles");
     let mut timed_scan = |oracle: bool| {
         compiled.set_scalar_oracle(oracle);
         best_secs(repeats, || {

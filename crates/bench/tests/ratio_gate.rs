@@ -19,7 +19,7 @@ use std::time::Instant;
 use popt_bench::figures::fig14::scaled_cpu;
 use popt_bench::figures::workload::xorshift64;
 use popt_core::exec::program::CompiledProgram;
-use popt_core::exec::scan::{CompiledSelection, VectorStats};
+use popt_core::exec::scan::VectorStats;
 use popt_core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt_core::predicate::{CompareOp, Predicate};
 use popt_cpu::{Counters, SimCpu};
@@ -38,36 +38,9 @@ const MIN_CLUSTERED_RATIO: f64 = 1.43;
 /// the run path's exactness is `tests/proptest_runs.rs`'s to pin.
 const MIN_STAR_RATIO: f64 = 0.8;
 
-/// The two compiled executors, each with its fast path and its scalar
-/// oracle behind one switch.
-trait Executor {
-    fn set_scalar_oracle(&mut self, on: bool);
-    fn run_range(&self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats;
-}
-
-impl Executor for CompiledSelection<'_> {
-    fn set_scalar_oracle(&mut self, on: bool) {
-        CompiledSelection::set_scalar_oracle(self, on);
-    }
-
-    fn run_range(&self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
-        CompiledSelection::run_range(self, cpu, start, end)
-    }
-}
-
-impl Executor for CompiledProgram<'_> {
-    fn set_scalar_oracle(&mut self, on: bool) {
-        CompiledProgram::set_scalar_oracle(self, on);
-    }
-
-    fn run_range(&self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
-        CompiledProgram::run_range(self, cpu, start, end)
-    }
-}
-
 /// Best-of-`REPEATS` host seconds of one whole-table pass on either path,
 /// with the pass's full simulated outcome.
-fn best_pass(compiled: &mut impl Executor, oracle: bool) -> (f64, (VectorStats, Counters)) {
+fn best_pass(compiled: &mut CompiledProgram<'_>, oracle: bool) -> (f64, (VectorStats, Counters)) {
     compiled.set_scalar_oracle(oracle);
     let mut best = f64::INFINITY;
     let mut out = None;
@@ -82,7 +55,7 @@ fn best_pass(compiled: &mut impl Executor, oracle: bool) -> (f64, (VectorStats, 
 }
 
 /// Assert identity with the oracle and `batched ÷ oracle >= min_ratio`.
-fn assert_ratio(compiled: &mut impl Executor, min_ratio: f64) {
+fn assert_ratio(compiled: &mut CompiledProgram<'_>, min_ratio: f64) {
     let (fast_s, fast_out) = best_pass(compiled, false);
     let (slow_s, slow_out) = best_pass(compiled, true);
     assert_eq!(fast_out, slow_out, "fast path diverged from the oracle");
@@ -110,7 +83,7 @@ fn batched_scan_is_at_least_3x_scalar_oracle() {
     table.add_column("val", ColumnData::I32(val), &mut space);
     let plan = SelectionPlan::new(vec![Predicate::new("val", CompareOp::Lt, 500)], vec![])
         .expect("scan plan");
-    let mut compiled = CompiledSelection::compile(&table, &plan, &[0]).expect("scan compiles");
+    let mut compiled = CompiledProgram::from_selection(&table, &plan, &[0]).expect("scan compiles");
     assert_ratio(&mut compiled, MIN_RATIO);
 }
 
@@ -147,7 +120,7 @@ fn batched_clustered_scan_beats_scalar_oracle_by_the_run_floor() {
     )
     .expect("scan plan");
     let mut compiled =
-        CompiledSelection::compile(&table, &plan, &[0, 1, 2]).expect("scan compiles");
+        CompiledProgram::from_selection(&table, &plan, &[0, 1, 2]).expect("scan compiles");
     assert_ratio(&mut compiled, MIN_CLUSTERED_RATIO);
 }
 

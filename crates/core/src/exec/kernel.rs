@@ -1,15 +1,15 @@
-//! The batched row loop both compiled executors share.
+//! The batched row loop of the compiled program.
 //!
-//! [`CompiledSelection::run_range`] and [`CompiledProgram::run_range`]
-//! resolve their stages — in evaluation order, with an optional probe —
-//! and their aggregate columns into a [`RowKernel`] held in fixed-size
-//! scratch, and the kernel drives the simulated CPU: stream adjacency
-//! states, the history register and the hot counters live in locals and
-//! flush once per call, while the simulated state machines (predictor
-//! table, caches, prefetcher) advance in exact program order. The scalar
-//! oracles (`run_range_scalar`, one `SimCpu` call per event) are the
-//! reference the kernel is proptest-pinned against
-//! (`tests/proptest_fastpath.rs`, `tests/proptest_runs.rs`).
+//! [`CompiledProgram::run_range`] resolves its stages — in evaluation
+//! order, with an optional probe — and its aggregate columns into a
+//! [`RowKernel`] held in fixed-size scratch, and the kernel drives the
+//! simulated CPU: stream adjacency states, the history register and the
+//! hot counters live in locals and flush once per call, while the
+//! simulated state machines (predictor table, caches, prefetcher) advance
+//! in exact program order. The program's scalar oracle
+//! (`run_range_scalar`, one `SimCpu` call per event) is the reference the
+//! kernel is proptest-pinned against (`tests/proptest_fastpath.rs`,
+//! `tests/proptest_runs.rs`).
 //!
 //! ## Run compression
 //!
@@ -53,7 +53,6 @@
 //! row that ends a look-ahead — i.i.d. inputs rarely reach the trigger
 //! and pay nothing measurable. There is no tunable.
 //!
-//! [`CompiledSelection::run_range`]: crate::exec::scan::CompiledSelection::run_range
 //! [`CompiledProgram::run_range`]: crate::exec::program::CompiledProgram::run_range
 
 use popt_cpu::{BatchCpu, BranchSite, SimCpu};

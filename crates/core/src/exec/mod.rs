@@ -1,13 +1,14 @@
 //! Query executors driving the simulated CPU.
 //!
-//! * [`scan`] — the vectorized multi-selection scan (the paper's compiled
-//!   short-circuit loop, Section 2.1);
-//! * [`program`] — the compiled flat stage form logical plans lower to:
-//!   a filter pipeline mixing selections and foreign-key join filters
-//!   (Sections 5.5–5.6) as one stage table plus an evaluation-order
-//!   permutation;
-//! * `kernel` — the one batched row loop behind both executors' fast
-//!   paths, with run compression for clustered data;
+//! * [`program`] — the one compiled form every query runs as: a flat
+//!   stage table plus an evaluation-order permutation, lowered from a
+//!   logical plan (selections and foreign-key join filters, Sections
+//!   5.5–5.6) or from a multi-selection plan (the compiled short-circuit
+//!   loop of Section 2.1);
+//! * [`scan`] — what every execution of that loop shares: instruction
+//!   charges, the back-edge's branch site, per-range measurements;
+//! * `kernel` — the batched row loop behind the program's fast path, with
+//!   run compression for clustered data;
 //! * [`enumerator`] — the invasive, explicit-counter instrumentation
 //!   baseline of the overhead experiment (Section 5.7).
 
@@ -17,4 +18,4 @@ pub mod program;
 pub mod scan;
 
 pub use program::{CompiledProgram, CompiledStage};
-pub use scan::{CompiledSelection, InstrCosts, VectorStats};
+pub use scan::{InstrCosts, VectorStats};

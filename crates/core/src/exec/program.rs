@@ -1,5 +1,6 @@
-//! The compiled flat stage form: what a [`crate::plan::LogicalPlan`]
-//! lowers to and what the progressive runtime executes.
+//! The compiled flat stage form: what a [`crate::plan::LogicalPlan`] and
+//! a multi-selection [`SelectionPlan`] lower to, and what every executor
+//! and the progressive runtime run.
 //!
 //! Lowering emits a compact *stage table* — one [`CompiledStage`] per
 //! canonical conjunct (column base address, stream id, comparison op,
@@ -30,11 +31,13 @@ use popt_cost::estimate::{PlanGeometry, ProbeGeometry};
 use popt_cost::join_model::JoinGeometry;
 use popt_cost::markov::ChainSpec;
 use popt_cpu::{BranchSite, CpuConfig, NumaPlacement, SimCpu};
+use popt_storage::Table;
 
 use crate::error::EngineError;
 use crate::exec::kernel::{ColumnRef, RowKernel};
 use crate::exec::scan::{InstrCosts, VectorStats, LOOP_BRANCH_SITE};
 use crate::plan::logical::{Expr, LogicalNode, LogicalPlan};
+use crate::plan::SelectionPlan;
 use crate::predicate::CompareOp;
 
 /// Instructions charged per probe over the base per-eval charge — the
@@ -123,33 +126,39 @@ impl CompiledStage<'_> {
 
     /// Evaluate the stage for row `i` on the scalar oracle path: returns
     /// pass/fail and drives one CPU event per load, charge and branch.
+    /// `instrument` runs between the compare and its branch with the
+    /// outcome (the §5.7 enumerator's counter update; nothing otherwise).
     #[inline]
-    fn eval(&self, cpu: &mut SimCpu, i: usize, costs: &InstrCosts) -> bool {
+    fn eval(
+        &self,
+        cpu: &mut SimCpu,
+        i: usize,
+        costs: &InstrCosts,
+        instrument: impl FnOnce(&mut SimCpu, bool),
+    ) -> bool {
         let ColumnRef {
             values,
             base,
             stream,
         } = self.column;
-        match &self.probe {
-            None => {
-                cpu.load(stream, base + (i as u64) * 4, 4);
-                cpu.instr(costs.per_eval + self.extra_instructions);
-                let ok = self.op.eval(i64::from(values[i]), self.literal);
-                cpu.branch(self.site, !ok);
-                ok
-            }
+        cpu.load(stream, base + (i as u64) * 4, 4);
+        let value = match &self.probe {
+            None => values[i],
             Some(p) => {
-                cpu.load(stream, base + (i as u64) * 4, 4);
                 let key = values[i] as usize;
                 // The full key range was validated at lowering.
                 debug_assert!(key < p.values.len(), "dangling foreign key");
                 cpu.load(p.stream, p.base + (key as u64) * 4, 4);
-                cpu.instr(costs.per_eval + self.extra_instructions);
-                let ok = self.op.eval(i64::from(p.values[key]), self.literal);
-                cpu.branch(self.site, !ok);
-                ok
+                p.values[key]
             }
-        }
+        };
+        cpu.instr(costs.per_eval + self.extra_instructions);
+        let ok = self.op.eval(i64::from(value), self.literal);
+        instrument(cpu, ok);
+        // Qualifying tuple: fall through (not taken). Failing tuple: jump
+        // past the remaining stages (taken).
+        cpu.branch(self.site, !ok);
+        ok
     }
 }
 
@@ -169,8 +178,11 @@ impl std::fmt::Debug for CompiledStage<'_> {
 }
 
 /// A compiled program: the flat stage table, the evaluation-order
-/// permutation, and the aggregate columns. Count/sum semantics are
-/// identical to the scan executor.
+/// permutation, and the aggregate columns — the one compiled form every
+/// query runs as, whether it was built by [`PlanBuilder`] or is a
+/// multi-selection [`SelectionPlan`] ([`CompiledProgram::from_selection`]).
+///
+/// [`PlanBuilder`]: crate::plan::PlanBuilder
 #[derive(Clone)]
 pub struct CompiledProgram<'t> {
     /// Stages in plan (lowering) order.
@@ -311,6 +323,49 @@ impl<'t> CompiledProgram<'t> {
         })
     }
 
+    /// Lower a multi-selection plan over `table` — the compiled
+    /// short-circuit loop of Section 2.1 — starting in evaluation `order`:
+    /// one stage per predicate, branch site = plan index (so predictor
+    /// state follows a predicate across reorders, as it would across JIT
+    /// recompilations at the same code addresses), no probe, the
+    /// predicate's extra instructions carried over.
+    pub fn from_selection(
+        table: &'t Table,
+        plan: &SelectionPlan,
+        order: &[usize],
+    ) -> Result<Self, EngineError> {
+        plan.validate_peo(order)?;
+        let stages = plan
+            .predicates
+            .iter()
+            .enumerate()
+            .map(|(j, p)| {
+                Ok(CompiledStage {
+                    column: ColumnRef::resolve(table, &p.column)?,
+                    site: BranchSite(j as u32),
+                    op: p.op,
+                    literal: p.literal,
+                    extra_instructions: p.extra_instructions,
+                    probe: None,
+                })
+            })
+            .collect::<Result<_, EngineError>>()?;
+        let agg = plan
+            .aggregate_columns
+            .iter()
+            .map(|name| ColumnRef::resolve(table, name))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            stages,
+            order: order.to_vec(),
+            agg,
+            extra_hot_columns: 0,
+            rows: table.rows(),
+            costs: InstrCosts::default(),
+            scalar_oracle: false,
+        })
+    }
+
     /// Number of stages.
     pub fn len(&self) -> usize {
         self.stages.len()
@@ -334,6 +389,12 @@ impl<'t> CompiledProgram<'t> {
     /// The stage at plan index `j`.
     pub fn stage(&self, j: usize) -> &CompiledStage<'t> {
         &self.stages[j]
+    }
+
+    /// Whether any stage probes a dimension (Sections 5.5–5.6); a
+    /// program without one is a multi-selection scan (Section 4.4).
+    pub(crate) fn has_joins(&self) -> bool {
+        self.stages.iter().any(CompiledStage::is_join)
     }
 
     /// Re-emit the evaluation order — the cheap progressive reorder. The
@@ -397,6 +458,20 @@ impl<'t> CompiledProgram<'t> {
     /// event. This is the reference semantics the batched
     /// [`CompiledProgram::run_range`] is proptest-pinned against.
     pub fn run_range_scalar(&self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
+        self.run_range_instrumented(cpu, start, end, |_, _, _| {})
+    }
+
+    /// [`CompiledProgram::run_range_scalar`] with `instrument(cpu,
+    /// position, passed)` run between every stage's compare and its
+    /// branch (`position` in evaluation order) — where an invasive engine
+    /// compiles its explicit counter updates.
+    pub(crate) fn run_range_instrumented(
+        &self,
+        cpu: &mut SimCpu,
+        start: usize,
+        end: usize,
+        mut instrument: impl FnMut(&mut SimCpu, usize, bool),
+    ) -> VectorStats {
         assert!(start <= end && end <= self.rows, "row range out of bounds");
         let before = cpu.counters();
         let mut qualified = 0u64;
@@ -404,8 +479,11 @@ impl<'t> CompiledProgram<'t> {
         for i in start..end {
             cpu.instr(self.costs.loop_overhead);
             let mut pass = true;
-            for &j in &self.order {
-                if !self.stages[j].eval(cpu, i, &self.costs) {
+            for (k, &j) in self.order.iter().enumerate() {
+                let ok = self.stages[j].eval(cpu, i, &self.costs, |cpu, ok| {
+                    instrument(cpu, k, ok);
+                });
+                if !ok {
                     pass = false;
                     break;
                 }
@@ -433,54 +511,22 @@ impl<'t> CompiledProgram<'t> {
         }
     }
 
-    /// Counter-model geometry for the current evaluation order, the
-    /// program analogue of `CompiledSelection::plan_geometry`.
-    ///
-    /// `clustering` holds one entry per *plan* stage: the measured
-    /// clustering ratio of that stage's dimension probe (ignored for
-    /// selects; `1.0` = assume uniform random). Line size, predictor
-    /// shape and the private L2 capacity (which gates whether probes
-    /// reach L3 at all) come from the CPU the program runs on;
-    /// `llc_bytes` is the **effective** last-level capacity the executing
-    /// core sees — the full configured LLC on a private socket, the
-    /// contention-shrunken share under the shared-socket partition — so
-    /// the Equation-1 probe predictions price contended miss rates.
-    pub fn plan_geometry(
+    /// The program's stream geometry for the current evaluation order:
+    /// per-stage column widths and identities in evaluation order, and
+    /// the aggregate columns no stage already reads (those are
+    /// cache-resident and left out of the fresh-column list). No probe
+    /// list — what a probe-free program's counter model is, independent
+    /// of the LLC capacity.
+    pub(crate) fn stream_geometry(
         &self,
         n_input: u64,
-        cpu: &CpuConfig,
-        llc_bytes: u64,
-        clustering: &[f64],
+        chain: ChainSpec,
+        line_bytes: u32,
     ) -> PlanGeometry {
-        assert_eq!(clustering.len(), self.stages.len(), "one entry per stage");
-        let line_bytes = cpu.line_bytes() as u32;
-        let llc_lines = (llc_bytes / u64::from(line_bytes)).max(1);
-        let upper_cache_bytes = cpu.levels.get(1).map_or(0.0, |l| l.capacity_bytes as f64);
-        let chain = ChainSpec {
-            states: cpu.predictor.states,
-            not_taken_states: cpu.predictor.not_taken_states,
-        };
         let column_ids: Vec<usize> = self
             .order
             .iter()
             .map(|&j| self.stages[j].column.stream)
-            .collect();
-        let probes: Vec<Option<ProbeGeometry>> = self
-            .order
-            .iter()
-            .map(|&j| {
-                self.stages[j].dim_rows().map(|rows| ProbeGeometry {
-                    relation: JoinGeometry {
-                        relation_tuples: rows as u64,
-                        tuple_bytes: 4,
-                        line_bytes,
-                        cache_lines: llc_lines,
-                    },
-                    upper_cache_bytes,
-                    clustering: clustering[j].clamp(0.0, 1.0),
-                    remote_fraction: 0.0,
-                })
-            })
             .collect();
         let mut seen_agg: Vec<usize> = Vec::with_capacity(self.agg.len());
         let agg_bytes: Vec<u32> = self
@@ -500,8 +546,61 @@ impl<'t> CompiledProgram<'t> {
             agg_bytes,
             line_bytes,
             chain,
-            probes,
+            probes: Vec::new(),
         }
+    }
+
+    /// Counter-model geometry for the current evaluation order: the
+    /// stream geometry (per-stage columns and fresh aggregates) plus, when any stage
+    /// probes a dimension, one probe entry per evaluation position.
+    ///
+    /// `clustering` holds one entry per *plan* stage: the measured
+    /// clustering ratio of that stage's dimension probe (ignored for
+    /// selects; `1.0` = assume uniform random; may be empty for a
+    /// probe-free program). Line size, predictor shape and the private
+    /// L2 capacity (which gates whether probes reach L3 at all) come from
+    /// the CPU the program runs on; `llc_bytes` is the **effective**
+    /// last-level capacity the executing core sees — the full configured
+    /// LLC on a private socket, the contention-shrunken share under the
+    /// shared-socket partition — so the Equation-1 probe predictions
+    /// price contended miss rates.
+    pub fn plan_geometry(
+        &self,
+        n_input: u64,
+        cpu: &CpuConfig,
+        llc_bytes: u64,
+        clustering: &[f64],
+    ) -> PlanGeometry {
+        let line_bytes = cpu.line_bytes() as u32;
+        let chain = ChainSpec {
+            states: cpu.predictor.states,
+            not_taken_states: cpu.predictor.not_taken_states,
+        };
+        let mut geom = self.stream_geometry(n_input, chain, line_bytes);
+        if !self.has_joins() {
+            return geom;
+        }
+        assert_eq!(clustering.len(), self.stages.len(), "one entry per stage");
+        let llc_lines = (llc_bytes / u64::from(line_bytes)).max(1);
+        let upper_cache_bytes = cpu.levels.get(1).map_or(0.0, |l| l.capacity_bytes as f64);
+        geom.probes = self
+            .order
+            .iter()
+            .map(|&j| {
+                self.stages[j].dim_rows().map(|rows| ProbeGeometry {
+                    relation: JoinGeometry {
+                        relation_tuples: rows as u64,
+                        tuple_bytes: 4,
+                        line_bytes,
+                        cache_lines: llc_lines,
+                    },
+                    upper_cache_bytes,
+                    clustering: clustering[j].clamp(0.0, 1.0),
+                    remote_fraction: 0.0,
+                })
+            })
+            .collect();
+        geom
     }
 
     /// [`CompiledProgram::plan_geometry`] with NUMA-aware probe pricing:
@@ -595,7 +694,7 @@ fn validate_fk_range(fk: &popt_storage::Column, dim_rows: usize) -> Result<(), E
 /// Lower one normalized filter conjunct over the fact table; `TRUE`
 /// vanishes, `FALSE` and non-canonical shapes are unsupported.
 fn lower_select_conjunct<'t>(
-    fact: &'t popt_storage::Table,
+    fact: &'t Table,
     conjunct: &Expr,
     extra_instructions: u64,
     site: usize,
@@ -903,12 +1002,10 @@ mod tests {
 
     #[test]
     fn aggregates_match_the_scan_executor() {
-        use crate::exec::scan::CompiledSelection;
-        use crate::plan::SelectionPlan;
         use crate::predicate::Predicate;
 
         let (fact, _dim) = tables(3000, 100);
-        // Same conjunction on both executors: val < 50 AND fk < 60,
+        // Same conjunction through both lowerings: val < 50 AND fk < 60,
         // summing the val column for qualifying tuples.
         let plan = SelectionPlan::new(
             vec![
@@ -918,7 +1015,7 @@ mod tests {
             vec!["val".into()],
         )
         .unwrap();
-        let compiled = CompiledSelection::compile(&fact, &plan, &[0, 1]).unwrap();
+        let compiled = CompiledProgram::from_selection(&fact, &plan, &[0, 1]).unwrap();
         let mut cpu1 = cpu();
         let scan_stats = compiled.run_range(&mut cpu1, 0, 3000);
 

@@ -1,19 +1,24 @@
-//! The vectorized multi-selection scan.
+//! The vocabulary of the compiled multi-selection loop.
 //!
 //! Section 2.1 describes the machine code a JIT-compiling engine emits for
 //! a conjunctive selection: per tuple, one load + compare + conditional
 //! branch per predicate, short-circuiting on the first failure, then the
-//! aggregate update and the loop back-edge. This module is that loop,
-//! "executed" against the simulated CPU: every predicate owns a static
-//! branch site (keyed by its *plan* index so predictor state follows the
-//! predicate across reorders, as it would across JIT recompilations at the
-//! same code addresses), every column is one access stream, and a
-//! qualifying tuple falls through (branch **not** taken) while a failing
-//! tuple jumps (branch **taken**) — producing exactly the counter
-//! identities of Section 2.2:
+//! aggregate update and the loop back-edge. A [`SelectionPlan`] lowers to
+//! exactly that loop as a probe-free [`CompiledProgram`]
+//! ([`CompiledProgram::from_selection`]), "executed" against the simulated
+//! CPU: every predicate owns a static branch site (keyed by its *plan*
+//! index so predictor state follows the predicate across reorders, as it
+//! would across JIT recompilations at the same code addresses), every
+//! column is one access stream, and a qualifying tuple falls through
+//! (branch **not** taken) while a failing tuple jumps (branch **taken**) —
+//! producing exactly the counter identities of Section 2.2:
 //!
 //! * `qualifying = 2·n − branches_taken`
 //! * `branches_not_taken = Σ per-predicate survivors`
+//!
+//! This module holds what every execution of that loop shares: its
+//! instruction charges, the back-edge's branch site and the measurements
+//! of one executed row range.
 
 use popt_cpu::{BranchSite, SimCpu};
 use popt_storage::Table;
@@ -24,9 +29,8 @@ use popt_cpu::pmu::CounterDelta;
 use popt_solver::SampledCounters;
 
 use crate::error::EngineError;
-use crate::exec::kernel::{ColumnRef, RowKernel};
-use crate::plan::{Peo, SelectionPlan};
-use crate::predicate::CompareOp;
+use crate::exec::program::CompiledProgram;
+use crate::plan::SelectionPlan;
 
 /// Instruction charges of the generated loop (mirrored by the analytic
 /// cycle model's defaults).
@@ -53,25 +57,6 @@ impl Default for InstrCosts {
 /// Branch site id of the loop back-edge (predicate sites use their plan
 /// index).
 pub const LOOP_BRANCH_SITE: BranchSite = BranchSite(u32::MAX);
-
-pub(crate) struct CompiledPredicate<'t> {
-    pub(crate) column: ColumnRef<'t>,
-    pub(crate) site: BranchSite,
-    pub(crate) op: CompareOp,
-    pub(crate) literal: i64,
-    pub(crate) extra_instructions: u64,
-}
-
-/// A selection plan compiled for one PEO over one table.
-pub struct CompiledSelection<'t> {
-    pub(crate) preds: Vec<CompiledPredicate<'t>>,
-    pub(crate) agg: Vec<ColumnRef<'t>>,
-    peo: Peo,
-    rows: usize,
-    pub(crate) costs: InstrCosts,
-    /// When set, `run_range` uses the scalar per-event oracle path.
-    scalar_oracle: bool,
-}
 
 /// Measurements of one executed vector (or any row range).
 #[derive(Debug, Clone, PartialEq)]
@@ -136,16 +121,13 @@ impl VectorStats {
     }
 }
 
-impl std::fmt::Debug for CompiledSelection<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompiledSelection")
-            .field("peo", &self.peo)
-            .field("predicates", &self.preds.len())
-            .field("agg_columns", &self.agg.len())
-            .field("rows", &self.rows)
-            .finish()
-    }
-}
+/// A selection plan compiled for one PEO over one table: a forwarding
+/// newtype over [`CompiledProgram::from_selection`]. It is kept only
+/// because the repo benchmark's frozen engine surface
+/// (`benchmark/src/engine.rs`) names it, until that file moves to
+/// `CompiledProgram` (ROADMAP 1(a)); nothing else in the tree uses it.
+#[derive(Debug)]
+pub struct CompiledSelection<'t>(CompiledProgram<'t>);
 
 impl<'t> CompiledSelection<'t> {
     /// Compile `plan` against `table` with the given evaluation order.
@@ -154,174 +136,39 @@ impl<'t> CompiledSelection<'t> {
         plan: &SelectionPlan,
         peo: &[usize],
     ) -> Result<Self, EngineError> {
-        Self::compile_with_costs(table, plan, peo, InstrCosts::default())
-    }
-
-    /// [`CompiledSelection::compile`] with explicit instruction charges.
-    pub fn compile_with_costs(
-        table: &'t Table,
-        plan: &SelectionPlan,
-        peo: &[usize],
-        costs: InstrCosts,
-    ) -> Result<Self, EngineError> {
-        plan.validate_peo(peo)?;
-        let mut preds = Vec::with_capacity(peo.len());
-        for &plan_idx in peo {
-            let p = &plan.predicates[plan_idx];
-            preds.push(CompiledPredicate {
-                column: ColumnRef::resolve(table, &p.column)?,
-                site: BranchSite(plan_idx as u32),
-                op: p.op,
-                literal: p.literal,
-                extra_instructions: p.extra_instructions,
-            });
-        }
-        let agg = plan
-            .aggregate_columns
-            .iter()
-            .map(|name| ColumnRef::resolve(table, name))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            preds,
-            agg,
-            peo: peo.to_vec(),
-            rows: table.rows(),
-            costs,
-            scalar_oracle: false,
-        })
+        CompiledProgram::from_selection(table, plan, peo).map(Self)
     }
 
     /// The evaluation order this compilation uses (plan indices).
     pub fn peo(&self) -> &[usize] {
-        &self.peo
+        self.0.order()
     }
 
     /// Rows available in the underlying table.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.0.rows()
     }
 
-    /// Counter-model geometry for this compilation (used by the
-    /// estimator): per-predicate column widths and identities in
-    /// evaluation order. Aggregate columns already read by a predicate are
-    /// cache-resident and excluded from the geometry's fresh-column list.
+    /// The program's stream geometry (it has no probes).
     pub fn plan_geometry(&self, n_input: u64, chain: ChainSpec, line_bytes: u32) -> PlanGeometry {
-        let column_ids: Vec<usize> = self.preds.iter().map(|p| p.column.stream).collect();
-        let mut seen_agg: Vec<usize> = Vec::with_capacity(self.agg.len());
-        let agg_bytes: Vec<u32> = self
-            .agg
-            .iter()
-            .filter(|a| {
-                let fresh = !column_ids.contains(&a.stream) && !seen_agg.contains(&a.stream);
-                seen_agg.push(a.stream);
-                fresh
-            })
-            .map(|_| 4)
-            .collect();
-        PlanGeometry {
-            n_input,
-            value_bytes: vec![4; self.preds.len()],
-            column_ids,
-            agg_bytes,
-            line_bytes,
-            chain,
-            // A multi-selection scan has no dimension probes.
-            probes: Vec::new(),
-        }
+        self.0.stream_geometry(n_input, chain, line_bytes)
     }
 
-    /// Force every subsequent [`CompiledSelection::run_range`] call
-    /// through the scalar per-event oracle instead of the batched fast
-    /// path. Test/verification hook; the paths are bit-identical.
+    /// See [`CompiledProgram::set_scalar_oracle`].
     pub fn set_scalar_oracle(&mut self, on: bool) {
-        self.scalar_oracle = on;
+        self.0.set_scalar_oracle(on);
     }
 
-    /// Execute rows `start..end` against `cpu`, returning measurements for
-    /// exactly that range. Dispatches to the batched row kernel
-    /// ([`crate::exec::kernel`]) unless the scalar oracle was requested or
-    /// the shape exceeds the kernel's fixed scratch.
+    /// See [`CompiledProgram::run_range`].
     pub fn run_range(&self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
-        assert!(start <= end && end <= self.rows, "row range out of bounds");
-        match (!self.scalar_oracle).then(|| self.kernel()).flatten() {
-            Some(kernel) => kernel.run(cpu, start, end),
-            None => self.run_range_scalar(cpu, start, end),
-        }
-    }
-
-    /// The predicates in evaluation order and the aggregate columns,
-    /// resolved for the row kernel; `None` when they exceed its scratch.
-    fn kernel(&self) -> Option<RowKernel<'t>> {
-        let mut kernel = RowKernel::new(self.costs);
-        for p in &self.preds {
-            kernel.push_stage(
-                p.column,
-                None,
-                p.site,
-                p.op,
-                p.literal,
-                p.extra_instructions,
-            )?;
-        }
-        for a in &self.agg {
-            kernel.push_agg(*a)?;
-        }
-        Some(kernel)
-    }
-
-    /// The scalar per-event oracle: one `SimCpu` call per simulated
-    /// event — the reference semantics the batched
-    /// [`CompiledSelection::run_range`] is proptest-pinned against.
-    pub fn run_range_scalar(&self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
-        assert!(start <= end && end <= self.rows, "row range out of bounds");
-        let before = cpu.counters();
-        let mut qualified = 0u64;
-        let mut sum = 0i64;
-        let costs = self.costs;
-        for i in start..end {
-            cpu.instr(costs.loop_overhead);
-            let mut pass = true;
-            for p in &self.preds {
-                cpu.load(p.column.stream, p.column.base + (i as u64) * 4, 4);
-                cpu.instr(costs.per_eval + p.extra_instructions);
-                let ok = p.op.eval(i64::from(p.column.values[i]), p.literal);
-                // Qualifying tuple: fall through (not taken). Failing
-                // tuple: jump past the remaining predicate code (taken).
-                cpu.branch(p.site, !ok);
-                if !ok {
-                    pass = false;
-                    break;
-                }
-            }
-            if pass {
-                qualified += 1;
-                let mut product = 1i64;
-                for a in &self.agg {
-                    cpu.load(a.stream, a.base + (i as u64) * 4, 4);
-                    cpu.instr(costs.per_agg_column);
-                    product *= i64::from(a.values[i]);
-                }
-                if !self.agg.is_empty() {
-                    sum += product;
-                }
-            }
-            // Loop back-edge: taken every iteration.
-            cpu.branch(LOOP_BRANCH_SITE, true);
-        }
-        let after = cpu.counters();
-        VectorStats {
-            tuples: (end - start) as u64,
-            qualified,
-            sum,
-            counters: after.since(&before),
-        }
+        self.0.run_range(cpu, start, end)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::Predicate;
+    use crate::predicate::{CompareOp, Predicate};
     use popt_cpu::CpuConfig;
     use popt_storage::{AddressSpace, ColumnData, Table};
 
@@ -361,7 +208,7 @@ mod tests {
     #[test]
     fn qualifying_count_is_exact() {
         let t = test_table(1000);
-        let c = CompiledSelection::compile(&t, &plan(), &[0, 1]).unwrap();
+        let c = CompiledProgram::from_selection(&t, &plan(), &[0, 1]).unwrap();
         let mut cpu = cpu();
         let stats = c.run_range(&mut cpu, 0, 1000);
         // a < 50: 50%, b < 5: 50%, independent-ish by construction.
@@ -374,7 +221,7 @@ mod tests {
         let t = test_table(2000);
         let mut results = Vec::new();
         for peo in [[0usize, 1], [1, 0]] {
-            let c = CompiledSelection::compile(&t, &plan(), &peo).unwrap();
+            let c = CompiledProgram::from_selection(&t, &plan(), &peo).unwrap();
             let mut cpu = cpu();
             let stats = c.run_range(&mut cpu, 0, 2000);
             results.push((stats.qualified, stats.sum));
@@ -385,7 +232,7 @@ mod tests {
     #[test]
     fn derived_output_matches_ground_truth() {
         let t = test_table(1000);
-        let c = CompiledSelection::compile(&t, &plan(), &[1, 0]).unwrap();
+        let c = CompiledProgram::from_selection(&t, &plan(), &[1, 0]).unwrap();
         let mut cpu = cpu();
         let stats = c.run_range(&mut cpu, 0, 1000);
         assert_eq!(stats.derived_output(), stats.qualified);
@@ -394,7 +241,7 @@ mod tests {
     #[test]
     fn bnt_equals_survivor_sum() {
         let t = test_table(1000);
-        let c = CompiledSelection::compile(&t, &plan(), &[0, 1]).unwrap();
+        let c = CompiledProgram::from_selection(&t, &plan(), &[0, 1]).unwrap();
         let mut cpu = cpu();
         let stats = c.run_range(&mut cpu, 0, 1000);
         // Survivors: after a<50 -> 500; after b<5 -> 250. BNT = 750.
@@ -404,7 +251,7 @@ mod tests {
     #[test]
     fn branches_taken_follow_failures_plus_loop() {
         let t = test_table(1000);
-        let c = CompiledSelection::compile(&t, &plan(), &[0, 1]).unwrap();
+        let c = CompiledProgram::from_selection(&t, &plan(), &[0, 1]).unwrap();
         let mut cpu = cpu();
         let stats = c.run_range(&mut cpu, 0, 1000);
         // Failures: 500 at a, 250 at b; loop: 1000.
@@ -415,8 +262,8 @@ mod tests {
     fn short_circuit_skips_later_columns() {
         let t = test_table(1000);
         // Evaluate `a` first: `b` is only accessed for survivors of `a`.
-        let c01 = CompiledSelection::compile(&t, &plan(), &[0, 1]).unwrap();
-        let c10 = CompiledSelection::compile(&t, &plan(), &[1, 0]).unwrap();
+        let c01 = CompiledProgram::from_selection(&t, &plan(), &[0, 1]).unwrap();
+        let c10 = CompiledProgram::from_selection(&t, &plan(), &[1, 0]).unwrap();
         let mut cpu_a = cpu();
         let mut cpu_b = cpu();
         let s01 = c01.run_range(&mut cpu_a, 0, 1000);
@@ -437,7 +284,7 @@ mod tests {
     #[test]
     fn sampled_counters_roundtrip() {
         let t = test_table(500);
-        let c = CompiledSelection::compile(&t, &plan(), &[0, 1]).unwrap();
+        let c = CompiledProgram::from_selection(&t, &plan(), &[0, 1]).unwrap();
         let mut cpu = cpu();
         let stats = c.run_range(&mut cpu, 0, 500);
         let s = stats.sampled_counters();
@@ -452,7 +299,7 @@ mod tests {
         let bad =
             SelectionPlan::new(vec![Predicate::new("nope", CompareOp::Lt, 1)], vec![]).unwrap();
         assert_eq!(
-            CompiledSelection::compile(&t, &bad, &[0]).unwrap_err(),
+            CompiledProgram::from_selection(&t, &bad, &[0]).unwrap_err(),
             EngineError::UnknownColumn("nope".into())
         );
     }
@@ -461,7 +308,7 @@ mod tests {
     fn compile_rejects_bad_peo() {
         let t = test_table(10);
         assert!(matches!(
-            CompiledSelection::compile(&t, &plan(), &[0, 0]).unwrap_err(),
+            CompiledProgram::from_selection(&t, &plan(), &[0, 0]).unwrap_err(),
             EngineError::InvalidPeo { .. }
         ));
     }
@@ -473,7 +320,7 @@ mod tests {
         t.add_column("w", ColumnData::I64(vec![1, 2, 3]), &mut space);
         let p = SelectionPlan::new(vec![Predicate::new("w", CompareOp::Lt, 2)], vec![]).unwrap();
         assert_eq!(
-            CompiledSelection::compile(&t, &p, &[0]).unwrap_err(),
+            CompiledProgram::from_selection(&t, &p, &[0]).unwrap_err(),
             EngineError::UnsupportedColumnType("w".into())
         );
     }
@@ -481,7 +328,7 @@ mod tests {
     #[test]
     fn empty_range_is_empty_stats() {
         let t = test_table(100);
-        let c = CompiledSelection::compile(&t, &plan(), &[0, 1]).unwrap();
+        let c = CompiledProgram::from_selection(&t, &plan(), &[0, 1]).unwrap();
         let mut cpu = cpu();
         let stats = c.run_range(&mut cpu, 50, 50);
         assert_eq!(stats.tuples, 0);
@@ -495,8 +342,8 @@ mod tests {
         let cheap = plan();
         let mut expensive = plan();
         expensive.predicates[0].extra_instructions = 100;
-        let cc = CompiledSelection::compile(&t, &cheap, &[0, 1]).unwrap();
-        let ce = CompiledSelection::compile(&t, &expensive, &[0, 1]).unwrap();
+        let cc = CompiledProgram::from_selection(&t, &cheap, &[0, 1]).unwrap();
+        let ce = CompiledProgram::from_selection(&t, &expensive, &[0, 1]).unwrap();
         let mut cpu1 = cpu();
         let mut cpu2 = cpu();
         let s1 = cc.run_range(&mut cpu1, 0, 1000);
@@ -509,10 +356,34 @@ mod tests {
     fn count_only_plan_has_zero_sum() {
         let t = test_table(100);
         let p = SelectionPlan::new(vec![Predicate::new("a", CompareOp::Lt, 50)], vec![]).unwrap();
-        let c = CompiledSelection::compile(&t, &p, &[0]).unwrap();
+        let c = CompiledProgram::from_selection(&t, &p, &[0]).unwrap();
         let mut cpu = cpu();
         let stats = c.run_range(&mut cpu, 0, 100);
         assert_eq!(stats.sum, 0);
         assert_eq!(stats.qualified, 50);
+    }
+
+    #[test]
+    fn selection_newtype_forwards_to_the_program() {
+        let t = test_table(1000);
+        let mut compiled = CompiledSelection::compile(&t, &plan(), &[1, 0]).unwrap();
+        let program = CompiledProgram::from_selection(&t, &plan(), &[1, 0]).unwrap();
+        assert_eq!(compiled.peo(), &[1, 0]);
+        assert_eq!(compiled.rows(), 1000);
+        let cfg = CpuConfig::tiny_test();
+        let chain = ChainSpec {
+            states: cfg.predictor.states,
+            not_taken_states: cfg.predictor.not_taken_states,
+        };
+        let line_bytes = cfg.line_bytes() as u32;
+        let geom = compiled.plan_geometry(1000, chain, line_bytes);
+        assert_eq!(geom, program.plan_geometry(1000, &cfg, 0, &[]));
+        assert!(geom.probes.is_empty());
+        compiled.set_scalar_oracle(true);
+        let (mut cpu1, mut cpu2) = (cpu(), cpu());
+        assert_eq!(
+            compiled.run_range(&mut cpu1, 0, 1000),
+            program.run_range(&mut cpu2, 0, 1000)
+        );
     }
 }

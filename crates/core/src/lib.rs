@@ -14,19 +14,19 @@
 //!   extraction, filter pushdown, projection pruning), and lowering to
 //!   the compiled flat stage form ([`exec::program::CompiledProgram`])
 //!   the progressive runtime reorders with a cheap permutation re-emit;
-//! * [`exec`] — the "compiled" scan loop (the short-circuit branch
-//!   code of Section 2.1 driven against the simulated CPU), the compiled
-//!   program executor with its foreign-key join-filter stages, and the
-//!   invasive enumerator baseline of Section 5.7;
+//! * [`exec`] — the one compiled form, [`exec::program::CompiledProgram`]:
+//!   the short-circuit branch code of Section 2.1 driven against the
+//!   simulated CPU, with optional foreign-key join-filter stages (a
+//!   multi-selection scan is a program without them), and the invasive
+//!   enumerator baseline of Section 5.7;
 //! * [`progressive`] — the progressive optimization loop of Figure 10:
 //!   sample counters per vector, estimate selectivities, reorder, trial,
-//!   revert on regression. The loop is executor-agnostic
-//!   ([`progressive::ProgressiveTarget`]): it drives both the
-//!   multi-selection scan and — via
-//!   [`progressive::run_progressive_program`] — compiled mixed
-//!   selection/join-filter programs, where stages are ranked by estimated
-//!   cost per input tuple and probe locality is calibrated from the
-//!   counters (Sections 5.5–5.6);
+//!   revert on regression. It drives any
+//!   [`progressive::ProgressiveTarget`]; the engine's one target,
+//!   [`progressive::CompiledTarget`], ranks a probe-free program by
+//!   ascending selectivity (Section 4.4) and a program with join filters
+//!   by estimated cost per input tuple, calibrating probe locality from
+//!   the counters (Sections 5.5–5.6);
 //! * [`parallel`] — morsel-driven parallel execution with *shared*
 //!   progressive reoptimization: worker threads drive independent
 //!   simulated cores over cache-friendly morsels, per-worker counter
@@ -72,9 +72,8 @@ pub use error::EngineError;
 pub use exec::program::{CompiledProgram, CompiledStage};
 pub use observe::ExecObservers;
 pub use parallel::{
-    run_parallel_program, run_parallel_program_observed, run_parallel_scan,
-    run_parallel_target_observed, MorselConfig, MorselDispatcher, ParallelReport, ShardableTarget,
-    TargetShard,
+    run_parallel_program, run_parallel_program_observed, run_parallel_target_observed,
+    MorselConfig, MorselDispatcher, ParallelReport, ShardableTarget, TargetShard,
 };
 pub use plan::{Expr, LogicalNode, LogicalPlan, PassRegistry, Peo, PlanBuilder, SelectionPlan};
 pub use predicate::{CompareOp, Predicate};

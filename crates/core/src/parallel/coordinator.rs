@@ -47,11 +47,9 @@ use popt_solver::SampledCounters;
 use crate::error::EngineError;
 use crate::exec::scan::VectorStats;
 use crate::observe::{morsel_stage_parts, ExecObservers};
-use crate::plan::{Peo, SelectionPlan};
+use crate::plan::Peo;
 use crate::policy::{book_fit, Fit, ReoptPolicy};
-use popt_storage::Table;
-
-use crate::progressive::{ProgressiveConfig, ScanTarget, SwitchEvent};
+use crate::progressive::{ProgressiveConfig, SwitchEvent};
 
 use super::morsel::{MorselConfig, MorselDispatcher};
 use super::{ShardableTarget, TargetShard};
@@ -781,25 +779,10 @@ pub(crate) fn finish_morsel<'a, T: ShardableTarget, S: TargetShard>(
     Ok((opt, None))
 }
 
-/// Execute `plan` over `table` with morsel-driven parallelism across the
-/// pool's cores, optionally with shared progressive reoptimization.
-/// The parallel generalization of [`crate::progressive::run_baseline`] /
-/// [`crate::progressive::run_progressive`].
-pub fn run_parallel_scan(
-    table: &Table,
-    plan: &SelectionPlan,
-    initial_peo: &[usize],
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-) -> Result<ParallelReport, EngineError> {
-    let mut target = ScanTarget::new(table, plan, initial_peo)?;
-    run_parallel_target_observed(&mut target, morsels, pool, reopt, &ExecObservers::none())
-}
-
 /// Execute a compiled program with morsel-driven parallelism, optionally
 /// with shared progressive operator reordering. The program is left in
 /// the final accepted order. The parallel generalization of
+/// [`crate::progressive::run_baseline`] /
 /// [`crate::progressive::run_progressive_program`].
 pub fn run_parallel_program(
     program: &mut crate::exec::program::CompiledProgram<'_>,

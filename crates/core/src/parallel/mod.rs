@@ -27,9 +27,10 @@
 //! calibration — the *model* side, owned by the coordinator), it can
 //! mint per-worker [`TargetShard`]s (the *execution* side: an
 //! independently order-switchable executor over the same immutable
-//! data). Both built-in targets — the multi-selection scan and the
-//! compiled selection/join-filter program — are shardable, via
-//! [`run_parallel_scan`] and [`run_parallel_program`].
+//! data). The engine's one target, the compiled program's
+//! [`crate::progressive::CompiledTarget`], shards into
+//! [`CompiledShard`]s; [`run_parallel_program`] runs any program — a
+//! lowered multi-selection scan as much as a join pipeline.
 //!
 //! Results are bit-identical to the single-core executor for any worker
 //! count and morsel size: qualifying counts and aggregate sums are
@@ -37,7 +38,8 @@
 //! partitioning nor the completion order can change them.
 //!
 //! ```
-//! use popt_core::parallel::{run_parallel_scan, MorselConfig};
+//! use popt_core::exec::CompiledProgram;
+//! use popt_core::parallel::{run_parallel_program, MorselConfig};
 //! use popt_core::plan::SelectionPlan;
 //! use popt_core::predicate::{CompareOp, Predicate};
 //! use popt_cpu::{CpuConfig, CpuPool};
@@ -52,10 +54,10 @@
 //! );
 //! let plan =
 //!     SelectionPlan::new(vec![Predicate::new("a", CompareOp::Lt, 50)], vec![]).unwrap();
+//! let mut program = CompiledProgram::from_selection(&table, &plan, &[0]).unwrap();
 //! let mut pool = CpuPool::new(CpuConfig::tiny_test(), 4);
-//! let report = run_parallel_scan(
-//!     &table,
-//!     &plan,
+//! let report = run_parallel_program(
+//!     &mut program,
 //!     &[0],
 //!     MorselConfig::new(1024),
 //!     &mut pool,
@@ -70,8 +72,8 @@ pub mod coordinator;
 pub mod morsel;
 
 pub use coordinator::{
-    run_parallel_program, run_parallel_program_observed, run_parallel_scan,
-    run_parallel_target_observed, ParallelReport,
+    run_parallel_program, run_parallel_program_observed, run_parallel_target_observed,
+    ParallelReport,
 };
 pub use morsel::{MorselConfig, MorselDispatcher};
 
@@ -80,7 +82,7 @@ use popt_cpu::SimCpu;
 use crate::error::EngineError;
 use crate::exec::program::CompiledProgram;
 use crate::exec::scan::VectorStats;
-use crate::progressive::{CompiledTarget, ProgressiveTarget, ScanTarget};
+use crate::progressive::{CompiledTarget, ProgressiveTarget};
 
 /// A per-worker executor: the execution half of a progressive target,
 /// runnable over arbitrary row ranges and switchable to any published
@@ -104,24 +106,6 @@ pub trait ShardableTarget: ProgressiveTarget {
 
     /// Mint a worker executor starting in the target's current order.
     fn shard(&self) -> Result<Self::Shard, EngineError>;
-}
-
-impl TargetShard for ScanTarget<'_, '_> {
-    fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError> {
-        ProgressiveTarget::set_order(self, order)
-    }
-
-    fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
-        ProgressiveTarget::run_range(self, cpu, start, end)
-    }
-}
-
-impl<'p, 't> ShardableTarget for ScanTarget<'p, 't> {
-    type Shard = ScanTarget<'p, 't>;
-
-    fn shard(&self) -> Result<Self::Shard, EngineError> {
-        ScanTarget::new(self.table, self.plan, self.compiled.peo())
-    }
 }
 
 /// A worker-owned compiled-program clone (the stage table borrows the

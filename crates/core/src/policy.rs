@@ -245,8 +245,7 @@ impl ReoptPolicy {
         switches: &mut [SwitchEvent],
     ) -> Option<(Trial, bool)> {
         let trial = self.trial.take()?;
-        let reverted = cfg.revert_on_regression
-            && trial_cpt > trial.baseline_cpt * (1.0 + cfg.regression_tolerance);
+        let reverted = trial_cpt > trial.baseline_cpt * (1.0 + cfg.regression_tolerance);
         if reverted {
             switches[trial.switch_idx].reverted = true;
             self.rejected.push((trial.order.clone(), self.round));

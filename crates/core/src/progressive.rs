@@ -58,25 +58,35 @@
 //! it, one `set_order` per switch and per revert) is observable through
 //! a delegating target, and the repo benchmark reads it.
 //!
-//! ## Two executors
+//! ## One target, the paper's split derived from the program
 //!
 //! Sections 5.5–5.6 generalize the approach from predicate orders to
 //! *operator* orders — expensive selections versus foreign-key join
-//! filters. Policy and drives are executor-agnostic: anything that can
-//! compile an order, execute a row range, and describe its counter-model
-//! geometry participates, via [`ProgressiveTarget`]. [`run_progressive`]
-//! drives the multi-selection scan ([`CompiledSelection`]);
-//! [`run_progressive_program`] drives a [`CompiledProgram`] of mixed
-//! selections and join filters, where the reorder decision ranks stages
-//! by estimated **cost per input tuple** (an LLC-thrashing probe is not
-//! comparable to a register compare) and the target *calibrates* each
-//! probe's clustering from the sampled counters — the Equation-1
-//! comparison of Section 5.5, with trial vectors doubling as measurement
-//! probes for joins whose locality has never been observed.
+//! filters — and treat a join as one more filter of the short-circuit
+//! loop. Every query therefore runs as one [`CompiledProgram`]: a
+//! [`SelectionPlan`] lowers to a probe-free one
+//! ([`CompiledProgram::from_selection`]; [`run_baseline`],
+//! [`run_progressive`]), a logical plan to one that may probe
+//! ([`run_progressive_program`]). The drives reach it through one target,
+//! [`CompiledTarget`], which reads the paper's split off the program
+//! itself, not off the entry point that built it:
+//!
+//! * **no probe stage — the §4.4 scan.** Every stage streams its own
+//!   column at a uniform charge, so the reorder rule is ascending
+//!   estimated selectivity, and there is nothing to calibrate: no trial
+//!   fits, no measurement probes, no calibration snapshot;
+//! * **at least one probe stage — §5.5.** The reorder ranks stages by
+//!   estimated **cost per input tuple** (an LLC-thrashing probe is not
+//!   comparable to a register compare), and the target *calibrates* each
+//!   probe's clustering from the sampled counters — the Equation-1
+//!   comparison of Section 5.5, with trial vectors doubling as
+//!   measurement probes for joins whose locality has never been observed.
+//!
+//! Policy and drives stay target-agnostic through [`ProgressiveTarget`],
+//! which is also how a delegating target observes them.
 
 use popt_cost::cycles::{stage_costs_per_input_tuple, CycleParams};
 use popt_cost::estimate::{estimate_counters, PlanGeometry};
-use popt_cost::markov::ChainSpec;
 use popt_cpu::pmu::CounterDelta;
 use popt_cpu::{CpuConfig, NumaPlacement, SimCpu};
 use popt_solver::{CalibrationSnapshot, EstimatorConfig, SampledCounters};
@@ -84,7 +94,7 @@ use popt_storage::Table;
 
 use crate::error::EngineError;
 use crate::exec::program::CompiledProgram;
-use crate::exec::scan::{CompiledSelection, VectorStats};
+use crate::exec::scan::VectorStats;
 use crate::observe::{morsel_stage_parts, ExecObservers};
 use crate::plan::{order_by_cost_per_tuple, order_by_selectivity, Peo, SelectionPlan};
 use crate::policy::{book_fit, Fit, ReoptPolicy};
@@ -110,10 +120,8 @@ pub struct ProgressiveConfig {
     pub reop_interval: usize,
     /// Selectivity estimator settings.
     pub estimator: EstimatorConfig,
-    /// Reinstate the previous PEO if the trial vector deteriorates.
-    pub revert_on_regression: bool,
     /// Relative cycles-per-tuple slack before a trial counts as a
-    /// regression.
+    /// regression and the previous PEO is reinstated.
     pub regression_tolerance: f64,
     /// Periodically execute one vector under an exploratory PEO to detect
     /// correlation effects that the current order cannot reveal
@@ -135,7 +143,6 @@ impl Default for ProgressiveConfig {
         Self {
             reop_interval: 10,
             estimator: EstimatorConfig::default(),
-            revert_on_regression: true,
             regression_tolerance: 0.02,
             explore_correlation: true,
             cycles_per_estimator_eval: 60,
@@ -224,7 +231,8 @@ impl ProgressiveReport {
 pub struct VectorConfig {
     /// Tuples per vector.
     pub vector_tuples: usize,
-    /// Cap on the number of vectors (`None` = scan the whole table).
+    /// Cap on the number of vectors (`None` = scan the whole table; a
+    /// cap of zero is rejected).
     pub max_vectors: Option<usize>,
 }
 
@@ -233,6 +241,9 @@ impl VectorConfig {
     pub fn ranges(&self, rows: usize) -> Result<Vec<(usize, usize)>, EngineError> {
         if self.vector_tuples == 0 {
             return Err(EngineError::InvalidVectorConfig("vector_tuples = 0".into()));
+        }
+        if self.max_vectors == Some(0) {
+            return Err(EngineError::InvalidVectorConfig("max_vectors = 0".into()));
         }
         let mut out = Vec::new();
         let mut start = 0;
@@ -259,12 +270,12 @@ pub fn run_baseline(
     vectors: VectorConfig,
     cpu: &mut SimCpu,
 ) -> Result<ProgressiveReport, EngineError> {
-    let compiled = CompiledSelection::compile(table, plan, peo)?;
+    let program = CompiledProgram::from_selection(table, plan, peo)?;
     let ranges = vectors.ranges(table.rows())?;
     let mut total = VectorStats::zero();
     let mut per_vector = Vec::with_capacity(ranges.len());
     for &(start, end) in &ranges {
-        let stats = compiled.run_range(cpu, start, end);
+        let stats = program.run_range(cpu, start, end);
         per_vector.push(stats.counters.cycles);
         total.accumulate(&stats);
     }
@@ -399,74 +410,10 @@ pub trait ProgressiveTarget {
     }
 }
 
-/// The multi-selection scan as a progressive target: switching orders
-/// recompiles the plan against the table.
-pub(crate) struct ScanTarget<'p, 't> {
-    pub(crate) table: &'t Table,
-    pub(crate) plan: &'p SelectionPlan,
-    pub(crate) compiled: CompiledSelection<'t>,
-}
-
-impl<'p, 't> ScanTarget<'p, 't> {
-    pub(crate) fn new(
-        table: &'t Table,
-        plan: &'p SelectionPlan,
-        initial_peo: &[usize],
-    ) -> Result<Self, EngineError> {
-        Ok(Self {
-            table,
-            plan,
-            compiled: CompiledSelection::compile(table, plan, initial_peo)?,
-        })
-    }
-}
-
-impl ProgressiveTarget for ScanTarget<'_, '_> {
-    fn rows(&self) -> usize {
-        self.compiled.rows()
-    }
-
-    fn order(&self) -> Peo {
-        self.compiled.peo().to_vec()
-    }
-
-    fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError> {
-        self.compiled = CompiledSelection::compile(self.table, self.plan, order)?;
-        Ok(())
-    }
-
-    fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
-        self.compiled.run_range(cpu, start, end)
-    }
-
-    fn plan_geometry(&self, n_input: u64, cpu: &CpuConfig, _llc_bytes: u64) -> PlanGeometry {
-        // A multi-selection scan streams its columns and probes nothing,
-        // so its counter model is LLC-capacity-independent.
-        let chain = ChainSpec {
-            states: cpu.predictor.states,
-            not_taken_states: cpu.predictor.not_taken_states,
-        };
-        self.compiled
-            .plan_geometry(n_input, chain, cpu.line_bytes() as u32)
-    }
-
-    fn hot_set_bytes(&self) -> u64 {
-        // Pure streaming: one in-flight window per touched column.
-        (self.plan.predicates.len() + self.plan.aggregate_columns.len()) as u64
-            * STREAM_HOT_BYTES_PER_COLUMN
-    }
-
-    fn propose_order(&self, _geom: &PlanGeometry, selectivities: &[f64]) -> Peo {
-        // Uniform per-predicate cost: the cost-per-tuple rank degenerates
-        // to the ascending-selectivity rule of Section 4.4.
-        order_by_selectivity(self.compiled.peo(), selectivities)
-    }
-}
-
 /// Runtime-learned probe locality of a [`CompiledTarget`]: one
 /// clustering estimate per *plan* stage, which stages were ever
 /// observed, and which already spent their measurement probe.
-pub(crate) struct ProbeCalibration {
+struct ProbeCalibration {
     /// Per plan-stage clustering estimate (1.0 = assume uniform random,
     /// the textbook-pessimistic prior; meaningless for selects).
     clustering: Vec<f64>,
@@ -477,7 +424,7 @@ pub(crate) struct ProbeCalibration {
 }
 
 impl ProbeCalibration {
-    pub(crate) fn cold(stages: usize) -> Self {
+    fn cold(stages: usize) -> Self {
         Self {
             clustering: vec![1.0; stages],
             measured: vec![false; stages],
@@ -485,7 +432,7 @@ impl ProbeCalibration {
         }
     }
 
-    pub(crate) fn clustering(&self) -> &[f64] {
+    fn clustering(&self) -> &[f64] {
         &self.clustering
     }
 
@@ -567,34 +514,41 @@ impl ProbeCalibration {
     }
 }
 
-/// A [`CompiledProgram`] (selections + foreign-key join filters) as a
-/// progressive target. Orders are ranked by estimated cost per input
-/// tuple, and each join stage's probe clustering is calibrated from the
-/// counters whenever the stage runs at the front of the program (the
-/// position where its signal dominates the sample). Calibration
-/// snapshots are keyed to the program's literal-free
-/// [`CompiledProgram::stage_keys`], so a cached snapshot warm-starts any
-/// query of the same *structure* regardless of its literals, and is
-/// ignored for a structurally different program even when the stage
-/// count happens to match.
+/// A [`CompiledProgram`] as a progressive target — the only one the
+/// engine has. What it learns and how it ranks follow from the program
+/// (module docs): a probe-free program is the §4.4 scan, ranked by
+/// ascending selectivity with no calibration state at all; a program with
+/// a probe stage ranks by estimated cost per input tuple and calibrates
+/// each join stage's probe clustering from the counters whenever the
+/// stage runs at the front of the program (the position where its signal
+/// dominates the sample). Calibration snapshots are keyed to the
+/// program's literal-free [`CompiledProgram::stage_keys`], so a cached
+/// snapshot warm-starts any query of the same *structure* regardless of
+/// its literals, and is ignored for a structurally different program even
+/// when the stage count happens to match.
 pub struct CompiledTarget<'p, 't> {
     program: &'p mut CompiledProgram<'t>,
-    cal: ProbeCalibration,
+    /// `None` for a probe-free program: nothing to learn at runtime.
+    cal: Option<ProbeCalibration>,
 }
 
 impl<'p, 't> CompiledTarget<'p, 't> {
-    /// Wrap `program` with cold calibration state.
+    /// Wrap `program`, with cold calibration state when it probes.
     pub fn new(program: &'p mut CompiledProgram<'t>) -> Self {
-        let stages = program.len();
-        Self {
-            program,
-            cal: ProbeCalibration::cold(stages),
-        }
+        let cal = program
+            .has_joins()
+            .then(|| ProbeCalibration::cold(program.len()));
+        Self { program, cal }
     }
 
     /// The wrapped program (for sharding).
     pub(crate) fn program(&self) -> &CompiledProgram<'t> {
         self.program
+    }
+
+    /// Per plan-stage probe clustering (empty for a probe-free program).
+    fn clustering(&self) -> &[f64] {
+        self.cal.as_ref().map_or(&[], ProbeCalibration::clustering)
     }
 }
 
@@ -617,7 +571,7 @@ impl ProgressiveTarget for CompiledTarget<'_, '_> {
 
     fn plan_geometry(&self, n_input: u64, cpu: &CpuConfig, llc_bytes: u64) -> PlanGeometry {
         self.program
-            .plan_geometry(n_input, cpu, llc_bytes, self.cal.clustering())
+            .plan_geometry(n_input, cpu, llc_bytes, self.clustering())
     }
 
     fn plan_geometry_numa(
@@ -632,7 +586,7 @@ impl ProgressiveTarget for CompiledTarget<'_, '_> {
             n_input,
             cpu,
             llc_bytes,
-            self.cal.clustering(),
+            self.clustering(),
             placement,
             socket,
         )
@@ -643,6 +597,9 @@ impl ProgressiveTarget for CompiledTarget<'_, '_> {
     }
 
     fn propose_order(&self, geom: &PlanGeometry, selectivities: &[f64]) -> Peo {
+        if self.cal.is_none() {
+            return order_by_selectivity(self.program.order(), selectivities);
+        }
         let costs = stage_costs_per_input_tuple(
             geom,
             &self.program.stage_instructions(),
@@ -654,35 +611,40 @@ impl ProgressiveTarget for CompiledTarget<'_, '_> {
 
     fn calibrate(&mut self, geom: &PlanGeometry, sampled: &SampledCounters, survivors: &[f64]) {
         let front = self.program.order()[0];
-        if !self.program.stage(front).is_join() {
-            return;
+        if let Some(cal) = self.cal.as_mut() {
+            if self.program.stage(front).is_join() {
+                cal.calibrate_front(front, geom, sampled, survivors);
+            }
         }
-        self.cal.calibrate_front(front, geom, sampled, survivors);
     }
 
     fn take_probe_order(&mut self) -> Option<Peo> {
-        let order = self.program.order().to_vec();
+        let program = &*self.program;
         self.cal
-            .take_probe_order(&order, |j| self.program.stage(j).is_join())
+            .as_mut()?
+            .take_probe_order(program.order(), |j| program.stage(j).is_join())
     }
 
     fn wants_trial_calibration(&self) -> bool {
-        true
+        self.cal.is_some()
     }
 
     fn calibration_snapshot(&self) -> Option<CalibrationSnapshot> {
-        Some(CalibrationSnapshot::keyed(
-            self.cal.clustering.clone(),
-            self.cal.measured.clone(),
-            self.program.stage_keys(),
-        ))
+        self.cal.as_ref().map(|cal| {
+            CalibrationSnapshot::keyed(
+                cal.clustering.clone(),
+                cal.measured.clone(),
+                self.program.stage_keys(),
+            )
+        })
     }
 
     fn restore_calibration(&mut self, snapshot: &CalibrationSnapshot) {
-        if !snapshot.matches_keys(&self.program.stage_keys()) {
-            return;
+        if let Some(cal) = self.cal.as_mut() {
+            if snapshot.matches_keys(&self.program.stage_keys()) {
+                cal.restore(snapshot);
+            }
         }
-        self.cal.restore(snapshot);
     }
 
     fn stage_keys(&self) -> Vec<u64> {
@@ -717,8 +679,8 @@ pub fn run_progressive(
     cpu: &mut SimCpu,
     config: &ProgressiveConfig,
 ) -> Result<ProgressiveReport, EngineError> {
-    let mut target = ScanTarget::new(table, plan, initial_peo)?;
-    run_progressive_target_observed(&mut target, vectors, cpu, config, &ExecObservers::none())
+    let mut program = CompiledProgram::from_selection(table, plan, initial_peo)?;
+    run_progressive_program(&mut program, initial_peo, vectors, cpu, config)
 }
 
 /// Execute a compiled program starting from `initial_order` with

@@ -172,7 +172,7 @@ impl<'t> QueryBuilder<'t> {
         self
     }
 
-    /// Cap the number of vectors executed.
+    /// Cap the number of vectors executed (`run` rejects a cap of zero).
     pub fn vectors(mut self, max: usize) -> Self {
         self.max_vectors = Some(max);
         self
@@ -310,6 +310,18 @@ mod tests {
             .unwrap();
         assert!(capped.vectors < full.vectors);
         assert!(capped.cycles < full.cycles);
+    }
+
+    #[test]
+    fn zero_vector_cap_is_rejected() {
+        let t = generate_lineitem(&TpchConfig::tiny());
+        for mode in [RunMode::Baseline, RunMode::Progressive { reop_interval: 1 }] {
+            let err = QueryBuilder::q6(&t).vectors(0).run(mode).unwrap_err();
+            assert!(
+                matches!(err, EngineError::InvalidVectorConfig(_)),
+                "{mode:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -22,12 +22,10 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use popt_solver::CalibrationSnapshot;
-use popt_storage::Table;
 
-use crate::error::EngineError;
 use crate::exec::program::CompiledProgram;
-use crate::plan::{Peo, SelectionPlan};
-use crate::predicate::{CompareOp, Predicate};
+use crate::plan::Peo;
+use crate::predicate::CompareOp;
 
 /// Structural identity of one pipeline stage, in *plan* order — what the
 /// stage computes and which simulated columns it touches, independent of
@@ -94,31 +92,9 @@ impl Hash for WorkloadSignature {
 }
 
 impl WorkloadSignature {
-    /// Signature of a multi-selection scan over `table`.
-    pub fn of_scan(table: &Table, plan: &SelectionPlan) -> Result<Self, EngineError> {
-        let stages = plan
-            .predicates
-            .iter()
-            .map(|p: &Predicate| {
-                let col = table
-                    .column(&p.column)
-                    .ok_or_else(|| EngineError::UnknownColumn(p.column.clone()))?;
-                Ok(StageSignature::Select {
-                    base: col.base_addr(),
-                    op: p.op,
-                    extra_instructions: p.extra_instructions,
-                })
-            })
-            .collect::<Result<Vec<_>, EngineError>>()?;
-        Ok(Self {
-            rows: table.rows(),
-            stages,
-            literals: plan.predicates.iter().map(|p| p.literal).collect(),
-        })
-    }
-
-    /// Signature of a compiled program, taken over the stages in plan
-    /// (lowering) order so it is invariant under reordering.
+    /// Signature of a compiled program — a lowered scan or frontend plan
+    /// alike — taken over the stages in plan (lowering) order so it is
+    /// invariant under reordering.
     pub fn of_compiled(program: &CompiledProgram<'_>) -> Self {
         let stages = (0..program.len())
             .map(|j| {
@@ -416,6 +392,8 @@ impl OrderCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::SelectionPlan;
+    use crate::predicate::Predicate;
     use popt_storage::{AddressSpace, ColumnData, Table};
 
     fn table() -> Table {
@@ -424,6 +402,12 @@ mod tests {
         t.add_column("a", ColumnData::I32(vec![1; 64]), &mut space);
         t.add_column("b", ColumnData::I32(vec![2; 64]), &mut space);
         t
+    }
+
+    /// The signature of `plan` scanned over `t`.
+    fn scan_signature(t: &Table, plan: &SelectionPlan) -> WorkloadSignature {
+        let order = plan.identity_peo();
+        WorkloadSignature::of_compiled(&CompiledProgram::from_selection(t, plan, &order).unwrap())
     }
 
     fn plan(literal: i64) -> SelectionPlan {
@@ -440,9 +424,9 @@ mod tests {
     #[test]
     fn signature_treats_literals_as_features_not_identity() {
         let t = table();
-        let a = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
-        let same = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
-        let slid = WorkloadSignature::of_scan(&t, &plan(11)).unwrap();
+        let a = scan_signature(&t, &plan(10));
+        let same = scan_signature(&t, &plan(10));
+        let slid = scan_signature(&t, &plan(11));
         assert_eq!(a, same);
         assert_eq!(
             a, slid,
@@ -460,7 +444,7 @@ mod tests {
             vec![],
         )
         .unwrap();
-        let other = WorkloadSignature::of_scan(&t, &structural).unwrap();
+        let other = scan_signature(&t, &structural);
         assert_ne!(a, other, "operator change must miss the template");
         assert_eq!(a.stages(), 2);
     }
@@ -509,17 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_signature_rejects_unknown_columns() {
-        let t = table();
-        let bad =
-            SelectionPlan::new(vec![Predicate::new("zzz", CompareOp::Lt, 1)], vec![]).unwrap();
-        assert!(matches!(
-            WorkloadSignature::of_scan(&t, &bad).unwrap_err(),
-            EngineError::UnknownColumn(_)
-        ));
-    }
-
-    #[test]
     fn compiled_signature_is_order_invariant() {
         let (t, dim) = (table(), dim());
         let in_plan_order = WorkloadSignature::of_compiled(&compiled_select_join(&t, &dim));
@@ -535,7 +508,7 @@ mod tests {
     #[test]
     fn cache_roundtrip_counts_hits_and_updates() {
         let t = table();
-        let sig = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
+        let sig = scan_signature(&t, &plan(10));
         let mut cache = OrderCache::new();
         assert!(cache.is_empty());
         assert!(cache.lookup(&sig).is_none());
@@ -554,7 +527,7 @@ mod tests {
     #[test]
     fn consecutive_divergent_warm_runs_evict_the_template() {
         let t = table();
-        let sig = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
+        let sig = scan_signature(&t, &plan(10));
         let mut cache = OrderCache::with_stale_after(3);
         cache.record(sig.clone(), vec![0, 1], None);
         // Two flip-flopping warm completions (each diverging from the
@@ -578,7 +551,7 @@ mod tests {
     #[test]
     fn converging_warm_run_clears_the_divergence_streak() {
         let t = table();
-        let sig = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
+        let sig = scan_signature(&t, &plan(10));
         let mut cache = OrderCache::with_stale_after(2);
         cache.record(sig.clone(), vec![0, 1], None);
         assert!(cache.record_warm(sig.clone(), vec![1, 0], None).diverged);
@@ -612,7 +585,7 @@ mod tests {
         // current belief, not each instance's outdated seed), so the
         // stabilized template survives any number of such completions.
         let t = table();
-        let sig = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
+        let sig = scan_signature(&t, &plan(10));
         let mut cache = OrderCache::with_stale_after(3);
         cache.record(sig.clone(), vec![0, 1], None);
         for _ in 0..5 {
@@ -626,7 +599,7 @@ mod tests {
     #[test]
     fn stats_track_lookups_and_render_into_the_registry() {
         let t = table();
-        let sig = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
+        let sig = scan_signature(&t, &plan(10));
         let mut cache = OrderCache::new();
         assert!(cache.lookup(&sig).is_none());
         cache.record(sig.clone(), vec![1, 0], None);
@@ -645,7 +618,7 @@ mod tests {
     #[test]
     fn malformed_cached_order_degrades_to_cold() {
         let t = table();
-        let sig = WorkloadSignature::of_scan(&t, &plan(10)).unwrap();
+        let sig = scan_signature(&t, &plan(10));
         let mut cache = OrderCache::new();
         cache.record(sig.clone(), vec![0, 0], None); // not a permutation
         assert!(

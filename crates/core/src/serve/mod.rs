@@ -6,10 +6,13 @@
 //! morsel-driven parallel executor without touching the execution or
 //! optimization machinery — the non-invasive theme, one level up:
 //!
-//! * [`server::QueryServer`] admits [`server::QuerySpec`]s (scan or
-//!   compiled frontend program — see [`server::QuerySpec::from_plan`] —
-//!   each with a [`server::Priority`] and an arrival time) and
-//!   executes them as interleaved morsel streams over one pool. Each
+//! * [`server::QueryServer`] admits [`server::QuerySpec`]s (a
+//!   multi-selection scan or a compiled frontend program — see
+//!   [`server::QuerySpec::from_plan`] — each with a [`server::Priority`]
+//!   and an arrival time; a scan is lowered to its compiled program when
+//!   the batch runs, so every query executes as the same compiled form
+//!   through the same target) and executes them as interleaved morsel
+//!   streams over one pool. Each
 //!   query keeps its own progressive coordination state — epoch-published
 //!   orders, trial leasing, rejection memory — exactly as if it ran
 //!   alone; the epoch mechanism already isolates per-query orders, so
@@ -61,7 +64,6 @@
 pub mod cache;
 pub mod scheduler;
 pub mod server;
-mod target;
 
 pub use cache::{
     CacheEntry, CacheStats, OrderCache, StageSignature, WarmRecordOutcome, WorkloadSignature,

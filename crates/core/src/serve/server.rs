@@ -1,10 +1,10 @@
 //! The query server: admission, interleaved scheduling, and per-query
 //! progressive reoptimization over one shared [`CpuPool`].
 //!
-//! A [`QueryServer`] holds a batch of [`QuerySpec`]s — scan or
-//! compiled-program targets, each with a [`Priority`] and an arrival
-//! time in simulated cycles — and executes them as *interleaved morsel
-//! streams*:
+//! A [`QueryServer`] holds a batch of [`QuerySpec`]s — scans or compiled
+//! programs, each with a [`Priority`] and an arrival time in simulated
+//! cycles — and executes them, every one as a [`CompiledTarget`], as
+//! *interleaved morsel streams*:
 //!
 //! * **Admission** — a query becomes schedulable once a worker's
 //!   wall-clock position (busy + idle + charged optimizer cycles)
@@ -48,13 +48,14 @@ use crate::exec::scan::VectorStats;
 use crate::parallel::coordinator::{
     enter_morsel, finish_morsel, BoundaryAction, CoordState, WithCoord,
 };
-use crate::parallel::{MorselConfig, MorselDispatcher, ShardableTarget, TargetShard};
+use crate::parallel::{
+    CompiledShard, MorselConfig, MorselDispatcher, ShardableTarget, TargetShard,
+};
 use crate::plan::{Peo, SelectionPlan};
-use crate::progressive::{ProgressiveConfig, ProgressiveTarget, SwitchEvent};
+use crate::progressive::{CompiledTarget, ProgressiveConfig, ProgressiveTarget, SwitchEvent};
 
 use super::cache::{OrderCache, WorkloadSignature};
 use super::scheduler::StrideScheduler;
-use super::target::{ServeShard, ServeTarget};
 
 /// Scheduling priority of a served query. Weights are proportional
 /// shares of morsel slots, not preemption levels: a `High` query gets
@@ -92,7 +93,8 @@ impl Priority {
 
 /// What a served query executes.
 pub enum QueryKind<'t> {
-    /// A multi-selection scan.
+    /// A multi-selection scan, lowered to its probe-free compiled
+    /// program ([`CompiledProgram::from_selection`]) when the batch runs.
     Scan {
         /// The scanned table.
         table: &'t Table,
@@ -583,7 +585,7 @@ impl<'t> QueryServer<'t> {
 
         // Per-(worker, query) shards, minted before the mutable borrows
         // below: each worker re-chains its own executors independently.
-        let mut worker_shards: Vec<Vec<ServeShard<'_, 't>>> = Vec::with_capacity(workers);
+        let mut worker_shards: Vec<Vec<CompiledShard<'t>>> = Vec::with_capacity(workers);
         for _ in 0..workers {
             let shards: Result<Vec<_>, EngineError> =
                 targets.iter().map(ShardableTarget::shard).collect();
@@ -767,52 +769,45 @@ impl<'t> QueryServer<'t> {
 }
 
 /// Build a query's master target, consulting the order cache (when
-/// given) for a warm-start order and calibration. Returns the target,
-/// its workload signature, and the cached order the target was seeded
-/// with (`None` = cold start).
+/// given) for a warm-start order and calibration. A scan spec is first
+/// lowered in place to its compiled program, so an unknown column fails
+/// the batch here. Returns the target, its workload signature, and the
+/// cached order the target was seeded with (`None` = cold start).
 fn build_target<'p, 't>(
     kind: &'p mut QueryKind<'t>,
     cache: Option<&mut OrderCache>,
-) -> Result<(ServeTarget<'p, 't>, WorkloadSignature, Option<Peo>), EngineError> {
-    match kind {
-        QueryKind::Scan {
-            table,
-            plan,
-            initial_peo,
-        } => {
-            let signature = WorkloadSignature::of_scan(table, plan)?;
-            let cached = cache.and_then(|c| c.lookup(&signature));
-            let start = cached
-                .as_ref()
-                .map_or(&initial_peo[..], |entry| &entry.order[..]);
-            let target = crate::progressive::ScanTarget::new(table, plan, start)?;
-            Ok((
-                ServeTarget::Scan(target),
-                signature,
-                cached.map(|entry| entry.order),
-            ))
-        }
-        QueryKind::Compiled {
+) -> Result<(CompiledTarget<'p, 't>, WorkloadSignature, Option<Peo>), EngineError> {
+    if let QueryKind::Scan {
+        table,
+        plan,
+        initial_peo,
+    } = kind
+    {
+        let program = CompiledProgram::from_selection(table, plan, initial_peo)?;
+        let initial_order = std::mem::take(initial_peo);
+        *kind = QueryKind::Compiled {
             program,
             initial_order,
-        } => {
-            let signature = WorkloadSignature::of_compiled(program);
-            let cached = cache.and_then(|c| c.lookup(&signature));
-            match cached.as_ref() {
-                Some(entry) => program.reorder(&entry.order)?,
-                None => program.reorder(initial_order)?,
-            }
-            let mut target = crate::progressive::CompiledTarget::new(program);
-            if let Some(calibration) = cached.as_ref().and_then(|e| e.calibration.as_ref()) {
-                target.restore_calibration(calibration);
-            }
-            Ok((
-                ServeTarget::Compiled(target),
-                signature,
-                cached.map(|entry| entry.order),
-            ))
-        }
+        };
     }
+    let QueryKind::Compiled {
+        program,
+        initial_order,
+    } = kind
+    else {
+        unreachable!("scan specs were lowered above")
+    };
+    let signature = WorkloadSignature::of_compiled(program);
+    let cached = cache.and_then(|c| c.lookup(&signature));
+    match cached.as_ref() {
+        Some(entry) => program.reorder(&entry.order)?,
+        None => program.reorder(initial_order)?,
+    }
+    let mut target = CompiledTarget::new(program);
+    if let Some(calibration) = cached.as_ref().and_then(|e| e.calibration.as_ref()) {
+        target.restore_calibration(calibration);
+    }
+    Ok((target, signature, cached.map(|entry| entry.order)))
 }
 
 /// One query's work division over its home socket: the inner dispatcher
@@ -854,7 +849,7 @@ impl QueryDispatch {
 /// division itself — dispatchers, arrivals, weights — is immutable or
 /// atomic and lives outside the lock.)
 struct QueryEntry<'a, 'p, 't> {
-    coord: CoordState<'a, ServeTarget<'p, 't>>,
+    coord: CoordState<'a, CompiledTarget<'p, 't>>,
     totals: VectorStats,
     exec_cycles: u64,
     first_vt: Option<u64>,
@@ -926,7 +921,7 @@ fn serve_worker<'a, 'p, 't>(
     w: usize,
     socket: usize,
     core: &mut SimCpu,
-    shards: &mut [ServeShard<'p, 't>],
+    shards: &mut [CompiledShard<'t>],
     state: &Mutex<ServerState<'a, 'p, 't>>,
     dispatchers: &[QueryDispatch],
     arrivals: &[u64],
@@ -1223,8 +1218,8 @@ struct QueryCoordRef<'s, 'a, 'p, 't> {
     qid: usize,
 }
 
-impl<'a, 'p, 't> WithCoord<'a, ServeTarget<'p, 't>> for QueryCoordRef<'_, 'a, 'p, 't> {
-    fn with<R>(&self, f: impl FnOnce(&mut CoordState<'a, ServeTarget<'p, 't>>) -> R) -> R {
+impl<'a, 'p, 't> WithCoord<'a, CompiledTarget<'p, 't>> for QueryCoordRef<'_, 'a, 'p, 't> {
+    fn with<R>(&self, f: impl FnOnce(&mut CoordState<'a, CompiledTarget<'p, 't>>) -> R) -> R {
         f(&mut locked(self.state).queries[self.qid].coord)
     }
 }

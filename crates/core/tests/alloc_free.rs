@@ -43,8 +43,8 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-use popt_core::exec::CompiledSelection;
-use popt_core::parallel::{run_parallel_scan, MorselConfig};
+use popt_core::exec::CompiledProgram;
+use popt_core::parallel::{run_parallel_program, MorselConfig};
 use popt_core::plan::SelectionPlan;
 use popt_core::predicate::{CompareOp, Predicate};
 use popt_cpu::{CpuConfig, CpuPool, SimCpu};
@@ -184,7 +184,7 @@ fn fit_allocates_per_start_not_per_evaluation() {
 fn serial_vector_loop_is_allocation_free() {
     let rows = 64 * 1024;
     let t = table(rows);
-    let compiled = CompiledSelection::compile(&t, &plan(), &[0, 1]).unwrap();
+    let compiled = CompiledProgram::from_selection(&t, &plan(), &[0, 1]).unwrap();
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
     let mut total = compiled.run_range(&mut cpu, 0, 1024);
     let before = allocations();
@@ -205,11 +205,17 @@ fn serial_vector_loop_is_allocation_free() {
 fn parallel_morsel_loop_is_allocation_free() {
     let run = |rows: usize| {
         let t = table(rows);
-        let p = plan();
+        let mut program = CompiledProgram::from_selection(&t, &plan(), &[0, 1]).unwrap();
         let mut pool = CpuPool::new(CpuConfig::tiny_test(), 4);
         let before = allocations();
-        let report =
-            run_parallel_scan(&t, &p, &[0, 1], MorselConfig::new(512), &mut pool, None).unwrap();
+        let report = run_parallel_program(
+            &mut program,
+            &[0, 1],
+            MorselConfig::new(512),
+            &mut pool,
+            None,
+        )
+        .unwrap();
         let delta = allocations() - before;
         assert_eq!(report.qualified as usize, expected_qualified(rows));
         delta

@@ -18,8 +18,10 @@
 //!   rewrite that avoids string comparisons (Section 2.1).
 //!
 //! Scale is expressed directly in lineitem rows rather than TPC-H SF; the
-//! paper's SF 100 (≈600 M rows) shrinks to a laptop-scale default without
-//! affecting plan rankings (see DESIGN.md, substitutions).
+//! paper's SF 100 (≈600 M rows) shrinks to a laptop-scale default. Where a
+//! plan ranking depends on how the data compares to the caches, the
+//! figures shrink the simulated cache hierarchy with it instead (e.g.
+//! Figure 14's 8 KiB / 64 KiB / 1 MiB hierarchy).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

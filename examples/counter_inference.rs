@@ -9,10 +9,9 @@
 //! inverts the cost models to recover each predicate's selectivity —
 //! then compares against the exact ground truth the optimizer never saw.
 
-use popt::core::exec::scan::CompiledSelection;
+use popt::core::exec::program::CompiledProgram;
 use popt::core::plan::SelectionPlan;
 use popt::core::predicate::{CompareOp, Predicate};
-use popt::cost::markov::ChainSpec;
 use popt::cpu::{CpuConfig, SimCpu};
 use popt::solver::{estimate_selectivities, EstimatorConfig};
 use popt::storage::tpch::{generate_lineitem, TpchConfig};
@@ -32,7 +31,7 @@ fn main() {
     // Execute one vector from the middle of the table and sample the
     // counters, non-invasively.
     let peo = plan.identity_peo();
-    let compiled = CompiledSelection::compile(&table, &plan, &peo).expect("compiles");
+    let compiled = CompiledProgram::from_selection(&table, &plan, &peo).expect("compiles");
     let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
     let vector = 65_536.min(table.rows());
     let start = (table.rows() - vector) / 2;
@@ -63,7 +62,12 @@ fn main() {
     println!("  output (2n - bT)   : {}", sampled.n_output);
 
     // Invert the cost models.
-    let geom = compiled.plan_geometry(sampled.n_input, ChainSpec::SIX, 64);
+    let geom = compiled.plan_geometry(
+        sampled.n_input,
+        cpu.config(),
+        cpu.llc_effective_bytes(),
+        &[],
+    );
     let estimate = estimate_selectivities(&geom, &sampled, &EstimatorConfig::default());
 
     println!("\npredicate                      estimated   true");

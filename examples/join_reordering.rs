@@ -19,7 +19,7 @@ use popt::storage::tpch::{generate_lineitem, generate_orders, generate_part, Tpc
 
 fn scaled_cpu() -> CpuConfig {
     // Proportionally scaled hierarchy so the dimension tables exceed the
-    // LLC at example scale (see DESIGN.md on scale substitution).
+    // LLC at example scale: a smaller cache stands in for bigger tables.
     let mut cfg = CpuConfig::xeon_e5_2630_v2();
     cfg.levels = vec![
         CacheLevelConfig {

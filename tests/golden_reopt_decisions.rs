@@ -6,7 +6,7 @@
 //! rejected or what a fit is charged shows up as a diff of these texts —
 //! far inside the 10 % tolerance the figure baselines allow.
 
-use popt::core::parallel::{run_parallel_program, run_parallel_scan, MorselConfig, ParallelReport};
+use popt::core::parallel::{run_parallel_program, MorselConfig, ParallelReport};
 use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::{
@@ -239,9 +239,8 @@ fn one_worker_pool_correlated_scan() {
     let t = correlated_table();
     let plan = correlated_plan();
     let mut pool = CpuPool::new(popt::cpu::CpuConfig::ivy_bridge(), 1);
-    let report = run_parallel_scan(
-        &t,
-        &plan,
+    let report = run_parallel_program(
+        &mut CompiledProgram::from_selection(&t, &plan, &[0, 1, 2]).unwrap(),
         &[0, 1, 2],
         MorselConfig::new(2048),
         &mut pool,

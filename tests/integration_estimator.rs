@@ -6,10 +6,9 @@
 //! selectivities — model error, predictor warmup and cache noise
 //! included.
 
-use popt::core::exec::scan::CompiledSelection;
+use popt::core::exec::program::CompiledProgram;
 use popt::core::plan::SelectionPlan;
 use popt::core::predicate::{CompareOp, Predicate};
-use popt::cost::markov::ChainSpec;
 use popt::cpu::{CpuConfig, SimCpu};
 use popt::solver::{estimate_selectivities, EstimatorConfig};
 use popt::storage::{AddressSpace, ColumnData, Table};
@@ -56,11 +55,16 @@ fn recover(selectivities: &[f64], rows: usize) -> Vec<f64> {
     let table = uniform_table(rows, selectivities.len());
     let plan = plan_for(selectivities);
     let peo = plan.identity_peo();
-    let compiled = CompiledSelection::compile(&table, &plan, &peo).expect("compiles");
+    let compiled = CompiledProgram::from_selection(&table, &plan, &peo).expect("compiles");
     let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
     let stats = compiled.run_range(&mut cpu, 0, rows);
     let sampled = stats.sampled_counters();
-    let geom = compiled.plan_geometry(sampled.n_input, ChainSpec::SIX, 64);
+    let geom = compiled.plan_geometry(
+        sampled.n_input,
+        cpu.config(),
+        cpu.llc_effective_bytes(),
+        &[],
+    );
     estimate_selectivities(&geom, &sampled, &EstimatorConfig::default()).selectivities
 }
 
@@ -109,11 +113,16 @@ fn estimates_stay_within_bounds_on_real_counters() {
     let table = uniform_table(1 << 15, 3);
     let plan = plan_for(&[0.5, 0.25, 0.8]);
     let peo = plan.identity_peo();
-    let compiled = CompiledSelection::compile(&table, &plan, &peo).expect("compiles");
+    let compiled = CompiledProgram::from_selection(&table, &plan, &peo).expect("compiles");
     let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
     let stats = compiled.run_range(&mut cpu, 0, 1 << 15);
     let sampled = stats.sampled_counters();
-    let geom = compiled.plan_geometry(sampled.n_input, ChainSpec::SIX, 64);
+    let geom = compiled.plan_geometry(
+        sampled.n_input,
+        cpu.config(),
+        cpu.llc_effective_bytes(),
+        &[],
+    );
     let result = estimate_selectivities(&geom, &sampled, &EstimatorConfig::default());
     assert!(result.bounds.contains(&result.survivors), "{result:?}");
     // Survivor sum must reproduce the sampled BNT closely (it is an
@@ -128,7 +137,7 @@ fn derived_output_identity_holds_on_hardware_counters() {
     let table = uniform_table(1 << 15, 4);
     let plan = plan_for(&[0.6, 0.5, 0.4, 0.3]);
     let compiled =
-        CompiledSelection::compile(&table, &plan, &plan.identity_peo()).expect("compiles");
+        CompiledProgram::from_selection(&table, &plan, &plan.identity_peo()).expect("compiles");
     let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
     let stats = compiled.run_range(&mut cpu, 0, 1 << 15);
     assert_eq!(stats.derived_output(), stats.qualified);

@@ -8,7 +8,7 @@
 //! ≥ 2.5× wall-clock speedup over one on the Figure-14-style workload.
 
 use popt::core::exec::program::CompiledProgram;
-use popt::core::parallel::{run_parallel_program, run_parallel_scan, MorselConfig};
+use popt::core::parallel::{run_parallel_program, MorselConfig};
 use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::{
@@ -87,9 +87,8 @@ fn parallel_scan_is_bit_identical_to_serial_for_any_worker_count() {
                     reop_interval: 2,
                     ..Default::default()
                 };
-                let report = run_parallel_scan(
-                    &t,
-                    &plan,
+                let report = run_parallel_program(
+                    &mut CompiledProgram::from_selection(&t, &plan, &peo).unwrap(),
                     &peo,
                     MorselConfig::new(morsel_tuples),
                     &mut pool,
@@ -112,9 +111,8 @@ fn parallel_progressive_scan_converges_like_serial() {
     let n = 1 << 16;
     let (t, plan) = scan_table(n);
     let mut pool = CpuPool::new(CpuConfig::ivy_bridge(), 4);
-    let report = run_parallel_scan(
-        &t,
-        &plan,
+    let report = run_parallel_program(
+        &mut CompiledProgram::from_selection(&t, &plan, &[2, 1, 0]).unwrap(),
         &[2, 1, 0], // descending selectivity: worst order
         MorselConfig::new(2_048),
         &mut pool,
@@ -247,15 +245,20 @@ fn rejected_trials_never_spread_and_always_revert() {
 fn zero_reop_interval_and_zero_morsel_are_rejected() {
     let (t, plan) = scan_table(1 << 12);
     let mut pool = CpuPool::new(CpuConfig::tiny_test(), 2);
-    let err = run_parallel_scan(&t, &plan, &[0, 1, 2], MorselConfig::new(0), &mut pool, None)
-        .unwrap_err();
+    let err = run_parallel_program(
+        &mut CompiledProgram::from_selection(&t, &plan, &[0, 1, 2]).unwrap(),
+        &[0, 1, 2],
+        MorselConfig::new(0),
+        &mut pool,
+        None,
+    )
+    .unwrap_err();
     assert!(matches!(
         err,
         popt::core::EngineError::InvalidVectorConfig(_)
     ));
-    let err = run_parallel_scan(
-        &t,
-        &plan,
+    let err = run_parallel_program(
+        &mut CompiledProgram::from_selection(&t, &plan, &[0, 1, 2]).unwrap(),
         &[0, 1, 2],
         MorselConfig::new(1_024),
         &mut pool,

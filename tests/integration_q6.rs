@@ -94,7 +94,8 @@ fn progressive_is_robust_across_all_5_factorial_starts_sampled() {
         // best static plan. Individual starts can end somewhat slower
         // than their own baseline — the paper shows the same for fast
         // starts (Section 5.4) and the 5-predicate inversion is
-        // under-determined (EXPERIMENTS.md).
+        // under-determined (`five_predicates_rank_usably` in
+        // `tests/integration_estimator.rs`).
         assert!(
             r.millis < best_base * 2.5,
             "initial {peo:?}: progressive {} ms vs best baseline {} ms",

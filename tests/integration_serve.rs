@@ -3,7 +3,6 @@
 //! order-cache reuse, and admission/idle accounting.
 
 use popt::core::exec::program::CompiledProgram;
-use popt::core::exec::scan::CompiledSelection;
 use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
@@ -109,7 +108,7 @@ fn mixed_batch_matches_solo_execution() {
     let plan = scan_plan([200, 500, 800]);
 
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let scan_ref = CompiledSelection::compile(&fact, &plan, &[2, 1, 0])
+    let scan_ref = CompiledProgram::from_selection(&fact, &plan, &[2, 1, 0])
         .unwrap()
         .run_range(&mut cpu, 0, ROWS);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
@@ -722,7 +721,7 @@ fn dynamic_repartition_cycles_are_host_schedule_independent() {
     let (fact, dim) = tables(0xD27A);
     let plan = scan_plan([200, 500, 800]);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let scan_ref = CompiledSelection::compile(&fact, &plan, &[0, 1, 2])
+    let scan_ref = CompiledProgram::from_selection(&fact, &plan, &[0, 1, 2])
         .unwrap()
         .run_range(&mut cpu, 0, ROWS);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());

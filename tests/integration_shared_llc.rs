@@ -5,7 +5,6 @@
 //! under contention — and never, in any mode, moves a query result.
 
 use popt::core::exec::program::CompiledProgram;
-use popt::core::exec::scan::CompiledSelection;
 use popt::core::parallel::{run_parallel_program, MorselConfig};
 use popt::core::plan::{order_by_cost_per_tuple, Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
@@ -151,7 +150,7 @@ fn serve_on_shared_socket_is_bit_identical() {
     )
     .unwrap();
     let mut cpu = SimCpu::new(small_cache_cpu());
-    let scan_ref = CompiledSelection::compile(&fact, &plan, &[1, 0])
+    let scan_ref = CompiledProgram::from_selection(&fact, &plan, &[1, 0])
         .unwrap()
         .run_range(&mut cpu, 0, ROWS);
     let mut cpu = SimCpu::new(small_cache_cpu());

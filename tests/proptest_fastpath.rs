@@ -11,14 +11,13 @@
 
 use proptest::prelude::*;
 
-use popt::core::exec::scan::CompiledSelection;
+use popt::core::exec::program::CompiledProgram;
 use popt::core::parallel::{run_parallel_program, MorselConfig};
 use popt::core::plan::SelectionPlan;
 use popt::core::plan::{Expr, LogicalPlan, PlanBuilder};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
 use popt::cost::estimate::estimate_counters;
-use popt::cost::markov::ChainSpec;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::xorshift64;
@@ -189,7 +188,7 @@ proptest! {
         for k in (1..preds).rev() {
             peo.swap(k, (xorshift64(&mut shuffle_state) % (k as u64 + 1)) as usize);
         }
-        let mut fast = CompiledSelection::compile(&t, &plan, &peo).expect("compiles");
+        let mut fast = CompiledProgram::from_selection(&t, &plan, &peo).expect("compiles");
         let mut builder = PlanBuilder::scan(&t);
         for p in &predicates {
             let conjunct = Expr::Cmp(
@@ -224,11 +223,8 @@ proptest! {
         }
 
         let cfg = CpuConfig::tiny_test();
-        let chain = ChainSpec {
-            states: cfg.predictor.states,
-            not_taken_states: cfg.predictor.not_taken_states,
-        };
-        let streams = fast.plan_geometry(ROWS as u64, chain, cfg.line_bytes() as u32);
+        let streams = fast.plan_geometry(ROWS as u64, &cfg, cfg.llc().capacity_bytes, &[]);
+        prop_assert!(streams.probes.is_empty(), "a probe-free program has no probe list");
         let mut all_none = streams.clone();
         all_none.probes = vec![None; preds];
         let mut survivors = Vec::with_capacity(preds);

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use popt::core::exec::scan::CompiledSelection;
+use popt::core::exec::program::CompiledProgram;
 use popt::core::plan::{order_by_selectivity, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::cost::estimate::{estimate_counters, PlanGeometry};
@@ -60,7 +60,7 @@ proptest! {
         let rows = 2048usize;
         let (t, plan) = table_with_columns(rows, &[lit1, lit2, lit3], seed);
         let peo = if swap { vec![2, 0, 1] } else { vec![0, 1, 2] };
-        let compiled = CompiledSelection::compile(&t, &plan, &peo).unwrap();
+        let compiled = CompiledProgram::from_selection(&t, &plan, &peo).unwrap();
         let mut cpu = SimCpu::new(CpuConfig::tiny_test());
         let stats = compiled.run_range(&mut cpu, 0, rows);
         let c = &stats.counters;
@@ -80,7 +80,7 @@ proptest! {
         let (t, plan) = table_with_columns(rows, &[lit1, lit2], seed);
         let mut results = Vec::new();
         for peo in [[0usize, 1], [1, 0]] {
-            let compiled = CompiledSelection::compile(&t, &plan, &peo).unwrap();
+            let compiled = CompiledProgram::from_selection(&t, &plan, &peo).unwrap();
             let mut cpu = SimCpu::new(CpuConfig::tiny_test());
             let stats = compiled.run_range(&mut cpu, 0, rows);
             results.push((stats.qualified, stats.counters.branches_not_taken));
@@ -100,7 +100,7 @@ proptest! {
         let rows = 2048usize;
         let (t, plan) = table_with_columns(rows, &[lit1, lit2, lit3], seed);
         let peo = plan.identity_peo();
-        let compiled = CompiledSelection::compile(&t, &plan, &peo).unwrap();
+        let compiled = CompiledProgram::from_selection(&t, &plan, &peo).unwrap();
         let mut cpu = SimCpu::new(CpuConfig::tiny_test());
         let stats = compiled.run_range(&mut cpu, 0, rows);
         let sampled = stats.sampled_counters();

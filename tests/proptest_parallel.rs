@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use popt::core::parallel::{run_parallel_program, run_parallel_scan, MorselConfig};
+use popt::core::parallel::{run_parallel_program, MorselConfig};
 use popt::core::plan::SelectionPlan;
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
@@ -89,18 +89,17 @@ proptest! {
         ).expect("plan");
         let peo: Vec<usize> = if swap { vec![2, 0, 1] } else { vec![0, 1, 2] };
 
-        use popt::core::exec::scan::CompiledSelection;
-        let compiled = CompiledSelection::compile(&t, &plan, &peo).expect("compiles");
+        use popt::core::exec::program::CompiledProgram;
+        let compiled = CompiledProgram::from_selection(&t, &plan, &peo).expect("compiles");
         let mut cpu = SimCpu::new(CpuConfig::tiny_test());
         let expect = compiled.run_range(&mut cpu, 0, ROWS);
 
         for progressive in [false, true] {
             let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
             let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
-            let report = run_parallel_scan(
-                &t,
-                &plan,
-                &peo,
+            let report = run_parallel_program(
+        &mut CompiledProgram::from_selection(&t, &plan, &peo).unwrap(),
+        &peo,
                 MorselConfig::new(morsel_tuples),
                 &mut pool,
                 progressive.then_some(&config),

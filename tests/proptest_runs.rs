@@ -23,7 +23,7 @@
 
 use proptest::prelude::*;
 
-use popt::core::exec::scan::CompiledSelection;
+use popt::core::exec::program::CompiledProgram;
 use popt::core::parallel::{run_parallel_program, MorselConfig};
 use popt::core::plan::{Expr, LogicalPlan, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
@@ -385,8 +385,8 @@ proptest! {
             if with_agg { vec!["c3".into(), "c0".into()] } else { vec![] },
         ).expect("plan");
         let peo: Vec<usize> = (0..preds).map(|k| (k + rotate) % preds).collect();
-        let fast = CompiledSelection::compile(&fact, &plan, &peo).expect("compiles");
-        let mut oracle = CompiledSelection::compile(&fact, &plan, &peo).expect("compiles");
+        let fast = CompiledProgram::from_selection(&fact, &plan, &peo).expect("compiles");
+        let mut oracle = CompiledProgram::from_selection(&fact, &plan, &peo).expect("compiles");
         oracle.set_scalar_oracle(true);
         let cfg = cpu_config(scaled, predictor(history_pick, states, skewed, table_pick));
         let mut cpu_f = core(&cfg, &fact, numa);

@@ -9,7 +9,6 @@
 use proptest::prelude::*;
 
 use popt::core::exec::program::CompiledProgram;
-use popt::core::exec::scan::CompiledSelection;
 use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
@@ -120,7 +119,7 @@ proptest! {
             if (kinds >> k) & 1 == 0 {
                 let plan = scan_plan(lit);
                 let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-                let expect = CompiledSelection::compile(&fact, &plan, &[1, 0])
+                let expect = CompiledProgram::from_selection(&fact, &plan, &[1, 0])
                     .expect("compiles")
                     .run_range(&mut cpu, 0, ROWS);
                 refs.push((expect.qualified, expect.sum));
