@@ -551,8 +551,9 @@ impl<'t> CompiledProgram<'t> {
     }
 
     /// Counter-model geometry for the current evaluation order: the
-    /// stream geometry (per-stage columns and fresh aggregates) plus, when any stage
-    /// probes a dimension, one probe entry per evaluation position.
+    /// stream geometry (per-stage columns and fresh aggregates) plus,
+    /// when any stage probes a dimension, one probe entry per evaluation
+    /// position.
     ///
     /// `clustering` holds one entry per *plan* stage: the measured
     /// clustering ratio of that stage's dimension probe (ignored for

@@ -2,6 +2,8 @@
 //! fairness and isolation, result exactness under interleaving, warm
 //! order-cache reuse, and admission/idle accounting.
 
+use std::sync::Arc;
+
 use popt::core::exec::program::CompiledProgram;
 use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
@@ -9,6 +11,7 @@ use popt::core::progressive::ProgressiveConfig;
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
 use popt::core::{EngineError, MorselConfig};
 use popt::cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
+use popt::obs::DriftObservatory;
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::xorshift64;
 
@@ -502,6 +505,43 @@ fn rejected_batch_is_not_drained() {
     let report = server2.run(&mut pool).unwrap();
     assert_eq!(report.queries.len(), 1);
     assert_eq!(server2.queued(), 0, "a served batch drains the queue");
+}
+
+/// The server's drift observatory keys every fit by the literal-free
+/// structural key of the front stage — of a scan and of a join program
+/// alike — never by plan index, which would pool a scan's first predicate
+/// with a program's first stage in one series.
+#[test]
+fn served_drift_series_are_keyed_by_stage_structure() {
+    let (fact, dim) = tables(0xD21F);
+    let plan = scan_plan([200, 500, 800]);
+    let scan_keys = CompiledProgram::from_selection(&fact, &plan, &[0, 1, 2])
+        .unwrap()
+        .stage_keys();
+    let join = program(&fact, &dim, 500);
+    let join_keys = join.stage_keys();
+    let drift = Arc::new(DriftObservatory::new());
+    let mut server = QueryServer::new(config(true));
+    server.set_drift(Arc::clone(&drift));
+    server.admit(QuerySpec::scan(
+        "scan",
+        &fact,
+        plan,
+        vec![2, 1, 0],
+        Priority::Normal,
+        0,
+    ));
+    server.admit(program_spec("join", join, &[1, 0], Priority::Normal, 0));
+    let mut pool = CpuPool::new(CpuConfig::tiny_test(), 1);
+    server.run(&mut pool).unwrap();
+    let series = drift.series();
+    assert!(!series.is_empty(), "the batch must fit something");
+    for ((metric, key), _) in &series {
+        assert!(
+            scan_keys.contains(key) || join_keys.contains(key),
+            "{metric} series keyed {key:#x}, not by a stage structure"
+        );
+    }
 }
 
 /// A scan spec naming a column its table lacks — in a predicate or in the
