@@ -98,8 +98,8 @@ proptest! {
             let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
             let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
             let report = run_parallel_program(
-        &mut CompiledProgram::from_selection(&t, &plan, &peo).unwrap(),
-        &peo,
+                &mut compiled.clone(),
+                &peo,
                 MorselConfig::new(morsel_tuples),
                 &mut pool,
                 progressive.then_some(&config),
