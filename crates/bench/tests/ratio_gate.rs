@@ -4,7 +4,10 @@
 //! applies in full), and by at least the floors below on a clustered
 //! 3-predicate aggregate scan (the shape run compression serves: long
 //! runs of rows failing the leading predicate) and on a 3-join star
-//! whose co-clustered probe leads (runs of rows failing that probe).
+//! whose co-clustered probe leads (runs of rows failing that probe). On
+//! that star, a standalone core — whose hierarchy walks run on the walker
+//! thread beside the row loop — must also beat a pool core, which walks
+//! inline.
 //!
 //! The assertion is a *ratio* measured within one process — both sides
 //! see the same machine, load, and frequency — so it is far more stable
@@ -14,6 +17,7 @@
 //! (`cargo test --release -p popt-bench --test ratio_gate -- --ignored
 //! --test-threads=1`); a debug-mode run would gate nothing but noise.
 
+use std::thread;
 use std::time::Instant;
 
 use popt_bench::figures::fig14::scaled_cpu;
@@ -22,7 +26,7 @@ use popt_core::exec::program::CompiledProgram;
 use popt_core::exec::scan::VectorStats;
 use popt_core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt_core::predicate::{CompareOp, Predicate};
-use popt_cpu::{Counters, SimCpu};
+use popt_cpu::{walker_batches, Counters, CpuPool, SimCpu};
 use popt_storage::{AddressSpace, ColumnData, Table};
 
 const ROWS: usize = 1 << 21;
@@ -37,15 +41,28 @@ const MIN_CLUSTERED_RATIO: f64 = 1.43;
 /// shape, so the floor catches a fast path that falls behind the oracle;
 /// the run path's exactness is `tests/proptest_runs.rs`'s to pin.
 const MIN_STAR_RATIO: f64 = 0.8;
+/// Walks on the walker thread against walks inline, on the probe-led
+/// star: 30 % below the 1.69–1.87x measured when the walker landed
+/// (1.0x would mean the pipe gains nothing).
+const MIN_WALKER_RATIO: f64 = 1.2;
 
 /// Best-of-`REPEATS` host seconds of one whole-table pass on either path,
 /// with the pass's full simulated outcome.
 fn best_pass(compiled: &mut CompiledProgram<'_>, oracle: bool) -> (f64, (VectorStats, Counters)) {
     compiled.set_scalar_oracle(oracle);
+    best_pass_on(compiled, || SimCpu::new(scaled_cpu()))
+}
+
+/// Best-of-`REPEATS` host seconds of one whole-table pass on a fresh
+/// `core()`, with the pass's full simulated outcome.
+fn best_pass_on(
+    compiled: &CompiledProgram<'_>,
+    core: impl Fn() -> SimCpu,
+) -> (f64, (VectorStats, Counters)) {
     let mut best = f64::INFINITY;
     let mut out = None;
     for _ in 0..REPEATS {
-        let mut cpu = SimCpu::new(scaled_cpu());
+        let mut cpu = core();
         let t0 = Instant::now();
         let stats = compiled.run_range(&mut cpu, 0, ROWS);
         best = best.min(t0.elapsed().as_secs_f64());
@@ -124,13 +141,10 @@ fn batched_clustered_scan_beats_scalar_oracle_by_the_run_floor() {
     assert_ratio(&mut compiled, MIN_CLUSTERED_RATIO);
 }
 
-/// The `join_star` shape in its converged order: the co-clustered
-/// customer probe (`fk = i / 4`) leads and fails ~70 % of rows, in runs
-/// of 4-row groups; a selection, two random probes and an aggregate
-/// follow, so the rest of the rows take the per-row path.
-#[test]
-#[ignore = "host-timing gate; CI runs it in release via -- --ignored"]
-fn batched_probe_led_star_beats_scalar_oracle_by_the_run_floor() {
+/// The `join_star` tables: a fact table with a co-clustered customer FK
+/// (`fk = i / 4`), two random FKs, a selection and an aggregate column,
+/// and three dimensions of 1/4, 1/8 and 1/64 of its rows.
+fn star_tables() -> [Table; 4] {
     let mut state = 0x57A2u64;
     let mut uniform = |rows: usize, domain: u64| {
         let data = (0..rows)
@@ -157,15 +171,69 @@ fn batched_probe_led_star_beats_scalar_oracle_by_the_run_floor() {
         dim("supplier", dims[1]),
         dim("part", dims[2]),
     );
+    [fact, customer, supplier, part]
+}
+
+/// The `join_star` plan in its converged order: the co-clustered
+/// customer probe leads and fails ~70 % of rows, in runs of 4-row
+/// groups; a selection, two random probes and an aggregate follow, so
+/// the rest of the rows take the per-row path.
+fn star_program(tables: &[Table; 4]) -> CompiledProgram<'_> {
+    let [fact, customer, supplier, part] = tables;
     let payload = |literal: i64| Expr::col("payload").less_than(literal);
-    let mut program = PlanBuilder::scan(&fact)
-        .join(&customer, "fk_customer", payload(300))
+    PlanBuilder::scan(fact)
+        .join(customer, "fk_customer", payload(300))
         .filter(Expr::col("val").less_than(500))
-        .join(&supplier, "fk_supplier", payload(500))
-        .join(&part, "fk_part", payload(700))
+        .join(supplier, "fk_supplier", payload(500))
+        .join(part, "fk_part", payload(700))
         .aggregate("agg")
         .build()
         .compile()
-        .expect("star compiles");
+        .expect("star compiles")
+}
+
+/// The probe-led star against the scalar oracle.
+#[test]
+#[ignore = "host-timing gate; CI runs it in release via -- --ignored"]
+fn batched_probe_led_star_beats_scalar_oracle_by_the_run_floor() {
+    let tables = star_tables();
+    let mut program = star_program(&tables);
     assert_ratio(&mut program, MIN_STAR_RATIO);
+}
+
+/// The probe-led star on a standalone core, whose batch hands its walks
+/// to the walker thread, against the same pass on a pool core, which
+/// walks inline: equal outcomes, and the pipe must pay. A one-core host
+/// has no walker, so there the case has nothing to measure.
+#[test]
+#[ignore = "host-timing gate; CI runs it in release via -- --ignored"]
+fn walker_thread_beats_inline_walks_on_the_probe_led_star() {
+    if thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+        println!("skipped: one host core, so standalone cores walk inline too");
+        return;
+    }
+    let tables = star_tables();
+    let program = star_program(&tables);
+    let drained = walker_batches();
+    let (piped_s, piped_out) = best_pass_on(&program, || SimCpu::new(scaled_cpu()));
+    assert!(
+        walker_batches() > drained,
+        "no pass ran on the walker thread"
+    );
+    let pool_core = || CpuPool::new(scaled_cpu(), 1).cores()[0].clone();
+    let (inline_s, inline_out) = best_pass_on(&program, pool_core);
+    assert_eq!(
+        piped_out, inline_out,
+        "the walker thread diverged from inline walks"
+    );
+    let ratio = inline_s / piped_s;
+    println!(
+        "walker thread {:.2} ns/row, inline {:.2} ns/row, ratio {ratio:.2}x (gate {MIN_WALKER_RATIO}x)",
+        piped_s * 1e9 / ROWS as f64,
+        inline_s * 1e9 / ROWS as f64,
+    );
+    assert!(
+        ratio >= MIN_WALKER_RATIO,
+        "walks on the walker thread are only {ratio:.2}x inline (need >= {MIN_WALKER_RATIO}x)"
+    );
 }

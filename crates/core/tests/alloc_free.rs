@@ -3,7 +3,9 @@
 //! A counting wrapper around the system allocator pins the
 //! allocation-free property of the hot loops: after compilation and CPU
 //! construction, executing rows through the batched fast path performs
-//! zero allocations (serial), the parallel claim → execute → sample
+//! zero allocations (serial, with the hierarchy walks on the walker
+//! thread when the host has two cores or more — the count covers every
+//! thread of the process), the parallel claim → execute → sample
 //! loop performs none per morsel (total allocations are independent of
 //! the morsel count when reoptimization is off), one evaluation of the
 //! estimator's prepared counter model performs none, and a whole fit
@@ -47,7 +49,7 @@ use popt_core::exec::CompiledProgram;
 use popt_core::parallel::{run_parallel_program, MorselConfig};
 use popt_core::plan::SelectionPlan;
 use popt_core::predicate::{CompareOp, Predicate};
-use popt_cpu::{CpuConfig, CpuPool, SimCpu};
+use popt_cpu::{walker_batches, CpuConfig, CpuPool, SimCpu};
 use popt_storage::{AddressSpace, ColumnData, Table};
 
 fn table(rows: usize) -> Table {
@@ -179,8 +181,11 @@ fn fit_allocates_per_start_not_per_evaluation() {
 }
 
 /// Serial morsel loop: after one warmup vector (stream-state slots may
-/// lazily extend on first touch), executing any number of further
-/// vectors through the batched fast path allocates nothing.
+/// lazily extend on first touch; the walker thread starts), executing
+/// any number of further vectors through the batched fast path allocates
+/// nothing — on this thread or the walker's. This is the only thread
+/// opening batches, so with two host cores or more the walker drains
+/// every one of them.
 fn serial_vector_loop_is_allocation_free() {
     let rows = 64 * 1024;
     let t = table(rows);
@@ -188,6 +193,7 @@ fn serial_vector_loop_is_allocation_free() {
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
     let mut total = compiled.run_range(&mut cpu, 0, 1024);
     let before = allocations();
+    let drained = walker_batches();
     for start in (1024..rows).step_by(1024) {
         let stats = compiled.run_range(&mut cpu, start, start + 1024);
         total.accumulate(&stats);
@@ -195,6 +201,15 @@ fn serial_vector_loop_is_allocation_free() {
     let delta = allocations() - before;
     assert_eq!(delta, 0, "steady-state vectors allocated {delta} times");
     assert_eq!(total.qualified as usize, expected_qualified(rows));
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+        let vectors = (rows / 1024 - 1) as u64;
+        assert_eq!(
+            walker_batches() - drained,
+            vectors,
+            "the walker thread drained {} of {vectors} vectors",
+            walker_batches() - drained
+        );
+    }
 }
 
 /// Parallel claim → execute → sample loop: with reoptimization off, the

@@ -25,76 +25,62 @@
 //! [`BatchCpu::branch_hist`], so the steady-state tuple loop touches no
 //! `Vec` at all.
 //!
+//! ## Two sides
+//!
+//! A batch splits the core in two. The guard is the **row side**: the
+//! predictor, stream adjacency, element hits and the instruction and
+//! branch counters. The **walk side** owns the cache hierarchy, the NUMA
+//! placement and the counters walks produce, and applies every line
+//! touch and dense span the row side issues, in program order. On a
+//! standalone core, while the host has a core to spare, it runs on the
+//! process-wide walker thread beside the row loop; on a pool core, when
+//! the walker is busy or the host is full, the row side calls it inline
+//! (the rule is in `crate::walker`). The row side never reads cache
+//! state, so both ways produce the same bits; the hierarchy moves to
+//! the walker for one batch and back; it is never shared.
+//! [`crate::walker_batches`] counts the batches the walker thread
+//! drained.
+//!
 //! The scalar path ([`SimCpu::load`]/[`SimCpu::load_span`] et al.)
 //! remains the **oracle**: it is the reference semantics, and every
 //! batched shortcut must reproduce its results exactly — counters,
 //! cycles, cache state, predictor state and remote counts.
+//!
+//! [`NumaPlacement::segment_of`]: crate::numa::NumaPlacement::segment_of
 
 use crate::branch::BranchSite;
-use crate::cache::ServedBy;
 use crate::cpu::{SimCpu, StreamId, StreamState};
 use crate::pmu::Counters;
-
-/// Maximum cache-hierarchy depth the cached latency table covers.
-const MAX_LEVELS: usize = 8;
-
-/// Spans shorter than this stay on the per-line path: the closed form's
-/// residency pre-check costs a few set scans, which only pays off once a
-/// span covers several 128-byte pairs.
-const MIN_CLOSED_FORM_LINES: u64 = 4;
+use crate::walker::Walks;
 
 /// A batched accounting scope over one [`SimCpu`]. See the
 /// [module documentation](self).
 ///
 /// Dropping the guard flushes the accumulated counters into the core's
-/// PMU bank; [`BatchCpu::finish`] does the same explicitly. While the
-/// guard is alive the core itself is mutably borrowed, so stale
-/// mid-batch counter reads are a compile error, not a hazard.
+/// PMU bank and gives the core its cache hierarchy back;
+/// [`BatchCpu::finish`] does the same explicitly. While the guard is
+/// alive the core itself is mutably borrowed, so stale mid-batch counter
+/// or cache reads are a compile error, not a hazard.
 pub struct BatchCpu<'a> {
     cpu: &'a mut SimCpu,
-    /// Locally accumulated counter bank (flushed on drop).
+    /// The row side's counter bank (flushed on drop).
     acc: Counters,
-    /// Locally accumulated remote demand misses (flushed on drop).
-    remote: u64,
-    // Hot timing constants, copied out of the config once per batch.
+    // Hot constants, copied out of the config once per batch.
     line_shift: u32,
     mispredict_penalty: u64,
-    mem_seq: u64,
-    mem_rand: u64,
-    remote_extra: u64,
-    /// Whether remote pricing is active (`placement.sockets() > 1`).
-    numa: bool,
-    /// Per-level demand hit latencies.
-    lat: [u64; MAX_LEVELS],
-    /// Two-entry cache of `(seg_start, seg_end, is_remote)` home-range
-    /// segments — scans and probe clusters each keep their own entry hot.
-    seg: [(u64, u64, bool); 2],
-    seg_next: usize,
+    /// Where the line touches go.
+    walks: Walks,
 }
 
 impl<'a> BatchCpu<'a> {
     pub(crate) fn new(cpu: &'a mut SimCpu) -> Self {
-        let timing = cpu.config.timing;
-        let mut lat = [0u64; MAX_LEVELS];
-        assert!(cpu.config.levels.len() <= MAX_LEVELS, "hierarchy too deep");
-        for (i, l) in cpu.config.levels.iter().enumerate() {
-            lat[i] = l.hit_latency_cycles;
-        }
-        let numa = cpu.placement.sockets() > 1;
-        let line_shift = cpu.line_shift;
+        let walks = Walks::open(cpu);
         Self {
-            cpu,
             acc: Counters::default(),
-            remote: 0,
-            line_shift,
-            mispredict_penalty: timing.mispredict_penalty_cycles,
-            mem_seq: timing.memory_sequential_cycles,
-            mem_rand: timing.memory_random_cycles,
-            remote_extra: timing.memory_remote_extra_cycles,
-            numa,
-            lat,
-            seg: [(0, 0, false); 2],
-            seg_next: 0,
+            line_shift: cpu.line_shift,
+            mispredict_penalty: cpu.config.timing.mispredict_penalty_cycles,
+            cpu,
+            walks,
         }
     }
 
@@ -250,73 +236,12 @@ impl<'a> BatchCpu<'a> {
         }
     }
 
-    /// One full hierarchy access — the scalar `touch_line` semantics
-    /// against the local accumulator and the segment cache.
+    /// One full hierarchy access, handed to the walk side — the scalar
+    /// `touch_line` semantics.
     fn touch_line_with(&mut self, llpo: &mut u64, line: u64) {
         let sequential = *llpo == line;
         *llpo = line + 1;
-        let result = self.cpu.hierarchy.demand_access(line);
-        let c = &mut self.acc;
-        c.l1_accesses += 1;
-        match result.served_by {
-            ServedBy::Level(0) => {
-                c.l1_hits += 1;
-                c.cycles += self.lat[0];
-            }
-            ServedBy::Level(i) => {
-                c.l2_accesses += 1;
-                if i >= 2 {
-                    c.l3_accesses += 1;
-                }
-                c.cycles += self.lat[i];
-            }
-            ServedBy::Memory => {
-                c.l2_accesses += 1;
-                c.l3_accesses += 1;
-                c.l3_misses += 1;
-                c.memory_accesses += 1;
-                c.cycles += if sequential {
-                    self.mem_seq
-                } else {
-                    self.mem_rand
-                };
-                if self.numa && self.is_remote(line) {
-                    self.remote += 1;
-                    self.acc.cycles += if sequential {
-                        self.remote_extra / 4
-                    } else {
-                        self.remote_extra
-                    };
-                }
-            }
-        }
-        if result.prefetch_issued {
-            let c = &mut self.acc;
-            c.prefetch_requests += 1;
-            c.l3_accesses += 1;
-            if result.prefetch_memory {
-                c.l3_misses += 1;
-                c.cycles += self.mem_seq / 4;
-            }
-        }
-    }
-
-    /// Whether `line` is homed on a remote socket, resolved through the
-    /// two-entry home-segment cache.
-    #[inline]
-    fn is_remote(&mut self, line: u64) -> bool {
-        let addr = line << self.line_shift;
-        for s in &self.seg {
-            if addr >= s.0 && addr < s.1 {
-                return s.2;
-            }
-        }
-        let line_bytes = 1u64 << self.line_shift;
-        let seg = self.cpu.placement.segment_of(addr, line_bytes);
-        let remote = seg.socket != self.cpu.socket;
-        self.seg[self.seg_next] = (seg.start, seg.end, remote);
-        self.seg_next ^= 1;
-        remote
+        self.walks.touch(line, sequential);
     }
 
     /// Load an arbitrarily long byte span at `addr` on `stream`. Dense
@@ -342,27 +267,13 @@ impl<'a> BatchCpu<'a> {
     }
 
     /// Touch the dense line range `first..=last` exactly as a sequential
-    /// per-line walk would: closed form when the span is clean and the
-    /// hierarchy shape allows it, the per-line walk otherwise. Leaves
-    /// `*llpo == last + 1` on every path.
+    /// per-line walk would: the walk side applies it in closed form when
+    /// the span is clean and the hierarchy shape allows it, line by line
+    /// otherwise. Leaves `*llpo == last + 1`.
     fn walk_dense_lines(&mut self, llpo: &mut u64, first: u64, last: u64) {
         let entering_sequential = *llpo == first;
-        let n = last - first + 1;
-        let eligible = n >= MIN_CLOSED_FORM_LINES
-            && first >= 1 // the odd-start rule needs a below-span buddy line
-            && self.cpu.hierarchy.dense_span_eligible();
-        if eligible {
-            let ext_lo = first - (first & 1);
-            let ext_hi = last + 1 - (last & 1);
-            if self.cpu.hierarchy.span_is_clean(ext_lo, ext_hi) {
-                self.apply_clean_span(first, last, entering_sequential);
-                *llpo = last + 1;
-                return;
-            }
-        }
-        for line in first..=last {
-            self.touch_line_with(llpo, line);
-        }
+        *llpo = last + 1;
+        self.walks.dense(first, last, entering_sequential);
     }
 
     /// Account `n` sequential element loads (`elem` bytes each, starting
@@ -411,101 +322,36 @@ impl<'a> BatchCpu<'a> {
         hits
     }
 
-    /// Closed-form accounting of a clean dense span (see
-    /// [`crate::cache::CacheHierarchy`]'s `apply_dense_span` for the
-    /// parity argument).
-    fn apply_clean_span(&mut self, first: u64, last: u64, entering_sequential: bool) {
-        let (initiators, hits) = self.cpu.hierarchy.apply_dense_span(first, last);
-        let n = initiators + hits;
-        let c = &mut self.acc;
-        c.l1_accesses += n;
-        c.l2_accesses += n;
-        // Demand misses and prefetches each make one L3 lookup and one
-        // memory trip; prefetch count equals initiator count.
-        c.l3_accesses += 2 * initiators;
-        c.l3_misses += 2 * initiators;
-        c.memory_accesses += initiators;
-        c.prefetch_requests += initiators;
-        c.cycles +=
-            hits * self.lat[1] + initiators * self.mem_seq + initiators * (self.mem_seq / 4);
-        // The first line is always an initiator; if the span was entered
-        // non-sequentially it pays the random latency instead.
-        if !entering_sequential {
-            c.cycles += self.mem_rand - self.mem_seq;
-        }
-        if self.numa {
-            self.price_remote_span(first, last, entering_sequential);
-        }
-    }
-
-    /// Remote surcharges for the initiator lines of a clean dense span,
-    /// walked one contiguous home-range segment at a time.
-    fn price_remote_span(&mut self, first: u64, last: u64, entering_sequential: bool) {
-        let line_bytes = 1u64 << self.line_shift;
-        let socket = self.cpu.socket;
-        let mut pos = first;
-        while pos <= last {
-            let seg = self
-                .cpu
-                .placement
-                .segment_of(pos << self.line_shift, line_bytes);
-            let seg_last = ((seg.end - 1) >> self.line_shift).min(last);
-            if seg.socket != socket {
-                // Initiators in `pos..=seg_last`: the even lines, plus
-                // the span's first line when it is odd.
-                let first_even = pos + (pos & 1);
-                let evens = if first_even > seg_last {
-                    0
-                } else {
-                    (seg_last - first_even) / 2 + 1
-                };
-                let k = evens + u64::from(pos == first && first & 1 == 1);
-                self.remote += k;
-                self.acc.cycles += k * (self.remote_extra / 4);
-                if pos == first && !entering_sequential && k > 0 {
-                    // The non-sequential first line pays the full
-                    // surcharge, not the streamed quarter.
-                    self.acc.cycles += self.remote_extra - self.remote_extra / 4;
-                }
-            }
-            pos = seg_last + 1;
-        }
-    }
-
     /// Flush the accumulated counters into the core and end the batch.
     /// Equivalent to dropping the guard; provided for explicitness.
     pub fn finish(self) {}
+
+    /// Whether the walker thread applies this batch's walks.
+    #[cfg(test)]
+    fn piped(&self) -> bool {
+        matches!(self.walks, Walks::Piped(_))
+    }
 }
 
 impl Drop for BatchCpu<'_> {
     fn drop(&mut self) {
-        let a = &self.acc;
-        let c = self.cpu.pmu.counters_mut();
-        c.instructions += a.instructions;
-        c.cycles += a.cycles;
-        c.branches += a.branches;
-        c.branches_taken += a.branches_taken;
-        c.branches_not_taken += a.branches_not_taken;
-        c.mp_taken += a.mp_taken;
-        c.mp_not_taken += a.mp_not_taken;
-        c.l1_accesses += a.l1_accesses;
-        c.l1_hits += a.l1_hits;
-        c.l1_element_hits += a.l1_element_hits;
-        c.l2_accesses += a.l2_accesses;
-        c.l3_accesses += a.l3_accesses;
-        c.l3_misses += a.l3_misses;
-        c.prefetch_requests += a.prefetch_requests;
-        c.memory_accesses += a.memory_accesses;
-        self.cpu.remote_accesses += self.remote;
+        self.cpu.pmu.add(&self.acc);
+        self.walks.close(self.cpu);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{self, AssertUnwindSafe};
+    use std::thread;
+    use std::time::{Duration, Instant};
+
     use super::*;
     use crate::config::CpuConfig;
     use crate::numa::NumaPlacement;
     use crate::pmu::Counters;
+    use crate::pool::CpuPool;
+    use crate::walker::walker_batches;
 
     fn assert_same(a: &SimCpu, b: &SimCpu, what: &str) {
         assert_eq!(a.counters(), b.counters(), "{what}: counters");
@@ -664,5 +510,116 @@ mod tests {
         let before: Counters = cpu.counters();
         cpu.batch().finish();
         assert_eq!(cpu.counters(), before);
+    }
+
+    /// Whether standalone cores can hand their walks to the walker thread.
+    fn walker_available() -> bool {
+        thread::available_parallelism().map_or(1, |n| n.get()) >= 2
+    }
+
+    /// A core of a 1-core pool: its batches always walk inline.
+    fn pool_core() -> SimCpu {
+        CpuPool::new(CpuConfig::tiny_test(), 1).cores()[0].clone()
+    }
+
+    /// Run `events` in a batch on `cpu` that the walker thread serves,
+    /// retrying while a concurrently running test holds the walker.
+    fn on_walker(cpu: &mut SimCpu, events: impl FnOnce(&mut BatchCpu<'_>)) {
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_secs(30) {
+            let mut b = cpu.batch();
+            if b.piped() {
+                events(&mut b);
+                return;
+            }
+            drop(b); // empty and inline: changes nothing
+            thread::yield_now();
+        }
+        panic!("the walker thread stayed busy for 30 s");
+    }
+
+    /// Random and repeated loads, dense spans and branches.
+    fn tape(b: &mut BatchCpu<'_>) {
+        for i in 0..400u64 {
+            b.load(0, (i * 17 % 97) * 64 * 3, 4);
+            b.branch(BranchSite(1), i % 5 == 0);
+            if i % 50 == 0 {
+                b.load_span(1, 64 * (2000 + i * 9), 64 * 24);
+            }
+        }
+    }
+
+    #[test]
+    fn pool_cores_walk_inline_and_standalone_cores_on_the_walker() {
+        let mut pooled = pool_core();
+        let b = pooled.batch();
+        assert!(!b.piped(), "a pool core's worker walks its own hierarchy");
+        drop(b);
+        if walker_available() {
+            let mut standalone = SimCpu::new(CpuConfig::tiny_test());
+            on_walker(&mut standalone, tape);
+            tape(&mut pooled.batch());
+            assert_same(&standalone, &pooled, "walker thread vs inline");
+        }
+    }
+
+    #[test]
+    fn a_busy_host_hands_the_walks_back_inline() {
+        if !walker_available() {
+            return;
+        }
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        let mut first = SimCpu::new(CpuConfig::tiny_test());
+        let mut others: Vec<SimCpu> = (0..cores)
+            .map(|_| SimCpu::new(CpuConfig::tiny_test()))
+            .collect();
+        let mut reference = pool_core();
+        on_walker(&mut first, |b| {
+            tape(b);
+            let mut open: Vec<BatchCpu<'_>> = others.iter_mut().map(SimCpu::batch).collect();
+            assert!(
+                open.iter().all(|other| !other.piped()),
+                "the walker serves one core at a time"
+            );
+            // With as many other batches open as the host has cores, the
+            // walker has no core left: the piped batch takes its walks
+            // back at its next publication and goes on inline.
+            tape(b);
+            assert!(!b.piped(), "a full host keeps the walker idle");
+            for other in &mut open {
+                tape(other);
+                tape(other);
+            }
+        });
+        tape(&mut reference.batch());
+        tape(&mut reference.batch());
+        assert_same(&first, &reference, "the core that went inline mid-batch");
+        for other in &others {
+            assert_same(other, &reference, "an inline core");
+        }
+    }
+
+    #[test]
+    fn a_panic_through_a_piped_batch_returns_the_hierarchy() {
+        if !walker_available() {
+            return;
+        }
+        let mut piped = SimCpu::new(CpuConfig::tiny_test());
+        let mut reference = pool_core();
+        let drained = walker_batches();
+        let unwound = panic::catch_unwind(AssertUnwindSafe(|| {
+            on_walker(&mut piped, |b| {
+                tape(b);
+                panic!("the row loop fails mid-batch");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert!(walker_batches() > drained, "the walker drained the batch");
+        tape(&mut reference.batch());
+        assert_same(&piped, &reference, "after the unwind");
+        // The core and the walker serve the next batch as before.
+        on_walker(&mut piped, tape);
+        tape(&mut reference.batch());
+        assert_same(&piped, &reference, "the next batch");
     }
 }

@@ -464,7 +464,9 @@ pub struct AccessResult {
 /// configured LLC; on a shared socket the pool shrinks it to the core's
 /// deterministically partitioned share (see `popt_cpu::pool`), so the
 /// slice is what this core's occupancy of the socket LLC looks like
-/// without any cross-thread mutable cache state.
+/// without sharing cache state between cores. (A standalone core's
+/// hierarchy moves to the walker thread for one batch and back; it is
+/// never shared.)
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     /// Private upper levels (L1, L2, …) — never contended.
@@ -489,6 +491,29 @@ impl CacheHierarchy {
             private: upper.iter().map(CacheLevel::new).collect(),
             llc: CacheLevel::new(last),
             adjacent_line_prefetch: config.adjacent_line_prefetch,
+            memory_demand: 0,
+            memory_prefetch: 0,
+        }
+    }
+
+    /// An empty stand-in that allocates nothing: what a core holds while
+    /// its hierarchy is out with a batch's walker.
+    pub(crate) fn vacant() -> Self {
+        Self {
+            private: Vec::new(),
+            llc: CacheLevel {
+                tags: Box::default(),
+                meta: Box::default(),
+                words: 0,
+                configured_ways: 0,
+                set_mask: 0,
+                set_shift: 0,
+                set_count: 0,
+                ways: 0,
+                demand: LevelStats::default(),
+                prefetch: LevelStats::default(),
+            },
+            adjacent_line_prefetch: false,
             memory_demand: 0,
             memory_prefetch: 0,
         }

@@ -58,6 +58,10 @@ pub struct SimCpu {
     /// the [`Counters`] bank: the solver's counter model is
     /// socket-agnostic and must not see a new dimension.
     pub(crate) remote_accesses: u64,
+    /// Whether the core belongs to a [`crate::CpuPool`]: its workers
+    /// already occupy the host cores, so its batches walk the hierarchy
+    /// inline rather than on the walker thread.
+    pub(crate) pooled: bool,
 }
 
 impl SimCpu {
@@ -75,6 +79,7 @@ impl SimCpu {
             socket: 0,
             placement: NumaPlacement::single(),
             remote_accesses: 0,
+            pooled: false,
             config,
         }
     }
@@ -152,7 +157,8 @@ impl SimCpu {
     /// returned [`crate::batch::BatchCpu`] accumulate PMU counters and
     /// remote-access counts locally and flush in bulk when the guard
     /// drops. While the guard lives, the borrow checker guarantees no
-    /// mid-batch reads of this core's counters.
+    /// mid-batch reads of this core's counters or cache state (a
+    /// standalone core's hierarchy may be out with the walker thread).
     pub fn batch(&mut self) -> crate::batch::BatchCpu<'_> {
         crate::batch::BatchCpu::new(self)
     }

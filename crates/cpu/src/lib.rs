@@ -30,6 +30,11 @@
 //!
 //! Everything is deterministic: the same event stream produces the same
 //! counter values on every run, which makes the reproduction testable.
+//! That holds across host threads too: a standalone core's batched
+//! events ([`BatchCpu`]) hand their cache-hierarchy walks to one
+//! process-wide walker thread, which applies them in program order while
+//! the row loop runs on ([`walker_batches`] counts its batches); pool
+//! cores walk inline.
 //!
 //! ## Quick example
 //!
@@ -55,6 +60,7 @@ pub mod cpu;
 pub mod numa;
 pub mod pmu;
 pub mod pool;
+mod walker;
 
 pub use batch::BatchCpu;
 pub use branch::{BranchPredictor, BranchSite, SaturatingAutomaton};
@@ -64,3 +70,4 @@ pub use cpu::SimCpu;
 pub use numa::{HomeSegment, NumaPlacement};
 pub use pmu::{CounterDelta, Counters, Pmu};
 pub use pool::{partition_llc_ways, CpuPool, LlcMode};
+pub use walker::walker_batches;

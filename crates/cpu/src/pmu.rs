@@ -147,6 +147,13 @@ impl Pmu {
         &mut self.counters
     }
 
+    /// Add a locally accumulated bank (a batch's flush).
+    pub(crate) fn add(&mut self, bank: &Counters) {
+        let mut sum = CounterDelta(self.counters);
+        sum.accumulate(&CounterDelta(*bank));
+        self.counters = sum.0;
+    }
+
     /// Read the free-running counters without cost accounting (tests,
     /// introspection).
     pub fn peek(&self) -> &Counters {

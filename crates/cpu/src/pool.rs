@@ -2,8 +2,12 @@
 //! an optional **socket model** for the shared last-level cache.
 //!
 //! Each core is a full [`SimCpu`]: its own private L1/L2, branch
-//! predictor, stream state and free-running PMU bank. What cores share
-//! depends on the pool's [`LlcMode`]:
+//! predictor, stream state and free-running PMU bank. A pool core's
+//! batches walk its hierarchy inline on its worker thread — the workers
+//! already occupy the host cores — while a standalone core's batches may
+//! hand theirs to the walker thread: the hierarchy moves to the walker
+//! for one batch and back; it is never shared. What cores share depends
+//! on the pool's [`LlcMode`]:
 //!
 //! * [`LlcMode::Private`] — every core keeps the full configured LLC, as
 //!   if each sat on its own socket. Right for one query on one core;
@@ -165,8 +169,13 @@ impl CpuPool {
             (1..=cores).contains(&sockets),
             "sockets must be in 1..=cores"
         );
+        let core = || {
+            let mut core = SimCpu::new(config.clone());
+            core.pooled = true;
+            core
+        };
         let mut pool = Self {
-            cores: (0..cores).map(|_| SimCpu::new(config.clone())).collect(),
+            cores: (0..cores).map(|_| core()).collect(),
             mode,
             sockets,
             footprints: vec![0; cores],

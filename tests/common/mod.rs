@@ -3,9 +3,11 @@
 // Each test binary compiles its own copy and uses a subset.
 #![allow(dead_code)]
 
+use std::time::{Duration, Instant};
+
 use popt::core::exec::program::CompiledProgram;
 use popt::core::plan::{Expr, LogicalPlan, PlanBuilder};
-use popt::cpu::{CacheLevelConfig, CpuConfig};
+use popt::cpu::{walker_batches, CacheLevelConfig, CpuConfig, CpuPool, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::xorshift64;
 
@@ -119,4 +121,30 @@ pub fn build<'t>(
     plan(fact, dim, stages, kinds, lit)
         .compile()
         .expect("program compiles")
+}
+
+/// The core of a 1-core pool built from `config`: its batches walk the
+/// cache hierarchy inline, where a standalone core's run on the walker
+/// thread whenever the host has a second core and the walker is free.
+pub fn pool_core(config: CpuConfig) -> SimCpu {
+    CpuPool::new(config, 1).cores()[0].clone()
+}
+
+/// With two host cores or more, the walker thread must have drained a
+/// batch since its count read `before`. The count is process-wide, and a
+/// case's batches may have found the walker serving a concurrently
+/// running test, so a miss is retried with batches of its own.
+pub fn assert_walker_drained_since(before: u64) {
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+        return;
+    }
+    let start = Instant::now();
+    while walker_batches() == before {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "no batch ran on the walker thread"
+        );
+        SimCpu::new(CpuConfig::tiny_test()).batch().load(0, 0, 4);
+        std::thread::yield_now();
+    }
 }

@@ -3,7 +3,11 @@
 //! `set_scalar_oracle`) — identical [`VectorStats`] *and* identical full
 //! PMU counter state for random workloads and vector boundaries, and an
 //! identical full [`ParallelReport`] across socket counts, worker
-//! counts, LLC modes, and progressive reoptimization.
+//! counts, LLC modes, and progressive reoptimization. Every serial case
+//! also runs the fast path on the core of a 1-core pool, whose batches
+//! walk the cache hierarchy inline, against the standalone core, whose
+//! batches hand their walks to the walker thread — and asserts, on a
+//! host with two cores or more, that the walker thread drained batches.
 //!
 //! Case count is the vendored proptest default (256), pinnable via the
 //! upstream-compatible `PROPTEST_CASES` environment variable (CI runs
@@ -21,6 +25,8 @@ use popt::cost::estimate::estimate_counters;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::xorshift64;
+
+mod common;
 
 const ROWS: usize = 2_048;
 
@@ -111,8 +117,10 @@ proptest! {
         let mut fast = p.compile().expect("plan lowers");
         let mut oracle = fast.clone();
         oracle.set_scalar_oracle(true);
+        let drained = popt::cpu::walker_batches();
         let mut cpu_f = SimCpu::new(CpuConfig::tiny_test());
         let mut cpu_o = SimCpu::new(CpuConfig::tiny_test());
+        let mut cpu_p = common::pool_core(CpuConfig::tiny_test());
         // Also exercise re-chaining: reverse the order mid-run.
         let order: Vec<usize> = (0..stages).rev().collect();
         let mut start = 0usize;
@@ -126,10 +134,15 @@ proptest! {
             }
             let sf = fast.run_range(&mut cpu_f, start, end);
             let so = oracle.run_range(&mut cpu_o, start, end);
+            let sp = fast.run_range(&mut cpu_p, start, end);
             prop_assert_eq!(&sf, &so, "vector {}..{}", start, end);
             prop_assert_eq!(cpu_f.counters(), cpu_o.counters());
+            prop_assert_eq!(&sp, &sf, "pool core, vector {}..{}", start, end);
+            prop_assert_eq!(cpu_p.counters(), cpu_f.counters());
             start = end;
         }
+        prop_assert!(cpu_p.predictor() == cpu_f.predictor(), "pool core predictor");
+        common::assert_walker_drained_since(drained);
     }
 
     /// Serial multi-selection scans (including the specialized
@@ -203,14 +216,17 @@ proptest! {
         }
         let mut lowered = builder.build().compile().expect("plan lowers");
         lowered.reorder(&peo).expect("reorder");
+        let drained = popt::cpu::walker_batches();
         let mut cpu_f = SimCpu::new(CpuConfig::tiny_test());
         let mut cpu_o = SimCpu::new(CpuConfig::tiny_test());
         let mut cpu_l = SimCpu::new(CpuConfig::tiny_test());
+        let mut cpu_p = common::pool_core(CpuConfig::tiny_test());
         let mut start = 0usize;
         while start < ROWS {
             let end = (start + vector).min(ROWS);
             fast.set_scalar_oracle(false);
             let sf = fast.run_range(&mut cpu_f, start, end);
+            let sp = fast.run_range(&mut cpu_p, start, end);
             fast.set_scalar_oracle(true);
             let so = fast.run_range(&mut cpu_o, start, end);
             let sl = lowered.run_range(&mut cpu_l, start, end);
@@ -219,8 +235,12 @@ proptest! {
             prop_assert_eq!(&sl, &sf, "lowered, vector {}..{} peo {:?}", start, end, &peo);
             prop_assert_eq!(cpu_l.counters(), cpu_f.counters());
             prop_assert!(cpu_l.predictor() == cpu_f.predictor(), "predictor, peo {:?}", &peo);
+            prop_assert_eq!(&sp, &sf, "pool core, vector {}..{}", start, end);
+            prop_assert_eq!(cpu_p.counters(), cpu_f.counters());
+            prop_assert!(cpu_p.predictor() == cpu_f.predictor(), "pool core predictor");
             start = end;
         }
+        common::assert_walker_drained_since(drained);
 
         let cfg = CpuConfig::tiny_test();
         let streams = fast.plan_geometry(ROWS as u64, &cfg, cfg.llc().capacity_bytes, &[]);

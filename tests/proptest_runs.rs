@@ -19,7 +19,11 @@
 //! the counter bank, the comparison covers what a bulk-accounting
 //! shortcut could silently corrupt: remote-access counts, the whole
 //! predictor state (every automaton and the history register) and the
-//! contents of every cache set.
+//! contents of every cache set. Every serial case runs the fast path on
+//! a standalone core, whose batches hand their walks to the walker
+//! thread, and again on the core of a 1-core pool, which walks inline;
+//! both are compared whole against the oracle, and on a host with two
+//! cores or more the walker thread must have drained batches.
 
 use proptest::prelude::*;
 
@@ -31,6 +35,8 @@ use popt::cpu::{CpuConfig, CpuPool, LlcMode, NumaPlacement, PredictorConfig, Sim
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::fig14::scaled_cpu;
 use popt_bench::figures::workload::xorshift64;
+
+mod common;
 
 const ROWS: usize = 8_192;
 const DIM_ROWS: usize = ROWS / 8;
@@ -192,11 +198,16 @@ fn predictor(history_pick: usize, states: u8, skewed: bool, table_pick: usize) -
     }
 }
 
-/// A fresh core; with `numa`, on socket 1 of a two-socket placement that
-/// homes the first half of every fact column on socket 0 (so the bulk
-/// load path crosses home segments) and interleaves the rest.
-fn core(cfg: &CpuConfig, fact: &Table, numa: bool) -> SimCpu {
-    let mut cpu = SimCpu::new(cfg.clone());
+/// A fresh core — standalone, or with `pooled` the core of a 1-core pool;
+/// with `numa`, on socket 1 of a two-socket placement that homes the
+/// first half of every fact column on socket 0 (so the bulk load path
+/// crosses home segments) and interleaves the rest.
+fn core(cfg: &CpuConfig, fact: &Table, numa: bool, pooled: bool) -> SimCpu {
+    let mut cpu = if pooled {
+        common::pool_core(cfg.clone())
+    } else {
+        SimCpu::new(cfg.clone())
+    };
     if numa {
         let mut placement = NumaPlacement::interleaved(2);
         for c in 0..4 {
@@ -266,8 +277,10 @@ proptest! {
         let mut oracle = fast.clone();
         oracle.set_scalar_oracle(true);
         let cfg = cpu_config(scaled, predictor(history_pick, states, skewed, table_pick));
-        let mut cpu_f = core(&cfg, &fact, numa);
-        let mut cpu_o = core(&cfg, &fact, numa);
+        let drained = popt::cpu::walker_batches();
+        let mut cpu_f = core(&cfg, &fact, numa, false);
+        let mut cpu_o = core(&cfg, &fact, numa, false);
+        let mut cpu_p = core(&cfg, &fact, numa, true);
         let reversed: Vec<usize> = (0..fast.len()).rev().collect();
         let mut start = 0usize;
         let mut flipped = false;
@@ -280,11 +293,14 @@ proptest! {
             }
             let sf = fast.run_range(&mut cpu_f, start, end);
             let so = oracle.run_range(&mut cpu_o, start, end);
+            prop_assert_eq!(&fast.run_range(&mut cpu_p, start, end), &sf, "pool core");
             prop_assert_eq!(&sf, &so, "vector {}..{}", start, end);
             prop_assert_eq!(cpu_f.counters(), cpu_o.counters(), "vector {}..{}", start, end);
             start = end;
         }
         assert_same_core(&cpu_f, &cpu_o);
+        assert_same_core(&cpu_p, &cpu_o);
+        common::assert_walker_drained_since(drained);
     }
 
     /// A join through the co-clustered FK (`group` ∈ {1, 2, 4, 16, 64}
@@ -332,8 +348,10 @@ proptest! {
         let mut oracle = fast.clone();
         oracle.set_scalar_oracle(true);
         let cfg = cpu_config(scaled, predictor(history_pick, states, skewed, table_pick));
-        let mut cpu_f = core(&cfg, &fact, numa);
-        let mut cpu_o = core(&cfg, &fact, numa);
+        let drained = popt::cpu::walker_batches();
+        let mut cpu_f = core(&cfg, &fact, numa, false);
+        let mut cpu_o = core(&cfg, &fact, numa, false);
+        let mut cpu_p = core(&cfg, &fact, numa, true);
         let n = fast.len();
         let rotated: Vec<usize> = (0..n).map(|k| (k + n - 1) % n).collect();
         let mut start = 0usize;
@@ -347,11 +365,14 @@ proptest! {
             }
             let sf = fast.run_range(&mut cpu_f, start, end);
             let so = oracle.run_range(&mut cpu_o, start, end);
+            prop_assert_eq!(&fast.run_range(&mut cpu_p, start, end), &sf, "pool core");
             prop_assert_eq!(&sf, &so, "vector {}..{}", start, end);
             prop_assert_eq!(cpu_f.counters(), cpu_o.counters(), "vector {}..{}", start, end);
             start = end;
         }
         assert_same_core(&cpu_f, &cpu_o);
+        assert_same_core(&cpu_p, &cpu_o);
+        common::assert_walker_drained_since(drained);
     }
 
     /// Compiled selections in a rotated evaluation order, aggregate on
@@ -389,18 +410,23 @@ proptest! {
         let mut oracle = CompiledProgram::from_selection(&fact, &plan, &peo).expect("compiles");
         oracle.set_scalar_oracle(true);
         let cfg = cpu_config(scaled, predictor(history_pick, states, skewed, table_pick));
-        let mut cpu_f = core(&cfg, &fact, numa);
-        let mut cpu_o = core(&cfg, &fact, numa);
+        let drained = popt::cpu::walker_batches();
+        let mut cpu_f = core(&cfg, &fact, numa, false);
+        let mut cpu_o = core(&cfg, &fact, numa, false);
+        let mut cpu_p = core(&cfg, &fact, numa, true);
         let mut start = 0usize;
         while start < ROWS {
             let end = (start + vector).min(ROWS);
             let sf = fast.run_range(&mut cpu_f, start, end);
             let so = oracle.run_range(&mut cpu_o, start, end);
+            prop_assert_eq!(&fast.run_range(&mut cpu_p, start, end), &sf, "pool core");
             prop_assert_eq!(&sf, &so, "vector {}..{} peo {:?}", start, end, &peo);
             prop_assert_eq!(cpu_f.counters(), cpu_o.counters(), "vector {}..{}", start, end);
             start = end;
         }
         assert_same_core(&cpu_f, &cpu_o);
+        assert_same_core(&cpu_p, &cpu_o);
+        common::assert_walker_drained_since(drained);
     }
 
     /// Morsel-parallel execution with reoptimization off: the same full
