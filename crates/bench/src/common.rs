@@ -48,10 +48,6 @@ pub struct FigureCtx {
     /// this path (`--trace-out PATH`). Tracing is non-invasive: the
     /// printed simulated cycles are bit-identical with or without it.
     pub trace_out: Option<String>,
-    /// Append each figure's host wall-time to its reporter output
-    /// (`--time`): a trailing note in text mode, a `note` object in
-    /// JSON mode. Purely additive — no simulated number changes.
-    pub time: bool,
 }
 
 impl FigureCtx {
@@ -64,7 +60,6 @@ impl FigureCtx {
             sockets: 1,
             json: false,
             trace_out: None,
-            time: false,
         }
     }
 
@@ -141,11 +136,13 @@ pub fn bench_metric(name: &str, value: f64) {
 /// Record a benchmark metric with an explicit relative tolerance. Values
 /// that are host-elastic by design (multi-worker walls, latency
 /// percentiles under reoptimization) need a loose tolerance; last write
-/// wins when a figure re-records a name.
+/// wins when a figure re-records a name. The tolerance must lie in
+/// `[0, 1)`: at `tol >= 1` a value that collapsed to zero still passes,
+/// so the gate could never trip downward.
 pub fn bench_metric_tol(name: &str, value: f64, tol: f64) {
     assert!(
-        value.is_finite() && tol.is_finite() && tol >= 0.0,
-        "bench metric {name}: non-finite value {value} or bad tolerance {tol}"
+        value.is_finite() && (0.0..1.0).contains(&tol),
+        "bench metric {name}: non-finite value {value} or tolerance {tol} outside [0, 1)"
     );
     let mut rep = REPORTER.lock().expect("reporter lock");
     if let Some(m) = rep.metrics.iter_mut().find(|m| m.name == name) {
@@ -548,6 +545,12 @@ mod tests {
         assert_eq!(metrics[1].name, "b");
         assert_eq!(metrics[1].tol, 0.5);
         assert!(take_metrics().is_empty(), "drained");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1)")]
+    fn bench_metric_tol_refuses_a_gate_that_cannot_trip() {
+        bench_metric_tol("collapsed", 1.0, 4.0);
     }
 
     #[test]

@@ -24,8 +24,9 @@ fn print_usage() {
     eprintln!("  --json            machine-readable JSON lines instead of tab columns");
     eprintln!("  --trace-out PATH  write a Chrome-trace JSON of the traced figures' decisions");
     eprintln!(
-        "  regress [id...]   replay figures (default: scale serve simspeed) and fail if any \
-         recorded metric drifts past its committed baseline tolerance"
+        "  regress [id...]   replay figures (default: {}) and fail if any recorded metric \
+         drifts past its committed baseline tolerance",
+        regress::DEFAULT_IDS.join(" ")
     );
     eprintln!("  --bless           with regress: rewrite the committed baselines instead");
 }
@@ -35,10 +36,10 @@ fn print_usage() {
 /// Exit codes: 2 for setup errors (missing/invalid/mode-mismatched
 /// baseline, bad inflate), 1 for an out-of-tolerance metric, 0 clean.
 fn run_regress(ctx: &FigureCtx, ids: &[&str], bless: bool) -> ! {
-    let ids: Vec<&str> = if ids.is_empty() {
-        vec!["scale", "serve", "simspeed"]
+    let ids = if ids.is_empty() {
+        regress::DEFAULT_IDS
     } else {
-        ids.to_vec()
+        ids
     };
     let mode = if ctx.quick { "quick" } else { "full" };
     // CI's self-test knob: multiply every replayed value to prove the
@@ -58,7 +59,7 @@ fn run_regress(ctx: &FigureCtx, ids: &[&str], bless: bool) -> ! {
     // must fail fast, not after minutes of simulation.
     let mut baselines = Vec::new();
     if !bless {
-        for id in &ids {
+        for id in ids {
             let path = regress::baseline_path(id);
             let text = match std::fs::read_to_string(&path) {
                 Ok(text) => text,
@@ -163,13 +164,11 @@ fn main() {
     let mut json = false;
     let mut bless = false;
     let mut trace_out: Option<String> = None;
-    let mut time = false;
     let mut ids: Vec<&str> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--quick" | "-q" => quick = true,
-            "--time" => time = true,
             "--shared-llc" => shared_llc = true,
             "--json" => json = true,
             "--bless" => bless = true,
@@ -212,7 +211,6 @@ fn main() {
         sockets,
         json,
         trace_out,
-        time,
     };
 
     // `figures help` is a successful, explicit request for usage (exit 0);
@@ -256,12 +254,6 @@ fn main() {
         // In --json mode every figure's recorded metrics close its output
         // as one "snapshot" line — the same document `regress --bless`
         // commits, so a harness can diff without the subcommand.
-        if ctx.time {
-            popt_bench::note!(
-                "# figure {id}: host wall {:.2}s",
-                t0.elapsed().as_secs_f64()
-            );
-        }
         let metrics = take_metrics();
         if ctx.json && !metrics.is_empty() {
             println!(

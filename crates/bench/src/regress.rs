@@ -61,6 +61,10 @@ pub struct MetricDelta {
 
 const EPS: f64 = 1e-12;
 
+/// The figures `figures regress` replays when no id is given — exactly
+/// the figures with a committed baseline under [`baselines_dir`].
+pub const DEFAULT_IDS: &[&str] = &["scale", "serve"];
+
 /// The committed baselines directory (`bench/baselines/` at the repo
 /// root, resolved relative to this crate so the gate works from any
 /// working directory).
@@ -141,6 +145,11 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
             .get("tol")
             .and_then(Json::as_num)
             .ok_or_else(|| format!("metric {name:?}: missing \"tol\""))?;
+        // At tol >= 1 a value that fell to zero reads -100 % and passes:
+        // such a gate can only trip upward.
+        if !(0.0..1.0).contains(&tol) {
+            return Err(format!("metric {name:?}: tol {tol} is outside [0, 1)"));
+        }
         metrics.push(BenchMetric {
             name: name.clone(),
             value,
@@ -192,6 +201,43 @@ mod tests {
         assert!(
             parse_baseline("{\"figure\":\"x\",\"mode\":\"quick\",\"metrics\":{\"m\":{}}}").is_err(),
             "metric without value/tol"
+        );
+        for tol in ["4", "1", "-0.1"] {
+            let doc = format!(
+                "{{\"figure\":\"x\",\"mode\":\"quick\",\"metrics\":{{\"m\":{{\"value\":1,\"tol\":{tol}}}}}}}"
+            );
+            let err = parse_baseline(&doc).expect_err("a tolerance outside [0, 1) is refused");
+            assert!(err.contains("\"m\""), "the error names the metric: {err}");
+        }
+    }
+
+    #[test]
+    fn default_ids_are_exactly_the_committed_baselines() {
+        for id in DEFAULT_IDS {
+            let path = baseline_path(id);
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let baseline = parse_baseline(&text)
+                .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
+            assert_eq!(baseline.figure, *id, "{}", path.display());
+            assert_eq!(baseline.mode, "quick", "{}", path.display());
+        }
+        let committed: BTreeSet<String> = std::fs::read_dir(baselines_dir())
+            .expect("baselines directory is readable")
+            .map(|entry| entry.expect("directory entry").file_name())
+            .filter_map(|name| {
+                let name = name.to_str()?;
+                Some(
+                    name.strip_prefix("BENCH_")?
+                        .strip_suffix(".json")?
+                        .to_string(),
+                )
+            })
+            .collect();
+        let listed: BTreeSet<String> = DEFAULT_IDS.iter().map(|id| id.to_string()).collect();
+        assert_eq!(
+            committed, listed,
+            "every committed baseline is gated by default"
         );
     }
 

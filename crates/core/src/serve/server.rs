@@ -395,11 +395,6 @@ impl<'t> QueryServer<'t> {
         self.tracer = Some(tracer);
     }
 
-    /// Detach the tracer (runs stop emitting).
-    pub fn clear_tracer(&mut self) {
-        self.tracer = None;
-    }
-
     /// Attach a model-drift observatory: every query's reopt-round and
     /// trial fits record their predicted-vs-observed residuals there,
     /// keyed by literal-free stage key (so repeated templates aggregate

@@ -87,7 +87,7 @@ impl ColumnL3 {
 }
 
 /// The unmodified Pirk et al. estimate (touched lines only, no double
-/// counting) — kept for the ablation benches.
+/// counting) — the reference the modified estimate is tested against.
 pub fn l3_accesses_unmodified(geom: &CacheGeometry, n: u64, density: f64) -> f64 {
     touched_lines(geom, n, density)
 }

@@ -347,12 +347,6 @@ impl SimCpu {
         self.idle_cycles = 0;
         self.remote_accesses = 0;
     }
-
-    /// Forget stream adjacency (e.g. between vectors of a restarted scan)
-    /// without losing cache/predictor state.
-    pub fn reset_streams(&mut self) {
-        self.streams.clear();
-    }
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 use crate::config::CpuConfig;
 use crate::cpu::SimCpu;
 use crate::numa::NumaPlacement;
-use crate::pmu::{CounterDelta, Counters};
+use crate::pmu::CounterDelta;
 
 /// How a pool models the last-level cache across its cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -382,11 +382,6 @@ impl CpuPool {
             total.accumulate(&CounterDelta(core.counters()));
         }
         total
-    }
-
-    /// Per-core counter snapshots, in core order.
-    pub fn per_core_counters(&self) -> Vec<Counters> {
-        self.cores.iter().map(SimCpu::counters).collect()
     }
 
     /// Reset every core: caches, predictors, streams and counters.

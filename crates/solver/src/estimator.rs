@@ -21,7 +21,8 @@
 //! take the magnitude. Each counter residual is normalized by its sampled
 //! value (so tuples-scaled and lines-scaled counters weigh comparably)
 //! and weighted by [`CounterWeights`], whose default enables all four
-//! counters; the ablation benches zero individual weights.
+//! counters; [`CounterWeights::bnt_only`] is the branch-counter-only
+//! ablation.
 
 use popt_cost::estimate::{
     survivors_to_selectivities, CounterEstimate, CounterModel, PlanGeometry,

@@ -43,7 +43,7 @@ pub struct OptimizationResult {
     pub value: f64,
     /// Number of objective evaluations consumed.
     pub evaluations: usize,
-    /// True if the tolerance criterion fired (false: ran out of budget).
+    /// True if the convergence tolerance was met (false: ran out of budget).
     pub converged: bool,
 }
 

@@ -56,12 +56,6 @@ pub struct TpchConfig {
 }
 
 impl TpchConfig {
-    /// Laptop-scale default: ~4.2 M lineitems, weakly (month-)clustered
-    /// shipdates — the "common case" configuration of Section 5.2.
-    pub fn default_scale() -> Self {
-        Self::with_rows(1 << 22)
-    }
-
     /// Small configuration for tests and examples (~260 k rows).
     pub fn small() -> Self {
         Self::with_rows(1 << 18)

@@ -431,7 +431,8 @@ proptest! {
 
     /// Morsel-parallel execution with reoptimization off: the same full
     /// report — per-worker cycles, counters, remote accesses — from
-    /// either path, on one and two sockets.
+    /// either path, on one and two sockets, private or shared LLC, tiny
+    /// or scaled hierarchy.
     #[test]
     fn clustered_parallel_report_matches_oracle(
         stages in 1usize..5,
@@ -443,16 +444,19 @@ proptest! {
         morsel_tuples in 100usize..3000,
         history_pick in 0usize..4,
         table_pick in 0usize..3,
+        scaled in any::<bool>(),
+        shared in any::<bool>(),
     ) {
         let (fact, dim) = tables(seed);
         let sockets = sockets.min(workers);
-        let cfg = cpu_config(false, predictor(history_pick, 6, false, table_pick));
+        let cfg = cpu_config(scaled, predictor(history_pick, 6, false, table_pick));
+        let llc = if shared { LlcMode::Shared } else { LlcMode::Private };
         let run = |oracle: bool| {
             let plan = program_plan(&fact, &dim, stages, join_at, lit, true);
             let mut program = plan.compile().expect("plan lowers");
             program.set_scalar_oracle(oracle);
             let order: Vec<usize> = (0..program.len()).collect();
-            let mut pool = CpuPool::with_topology(cfg.clone(), workers, LlcMode::Shared, sockets);
+            let mut pool = CpuPool::with_topology(cfg.clone(), workers, llc, sockets);
             run_parallel_program(
                 &mut program,
                 &order,
