@@ -82,11 +82,6 @@ impl CompiledStage<'_> {
         self.column.base
     }
 
-    /// Stream id of that fact column.
-    pub fn column_stream(&self) -> usize {
-        self.column.stream
-    }
-
     /// Base address of the probed dimension payload, for joins.
     pub fn dim_base(&self) -> Option<u64> {
         self.probe.map(|p| p.base)

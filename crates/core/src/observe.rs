@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use popt_cost::cycles::{plan_cycles, CycleParams};
 use popt_cost::estimate::{estimate_counters, PlanGeometry};
-use popt_obs::{apportion, DriftObservatory, Profiler, Tracer};
+use popt_obs::{apportion, DriftObservatory, Profiler, TraceEvent, Tracer};
 use popt_solver::SampledCounters;
 
 use crate::exec::scan::VectorStats;
@@ -59,6 +59,19 @@ impl ExecObservers {
     pub fn with_drift(mut self, drift: Arc<DriftObservatory>) -> Self {
         self.drift = Some(drift);
         self
+    }
+
+    /// Emit one decision event when a tracer is attached: on `lane` (a
+    /// worker's; `None` = the coordinator lane), tagged with the traced
+    /// query. No tracer (or a disabled one) never builds `event`.
+    pub(crate) fn emit(&self, lane: Option<usize>, event: impl FnOnce() -> TraceEvent) {
+        if let Some((tracer, query)) = &self.trace {
+            tracer.emit(
+                lane.unwrap_or_else(|| tracer.coordinator_lane()),
+                *query,
+                event,
+            );
+        }
     }
 }
 

@@ -25,23 +25,26 @@
 //!   it. A bad candidate therefore never runs on more than one core,
 //!   while the other workers keep streaming under the incumbent order.
 //!
-//! [`CoordState`]'s methods are each a *locked step* (the caller holds
-//! whatever mutex guards the state; the expensive estimate always runs
-//! between two locked steps, outside the lock), and [`enter_morsel`] /
-//! [`finish_morsel`] are the per-morsel choreography over those steps.
-//! This module drives one `CoordState` per query via
-//! [`run_parallel_target_observed`]; the serving layer (`crate::serve`)
-//! drives many concurrently — one per admitted query — through the same
-//! two functions, keeping only its own lock scope, LLC repartition and
-//! completion accounting around them.
+//! [`CoordState`]'s methods are each a *locked step*: the caller holds
+//! the run's one mutex, and the expensive estimate always runs between
+//! two locked steps, outside the lock. Both pooled drives — this
+//! module's [`run_parallel_target_observed`] (one `CoordState` per run)
+//! and the serving layer (`crate::serve`, one per admitted query) — run
+//! on the same skeleton, written once here: [`run_workers`] spawns one
+//! worker per pool core over the drive's state behind that mutex and
+//! keeps the first error, and [`run_morsel`] is the per-morsel step
+//! (re-chain, execute, log the claim, report through the locked steps).
+//! Each drive keeps only its own boundary lock and what it does around
+//! the step: the pool its affinity dispatch and profiler lanes, the
+//! server admission, scheduling, repartition and completion accounting.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use popt_cost::cycles::{fleet_speedup, fleet_wall_cycles};
 use popt_cost::estimate::PlanGeometry;
 use popt_cpu::pmu::CounterDelta;
 use popt_cpu::{CpuConfig, CpuPool, LlcMode, NumaPlacement, SimCpu};
-use popt_obs::{DriftObservatory, MetricsRegistry, TraceEvent, Tracer};
+use popt_obs::{MetricsRegistry, Profiler, TraceEvent, Tracer};
 use popt_solver::SampledCounters;
 
 use crate::error::EngineError;
@@ -222,9 +225,9 @@ impl SocketCoord {
 /// Per-query coordination state: the master target plus everything the
 /// §4.4 loop tracks between morsels, sliced per socket. Methods are the
 /// *locked steps* of the coordination protocol — the caller serializes
-/// them behind its own mutex (one `Mutex<CoordState>` for a dedicated
-/// pool; the server's scheduler lock for interleaved queries) and runs
-/// the expensive estimator fits between steps, outside the lock.
+/// them behind its run's one mutex ([`Pooled`]: this state alone for a
+/// dedicated pool, every admitted query's for the server) and runs the
+/// expensive estimator fits between steps, outside the lock.
 ///
 /// The master target holds a single evaluation order, so every locked
 /// step that derives geometry, calibrates, or proposes for socket `s`
@@ -250,15 +253,14 @@ pub(crate) struct CoordState<'a, T> {
     /// estimator round).
     pub(crate) optimizer_cycles: Vec<u64>,
     pub(crate) morsels_done: usize,
-    /// Decision tracing: the sink hangs outside the simulated-cost path,
-    /// so an attached tracer never changes a cycle count. `None` (or a
-    /// disabled tracer) reduces every emission to one branch.
-    trace: Option<(Arc<Tracer>, usize)>,
-    /// Model-drift observatory: every estimator fit's predicted-vs-
-    /// observed residuals land here, keyed by the literal-free key of
-    /// the front stage of the order the sample ran under. Same
-    /// non-invasive contract as the tracer.
-    drift: Option<Arc<DriftObservatory>>,
+    /// The run's observers, attached when the state is built. Decision
+    /// events go to the tracer (stamped on the calling worker's lane,
+    /// tagged with the traced query) and every fit's predicted-vs-
+    /// observed residuals to the drift observatory, keyed by the
+    /// literal-free key of the front stage of the order the sample ran
+    /// under. Both hang outside the simulated-cost path, so attaching
+    /// them never changes a cycle count.
+    obs: ExecObservers,
     /// Literal-free per-stage keys of the master target (plan-indexed),
     /// cached at construction for drift attribution.
     stage_keys: Vec<u64>,
@@ -268,12 +270,18 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
     /// Fresh single-socket coordination state over `target`'s current
     /// order, for a pool of `workers` workers whose cores give this
     /// query an effective LLC capacity of `llc_share_bytes`.
-    pub(crate) fn new(target: &'a mut T, workers: usize, llc_share_bytes: u64) -> Self {
+    pub(crate) fn new(
+        target: &'a mut T,
+        workers: usize,
+        llc_share_bytes: u64,
+        obs: ExecObservers,
+    ) -> Self {
         Self::with_topology(
             target,
             vec![0; workers],
             vec![llc_share_bytes],
             NumaPlacement::single(),
+            obs,
         )
     }
 
@@ -286,6 +294,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         socket_of: Vec<usize>,
         llc_shares: Vec<u64>,
         placement: NumaPlacement,
+        obs: ExecObservers,
     ) -> Self {
         let published = target.order();
         let stage_keys = target.stage_keys();
@@ -303,23 +312,9 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             estimates: 0,
             optimizer_cycles: vec![0; workers],
             morsels_done: 0,
-            trace: None,
-            drift: None,
+            obs,
             stage_keys,
         }
-    }
-
-    /// Attach a tracer: decision events emitted from this state's locked
-    /// steps are stamped on the calling worker's lane and tagged with
-    /// `query`.
-    pub(crate) fn set_trace(&mut self, tracer: Arc<Tracer>, query: usize) {
-        self.trace = Some((tracer, query));
-    }
-
-    /// Attach a drift observatory: every fit this state closes records
-    /// its predicted-vs-observed residuals there.
-    pub(crate) fn set_drift(&mut self, drift: Arc<DriftObservatory>) {
-        self.drift = Some(drift);
     }
 
     /// The accepted order on `socket`.
@@ -364,13 +359,11 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         // (snapshot at scheduling) remains the fallback for a cold core.
         let own_cpt = (self.windows[w].tuples > 0).then(|| self.windows[w].cycles_per_tuple());
         if let Some((order, baseline_cpt)) = sc.policy.lease_trial(own_cpt) {
-            if let Some((tracer, query)) = &self.trace {
-                tracer.emit(w, *query, || TraceEvent::TrialLease {
-                    socket: s,
-                    order: order.clone(),
-                    baseline_cpt,
-                });
-            }
+            self.obs.emit(Some(w), || TraceEvent::TrialLease {
+                socket: s,
+                order: order.clone(),
+                baseline_cpt,
+            });
             BoundaryAction::Trial(order)
         } else if local_epoch != sc.epoch {
             BoundaryAction::Adopt {
@@ -409,7 +402,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
     /// Book a fit whose sample ran under the master target's current
     /// order, charging its cycles to worker `w`.
     fn book(&mut self, w: usize, cfg: &ProgressiveConfig, fit: &Fit, observed_cpt: f64) -> u64 {
-        let drift = self.drift.as_deref().map(|d| (d, &self.stage_keys[..]));
+        let drift = self.obs.drift.as_deref().map(|d| (d, &self.stage_keys[..]));
         let spent = book_fit(
             self.target,
             cfg,
@@ -453,34 +446,30 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             .expect("a leased trial to resolve");
         self.target.set_order(sc.policy.published())?;
         if reverted {
-            if let Some((tracer, query)) = &self.trace {
-                tracer.emit(w, *query, || TraceEvent::TrialRevert {
-                    socket: s,
-                    order: trial.order.clone(),
-                    baseline_cpt: trial.baseline_cpt,
-                    trial_cpt: cpt,
-                });
-            }
+            self.obs.emit(Some(w), || TraceEvent::TrialRevert {
+                socket: s,
+                order: trial.order.clone(),
+                baseline_cpt: trial.baseline_cpt,
+                trial_cpt: cpt,
+            });
         } else {
             sc.epoch += 1;
             sc.morsels_since_reopt = 0;
             sc.epoch_cycles = stats.counters.cycles;
             sc.epoch_tuples = stats.tuples;
-            if let Some((tracer, query)) = &self.trace {
-                tracer.emit(w, *query, || TraceEvent::TrialAccept {
-                    socket: s,
-                    order: trial.order.clone(),
-                    baseline_cpt: trial.baseline_cpt,
-                    trial_cpt: cpt,
-                    epoch: sc.epoch,
-                });
-                tracer.emit(w, *query, || TraceEvent::OrderPublish {
-                    socket: s,
-                    order: trial.order.clone(),
-                    epoch: sc.epoch,
-                    warm_seed: false,
-                });
-            }
+            self.obs.emit(Some(w), || TraceEvent::TrialAccept {
+                socket: s,
+                order: trial.order.clone(),
+                baseline_cpt: trial.baseline_cpt,
+                trial_cpt: cpt,
+                epoch: sc.epoch,
+            });
+            self.obs.emit(Some(w), || TraceEvent::OrderPublish {
+                socket: s,
+                order: trial.order.clone(),
+                epoch: sc.epoch,
+                warm_seed: false,
+            });
             // The socket's windows and epoch reference sampled the
             // superseded order; the trial morsel is the new epoch's
             // first observation. Other sockets' windows are untouched.
@@ -566,16 +555,13 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         let proposed = self
             .target
             .propose_order(&fit.geom, &fit.estimate.selectivities);
-        if let Some((tracer, query)) = &self.trace {
-            let differs = &proposed != sc.policy.published();
-            tracer.emit(w, *query, || TraceEvent::ReoptRound {
-                socket: s,
-                round: sc.policy.round(),
-                selectivities: fit.estimate.selectivities.clone(),
-                fit_error: fit.estimate.objective,
-                proposed: differs.then(|| proposed.clone()),
-            });
-        }
+        self.obs.emit(Some(w), || TraceEvent::ReoptRound {
+            socket: s,
+            round: sc.policy.round(),
+            selectivities: fit.estimate.selectivities.clone(),
+            fit_error: fit.estimate.objective,
+            proposed: (&proposed != sc.policy.published()).then(|| proposed.clone()),
+        });
         let baseline_cpt = sc.epoch_cpt();
         sc.policy.consider(
             proposed,
@@ -655,17 +641,13 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             sc.policy.republish(order);
             sc.epoch += 1;
         }
-        if let Some((tracer, query)) = &self.trace {
-            for (s, sc) in self.sockets.iter().enumerate() {
-                tracer.emit(tracer.coordinator_lane(), *query, || {
-                    TraceEvent::OrderPublish {
-                        socket: s,
-                        order: sc.policy.published().clone(),
-                        epoch: sc.epoch,
-                        warm_seed: true,
-                    }
-                });
-            }
+        for (s, sc) in self.sockets.iter().enumerate() {
+            self.obs.emit(None, || TraceEvent::OrderPublish {
+                socket: s,
+                order: sc.policy.published().clone(),
+                epoch: sc.epoch,
+                warm_seed: true,
+            });
         }
         if let Some(snapshot) = calibration {
             self.target.restore_calibration(snapshot);
@@ -683,100 +665,269 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
     }
 }
 
-/// Locked access to one query's [`CoordState`], abstracting over *which*
-/// mutex guards it: the dedicated-pool executor wraps a single state in
-/// its own mutex, while the serving layer keeps many queries behind one
-/// server lock. The per-morsel choreography ([`finish_morsel`]) is
-/// written once against this trait so the two executors cannot drift
-/// apart.
-pub(crate) trait WithCoord<'a, T> {
-    /// Run `f` with the coordination state locked.
-    fn with<R>(&self, f: impl FnOnce(&mut CoordState<'a, T>) -> R) -> R;
+/// A pooled run's shared state: the drive's state behind the run's one
+/// mutex, next to the first error any worker hit.
+pub(crate) struct Pooled<S> {
+    slot: Mutex<Slot<S>>,
 }
 
-/// [`CoordState`] plus the error slot the workers of a dedicated-pool
-/// run share (the serving layer keeps its error slot in the scheduler
-/// state instead, one per server).
-struct SharedState<'a, T> {
-    coord: CoordState<'a, T>,
+/// What a [`Pooled`] run's mutex guards.
+pub(crate) struct Slot<S> {
+    /// The drive's state: one query's [`CoordState`] for a dedicated
+    /// pool, every admitted query's for the server.
+    pub(crate) state: S,
     error: Option<EngineError>,
 }
 
-/// The pool's one mutex. A poisoned lock means a sibling worker
-/// panicked mid-step; the state is not trusted past that.
-fn locked<'s, 'a, T>(state: &'s Mutex<SharedState<'a, T>>) -> MutexGuard<'s, SharedState<'a, T>> {
-    state.lock().expect("coordinator lock")
-}
+impl<S> Pooled<S> {
+    /// The run's one mutex. A poisoned lock means a sibling worker
+    /// panicked mid-step; the state is not trusted past that.
+    pub(crate) fn locked(&self) -> MutexGuard<'_, Slot<S>> {
+        self.slot.lock().expect("pooled run lock")
+    }
 
-impl<'a, T> WithCoord<'a, T> for Mutex<SharedState<'a, T>> {
-    fn with<R>(&self, f: impl FnOnce(&mut CoordState<'a, T>) -> R) -> R {
-        f(&mut locked(self).coord)
+    /// A worker's boundary lock: `None` once a sibling failed, so the
+    /// worker stops instead of starting another morsel.
+    pub(crate) fn boundary(&self) -> Option<MutexGuard<'_, Slot<S>>> {
+        let slot = self.locked();
+        slot.error.is_none().then_some(slot)
     }
 }
 
-/// The morsel step both pooled drives share, first half: apply the
-/// boundary decision to the worker's shard. Returns whether the morsel
-/// runs a leased trial and, when the shard was re-chained, the order it
-/// now runs under.
-pub(crate) fn enter_morsel<S: TargetShard>(
-    action: BoundaryAction,
-    shard: &mut S,
-    local_epoch: &mut u64,
-) -> Result<(bool, Option<Peo>), EngineError> {
-    let (is_trial, order) = match action {
-        BoundaryAction::Trial(order) => (true, order),
-        BoundaryAction::Adopt { order, epoch } => {
-            *local_epoch = epoch;
-            (false, order)
-        }
-        BoundaryAction::Keep => return Ok((false, None)),
+/// The worker scaffold of both pooled drives: run `work` on one thread
+/// per pool core — worker `w` gets core `w` and `locals[w]` — over
+/// `state` behind one mutex, and join in worker order. The first error a
+/// worker returns is kept; its siblings see it at their next
+/// [`Pooled::boundary`] and stop. Returns the state and the per-worker
+/// results, or that error. A worker panic propagates to the caller.
+pub(crate) fn run_workers<S, L, R>(
+    pool: &mut CpuPool,
+    state: S,
+    locals: Vec<L>,
+    work: impl Fn(usize, &mut SimCpu, L, &Pooled<S>) -> Result<R, EngineError> + Sync,
+) -> Result<(S, Vec<R>), EngineError>
+where
+    S: Send,
+    L: Send,
+    R: Send,
+{
+    let shared = Pooled {
+        slot: Mutex::new(Slot { state, error: None }),
     };
-    shard.set_order(&order)?;
-    Ok((is_trial, Some(order)))
+    let results: Vec<Option<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = pool
+            .cores_mut()
+            .iter_mut()
+            .zip(locals)
+            .enumerate()
+            .map(|(w, (core, local))| {
+                let (shared, work) = (&shared, &work);
+                scope.spawn(move || {
+                    work(w, core, local, shared)
+                        .map_err(|err| {
+                            shared.locked().error.get_or_insert(err);
+                        })
+                        .ok()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("pool worker panicked"))
+            .collect()
+    });
+    let Slot { state, error } = shared.slot.into_inner().expect("no worker held the lock");
+    match error {
+        Some(err) => Err(err),
+        None => Ok((state, results.into_iter().flatten().collect())),
+    }
 }
 
-/// The morsel step, second half: report the executed morsel to the
-/// query's coordination state. Both branches are locked step (cheap
-/// bookkeeping), unlocked estimate, locked step: the multi-start
-/// Nelder–Mead fit never runs under the drive's mutex, so one worker's
-/// optimizer round never stalls the rest of the pool in host time.
-/// Returns the optimizer cycles charged to `w` and, when the shard was
-/// re-chained, its new order.
+/// One pool worker: its slot, its socket, its private core, and its
+/// simulated wall position — busy plus idle cycles since the run began,
+/// plus the optimizer cycles its own estimator rounds were charged. The
+/// position is a pure function of the simulation; trace stamps and
+/// profiler lanes follow it, never host time.
+pub(crate) struct Worker<'c> {
+    pub(crate) w: usize,
+    socket: usize,
+    pub(crate) core: &'c mut SimCpu,
+    busy0: u64,
+    idle0: u64,
+    /// Optimizer cycles charged to this worker so far.
+    pub(crate) opt: u64,
+}
+
+impl<'c> Worker<'c> {
+    /// Worker `w` of `socket`, starting its clock on `core`.
+    pub(crate) fn new(w: usize, socket: usize, core: &'c mut SimCpu) -> Self {
+        Self {
+            w,
+            socket,
+            busy0: core.cycles(),
+            idle0: core.idle_cycles(),
+            core,
+            opt: 0,
+        }
+    }
+
+    /// Execution cycles since the run began.
+    pub(crate) fn busy(&self) -> u64 {
+        self.core.cycles() - self.busy0
+    }
+
+    /// Idle cycles since the run began.
+    pub(crate) fn idle(&self) -> u64 {
+        self.core.idle_cycles() - self.idle0
+    }
+
+    /// The worker's wall position.
+    pub(crate) fn now(&self) -> u64 {
+        self.busy() + self.idle() + self.opt
+    }
+}
+
+/// A worker's executor for one query: the shard, the epoch it last
+/// synced to, and the order it runs under (mirrored for profiler
+/// attribution — shards expose no order accessor, and the coordinator's
+/// view can move between this worker's boundaries).
+pub(crate) struct WorkerShard<S> {
+    shard: S,
+    pub(crate) epoch: u64,
+    order: Peo,
+}
+
+impl<S: TargetShard> WorkerShard<S> {
+    /// A shard chained under `order`, synced to epoch 0.
+    pub(crate) fn new(shard: S, order: Peo) -> Self {
+        Self {
+            shard,
+            epoch: 0,
+            order,
+        }
+    }
+
+    /// Re-chain the shard to `order`.
+    fn rechain(&mut self, order: Peo) -> Result<(), EngineError> {
+        self.shard.set_order(&order)?;
+        self.order = order;
+        Ok(())
+    }
+}
+
+/// What every morsel of a pooled run shares: the reoptimization
+/// settings, the core model fits price with, and the observers the step
+/// feeds (the profiler with the plan-indexed stage weights it
+/// apportions by).
+#[derive(Clone, Copy)]
+pub(crate) struct RunCtx<'r> {
+    pub(crate) reopt: Option<&'r ProgressiveConfig>,
+    pub(crate) cpu_cfg: &'r CpuConfig,
+    pub(crate) tracer: Option<&'r Tracer>,
+    pub(crate) profile: Option<(&'r Profiler, &'r [f64])>,
+}
+
+/// The morsel step of both pooled drives: apply the boundary decision
+/// `action` to the worker's shard, execute rows `start..end` on its core,
+/// log the claim under `query`, and report the morsel to the query's
+/// coordination state, which `coord` picks out of the drive's locked
+/// state. Reporting is locked step (cheap bookkeeping), unlocked
+/// estimate, locked step: the multi-start Nelder–Mead fit never runs
+/// under the run's mutex, so one worker's optimizer round never stalls
+/// the rest of the pool in host time. `work_remains` is read after the
+/// morsel ran (a trial scheduled once the last morsel is claimed could
+/// never run). Returns the morsel's stats; the optimizer cycles charged
+/// to the worker advance its clock.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_morsel<'a, T: ShardableTarget, S: TargetShard>(
-    coord: &impl WithCoord<'a, T>,
-    w: usize,
-    is_trial: bool,
-    stats: &VectorStats,
-    shard: &mut S,
-    local_epoch: &mut u64,
-    reopt: Option<&ProgressiveConfig>,
-    cpu_cfg: &CpuConfig,
-    work_remains: bool,
-) -> Result<(u64, Option<Peo>), EngineError> {
-    if is_trial {
-        let cfg = reopt.expect("trials are only scheduled when reopt is on");
-        let fit_inputs = coord.with(|c| c.trial_fit_inputs(w, stats, cpu_cfg))?;
+pub(crate) fn run_morsel<'a, S, T: ShardableTarget + 'a>(
+    shared: &Pooled<S>,
+    coord: impl Fn(&mut S) -> &mut CoordState<'a, T>,
+    worker: &mut Worker<'_>,
+    ws: &mut WorkerShard<T::Shard>,
+    action: BoundaryAction,
+    (start, end): (usize, usize),
+    query: usize,
+    ctx: RunCtx<'_>,
+    work_remains: impl Fn() -> bool,
+) -> Result<VectorStats, EngineError> {
+    let is_trial = match action {
+        BoundaryAction::Trial(order) => {
+            ws.rechain(order)?;
+            true
+        }
+        BoundaryAction::Adopt { order, epoch } => {
+            ws.epoch = epoch;
+            ws.rechain(order)?;
+            false
+        }
+        BoundaryAction::Keep => false,
+    };
+    let (w, socket) = (worker.w, worker.socket);
+    let start_pos = worker.now();
+    let stats = ws.shard.run_range(worker.core, start, end);
+    if let Some((prof, weights)) = ctx.profile {
+        let parts = morsel_stage_parts(&ws.order, weights, &stats);
+        prof.record_morsel(w, socket, start_pos, &parts);
+    }
+
+    // The lane position an optimizer round this boundary runs at: the
+    // morsel's end. Published before the report so the decision events
+    // its locked steps emit (accept / revert / reopt) stamp there.
+    let round_pos = worker.now();
+    if let Some(tracer) = ctx.tracer {
+        tracer.set_clock(w, round_pos);
+        tracer.emit(w, query, || TraceEvent::MorselClaim {
+            socket,
+            start_row: start,
+            rows: end - start,
+            start_cycles: start_pos,
+            cycles: stats.counters.cycles,
+            trial: is_trial,
+            epoch: ws.epoch,
+        });
+    }
+
+    let opt = if is_trial {
+        let cfg = ctx
+            .reopt
+            .expect("trials are only scheduled when reopt is on");
+        let fit_inputs =
+            coord(&mut shared.locked().state).trial_fit_inputs(w, &stats, ctx.cpu_cfg)?;
         // The still-leased trial excludes reopt rounds and double-leasing
         // while the estimate runs and the pool keeps streaming.
         let fit = fit_inputs.map(|(geom, sampled)| Fit::run(geom, sampled, &cfg.estimator));
         // Adopt whatever order the resolution left published (the trial
         // order if accepted, the incumbent if not).
-        let (published, epoch, opt) = coord.with(|c| c.resolve_trial(w, stats, fit, cfg))?;
-        shard.set_order(&published)?;
-        *local_epoch = epoch;
-        return Ok((opt, Some(published)));
-    }
-    let prepared =
-        coord.with(|c| c.note_normal(w, *local_epoch, stats, reopt, cpu_cfg, work_remains))?;
-    let Some((geom, merged)) = prepared else {
-        return Ok((0, None));
+        let (published, epoch, opt) =
+            coord(&mut shared.locked().state).resolve_trial(w, &stats, fit, cfg)?;
+        ws.rechain(published)?;
+        ws.epoch = epoch;
+        opt
+    } else {
+        let prepared = coord(&mut shared.locked().state).note_normal(
+            w,
+            ws.epoch,
+            &stats,
+            ctx.reopt,
+            ctx.cpu_cfg,
+            work_remains(),
+        )?;
+        match prepared {
+            Some((geom, merged)) => {
+                let cfg = ctx.reopt.expect("a prepared reopt round implies a config");
+                // `estimate_in_flight` keeps concurrent rounds exclusive
+                // meanwhile.
+                let fit = Fit::run(geom, merged, &cfg.estimator);
+                coord(&mut shared.locked().state).finish_reoptimize(w, &fit, cfg)?
+            }
+            None => 0,
+        }
     };
-    let cfg = reopt.expect("a prepared reopt round implies a config");
-    // `estimate_in_flight` keeps concurrent rounds exclusive meanwhile.
-    let fit = Fit::run(geom, merged, &cfg.estimator);
-    let opt = coord.with(|c| c.finish_reoptimize(w, &fit, cfg))?;
-    Ok((opt, None))
+    if let Some((prof, _)) = ctx.profile {
+        prof.record_optimizer(w, socket, round_pos, opt);
+    }
+    worker.opt += opt;
+    Ok(stats)
 }
 
 /// Execute a compiled program with morsel-driven parallelism, optionally
@@ -877,78 +1028,54 @@ where
         });
     }
 
+    // Every shard starts under the target's initial order.
+    let initial_order = target.order();
     let mut shards = Vec::with_capacity(workers);
     for _ in 0..workers {
-        shards.push(target.shard()?);
+        shards.push(WorkerShard::new(target.shard()?, initial_order.clone()));
     }
-
-    // Observation-only inputs the workers need outside the lock: the
-    // initial order every shard starts under and the plan-indexed
-    // profiling weights (order-independent by construction).
-    let initial_order = target.order();
+    // The plan-indexed profiling weights (order-independent by
+    // construction), read outside the lock.
     let plan_weights = target.stage_profile_weights();
+    let ctx = RunCtx {
+        reopt,
+        cpu_cfg: &cpu_cfg,
+        tracer: obs.trace.as_ref().map(|(tracer, _)| &**tracer),
+        profile: obs.profiler.as_deref().map(|p| (p, &plan_weights[..])),
+    };
+    let query = obs.trace.as_ref().map_or(0, |(_, query)| *query);
 
     let worker_socket = socket_of.clone();
-    let mut coord = CoordState::with_topology(target, socket_of, llc_shares, placement);
-    if let Some((tracer, query)) = &obs.trace {
-        coord.set_trace(Arc::clone(tracer), *query);
-    }
-    if let Some(drift) = &obs.drift {
-        coord.set_drift(Arc::clone(drift));
-    }
-    let state = Mutex::new(SharedState { coord, error: None });
-
-    // Per-worker totals merge after the join in worker order, so the
-    // result assembly is deterministic regardless of thread scheduling
-    // (integer sums make it order-independent anyway — this keeps even
-    // intermediate states reproducible).
-    let mut worker_totals: Vec<(VectorStats, u64)> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pool
-            .cores_mut()
-            .iter_mut()
-            .zip(shards)
-            .enumerate()
-            .map(|(w, (core, mut shard))| {
-                let dispatcher = &dispatcher;
-                let state = &state;
-                let cpu_cfg = &cpu_cfg;
-                let socket = worker_socket[w];
-                let initial_order = &initial_order;
-                let plan_weights = &plan_weights;
-                scope.spawn(move || {
-                    worker_loop(
-                        w,
-                        socket,
-                        core,
-                        &mut shard,
-                        dispatcher,
-                        state,
-                        reopt,
-                        cpu_cfg,
-                        obs,
-                        initial_order,
-                        plan_weights,
-                    )
-                    .unwrap_or_else(|err| {
-                        // Siblings see the slot at their next boundary
-                        // and stop; the totals of a failed run are moot.
-                        locked(state).error = Some(err);
-                        (VectorStats::zero(), 0)
-                    })
-                })
-            })
-            .collect();
-        for handle in handles {
-            worker_totals.push(handle.join().expect("worker thread panicked"));
-        }
-    });
-
-    let mut st = state.into_inner().expect("no worker held the lock");
-    if let Some(err) = st.error.take() {
-        return Err(err);
-    }
-    st.coord.abandon_trials();
+    let coord = CoordState::with_topology(target, socket_of, llc_shares, placement, obs.clone());
+    // One worker: claim morsels, sync its order or lease a trial at the
+    // boundary lock, run the morsel step. Per-worker totals merge after
+    // the join in worker order, so the result assembly is deterministic
+    // regardless of thread scheduling.
+    let (mut coord, worker_totals) =
+        run_workers(pool, coord, shards, |w, core, mut ws, shared| {
+            let mut worker = Worker::new(w, worker_socket[w], core);
+            let mut total = VectorStats::zero();
+            while let Some(range) = dispatcher.next(w) {
+                let action = match shared.boundary() {
+                    Some(mut slot) => slot.state.begin_morsel(w, ws.epoch),
+                    None => break,
+                };
+                let stats = run_morsel(
+                    shared,
+                    |c| c,
+                    &mut worker,
+                    &mut ws,
+                    action,
+                    range,
+                    query,
+                    ctx,
+                    || !dispatcher.exhausted(),
+                )?;
+                total.accumulate(&stats);
+            }
+            Ok((total, worker.busy()))
+        })?;
+    coord.abandon_trials();
 
     let mut total = VectorStats::zero();
     for (stats, _) in &worker_totals {
@@ -956,7 +1083,7 @@ where
     }
     let per_worker_cycles: Vec<u64> = worker_totals
         .iter()
-        .zip(&st.coord.optimizer_cycles)
+        .zip(&coord.optimizer_cycles)
         .map(|((_, exec_cycles), opt_cycles)| exec_cycles + opt_cycles)
         .collect();
     let wall_cycles = fleet_wall_cycles(&per_worker_cycles);
@@ -965,13 +1092,13 @@ where
         // lanes up to the fleet wall and seals the conservation law.
         prof.finish(&per_worker_cycles);
     }
-    let socket_orders = st.coord.socket_orders();
+    let socket_orders = coord.socket_orders();
     // Leave the master target in socket 0's accepted order: callers read
     // one final order off the target, and socket 0 is the deterministic
     // representative (`final_order` carries the same choice).
-    st.coord.target.set_order(&socket_orders[0])?;
+    coord.target.set_order(&socket_orders[0])?;
     if let Some((tracer, query)) = &obs.trace {
-        let morsels = st.coord.morsels_done;
+        let morsels = coord.morsels_done;
         tracer.emit_at(tracer.coordinator_lane(), *query, wall_cycles, || {
             TraceEvent::Complete {
                 qualified: total.qualified,
@@ -988,110 +1115,14 @@ where
         total_cycles: per_worker_cycles.iter().sum(),
         millis: wall_cycles as f64 / (freq * 1e6),
         workers,
-        morsels: st.coord.morsels_done,
+        morsels: coord.morsels_done,
         per_worker_cycles,
-        switches: st.coord.switches,
-        estimates: st.coord.estimates,
-        optimizer_cycles: st.coord.optimizer_cycles.iter().sum(),
+        switches: coord.switches,
+        estimates: coord.estimates,
+        optimizer_cycles: coord.optimizer_cycles.iter().sum(),
         final_order: socket_orders[0].clone(),
         socket_orders,
         remote_access_pct: pool.remote_access_pct(),
         counters: total.counters,
     })
-}
-
-/// One worker: claim morsels, sync order / lease trials at morsel
-/// boundaries, execute on the private core, report to the coordinator.
-/// Returns the worker's result total and its execution cycles, or the
-/// error that stopped it. The coordinator mutex is held only for the
-/// boundary sync and inside [`finish_morsel`]'s locked steps.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<T, S>(
-    w: usize,
-    socket: usize,
-    core: &mut SimCpu,
-    shard: &mut S,
-    dispatcher: &MorselDispatcher,
-    state: &Mutex<SharedState<'_, T>>,
-    reopt: Option<&ProgressiveConfig>,
-    cpu_cfg: &CpuConfig,
-    obs: &ExecObservers,
-    initial_order: &[usize],
-    plan_weights: &[f64],
-) -> Result<(VectorStats, u64), EngineError>
-where
-    T: ShardableTarget,
-    S: TargetShard,
-{
-    let cycles_before = core.counters().cycles;
-    let mut total = VectorStats::zero();
-    let mut local_epoch = 0u64;
-    // This worker's simulated wall position: execution cycles plus the
-    // optimizer cycles its own estimator rounds charged. Pure function
-    // of the simulation — the tracer's lane clock follows it, so stamps
-    // never depend on host time.
-    let mut opt_total = 0u64;
-    // The order the shard is currently chained under, mirrored locally
-    // for profiler attribution (shards expose no order accessor, and the
-    // coordinator's view can move between this worker's boundaries).
-    let mut cur_order = initial_order.to_vec();
-    while let Some((start, end)) = dispatcher.next(w) {
-        // Boundary sync: adopt the published order, or lease a pending
-        // trial so the candidate runs on exactly this core.
-        let action = {
-            let mut st = locked(state);
-            if st.error.is_some() {
-                break;
-            }
-            st.coord.begin_morsel(w, local_epoch)
-        };
-        let (is_trial, rechained) = enter_morsel(action, shard, &mut local_epoch)?;
-        cur_order = rechained.unwrap_or(cur_order);
-
-        let start_pos = (core.counters().cycles - cycles_before) + opt_total;
-        let stats = shard.run_range(core, start, end);
-        total.accumulate(&stats);
-
-        if let Some(prof) = &obs.profiler {
-            let parts = morsel_stage_parts(&cur_order, plan_weights, &stats);
-            prof.record_morsel(w, socket, start_pos, &parts);
-        }
-
-        // The lane position an optimizer round this boundary runs at:
-        // the morsel's end (execution so far plus prior optimizer time).
-        let round_pos = (core.counters().cycles - cycles_before) + opt_total;
-        if let Some((tracer, query)) = &obs.trace {
-            // Publish this lane's wall position at the morsel boundary so
-            // the decision events the locked round below emits (accept /
-            // revert / reopt) stamp at the morsel's end.
-            tracer.set_clock(w, round_pos);
-            tracer.emit(w, *query, || TraceEvent::MorselClaim {
-                socket,
-                start_row: start,
-                rows: end - start,
-                start_cycles: start_pos,
-                cycles: stats.counters.cycles,
-                trial: is_trial,
-                epoch: local_epoch,
-            });
-        }
-
-        let (opt, rechained) = finish_morsel(
-            state,
-            w,
-            is_trial,
-            &stats,
-            shard,
-            &mut local_epoch,
-            reopt,
-            cpu_cfg,
-            !dispatcher.exhausted(),
-        )?;
-        if let Some(prof) = &obs.profiler {
-            prof.record_optimizer(w, socket, round_pos, opt);
-        }
-        opt_total += opt;
-        cur_order = rechained.unwrap_or(cur_order);
-    }
-    Ok((total, core.counters().cycles - cycles_before))
 }

@@ -96,14 +96,6 @@ impl SelectionPlan {
         result.sort();
         result
     }
-
-    /// Render a PEO as predicate text, e.g. for figure output.
-    pub fn describe_peo(&self, peo: &[usize]) -> String {
-        peo.iter()
-            .map(|&i| self.predicates[i].display())
-            .collect::<Vec<_>>()
-            .join(" AND ")
-    }
 }
 
 fn permutations(current: &mut Vec<usize>, k: usize, out: &mut Vec<Peo>) {
@@ -274,9 +266,9 @@ mod tests {
     }
 
     #[test]
-    fn describe_peo_renders_in_order() {
+    fn predicates_render_in_plan_order() {
         let p = plan(2);
-        let s = p.describe_peo(&[1, 0]);
-        assert_eq!(s, "c1 < 10 AND c0 < 10");
+        let rendered: Vec<String> = p.predicates.iter().map(Predicate::display).collect();
+        assert_eq!(rendered, ["c0 < 10", "c1 < 10"]);
     }
 }

@@ -1,94 +1,44 @@
 //! Cross-query order/calibration cache.
 //!
 //! A serving workload repeats query *templates*: the same table, the
-//! same predicate/probe set, different arrival times. The progressive
-//! loop converges each instance to the same operator order and the same
-//! probe-clustering calibration — so re-deriving them from the textbook
-//! order on every arrival wastes exactly the convergence overhead the
-//! paper measures. The cache keys a finished query's converged state by
-//! its **workload signature** (the structural identity of its stage
-//! set, independent of the evaluation order the instance happened to
-//! start or finish in) and seeds the next instance of the template with
-//! it.
+//! same predicate/probe set, different literals and arrival times. The
+//! progressive loop converges each instance to the same operator order
+//! and the same probe-clustering calibration — so re-deriving them from
+//! the textbook order on every arrival wastes exactly the convergence
+//! overhead the paper measures. The cache keys a finished query's
+//! converged state by its [`WorkloadSignature`] — the scanned row count
+//! plus the program's literal-free stage keys
+//! ([`CompiledProgram::stage_keys`], in plan order, so independent of
+//! the evaluation order the instance started or finished in) — and
+//! seeds the next instance of the template with it. The calibration a
+//! hit restores is keyed to the same stage keys, so one identity decides
+//! both the order and the calibration a warm start gets.
 //!
 //! A warm start is a *prior*, never a promise: the seeded order still
 //! runs under full progressive supervision (sampling, trials, revert on
-//! regression), so a stale cache entry — data drifted, literal tweaked
-//! into a new signature, plain collision — costs at most the same
-//! convergence the cold start would have paid. Correctness is never at
-//! stake: operator orders cannot change query results.
+//! regression), so a stale cache entry — data drifted, plain collision —
+//! costs at most the same convergence the cold start would have paid.
+//! Correctness is never at stake: operator orders cannot change query
+//! results.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 use popt_solver::CalibrationSnapshot;
 
 use crate::exec::program::CompiledProgram;
 use crate::plan::Peo;
-use crate::predicate::CompareOp;
 
-/// Structural identity of one pipeline stage, in *plan* order — what the
-/// stage computes and which simulated columns it touches, independent of
-/// where the evaluation order currently places it. Deliberately
-/// **literal-free**: a converged operator order and probe calibration are
-/// properties of the stage *shapes* (which columns stream, which
-/// dimensions probe), so a parameterized template — the same query with a
-/// sliding literal — keeps one cache identity. The literals live next to
-/// the signature as a feature vector ([`WorkloadSignature::literals`]).
+/// A query template's identity: the scanned row count plus the
+/// literal-free structural key of every stage, in plan order. Two
+/// queries share a signature exactly when they run the same stage
+/// *structure* over the same stored columns — the unit of order reuse.
+/// Instances of a parameterized template (`val < 500`, `val < 501`, …)
+/// warm-hit each other, while any structural change — a different
+/// column, operator, or dimension — misses.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum StageSignature {
-    /// A predicate on a fact-table column.
-    Select {
-        /// Simulated base address of the predicate column (column
-        /// identity across queries over the same stored table).
-        base: u64,
-        /// Comparison operator.
-        op: CompareOp,
-        /// Extra per-evaluation instructions (expensive predicates).
-        extra_instructions: u64,
-    },
-    /// A foreign-key join filter.
-    Join {
-        /// Base address of the FK column on the fact table.
-        fk_base: u64,
-        /// Base address of the probed dimension payload.
-        dim_base: u64,
-        /// Rows of the probed dimension.
-        dim_rows: usize,
-        /// Comparison operator applied to the probed payload.
-        op: CompareOp,
-    },
-}
-
-/// A query template's identity: the scanned row count plus the plan-order
-/// stage set. Two queries share a signature exactly when they run the
-/// same stage *structure* over the same stored columns — the unit of
-/// order reuse. Literals ride along as features but do not participate
-/// in equality or hashing, so instances of a parameterized template
-/// (`val < 500`, `val < 501`, …) warm-hit each other while any structural
-/// change — a different column, operator, or dimension — still misses.
-#[derive(Debug, Clone)]
 pub struct WorkloadSignature {
     rows: usize,
-    stages: Vec<StageSignature>,
-    literals: Vec<i64>,
-}
-
-impl PartialEq for WorkloadSignature {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows && self.stages == other.stages
-    }
-}
-
-impl Eq for WorkloadSignature {}
-
-impl Hash for WorkloadSignature {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Literals are features, not identity: keep the hash consistent
-        // with the structural equality above.
-        self.rows.hash(state);
-        self.stages.hash(state);
-    }
+    stage_keys: Vec<u64>,
 }
 
 impl WorkloadSignature {
@@ -96,42 +46,15 @@ impl WorkloadSignature {
     /// alike — taken over the stages in plan (lowering) order so it is
     /// invariant under reordering.
     pub fn of_compiled(program: &CompiledProgram<'_>) -> Self {
-        let stages = (0..program.len())
-            .map(|j| {
-                let stage = program.stage(j);
-                match stage.dim_rows() {
-                    Some(dim_rows) => StageSignature::Join {
-                        fk_base: stage.column_base(),
-                        dim_base: stage.dim_base().expect("joins have a dimension"),
-                        dim_rows,
-                        op: stage.compare_op(),
-                    },
-                    None => StageSignature::Select {
-                        base: stage.column_base(),
-                        op: stage.compare_op(),
-                        extra_instructions: stage.extra_instructions(),
-                    },
-                }
-            })
-            .collect();
         Self {
             rows: program.rows(),
-            stages,
-            literals: (0..program.len())
-                .map(|j| program.stage(j).literal())
-                .collect(),
+            stage_keys: program.stage_keys(),
         }
     }
 
     /// Number of plan stages in the signature.
     pub fn stages(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// The per-stage literal operands, in plan order — the template's
-    /// parameter feature vector (not part of its identity).
-    pub fn literals(&self) -> &[i64] {
-        &self.literals
+        self.stage_keys.len()
     }
 }
 
@@ -393,7 +316,7 @@ impl OrderCache {
 mod tests {
     use super::*;
     use crate::plan::SelectionPlan;
-    use crate::predicate::Predicate;
+    use crate::predicate::{CompareOp, Predicate};
     use popt_storage::{AddressSpace, ColumnData, Table};
 
     fn table() -> Table {
@@ -432,8 +355,6 @@ mod tests {
             a, slid,
             "a tweaked literal is the same parameterized template"
         );
-        assert_eq!(a.literals(), &[10, 7]);
-        assert_eq!(slid.literals(), &[11, 7], "literals still ride along");
         // A structural change — different operator — is a different
         // template even with identical literals.
         let structural = SelectionPlan::new(
@@ -462,34 +383,30 @@ mod tests {
     }
 
     fn dim() -> Table {
+        dim_of(4)
+    }
+
+    fn dim_of(rows: usize) -> Table {
         let mut dim_space = AddressSpace::new();
         let mut dim = Table::new("dim");
-        dim.add_column("p", ColumnData::I32(vec![0; 4]), &mut dim_space);
+        dim.add_column("p", ColumnData::I32(vec![0; rows]), &mut dim_space);
         dim
     }
 
     #[test]
     fn compiled_signature_describes_stage_structure() {
         let (t, dim) = (table(), dim());
-        let sig = WorkloadSignature::of_compiled(&compiled_select_join(&t, &dim));
+        let program = compiled_select_join(&t, &dim);
+        let sig = WorkloadSignature::of_compiled(&program);
         assert_eq!(sig.rows, t.rows());
-        assert_eq!(
-            sig.stages,
-            vec![
-                StageSignature::Select {
-                    base: t.column("a").unwrap().base_addr(),
-                    op: CompareOp::Lt,
-                    extra_instructions: 0,
-                },
-                StageSignature::Join {
-                    fk_base: t.column("b").unwrap().base_addr(),
-                    dim_base: dim.column("p").unwrap().base_addr(),
-                    dim_rows: 4,
-                    op: CompareOp::Eq,
-                },
-            ]
+        assert_eq!(sig.stage_keys, program.stage_keys());
+        assert_eq!(sig.stages(), 2);
+        // The same plan probing a larger dimension is another template.
+        let other_dim = dim_of(8);
+        assert_ne!(
+            sig,
+            WorkloadSignature::of_compiled(&compiled_select_join(&t, &other_dim))
         );
-        assert_eq!(sig.literals(), &[10, 0]);
     }
 
     #[test]

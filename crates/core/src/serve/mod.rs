@@ -10,7 +10,7 @@
 //!   multi-selection scan or a compiled frontend program — see
 //!   [`server::QuerySpec::from_plan`] — each with a [`server::Priority`]
 //!   and an arrival time; a scan is lowered to its compiled program when
-//!   the batch runs, so every query executes as the same compiled form
+//!   the spec is built, so every query executes as the same compiled form
 //!   through the same target) and executes them as interleaved morsel
 //!   streams over one pool. Each
 //!   query keeps its own progressive coordination state — epoch-published
@@ -22,8 +22,8 @@
 //!   of one stride.
 //! * [`cache::OrderCache`] keys each finished query's converged operator
 //!   order and probe-clustering calibration by its workload signature
-//!   (table + predicate/probe *structure*; literals are features, not
-//!   identity), so a repeated query *template* — including a
+//!   (row count + the program's literal-free stage keys: predicate/probe
+//!   *structure*, not literals), so a repeated query *template* — including a
 //!   parameterized one whose literals slide between arrivals — starts
 //!   from the last converged state instead of the textbook order — the
 //!   paper's convergence win amortized across the workload.
@@ -65,10 +65,6 @@ pub mod cache;
 pub mod scheduler;
 pub mod server;
 
-pub use cache::{
-    CacheEntry, CacheStats, OrderCache, StageSignature, WarmRecordOutcome, WorkloadSignature,
-};
+pub use cache::{CacheEntry, CacheStats, OrderCache, WarmRecordOutcome, WorkloadSignature};
 pub use scheduler::StrideScheduler;
-pub use server::{
-    Priority, QueryKind, QueryOutcome, QueryServer, QuerySpec, ServeConfig, ServeReport,
-};
+pub use server::{Priority, QueryOutcome, QueryServer, QuerySpec, ServeConfig, ServeReport};

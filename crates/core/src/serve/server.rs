@@ -16,12 +16,14 @@
 //! * **Per-query coordination** — each admitted query owns a full
 //!   [`CoordState`]: its own epoch-published order, sample windows,
 //!   trial leasing and rejection memory, exactly as if it ran alone on
-//!   the pool. Estimator fits run outside the scheduler lock and their
+//!   the pool. Workers run on the dedicated pool's skeleton
+//!   ([`crate::parallel::coordinator`]'s worker scaffold and morsel
+//!   step): estimator fits run outside the server's one lock and their
 //!   cycles are charged to the core that ran them.
 //! * **Order reuse** — on admission the server consults its
-//!   [`OrderCache`] by workload signature; a warm hit starts the query
-//!   from the template's last converged order and clustering
-//!   calibration instead of the caller's (textbook) order.
+//!   [`OrderCache`] by the program's literal-free stage keys; a warm hit
+//!   starts the query from the template's last converged order and
+//!   clustering calibration instead of the caller's (textbook) order.
 //! * **Socket placement** — on a multi-socket pool every query is homed
 //!   on *one* socket (greedy least-loaded-by-footprint in submission
 //!   order, ties to the lowest socket — a pure function of the batch)
@@ -35,22 +37,21 @@
 //! interleaving, the priorities, nor mid-query order switches can change
 //! them.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use popt_cost::cycles::{fleet_occupancy, fleet_wall_cycles_interleaved};
-use popt_cpu::{CpuConfig, CpuPool, SimCpu};
+use popt_cpu::CpuPool;
 use popt_obs::{DriftObservatory, MetricsRegistry, TraceEvent, Tracer};
 use popt_storage::Table;
 
 use crate::error::EngineError;
 use crate::exec::program::CompiledProgram;
 use crate::exec::scan::VectorStats;
+use crate::observe::ExecObservers;
 use crate::parallel::coordinator::{
-    enter_morsel, finish_morsel, BoundaryAction, CoordState, WithCoord,
+    run_morsel, run_workers, BoundaryAction, CoordState, Pooled, RunCtx, Worker, WorkerShard,
 };
-use crate::parallel::{
-    CompiledShard, MorselConfig, MorselDispatcher, ShardableTarget, TargetShard,
-};
+use crate::parallel::{CompiledShard, MorselConfig, MorselDispatcher, ShardableTarget};
 use crate::plan::{Peo, SelectionPlan};
 use crate::progressive::{CompiledTarget, ProgressiveConfig, ProgressiveTarget, SwitchEvent};
 
@@ -91,44 +92,26 @@ impl Priority {
     }
 }
 
-/// What a served query executes.
-pub enum QueryKind<'t> {
-    /// A multi-selection scan, lowered to its probe-free compiled
-    /// program ([`CompiledProgram::from_selection`]) when the batch runs.
-    Scan {
-        /// The scanned table.
-        table: &'t Table,
-        /// The selection plan.
-        plan: SelectionPlan,
-        /// Evaluation order to start from on a cache miss.
-        initial_peo: Peo,
-    },
-    /// A compiled frontend program ([`crate::plan::LogicalPlan`] →
-    /// [`CompiledProgram`]). Signatures are literal-free, so sliding a
-    /// plan's literals keeps the template warm across arrivals.
-    Compiled {
-        /// The compiled program (stages borrow immutable column data).
-        program: CompiledProgram<'t>,
-        /// Evaluation order to start from on a cache miss.
-        initial_order: Peo,
-    },
-}
-
 /// One query submitted to the server.
 pub struct QuerySpec<'t> {
     /// Human-readable identity carried into the report.
     pub label: String,
-    /// What to execute.
-    pub kind: QueryKind<'t>,
     /// Scheduling priority.
     pub priority: Priority,
     /// Arrival time in simulated cycles since server start (0 = already
     /// queued when the pool starts — a closed-loop workload).
     pub arrival_cycles: u64,
+    /// The compiled program to execute, or why lowering the spec failed
+    /// (returned by the [`QueryServer::run`] that meets it).
+    program: Result<CompiledProgram<'t>, EngineError>,
+    /// Evaluation order to start from on a cache miss.
+    initial_order: Peo,
 }
 
 impl<'t> QuerySpec<'t> {
-    /// A scan query.
+    /// A multi-selection scan query, lowered here to its probe-free
+    /// compiled program ([`CompiledProgram::from_selection`]). A plan
+    /// naming an unknown column fails the batch at [`QueryServer::run`].
     pub fn scan(
         label: impl Into<String>,
         table: &'t Table,
@@ -139,33 +122,29 @@ impl<'t> QuerySpec<'t> {
     ) -> Self {
         Self {
             label: label.into(),
-            kind: QueryKind::Scan {
-                table,
-                plan,
-                initial_peo,
-            },
             priority,
             arrival_cycles,
+            program: CompiledProgram::from_selection(table, &plan, &initial_peo),
+            initial_order: initial_peo,
         }
     }
 
-    /// A compiled-program query, starting from the program's lowering
-    /// (plan) order on a cache miss.
+    /// A compiled-program query ([`crate::plan::LogicalPlan`] →
+    /// [`CompiledProgram`]), starting from the program's lowering (plan)
+    /// order on a cache miss. Cache keys are literal-free, so sliding a
+    /// plan's literals keeps the template warm across arrivals.
     pub fn compiled(
         label: impl Into<String>,
         program: CompiledProgram<'t>,
         priority: Priority,
         arrival_cycles: u64,
     ) -> Self {
-        let initial_order = program.order().to_vec();
         Self {
             label: label.into(),
-            kind: QueryKind::Compiled {
-                program,
-                initial_order,
-            },
             priority,
             arrival_cycles,
+            initial_order: program.order().to_vec(),
+            program: Ok(program),
         }
     }
 
@@ -369,8 +348,9 @@ pub struct QueryServer<'t> {
     specs: Vec<QuerySpec<'t>>,
     cache: OrderCache,
     config: ServeConfig,
-    tracer: Option<Arc<Tracer>>,
-    drift: Option<Arc<DriftObservatory>>,
+    /// The batch's observers (tracer, drift observatory); each query's
+    /// coordination state gets them with the tracer tagged by its id.
+    observers: ExecObservers,
 }
 
 impl<'t> QueryServer<'t> {
@@ -380,8 +360,7 @@ impl<'t> QueryServer<'t> {
             specs: Vec::new(),
             cache: OrderCache::new(),
             config,
-            tracer: None,
-            drift: None,
+            observers: ExecObservers::none(),
         }
     }
 
@@ -392,7 +371,7 @@ impl<'t> QueryServer<'t> {
     /// non-invasive — simulated cycles, results, and accepted orders are
     /// bit-identical with the tracer attached, detached, or disabled.
     pub fn set_tracer(&mut self, tracer: Arc<Tracer>) {
-        self.tracer = Some(tracer);
+        self.observers.trace = Some((tracer, 0));
     }
 
     /// Attach a model-drift observatory: every query's reopt-round and
@@ -400,7 +379,7 @@ impl<'t> QueryServer<'t> {
     /// keyed by literal-free stage key (so repeated templates aggregate
     /// into shared series). Non-invasive, like the tracer.
     pub fn set_drift(&mut self, drift: Arc<DriftObservatory>) {
-        self.drift = Some(drift);
+        self.observers.drift = Some(drift);
     }
 
     /// Queue a query for the next [`QueryServer::run`].
@@ -456,7 +435,12 @@ impl<'t> QueryServer<'t> {
         // One branch decides observability for the whole batch: with no
         // tracer (or a disabled sink) every emission below is a single
         // `if` on a `None`/false and no event payload is ever built.
-        let trace: Option<&Arc<Tracer>> = self.tracer.as_ref().filter(|t| t.enabled());
+        let trace: Option<&Arc<Tracer>> = self
+            .observers
+            .trace
+            .as_ref()
+            .map(|(tracer, _)| tracer)
+            .filter(|t| t.enabled());
 
         let metas: Vec<(String, Priority, u64)> = self
             .specs
@@ -465,7 +449,7 @@ impl<'t> QueryServer<'t> {
             .collect();
 
         // Build one master target per query, warm-started from the order
-        // cache when the workload signature hits at admission. (Open-loop
+        // cache when the template's stage keys hit at admission. (Open-loop
         // later arrivals get a second chance mid-run: completed template
         // mates publish at completion, and the first morsel claim of an
         // `arrival > 0` query re-consults the cache under the lock.)
@@ -474,7 +458,7 @@ impl<'t> QueryServer<'t> {
         let mut warms = Vec::with_capacity(metas.len());
         for spec in self.specs.iter_mut() {
             let (target, signature, warm_seed) =
-                build_target(&mut spec.kind, cache_on.then_some(&mut self.cache))?;
+                build_target(spec, cache_on.then_some(&mut self.cache))?;
             targets.push(target);
             signatures.push(signature);
             warms.push(warm_seed);
@@ -580,10 +564,13 @@ impl<'t> QueryServer<'t> {
 
         // Per-(worker, query) shards, minted before the mutable borrows
         // below: each worker re-chains its own executors independently.
-        let mut worker_shards: Vec<Vec<CompiledShard<'t>>> = Vec::with_capacity(workers);
+        let mut worker_shards: Vec<Vec<WorkerShard<CompiledShard<'t>>>> =
+            Vec::with_capacity(workers);
         for _ in 0..workers {
-            let shards: Result<Vec<_>, EngineError> =
-                targets.iter().map(ShardableTarget::shard).collect();
+            let shards: Result<Vec<_>, EngineError> = targets
+                .iter()
+                .map(|t| Ok(WorkerShard::new(t.shard()?, t.order())))
+                .collect();
             worker_shards.push(shards?);
         }
 
@@ -623,18 +610,16 @@ impl<'t> QueryServer<'t> {
                 member_start,
                 members,
             });
-            let mut coord = CoordState::new(target, workers, budget);
-            if let Some(tracer) = trace {
-                // The query's own coordination protocol (trial leasing,
-                // reopt rounds, epoch publication) emits through the same
-                // tracer under its query id.
-                coord.set_trace(Arc::clone(tracer), entries.len());
-            }
-            if let Some(drift) = &self.drift {
-                coord.set_drift(Arc::clone(drift));
-            }
+            // The query's own coordination protocol (trial leasing, reopt
+            // rounds, epoch publication) emits through the same tracer
+            // under its query id.
+            let obs = ExecObservers {
+                trace: trace.map(|tracer| (Arc::clone(tracer), entries.len())),
+                profiler: None,
+                drift: self.observers.drift.clone(),
+            };
             entries.push(QueryEntry {
-                coord,
+                coord: CoordState::new(target, workers, budget, obs),
                 totals: VectorStats::zero(),
                 exec_cycles: 0,
                 first_vt: None,
@@ -648,66 +633,38 @@ impl<'t> QueryServer<'t> {
             });
         }
 
-        let state = Mutex::new(ServerState {
+        let state = ServerState {
             queries: entries,
-            error: None,
             cache: if cache_on {
                 Some(&mut self.cache)
             } else {
                 None
             },
-        });
-
+        };
+        let ctx = RunCtx {
+            reopt,
+            cpu_cfg: &cpu_cfg,
+            tracer: trace.map(|tracer| &**tracer),
+            profile: None,
+        };
+        let batch = Batch {
+            dispatchers: &dispatchers,
+            arrivals: &arrivals,
+            weights: &weights,
+            footprints: &footprints,
+            dynamic_repartition,
+        };
         let worker_socket: Vec<usize> = (0..workers).map(|c| pool.socket_of(c)).collect();
-        let mut worker_clocks: Vec<(u64, u64, u64)> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = pool
-                .cores_mut()
-                .iter_mut()
-                .zip(worker_shards)
-                .enumerate()
-                .map(|(w, (core, mut shards))| {
-                    let state = &state;
-                    let cpu_cfg = &cpu_cfg;
-                    let dispatchers = &dispatchers;
-                    let arrivals = &arrivals;
-                    let weights = &weights;
-                    let footprints = &footprints;
-                    let socket = worker_socket[w];
-                    scope.spawn(move || {
-                        serve_worker(
-                            w,
-                            socket,
-                            core,
-                            &mut shards,
-                            state,
-                            dispatchers,
-                            arrivals,
-                            weights,
-                            footprints,
-                            dynamic_repartition,
-                            reopt,
-                            cpu_cfg,
-                            trace,
-                        )
-                        .unwrap_or_else(|err| {
-                            // Siblings see the slot at their next claim
-                            // and stop; a failed batch reports no clocks.
-                            locked(state).error = Some(err);
-                            (0, 0, 0)
-                        })
-                    })
-                })
-                .collect();
-            for handle in handles {
-                worker_clocks.push(handle.join().expect("serve worker panicked"));
-            }
-        });
-
-        let mut st = state.into_inner().expect("no worker held the lock");
-        if let Some(err) = st.error.take() {
-            return Err(err);
-        }
+        let (st, worker_clocks) =
+            run_workers(pool, state, worker_shards, |w, core, mut shards, shared| {
+                serve_worker(
+                    Worker::new(w, worker_socket[w], core),
+                    &mut shards,
+                    shared,
+                    &batch,
+                    ctx,
+                )
+            })?;
 
         // Converged orders were already published to the cache at each
         // query's completion (under the coordination lock); assembling
@@ -764,39 +721,20 @@ impl<'t> QueryServer<'t> {
 }
 
 /// Build a query's master target, consulting the order cache (when
-/// given) for a warm-start order and calibration. A scan spec is first
-/// lowered in place to its compiled program, so an unknown column fails
-/// the batch here. Returns the target, its workload signature, and the
-/// cached order the target was seeded with (`None` = cold start).
+/// given) for a warm-start order and calibration. A spec whose lowering
+/// failed fails the batch here with that error. Returns the target, its
+/// workload signature, and the cached order the target was seeded with
+/// (`None` = cold start).
 fn build_target<'p, 't>(
-    kind: &'p mut QueryKind<'t>,
+    spec: &'p mut QuerySpec<'t>,
     cache: Option<&mut OrderCache>,
 ) -> Result<(CompiledTarget<'p, 't>, WorkloadSignature, Option<Peo>), EngineError> {
-    if let QueryKind::Scan {
-        table,
-        plan,
-        initial_peo,
-    } = kind
-    {
-        let program = CompiledProgram::from_selection(table, plan, initial_peo)?;
-        let initial_order = std::mem::take(initial_peo);
-        *kind = QueryKind::Compiled {
-            program,
-            initial_order,
-        };
-    }
-    let QueryKind::Compiled {
-        program,
-        initial_order,
-    } = kind
-    else {
-        unreachable!("scan specs were lowered above")
-    };
+    let program = spec.program.as_mut().map_err(|err| err.clone())?;
     let signature = WorkloadSignature::of_compiled(program);
     let cached = cache.and_then(|c| c.lookup(&signature));
     match cached.as_ref() {
         Some(entry) => program.reorder(&entry.order)?,
-        None => program.reorder(initial_order)?,
+        None => program.reorder(&spec.initial_order)?,
     }
     let mut target = CompiledTarget::new(program);
     if let Some(calibration) = cached.as_ref().and_then(|e| e.calibration.as_ref()) {
@@ -865,7 +803,6 @@ struct QueryEntry<'a, 'p, 't> {
 
 struct ServerState<'a, 'p, 't> {
     queries: Vec<QueryEntry<'a, 'p, 't>>,
-    error: Option<EngineError>,
     /// The server's order cache, shared with the workers so converged
     /// state publishes at query *completion* (under this same lock)
     /// instead of at batch drain — a long open-loop stream warms its own
@@ -873,12 +810,14 @@ struct ServerState<'a, 'p, 't> {
     cache: Option<&'a mut OrderCache>,
 }
 
-/// The server's one mutex. A poisoned lock means a sibling worker
-/// panicked mid-step; the state is not trusted past that.
-fn locked<'s, 'a, 'p, 't>(
-    state: &'s Mutex<ServerState<'a, 'p, 't>>,
-) -> MutexGuard<'s, ServerState<'a, 'p, 't>> {
-    state.lock().expect("coordination lock")
+/// The batch's work division, read by every worker outside the lock:
+/// immutable or atomic.
+struct Batch<'b> {
+    dispatchers: &'b [QueryDispatch],
+    arrivals: &'b [u64],
+    weights: &'b [u64],
+    footprints: &'b [u64],
+    dynamic_repartition: bool,
 }
 
 /// What a worker decided to do after consulting its scheduler.
@@ -897,9 +836,10 @@ enum Step {
 }
 
 /// One serving worker: interleave the worker's shares of all admitted
-/// queries in stride order, execute each morsel on the private core,
-/// and run the owning query's coordination protocol — estimator fits
-/// outside the lock, their cycles charged to this core.
+/// queries in stride order, and run each claimed morsel through the
+/// coordinator's morsel step against the owning query's coordination
+/// state — estimator fits outside the lock, their cycles charged to this
+/// core.
 ///
 /// The scheduler is *worker-local*: each worker divides its own morsel
 /// slots across the queries it has admitted (by its own clock), over
@@ -908,34 +848,24 @@ enum Step {
 /// same ratios — while the only cross-worker coupling left is the
 /// per-query coordination itself (epoch publication, trial leasing),
 /// which is bounded to single-morsel effects exactly as in the
-/// dedicated-pool executor. `w` is the worker's slot in the pool, used
-/// as its window index in every query's coordination state. Returns
-/// (busy, idle, optimizer) cycles, or the error that stopped it.
-#[allow(clippy::too_many_arguments)]
+/// dedicated-pool executor. The worker's pool slot is its window index
+/// in every query's coordination state. Returns (busy, idle, optimizer)
+/// cycles, or the error that stopped it.
 fn serve_worker<'a, 'p, 't>(
-    w: usize,
-    socket: usize,
-    core: &mut SimCpu,
-    shards: &mut [CompiledShard<'t>],
-    state: &Mutex<ServerState<'a, 'p, 't>>,
-    dispatchers: &[QueryDispatch],
-    arrivals: &[u64],
-    weights: &[u64],
-    footprints: &[u64],
-    dynamic_repartition: bool,
-    reopt: Option<&ProgressiveConfig>,
-    cpu_cfg: &CpuConfig,
-    trace: Option<&Arc<Tracer>>,
+    mut worker: Worker<'_>,
+    shards: &mut [WorkerShard<CompiledShard<'t>>],
+    shared: &Pooled<ServerState<'a, 'p, 't>>,
+    batch: &Batch<'_>,
+    ctx: RunCtx<'_>,
 ) -> Result<(u64, u64, u64), EngineError> {
-    let base_cycles = core.cycles();
-    let base_idle = core.idle_cycles();
-    // This worker's wall-clock position: busy + idle + the optimizer
-    // cycles (`opt`) its own estimator rounds were charged.
-    let wall = |core: &SimCpu, opt: u64| {
-        (core.cycles() - base_cycles) + (core.idle_cycles() - base_idle) + opt
-    };
-    let mut opt_cycles = 0u64;
-    let mut local_epochs = vec![0u64; shards.len()];
+    let Batch {
+        dispatchers,
+        arrivals,
+        weights,
+        footprints,
+        dynamic_repartition,
+    } = *batch;
+    let w = worker.w;
     let mut sched = StrideScheduler::new(shards.len());
     let mut admitted = vec![false; shards.len()];
     // Dynamic way repartition state: this core's batch-boundary way
@@ -944,11 +874,11 @@ fn serve_worker<'a, 'p, 't>(
     // are pure functions of the worker's own claim stream, so the cycles
     // this produces never depend on host thread interleaving (see
     // [`ServeConfig::dynamic_repartition`]).
-    let base_ways = core.hierarchy().llc_ways();
+    let base_ways = worker.core.hierarchy().llc_ways();
     let mut live = vec![false; shards.len()];
 
     loop {
-        let now = wall(core, opt_cycles);
+        let now = worker.now();
         // Admission: every arrived query with a non-empty share for this
         // worker joins the worker's scheduler at the worker's clock.
         for qid in 0..arrivals.len() {
@@ -974,11 +904,10 @@ fn serve_worker<'a, 'p, 't>(
                     sched.retire(qid);
                     live[qid] = false;
                 }
-                let mut guard = locked(state);
-                if guard.error.is_some() {
+                let Some(mut guard) = shared.boundary() else {
                     break;
-                }
-                let st = &mut *guard;
+                };
+                let st = &mut guard.state;
                 let entry = &mut st.queries[qid];
                 // Mid-run warm start: the first claim of an open-loop
                 // later arrival re-consults the cache once, under the
@@ -1000,7 +929,7 @@ fn serve_worker<'a, 'p, 't>(
                     if entry.warm_seed.is_none() && entry.arrival > 0 {
                         if let Some(cache) = st.cache.as_deref_mut() {
                             let hit = cache.lookup(&entry.signature);
-                            if let Some(tracer) = trace {
+                            if let Some(tracer) = ctx.tracer {
                                 tracer.emit_at(w, qid, now, || TraceEvent::CacheLookup {
                                     hit: hit.is_some(),
                                     mid_run: true,
@@ -1018,7 +947,7 @@ fn serve_worker<'a, 'p, 't>(
                 // Queue delay is measured to the *earliest* service
                 // across workers.
                 entry.first_vt = Some(entry.first_vt.map_or(now, |f| f.min(now)));
-                let action = entry.coord.begin_morsel(w, local_epochs[qid]);
+                let action = entry.coord.begin_morsel(w, shards[qid].epoch);
                 Step::Run {
                     qid,
                     start,
@@ -1039,7 +968,7 @@ fn serve_worker<'a, 'p, 't>(
                         // path's own lock) — the busy path must not pay
                         // an extra acquisition of the shared mutex per
                         // morsel just for the error flag.
-                        if locked(state).error.is_some() {
+                        if shared.boundary().is_none() {
                             break;
                         }
                         Step::Idle(arrival.saturating_sub(now).max(1))
@@ -1052,7 +981,7 @@ fn serve_worker<'a, 'p, 't>(
         match step {
             Step::Done => break,
             Step::Idle(gap) => {
-                core.idle(gap);
+                worker.core.idle(gap);
                 continue;
             }
             Step::Run {
@@ -1061,8 +990,6 @@ fn serve_worker<'a, 'p, 't>(
                 end,
                 action,
             } => {
-                let (is_trial, _) = enter_morsel(action, &mut shards[qid], &mut local_epochs[qid])?;
-
                 if dynamic_repartition {
                     // Serve this morsel with the query's footprint-
                     // proportional sub-share of the core's way slice
@@ -1075,8 +1002,8 @@ fn serve_worker<'a, 'p, 't>(
                     let fps: Vec<u64> = co.iter().map(|&q| footprints[q]).collect();
                     let shares = popt_cpu::partition_llc_ways(base_ways as u32, &fps);
                     let mine = co.iter().position(|&q| q == qid).expect("qid is in co");
-                    core.set_llc_ways(shares[mine] as usize);
-                    if let Some(tracer) = trace {
+                    worker.core.set_llc_ways(shares[mine] as usize);
+                    if let Some(tracer) = ctx.tracer {
                         tracer.emit_at(w, qid, now, || TraceEvent::LlcRepartition {
                             scope: "worker",
                             mode: "shared",
@@ -1084,48 +1011,26 @@ fn serve_worker<'a, 'p, 't>(
                         });
                     }
                 }
-                let start_pos = wall(core, opt_cycles);
-                let stats = shards[qid].run_range(core, start, end);
-                if let Some(tracer) = trace {
-                    // Publish this worker's wall position so the locked
-                    // round below stamps its decisions at the morsel's
-                    // end, then log the claim itself.
-                    tracer.set_clock(w, wall(core, opt_cycles));
-                    tracer.emit(w, qid, || TraceEvent::MorselClaim {
-                        socket,
-                        start_row: start,
-                        rows: end - start,
-                        start_cycles: start_pos,
-                        cycles: stats.counters.cycles,
-                        trial: is_trial,
-                        epoch: local_epochs[qid],
-                    });
-                }
-
-                // The shared morsel step from the coordinator, with the
-                // estimator cycles it charged to this worker mirrored
-                // into the wall-clock position.
-                let (opt, _) = finish_morsel(
-                    &QueryCoordRef { state, qid },
-                    w,
-                    is_trial,
-                    &stats,
+                let stats = run_morsel(
+                    shared,
+                    |st| &mut st.queries[qid].coord,
+                    &mut worker,
                     &mut shards[qid],
-                    &mut local_epochs[qid],
-                    reopt,
-                    cpu_cfg,
+                    action,
+                    (start, end),
+                    qid,
+                    ctx,
                     // A trial can be leased by any worker still serving
                     // this query, so "work remains" is pool-wide, not
                     // this worker's share.
-                    !dispatchers[qid].exhausted(),
+                    || !dispatchers[qid].exhausted(),
                 )?;
-                opt_cycles += opt;
 
                 // Completion accounting: the query finishes at the
                 // wall-clock position of the worker that ran its last
                 // morsel.
-                let mut guard = locked(state);
-                let st = &mut *guard;
+                let mut guard = shared.locked();
+                let st = &mut guard.state;
                 let entry = &mut st.queries[qid];
                 entry.totals.accumulate(&stats);
                 entry.exec_cycles += stats.counters.cycles;
@@ -1135,7 +1040,7 @@ fn serve_worker<'a, 'p, 't>(
                 // wall-clock position any of its morsels reached (a
                 // lagging core's completion never rewinds the clock of
                 // an earlier one).
-                let vt = wall(core, opt_cycles);
+                let vt = worker.now();
                 entry.finish_vt = Some(entry.finish_vt.unwrap_or(0).max(vt));
                 // Mid-run publication: the query just completed (every
                 // one of its morsels has resolved — a leased trial
@@ -1146,7 +1051,7 @@ fn serve_worker<'a, 'p, 't>(
                 // warm instance feeds the staleness accounting instead.
                 if entry.completed == entry.total_morsels {
                     entry.coord.abandon_trials();
-                    if let Some(tracer) = trace {
+                    if let Some(tracer) = ctx.tracer {
                         tracer.emit_at(w, qid, vt, || TraceEvent::Complete {
                             qualified: entry.totals.qualified,
                             sum: entry.totals.sum,
@@ -1163,7 +1068,7 @@ fn serve_worker<'a, 'p, 't>(
                                 final_order.clone(),
                                 calibration,
                             );
-                            if let Some(tracer) = trace {
+                            if let Some(tracer) = ctx.tracer {
                                 tracer.emit_at(w, qid, vt, || TraceEvent::CacheRecord {
                                     warm: true,
                                     order: final_order,
@@ -1178,7 +1083,7 @@ fn serve_worker<'a, 'p, 't>(
                                 final_order.clone(),
                                 calibration,
                             );
-                            if let Some(tracer) = trace {
+                            if let Some(tracer) = ctx.tracer {
                                 tracer.emit_at(w, qid, vt, || TraceEvent::CacheRecord {
                                     warm: false,
                                     order: final_order,
@@ -1196,25 +1101,7 @@ fn serve_worker<'a, 'p, 't>(
     if dynamic_repartition {
         // Leave the core at its batch-boundary slice; the next batch's
         // footprint declaration repartitions it anyway.
-        core.set_llc_ways(base_ways);
+        worker.core.set_llc_ways(base_ways);
     }
-    Ok((
-        core.cycles() - base_cycles,
-        core.idle_cycles() - base_idle,
-        opt_cycles,
-    ))
-}
-
-/// Locked access to one served query's coordination state: the server's
-/// single mutex plus the query index, plugged into the coordinator's
-/// shared [`finish_morsel`] choreography.
-struct QueryCoordRef<'s, 'a, 'p, 't> {
-    state: &'s Mutex<ServerState<'a, 'p, 't>>,
-    qid: usize,
-}
-
-impl<'a, 'p, 't> WithCoord<'a, CompiledTarget<'p, 't>> for QueryCoordRef<'_, 'a, 'p, 't> {
-    fn with<R>(&self, f: impl FnOnce(&mut CoordState<'a, CompiledTarget<'p, 't>>) -> R) -> R {
-        f(&mut locked(self.state).queries[self.qid].coord)
-    }
+    Ok((worker.busy(), worker.idle(), worker.opt))
 }

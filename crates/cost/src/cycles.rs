@@ -36,8 +36,6 @@ pub struct CycleParams {
     /// Latency of a random access served by the LLC (a probe that misses
     /// L1/L2 but finds the relation resident in L3).
     pub llc_hit: f64,
-    /// Core frequency in GHz (for millisecond conversion).
-    pub frequency_ghz: f64,
 }
 
 impl Default for CycleParams {
@@ -52,7 +50,6 @@ impl Default for CycleParams {
             mem_sequential: 24.0,
             mem_remote_extra: 90.0,
             llc_hit: 30.0,
-            frequency_ghz: 2.6,
         }
     }
 }
@@ -185,11 +182,6 @@ pub fn stage_costs_per_input_tuple(
         .collect()
 }
 
-/// [`scan_cycles`] converted to simulated milliseconds.
-pub fn scan_millis(geom: &PlanGeometry, survivors: &[f64], params: &CycleParams) -> f64 {
-    scan_cycles(geom, survivors, params) / (params.frequency_ghz * 1e6)
-}
-
 /// Estimated cycles for the whole plan under the survivor hypothesis:
 /// [`scan_cycles`] (instructions, mispredictions, streamed column reads)
 /// *plus* the join-probe stalls the scan model deliberately omits — each
@@ -268,23 +260,6 @@ pub fn fleet_occupancy(per_worker_busy_cycles: &[u64], per_worker_idle_cycles: &
     }
     let busy: u64 = per_worker_busy_cycles.iter().sum();
     busy as f64 / (wall * per_worker_busy_cycles.len() as u64) as f64
-}
-
-/// Per-socket wall clock of a parallel region: workers are split into
-/// contiguous socket blocks (`socket_of(w) = w * sockets / workers`,
-/// matching `CpuPool::socket_of`) and each socket's wall is its busiest
-/// member. The region's wall clock is the busiest core of the busiest
-/// socket — `max` over this vector — which equals the flat
-/// [`fleet_wall_cycles`]; the per-socket split is the reporting view.
-pub fn fleet_wall_cycles_per_socket(per_worker_cycles: &[u64], sockets: usize) -> Vec<u64> {
-    assert!(sockets >= 1, "at least one socket");
-    let n = per_worker_cycles.len();
-    let mut walls = vec![0u64; sockets];
-    for (w, &cycles) in per_worker_cycles.iter().enumerate() {
-        let s = w * sockets / n;
-        walls[s] = walls[s].max(cycles);
-    }
-    walls
 }
 
 /// Per-socket occupancy of a parallel region, measured against the
@@ -522,21 +497,12 @@ mod tests {
     }
 
     #[test]
-    fn per_socket_wall_and_occupancy_split_contiguous_blocks() {
+    fn per_socket_occupancy_splits_contiguous_blocks() {
         // 4 workers on 2 sockets: {0,1} and {2,3}.
         let cycles = [100u64, 80, 40, 60];
-        let walls = fleet_wall_cycles_per_socket(&cycles, 2);
-        assert_eq!(walls, vec![100, 60]);
-        // Busiest core of the busiest socket == the flat wall clock.
-        assert_eq!(
-            walls.iter().copied().max().unwrap(),
-            fleet_wall_cycles(&cycles)
-        );
         let occ = fleet_occupancy_per_socket(&cycles, 2);
         assert!((occ[0] - 180.0 / 200.0).abs() < 1e-12, "{occ:?}");
         assert!((occ[1] - 100.0 / 200.0).abs() < 1e-12, "{occ:?}");
-        // One socket degenerates to the flat view.
-        assert_eq!(fleet_wall_cycles_per_socket(&cycles, 1), vec![100]);
         // Zero-length region: defined values.
         assert_eq!(fleet_occupancy_per_socket(&[0, 0], 2), vec![1.0, 1.0]);
     }
@@ -578,12 +544,11 @@ mod tests {
     }
 
     #[test]
-    fn millis_conversion() {
+    fn selectivities_convert_to_survivors() {
         let g = geom(1);
         let p = CycleParams::default();
         let cycles = scan_cycles_for_selectivities(&g, &[0.5], &p);
-        let ms = scan_millis(&g, &[500_000.0], &p);
-        assert!((ms - cycles / 2.6e6).abs() < 1e-9);
+        assert!((scan_cycles(&g, &[500_000.0], &p) - cycles).abs() < 1e-9);
     }
 
     #[test]

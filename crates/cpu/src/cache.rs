@@ -176,12 +176,6 @@ impl CacheLevel {
         self.ways
     }
 
-    /// The associativity the level was built with — the ceiling of
-    /// [`CacheLevel::set_ways`].
-    pub fn configured_ways(&self) -> usize {
-        self.configured_ways
-    }
-
     /// Number of sets.
     pub fn set_count(&self) -> u64 {
         self.set_count
@@ -549,11 +543,6 @@ impl CacheHierarchy {
     /// Current associativity of the LLC slice.
     pub fn llc_ways(&self) -> usize {
         self.llc.ways()
-    }
-
-    /// The socket's full LLC associativity.
-    pub fn llc_configured_ways(&self) -> usize {
-        self.llc.configured_ways()
     }
 
     /// Perform a demand access for `line`, filling every level on the way
@@ -930,7 +919,6 @@ mod tests {
         // Shrink to 1 way: the three LRU lines of every set are trimmed.
         h.set_llc_ways(1);
         assert_eq!(h.llc_ways(), 1);
-        assert_eq!(h.llc_configured_ways(), 4);
         let resident: usize = [0u64, 64, 128, 192]
             .iter()
             .filter(|&&l| h.llc().contains(l * 2))

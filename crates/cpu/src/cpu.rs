@@ -280,11 +280,6 @@ impl SimCpu {
         self.counters()
     }
 
-    /// Number of PMU samples taken so far.
-    pub fn samples_taken(&self) -> u64 {
-        self.pmu.samples
-    }
-
     /// Borrow the cache hierarchy (tests, figure harness).
     pub fn hierarchy(&self) -> &CacheHierarchy {
         &self.hierarchy
@@ -436,7 +431,6 @@ mod tests {
         let before = c.cycles();
         let _ = c.sample();
         assert_eq!(c.cycles() - before, Pmu::SAMPLE_COST_CYCLES);
-        assert_eq!(c.samples_taken(), 1);
     }
 
     #[test]

@@ -128,8 +128,6 @@ impl CounterDelta {
 #[derive(Debug, Clone, Default)]
 pub struct Pmu {
     counters: Counters,
-    /// Number of samples taken (for overhead accounting).
-    pub samples: u64,
 }
 
 impl Pmu {
@@ -163,7 +161,6 @@ impl Pmu {
     /// Take a sample: returns the current counter values and charges the
     /// readout cost to the cycle counter.
     pub fn sample(&mut self) -> Counters {
-        self.samples += 1;
         self.counters.cycles += Self::SAMPLE_COST_CYCLES;
         self.counters
     }
@@ -171,7 +168,6 @@ impl Pmu {
     /// Zero every counter.
     pub fn reset(&mut self) {
         self.counters = Counters::default();
-        self.samples = 0;
     }
 }
 
@@ -199,7 +195,6 @@ mod tests {
         let c0 = pmu.sample();
         let c1 = pmu.sample();
         assert_eq!(c1.cycles - c0.cycles, Pmu::SAMPLE_COST_CYCLES);
-        assert_eq!(pmu.samples, 2);
     }
 
     #[test]

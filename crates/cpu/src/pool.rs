@@ -320,11 +320,6 @@ impl CpuPool {
         self.cores.iter().map(SimCpu::cycles).sum()
     }
 
-    /// Wall-clock milliseconds of the busiest core.
-    pub fn max_millis(&self) -> f64 {
-        self.max_cycles() as f64 / (self.config().timing.frequency_ghz * 1e6)
-    }
-
     /// Aggregate idle cycles across all cores (gaps a serving scheduler
     /// spent waiting for admissible work, charged via [`SimCpu::idle`]).
     pub fn idle_cycles(&self) -> u64 {
@@ -418,7 +413,6 @@ mod tests {
         let per_core: Vec<u64> = pool.cores().iter().map(SimCpu::cycles).collect();
         assert_eq!(pool.max_cycles(), per_core[2]);
         assert_eq!(pool.total_cycles(), per_core.iter().sum::<u64>());
-        assert!(pool.max_millis() > 0.0);
     }
 
     #[test]

@@ -56,14 +56,6 @@ impl ColumnData {
             ColumnData::I64(_) => None,
         }
     }
-
-    /// Borrow the raw `i64` buffer, if this is a 64-bit column.
-    pub fn as_i64(&self) -> Option<&[i64]> {
-        match self {
-            ColumnData::I64(v) => Some(v),
-            ColumnData::I32(_) => None,
-        }
-    }
 }
 
 /// A named column placed in the simulated address space.
@@ -218,6 +210,5 @@ mod tests {
     fn slice_borrows() {
         let d = ColumnData::I32(vec![9, 8]);
         assert_eq!(d.as_i32().unwrap(), &[9, 8]);
-        assert!(d.as_i64().is_none());
     }
 }

@@ -143,10 +143,16 @@ fn serial_drive_returns_the_injected_error() {
     }
 }
 
+/// The pooled drive at 1, 2 and 4 workers. Its worker scaffold (one
+/// mutex, first error kept, siblings stopped at their next boundary
+/// lock) and morsel step are the query server's too, so this also covers
+/// the server's error path, which no test can reach from outside: a
+/// served query's `CompiledTarget` never fails `set_order` on a valid
+/// order.
 #[test]
 fn pooled_drive_returns_the_injected_error_and_siblings_stop() {
     let star = star_schema(ROWS, 0x57A12);
-    let run = |fail_at: usize| {
+    let run = |workers: usize, fail_at: usize| {
         let mut program = star_program(&star, Some(0.5), [0.5, 0.5, 0.5]);
         program.reorder(&START).unwrap();
         let mut target = Failing {
@@ -154,7 +160,7 @@ fn pooled_drive_returns_the_injected_error_and_siblings_stop() {
             calls: 0,
             fail_at,
         };
-        let mut pool = CpuPool::new(small_cache_cpu(), 2);
+        let mut pool = CpuPool::new(small_cache_cpu(), workers);
         let report = run_parallel_target_observed(
             &mut target,
             MorselConfig::new(1024),
@@ -164,19 +170,26 @@ fn pooled_drive_returns_the_injected_error_and_siblings_stop() {
         );
         (report, pool.total_cycles())
     };
-    let (clean, clean_cycles) = run(usize::MAX);
-    clean.expect("the wrapper is transparent until it fails");
-    // The master target's first `set_order` calls re-establish the
-    // published order around the first fitted round (before the fit and
-    // after it); later ones also cover trial resolution.
-    for fail_at in 1..=4 {
-        let (report, cycles) = run(fail_at);
-        assert_eq!(report, Err(injected()), "fail_at={fail_at}");
-        // The failing worker stops at once and its sibling at its next
-        // boundary: most of the 64 morsels never run.
-        assert!(
-            cycles < clean_cycles / 2,
-            "fail_at={fail_at}: {cycles} of {clean_cycles} cycles still executed"
-        );
+    for workers in [1, 2, 4] {
+        let (clean, clean_cycles) = run(workers, usize::MAX);
+        clean.expect("the wrapper is transparent until it fails");
+        // The master target's first `set_order` calls re-establish the
+        // published order around the first fitted round (before the fit
+        // and after it); later ones also cover trial resolution.
+        for fail_at in 1..=4 {
+            let (report, cycles) = run(workers, fail_at);
+            assert_eq!(
+                report,
+                Err(injected()),
+                "workers={workers} fail_at={fail_at}"
+            );
+            // The failing worker stops at once and its siblings at their
+            // next boundary: most of the 64 morsels never run.
+            assert!(
+                cycles < clean_cycles / 2,
+                "workers={workers} fail_at={fail_at}: \
+                 {cycles} of {clean_cycles} cycles still executed"
+            );
+        }
     }
 }
