@@ -95,14 +95,8 @@ pub fn run(ctx: &FigureCtx) {
     // Started join-first (the worse static order at full shuffle) so the
     // loop reoptimizes — every fit is one drift sample.
     let initial = [1usize, 0];
-    let serial_config = ProgressiveConfig {
-        reop_interval: 2,
-        ..Default::default()
-    };
-    let pool_config = ProgressiveConfig {
-        reop_interval: 4,
-        ..Default::default()
-    };
+    let serial_config = ProgressiveConfig { reop_interval: 2 };
+    let pool_config = ProgressiveConfig { reop_interval: 4 };
     let vectors = VectorConfig {
         vector_tuples: 4_096,
         max_vectors: None,

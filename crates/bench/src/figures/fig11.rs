@@ -34,10 +34,7 @@ pub fn run(ctx: &FigureCtx) {
         vector_tuples,
         max_vectors: None,
     };
-    let config = ProgressiveConfig {
-        reop_interval: 10,
-        ..Default::default()
-    };
+    let config = ProgressiveConfig { reop_interval: 10 };
 
     let results: Vec<(Peo, f64, f64)> = parallel_map(&peos, |peo| {
         let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());

@@ -87,7 +87,6 @@ pub fn run(ctx: &FigureCtx) {
         for &reop in REOP_INTERVALS {
             let config = ProgressiveConfig {
                 reop_interval: reop,
-                ..Default::default()
             };
             let runs: Vec<f64> = parallel_map(&prog_peos, |peo| {
                 let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());

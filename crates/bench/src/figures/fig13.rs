@@ -58,7 +58,6 @@ pub fn run(ctx: &FigureCtx) {
             for &reop in REOP_INTERVALS {
                 let config = ProgressiveConfig {
                     reop_interval: reop,
-                    ..Default::default()
                 };
                 let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
                 reops.push(

@@ -149,10 +149,7 @@ pub fn run(ctx: &FigureCtx) {
                 max_vectors: None,
             },
             &mut cpu,
-            &ProgressiveConfig {
-                reop_interval: 2,
-                ..Default::default()
-            },
+            &ProgressiveConfig { reop_interval: 2 },
         )
         .expect("progressive pipeline runs");
         assert_eq!(prog.qualified, q1, "progressive must not change the result");

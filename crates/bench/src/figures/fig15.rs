@@ -147,10 +147,7 @@ pub fn run(ctx: &FigureCtx) {
                 max_vectors: None,
             },
             &mut cpu,
-            &ProgressiveConfig {
-                reop_interval: 2,
-                ..Default::default()
-            },
+            &ProgressiveConfig { reop_interval: 2 },
         )
         .expect("progressive program runs");
         assert_eq!(prog.qualified, q1, "progressive must not change the result");
@@ -286,10 +283,7 @@ fn convergence_sweep(fact: &Table, orders: &Table, part: &Table) {
                 max_vectors: None,
             },
             &mut cpu,
-            &ProgressiveConfig {
-                reop_interval,
-                ..Default::default()
-            },
+            &ProgressiveConfig { reop_interval },
         )
         .expect("progressive program runs");
         (reop_interval, vector_tuples, prog.millis)

@@ -95,10 +95,7 @@ fn sweep<'t>(
     // of counters, and each estimator round bills simulated cycles to
     // the core that ran it — reoptimizing every other morsel would put
     // optimization time, not execution, on the critical path.
-    let config = ProgressiveConfig {
-        reop_interval: 4,
-        ..Default::default()
-    };
+    let config = ProgressiveConfig { reop_interval: 4 };
     let mut serial_program = build();
     let mut serial_cpu = SimCpu::new(scaled_cpu());
     let serial = run_progressive_program(
@@ -539,10 +536,7 @@ fn run_numa(ctx: &FigureCtx) {
     let cb = dim_b.column("payload_b").expect("dim_b payload");
     homes.register(cb.base_addr(), 4 * dim_n_b as u64, 1);
 
-    let config = ProgressiveConfig {
-        reop_interval: 4,
-        ..Default::default()
-    };
+    let config = ProgressiveConfig { reop_interval: 4 };
     let mut program_b = build_b();
     let mut pool = CpuPool::with_topology(scaled_cpu(), workers, LlcMode::Private, sockets);
     pool.set_placement(&homes);

@@ -403,10 +403,7 @@ fn warm_vs_cold<'t>(mix: &'t Mix, refs: &[(u64, i64); 3], shared: bool) {
     // the serving default cadence the convergence cost is only a few
     // morsels and the comparison drowns in optimizer-cycle jitter.
     let warmcold_config = || ServeConfig {
-        reopt: Some(popt_core::progressive::ProgressiveConfig {
-            reop_interval: 32,
-            ..Default::default()
-        }),
+        reopt: Some(popt_core::progressive::ProgressiveConfig { reop_interval: 32 }),
         ..config()
     };
     let mut server = QueryServer::new(warmcold_config());

@@ -59,10 +59,7 @@ fn count_kinds(records: &[TraceRecord]) -> BTreeMap<&'static str, usize> {
 /// Run the figure.
 pub fn run(ctx: &FigureCtx) {
     let rows = ctx.scale(1 << 19, 1 << 17);
-    let config = ProgressiveConfig {
-        reop_interval: 4,
-        ..Default::default()
-    };
+    let config = ProgressiveConfig { reop_interval: 4 };
     let morsels = MorselConfig::cache_friendly(&scaled_cpu(), 12);
     banner_with(
         ctx,

@@ -55,11 +55,12 @@
 //!
 //! [`CompiledProgram::run_range`]: crate::exec::program::CompiledProgram::run_range
 
+use popt_cost::cycles::{INSTR_LOOP, INSTR_PER_AGG_COLUMN, INSTR_PER_EVAL};
 use popt_cpu::{BatchCpu, BranchSite, SimCpu};
 use popt_storage::Table;
 
 use crate::error::EngineError;
-use crate::exec::scan::{InstrCosts, VectorStats, LOOP_BRANCH_SITE};
+use crate::exec::scan::{VectorStats, LOOP_BRANCH_SITE};
 use crate::predicate::CompareOp;
 
 /// Stages (and aggregate columns) the fixed scratch holds; larger shapes
@@ -196,11 +197,10 @@ pub(crate) struct RowKernel<'t> {
     /// Leading stages whose streams are their own: where runs can be
     /// compressed.
     run_prefix: usize,
-    costs: InstrCosts,
 }
 
 impl<'t> RowKernel<'t> {
-    pub(crate) fn new(costs: InstrCosts) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             stages: [Stage::EMPTY; MAX_STAGES],
             n_stages: 0,
@@ -209,7 +209,6 @@ impl<'t> RowKernel<'t> {
             slot_streams: [(usize::MAX, 0); MAX_SLOTS],
             n_slots: 0,
             run_prefix: 0,
-            costs,
         }
     }
 
@@ -267,7 +266,7 @@ impl<'t> RowKernel<'t> {
             site,
             op,
             literal,
-            instrs: self.costs.per_eval + extra_instructions,
+            instrs: INSTR_PER_EVAL + extra_instructions,
             probe,
         };
         self.n_stages += 1;
@@ -301,14 +300,9 @@ impl<'t> RowKernel<'t> {
         let stages = &self.stages[..self.n_stages];
         let probes = stages.iter().any(|s| s.probe.is_some());
         let tally = match stages {
-            [only] if !probes && self.n_aggs == 0 => count_scan(
-                only,
-                self.costs,
-                &mut batch,
-                &mut slots,
-                &mut history,
-                start..end,
-            ),
+            [only] if !probes && self.n_aggs == 0 => {
+                count_scan(only, &mut batch, &mut slots, &mut history, start..end)
+            }
             // Two instances of the one loop: selection-only shapes are
             // spared the per-stage probe test.
             _ if probes => {
@@ -355,7 +349,6 @@ impl<'t> RowKernel<'t> {
     ) -> Tally {
         let stages = &self.stages[..self.n_stages];
         let aggs = &self.aggs[..self.n_aggs];
-        let costs = self.costs;
         let mut hist = *history;
         let mut qualified = 0u64;
         let mut sum = 0i64;
@@ -369,7 +362,7 @@ impl<'t> RowKernel<'t> {
         let mut streak = 0u32;
         let mut i = start;
         while i < end {
-            instrs += costs.loop_overhead;
+            instrs += INSTR_LOOP;
             let mut failed = stages.len();
             for (k, stg) in stages.iter().enumerate() {
                 hits += batch.load_quiet(&mut slots[stg.column.slot], stg.column.addr(i), 4);
@@ -406,7 +399,7 @@ impl<'t> RowKernel<'t> {
                 let mut product = 1i64;
                 for a in aggs {
                     hits += batch.load_quiet(&mut slots[a.slot], a.addr(i), 4);
-                    instrs += costs.per_agg_column;
+                    instrs += INSTR_PER_AGG_COLUMN;
                     product *= i64::from(a.values[i]);
                 }
                 if !aggs.is_empty() {
@@ -430,7 +423,7 @@ impl<'t> RowKernel<'t> {
                 let run = account_run::<PROBES>(batch, slots, hist, prefix, i, rows, line_bytes);
                 let n = rows as u64;
                 let row_instrs: u64 = prefix.iter().map(|s| s.instrs).sum();
-                instrs += n * (costs.loop_overhead + row_instrs);
+                instrs += n * (INSTR_LOOP + row_instrs);
                 branches += n * (prefix.len() as u64 + 1);
                 taken += 2 * n;
                 hist = run.history;
@@ -464,7 +457,6 @@ impl<'t> RowKernel<'t> {
 #[inline(never)]
 fn count_scan(
     only: &Stage<'_>,
-    costs: InstrCosts,
     batch: &mut BatchCpu<'_>,
     slots: &mut [u64; MAX_SLOTS],
     history: &mut u32,
@@ -491,7 +483,7 @@ fn count_scan(
     Tally {
         qualified: n - failed,
         sum: 0,
-        instrs: (costs.loop_overhead + only.instrs) * n,
+        instrs: (INSTR_LOOP + only.instrs) * n,
         hits,
         branches: 2 * n,
         taken: failed + n,

@@ -18,4 +18,4 @@ pub mod program;
 pub mod scan;
 
 pub use program::{CompiledProgram, CompiledStage};
-pub use scan::{InstrCosts, VectorStats};
+pub use scan::VectorStats;

@@ -27,6 +27,7 @@
 
 use std::hash::{Hash, Hasher};
 
+use popt_cost::cycles::{INSTR_LOOP, INSTR_PER_AGG_COLUMN, INSTR_PER_EVAL};
 use popt_cost::estimate::{PlanGeometry, ProbeGeometry};
 use popt_cost::join_model::JoinGeometry;
 use popt_cost::markov::ChainSpec;
@@ -35,7 +36,7 @@ use popt_storage::Table;
 
 use crate::error::EngineError;
 use crate::exec::kernel::{ColumnRef, RowKernel};
-use crate::exec::scan::{InstrCosts, VectorStats, LOOP_BRANCH_SITE};
+use crate::exec::scan::{VectorStats, LOOP_BRANCH_SITE};
 use crate::plan::logical::{Expr, LogicalNode, LogicalPlan};
 use crate::plan::SelectionPlan;
 use crate::predicate::CompareOp;
@@ -67,19 +68,9 @@ impl CompiledStage<'_> {
         self.probe.is_some()
     }
 
-    /// The stage's comparison operator.
-    pub fn compare_op(&self) -> CompareOp {
-        self.op
-    }
-
     /// The stage's literal operand.
     pub fn literal(&self) -> i64 {
         self.literal
-    }
-
-    /// Base address of the fact column the stage reads per tuple.
-    pub fn column_base(&self) -> u64 {
-        self.column.base
     }
 
     /// Base address of the probed dimension payload, for joins.
@@ -124,13 +115,7 @@ impl CompiledStage<'_> {
     /// `instrument` runs between the compare and its branch with the
     /// outcome (the §5.7 enumerator's counter update; nothing otherwise).
     #[inline]
-    fn eval(
-        &self,
-        cpu: &mut SimCpu,
-        i: usize,
-        costs: &InstrCosts,
-        instrument: impl FnOnce(&mut SimCpu, bool),
-    ) -> bool {
+    fn eval(&self, cpu: &mut SimCpu, i: usize, instrument: impl FnOnce(&mut SimCpu, bool)) -> bool {
         let ColumnRef {
             values,
             base,
@@ -147,7 +132,7 @@ impl CompiledStage<'_> {
                 p.values[key]
             }
         };
-        cpu.instr(costs.per_eval + self.extra_instructions);
+        cpu.instr(INSTR_PER_EVAL + self.extra_instructions);
         let ok = self.op.eval(i64::from(value), self.literal);
         instrument(cpu, ok);
         // Qualifying tuple: fall through (not taken). Failing tuple: jump
@@ -189,7 +174,6 @@ pub struct CompiledProgram<'t> {
     /// already read — they widen the declared hot set, nothing else.
     extra_hot_columns: usize,
     rows: usize,
-    costs: InstrCosts,
     /// When set, `run_range` uses the scalar per-event oracle path.
     scalar_oracle: bool,
 }
@@ -313,7 +297,6 @@ impl<'t> CompiledProgram<'t> {
             agg,
             extra_hot_columns,
             rows: fact.rows(),
-            costs: InstrCosts::default(),
             scalar_oracle: false,
         })
     }
@@ -356,7 +339,6 @@ impl<'t> CompiledProgram<'t> {
             agg,
             extra_hot_columns: 0,
             rows: table.rows(),
-            costs: InstrCosts::default(),
             scalar_oracle: false,
         })
     }
@@ -431,7 +413,7 @@ impl<'t> CompiledProgram<'t> {
     /// columns, resolved for the row kernel; `None` when they exceed its
     /// scratch.
     fn kernel(&self) -> Option<RowKernel<'t>> {
-        let mut kernel = RowKernel::new(self.costs);
+        let mut kernel = RowKernel::new();
         for &j in &self.order {
             let s = &self.stages[j];
             kernel.push_stage(
@@ -472,10 +454,10 @@ impl<'t> CompiledProgram<'t> {
         let mut qualified = 0u64;
         let mut sum = 0i64;
         for i in start..end {
-            cpu.instr(self.costs.loop_overhead);
+            cpu.instr(INSTR_LOOP);
             let mut pass = true;
             for (k, &j) in self.order.iter().enumerate() {
-                let ok = self.stages[j].eval(cpu, i, &self.costs, |cpu, ok| {
+                let ok = self.stages[j].eval(cpu, i, |cpu, ok| {
                     instrument(cpu, k, ok);
                 });
                 if !ok {
@@ -488,7 +470,7 @@ impl<'t> CompiledProgram<'t> {
                 let mut product = 1i64;
                 for a in &self.agg {
                     cpu.load(a.stream, a.base + (i as u64) * 4, 4);
-                    cpu.instr(self.costs.per_agg_column);
+                    cpu.instr(INSTR_PER_AGG_COLUMN);
                     product *= i64::from(a.values[i]);
                 }
                 if !self.agg.is_empty() {
@@ -651,7 +633,7 @@ impl<'t> CompiledProgram<'t> {
     pub fn stage_instructions(&self) -> Vec<f64> {
         self.order
             .iter()
-            .map(|&j| (self.costs.per_eval + self.stages[j].extra_instructions) as f64)
+            .map(|&j| (INSTR_PER_EVAL + self.stages[j].extra_instructions) as f64)
             .collect()
     }
 
@@ -760,7 +742,7 @@ mod tests {
 
     /// The absolute pin of the per-event reference: on a table small
     /// enough to count by hand, the scalar oracle's instruction, branch
-    /// and load counts are exactly what `InstrCosts` and the per-stage
+    /// and load counts are exactly what the instruction charges and the per-stage
     /// pass counts dictate — and the batched path reports the same.
     #[test]
     fn scalar_oracle_event_counts_match_hand_derivation() {
@@ -784,7 +766,6 @@ mod tests {
         dim.add_column("payload", ColumnData::I32(vec![0, 1, 0, 1]), &mut dim_space);
         let (n, sel_pass, join_pass, both) = (8u64, 5u64, 5u64, 3u64);
         let extra = 30u64;
-        let costs = InstrCosts::default();
 
         // (order, tuples reaching the select, tuples reaching the join)
         for (order, sel_in, join_in) in [([0usize, 1], n, sel_pass), ([1, 0], join_pass, n)] {
@@ -803,10 +784,10 @@ mod tests {
             let k = &stats.counters;
             assert_eq!(
                 k.instructions,
-                n * costs.loop_overhead
-                    + sel_in * (costs.per_eval + extra)
-                    + join_in * (costs.per_eval + PROBE_INSTRUCTIONS)
-                    + both * costs.per_agg_column,
+                n * INSTR_LOOP
+                    + sel_in * (INSTR_PER_EVAL + extra)
+                    + join_in * (INSTR_PER_EVAL + PROBE_INSTRUCTIONS)
+                    + both * INSTR_PER_AGG_COLUMN,
                 "order {order:?}"
             );
             // One back-edge per row plus one branch per stage evaluation.
@@ -883,7 +864,6 @@ mod tests {
         assert!(!program.stage(0).is_join());
         assert!(!program.stage(1).is_join());
         assert!(program.stage(2).is_join());
-        assert_eq!(program.stage(1).compare_op(), CompareOp::Ge);
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //! * `qualifying = 2·n − branches_taken`
 //! * `branches_not_taken = Σ per-predicate survivors`
 //!
-//! This module holds what every execution of that loop shares: its
-//! instruction charges, the back-edge's branch site and the measurements
-//! of one executed row range.
+//! This module holds what every execution of that loop shares: the
+//! back-edge's branch site and the measurements of one executed row
+//! range. Its instruction charges are `popt_cost::cycles`'
+//! `INSTR_LOOP`, `INSTR_PER_EVAL` and `INSTR_PER_AGG_COLUMN`, which the
+//! analytic cycle model prices with too.
 
 use popt_cpu::{BranchSite, SimCpu};
 use popt_storage::Table;
@@ -31,28 +33,6 @@ use popt_solver::SampledCounters;
 use crate::error::EngineError;
 use crate::exec::program::CompiledProgram;
 use crate::plan::SelectionPlan;
-
-/// Instruction charges of the generated loop (mirrored by the analytic
-/// cycle model's defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InstrCosts {
-    /// Per loop iteration: counter increment + bounds test.
-    pub loop_overhead: u64,
-    /// Per predicate evaluation: load + compare + jump (+ address math).
-    pub per_eval: u64,
-    /// Per aggregate column read for a qualifying tuple.
-    pub per_agg_column: u64,
-}
-
-impl Default for InstrCosts {
-    fn default() -> Self {
-        Self {
-            loop_overhead: 2,
-            per_eval: 4,
-            per_agg_column: 3,
-        }
-    }
-}
 
 /// Branch site id of the loop back-edge (predicate sites use their plan
 /// index).

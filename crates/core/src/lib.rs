@@ -10,8 +10,9 @@
 //!   permutation utilities, and the **query frontend**: a typed
 //!   [`plan::LogicalPlan`] builder ([`plan::PlanBuilder`], the single
 //!   entry door for query construction), static optimizer passes
-//!   ([`plan::PassRegistry`]: constant folding, join-condition
-//!   extraction, filter pushdown, projection pruning), and lowering to
+//!   ([`plan::passes`]: constant folding, join-condition extraction,
+//!   filter pushdown, projection pruning, run in that fixed order by
+//!   [`plan::LogicalPlan::optimize`]), and lowering to
 //!   the compiled flat stage form ([`exec::program::CompiledProgram`])
 //!   the progressive runtime reorders with a cheap permutation re-emit;
 //! * [`exec`] — the one compiled form, [`exec::program::CompiledProgram`]:
@@ -75,7 +76,7 @@ pub use parallel::{
     run_parallel_program, run_parallel_program_observed, run_parallel_target_observed,
     MorselConfig, MorselDispatcher, ParallelReport, ShardableTarget, TargetShard,
 };
-pub use plan::{Expr, LogicalNode, LogicalPlan, PassRegistry, Peo, PlanBuilder, SelectionPlan};
+pub use plan::{Expr, LogicalNode, LogicalPlan, Peo, PlanBuilder, SelectionPlan};
 pub use predicate::{CompareOp, Predicate};
 pub use progressive::{
     run_baseline, run_progressive, run_progressive_program, run_progressive_program_observed,

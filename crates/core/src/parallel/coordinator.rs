@@ -401,11 +401,10 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
 
     /// Book a fit whose sample ran under the master target's current
     /// order, charging its cycles to worker `w`.
-    fn book(&mut self, w: usize, cfg: &ProgressiveConfig, fit: &Fit, observed_cpt: f64) -> u64 {
+    fn book(&mut self, w: usize, fit: &Fit, observed_cpt: f64) -> u64 {
         let drift = self.obs.drift.as_deref().map(|d| (d, &self.stage_keys[..]));
         let spent = book_fit(
             self.target,
-            cfg,
             fit,
             true,
             observed_cpt,
@@ -426,7 +425,6 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         w: usize,
         stats: &VectorStats,
         fit: Option<Fit>,
-        cfg: &ProgressiveConfig,
     ) -> Result<(Peo, u64, u64), EngineError> {
         let s = self.socket_of[w];
         let cpt = stats.cycles_per_tuple();
@@ -437,12 +435,12 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             // is a one-morsel window under the trial order, and its fit
             // must be learnt from under that order.
             self.target.set_order(self.sockets[s].leased_trial())?;
-            spent = self.book(w, cfg, &fit, cpt);
+            spent = self.book(w, &fit, cpt);
         }
         let sc = &mut self.sockets[s];
         let (trial, reverted) = sc
             .policy
-            .resolve_trial(cfg, cpt, &mut self.switches)
+            .resolve_trial(cpt, &mut self.switches)
             .expect("a leased trial to resolve");
         self.target.set_order(sc.policy.published())?;
         if reverted {
@@ -518,7 +516,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
                     && !sc.estimate_in_flight
                     && work_remains =>
             {
-                self.begin_reoptimize(s, cfg, cpu_cfg)
+                self.begin_reoptimize(s, cpu_cfg)
             }
             _ => Ok(None),
         }
@@ -531,12 +529,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
     /// returned the snapshot — both only happen inside reopt rounds, and
     /// `estimate_in_flight` excluded those. Returns the optimizer cycles
     /// charged to `w`.
-    pub(crate) fn finish_reoptimize(
-        &mut self,
-        w: usize,
-        fit: &Fit,
-        cfg: &ProgressiveConfig,
-    ) -> Result<u64, EngineError> {
+    pub(crate) fn finish_reoptimize(&mut self, w: usize, fit: &Fit) -> Result<u64, EngineError> {
         let s = self.socket_of[w];
         let sc = &mut self.sockets[s];
         sc.estimate_in_flight = false;
@@ -550,7 +543,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         } else {
             0.0
         };
-        let spent = self.book(w, cfg, fit, observed_cpt);
+        let spent = self.book(w, fit, observed_cpt);
         let sc = &mut self.sockets[s];
         let proposed = self
             .target
@@ -581,7 +574,6 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
     fn begin_reoptimize(
         &mut self,
         s: usize,
-        cfg: &ProgressiveConfig,
         cpu_cfg: &CpuConfig,
     ) -> Result<Option<(PlanGeometry, SampledCounters)>, EngineError> {
         let sc = &mut self.sockets[s];
@@ -589,7 +581,6 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         let baseline_cpt = sc.epoch_cpt();
         if !sc.policy.open_round(
             self.target,
-            cfg,
             &mut self.switches,
             self.morsels_done,
             baseline_cpt,
@@ -888,18 +879,15 @@ pub(crate) fn run_morsel<'a, S, T: ShardableTarget + 'a>(
     }
 
     let opt = if is_trial {
-        let cfg = ctx
-            .reopt
-            .expect("trials are only scheduled when reopt is on");
         let fit_inputs =
             coord(&mut shared.locked().state).trial_fit_inputs(w, &stats, ctx.cpu_cfg)?;
         // The still-leased trial excludes reopt rounds and double-leasing
         // while the estimate runs and the pool keeps streaming.
-        let fit = fit_inputs.map(|(geom, sampled)| Fit::run(geom, sampled, &cfg.estimator));
+        let fit = fit_inputs.map(|(geom, sampled)| Fit::run(geom, sampled));
         // Adopt whatever order the resolution left published (the trial
         // order if accepted, the incumbent if not).
         let (published, epoch, opt) =
-            coord(&mut shared.locked().state).resolve_trial(w, &stats, fit, cfg)?;
+            coord(&mut shared.locked().state).resolve_trial(w, &stats, fit)?;
         ws.rechain(published)?;
         ws.epoch = epoch;
         opt
@@ -914,11 +902,10 @@ pub(crate) fn run_morsel<'a, S, T: ShardableTarget + 'a>(
         )?;
         match prepared {
             Some((geom, merged)) => {
-                let cfg = ctx.reopt.expect("a prepared reopt round implies a config");
                 // `estimate_in_flight` keeps concurrent rounds exclusive
                 // meanwhile.
-                let fit = Fit::run(geom, merged, &cfg.estimator);
-                coord(&mut shared.locked().state).finish_reoptimize(w, &fit, cfg)?
+                let fit = Fit::run(geom, merged);
+                coord(&mut shared.locked().state).finish_reoptimize(w, &fit)?
             }
             None => 0,
         }
@@ -985,9 +972,7 @@ where
     T: ShardableTarget + Send,
 {
     if let Some(cfg) = reopt {
-        if cfg.reop_interval == 0 {
-            return Err(EngineError::InvalidVectorConfig("reop_interval = 0".into()));
-        }
+        cfg.validate()?;
     }
     let workers = pool.len();
     let sockets = pool.sockets();

@@ -392,10 +392,15 @@ impl<'t> LogicalPlan<'t> {
         &self.projection
     }
 
-    /// Run the standard static pass pipeline
-    /// ([`crate::plan::passes::PassRegistry::standard`]) over the plan.
+    /// Run the static optimizer passes ([`crate::plan::passes`]) over
+    /// the plan, in their one fixed order.
     pub fn optimize(self) -> LogicalPlan<'t> {
-        super::passes::PassRegistry::standard().run(self)
+        use super::passes::{
+            constant_folding, filter_pushdown, join_condition_extraction, projection_pruning,
+        };
+        projection_pruning(filter_pushdown(join_condition_extraction(
+            constant_folding(self),
+        )))
     }
 
     /// Lower to the flat compiled stage form the progressive runtime

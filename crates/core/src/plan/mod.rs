@@ -16,7 +16,6 @@ pub mod logical;
 pub mod passes;
 
 pub use logical::{Expr, LogicalNode, LogicalPlan, PlanBuilder};
-pub use passes::PassRegistry;
 
 use crate::error::EngineError;
 use crate::predicate::Predicate;

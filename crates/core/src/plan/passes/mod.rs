@@ -1,86 +1,17 @@
 //! Static optimizer passes over [`LogicalPlan`]s.
 //!
-//! Each pass is a pure `fn(LogicalPlan) -> LogicalPlan` rewrite; the
-//! [`PassRegistry`] runs them in declared order. Passes are individually
-//! testable and *optional for correctness*: lowering
+//! Each pass is a pure, total, result-preserving `fn(LogicalPlan) ->
+//! LogicalPlan` rewrite; [`LogicalPlan::optimize`] runs the four in one
+//! fixed order — constant folding, join-condition extraction, filter
+//! pushdown, projection pruning. Passes are individually testable and
+//! *optional for correctness*: lowering
 //! ([`crate::exec::program::CompiledProgram::from_plan`]) performs the
 //! same expression normalization itself, so a pass can only change which
 //! stages exist and in what plan order — never the query's result. The
-//! proptest suite pins that running the registry in any order compiles
-//! to a semantically identical program.
+//! proptest suite pins that running the passes in any order compiles to
+//! a semantically identical program.
 
 use super::logical::{Expr, LogicalNode, LogicalPlan};
-
-/// A static plan rewrite: pure, total, result-preserving.
-pub type Pass = for<'t> fn(LogicalPlan<'t>) -> LogicalPlan<'t>;
-
-/// Named passes run in declared order.
-#[derive(Clone)]
-pub struct PassRegistry {
-    passes: Vec<(&'static str, Pass)>,
-}
-
-impl PassRegistry {
-    /// The standard pipeline: constant folding, join-condition
-    /// extraction, filter pushdown, projection pruning.
-    pub fn standard() -> Self {
-        Self {
-            passes: vec![
-                ("constant-folding", constant_folding as Pass),
-                (
-                    "join-condition-extraction",
-                    join_condition_extraction as Pass,
-                ),
-                ("filter-pushdown", filter_pushdown as Pass),
-                ("projection-pruning", projection_pruning as Pass),
-            ],
-        }
-    }
-
-    /// An empty registry to compose a custom order onto.
-    pub fn empty() -> Self {
-        Self { passes: Vec::new() }
-    }
-
-    /// Append a named pass (builder style).
-    pub fn with(mut self, name: &'static str, pass: Pass) -> Self {
-        self.passes.push((name, pass));
-        self
-    }
-
-    /// The registered `(name, pass)` pairs, in run order.
-    pub fn passes(&self) -> &[(&'static str, Pass)] {
-        &self.passes
-    }
-
-    /// Registered pass names, in run order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|(name, _)| *name).collect()
-    }
-
-    /// Number of registered passes.
-    pub fn len(&self) -> usize {
-        self.passes.len()
-    }
-
-    /// Whether no passes are registered.
-    pub fn is_empty(&self) -> bool {
-        self.passes.is_empty()
-    }
-
-    /// Run every pass over `plan`, in declared order.
-    pub fn run<'t>(&self, plan: LogicalPlan<'t>) -> LogicalPlan<'t> {
-        self.passes.iter().fold(plan, |plan, (_, pass)| pass(plan))
-    }
-}
-
-impl std::fmt::Debug for PassRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PassRegistry")
-            .field("passes", &self.names())
-            .finish()
-    }
-}
 
 /// Normalize every predicate expression ([`Expr::normalize`]) and drop
 /// filters that folded to `TRUE`. A filter folding to `FALSE` is *kept*:
@@ -297,22 +228,5 @@ mod tests {
             .build();
         let pruned = projection_pruning(plan);
         assert!(pruned.projection().is_empty(), "{:?}", pruned.projection());
-    }
-
-    #[test]
-    fn registry_reports_names_in_declared_order() {
-        let registry = PassRegistry::standard();
-        assert_eq!(
-            registry.names(),
-            vec![
-                "constant-folding",
-                "join-condition-extraction",
-                "filter-pushdown",
-                "projection-pruning",
-            ]
-        );
-        assert_eq!(registry.len(), 4);
-        assert!(!registry.is_empty());
-        assert!(PassRegistry::empty().is_empty());
     }
 }

@@ -12,7 +12,22 @@ use popt_solver::{estimate_selectivities, EstimateResult, EstimatorConfig, Sampl
 
 use crate::observe::{front_stage_key, record_fit_drift};
 use crate::plan::Peo;
-use crate::progressive::{ProgressiveConfig, ProgressiveTarget, SwitchEvent};
+use crate::progressive::{ProgressiveTarget, SwitchEvent};
+
+/// Relative cycles-per-tuple slack before a trial counts as a regression
+/// and the previous order is reinstated.
+pub const REGRESSION_TOLERANCE: f64 = 0.02;
+
+/// Simulated cycles charged per estimator objective evaluation: the
+/// optimization time Section 5.7 discusses, paid by the query.
+pub const CYCLES_PER_ESTIMATOR_EVAL: u64 = 60;
+
+/// Optimization rounds for which a *reverted* order is remembered and
+/// not re-proposed. Correlated predicates (e.g. two bounds on one
+/// column, Section 4.5) make the independence-based reorder disagree
+/// with measured reality; without this memory the optimizer would pay a
+/// failed trial vector at every interval.
+pub const REJECTION_TTL: usize = 2;
 
 /// One estimator fit: the geometry and sample it was fitted against,
 /// and what the estimator found.
@@ -25,13 +40,9 @@ pub(crate) struct Fit {
 impl Fit {
     /// Run the multi-start Nelder–Mead estimate — the expensive step of
     /// a round, which pooled drives run outside their lock.
-    pub(crate) fn run(
-        geom: PlanGeometry,
-        sampled: SampledCounters,
-        estimator: &EstimatorConfig,
-    ) -> Self {
+    pub(crate) fn run(geom: PlanGeometry, sampled: SampledCounters) -> Self {
         Self {
-            estimate: estimate_selectivities(&geom, &sampled, estimator),
+            estimate: estimate_selectivities(&geom, &sampled, &EstimatorConfig::default()),
             geom,
             sampled,
         }
@@ -45,7 +56,6 @@ impl Fit {
 /// the fit costs, for the drive to charge to whichever core ran it.
 pub(crate) fn book_fit<T: ProgressiveTarget>(
     target: &mut T,
-    cfg: &ProgressiveConfig,
     fit: &Fit,
     learn: bool,
     observed_cpt: f64,
@@ -66,7 +76,7 @@ pub(crate) fn book_fit<T: ProgressiveTarget>(
         }
         target.calibrate(&fit.geom, &fit.sampled, &fit.estimate.survivors);
     }
-    fit.estimate.evaluations as u64 * cfg.cycles_per_estimator_eval
+    fit.estimate.evaluations as u64 * CYCLES_PER_ESTIMATOR_EVAL
 }
 
 /// A candidate order awaiting its one trial vector (or morsel).
@@ -147,7 +157,6 @@ impl ReoptPolicy {
     pub(crate) fn open_round<T: ProgressiveTarget>(
         &mut self,
         target: &mut T,
-        cfg: &ProgressiveConfig,
         switches: &mut Vec<SwitchEvent>,
         at: usize,
         baseline_cpt: f64,
@@ -158,7 +167,7 @@ impl ReoptPolicy {
         // exploratory — so a stale revert cannot suppress a proposal for
         // longer than its TTL.
         self.rejected
-            .retain(|(_, rejected_at)| round - rejected_at <= cfg.rejection_ttl);
+            .retain(|(_, rejected_at)| round - rejected_at <= REJECTION_TTL);
 
         // Explore a rotated order when optimization has stalled
         // (Section 4.5: "periodically execute different PEOs"). The tail
@@ -170,7 +179,7 @@ impl ReoptPolicy {
         // proposal): a run that keeps converging, or one where the
         // estimator proposes nothing, never pays for exploration.
         let stalled = round >= self.last_accept_round + 3 && !self.rejected.is_empty();
-        if cfg.explore_correlation && stalled && round % 2 == 0 {
+        if stalled && round % 2 == 0 {
             let mut explored = self.published.clone();
             explored.rotate_right(1);
             if explored != self.published {
@@ -240,12 +249,11 @@ impl ReoptPolicy {
     /// whether it was reverted; `None` when no trial is pending.
     pub(crate) fn resolve_trial(
         &mut self,
-        cfg: &ProgressiveConfig,
         trial_cpt: f64,
         switches: &mut [SwitchEvent],
     ) -> Option<(Trial, bool)> {
         let trial = self.trial.take()?;
-        let reverted = trial_cpt > trial.baseline_cpt * (1.0 + cfg.regression_tolerance);
+        let reverted = trial_cpt > trial.baseline_cpt * (1.0 + REGRESSION_TOLERANCE);
         if reverted {
             switches[trial.switch_idx].reverted = true;
             self.rejected.push((trial.order.clone(), self.round));

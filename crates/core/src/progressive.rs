@@ -15,9 +15,13 @@
 //!    counters against the pre-switch vector: improvements keep the new
 //!    order, deteriorations reinstate the old one.
 //!
-//! Skew is caught by the periodic re-sampling itself; correlation can
-//! additionally be probed by occasional exploratory orders (Section 4.5),
-//! enabled via [`ProgressiveConfig::explore_correlation`].
+//! Skew is caught by the periodic re-sampling itself; correlation is
+//! additionally probed by occasional exploratory orders once optimization
+//! stalls (Section 4.5). The loop's fixed parameters — the accept/revert
+//! slack, the rejection memory and the per-evaluation optimizer charge —
+//! are the constants [`REGRESSION_TOLERANCE`], [`REJECTION_TTL`] and
+//! [`CYCLES_PER_ESTIMATOR_EVAL`]; the reoptimization interval is the one
+//! setting ([`ProgressiveConfig`]).
 //!
 //! ## One policy, two drives
 //!
@@ -89,7 +93,7 @@ use popt_cost::cycles::{stage_costs_per_input_tuple, CycleParams};
 use popt_cost::estimate::{estimate_counters, PlanGeometry};
 use popt_cpu::pmu::CounterDelta;
 use popt_cpu::{CpuConfig, NumaPlacement, SimCpu};
-use popt_solver::{CalibrationSnapshot, EstimatorConfig, SampledCounters};
+use popt_solver::{CalibrationSnapshot, SampledCounters};
 use popt_storage::Table;
 
 use crate::error::EngineError;
@@ -98,6 +102,7 @@ use crate::exec::scan::VectorStats;
 use crate::observe::{morsel_stage_parts, ExecObservers};
 use crate::plan::{order_by_cost_per_tuple, order_by_selectivity, Peo, SelectionPlan};
 use crate::policy::{book_fit, Fit, ReoptPolicy};
+pub use crate::policy::{CYCLES_PER_ESTIMATOR_EVAL, REGRESSION_TOLERANCE, REJECTION_TTL};
 
 /// Streaming footprint one scanned column claims in the last-level
 /// cache, for [`ProgressiveTarget::hot_set_bytes`] declarations: streamed
@@ -118,36 +123,22 @@ pub struct ProgressiveConfig {
     /// Vectors between optimization attempts (the paper evaluates 10, 75
     /// and 200; short intervals react fastest, Section 5.3–5.4).
     pub reop_interval: usize,
-    /// Selectivity estimator settings.
-    pub estimator: EstimatorConfig,
-    /// Relative cycles-per-tuple slack before a trial counts as a
-    /// regression and the previous PEO is reinstated.
-    pub regression_tolerance: f64,
-    /// Periodically execute one vector under an exploratory PEO to detect
-    /// correlation effects that the current order cannot reveal
-    /// (Section 4.5).
-    pub explore_correlation: bool,
-    /// Cycles charged per estimator objective evaluation, accounting for
-    /// the optimization time the paper discusses in Section 5.7.
-    pub cycles_per_estimator_eval: u64,
-    /// Optimization rounds for which a *reverted* order is remembered and
-    /// not re-proposed. Correlated predicates (e.g. two bounds on one
-    /// column, Section 4.5) make the independence-based reorder disagree
-    /// with measured reality; without this memory the optimizer would pay
-    /// a failed trial vector at every interval.
-    pub rejection_ttl: usize,
 }
 
 impl Default for ProgressiveConfig {
     fn default() -> Self {
-        Self {
-            reop_interval: 10,
-            estimator: EstimatorConfig::default(),
-            regression_tolerance: 0.02,
-            explore_correlation: true,
-            cycles_per_estimator_eval: 60,
-            rejection_ttl: 2,
+        Self { reop_interval: 10 }
+    }
+}
+
+impl ProgressiveConfig {
+    /// Reject a configuration no drive can run: every drive calls this
+    /// before it executes anything.
+    pub(crate) fn validate(&self) -> Result<(), EngineError> {
+        if self.reop_interval == 0 {
+            return Err(EngineError::InvalidVectorConfig("reop_interval = 0".into()));
         }
+        Ok(())
     }
 }
 
@@ -741,9 +732,7 @@ pub fn run_progressive_target_observed<T: ProgressiveTarget>(
     config: &ProgressiveConfig,
     obs: &ExecObservers,
 ) -> Result<ProgressiveReport, EngineError> {
-    if config.reop_interval == 0 {
-        return Err(EngineError::InvalidVectorConfig("reop_interval = 0".into()));
-    }
+    config.validate()?;
     let ranges = vectors.ranges(target.rows())?;
     let cpu_cfg = cpu.config().clone();
     // The capacity every fit prices against: this core's LLC slice (the
@@ -780,8 +769,8 @@ pub fn run_progressive_target_observed<T: ProgressiveTarget>(
         let mut fit_vector = |target: &mut T, learn: bool| {
             let sampled = stats.sampled_counters();
             let geom = target.plan_geometry(sampled.n_input, &cpu_cfg, llc_bytes);
-            let fit = Fit::run(geom, sampled, &config.estimator);
-            let spent = book_fit(target, config, &fit, learn, cpt, drift, &mut estimates);
+            let fit = Fit::run(geom, sampled);
+            let spent = book_fit(target, &fit, learn, cpt, drift, &mut estimates);
             optimizer_cycles += spent;
             if let Some(prof) = &obs.profiler {
                 prof.record_optimizer(0, 0, prof_pos, spent);
@@ -801,7 +790,7 @@ pub fn run_progressive_target_observed<T: ProgressiveTarget>(
             if target.wants_trial_calibration() {
                 trial_fit = Some(fit_vector(target, true));
             }
-            if let Some((_, true)) = policy.resolve_trial(config, cpt, &mut switches) {
+            if let Some((_, true)) = policy.resolve_trial(cpt, &mut switches) {
                 target.set_order(policy.published())?;
                 trial_fit = None;
                 sample_is_stale = true;
@@ -814,7 +803,7 @@ pub fn run_progressive_target_observed<T: ProgressiveTarget>(
         if at % config.reop_interval != 0 || at == ranges.len() {
             continue;
         }
-        if policy.open_round(target, config, &mut switches, at, cpt) {
+        if policy.open_round(target, &mut switches, at, cpt) {
             // After a revert the sample describes the trial order, the
             // geometry the reinstated one: a residual the model never
             // produced must not reach the calibration or the drift series.
@@ -915,10 +904,7 @@ mod tests {
             &worst,
             vectors(),
             &mut cpu2,
-            &ProgressiveConfig {
-                reop_interval: 2,
-                ..Default::default()
-            },
+            &ProgressiveConfig { reop_interval: 2 },
         )
         .unwrap();
         assert_eq!(base.qualified, prog.qualified);
@@ -937,10 +923,7 @@ mod tests {
             &worst,
             vectors(),
             &mut cpu,
-            &ProgressiveConfig {
-                reop_interval: 2,
-                ..Default::default()
-            },
+            &ProgressiveConfig { reop_interval: 2 },
         )
         .unwrap();
         assert_eq!(
@@ -967,10 +950,7 @@ mod tests {
             &worst,
             vectors(),
             &mut cpu2,
-            &ProgressiveConfig {
-                reop_interval: 1,
-                ..Default::default()
-            },
+            &ProgressiveConfig { reop_interval: 1 },
         )
         .unwrap();
         assert!(
@@ -993,10 +973,7 @@ mod tests {
             &best,
             vectors(),
             &mut cpu,
-            &ProgressiveConfig {
-                reop_interval: 2,
-                ..Default::default()
-            },
+            &ProgressiveConfig { reop_interval: 2 },
         )
         .unwrap();
         // No net change of order; sporadic trial switches must revert.
@@ -1014,10 +991,7 @@ mod tests {
             &[0, 1, 2],
             vectors(),
             &mut cpu,
-            &ProgressiveConfig {
-                reop_interval: 0,
-                ..Default::default()
-            },
+            &ProgressiveConfig { reop_interval: 0 },
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::InvalidVectorConfig(_)));
@@ -1049,102 +1023,11 @@ mod tests {
             &[2, 1, 0],
             vectors(),
             &mut cpu,
-            &ProgressiveConfig {
-                reop_interval: 1,
-                ..Default::default()
-            },
+            &ProgressiveConfig { reop_interval: 1 },
         )
         .unwrap();
         assert!(prog.optimizer_cycles > 0);
         assert_eq!(prog.cycles, prog.counters.cycles + prog.optimizer_cycles);
-    }
-
-    #[test]
-    fn rejection_ttl_gates_reproposal_of_reverted_orders() {
-        // Force every trial to regress (negative tolerance) with
-        // exploration off: the estimator keeps proposing the same better
-        // order, each proposal is reverted, and the rejection memory must
-        // suppress the re-proposal for exactly `rejection_ttl` rounds —
-        // pruned every reopt round, so proposals resume on schedule.
-        let t = skewed_table(16_384);
-        let plan = skewed_plan();
-        let ttl = 3usize;
-        let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let prog = run_progressive(
-            &t,
-            &plan,
-            &[2, 1, 0],
-            VectorConfig {
-                vector_tuples: 512,
-                max_vectors: None,
-            },
-            &mut cpu,
-            &ProgressiveConfig {
-                reop_interval: 1,
-                regression_tolerance: -1.0,
-                explore_correlation: false,
-                rejection_ttl: ttl,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(prog.switches.iter().all(|s| s.reverted));
-        assert!(
-            prog.switches.len() >= 2,
-            "rejections must age out and re-propose: {:?}",
-            prog.switches
-        );
-        // With reop_interval = 1, rounds advance one per vector: two
-        // proposals of the same order must be separated by more than the
-        // TTL, and pruning every round means they are not separated by
-        // much more (trial + revert + ttl rounds of suppression).
-        for pair in prog.switches.windows(2) {
-            if pair[0].to != pair[1].to {
-                continue;
-            }
-            let gap = pair[1].vector - pair[0].vector;
-            assert!(gap > ttl, "re-proposed within TTL: {:?}", prog.switches);
-            assert!(
-                gap <= ttl + 3,
-                "pruning skipped rounds: {:?}",
-                prog.switches
-            );
-        }
-    }
-
-    #[test]
-    fn trial_on_last_vector_is_still_resolved() {
-        // Schedule the only possible switch so that its trial vector is
-        // the final vector of the scan: the regression must be detected
-        // and the switch reverted rather than silently accepted.
-        let t = skewed_table(4096);
-        let plan = skewed_plan();
-        let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let prog = run_progressive(
-            &t,
-            &plan,
-            &[2, 1, 0],
-            VectorConfig {
-                vector_tuples: 2048,
-                max_vectors: None, // 2 vectors: reopt after v0, trial = v1
-            },
-            &mut cpu,
-            &ProgressiveConfig {
-                reop_interval: 1,
-                regression_tolerance: -1.0, // every trial "regresses"
-                explore_correlation: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(prog.vectors, 2);
-        assert_eq!(prog.switches.len(), 1, "{:?}", prog.switches);
-        assert!(
-            prog.switches[0].reverted,
-            "last-vector trial left unresolved: {:?}",
-            prog.switches
-        );
-        assert_eq!(prog.final_peo, vec![2, 1, 0], "revert must restore order");
     }
 
     mod pipeline {
@@ -1227,10 +1110,7 @@ mod tests {
         }
 
         fn config() -> ProgressiveConfig {
-            ProgressiveConfig {
-                reop_interval: 2,
-                ..Default::default()
-            }
+            ProgressiveConfig { reop_interval: 2 }
         }
 
         /// The shared shape: an expensive selection (`val < 50`, 50 extra
@@ -1367,10 +1247,13 @@ mod tests {
     }
 
     #[test]
-    fn exploration_fires_only_when_stalled() {
+    fn converging_run_never_explores() {
+        // Stall exploration needs a recently rejected proposal and no
+        // recent accept; a run that keeps converging has neither. (That a
+        // stalled run does explore is pinned by the fault-injection
+        // suite, whose rigged target makes every trial regress.)
         let t = skewed_table(16_384);
         let plan = skewed_plan();
-        // A converging run never explores.
         let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
         let converging = run_progressive(
             &t,
@@ -1381,39 +1264,9 @@ mod tests {
                 max_vectors: None,
             },
             &mut cpu,
-            &ProgressiveConfig {
-                reop_interval: 1,
-                ..Default::default()
-            },
+            &ProgressiveConfig { reop_interval: 1 },
         )
         .unwrap();
         assert!(converging.switches.iter().all(|s| !s.exploratory));
-
-        // Force every trial to "regress" (negative tolerance): all
-        // proposals are rejected, the run stalls, and exploration must
-        // kick in.
-        let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let stalled = run_progressive(
-            &t,
-            &plan,
-            &[2, 1, 0],
-            VectorConfig {
-                vector_tuples: 512,
-                max_vectors: None,
-            },
-            &mut cpu,
-            &ProgressiveConfig {
-                reop_interval: 1,
-                regression_tolerance: -1.0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(stalled.switches.iter().any(|s| s.reverted));
-        assert!(
-            stalled.switches.iter().any(|s| s.exploratory),
-            "{:?}",
-            stalled.switches
-        );
     }
 }

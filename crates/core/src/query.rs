@@ -97,7 +97,6 @@ pub struct QueryBuilder<'t> {
     vector_tuples: usize,
     max_vectors: Option<usize>,
     cpu_config: CpuConfig,
-    progressive: ProgressiveConfig,
 }
 
 impl<'t> QueryBuilder<'t> {
@@ -113,7 +112,6 @@ impl<'t> QueryBuilder<'t> {
             vector_tuples: Self::DEFAULT_VECTOR_TUPLES,
             max_vectors: None,
             cpu_config: CpuConfig::xeon_e5_2630_v2(),
-            progressive: ProgressiveConfig::default(),
         }
     }
 
@@ -184,13 +182,6 @@ impl<'t> QueryBuilder<'t> {
         self
     }
 
-    /// Override the progressive-optimizer configuration (the run mode's
-    /// `reop_interval` still wins).
-    pub fn progressive_config(mut self, config: ProgressiveConfig) -> Self {
-        self.progressive = config;
-        self
-    }
-
     /// Access the plan (e.g. to enumerate PEOs).
     pub fn plan(&self) -> &SelectionPlan {
         &self.plan
@@ -213,10 +204,7 @@ impl<'t> QueryBuilder<'t> {
         let report = match mode {
             RunMode::Baseline => run_baseline(self.table, &self.plan, &peo, vectors, &mut cpu)?,
             RunMode::Progressive { reop_interval } => {
-                let config = ProgressiveConfig {
-                    reop_interval,
-                    ..self.progressive
-                };
+                let config = ProgressiveConfig { reop_interval };
                 run_progressive(self.table, &self.plan, &peo, vectors, &mut cpu, &config)?
             }
         };

@@ -79,8 +79,9 @@ pub struct CacheEntry {
 }
 
 /// Consecutive divergent warm completions after which a template entry
-/// is dropped (see [`OrderCache::with_stale_after`]).
-pub const STALE_AFTER_DEFAULT: u32 = 3;
+/// is dropped: a template whose warm starts keep getting re-reordered is
+/// tracking drifted data.
+pub const STALE_AFTER: u32 = 3;
 
 /// What [`OrderCache::record_warm`] observed about a warm completion —
 /// the cache's lifecycle decisions, as data.
@@ -131,7 +132,6 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct OrderCache {
     entries: HashMap<WorkloadSignature, CacheEntry>,
-    stale_after: u32,
     stats: CacheStats,
 }
 
@@ -142,18 +142,11 @@ impl Default for OrderCache {
 }
 
 impl OrderCache {
-    /// An empty cache with the default staleness threshold.
+    /// An empty cache, evicting a template after [`STALE_AFTER`]
+    /// consecutive divergent warm completions.
     pub fn new() -> Self {
-        Self::with_stale_after(STALE_AFTER_DEFAULT)
-    }
-
-    /// An empty cache evicting a template after `stale_after` consecutive
-    /// divergent warm completions (`0` is clamped to `1`: an entry that
-    /// diverges every time is pure overhead and must not be immortal).
-    pub fn with_stale_after(stale_after: u32) -> Self {
         Self {
             entries: HashMap::new(),
-            stale_after: stale_after.max(1),
             stats: CacheStats::default(),
         }
     }
@@ -291,7 +284,7 @@ impl OrderCache {
         }
         self.stats.divergences += 1;
         entry.diverged_streak += 1;
-        if entry.diverged_streak >= self.stale_after {
+        if entry.diverged_streak >= STALE_AFTER {
             self.entries.remove(&signature);
             self.stats.evictions += 1;
             return WarmRecordOutcome {
@@ -445,7 +438,7 @@ mod tests {
     fn consecutive_divergent_warm_runs_evict_the_template() {
         let t = table();
         let sig = scan_signature(&t, &plan(10));
-        let mut cache = OrderCache::with_stale_after(3);
+        let mut cache = OrderCache::new();
         cache.record(sig.clone(), vec![0, 1], None);
         // Two flip-flopping warm completions (each diverging from the
         // entry's then-current order): entry survives, payload tracks
@@ -469,7 +462,7 @@ mod tests {
     fn converging_warm_run_clears_the_divergence_streak() {
         let t = table();
         let sig = scan_signature(&t, &plan(10));
-        let mut cache = OrderCache::with_stale_after(2);
+        let mut cache = OrderCache::new();
         cache.record(sig.clone(), vec![0, 1], None);
         assert!(cache.record_warm(sig.clone(), vec![1, 0], None).diverged);
         assert_eq!(cache.lookup(&sig).unwrap().diverged_streak, 1);
@@ -503,7 +496,7 @@ mod tests {
         // stabilized template survives any number of such completions.
         let t = table();
         let sig = scan_signature(&t, &plan(10));
-        let mut cache = OrderCache::with_stale_after(3);
+        let mut cache = OrderCache::new();
         cache.record(sig.clone(), vec![0, 1], None);
         for _ in 0..5 {
             assert!(!cache.record_warm(sig.clone(), vec![1, 0], None).evicted);

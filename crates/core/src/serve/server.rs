@@ -201,10 +201,7 @@ impl Default for ServeConfig {
             // stream is short in rounds and must converge within it.
             // One estimator round per interval still serves the whole
             // pool, so the finer cadence stays off the critical path.
-            reopt: Some(ProgressiveConfig {
-                reop_interval: 4,
-                ..Default::default()
-            }),
+            reopt: Some(ProgressiveConfig { reop_interval: 4 }),
             use_order_cache: true,
             dynamic_repartition: false,
         }
@@ -406,9 +403,7 @@ impl<'t> QueryServer<'t> {
     /// queries.
     pub fn run(&mut self, pool: &mut CpuPool) -> Result<ServeReport, EngineError> {
         if let Some(cfg) = &self.config.reopt {
-            if cfg.reop_interval == 0 {
-                return Err(EngineError::InvalidVectorConfig("reop_interval = 0".into()));
-            }
+            cfg.validate()?;
         }
         let workers = pool.len();
         if self.specs.is_empty() {

@@ -143,12 +143,6 @@ fn accumulate(
     totals
 }
 
-/// The paper's qualifying-tuple identity: `qualifying = 2·n − bT`
-/// (Section 2.2), inverted for the estimator.
-pub fn qualifying_from_branches_taken(n: u64, branches_taken: u64) -> u64 {
-    (2 * n).saturating_sub(branches_taken)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,11 +177,12 @@ mod tests {
 
     #[test]
     fn qualifying_identity() {
-        // n tuples, q qualify: bT = (n - q) failing + n loop branches.
+        // n tuples, q qualify: bT = (n - q) failing + n loop branches,
+        // so qualifying = 2·n − bT (Section 2.2).
         let n = 100u64;
         let q = 37u64;
-        let bt = (n - q) + n;
-        assert_eq!(qualifying_from_branches_taken(n, bt), q);
+        let est = estimate_peo_branches(n, &[q as f64 / n as f64], &ChainSpec::SIX, true);
+        assert!((2.0 * n as f64 - est.bt - q as f64).abs() < 1e-9);
     }
 
     #[test]

@@ -92,14 +92,6 @@ pub fn l3_accesses_unmodified(geom: &CacheGeometry, n: u64, density: f64) -> f64
     touched_lines(geom, n, density)
 }
 
-/// Expected L3 accesses for a whole multi-selection plan: one entry per
-/// column in evaluation order with the density at which it is read
-/// (`density[0] = 1` for the first predicate's column; the aggregate
-/// column reads at the overall selectivity).
-pub fn plan_l3_accesses(geom: &CacheGeometry, n: u64, densities: &[f64]) -> f64 {
-    densities.iter().map(|&d| l3_accesses(geom, n, d)).sum()
-}
-
 /// The remote-access latency class of the two-socket extension: expected
 /// stall cycles for one access that misses the LLC, given the
 /// probability `remote_fraction` that the line's home is another socket.
@@ -197,14 +189,6 @@ mod tests {
         for d in [0.01, 0.05, 0.2, 0.7] {
             assert!(l3_accesses(&GEOM, 100_000, d) >= l3_accesses_unmodified(&GEOM, 100_000, d));
         }
-    }
-
-    #[test]
-    fn plan_sums_columns() {
-        let total = plan_l3_accesses(&GEOM, 16_000, &[1.0, 0.5]);
-        let a = l3_accesses(&GEOM, 16_000, 1.0);
-        let b = l3_accesses(&GEOM, 16_000, 0.5);
-        assert!((total - (a + b)).abs() < 1e-9);
     }
 
     #[test]

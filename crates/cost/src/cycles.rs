@@ -10,8 +10,21 @@ use crate::branch_costs::estimate_peo_branches;
 use crate::cache_model::{random_line_fraction, touched_lines, CacheGeometry};
 use crate::estimate::{survivors_to_selectivities, PlanGeometry};
 
+/// Instructions the generated loop retires per iteration: counter
+/// increment + bounds test. The engine charges it and the analytic model
+/// prices it.
+pub const INSTR_LOOP: u64 = 2;
+
+/// Instructions per predicate evaluation: load + compare + jump (+
+/// address math).
+pub const INSTR_PER_EVAL: u64 = 4;
+
+/// Instructions per aggregate column read for a qualifying tuple.
+pub const INSTR_PER_AGG_COLUMN: u64 = 3;
+
 /// Cycle-accounting constants for the analytic model. Defaults mirror the
-/// `popt-cpu` timing configuration and the engine's instruction charges.
+/// `popt-cpu` timing configuration and the engine's instruction charges
+/// ([`INSTR_LOOP`], [`INSTR_PER_EVAL`], [`INSTR_PER_AGG_COLUMN`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CycleParams {
     /// Cycles per retired instruction.
@@ -42,9 +55,9 @@ impl Default for CycleParams {
     fn default() -> Self {
         Self {
             cpi: 0.5,
-            instr_loop: 2.0,
-            instr_per_eval: 4.0,
-            instr_agg: 3.0,
+            instr_loop: INSTR_LOOP as f64,
+            instr_per_eval: INSTR_PER_EVAL as f64,
+            instr_agg: INSTR_PER_AGG_COLUMN as f64,
             mp_penalty: 15.0,
             mem_random: 180.0,
             mem_sequential: 24.0,

@@ -57,11 +57,6 @@ impl BranchProbabilities {
     pub fn mp_total(&self) -> f64 {
         self.mp_taken + self.mp_not_taken
     }
-
-    /// Total right-prediction probability (`BRP`).
-    pub fn rp_total(&self) -> f64 {
-        self.rp_taken + self.rp_not_taken
-    }
 }
 
 impl ChainSpec {
@@ -354,7 +349,7 @@ mod tests {
     fn probabilities_are_a_partition() {
         for p in [0.2, 0.5, 0.8] {
             let pr = ChainSpec::SIX.probabilities(p);
-            assert!((pr.mp_total() + pr.rp_total() - 1.0).abs() < 1e-12);
+            assert!((pr.mp_total() + pr.rp_taken + pr.rp_not_taken - 1.0).abs() < 1e-12);
             // Taken events sum to 1-p, not-taken events to p.
             assert!((pr.mp_taken + pr.rp_taken - (1.0 - p)).abs() < 1e-12);
             assert!((pr.mp_not_taken + pr.rp_not_taken - p).abs() < 1e-12);

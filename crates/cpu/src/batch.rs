@@ -247,7 +247,7 @@ impl<'a> BatchCpu<'a> {
     /// Load an arbitrarily long byte span at `addr` on `stream`. Dense
     /// clean spans are accounted in closed form at set/level granularity;
     /// anything else (partially resident span, too-shallow hierarchy,
-    /// prefetcher off, tiny span) falls back to the per-line walk.
+    /// tiny span) falls back to the per-line walk.
     /// Bit-identical to [`SimCpu::load_span`] in all cases.
     pub fn load_span(&mut self, stream: StreamId, addr: u64, bytes: u64) {
         assert!(bytes >= 1, "empty span");

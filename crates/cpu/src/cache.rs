@@ -467,7 +467,6 @@ pub struct CacheHierarchy {
     private: Vec<CacheLevel>,
     /// This core's slice of the last-level cache.
     llc: CacheLevel,
-    adjacent_line_prefetch: bool,
     /// Demand requests that reached main memory.
     pub memory_demand: u64,
     /// Prefetch requests that reached main memory.
@@ -484,7 +483,6 @@ impl CacheHierarchy {
         Self {
             private: upper.iter().map(CacheLevel::new).collect(),
             llc: CacheLevel::new(last),
-            adjacent_line_prefetch: config.adjacent_line_prefetch,
             memory_demand: 0,
             memory_prefetch: 0,
         }
@@ -507,7 +505,6 @@ impl CacheHierarchy {
                 demand: LevelStats::default(),
                 prefetch: LevelStats::default(),
             },
-            adjacent_line_prefetch: false,
             memory_demand: 0,
             memory_prefetch: 0,
         }
@@ -604,19 +601,17 @@ impl CacheHierarchy {
         l2.install(W2, home2, line);
         let mut prefetch_issued = false;
         let mut prefetch_memory = false;
-        if self.adjacent_line_prefetch {
-            let buddy = line ^ 1;
-            let buddy2 = l2.home_of(buddy);
-            if l2.find(W2, buddy2, buddy).is_none() {
-                prefetch_issued = true;
-                let buddy3 = llc.home_of(buddy);
-                if !llc.probe(W3, buddy3, buddy, true) {
-                    self.memory_prefetch += 1;
-                    prefetch_memory = true;
-                    llc.install(W3, buddy3, buddy);
-                }
-                l2.install(W2, buddy2, buddy);
+        let buddy = line ^ 1;
+        let buddy2 = l2.home_of(buddy);
+        if l2.find(W2, buddy2, buddy).is_none() {
+            prefetch_issued = true;
+            let buddy3 = llc.home_of(buddy);
+            if !llc.probe(W3, buddy3, buddy, true) {
+                self.memory_prefetch += 1;
+                prefetch_memory = true;
+                llc.install(W3, buddy3, buddy);
             }
+            l2.install(W2, buddy2, buddy);
         }
         AccessResult {
             served_by,
@@ -663,7 +658,7 @@ impl CacheHierarchy {
             || matches!(served_by, ServedBy::Level(i) if i >= self.private.len());
         let mut prefetch_issued = false;
         let mut prefetch_memory = false;
-        if self.adjacent_line_prefetch && reached_llc && self.private.len() >= 2 {
+        if reached_llc && self.private.len() >= 2 {
             let buddy = line ^ 1;
             // Only issue if the buddy is not already in L2.
             let l2 = self.private.len() - 1;
@@ -691,12 +686,11 @@ impl CacheHierarchy {
 
     /// Whether the closed-form dense-span accounting applies to this
     /// hierarchy shape: exactly L1/L2 + LLC (the buddy-prefetch parity
-    /// argument is specific to a 3-deep stack), prefetcher on, and at
-    /// least two sets per level (adjacent lines must land in different
-    /// sets so per-set arrival order stays ascending).
+    /// argument is specific to a 3-deep stack) and at least two sets per
+    /// level (adjacent lines must land in different sets so per-set
+    /// arrival order stays ascending).
     pub(crate) fn dense_span_eligible(&self) -> bool {
         self.private.len() == 2
-            && self.adjacent_line_prefetch
             && self.private.iter().all(|l| l.set_count() >= 2)
             && self.llc.set_count() >= 2
     }
@@ -847,7 +841,7 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_line_prefetch_counts_as_l3_access() {
+    fn buddy_prefetch_counts_as_l3_access() {
         let mut h = tiny();
         let r = h.demand_access(100);
         assert!(r.prefetch_issued);

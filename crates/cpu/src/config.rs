@@ -104,8 +104,6 @@ pub struct CpuConfig {
     pub predictor: PredictorConfig,
     /// Cycle accounting constants.
     pub timing: TimingConfig,
-    /// Whether the adjacent-line (spatial) prefetcher is enabled.
-    pub adjacent_line_prefetch: bool,
 }
 
 impl CpuConfig {
@@ -147,7 +145,6 @@ impl CpuConfig {
                 memory_remote_extra_cycles: 90,
                 frequency_ghz,
             },
-            adjacent_line_prefetch: true,
         }
     }
 
@@ -284,7 +281,6 @@ impl CpuConfig {
                 memory_remote_extra_cycles: 90,
                 frequency_ghz: 2.6,
             },
-            adjacent_line_prefetch: true,
         }
     }
 

@@ -95,7 +95,6 @@ impl RefLevel {
 /// The reference three-level hierarchy.
 struct RefHierarchy {
     levels: [RefLevel; 3],
-    prefetcher: bool,
     memory_demand: u64,
     memory_prefetch: u64,
 }
@@ -109,7 +108,6 @@ impl RefHierarchy {
         assert_eq!(config.levels.len(), 3, "reference models L1/L2/LLC");
         Self {
             levels: [level(0), level(1), level(2)],
-            prefetcher: config.adjacent_line_prefetch,
             memory_demand: 0,
             memory_prefetch: 0,
         }
@@ -132,7 +130,7 @@ impl RefHierarchy {
         }
         // A demand request that left L2 triggers the buddy prefetch.
         let buddy = line ^ 1;
-        if self.prefetcher && hit.is_none_or(|i| i == 2) && !self.levels[1].contains(buddy) {
+        if hit.is_none_or(|i| i == 2) && !self.levels[1].contains(buddy) {
             result.prefetch_issued = true;
             if !self.levels[2].access(buddy, true) {
                 self.memory_prefetch += 1;
@@ -169,24 +167,19 @@ impl RefHierarchy {
 /// Small hierarchies with the way counts of the shapes under test, so
 /// short tapes reach evictions at every level. `(8, 8, 16)` and
 /// `(8, 8, 20)` take the monomorphized walk, the rest the general one.
-fn shaped(shape: u8, prefetcher: bool) -> CpuConfig {
+fn shaped(shape: u8) -> CpuConfig {
     // (ways, sets) per level.
     let geometry: [(u32, u64); 3] = match shape {
         0 => [(8, 4), (8, 8), (16, 16)],
         1 => [(8, 4), (8, 8), (20, 12)], // non-power-of-two LLC set count
         2 => [(8, 4), (8, 6), (16, 24)], // non-power-of-two L2 and LLC
-        _ => return with_prefetcher(CpuConfig::tiny_test(), prefetcher), // (2, 4, 4)
+        _ => return CpuConfig::tiny_test(), // (2, 4, 4)
     };
     let mut cfg = CpuConfig::tiny_test();
     for (level, (ways, sets)) in cfg.levels.iter_mut().zip(geometry) {
         level.ways = ways;
         level.capacity_bytes = u64::from(ways) * sets * level.line_bytes;
     }
-    with_prefetcher(cfg, prefetcher)
-}
-
-fn with_prefetcher(mut cfg: CpuConfig, on: bool) -> CpuConfig {
-    cfg.adjacent_line_prefetch = on;
     cfg
 }
 
@@ -212,10 +205,9 @@ proptest! {
     fn walk_matches_reference_model(
         seed in any::<u64>(),
         shape in 0u8..4,
-        prefetcher_roll in 0u8..4,
         ops in 200usize..1200,
     ) {
-        let cfg = shaped(shape, prefetcher_roll != 0);
+        let cfg = shaped(shape);
         let llc = *cfg.llc();
         let mut h = CacheHierarchy::new(&cfg);
         let mut r = RefHierarchy::new(&cfg);
@@ -253,7 +245,7 @@ proptest! {
         shape in 0u8..4,
         ops in 20usize..120,
     ) {
-        let cfg = shaped(shape, true);
+        let cfg = shaped(shape);
         let llc = *cfg.llc();
         let mut cpu = SimCpu::new(cfg.clone());
         let mut r = RefHierarchy::new(&cfg);

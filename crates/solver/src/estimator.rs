@@ -19,10 +19,8 @@
 //! The paper prints Equation 10 as a sum of signed differences; minimized
 //! literally that diverges, so — as any faithful implementation must — we
 //! take the magnitude. Each counter residual is normalized by its sampled
-//! value (so tuples-scaled and lines-scaled counters weigh comparably)
-//! and weighted by [`CounterWeights`], whose default enables all four
-//! counters; [`CounterWeights::bnt_only`] is the branch-counter-only
-//! ablation.
+//! value (so tuples-scaled and lines-scaled counters weigh comparably),
+//! and the four counters weigh equally.
 
 use popt_cost::estimate::{
     survivors_to_selectivities, CounterEstimate, CounterModel, PlanGeometry,
@@ -85,64 +83,23 @@ impl SampledCounters {
     }
 }
 
-/// Per-counter weights in the objective (1.0 = paper default, 0.0 =
-/// excluded; used by the counter-subset ablation).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CounterWeights {
-    /// Weight of the branches-not-taken residual.
-    pub bnt: f64,
-    /// Weight of the mispredicted-taken residual.
-    pub mp_taken: f64,
-    /// Weight of the mispredicted-not-taken residual.
-    pub mp_not_taken: f64,
-    /// Weight of the L3-access residual.
-    pub l3: f64,
-}
+/// Consecutive starts without improvement after which a fit stops (the
+/// paper's "fewer than 5 fruitless starts"; at most `m = 2·p` starts run
+/// either way).
+pub const NO_IMPROVEMENT_LIMIT: usize = 4;
 
-impl Default for CounterWeights {
-    fn default() -> Self {
-        Self {
-            bnt: 1.0,
-            mp_taken: 1.0,
-            mp_not_taken: 1.0,
-            l3: 1.0,
-        }
-    }
-}
-
-impl CounterWeights {
-    /// Only the BNT counter (the weakest configuration — BNT alone cannot
-    /// distinguish permutations with equal survivor sums).
-    pub fn bnt_only() -> Self {
-        Self {
-            bnt: 1.0,
-            mp_taken: 0.0,
-            mp_not_taken: 0.0,
-            l3: 0.0,
-        }
-    }
-}
-
-/// Estimator configuration (defaults are the paper's reported best
-/// trade-off: tolerance 1, 10 k iterations, stop after <5 fruitless
-/// starts, at most `m = 2·p` starts).
+/// Estimator configuration (the default is the paper's reported best
+/// trade-off: tolerance 1, 10 k iterations; the start budget is fixed by
+/// [`NO_IMPROVEMENT_LIMIT`] and `m = 2·p`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorConfig {
-    /// Maximum number of optimization starts; `None` = `2 × predicates`.
-    pub max_starts: Option<usize>,
-    /// Stop after this many consecutive starts without improvement.
-    pub no_improvement_limit: usize,
     /// Local optimizer options.
     pub nelder_mead: NelderMeadOptions,
-    /// Counter weights for the objective.
-    pub weights: CounterWeights,
 }
 
 impl Default for EstimatorConfig {
     fn default() -> Self {
         Self {
-            max_starts: None,
-            no_improvement_limit: 4,
             // The paper's "absolute tolerance of one" applies to an
             // objective in raw counter units; ours is normalized per
             // counter, so the equivalent tolerance scales down by the
@@ -156,7 +113,6 @@ impl Default for EstimatorConfig {
                 max_evaluations: 4_000,
                 initial_step_fraction: 0.25,
             },
-            weights: CounterWeights::default(),
         }
     }
 }
@@ -180,17 +136,12 @@ pub struct EstimateResult {
 
 /// The Equation-10 objective for a full survivor vector whose predicted
 /// counters are `est`.
-pub(crate) fn objective(
-    est: CounterEstimate,
-    sampled: &SampledCounters,
-    weights: &CounterWeights,
-    survivors: &[f64],
-) -> f64 {
+pub(crate) fn objective(est: CounterEstimate, sampled: &SampledCounters, survivors: &[f64]) -> f64 {
     let rel = |s: u64, e: f64| -> f64 { (s as f64 - e).abs() / (s as f64).max(1.0) };
-    let mut cost = weights.bnt * rel(sampled.bnt, est.bnt)
-        + weights.mp_taken * rel(sampled.mp_taken, est.mp_taken)
-        + weights.mp_not_taken * rel(sampled.mp_not_taken, est.mp_not_taken)
-        + weights.l3 * rel(sampled.l3_accesses, est.l3_accesses);
+    let mut cost = rel(sampled.bnt, est.bnt)
+        + rel(sampled.mp_taken, est.mp_taken)
+        + rel(sampled.mp_not_taken, est.mp_not_taken)
+        + rel(sampled.l3_accesses, est.l3_accesses);
     // Monotonicity penalty: survivors must be non-increasing.
     let mut prev = sampled.n_input as f64;
     for &a in survivors {
@@ -237,7 +188,7 @@ fn fit(
     if p == 1 {
         let survivors = vec![out];
         let selectivities = survivors_to_selectivities(sampled.n_input, &survivors);
-        let objective = objective(model(&survivors), sampled, &config.weights, &survivors);
+        let objective = objective(model(&survivors), sampled, &survivors);
         return EstimateResult {
             survivors,
             selectivities,
@@ -254,7 +205,6 @@ fn fit(
     let null = StartPointGenerator::null_hypothesis(dims, p, sampled.n_input, sampled.n_output);
     let generator = StartPointGenerator::new(free_bounds.clone(), null);
 
-    let max_starts = config.max_starts.unwrap_or(2 * p);
     let mut best_x: Option<Vec<f64>> = None;
     let mut best_value = f64::INFINITY;
     let mut starts_used = 0usize;
@@ -262,13 +212,13 @@ fn fit(
     let mut since_improvement = 0usize;
 
     let mut full = vec![0.0; p];
-    for start in generator.take(max_starts) {
+    for start in generator.take(2 * p) {
         starts_used += 1;
         let result = minimize(
             |x| {
                 full[..dims].copy_from_slice(x);
                 full[dims] = out;
-                objective(model(&full), sampled, &config.weights, &full)
+                objective(model(&full), sampled, &full)
             },
             &start,
             &free_bounds.lower,
@@ -282,7 +232,7 @@ fn fit(
             since_improvement = 0;
         } else {
             since_improvement += 1;
-            if since_improvement >= config.no_improvement_limit {
+            if since_improvement >= NO_IMPROVEMENT_LIMIT {
                 break;
             }
         }
@@ -322,14 +272,11 @@ mod tests {
 
     fn tight_config() -> EstimatorConfig {
         EstimatorConfig {
-            max_starts: Some(12),
-            no_improvement_limit: 6,
             nelder_mead: NelderMeadOptions {
                 ftol_abs: 1e-6,
                 max_evaluations: 4_000,
                 initial_step_fraction: 0.25,
             },
-            weights: CounterWeights::default(),
         }
     }
 
@@ -393,24 +340,33 @@ mod tests {
 
     #[test]
     fn budget_limits_starts() {
+        // At most `m = 2·p` starts, whatever the search finds.
         let geom = PlanGeometry::uniform_i32(100_000, 4);
         let sampled = synthetic_sample(&geom, &[80_000.0, 40_000.0, 20_000.0, 10_000.0]);
-        let mut cfg = tight_config();
-        cfg.max_starts = Some(2);
-        cfg.no_improvement_limit = 100;
-        let r = estimate_selectivities(&geom, &sampled, &cfg);
-        assert!(r.starts_used <= 2);
+        let r = estimate_selectivities(&geom, &sampled, &tight_config());
+        assert!(r.starts_used <= 2 * 4, "used {}", r.starts_used);
+        // Two predicates: a budget of two starts.
+        let geom = PlanGeometry::uniform_i32(100_000, 2);
+        let sampled = synthetic_sample(&geom, &[50_000.0, 25_000.0]);
+        let r = estimate_selectivities(&geom, &sampled, &tight_config());
+        assert!(r.starts_used <= 2 * 2, "used {}", r.starts_used);
     }
 
     #[test]
     fn no_improvement_stops_early() {
-        let geom = PlanGeometry::uniform_i32(100_000, 2);
-        let sampled = synthetic_sample(&geom, &[50_000.0, 25_000.0]);
-        let mut cfg = tight_config();
-        cfg.max_starts = Some(50);
-        cfg.no_improvement_limit = 2;
-        let r = estimate_selectivities(&geom, &sampled, &cfg);
-        assert!(r.starts_used < 50, "used {}", r.starts_used);
+        // A model-consistent sample is matched by the first start; the
+        // next `NO_IMPROVEMENT_LIMIT` find nothing better and the fit
+        // stops well inside its `2·p` budget.
+        let geom = PlanGeometry::uniform_i32(100_000, 6);
+        let survivors = [80_000.0, 40_000.0, 20_000.0, 10_000.0, 5_000.0, 2_500.0];
+        let sampled = synthetic_sample(&geom, &survivors);
+        let r = estimate_selectivities(&geom, &sampled, &tight_config());
+        assert!(
+            r.starts_used > NO_IMPROVEMENT_LIMIT,
+            "used {}",
+            r.starts_used
+        );
+        assert!(r.starts_used < 2 * 6, "used {}", r.starts_used);
     }
 
     #[test]
@@ -650,14 +606,11 @@ mod tests {
     }
 
     #[test]
-    fn bnt_only_weights_still_bound_feasible() {
-        // With BNT alone the problem is under-determined, but the result
-        // must still respect the exact constraints.
+    fn fits_stay_bound_feasible() {
+        // The result must respect the exact constraints.
         let geom = PlanGeometry::uniform_i32(1_000_000, 2);
         let sampled = synthetic_sample(&geom, &[400_000.0, 80_000.0]);
-        let mut cfg = tight_config();
-        cfg.weights = CounterWeights::bnt_only();
-        let r = estimate_selectivities(&geom, &sampled, &cfg);
+        let r = estimate_selectivities(&geom, &sampled, &tight_config());
         assert!(r.bounds.contains(&r.survivors));
         // Survivor sum must be close to the sampled BNT.
         let sum: f64 = r.survivors.iter().sum();

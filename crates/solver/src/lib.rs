@@ -30,7 +30,7 @@ pub mod start_points;
 pub use bounds::SearchBounds;
 pub use calibration::CalibrationSnapshot;
 pub use estimator::{
-    estimate_selectivities, CounterWeights, EstimateResult, EstimatorConfig, SampledCounters,
+    estimate_selectivities, EstimateResult, EstimatorConfig, SampledCounters, NO_IMPROVEMENT_LIMIT,
 };
 pub use nelder_mead::{minimize, NelderMeadOptions, OptimizationResult};
 pub use start_points::StartPointGenerator;

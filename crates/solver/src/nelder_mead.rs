@@ -486,7 +486,7 @@ mod tests {
         // and the estimator's objective over the 4-stage star from the
         // first start points the fit would draw.
         use crate::bounds::bnt_bounds;
-        use crate::estimator::{objective, CounterWeights, EstimatorConfig, SampledCounters};
+        use crate::estimator::{objective, EstimatorConfig, SampledCounters};
         use crate::start_points::StartPointGenerator;
         use popt_cost::estimate::{estimate_counters, CounterModel, PlanGeometry, ProbeGeometry};
         use popt_cost::join_model::JoinGeometry;
@@ -545,10 +545,9 @@ mod tests {
             l3_accesses: (est.l3_accesses * 0.97).round() as u64,
         };
         let model = CounterModel::new(&star, 2_500.0);
-        let weights = CounterWeights::default();
         let star_objective = |x: &[f64]| {
             let full = [x[0], x[1], x[2], 2_500.0];
-            objective(model.estimate(&full), &sampled, &weights, &full)
+            objective(model.estimate(&full), &sampled, &full)
         };
         let bounds = bnt_bounds(4, sampled.n_input, sampled.n_output, sampled.bnt).without_last();
         let null = StartPointGenerator::null_hypothesis(3, 4, sampled.n_input, sampled.n_output);

@@ -92,7 +92,6 @@ pub struct StartPointGenerator {
     null_point: Vec<f64>,
     phase: Phase,
     regions: Vec<BoxRegion>,
-    vertex_cap: usize,
 }
 
 impl StartPointGenerator {
@@ -115,7 +114,6 @@ impl StartPointGenerator {
             null_point,
             phase: Phase::NullHypothesis,
             regions: vec![root],
-            vertex_cap: Self::VERTEX_CAP,
         }
     }
 
@@ -186,7 +184,7 @@ impl Iterator for StartPointGenerator {
                     return Some(self.null_point.clone());
                 }
                 Phase::Vertices(i) => {
-                    let total = (1usize << dims.min(20)).min(self.vertex_cap);
+                    let total = (1usize << dims.min(20)).min(Self::VERTEX_CAP);
                     if i >= total {
                         self.phase = Phase::Centroids;
                         continue;

@@ -11,6 +11,8 @@ use popt::cpu::{walker_batches, CacheLevelConfig, CpuConfig, CpuPool, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::xorshift64;
 
+pub mod rigged;
+
 /// A deliberately small hierarchy (4 KiB L1 / 16 KiB L2 / 64 KiB LLC) so
 /// that modest dimension tables thrash the LLC under random probes at
 /// test-friendly row counts.

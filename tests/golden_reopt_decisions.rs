@@ -181,10 +181,7 @@ fn correlated_plan() -> SelectionPlan {
 }
 
 fn scan_config() -> ProgressiveConfig {
-    ProgressiveConfig {
-        reop_interval: 2,
-        ..Default::default()
-    }
+    ProgressiveConfig { reop_interval: 2 }
 }
 
 const SCAN_SERIAL: &str = r"qualified=6247 sum=963455 cycles=1118233 vectors=32 estimates=9 optimizer_cycles=127380 final_peo=[0, 1, 2]
@@ -379,10 +376,7 @@ fn coinciding_round_reuses_a_surviving_trial_fit_and_refits_after_a_revert() {
             max_vectors: None,
         },
         &mut cpu,
-        &ProgressiveConfig {
-            reop_interval: 1,
-            ..Default::default()
-        },
+        &ProgressiveConfig { reop_interval: 1 },
     )
     .unwrap();
     assert_pinned(&render_serial(&report), EVERY_VECTOR);

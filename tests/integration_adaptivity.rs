@@ -65,10 +65,7 @@ fn selectivity_drift_triggers_mid_query_reordering() {
         vector_tuples: 8_192,
         max_vectors: None,
     };
-    let config = ProgressiveConfig {
-        reop_interval: 2,
-        ..Default::default()
-    };
+    let config = ProgressiveConfig { reop_interval: 2 };
 
     let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
     let prog = run_progressive(&t, &plan, &[0, 1], vectors, &mut cpu, &config).unwrap();
@@ -101,8 +98,8 @@ fn correlated_predicates_do_not_thrash_the_optimizer() {
     // Two predicates on (almost) the same values: conditional selectivity
     // of the second is near 1 whichever runs first, so reordering cannot
     // help. The optimizer must settle instead of paying an endless
-    // sequence of trial-and-revert vectors (the rejection memory of
-    // ProgressiveConfig::rejection_ttl).
+    // sequence of trial-and-revert vectors (the rejection memory,
+    // REJECTION_TTL rounds long).
     let rows = 1 << 17;
     let (a, b) = correlated_pair(rows, 1000, 5, 0xC0DE);
     let mut space = AddressSpace::new();
@@ -121,10 +118,7 @@ fn correlated_predicates_do_not_thrash_the_optimizer() {
         vector_tuples: 8_192,
         max_vectors: None,
     };
-    let config = ProgressiveConfig {
-        reop_interval: 2,
-        ..Default::default()
-    };
+    let config = ProgressiveConfig { reop_interval: 2 };
     let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
     let prog = run_progressive(&t, &plan, &[0, 1], vectors, &mut cpu, &config).unwrap();
 
@@ -158,11 +152,7 @@ fn exploration_is_stall_gated() {
         vector_tuples: 8_192,
         max_vectors: None,
     };
-    let config = ProgressiveConfig {
-        reop_interval: 2,
-        ..Default::default()
-    };
-    assert!(config.explore_correlation, "exploration is on by default");
+    let config = ProgressiveConfig { reop_interval: 2 };
 
     // Converging workload: no exploratory switches at all.
     let t = drift_table(rows);

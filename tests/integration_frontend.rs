@@ -6,7 +6,7 @@
 //! cache across sliding parameters.
 
 use popt::core::parallel::{run_parallel_program, MorselConfig};
-use popt::core::plan::{passes, Expr, PassRegistry, PlanBuilder};
+use popt::core::plan::{passes, Expr, PlanBuilder};
 use popt::core::progressive::{run_progressive_program, ProgressiveConfig, VectorConfig};
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
 use popt::cpu::{CpuConfig, CpuPool, SimCpu};
@@ -97,10 +97,7 @@ fn frontend_program_is_a_drop_in_for_its_scalar_oracle() {
     assert_eq!(c1.counters().cycles, c2.counters().cycles);
 
     // Progressive: same convergence trajectory from the same start.
-    let reopt = ProgressiveConfig {
-        reop_interval: 3,
-        ..Default::default()
-    };
+    let reopt = ProgressiveConfig { reop_interval: 3 };
     let vectors = VectorConfig {
         vector_tuples: 1024,
         max_vectors: None,
@@ -148,7 +145,7 @@ fn frontend_program_is_a_drop_in_for_its_scalar_oracle() {
     }
 }
 
-/// The standard pass registry is result-preserving and never raises a
+/// The optimizer passes are result-preserving and never raise a
 /// node's estimated input cardinality; lowering performs the same
 /// normalization itself, so skipping the passes changes nothing about
 /// the answer.
@@ -194,14 +191,12 @@ fn optimizer_passes_preserve_results_and_lower_estimates() {
     assert_eq!(u.qualified, o.qualified);
     assert_eq!(u.sum, o.sum);
 
-    // A custom registry composes the same passes in a different order
-    // and still agrees.
-    let custom = PassRegistry::empty()
-        .with("pushdown", passes::filter_pushdown)
-        .with("folding", passes::constant_folding)
-        .with("extraction", passes::join_condition_extraction)
-        .with("pruning", passes::projection_pruning);
-    let reordered = custom.run(build()).compile().unwrap();
+    // The same passes composed in a different order still agree.
+    let reordered = passes::projection_pruning(passes::join_condition_extraction(
+        passes::constant_folding(passes::filter_pushdown(build())),
+    ))
+    .compile()
+    .unwrap();
     let mut c3 = SimCpu::new(CpuConfig::tiny_test());
     let r = reordered.run_range(&mut c3, 0, ROWS);
     assert_eq!(r.qualified, o.qualified);
@@ -218,10 +213,7 @@ fn compiled_templates_warm_across_sliding_literals() {
     let (fact, dim) = tables(0xF62);
     let config = ServeConfig {
         morsels: MorselConfig::new(1024),
-        reopt: Some(ProgressiveConfig {
-            reop_interval: 3,
-            ..Default::default()
-        }),
+        reopt: Some(ProgressiveConfig { reop_interval: 3 }),
         use_order_cache: true,
         dynamic_repartition: false,
     };

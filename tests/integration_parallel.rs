@@ -8,17 +8,19 @@
 //! ≥ 2.5× wall-clock speedup over one on the Figure-14-style workload.
 
 use popt::core::exec::program::CompiledProgram;
-use popt::core::parallel::{run_parallel_program, MorselConfig};
+use popt::core::parallel::{run_parallel_program, run_parallel_target_observed, MorselConfig};
 use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::{
-    run_baseline, run_progressive_program, ProgressiveConfig, VectorConfig,
+    run_baseline, run_progressive_program, CompiledTarget, ProgressiveConfig, VectorConfig,
 };
+use popt::core::ExecObservers;
 use popt::cpu::{CpuConfig, CpuPool, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::{fig14_mem_tables, xorshift64, DOMAIN};
 
 mod common;
+use common::rigged::Rigged;
 use common::small_cache_cpu;
 
 const ROWS: usize = 1 << 17;
@@ -83,10 +85,7 @@ fn parallel_scan_is_bit_identical_to_serial_for_any_worker_count() {
             // Baseline (no reopt) and progressive must both be exact.
             for progressive in [false, true] {
                 let mut pool = CpuPool::new(CpuConfig::ivy_bridge(), workers);
-                let config = ProgressiveConfig {
-                    reop_interval: 2,
-                    ..Default::default()
-                };
+                let config = ProgressiveConfig { reop_interval: 2 };
                 let report = run_parallel_program(
                     &mut CompiledProgram::from_selection(&t, &plan, &peo).unwrap(),
                     &peo,
@@ -116,10 +115,7 @@ fn parallel_progressive_scan_converges_like_serial() {
         &[2, 1, 0], // descending selectivity: worst order
         MorselConfig::new(2_048),
         &mut pool,
-        Some(&ProgressiveConfig {
-            reop_interval: 2,
-            ..Default::default()
-        }),
+        Some(&ProgressiveConfig { reop_interval: 2 }),
     )
     .unwrap();
     assert_eq!(
@@ -152,10 +148,7 @@ fn parallel_pipeline_matches_serial_and_converges_to_same_order() {
             max_vectors: None,
         },
         &mut cpu,
-        &ProgressiveConfig {
-            reop_interval: 2,
-            ..Default::default()
-        },
+        &ProgressiveConfig { reop_interval: 2 },
     )
     .unwrap();
 
@@ -167,10 +160,7 @@ fn parallel_pipeline_matches_serial_and_converges_to_same_order() {
         &[1, 0],
         MorselConfig::new(4_096),
         &mut pool,
-        Some(&ProgressiveConfig {
-            reop_interval: 2,
-            ..Default::default()
-        }),
+        Some(&ProgressiveConfig { reop_interval: 2 }),
     )
     .unwrap();
 
@@ -216,28 +206,28 @@ fn four_workers_speed_up_the_pipeline_at_least_2_5x() {
 fn rejected_trials_never_spread_and_always_revert() {
     let (fact, dim) = fig14_mem_tables(1 << 16, 0xF00D);
     let mut program = build_program(&fact, &dim);
+    program.reorder(&[1, 0]).unwrap();
     let mut pool = CpuPool::new(small_cache_cpu(), 4);
-    // Every trial "regresses" under a negative tolerance: the published
-    // order must never change, and each trial must be marked reverted.
-    let report = run_parallel_program(
-        &mut program,
-        &[1, 0],
+    // Every trial morsel regresses (the rigged target charges any order
+    // but the start order): the published order must never change, and
+    // each trial must be marked reverted.
+    let mut target = Rigged::new(CompiledTarget::new(&mut program)).with_regressing_trials();
+    let report = run_parallel_target_observed(
+        &mut target,
         MorselConfig::new(4_096),
         &mut pool,
-        Some(&ProgressiveConfig {
-            reop_interval: 2,
-            regression_tolerance: -1.0,
-            explore_correlation: false,
-            ..Default::default()
-        }),
+        Some(&ProgressiveConfig { reop_interval: 2 }),
+        &ExecObservers::none(),
     )
     .unwrap();
     assert_eq!(report.final_order, vec![1, 0]);
+    assert!(!report.switches.is_empty(), "no trial ran");
     assert!(
         report.switches.iter().all(|s| s.reverted),
         "{:?}",
         report.switches
     );
+    drop(target);
     assert_eq!(program.order(), &[1, 0]);
 }
 
@@ -262,10 +252,7 @@ fn zero_reop_interval_and_zero_morsel_are_rejected() {
         &[0, 1, 2],
         MorselConfig::new(1_024),
         &mut pool,
-        Some(&ProgressiveConfig {
-            reop_interval: 0,
-            ..Default::default()
-        }),
+        Some(&ProgressiveConfig { reop_interval: 0 }),
     )
     .unwrap_err();
     assert!(matches!(

@@ -94,10 +94,7 @@ fn assert_progressive_recovers(window: usize) {
             max_vectors: None,
         },
         &mut cpu,
-        &ProgressiveConfig {
-            reop_interval: 2,
-            ..Default::default()
-        },
+        &ProgressiveConfig { reop_interval: 2 },
     )
     .expect("progressive program runs");
 
@@ -160,10 +157,7 @@ fn progressive_pipeline_aggregate_is_order_independent() {
             max_vectors: None,
         },
         &mut cpu,
-        &ProgressiveConfig {
-            reop_interval: 2,
-            ..Default::default()
-        },
+        &ProgressiveConfig { reop_interval: 2 },
     )
     .expect("progressive program runs");
     assert_eq!(prog.qualified, expect.qualified);

@@ -93,10 +93,7 @@ fn program_spec<'t>(
 fn config(reopt: bool) -> ServeConfig {
     ServeConfig {
         morsels: MorselConfig::new(1024),
-        reopt: reopt.then(|| ProgressiveConfig {
-            reop_interval: 3,
-            ..Default::default()
-        }),
+        reopt: reopt.then_some(ProgressiveConfig { reop_interval: 3 }),
         use_order_cache: true,
         dynamic_repartition: false,
     }
@@ -420,10 +417,7 @@ fn config_validation_and_empty_batches() {
 
     // reop_interval = 0 is rejected before any thread spawns.
     let mut server = QueryServer::new(ServeConfig {
-        reopt: Some(ProgressiveConfig {
-            reop_interval: 0,
-            ..Default::default()
-        }),
+        reopt: Some(ProgressiveConfig { reop_interval: 0 }),
         ..ServeConfig::default()
     });
     server.admit(QuerySpec::scan(

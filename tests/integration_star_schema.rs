@@ -24,10 +24,7 @@ fn star() -> StarSchema {
 }
 
 fn config() -> ProgressiveConfig {
-    ProgressiveConfig {
-        reop_interval: 2,
-        ..Default::default()
-    }
+    ProgressiveConfig { reop_interval: 2 }
 }
 
 /// Plan-order indices of `star_program` with a selection: 0 = select,

@@ -283,7 +283,7 @@ proptest! {
         let sockets = sockets.min(workers); // topology requires sockets <= cores
         for mode in [LlcMode::Private, LlcMode::Shared] {
             for progressive in [false, true] {
-                let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
+                let config = ProgressiveConfig { reop_interval: 2 };
                 let run = |oracle: bool| {
                     let p = plan(&fact, &dim, stages, kinds, lit);
                     let mut program = p.compile().expect("plan lowers");

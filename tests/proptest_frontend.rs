@@ -16,13 +16,16 @@ use proptest::prelude::*;
 
 use popt::core::exec::program::CompiledProgram;
 use popt::core::plan::passes::{
-    constant_folding, filter_pushdown, join_condition_extraction, projection_pruning, Pass,
+    constant_folding, filter_pushdown, join_condition_extraction, projection_pruning,
 };
-use popt::core::plan::{Expr, LogicalPlan, PassRegistry, PlanBuilder};
+use popt::core::plan::{Expr, LogicalPlan, PlanBuilder};
 use popt::cpu::{CpuConfig, SimCpu};
 
 mod common;
 use common::{plan, tables, ROWS};
+
+/// One static optimizer pass.
+type Pass = for<'t> fn(LogicalPlan<'t>) -> LogicalPlan<'t>;
 
 fn compile<'t>(plan: &LogicalPlan<'t>) -> CompiledProgram<'t> {
     plan.compile().expect("plan lowers")
@@ -81,22 +84,22 @@ proptest! {
             ("filter-pushdown", filter_pushdown as Pass),
             ("projection-pruning", projection_pruning as Pass),
         ];
-        let mut registry = PassRegistry::empty();
+        let mut passes = Vec::new();
         let mut code = perm;
         for remaining in (1..=4usize).rev() {
             let pick = code % remaining;
             code /= remaining;
-            let (name, pass) = available.remove(pick);
-            registry = registry.with(name, pass);
+            passes.push(available.remove(pick));
         }
+        let names: Vec<_> = passes.iter().map(|(name, _)| *name).collect();
 
-        let optimized = registry.run(messy());
+        let optimized = passes.iter().fold(messy(), |plan, (_, pass)| pass(plan));
         let program = compile(&optimized);
         prop_assert_eq!(program.len(), reference.len(), "same conjuncts survive");
         let mut cpu = SimCpu::new(CpuConfig::tiny_test());
         let got = program.run_range(&mut cpu, 0, ROWS);
-        prop_assert_eq!(got.qualified, expect.qualified, "order {:?}", registry.names());
-        prop_assert_eq!(got.sum, expect.sum, "order {:?}", registry.names());
+        prop_assert_eq!(got.qualified, expect.qualified, "order {:?}", names);
+        prop_assert_eq!(got.sum, expect.sum, "order {:?}", names);
     }
 
     /// Filter pushdown only ever lowers the estimated input cardinality

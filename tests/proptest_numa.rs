@@ -63,7 +63,7 @@ proptest! {
                         );
                         pool.set_placement(&placement);
                     }
-                    let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
+                    let config = ProgressiveConfig { reop_interval: 2 };
                     let report = run_parallel_program(
                         &mut program,
                         &(0..stages).collect::<Vec<_>>(),

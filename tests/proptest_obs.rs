@@ -116,7 +116,7 @@ proptest! {
         morsel_tuples in 128usize..1500,
     ) {
         let (fact, dim) = tables(seed);
-        let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
+        let config = ProgressiveConfig { reop_interval: 2 };
         for sockets in [1usize, 2] {
             if sockets > workers {
                 continue;
@@ -259,7 +259,7 @@ proptest! {
         morsel_tuples in 128usize..1500,
     ) {
         let (fact, dim) = tables(seed);
-        let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
+        let config = ProgressiveConfig { reop_interval: 2 };
         let order: Vec<usize> = (0..stages).collect();
         for sockets in [1usize, 2] {
             if sockets > workers {

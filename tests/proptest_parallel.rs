@@ -40,7 +40,7 @@ proptest! {
         for progressive in [false, true] {
             let mut program = build(&fact, &dim, stages, kinds, lit);
             let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-            let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
+            let config = ProgressiveConfig { reop_interval: 2 };
             let report = run_parallel_program(
                 &mut program,
                 &(0..stages).collect::<Vec<_>>(),
@@ -96,7 +96,7 @@ proptest! {
 
         for progressive in [false, true] {
             let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-            let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
+            let config = ProgressiveConfig { reop_interval: 2 };
             let report = run_parallel_program(
                 &mut compiled.clone(),
                 &peo,

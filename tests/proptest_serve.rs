@@ -101,10 +101,7 @@ proptest! {
         let mut refs = Vec::new();
         let mut server = QueryServer::new(ServeConfig {
             morsels: MorselConfig::new(morsel_tuples),
-            reopt: reopt.then(|| ProgressiveConfig {
-                reop_interval: 2,
-                ..Default::default()
-            }),
+            reopt: reopt.then_some(ProgressiveConfig { reop_interval: 2 }),
             use_order_cache: use_cache,
             dynamic_repartition: false,
         });

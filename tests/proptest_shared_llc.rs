@@ -38,7 +38,7 @@ proptest! {
             for progressive in [false, true] {
                 let mut program = build(&fact, &dim, stages, kinds, lit);
                 let mut pool = CpuPool::with_mode(CpuConfig::tiny_test(), workers, mode);
-                let config = ProgressiveConfig { reop_interval: 2, ..Default::default() };
+                let config = ProgressiveConfig { reop_interval: 2 };
                 let report = run_parallel_program(
                     &mut program,
                     &(0..stages).collect::<Vec<_>>(),
