@@ -134,8 +134,9 @@ pub fn bench_metric(name: &str, value: f64) {
 }
 
 /// Record a benchmark metric with an explicit relative tolerance. Values
-/// that are host-elastic by design (multi-worker walls, latency
-/// percentiles under reoptimization) need a loose tolerance; last write
+/// that move with any change to where a pool's trials and rounds land
+/// (multi-worker walls, latency percentiles under reoptimization) need a
+/// loose tolerance; last write
 /// wins when a figure re-records a name. The tolerance must lie in
 /// `[0, 1)`: at `tol >= 1` a value that collapsed to zero still passes,
 /// so the gate could never trip downward.

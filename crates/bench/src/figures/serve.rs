@@ -397,11 +397,10 @@ fn warm_vs_cold<'t>(mix: &'t Mix, refs: &[(u64, i64); 3], shared: bool) {
     // A coarse reopt interval, for signal-to-noise: the cold run pays a
     // full interval of worst-order morsels before its first estimate can
     // fix the order (the convergence cost a warm start skips), while the
-    // optimizer runs few enough rounds that the elastic multi-worker
-    // round scheduling (rounds are skipped while a fit is in flight —
-    // host-speed dependent by design) cannot swamp the comparison. At
-    // the serving default cadence the convergence cost is only a few
-    // morsels and the comparison drowns in optimizer-cycle jitter.
+    // optimizer runs few enough rounds that where the multi-worker
+    // rounds land cannot swamp the comparison. At the serving default
+    // cadence the convergence cost is only a few morsels and the
+    // comparison drowns in optimizer-cycle jitter.
     let warmcold_config = || ServeConfig {
         reopt: Some(popt_core::progressive::ProgressiveConfig { reop_interval: 32 }),
         ..config()
@@ -477,8 +476,8 @@ fn warm_vs_cold<'t>(mix: &'t Mix, refs: &[(u64, i64); 3], shared: bool) {
         };
         let overhead = |cost: u64| (cost as f64 / best as f64 - 1.0) * 100.0;
         let (cold_pct, warm_pct) = (overhead(cold_cost), overhead(warm_cost));
-        // Best is a solo single-core static run — fully deterministic;
-        // the served costs are host-elastic under reoptimization.
+        // Best is a solo single-core static run; the served costs move
+        // with where the pool's trials and rounds land.
         bench_metric(&format!("warmcold.{template}.best_ms"), cycles_to_ms(best));
         bench_metric_tol(
             &format!("warmcold.{template}.cold_ms"),

@@ -6,15 +6,12 @@
 //!
 //! * **bit-identity** — the Figure-14-style "Mem" workload (selection +
 //!   LLC-thrashing random FK probe, started join-first so the loop has
-//!   work to do) runs twice on one worker with reoptimization on: once
-//!   untraced, once with the full event stream captured. The two
-//!   [`ParallelReport`]s must compare equal field-for-field — cycles,
-//!   switches, orders, counters — because every stamp reads simulated
-//!   clocks the engine already maintains and the sink hangs outside the
-//!   costed path. (On multi-worker pools with reoptimization, which
-//!   round leases a trial is host-interleaving-elastic by design, so the
-//!   multi-worker pair asserts result/order identity, the same contract
-//!   the executor itself documents.)
+//!   work to do) runs twice, on one worker and on a pool, with
+//!   reoptimization on: once untraced, once with the full event stream
+//!   captured. Each pair's [`ParallelReport`]s must compare equal
+//!   field-for-field — cycles, switches, orders, counters — because
+//!   every stamp reads simulated clocks the engine already maintains and
+//!   the sink hangs outside the costed path.
 //! * **event census** — what the traced multi-worker run actually
 //!   emitted, by kind: morsel claims, reopt rounds with their fitted
 //!   selectivities, trial leases/accepts/reverts, epoch publications.
@@ -135,19 +132,16 @@ pub fn run(ctx: &FigureCtx) {
     );
 
     let (plain_nw, traced_nw, records_nw) = run_pair(WORKERS, 1);
-    let results_equal = plain_nw.qualified == traced_nw.qualified
-        && plain_nw.sum == traced_nw.sum
-        && plain_nw.morsels == traced_nw.morsels;
     row(&[
         "pool".to_string(),
         WORKERS.to_string(),
         "on".to_string(),
         (plain_nw.wall_cycles == traced_nw.wall_cycles).to_string(),
-        results_equal.to_string(),
+        (plain_nw == traced_nw).to_string(),
     ]);
     check(
-        results_equal,
-        "traced multi-worker results must be bit-identical to untraced",
+        plain_nw == traced_nw,
+        "multi-worker traced report must equal the untraced report field-for-field",
     );
 
     // --- Part 2: event census of the traced multi-worker run. ---

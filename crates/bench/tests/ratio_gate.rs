@@ -5,9 +5,9 @@
 //! 3-predicate aggregate scan (the shape run compression serves: long
 //! runs of rows failing the leading predicate) and on a 3-join star
 //! whose co-clustered probe leads (runs of rows failing that probe). On
-//! that star, a standalone core — whose hierarchy walks run on the walker
-//! thread beside the row loop — must also beat a pool core, which walks
-//! inline.
+//! that star, a core whose hierarchy walks run on the walker thread beside
+//! the row loop must also beat the same pass walked inline, while a decoy
+//! core holds the walker.
 //!
 //! The assertion is a *ratio* measured within one process — both sides
 //! see the same machine, load, and frequency — so it is far more stable
@@ -26,7 +26,7 @@ use popt_core::exec::program::CompiledProgram;
 use popt_core::exec::scan::VectorStats;
 use popt_core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt_core::predicate::{CompareOp, Predicate};
-use popt_cpu::{walker_batches, Counters, CpuPool, SimCpu};
+use popt_cpu::{walker_batches, Counters, SimCpu};
 use popt_storage::{AddressSpace, ColumnData, Table};
 
 const ROWS: usize = 1 << 21;
@@ -201,10 +201,11 @@ fn batched_probe_led_star_beats_scalar_oracle_by_the_run_floor() {
     assert_ratio(&mut program, MIN_STAR_RATIO);
 }
 
-/// The probe-led star on a standalone core, whose batch hands its walks
-/// to the walker thread, against the same pass on a pool core, which
-/// walks inline: equal outcomes, and the pipe must pay. A one-core host
-/// has no walker, so there the case has nothing to measure.
+/// The probe-led star on a core whose batch hands its walks to the
+/// walker thread, against the same pass while a decoy core holds a batch
+/// open on the walker, so the pass finds it busy and walks inline: equal
+/// outcomes, and the pipe must pay. A one-core host has no walker, so
+/// there the case has nothing to measure.
 #[test]
 #[ignore = "host-timing gate; CI runs it in release via -- --ignored"]
 fn walker_thread_beats_inline_walks_on_the_probe_led_star() {
@@ -220,8 +221,16 @@ fn walker_thread_beats_inline_walks_on_the_probe_led_star() {
         walker_batches() > drained,
         "no pass ran on the walker thread"
     );
-    let pool_core = || CpuPool::new(scaled_cpu(), 1).cores()[0].clone();
-    let (inline_s, inline_out) = best_pass_on(&program, pool_core);
+    let mut decoy = SimCpu::new(scaled_cpu());
+    let open = decoy.batch();
+    let drained = walker_batches();
+    let (inline_s, inline_out) = best_pass_on(&program, || SimCpu::new(scaled_cpu()));
+    assert_eq!(
+        walker_batches(),
+        drained,
+        "a pass ran on the walker thread while the decoy held it"
+    );
+    drop(open);
     assert_eq!(
         piped_out, inline_out,
         "the walker thread diverged from inline walks"

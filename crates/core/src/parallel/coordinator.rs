@@ -1,14 +1,14 @@
 //! The pooled drive of the §4.4 policy: N workers, one policy state per
 //! socket.
 //!
-//! Worker threads (one per [`CpuPool`] core) claim morsels from the
-//! shared dispatcher and execute them on their private simulated cores.
-//! The *decisions* — when an order is explored, probed, proposed,
-//! accepted, reverted or remembered as rejected, and what a fit costs —
-//! are the crate-private `policy` module's, the same object the serial
-//! drive in [`crate::progressive`] owns (its module docs list the four
-//! things a drive decides for itself, and why). What this module adds is
-//! what only a pool needs:
+//! Workers (one per [`CpuPool`] core) claim morsels from the dispatcher
+//! and execute them on their private simulated cores. The *decisions* —
+//! when an order is explored, probed, proposed, accepted, reverted or
+//! remembered as rejected, and what a fit costs — are the crate-private
+//! `policy` module's, the same object the serial drive in
+//! [`crate::progressive`] owns (its module docs list the four things a
+//! drive decides for itself, and why). What this module adds is what only
+//! a pool needs:
 //!
 //! * **Sampling** — every morsel executed under the currently accepted
 //!   order accumulates into its worker's window; a due round fuses the
@@ -17,28 +17,30 @@
 //!   interval, not once per core.
 //! * **Epoch publication** — an accepted order bumps the epoch; workers
 //!   notice at their next morsel boundary and re-chain their
-//!   pre-compiled primitives (the vectorized switch of §4.4, now
-//!   concurrent). Morsels measured under a stale epoch still count
-//!   toward the query result but are excluded from the sample window.
+//!   pre-compiled primitives (the vectorized switch of §4.4). Morsels
+//!   measured under a stale epoch still count toward the query result
+//!   but are excluded from the sample window.
 //! * **Trial leasing** — a scheduled trial is leased to exactly one
 //!   worker: it runs one morsel under the candidate order and resolves
 //!   it. A bad candidate therefore never runs on more than one core,
 //!   while the other workers keep streaming under the incumbent order.
 //!
-//! [`CoordState`]'s methods are each a *locked step*: the caller holds
-//! the run's one mutex, and the expensive estimate always runs between
-//! two locked steps, outside the lock. Both pooled drives — this
-//! module's [`run_parallel_target_observed`] (one `CoordState` per run)
-//! and the serving layer (`crate::serve`, one per admitted query) — run
-//! on the same skeleton, written once here: [`run_workers`] spawns one
-//! worker per pool core over the drive's state behind that mutex and
-//! keeps the first error, and [`run_morsel`] is the per-morsel step
-//! (re-chain, execute, log the claim, report through the locked steps).
-//! Each drive keeps only its own boundary lock and what it does around
-//! the step: the pool its affinity dispatch and profiler lanes, the
-//! server admission, scheduling, repartition and completion accounting.
-
-use std::sync::{Mutex, MutexGuard};
+//! Both pooled drives — this module's [`run_parallel_target_observed`]
+//! (one [`CoordState`] per run) and the serving layer (`crate::serve`,
+//! one per admitted query) — run on one driver, written once here:
+//! [`run_workers`] steps every worker on the calling thread, always the
+//! one with the lowest simulated clock `(now, w)`. A worker alternates
+//! two steps: its *boundary* (claim a morsel, sync its order or lease a
+//! trial through [`CoordState::begin_morsel`], and execute the morsel on
+//! its core — [`run_morsel`]) and its *report* ([`report_morsel`]: the
+//! coordination step, any estimator fit run inline and charged to that
+//! worker's clock). Every coordination decision is therefore applied in
+//! simulated-time order, so a pooled run is a pure function of its
+//! inputs, like the serial drive; with one worker the sequence is the
+//! serial-shaped boundary, report, boundary, report. Each drive keeps
+//! only what it does around the two steps: the pool its affinity
+//! dispatch and profiler lanes, the server admission, scheduling,
+//! repartition and completion accounting.
 
 use popt_cost::cycles::{fleet_speedup, fleet_wall_cycles};
 use popt_cost::estimate::PlanGeometry;
@@ -177,21 +179,12 @@ struct SocketCoord {
     /// core's momentary cache state.
     epoch_cycles: u64,
     epoch_tuples: u64,
-    /// Whether an estimator round snapshot is being fitted outside the
-    /// lock; excludes concurrent reopt rounds like a pending trial does.
-    estimate_in_flight: bool,
     /// Effective LLC capacity (bytes) this socket's morsels run against
     /// — the smallest member share under contention, the full LLC
     /// otherwise. Every estimator fit prices its geometry with this
     /// capacity, so the proposals it produces reflect what a co-runner
     /// left the query.
     llc_share_bytes: u64,
-    /// Observed cycles of the window snapshot an in-flight estimator fit
-    /// was taken over, captured in [`CoordState::begin_reoptimize`]
-    /// before the windows are zeroed — the drift observatory's observed
-    /// side for the round's cycles-per-tuple residual. Valid while
-    /// `estimate_in_flight`.
-    fit_window_cycles: u64,
 }
 
 impl SocketCoord {
@@ -202,9 +195,7 @@ impl SocketCoord {
             morsels_since_reopt: 0,
             epoch_cycles: 0,
             epoch_tuples: 0,
-            estimate_in_flight: false,
             llc_share_bytes,
-            fit_window_cycles: 0,
         }
     }
 
@@ -224,16 +215,13 @@ impl SocketCoord {
 
 /// Per-query coordination state: the master target plus everything the
 /// §4.4 loop tracks between morsels, sliced per socket. Methods are the
-/// *locked steps* of the coordination protocol — the caller serializes
-/// them behind its run's one mutex ([`Pooled`]: this state alone for a
-/// dedicated pool, every admitted query's for the server) and runs the
-/// expensive estimator fits between steps, outside the lock.
+/// steps of the coordination protocol, each applied whole at the calling
+/// worker's simulated clock ([`run_workers`] orders them).
 ///
-/// The master target holds a single evaluation order, so every locked
-/// step that derives geometry, calibrates, or proposes for socket `s`
-/// first re-establishes `s`'s published (or trial) order on the target;
-/// cross-socket interleaving between locked steps can therefore never
-/// leak one socket's order into another's fit. A `set_order` the target
+/// The master target holds a single evaluation order, so every step that
+/// derives geometry, calibrates, or proposes for socket `s` first sets
+/// `s`'s published (or trial) order on the target; one socket's order
+/// therefore never leaks into another's fit. A `set_order` the target
 /// refuses ends the run with that error.
 pub(crate) struct CoordState<'a, T> {
     /// The master target: order tracking plus the shared estimator model
@@ -249,9 +237,9 @@ pub(crate) struct CoordState<'a, T> {
     windows: Vec<VectorStats>,
     pub(crate) switches: Vec<SwitchEvent>,
     pub(crate) estimates: usize,
-    /// Optimizer cycles charged per worker (to the core that ran the
-    /// estimator round).
-    pub(crate) optimizer_cycles: Vec<u64>,
+    /// Optimizer cycles of every fit this state booked (each worker's
+    /// own share is on its `Worker::opt`).
+    pub(crate) optimizer_cycles: u64,
     pub(crate) morsels_done: usize,
     /// The run's observers, attached when the state is built. Decision
     /// events go to the tracer (stamped on the calling worker's lane,
@@ -310,7 +298,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             windows: vec![VectorStats::zero(); workers],
             switches: Vec::new(),
             estimates: 0,
-            optimizer_cycles: vec![0; workers],
+            optimizer_cycles: 0,
             morsels_done: 0,
             obs,
             stage_keys,
@@ -347,8 +335,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
     /// `local_epoch`: lease a pending trial on `w`'s socket so the
     /// candidate runs on exactly this core, or tell the worker which
     /// published order to adopt. The caller applies the returned order
-    /// to its shard *outside* this state's lock (the shard is
-    /// worker-private).
+    /// to its worker-private shard.
     pub(crate) fn begin_morsel(&mut self, w: usize, local_epoch: u64) -> BoundaryAction {
         let s = self.socket_of[w];
         let sc = &mut self.sockets[s];
@@ -375,33 +362,9 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         }
     }
 
-    /// Locked step 1 of trial resolution for worker `w`: count the
-    /// morsel and derive the trial-order geometry the sample must be
-    /// fitted against — the master target moves to the trial order (it
-    /// is re-established in [`CoordState::resolve_trial`] regardless).
-    /// Returns the fit inputs for the estimate the caller runs outside
-    /// the lock, or `None` when the target does not calibrate from
-    /// trials.
-    pub(crate) fn trial_fit_inputs(
-        &mut self,
-        w: usize,
-        stats: &VectorStats,
-        cpu_cfg: &CpuConfig,
-    ) -> Result<Option<(PlanGeometry, SampledCounters)>, EngineError> {
-        self.morsels_done += 1;
-        let s = self.socket_of[w];
-        if !self.target.wants_trial_calibration() {
-            return Ok(None);
-        }
-        let sampled = stats.sampled_counters();
-        self.target.set_order(self.sockets[s].leased_trial())?;
-        let geom = self.geometry(s, sampled.n_input, cpu_cfg);
-        Ok(Some((geom, sampled)))
-    }
-
     /// Book a fit whose sample ran under the master target's current
-    /// order, charging its cycles to worker `w`.
-    fn book(&mut self, w: usize, fit: &Fit, observed_cpt: f64) -> u64 {
+    /// order, returning its cycles for the caller to charge.
+    fn book(&mut self, fit: &Fit, observed_cpt: f64) -> u64 {
         let drift = self.obs.drift.as_deref().map(|d| (d, &self.stage_keys[..]));
         let spent = book_fit(
             self.target,
@@ -411,31 +374,31 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             drift,
             &mut self.estimates,
         );
-        self.optimizer_cycles[w] += spent;
+        self.optimizer_cycles += spent;
         spent
     }
 
-    /// Locked step 2 of trial resolution: learn from the (externally
-    /// computed) fit, then let the policy accept — which publishes a new
-    /// epoch — or revert. Returns the published order and epoch after
-    /// resolution so the resolving worker can resync its shard, and the
-    /// optimizer cycles charged to `w`.
+    /// Report of a morsel worker `w` ran under its leased trial: count
+    /// the morsel, learn from its one-morsel sample under the trial order
+    /// (when the target calibrates from trials), then let the policy
+    /// accept — which publishes a new epoch — or revert. Returns the
+    /// published order and epoch after resolution, for the resolving
+    /// worker's shard, and the optimizer cycles charged to `w`.
     pub(crate) fn resolve_trial(
         &mut self,
         w: usize,
         stats: &VectorStats,
-        fit: Option<Fit>,
+        cpu_cfg: &CpuConfig,
     ) -> Result<(Peo, u64, u64), EngineError> {
+        self.morsels_done += 1;
         let s = self.socket_of[w];
         let cpt = stats.cycles_per_tuple();
         let mut spent = 0;
-        if let Some(fit) = fit {
-            // Another socket's locked step may have moved the master
-            // order since the fit inputs were derived; the trial morsel
-            // is a one-morsel window under the trial order, and its fit
-            // must be learnt from under that order.
+        if self.target.wants_trial_calibration() {
             self.target.set_order(self.sockets[s].leased_trial())?;
-            spent = self.book(w, &fit, cpt);
+            let sampled = stats.sampled_counters();
+            let fit = Fit::run(self.geometry(s, sampled.n_input, cpu_cfg), sampled);
+            spent = self.book(&fit, cpt);
         }
         let sc = &mut self.sockets[s];
         let (trial, reverted) = sc
@@ -481,13 +444,11 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         Ok((sc.policy.published().clone(), sc.epoch, spent))
     }
 
-    /// Locked step for a morsel executed under the accepted order:
-    /// accumulate it into worker `w`'s sample window and, when the
+    /// Report of a morsel worker `w` ran under the accepted order of
+    /// `epoch`: accumulate it into `w`'s sample window and, when the
     /// interval is due (and `work_remains` — a trial scheduled after the
-    /// last morsel was claimed could never run), start one
-    /// reoptimization round. A returned snapshot means the caller must
-    /// run the estimate outside the lock and feed it back through
-    /// [`CoordState::finish_reoptimize`].
+    /// last morsel was claimed could never run), run one reoptimization
+    /// round. Returns the optimizer cycles charged to `w`.
     pub(crate) fn note_normal(
         &mut self,
         w: usize,
@@ -496,13 +457,13 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         reopt: Option<&ProgressiveConfig>,
         cpu_cfg: &CpuConfig,
         work_remains: bool,
-    ) -> Result<Option<(PlanGeometry, SampledCounters)>, EngineError> {
+    ) -> Result<u64, EngineError> {
         self.morsels_done += 1;
         let s = self.socket_of[w];
         if epoch != self.sockets[s].epoch {
             // Measured under a stale epoch: counts toward the result,
             // excluded from the sample window.
-            return Ok(None);
+            return Ok(0);
         }
         self.windows[w].accumulate(stats);
         let sc = &mut self.sockets[s];
@@ -513,37 +474,63 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             Some(cfg)
                 if sc.morsels_since_reopt >= cfg.reop_interval
                     && sc.policy.trial_order().is_none()
-                    && !sc.estimate_in_flight
                     && work_remains =>
             {
-                self.begin_reoptimize(s, cpu_cfg)
+                self.reoptimize(w, cpu_cfg)
             }
-            _ => Ok(None),
+            _ => Ok(0),
         }
     }
 
-    /// Locked step closing a reoptimization round whose estimate ran
-    /// outside the lock: learn from the fit, ask the target for its
-    /// proposal and hand it to the policy. No trial can have been
-    /// scheduled nor the epoch moved since [`CoordState::note_normal`]
-    /// returned the snapshot — both only happen inside reopt rounds, and
-    /// `estimate_in_flight` excluded those. Returns the optimizer cycles
-    /// charged to `w`.
-    pub(crate) fn finish_reoptimize(&mut self, w: usize, fit: &Fit) -> Result<u64, EngineError> {
+    /// One reoptimization round on worker `w`'s socket `s`: the policy
+    /// takes the cheap paths (stall exploration, measurement probe)
+    /// itself; otherwise fuse the windows of `s`'s workers into one
+    /// sample — the solver fits *per-socket* counter windows, so each
+    /// socket's estimate sees only counters generated under its own order
+    /// and placement — fit it, learn from the fit, and hand the target's
+    /// proposal to the policy. Returns the optimizer cycles charged to
+    /// `w`.
+    fn reoptimize(&mut self, w: usize, cpu_cfg: &CpuConfig) -> Result<u64, EngineError> {
         let s = self.socket_of[w];
+        // The probe choice, the geometry, the calibration and the
+        // proposal all read the target's order: the one the windows
+        // sampled.
+        self.target.set_order(self.sockets[s].policy.published())?;
         let sc = &mut self.sockets[s];
-        sc.estimate_in_flight = false;
-        // Another socket's locked step may have moved the master order
-        // since the snapshot; re-establish this socket's published order
-        // (which the geometry was built under, and which `s`'s pending
-        // state guarantees is unchanged) before learning and proposing.
-        self.target.set_order(sc.policy.published())?;
-        let observed_cpt = if fit.sampled.n_input > 0 {
-            sc.fit_window_cycles as f64 / fit.sampled.n_input as f64
+        sc.morsels_since_reopt = 0;
+        let baseline_cpt = sc.epoch_cpt();
+        if !sc.policy.open_round(
+            self.target,
+            &mut self.switches,
+            self.morsels_done,
+            baseline_cpt,
+        ) {
+            return Ok(0);
+        }
+
+        // Fuse this socket's per-worker windows into one socket-wide
+        // sample — one estimator round serves the socket — and empty
+        // them. Their cycles are the observed side of the round's
+        // cycles-per-tuple residual.
+        let mut samples = Vec::new();
+        let mut window_cycles = 0;
+        for (wi, window) in self.windows.iter_mut().enumerate() {
+            if self.socket_of[wi] == s && window.tuples > 0 {
+                samples.push(window.sampled_counters());
+                window_cycles += window.counters.cycles;
+                *window = VectorStats::zero();
+            }
+        }
+        let Some(merged) = SampledCounters::merged(&samples) else {
+            return Ok(0);
+        };
+        let observed_cpt = if merged.n_input > 0 {
+            window_cycles as f64 / merged.n_input as f64
         } else {
             0.0
         };
-        let spent = self.book(w, fit, observed_cpt);
+        let fit = Fit::run(self.geometry(s, merged.n_input, cpu_cfg), merged);
+        let spent = self.book(&fit, observed_cpt);
         let sc = &mut self.sockets[s];
         let proposed = self
             .target
@@ -555,7 +542,6 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             fit_error: fit.estimate.objective,
             proposed: (&proposed != sc.policy.published()).then(|| proposed.clone()),
         });
-        let baseline_cpt = sc.epoch_cpt();
         sc.policy.consider(
             proposed,
             &mut self.switches,
@@ -563,52 +549,6 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             baseline_cpt,
         );
         Ok(spent)
-    }
-
-    /// Start a reoptimization round on socket `s`: the policy takes the
-    /// cheap paths (stall exploration, measurement probe) itself;
-    /// otherwise snapshot the fused windows of `s`'s workers for an
-    /// estimator round the caller runs outside the lock — the solver
-    /// fits *per-socket* counter windows, so each socket's estimate sees
-    /// only counters generated under its own order and placement.
-    fn begin_reoptimize(
-        &mut self,
-        s: usize,
-        cpu_cfg: &CpuConfig,
-    ) -> Result<Option<(PlanGeometry, SampledCounters)>, EngineError> {
-        let sc = &mut self.sockets[s];
-        sc.morsels_since_reopt = 0;
-        let baseline_cpt = sc.epoch_cpt();
-        if !sc.policy.open_round(
-            self.target,
-            &mut self.switches,
-            self.morsels_done,
-            baseline_cpt,
-        ) {
-            return Ok(None);
-        }
-
-        // Fuse this socket's per-worker windows into one socket-wide
-        // sample — one estimator round serves the socket — and empty
-        // them: the next interval accumulates fresh while the fit runs.
-        // Their cycles are the observed side of the round's
-        // cycles-per-tuple residual.
-        let mut samples = Vec::new();
-        sc.fit_window_cycles = 0;
-        for (wi, window) in self.windows.iter_mut().enumerate() {
-            if self.socket_of[wi] == s && window.tuples > 0 {
-                samples.push(window.sampled_counters());
-                sc.fit_window_cycles += window.counters.cycles;
-                *window = VectorStats::zero();
-            }
-        }
-        let Some(merged) = SampledCounters::merged(&samples) else {
-            return Ok(None);
-        };
-        // The geometry must describe the order the windows sampled.
-        self.target.set_order(sc.policy.published())?;
-        sc.estimate_in_flight = true;
-        Ok(Some((self.geometry(s, merged.n_input, cpu_cfg), merged)))
     }
 
     /// Re-seed a query that has not yet executed any morsel from a cached
@@ -656,89 +596,65 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
     }
 }
 
-/// A pooled run's shared state: the drive's state behind the run's one
-/// mutex, next to the first error any worker hit.
-pub(crate) struct Pooled<S> {
-    slot: Mutex<Slot<S>>,
+/// A pooled worker's pending step in [`run_workers`].
+pub(crate) enum Step {
+    /// Its boundary: claim work — execute a morsel, idle toward the next
+    /// arrival, or find none left.
+    Boundary,
+    /// Its report of the morsel it just executed.
+    Report(Executed),
+    /// Its share of the run is claimed and reported.
+    Done,
 }
 
-/// What a [`Pooled`] run's mutex guards.
-pub(crate) struct Slot<S> {
-    /// The drive's state: one query's [`CoordState`] for a dedicated
-    /// pool, every admitted query's for the server.
-    pub(crate) state: S,
-    error: Option<EngineError>,
+/// A morsel a worker executed at its boundary, awaiting its report at
+/// the morsel's end.
+pub(crate) struct Executed {
+    /// The query the morsel belongs to.
+    pub(crate) query: usize,
+    pub(crate) stats: VectorStats,
+    /// Whether the morsel ran the worker's leased trial.
+    trial: bool,
 }
 
-impl<S> Pooled<S> {
-    /// The run's one mutex. A poisoned lock means a sibling worker
-    /// panicked mid-step; the state is not trusted past that.
-    pub(crate) fn locked(&self) -> MutexGuard<'_, Slot<S>> {
-        self.slot.lock().expect("pooled run lock")
-    }
-
-    /// A worker's boundary lock: `None` once a sibling failed, so the
-    /// worker stops instead of starting another morsel.
-    pub(crate) fn boundary(&self) -> Option<MutexGuard<'_, Slot<S>>> {
-        let slot = self.locked();
-        slot.error.is_none().then_some(slot)
-    }
-}
-
-/// The worker scaffold of both pooled drives: run `work` on one thread
-/// per pool core — worker `w` gets core `w` and `locals[w]` — over
-/// `state` behind one mutex, and join in worker order. The first error a
-/// worker returns is kept; its siblings see it at their next
-/// [`Pooled::boundary`] and stop. Returns the state and the per-worker
-/// results, or that error. A worker panic propagates to the caller.
-pub(crate) fn run_workers<S, L, R>(
-    pool: &mut CpuPool,
-    state: S,
+/// The driver of both pooled drives: step the workers — worker `w` on
+/// pool core `w` with `locals[w]` — on the calling thread, always the one
+/// with the lowest `(now, w)`, until every worker is done. `step` takes a
+/// worker's pending step and returns its next. A step's error ends the
+/// run and returns as it is. Returns the workers with their locals, in
+/// worker order.
+pub(crate) fn run_workers<'c, L>(
+    pool: &'c mut CpuPool,
     locals: Vec<L>,
-    work: impl Fn(usize, &mut SimCpu, L, &Pooled<S>) -> Result<R, EngineError> + Sync,
-) -> Result<(S, Vec<R>), EngineError>
-where
-    S: Send,
-    L: Send,
-    R: Send,
-{
-    let shared = Pooled {
-        slot: Mutex::new(Slot { state, error: None }),
-    };
-    let results: Vec<Option<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = pool
-            .cores_mut()
-            .iter_mut()
-            .zip(locals)
-            .enumerate()
-            .map(|(w, (core, local))| {
-                let (shared, work) = (&shared, &work);
-                scope.spawn(move || {
-                    work(w, core, local, shared)
-                        .map_err(|err| {
-                            shared.locked().error.get_or_insert(err);
-                        })
-                        .ok()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("pool worker panicked"))
-            .collect()
-    });
-    let Slot { state, error } = shared.slot.into_inner().expect("no worker held the lock");
-    match error {
-        Some(err) => Err(err),
-        None => Ok((state, results.into_iter().flatten().collect())),
+    mut step: impl FnMut(&mut Worker<'c>, &mut L, Step) -> Result<Step, EngineError>,
+) -> Result<Vec<(Worker<'c>, L)>, EngineError> {
+    let socket_of: Vec<usize> = (0..pool.len()).map(|w| pool.socket_of(w)).collect();
+    let mut workers: Vec<(Worker<'c>, L, Step)> = pool
+        .cores_mut()
+        .iter_mut()
+        .zip(locals)
+        .enumerate()
+        .map(|(w, (core, local))| (Worker::new(w, socket_of[w], core), local, Step::Boundary))
+        .collect();
+    while let Some((worker, local, pending)) = workers
+        .iter_mut()
+        .filter(|(.., pending)| !matches!(pending, Step::Done))
+        .min_by_key(|(worker, ..)| (worker.now(), worker.w))
+    {
+        let taken = std::mem::replace(pending, Step::Done);
+        *pending = step(worker, local, taken)?;
     }
+    Ok(workers
+        .into_iter()
+        .map(|(worker, local, _)| (worker, local))
+        .collect())
 }
 
 /// One pool worker: its slot, its socket, its private core, and its
 /// simulated wall position — busy plus idle cycles since the run began,
 /// plus the optimizer cycles its own estimator rounds were charged. The
-/// position is a pure function of the simulation; trace stamps and
-/// profiler lanes follow it, never host time.
+/// position is a pure function of the simulation; the driver's step
+/// order, trace stamps and profiler lanes follow it, never host time.
 pub(crate) struct Worker<'c> {
     pub(crate) w: usize,
     socket: usize,
@@ -751,7 +667,7 @@ pub(crate) struct Worker<'c> {
 
 impl<'c> Worker<'c> {
     /// Worker `w` of `socket`, starting its clock on `core`.
-    pub(crate) fn new(w: usize, socket: usize, core: &'c mut SimCpu) -> Self {
+    fn new(w: usize, socket: usize, core: &'c mut SimCpu) -> Self {
         Self {
             w,
             socket,
@@ -807,9 +723,9 @@ impl<S: TargetShard> WorkerShard<S> {
 }
 
 /// What every morsel of a pooled run shares: the reoptimization
-/// settings, the core model fits price with, and the observers the step
-/// feeds (the profiler with the plan-indexed stage weights it
-/// apportions by).
+/// settings, the core model fits price with, and the observers the steps
+/// feed (the profiler with the plan-indexed stage weights it apportions
+/// by).
 #[derive(Clone, Copy)]
 pub(crate) struct RunCtx<'r> {
     pub(crate) reopt: Option<&'r ProgressiveConfig>,
@@ -818,30 +734,19 @@ pub(crate) struct RunCtx<'r> {
     pub(crate) profile: Option<(&'r Profiler, &'r [f64])>,
 }
 
-/// The morsel step of both pooled drives: apply the boundary decision
-/// `action` to the worker's shard, execute rows `start..end` on its core,
-/// log the claim under `query`, and report the morsel to the query's
-/// coordination state, which `coord` picks out of the drive's locked
-/// state. Reporting is locked step (cheap bookkeeping), unlocked
-/// estimate, locked step: the multi-start Nelder–Mead fit never runs
-/// under the run's mutex, so one worker's optimizer round never stalls
-/// the rest of the pool in host time. `work_remains` is read after the
-/// morsel ran (a trial scheduled once the last morsel is claimed could
-/// never run). Returns the morsel's stats; the optimizer cycles charged
-/// to the worker advance its clock.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_morsel<'a, S, T: ShardableTarget + 'a>(
-    shared: &Pooled<S>,
-    coord: impl Fn(&mut S) -> &mut CoordState<'a, T>,
+/// The execution half of both pooled drives' boundary step: apply the
+/// boundary decision `action` to the worker's shard, execute rows
+/// `start..end` on its core and log the claim under `query`. Returns the
+/// worker's report step.
+pub(crate) fn run_morsel<S: TargetShard>(
     worker: &mut Worker<'_>,
-    ws: &mut WorkerShard<T::Shard>,
+    ws: &mut WorkerShard<S>,
     action: BoundaryAction,
     (start, end): (usize, usize),
     query: usize,
     ctx: RunCtx<'_>,
-    work_remains: impl Fn() -> bool,
-) -> Result<VectorStats, EngineError> {
-    let is_trial = match action {
+) -> Result<Step, EngineError> {
+    let trial = match action {
         BoundaryAction::Trial(order) => {
             ws.rechain(order)?;
             true
@@ -860,61 +765,64 @@ pub(crate) fn run_morsel<'a, S, T: ShardableTarget + 'a>(
         let parts = morsel_stage_parts(&ws.order, weights, &stats);
         prof.record_morsel(w, socket, start_pos, &parts);
     }
-
-    // The lane position an optimizer round this boundary runs at: the
-    // morsel's end. Published before the report so the decision events
-    // its locked steps emit (accept / revert / reopt) stamp there.
-    let round_pos = worker.now();
     if let Some(tracer) = ctx.tracer {
-        tracer.set_clock(w, round_pos);
+        // The morsel's end, where the report's decision events (accept,
+        // revert, reopt) stamp.
+        tracer.set_clock(w, worker.now());
         tracer.emit(w, query, || TraceEvent::MorselClaim {
             socket,
             start_row: start,
             rows: end - start,
             start_cycles: start_pos,
             cycles: stats.counters.cycles,
-            trial: is_trial,
+            trial,
             epoch: ws.epoch,
         });
     }
+    Ok(Step::Report(Executed {
+        query,
+        stats,
+        trial,
+    }))
+}
 
-    let opt = if is_trial {
-        let fit_inputs =
-            coord(&mut shared.locked().state).trial_fit_inputs(w, &stats, ctx.cpu_cfg)?;
-        // The still-leased trial excludes reopt rounds and double-leasing
-        // while the estimate runs and the pool keeps streaming.
-        let fit = fit_inputs.map(|(geom, sampled)| Fit::run(geom, sampled));
+/// The report step of both pooled drives: report the morsel `executed`
+/// that the worker ran for `coord`'s query — a leased trial resolves, a
+/// morsel under the accepted order joins the worker's window and may run
+/// a due round — with any estimator fit run inline, at the morsel's end,
+/// and its cycles charged to the worker's clock. `work_remains`: whether
+/// any of the query's morsels is still unclaimed.
+pub(crate) fn report_morsel<T: ShardableTarget>(
+    coord: &mut CoordState<'_, T>,
+    worker: &mut Worker<'_>,
+    ws: &mut WorkerShard<T::Shard>,
+    executed: &Executed,
+    ctx: RunCtx<'_>,
+    work_remains: bool,
+) -> Result<(), EngineError> {
+    let w = worker.w;
+    let opt = if executed.trial {
         // Adopt whatever order the resolution left published (the trial
         // order if accepted, the incumbent if not).
-        let (published, epoch, opt) =
-            coord(&mut shared.locked().state).resolve_trial(w, &stats, fit)?;
+        let (published, epoch, opt) = coord.resolve_trial(w, &executed.stats, ctx.cpu_cfg)?;
         ws.rechain(published)?;
         ws.epoch = epoch;
         opt
     } else {
-        let prepared = coord(&mut shared.locked().state).note_normal(
+        coord.note_normal(
             w,
             ws.epoch,
-            &stats,
+            &executed.stats,
             ctx.reopt,
             ctx.cpu_cfg,
-            work_remains(),
-        )?;
-        match prepared {
-            Some((geom, merged)) => {
-                // `estimate_in_flight` keeps concurrent rounds exclusive
-                // meanwhile.
-                let fit = Fit::run(geom, merged);
-                coord(&mut shared.locked().state).finish_reoptimize(w, &fit)?
-            }
-            None => 0,
-        }
+            work_remains,
+        )?
     };
     if let Some((prof, _)) = ctx.profile {
-        prof.record_optimizer(w, socket, round_pos, opt);
+        prof.record_optimizer(w, worker.socket, worker.now(), opt);
     }
     worker.opt += opt;
-    Ok(stats)
+    Ok(())
 }
 
 /// Execute a compiled program with morsel-driven parallelism, optionally
@@ -969,7 +877,7 @@ pub fn run_parallel_target_observed<T>(
     obs: &ExecObservers,
 ) -> Result<ParallelReport, EngineError>
 where
-    T: ShardableTarget + Send,
+    T: ShardableTarget,
 {
     if let Some(cfg) = reopt {
         cfg.validate()?;
@@ -977,10 +885,10 @@ where
     let workers = pool.len();
     let sockets = pool.sockets();
     // Range affinity: each socket's workers claim from that socket's
-    // contiguous morsel range (HyPer-style), via per-socket claim
-    // counters that stay host-schedule-independent. One socket reduces
-    // exactly to the flat round-robin interleave.
-    let dispatcher =
+    // contiguous morsel range (HyPer-style), via per-worker claim
+    // counters. One socket reduces exactly to the flat round-robin
+    // interleave.
+    let mut dispatcher =
         MorselDispatcher::with_affinity(target.rows(), morsels.morsel_tuples, workers, sockets)?;
     let cpu_cfg = pool.config().clone();
     let freq = cpu_cfg.timing.frequency_ghz;
@@ -1013,14 +921,16 @@ where
         });
     }
 
-    // Every shard starts under the target's initial order.
+    // Every shard starts under the target's initial order; each worker
+    // keeps its shard and its running totals.
     let initial_order = target.order();
-    let mut shards = Vec::with_capacity(workers);
+    let mut locals = Vec::with_capacity(workers);
     for _ in 0..workers {
-        shards.push(WorkerShard::new(target.shard()?, initial_order.clone()));
+        let shard = WorkerShard::new(target.shard()?, initial_order.clone());
+        locals.push((shard, VectorStats::zero()));
     }
     // The plan-indexed profiling weights (order-independent by
-    // construction), read outside the lock.
+    // construction).
     let plan_weights = target.stage_profile_weights();
     let ctx = RunCtx {
         reopt,
@@ -1030,47 +940,36 @@ where
     };
     let query = obs.trace.as_ref().map_or(0, |(_, query)| *query);
 
-    let worker_socket = socket_of.clone();
-    let coord = CoordState::with_topology(target, socket_of, llc_shares, placement, obs.clone());
-    // One worker: claim morsels, sync its order or lease a trial at the
-    // boundary lock, run the morsel step. Per-worker totals merge after
-    // the join in worker order, so the result assembly is deterministic
-    // regardless of thread scheduling.
-    let (mut coord, worker_totals) =
-        run_workers(pool, coord, shards, |w, core, mut ws, shared| {
-            let mut worker = Worker::new(w, worker_socket[w], core);
-            let mut total = VectorStats::zero();
-            while let Some(range) = dispatcher.next(w) {
-                let action = match shared.boundary() {
-                    Some(mut slot) => slot.state.begin_morsel(w, ws.epoch),
-                    None => break,
-                };
-                let stats = run_morsel(
-                    shared,
-                    |c| c,
-                    &mut worker,
-                    &mut ws,
-                    action,
-                    range,
-                    query,
-                    ctx,
-                    || !dispatcher.exhausted(),
-                )?;
-                total.accumulate(&stats);
+    let mut coord =
+        CoordState::with_topology(target, socket_of, llc_shares, placement, obs.clone());
+    // A worker's boundary claims its next morsel, syncs its order or
+    // leases a trial, and executes the morsel; its report follows at the
+    // morsel's end.
+    let finished = run_workers(pool, locals, |worker, (ws, total), step| match step {
+        Step::Report(executed) => {
+            total.accumulate(&executed.stats);
+            let work_remains = !dispatcher.exhausted();
+            report_morsel(&mut coord, worker, ws, &executed, ctx, work_remains)?;
+            Ok(Step::Boundary)
+        }
+        _ => match dispatcher.next(worker.w) {
+            Some(range) => {
+                let action = coord.begin_morsel(worker.w, ws.epoch);
+                run_morsel(worker, ws, action, range, query, ctx)
             }
-            Ok((total, worker.busy()))
-        })?;
+            None => Ok(Step::Done),
+        },
+    })?;
     coord.abandon_trials();
 
+    // Totals merge in worker order.
     let mut total = VectorStats::zero();
-    for (stats, _) in &worker_totals {
+    let mut per_worker_cycles = Vec::with_capacity(workers);
+    for (worker, (_, stats)) in &finished {
         total.accumulate(stats);
+        per_worker_cycles.push(worker.busy() + worker.opt);
     }
-    let per_worker_cycles: Vec<u64> = worker_totals
-        .iter()
-        .zip(&coord.optimizer_cycles)
-        .map(|((_, exec_cycles), opt_cycles)| exec_cycles + opt_cycles)
-        .collect();
+    drop(finished);
     let wall_cycles = fleet_wall_cycles(&per_worker_cycles);
     if let Some(prof) = &obs.profiler {
         // Per-worker busy cycles are final; the profiler fills the idle
@@ -1104,7 +1003,7 @@ where
         per_worker_cycles,
         switches: coord.switches,
         estimates: coord.estimates,
-        optimizer_cycles: coord.optimizer_cycles.iter().sum(),
+        optimizer_cycles: coord.optimizer_cycles,
         final_order: socket_orders[0].clone(),
         socket_orders,
         remote_access_pct: pool.remote_access_pct(),

@@ -10,9 +10,10 @@
 //! * a [`MorselDispatcher`] that carves the scanned row range into
 //!   cache-friendly morsels with a deterministic interleaved placement
 //!   (morsel `k` → worker `k mod N`, HyPer-style morsel-wise work
-//!   division) claimed lazily by real `std::thread` workers — placement
-//!   independent of host scheduling, so simulated per-core cycle counts
-//!   are reproducible on any machine;
+//!   division) claimed lazily by workers that one driver steps in
+//!   simulated-time order on the calling thread — so simulated per-core
+//!   cycle counts, and every reoptimization decision, are reproducible
+//!   on any machine;
 //! * a progressive **coordinator** ([`run_parallel_target_observed`]),
 //!   the pooled drive of the same §4.4 policy object the serial
 //!   `run_progressive*` runners drive:
@@ -86,9 +87,8 @@ use crate::progressive::{CompiledTarget, ProgressiveTarget};
 
 /// A per-worker executor: the execution half of a progressive target,
 /// runnable over arbitrary row ranges and switchable to any published
-/// order at a morsel boundary. Shards are `Send` (they move into worker
-/// threads) and share only immutable column data.
-pub trait TargetShard: Send {
+/// order at a morsel boundary. Shards share only immutable column data.
+pub trait TargetShard {
     /// Re-chain to `order` (a permutation of plan/stage indices).
     fn set_order(&mut self, order: &[usize]) -> Result<(), EngineError>;
 

@@ -4,27 +4,15 @@
 //!
 //! A *morsel* (HyPer's term) is the parallel analogue of the vectorized
 //! loop's vector: small enough that a worker reacts to a newly published
-//! operator order within microseconds (workers re-check the coordinator
-//! at every morsel boundary), large enough that claiming one costs a
-//! single atomic add rather than per-tuple synchronization.
+//! operator order within one morsel (workers re-check the coordinator at
+//! every morsel boundary), large enough that claiming one costs a single
+//! counter increment rather than per-tuple bookkeeping.
 //!
-//! Placement is deterministic rather than work-stealing on purpose: the
-//! execution being *simulated*, a greedy shared cursor would let the
-//! host OS scheduler decide how many morsels each simulated core
-//! executes — on a loaded or few-core host one thread can race ahead
-//! and claim far more than its share, inflating that core's simulated
-//! cycles and making the measured wall clock (the busiest core)
-//! scheduling-dependent. With the interleave, each worker's morsel
-//! *set* is a pure function of the workload, so a baseline
-//! (non-progressive) parallel run is fully reproducible on any host.
-//! With progressive reoptimization enabled, a residual scheduling
-//! sensitivity remains — which morsel boundary an accepted order lands
-//! on, and which worker's core is billed for an estimator round, follow
-//! the cross-worker completion interleaving — but it is bounded to
-//! single-morsel granularity (per-core cycles shift by a few percent;
-//! query results stay bit-identical regardless). Morsels are
-//! near-uniform (same tuple count), so the balance work-stealing would
-//! buy is at most one morsel.
+//! Placement is deterministic rather than work-stealing on purpose: each
+//! worker's morsel *set* is a pure function of the workload, so a
+//! simulated core's share never depends on how fast its neighbours ran.
+//! Morsels are near-uniform (same tuple count), so the balance
+//! work-stealing would buy is at most one morsel.
 //!
 //! On a multi-socket pool the dispatcher adds HyPer-style **range
 //! affinity** ([`MorselDispatcher::with_affinity`]): the morsel range is
@@ -34,10 +22,8 @@
 //! therefore only ever touches rows from its socket's block — pin those
 //! rows' columns to that socket in the `NumaPlacement` and every fact
 //! access is local. The placement stays a pure function of the workload
-//! and topology, never of host scheduling; with one socket the formula
-//! reduces exactly to the flat interleave.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! and topology; with one socket the formula reduces exactly to the flat
+//! interleave.
 
 use popt_cpu::CpuConfig;
 
@@ -122,7 +108,7 @@ pub struct MorselDispatcher {
     /// (`boundaries[s] .. boundaries[s + 1]`); length `sockets + 1`.
     boundaries: Vec<usize>,
     /// Per-worker count of morsels that worker has claimed so far.
-    claimed: Vec<AtomicUsize>,
+    claimed: Vec<usize>,
 }
 
 impl MorselDispatcher {
@@ -170,7 +156,7 @@ impl MorselDispatcher {
             workers,
             sockets,
             boundaries,
-            claimed: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
+            claimed: vec![0; workers],
         })
     }
 
@@ -203,16 +189,15 @@ impl MorselDispatcher {
     /// morsels — the non-consuming eligibility probe the serving
     /// scheduler uses before spending a stride slot on the query.
     pub fn has_morsels(&self, worker: usize) -> bool {
-        let round = self.claimed[worker].load(Ordering::Relaxed);
-        let (idx, block_end) = self.morsel_at(worker, round);
+        let (idx, block_end) = self.morsel_at(worker, self.claimed[worker]);
         idx < block_end
     }
 
     /// Claim `worker`'s next morsel; `None` once that worker's share of
     /// the range is exhausted.
-    pub fn next(&self, worker: usize) -> Option<(usize, usize)> {
-        let round = self.claimed[worker].fetch_add(1, Ordering::Relaxed);
-        let (idx, block_end) = self.morsel_at(worker, round);
+    pub fn next(&mut self, worker: usize) -> Option<(usize, usize)> {
+        let (idx, block_end) = self.morsel_at(worker, self.claimed[worker]);
+        self.claimed[worker] += 1;
         (idx < block_end).then(|| {
             let start = idx * self.morsel_tuples;
             (start, (start + self.morsel_tuples).min(self.rows))
@@ -223,11 +208,7 @@ impl MorselDispatcher {
     /// worker may still be executing its last one). Used to avoid
     /// scheduling trial orders that could never run.
     pub fn exhausted(&self) -> bool {
-        (0..self.workers).all(|w| {
-            let round = self.claimed[w].load(Ordering::Relaxed);
-            let (idx, block_end) = self.morsel_at(w, round);
-            idx >= block_end
-        })
+        (0..self.workers).all(|w| !self.has_morsels(w))
     }
 
     /// Total number of morsels the range divides into.
@@ -262,7 +243,7 @@ mod tests {
 
     #[test]
     fn single_worker_morsels_cover_range_in_order() {
-        let d = MorselDispatcher::new(10_000, 1_024, 1).unwrap();
+        let mut d = MorselDispatcher::new(10_000, 1_024, 1).unwrap();
         let mut seen = Vec::new();
         while let Some(m) = d.next(0) {
             seen.push(m);
@@ -280,9 +261,9 @@ mod tests {
     #[test]
     fn interleaved_placement_is_deterministic_and_balanced() {
         let workers = 4;
-        let d = MorselDispatcher::new(100_000, 777, workers).unwrap();
+        let mut d = MorselDispatcher::new(100_000, 777, workers).unwrap();
         // Worker w gets exactly morsels w, w+4, w+8, … regardless of the
-        // order (or concurrency) in which claims happen.
+        // order in which claims happen.
         let mut all = Vec::new();
         for w in (0..workers).rev() {
             let mut count = 0;
@@ -307,34 +288,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_claims_are_disjoint_and_complete() {
-        let d = MorselDispatcher::new(100_000, 777, 4).unwrap();
-        let claimed = std::sync::Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for w in 0..4 {
-                let d = &d;
-                let claimed = &claimed;
-                scope.spawn(move || {
-                    while let Some(m) = d.next(w) {
-                        claimed.lock().unwrap().push(m);
-                    }
-                });
-            }
-        });
-        let mut claimed = claimed.into_inner().unwrap();
-        claimed.sort_unstable();
-        assert_eq!(claimed.len(), d.total_morsels());
-        let mut expect_start = 0;
-        for (start, end) in claimed {
-            assert_eq!(start, expect_start);
-            expect_start = end;
-        }
-        assert_eq!(expect_start, 100_000);
-    }
-
-    #[test]
     fn has_morsels_tracks_per_worker_shares_without_consuming() {
-        let d = MorselDispatcher::new(4 * 777, 777, 2).unwrap();
+        let mut d = MorselDispatcher::new(4 * 777, 777, 2).unwrap();
         assert!(d.has_morsels(0) && d.has_morsels(1));
         // Probing never consumes.
         assert!(d.has_morsels(0));
@@ -352,7 +307,7 @@ mod tests {
         // 4 workers on 2 sockets over 100k rows: sockets own the two
         // halves of the morsel range, each half interleaved by its own
         // two workers.
-        let d = MorselDispatcher::with_affinity(100_000, 777, 4, 2).unwrap();
+        let mut d = MorselDispatcher::with_affinity(100_000, 777, 4, 2).unwrap();
         assert_eq!(d.sockets(), 2);
         let total = d.total_morsels();
         let (s0_start, s0_end) = d.socket_row_range(0);
@@ -388,8 +343,8 @@ mod tests {
 
     #[test]
     fn one_socket_affinity_is_exactly_the_flat_interleave() {
-        let flat = MorselDispatcher::new(50_000, 777, 3).unwrap();
-        let aff = MorselDispatcher::with_affinity(50_000, 777, 3, 1).unwrap();
+        let mut flat = MorselDispatcher::new(50_000, 777, 3).unwrap();
+        let mut aff = MorselDispatcher::with_affinity(50_000, 777, 3, 1).unwrap();
         for w in 0..3 {
             loop {
                 let a = flat.next(w);
@@ -406,7 +361,7 @@ mod tests {
     fn affinity_with_uneven_workers_keeps_blocks_proportional() {
         // 3 workers on 2 sockets: socket 0 holds workers {0, 1}, socket 1
         // holds {2}; blocks split the morsel range 2:1.
-        let d = MorselDispatcher::with_affinity(90_000, 1_000, 3, 2).unwrap();
+        let mut d = MorselDispatcher::with_affinity(90_000, 1_000, 3, 2).unwrap();
         let (a0, a1) = d.socket_row_range(0);
         let (b0, b1) = d.socket_row_range(1);
         assert_eq!((a0, a1), (0, 60_000));
@@ -446,7 +401,7 @@ mod tests {
 
     #[test]
     fn empty_range_yields_no_morsels() {
-        let d = MorselDispatcher::new(0, 64, 2).unwrap();
+        let mut d = MorselDispatcher::new(0, 64, 2).unwrap();
         assert!(d.next(0).is_none());
         assert!(d.next(1).is_none());
         assert_eq!(d.total_morsels(), 0);

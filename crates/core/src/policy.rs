@@ -3,8 +3,8 @@
 //! *one* accept/revert rule, so the serial drive ([`crate::progressive`],
 //! whose module docs say what a drive decides for itself) and the pooled
 //! one ([`crate::parallel::coordinator`], also the server's) both call
-//! this one. The policy never executes a row, never re-chains a target
-//! and never takes a lock: the drives apply the orders it names.
+//! this one. The policy never executes a row and never re-chains a
+//! target: the drives apply the orders it names.
 
 use popt_cost::estimate::PlanGeometry;
 use popt_obs::DriftObservatory;
@@ -39,7 +39,7 @@ pub(crate) struct Fit {
 
 impl Fit {
     /// Run the multi-start Nelder–Mead estimate — the expensive step of
-    /// a round, which pooled drives run outside their lock.
+    /// a round.
     pub(crate) fn run(geom: PlanGeometry, sampled: SampledCounters) -> Self {
         Self {
             estimate: estimate_selectivities(&geom, &sampled, &EstimatorConfig::default()),

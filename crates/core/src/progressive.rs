@@ -38,9 +38,9 @@
 //!
 //! * **When a round is due.** Serial: after every `reop_interval`-th
 //!   vector while another remains. Pooled: after `reop_interval` morsels
-//!   ran *under the socket's current epoch* with no trial pending and no
-//!   fit in flight. A pool has no single vector clock, and morsels run
-//!   under a superseded order must not count.
+//!   ran *under the socket's current epoch* with no trial pending, while
+//!   another morsel remains unclaimed. A pool has no single vector clock,
+//!   and morsels run under a superseded order must not count.
 //! * **What the sample is.** Serial: the vector that just ran. Pooled:
 //!   the socket's per-worker windows since the last round, fused — so one
 //!   fit per interval serves every core.
@@ -56,8 +56,8 @@
 //!   guard). In a pool the trial morsel and the round's fused window are
 //!   different samples; there is nothing to reuse.
 //!
-//! Epochs, leases, decision tracing and locks exist only in the pooled
-//! drive. The *sequence of [`ProgressiveTarget`] calls* the serial drive
+//! Epochs, leases and decision tracing exist only in the pooled drive,
+//! which applies its steps in simulated-time order on one host thread. The *sequence of [`ProgressiveTarget`] calls* the serial drive
 //! makes (each `run_range` followed by the `plan_geometry` of any fit on
 //! it, one `set_order` per switch and per revert) is observable through
 //! a delegating target, and the repo benchmark reads it.

@@ -16,10 +16,10 @@
 //! * **Per-query coordination** — each admitted query owns a full
 //!   [`CoordState`]: its own epoch-published order, sample windows,
 //!   trial leasing and rejection memory, exactly as if it ran alone on
-//!   the pool. Workers run on the dedicated pool's skeleton
-//!   ([`crate::parallel::coordinator`]'s worker scaffold and morsel
-//!   step): estimator fits run outside the server's one lock and their
-//!   cycles are charged to the core that ran them.
+//!   the pool. Workers run on the dedicated pool's driver and steps
+//!   ([`crate::parallel::coordinator`]): every worker's boundary and
+//!   report is applied in simulated-time order, and estimator fits are
+//!   charged to the core whose report ran them.
 //! * **Order reuse** — on admission the server consults its
 //!   [`OrderCache`] by the program's literal-free stage keys; a warm hit
 //!   starts the query from the template's last converged order and
@@ -49,7 +49,7 @@ use crate::exec::program::CompiledProgram;
 use crate::exec::scan::VectorStats;
 use crate::observe::ExecObservers;
 use crate::parallel::coordinator::{
-    run_morsel, run_workers, BoundaryAction, CoordState, Pooled, RunCtx, Worker, WorkerShard,
+    report_morsel, run_morsel, run_workers, CoordState, Executed, RunCtx, Step, Worker, WorkerShard,
 };
 use crate::parallel::{CompiledShard, MorselConfig, MorselDispatcher, ShardableTarget};
 use crate::plan::{Peo, SelectionPlan};
@@ -182,11 +182,10 @@ pub struct ServeConfig {
     /// grow at that worker's next morsel. Events are keyed to the
     /// worker's **own claim stream** — ordered by its own simulated
     /// clock, at most one drain per morsel boundary, live set iterated
-    /// in query-id order — never to other workers' completions: reacting
-    /// to a *global* completion would make this core's cycles depend on
-    /// the host thread interleaving, the exact hazard that reverted the
-    /// shared morsel cursor. Shared-LLC pools only (inert on private
-    /// LLCs, where there is no partition to re-divide). Off by default:
+    /// in query-id order — not to other workers' completions, so a
+    /// core's slice follows only the work it still has. Shared-LLC pools
+    /// only (inert on private LLCs, where there is no partition to
+    /// re-divide). Off by default:
     /// with it off, every core keeps its batch-boundary slice for the
     /// whole run, the pre-repartitioning behavior bit-for-bit.
     pub dynamic_repartition: bool,
@@ -447,7 +446,7 @@ impl<'t> QueryServer<'t> {
         // cache when the template's stage keys hit at admission. (Open-loop
         // later arrivals get a second chance mid-run: completed template
         // mates publish at completion, and the first morsel claim of an
-        // `arrival > 0` query re-consults the cache under the lock.)
+        // `arrival > 0` query re-consults the cache.)
         let mut targets = Vec::with_capacity(metas.len());
         let mut signatures = Vec::with_capacity(metas.len());
         let mut warms = Vec::with_capacity(metas.len());
@@ -490,11 +489,9 @@ impl<'t> QueryServer<'t> {
         // on its socket — its declared footprint is that socket's
         // aggregate hot set. On a shared-LLC pool the partition shrinks
         // every core's slice accordingly (a pure function of the
-        // admitted batch, recomputed at this batch boundary; reacting to
-        // *other workers'* completions would make shares depend on host
-        // thread timing — the same hazard that reverted the shared
-        // morsel cursor; the opt-in `dynamic_repartition` re-divides
-        // only within a worker's own claim stream). Each query's
+        // admitted batch, recomputed at this batch boundary; the opt-in
+        // `dynamic_repartition` re-divides only within a worker's own
+        // claim stream). Each query's
         // estimator then prices against its footprint-proportional slice
         // of its home socket's core share, so reoptimization sees what
         // the co-runners actually left it.
@@ -557,38 +554,32 @@ impl<'t> QueryServer<'t> {
             });
         }
 
-        // Per-(worker, query) shards, minted before the mutable borrows
-        // below: each worker re-chains its own executors independently.
-        let mut worker_shards: Vec<Vec<WorkerShard<CompiledShard<'t>>>> =
-            Vec::with_capacity(workers);
-        for _ in 0..workers {
+        // Per-worker state, minted before the mutable borrows below: each
+        // worker's executors for every query (re-chained independently),
+        // its stride scheduler over the queries it has admitted, and its
+        // core's batch-boundary way slice.
+        let mut locals = Vec::with_capacity(workers);
+        for core in pool.cores() {
             let shards: Result<Vec<_>, EngineError> = targets
                 .iter()
                 .map(|t| Ok(WorkerShard::new(t.shard()?, t.order())))
                 .collect();
-            worker_shards.push(shards?);
+            locals.push(ServeWorker {
+                shards: shards?,
+                sched: StrideScheduler::new(targets.len()),
+                admitted: vec![false; targets.len()],
+                live: vec![false; targets.len()],
+                base_ways: core.hierarchy().llc_ways(),
+            });
         }
 
         // Work division: each query's rows are interleaved across its
         // home socket's workers exactly like the dedicated-pool executor
         // (morsel k → member k mod M), so every worker's share of every
         // query is a pure function of the batch (see the `morsel` module
-        // docs for why a greedy shared cursor would not be). Without
-        // reopt the per-core simulated cycles — and with them the
-        // latency figures — reproduce exactly on any host; with reopt
-        // enabled the same residual, single-morsel-bounded scheduling
-        // sensitivity as the dedicated-pool executor remains (which
-        // worker leases a trial and where an epoch lands follow the
-        // cross-worker completion interleaving; results stay
-        // bit-identical regardless). Dispatcher claims are per-worker
-        // atomics, so they live outside the scheduler lock.
+        // docs).
         let mut dispatchers = Vec::with_capacity(targets.len());
         let mut entries = Vec::with_capacity(targets.len());
-        let arrivals: Vec<u64> = metas.iter().map(|(_, _, arrival)| *arrival).collect();
-        let weights: Vec<u64> = metas
-            .iter()
-            .map(|(_, priority, _)| priority.weight())
-            .collect();
         for ((((target, &budget), &home), signature), warm_seed) in targets
             .iter_mut()
             .zip(&budgets)
@@ -599,7 +590,7 @@ impl<'t> QueryServer<'t> {
             let (member_start, members) = member_range[home];
             let inner = MorselDispatcher::new(target.rows(), morsel_tuples, members)?;
             let total_morsels = inner.total_morsels();
-            let arrival = metas[entries.len()].2;
+            let (_, priority, arrival) = &metas[entries.len()];
             dispatchers.push(QueryDispatch {
                 inner,
                 member_start,
@@ -624,17 +615,21 @@ impl<'t> QueryServer<'t> {
                 signature,
                 warm_seed,
                 seed_checked: false,
-                arrival,
+                arrival: *arrival,
+                weight: priority.weight(),
+                footprint: footprints[entries.len()],
             });
         }
 
-        let state = ServerState {
+        let mut state = ServerState {
             queries: entries,
+            dispatchers,
             cache: if cache_on {
                 Some(&mut self.cache)
             } else {
                 None
             },
+            dynamic_repartition,
         };
         let ctx = RunCtx {
             reopt,
@@ -642,30 +637,23 @@ impl<'t> QueryServer<'t> {
             tracer: trace.map(|tracer| &**tracer),
             profile: None,
         };
-        let batch = Batch {
-            dispatchers: &dispatchers,
-            arrivals: &arrivals,
-            weights: &weights,
-            footprints: &footprints,
-            dynamic_repartition,
-        };
-        let worker_socket: Vec<usize> = (0..workers).map(|c| pool.socket_of(c)).collect();
-        let (st, worker_clocks) =
-            run_workers(pool, state, worker_shards, |w, core, mut shards, shared| {
-                serve_worker(
-                    Worker::new(w, worker_socket[w], core),
-                    &mut shards,
-                    shared,
-                    &batch,
-                    ctx,
-                )
-            })?;
+        let finished = run_workers(pool, locals, |worker, local, step| match step {
+            Step::Report(executed) => {
+                state.report(worker, local, &executed, ctx)?;
+                Ok(Step::Boundary)
+            }
+            _ => state.boundary(worker, local, ctx),
+        })?;
+        let worker_clocks: Vec<(u64, u64)> = finished
+            .iter()
+            .map(|(worker, _)| (worker.busy() + worker.opt, worker.idle()))
+            .collect();
+        drop(finished);
 
         // Converged orders were already published to the cache at each
-        // query's completion (under the coordination lock); assembling
-        // the report only reads.
-        let mut queries = Vec::with_capacity(st.queries.len());
-        for (entry, (label, priority, arrival)) in st.queries.into_iter().zip(metas) {
+        // query's completion; assembling the report only reads.
+        let mut queries = Vec::with_capacity(state.queries.len());
+        for (entry, (label, priority, arrival)) in state.queries.into_iter().zip(metas) {
             let coord = entry.coord;
             let final_order = coord.published_order(0).clone();
             let finish = entry.finish_vt.unwrap_or(arrival);
@@ -678,7 +666,7 @@ impl<'t> QueryServer<'t> {
                 sum: entry.totals.sum,
                 morsels: entry.completed,
                 exec_cycles: entry.exec_cycles,
-                optimizer_cycles: coord.optimizer_cycles.iter().sum(),
+                optimizer_cycles: coord.optimizer_cycles,
                 latency_cycles: finish.saturating_sub(arrival),
                 queue_cycles: first.saturating_sub(arrival),
                 switches: coord.switches,
@@ -693,12 +681,8 @@ impl<'t> QueryServer<'t> {
         drop(targets);
         self.specs.clear();
 
-        let per_worker_busy_cycles: Vec<u64> = worker_clocks
-            .iter()
-            .map(|&(busy, _, opt)| busy + opt)
-            .collect();
-        let per_worker_idle_cycles: Vec<u64> =
-            worker_clocks.iter().map(|&(_, idle, _)| idle).collect();
+        let (per_worker_busy_cycles, per_worker_idle_cycles): (Vec<u64>, Vec<u64>) =
+            worker_clocks.into_iter().unzip();
         let wall_cycles =
             fleet_wall_cycles_interleaved(&per_worker_busy_cycles, &per_worker_idle_cycles);
         Ok(ServeReport {
@@ -763,8 +747,9 @@ impl QueryDispatch {
         self.slot(w).is_some_and(|s| self.inner.has_morsels(s))
     }
 
-    fn next(&self, w: usize) -> Option<(usize, usize)> {
-        self.inner.next(self.slot(w)?)
+    fn next(&mut self, w: usize) -> Option<(usize, usize)> {
+        let slot = self.slot(w)?;
+        self.inner.next(slot)
     }
 
     fn exhausted(&self) -> bool {
@@ -772,10 +757,8 @@ impl QueryDispatch {
     }
 }
 
-/// Per-query serving state behind the coordination lock: the query's
-/// progressive coordination plus its completion accounting. (The work
-/// division itself — dispatchers, arrivals, weights — is immutable or
-/// atomic and lives outside the lock.)
+/// Per-query serving state: the query's progressive coordination, its
+/// completion accounting, and what admission and scheduling read of it.
 struct QueryEntry<'a, 'p, 't> {
     coord: CoordState<'a, CompiledTarget<'p, 't>>,
     totals: VectorStats,
@@ -791,312 +774,230 @@ struct QueryEntry<'a, 'p, 't> {
     warm_seed: Option<Peo>,
     /// Whether the mid-run cache was already consulted for a late seed.
     seed_checked: bool,
-    /// The query's arrival time (gates mid-run warm starts to open-loop
-    /// later arrivals).
+    /// The query's arrival time (gates admission, and mid-run warm
+    /// starts to open-loop later arrivals).
     arrival: u64,
+    /// Stride-scheduling weight of the query's priority.
+    weight: u64,
+    /// Declared hot-set footprint (bytes), for dynamic repartition.
+    footprint: u64,
 }
 
+/// The batch every serving worker steps against: every admitted query's
+/// state and work division, and the server's order cache — shared so
+/// converged state publishes at query *completion* instead of at batch
+/// drain, and a long open-loop stream warms its own later arrivals
+/// online (`None` when the cache is bypassed).
 struct ServerState<'a, 'p, 't> {
     queries: Vec<QueryEntry<'a, 'p, 't>>,
-    /// The server's order cache, shared with the workers so converged
-    /// state publishes at query *completion* (under this same lock)
-    /// instead of at batch drain — a long open-loop stream warms its own
-    /// later arrivals online. `None` when the cache is bypassed.
+    dispatchers: Vec<QueryDispatch>,
     cache: Option<&'a mut OrderCache>,
-}
-
-/// The batch's work division, read by every worker outside the lock:
-/// immutable or atomic.
-struct Batch<'b> {
-    dispatchers: &'b [QueryDispatch],
-    arrivals: &'b [u64],
-    weights: &'b [u64],
-    footprints: &'b [u64],
+    /// [`ServeConfig::dynamic_repartition`], on a shared-LLC pool.
     dynamic_repartition: bool,
 }
 
-/// What a worker decided to do after consulting its scheduler.
-enum Step {
-    /// Serve one morsel of query `qid`.
-    Run {
-        qid: usize,
-        start: usize,
-        end: usize,
-        action: BoundaryAction,
-    },
-    /// No admissible work: idle forward to the next arrival.
-    Idle(u64),
-    /// This worker's share of every query has been claimed.
-    Done,
+/// One serving worker's own state. The scheduler is *worker-local*: the
+/// worker divides its own morsel slots across the queries it has
+/// admitted (by its own clock), over its own deterministic share of each
+/// query's rows. Pool-wide shares still converge to the priority weights
+/// — every worker enforces the same ratios — while the only cross-worker
+/// coupling is the per-query coordination itself (epoch publication,
+/// trial leasing) and the order cache. The worker's pool slot is its
+/// window index in every query's coordination state.
+struct ServeWorker<'t> {
+    /// The worker's executor for each query.
+    shards: Vec<WorkerShard<CompiledShard<'t>>>,
+    sched: StrideScheduler,
+    admitted: Vec<bool>,
+    /// The queries this worker still serves: dynamic repartition divides
+    /// the core's batch-boundary way slice (`base_ways`) among them. Both
+    /// the live set and the drain events that shrink it follow the
+    /// worker's own claim stream.
+    live: Vec<bool>,
+    base_ways: usize,
 }
 
-/// One serving worker: interleave the worker's shares of all admitted
-/// queries in stride order, and run each claimed morsel through the
-/// coordinator's morsel step against the owning query's coordination
-/// state — estimator fits outside the lock, their cycles charged to this
-/// core.
-///
-/// The scheduler is *worker-local*: each worker divides its own morsel
-/// slots across the queries it has admitted (by its own clock), over
-/// its own deterministic share of each query's rows. Pool-wide shares
-/// still converge to the priority weights — every worker enforces the
-/// same ratios — while the only cross-worker coupling left is the
-/// per-query coordination itself (epoch publication, trial leasing),
-/// which is bounded to single-morsel effects exactly as in the
-/// dedicated-pool executor. The worker's pool slot is its window index
-/// in every query's coordination state. Returns (busy, idle, optimizer)
-/// cycles, or the error that stopped it.
-fn serve_worker<'a, 'p, 't>(
-    mut worker: Worker<'_>,
-    shards: &mut [WorkerShard<CompiledShard<'t>>],
-    shared: &Pooled<ServerState<'a, 'p, 't>>,
-    batch: &Batch<'_>,
-    ctx: RunCtx<'_>,
-) -> Result<(u64, u64, u64), EngineError> {
-    let Batch {
-        dispatchers,
-        arrivals,
-        weights,
-        footprints,
-        dynamic_repartition,
-    } = *batch;
-    let w = worker.w;
-    let mut sched = StrideScheduler::new(shards.len());
-    let mut admitted = vec![false; shards.len()];
-    // Dynamic way repartition state: this core's batch-boundary way
-    // slice, sub-divided among the queries this worker is still serving
-    // (`live`). Both the live set and the drain events that shrink it
-    // are pure functions of the worker's own claim stream, so the cycles
-    // this produces never depend on host thread interleaving (see
-    // [`ServeConfig::dynamic_repartition`]).
-    let base_ways = worker.core.hierarchy().llc_ways();
-    let mut live = vec![false; shards.len()];
-
-    loop {
-        let now = worker.now();
-        // Admission: every arrived query with a non-empty share for this
-        // worker joins the worker's scheduler at the worker's clock.
-        for qid in 0..arrivals.len() {
-            if !admitted[qid] && arrivals[qid] <= now {
-                admitted[qid] = true;
-                if dispatchers[qid].has_morsels(w) {
-                    sched.admit(qid, weights[qid]);
-                    live[qid] = true;
+impl<'t> ServerState<'_, '_, 't> {
+    /// A serving worker's boundary: admit every query that has arrived by
+    /// the worker's clock, pick the next query in stride order and
+    /// execute one morsel of it — or idle forward to the next arrival, or
+    /// finish once the worker's share of every query is claimed.
+    fn boundary(
+        &mut self,
+        worker: &mut Worker<'_>,
+        local: &mut ServeWorker<'t>,
+        ctx: RunCtx<'_>,
+    ) -> Result<Step, EngineError> {
+        let (w, now) = (worker.w, worker.now());
+        for (qid, entry) in self.queries.iter().enumerate() {
+            if !local.admitted[qid] && entry.arrival <= now {
+                local.admitted[qid] = true;
+                if self.dispatchers[qid].has_morsels(w) {
+                    local.sched.admit(qid, entry.weight);
+                    local.live[qid] = true;
                 }
             }
         }
-        let step = match sched.pick(|qid| dispatchers[qid].has_morsels(w)) {
-            Some(qid) => {
-                let (start, end) = dispatchers[qid]
-                    .next(w)
-                    .expect("an eligible query has a morsel in this worker's share");
-                if !dispatchers[qid].has_morsels(w) {
-                    // Share drained: out of this worker's scheduler
-                    // (completion is tracked separately). This is the
-                    // local completion event dynamic repartition keys
-                    // on: at most one query drains per boundary, in the
-                    // worker's own simulated-cycle order.
-                    sched.retire(qid);
-                    live[qid] = false;
-                }
-                let Some(mut guard) = shared.boundary() else {
-                    break;
-                };
-                let st = &mut guard.state;
-                let entry = &mut st.queries[qid];
-                // Mid-run warm start: the first claim of an open-loop
-                // later arrival re-consults the cache once, under the
-                // same lock publication uses — a template mate that
-                // completed earlier in the stream seeds this instance
-                // even though both were admitted in one batch. Closed-
-                // loop queries (arrival 0) co-start with their mates and
-                // keep the batch-admission semantics. On a multi-worker
-                // pool, whether a mate's completion lands before this
-                // first claim follows the *host* completion interleaving
-                // when the two are close, so warm-vs-cold here — like
-                // trial leasing — is bounded perf-only nondeterminism:
-                // it can move switches and cycles, never results. With
-                // one worker (or arrival gaps that dwarf query runtimes,
-                // the open-loop regime this path exists for) the choice
-                // is fully deterministic.
-                if !entry.seed_checked {
-                    entry.seed_checked = true;
-                    if entry.warm_seed.is_none() && entry.arrival > 0 {
-                        if let Some(cache) = st.cache.as_deref_mut() {
-                            let hit = cache.lookup(&entry.signature);
-                            if let Some(tracer) = ctx.tracer {
-                                tracer.emit_at(w, qid, now, || TraceEvent::CacheLookup {
-                                    hit: hit.is_some(),
-                                    mid_run: true,
-                                    order: hit.as_ref().map(|h| h.order.clone()),
-                                });
-                            }
-                            if let Some(hit) = hit {
-                                if entry.coord.reseed(&hit.order, hit.calibration.as_ref()) {
-                                    entry.warm_seed = Some(hit.order);
-                                }
-                            }
+        let Some(qid) = local.sched.pick(|qid| self.dispatchers[qid].has_morsels(w)) else {
+            let next_arrival = self
+                .queries
+                .iter()
+                .enumerate()
+                .filter(|&(qid, _)| !local.admitted[qid])
+                .map(|(_, entry)| entry.arrival)
+                .min();
+            if let Some(arrival) = next_arrival {
+                // The pool is ahead of the arrival process: idle forward
+                // instead of spinning.
+                worker.core.idle(arrival.saturating_sub(now).max(1));
+                return Ok(Step::Boundary);
+            }
+            if self.dynamic_repartition {
+                // Leave the core at its batch-boundary slice; the next
+                // batch's footprint declaration repartitions it anyway.
+                worker.core.set_llc_ways(local.base_ways);
+            }
+            return Ok(Step::Done);
+        };
+        let range = self.dispatchers[qid]
+            .next(w)
+            .expect("an eligible query has a morsel in this worker's share");
+        if !self.dispatchers[qid].has_morsels(w) {
+            // Share drained: out of this worker's scheduler (completion
+            // is tracked separately). This is the local completion event
+            // dynamic repartition keys on: at most one query drains per
+            // boundary, in the worker's own simulated-cycle order.
+            local.sched.retire(qid);
+            local.live[qid] = false;
+        }
+        let entry = &mut self.queries[qid];
+        // Mid-run warm start: the first claim of an open-loop later
+        // arrival re-consults the cache once — a template mate that
+        // completed earlier in simulated time seeds this instance even
+        // though both were admitted in one batch. Closed-loop queries
+        // (arrival 0) co-start with their mates and keep the
+        // batch-admission semantics.
+        if !entry.seed_checked {
+            entry.seed_checked = true;
+            if entry.warm_seed.is_none() && entry.arrival > 0 {
+                if let Some(cache) = self.cache.as_deref_mut() {
+                    let hit = cache.lookup(&entry.signature);
+                    if let Some(tracer) = ctx.tracer {
+                        tracer.emit_at(w, qid, now, || TraceEvent::CacheLookup {
+                            hit: hit.is_some(),
+                            mid_run: true,
+                            order: hit.as_ref().map(|h| h.order.clone()),
+                        });
+                    }
+                    if let Some(hit) = hit {
+                        if entry.coord.reseed(&hit.order, hit.calibration.as_ref()) {
+                            entry.warm_seed = Some(hit.order);
                         }
                     }
-                }
-                // Queue delay is measured to the *earliest* service
-                // across workers.
-                entry.first_vt = Some(entry.first_vt.map_or(now, |f| f.min(now)));
-                let action = entry.coord.begin_morsel(w, shards[qid].epoch);
-                Step::Run {
-                    qid,
-                    start,
-                    end,
-                    action,
                 }
             }
-            None => {
-                let next_arrival = (0..arrivals.len())
-                    .filter(|&qid| !admitted[qid])
-                    .map(|qid| arrivals[qid])
-                    .min();
-                match next_arrival {
-                    Some(arrival) => {
-                        // The pool is ahead of the arrival process: idle
-                        // forward instead of spinning. A peer's failure
-                        // is only checked here (and under the claim
-                        // path's own lock) — the busy path must not pay
-                        // an extra acquisition of the shared mutex per
-                        // morsel just for the error flag.
-                        if shared.boundary().is_none() {
-                            break;
-                        }
-                        Step::Idle(arrival.saturating_sub(now).max(1))
-                    }
-                    None => Step::Done,
-                }
+        }
+        // Queue delay is measured to the *earliest* service across
+        // workers.
+        entry.first_vt = Some(entry.first_vt.map_or(now, |f| f.min(now)));
+        let action = entry.coord.begin_morsel(w, local.shards[qid].epoch);
+        if self.dynamic_repartition {
+            // Serve this morsel with the query's footprint-proportional
+            // sub-share of the core's way slice among the queries this
+            // worker still serves. The just-drained query keeps its share
+            // for its own last morsel (`q == qid`); survivors see the
+            // larger share from their next claim on. Query-id iteration
+            // order makes equal-footprint ties deterministic.
+            let co: Vec<usize> = (0..local.live.len())
+                .filter(|&q| local.live[q] || q == qid)
+                .collect();
+            let fps: Vec<u64> = co.iter().map(|&q| self.queries[q].footprint).collect();
+            let shares = popt_cpu::partition_llc_ways(local.base_ways as u32, &fps);
+            let mine = co.iter().position(|&q| q == qid).expect("qid is in co");
+            worker.core.set_llc_ways(shares[mine] as usize);
+            if let Some(tracer) = ctx.tracer {
+                tracer.emit_at(w, qid, now, || TraceEvent::LlcRepartition {
+                    scope: "worker",
+                    mode: "shared",
+                    shares: shares.iter().map(|&s| u64::from(s)).collect(),
+                });
+            }
+        }
+        run_morsel(worker, &mut local.shards[qid], action, range, qid, ctx)
+    }
+
+    /// A serving worker's report of the morsel it executed: the query's
+    /// coordination step, then completion accounting — the query finishes
+    /// at the wall-clock position of the worker that ran its last morsel,
+    /// and publishes its converged order to the cache there.
+    fn report(
+        &mut self,
+        worker: &mut Worker<'_>,
+        local: &mut ServeWorker<'t>,
+        executed: &Executed,
+        ctx: RunCtx<'_>,
+    ) -> Result<(), EngineError> {
+        let (w, qid, stats) = (worker.w, executed.query, &executed.stats);
+        // A trial can be leased by any worker still serving this query,
+        // so "work remains" is pool-wide, not this worker's share.
+        let work_remains = !self.dispatchers[qid].exhausted();
+        let entry = &mut self.queries[qid];
+        let ws = &mut local.shards[qid];
+        report_morsel(&mut entry.coord, worker, ws, executed, ctx, work_remains)?;
+        entry.totals.accumulate(stats);
+        entry.exec_cycles += stats.counters.cycles;
+        entry.completed += 1;
+        // With per-worker clocks the finish position is the furthest
+        // wall-clock position any of the query's morsels reached (a
+        // lagging core's completion never rewinds the clock of an
+        // earlier one).
+        let vt = worker.now();
+        entry.finish_vt = Some(entry.finish_vt.unwrap_or(0).max(vt));
+        if entry.completed < entry.total_morsels {
+            return Ok(());
+        }
+        // Every one of the query's morsels has resolved (a leased trial
+        // resolves before its morsel counts): its converged order and
+        // calibration go to the cache *now*. Later arrivals of the
+        // template in this same batch can warm from it; a warm instance
+        // feeds the staleness accounting instead.
+        entry.coord.abandon_trials();
+        if let Some(tracer) = ctx.tracer {
+            tracer.emit_at(w, qid, vt, || TraceEvent::Complete {
+                qualified: entry.totals.qualified,
+                sum: entry.totals.sum,
+                morsels: entry.completed,
+                wall_cycles: vt,
+            });
+        }
+        let Some(cache) = self.cache.as_deref_mut() else {
+            return Ok(());
+        };
+        let final_order = entry.coord.published_order(0).clone();
+        let calibration = entry.coord.target.calibration_snapshot();
+        let signature = entry.signature.clone();
+        let event = if entry.warm_seed.is_some() {
+            let outcome = cache.record_warm(signature, final_order.clone(), calibration);
+            TraceEvent::CacheRecord {
+                warm: true,
+                order: final_order,
+                diverged: outcome.diverged,
+                evicted: outcome.evicted,
+                streak_reset: false,
+            }
+        } else {
+            let discarded_streak = cache.record(signature, final_order.clone(), calibration);
+            TraceEvent::CacheRecord {
+                warm: false,
+                order: final_order,
+                diverged: false,
+                evicted: false,
+                streak_reset: discarded_streak > 0,
             }
         };
-
-        match step {
-            Step::Done => break,
-            Step::Idle(gap) => {
-                worker.core.idle(gap);
-                continue;
-            }
-            Step::Run {
-                qid,
-                start,
-                end,
-                action,
-            } => {
-                if dynamic_repartition {
-                    // Serve this morsel with the query's footprint-
-                    // proportional sub-share of the core's way slice
-                    // among the queries this worker still serves. The
-                    // just-drained query keeps its share for its own
-                    // last morsel (`q == qid`); survivors see the larger
-                    // share from their next claim on. Query-id iteration
-                    // order makes equal-footprint ties deterministic.
-                    let co: Vec<usize> = (0..live.len()).filter(|&q| live[q] || q == qid).collect();
-                    let fps: Vec<u64> = co.iter().map(|&q| footprints[q]).collect();
-                    let shares = popt_cpu::partition_llc_ways(base_ways as u32, &fps);
-                    let mine = co.iter().position(|&q| q == qid).expect("qid is in co");
-                    worker.core.set_llc_ways(shares[mine] as usize);
-                    if let Some(tracer) = ctx.tracer {
-                        tracer.emit_at(w, qid, now, || TraceEvent::LlcRepartition {
-                            scope: "worker",
-                            mode: "shared",
-                            shares: shares.iter().map(|&s| u64::from(s)).collect(),
-                        });
-                    }
-                }
-                let stats = run_morsel(
-                    shared,
-                    |st| &mut st.queries[qid].coord,
-                    &mut worker,
-                    &mut shards[qid],
-                    action,
-                    (start, end),
-                    qid,
-                    ctx,
-                    // A trial can be leased by any worker still serving
-                    // this query, so "work remains" is pool-wide, not
-                    // this worker's share.
-                    || !dispatchers[qid].exhausted(),
-                )?;
-
-                // Completion accounting: the query finishes at the
-                // wall-clock position of the worker that ran its last
-                // morsel.
-                let mut guard = shared.locked();
-                let st = &mut guard.state;
-                let entry = &mut st.queries[qid];
-                entry.totals.accumulate(&stats);
-                entry.exec_cycles += stats.counters.cycles;
-                entry.completed += 1;
-                // The query is done when its last morsel completes; with
-                // per-worker clocks the finish position is the furthest
-                // wall-clock position any of its morsels reached (a
-                // lagging core's completion never rewinds the clock of
-                // an earlier one).
-                let vt = worker.now();
-                entry.finish_vt = Some(entry.finish_vt.unwrap_or(0).max(vt));
-                // Mid-run publication: the query just completed (every
-                // one of its morsels has resolved — a leased trial
-                // resolves before its morsel counts), so its converged
-                // order and calibration go to the cache *now*, under the
-                // coordination lock we already hold. Later arrivals of
-                // the template in this same batch can warm from it; a
-                // warm instance feeds the staleness accounting instead.
-                if entry.completed == entry.total_morsels {
-                    entry.coord.abandon_trials();
-                    if let Some(tracer) = ctx.tracer {
-                        tracer.emit_at(w, qid, vt, || TraceEvent::Complete {
-                            qualified: entry.totals.qualified,
-                            sum: entry.totals.sum,
-                            morsels: entry.completed,
-                            wall_cycles: vt,
-                        });
-                    }
-                    if let Some(cache) = st.cache.as_deref_mut() {
-                        let final_order = entry.coord.published_order(0).clone();
-                        let calibration = entry.coord.target.calibration_snapshot();
-                        if entry.warm_seed.is_some() {
-                            let outcome = cache.record_warm(
-                                entry.signature.clone(),
-                                final_order.clone(),
-                                calibration,
-                            );
-                            if let Some(tracer) = ctx.tracer {
-                                tracer.emit_at(w, qid, vt, || TraceEvent::CacheRecord {
-                                    warm: true,
-                                    order: final_order,
-                                    diverged: outcome.diverged,
-                                    evicted: outcome.evicted,
-                                    streak_reset: false,
-                                });
-                            }
-                        } else {
-                            let discarded_streak = cache.record(
-                                entry.signature.clone(),
-                                final_order.clone(),
-                                calibration,
-                            );
-                            if let Some(tracer) = ctx.tracer {
-                                tracer.emit_at(w, qid, vt, || TraceEvent::CacheRecord {
-                                    warm: false,
-                                    order: final_order,
-                                    diverged: false,
-                                    evicted: false,
-                                    streak_reset: discarded_streak > 0,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
+        if let Some(tracer) = ctx.tracer {
+            tracer.emit_at(w, qid, vt, || event);
         }
+        Ok(())
     }
-    if dynamic_repartition {
-        // Leave the core at its batch-boundary slice; the next batch's
-        // footprint declaration repartitions it anyway.
-        worker.core.set_llc_ways(base_ways);
-    }
-    Ok((worker.busy(), worker.idle(), worker.opt))
 }

@@ -31,11 +31,11 @@
 //! predictor, stream adjacency, element hits and the instruction and
 //! branch counters. The **walk side** owns the cache hierarchy, the NUMA
 //! placement and the counters walks produce, and applies every line
-//! touch and dense span the row side issues, in program order. On a
-//! standalone core, while the host has a core to spare, it runs on the
-//! process-wide walker thread beside the row loop; on a pool core, when
-//! the walker is busy or the host is full, the row side calls it inline
-//! (the rule is in `crate::walker`). The row side never reads cache
+//! touch and dense span the row side issues, in program order. While the
+//! walker is free and the host has a core to spare, it runs on the
+//! process-wide walker thread beside the row loop; when the walker is
+//! busy or the host is full, the row side calls it inline (the rule is
+//! in `crate::walker`). The row side never reads cache
 //! state, so both ways produce the same bits; the hierarchy moves to
 //! the walker for one batch and back; it is never shared.
 //! [`crate::walker_batches`] counts the batches the walker thread
@@ -350,7 +350,6 @@ mod tests {
     use crate::config::CpuConfig;
     use crate::numa::NumaPlacement;
     use crate::pmu::Counters;
-    use crate::pool::CpuPool;
     use crate::walker::walker_batches;
 
     fn assert_same(a: &SimCpu, b: &SimCpu, what: &str) {
@@ -517,11 +516,6 @@ mod tests {
         thread::available_parallelism().map_or(1, |n| n.get()) >= 2
     }
 
-    /// A core of a 1-core pool: its batches always walk inline.
-    fn pool_core() -> SimCpu {
-        CpuPool::new(CpuConfig::tiny_test(), 1).cores()[0].clone()
-    }
-
     /// Run `events` in a batch on `cpu` that the walker thread serves,
     /// retrying while a concurrently running test holds the walker.
     fn on_walker(cpu: &mut SimCpu, events: impl FnOnce(&mut BatchCpu<'_>)) {
@@ -538,6 +532,22 @@ mod tests {
         panic!("the walker thread stayed busy for 30 s");
     }
 
+    /// Run `events` in a batch on `cpu` that walks inline: a decoy core
+    /// holds a batch open on the walker thread meanwhile, so `cpu`'s
+    /// batch finds the walker busy. (A one-core host has no walker.)
+    fn inline(cpu: &mut SimCpu, events: impl FnOnce(&mut BatchCpu<'_>)) {
+        let run = move || {
+            let mut b = cpu.batch();
+            assert!(!b.piped(), "a batch beside a busy walker walks inline");
+            events(&mut b);
+        };
+        if walker_available() {
+            on_walker(&mut SimCpu::new(CpuConfig::tiny_test()), |_| run());
+        } else {
+            run();
+        }
+    }
+
     /// Random and repeated loads, dense spans and branches.
     fn tape(b: &mut BatchCpu<'_>) {
         for i in 0..400u64 {
@@ -550,16 +560,13 @@ mod tests {
     }
 
     #[test]
-    fn pool_cores_walk_inline_and_standalone_cores_on_the_walker() {
-        let mut pooled = pool_core();
-        let b = pooled.batch();
-        assert!(!b.piped(), "a pool core's worker walks its own hierarchy");
-        drop(b);
+    fn a_batch_beside_a_busy_walker_walks_inline_with_the_same_bits() {
+        let mut reference = SimCpu::new(CpuConfig::tiny_test());
+        inline(&mut reference, tape);
         if walker_available() {
-            let mut standalone = SimCpu::new(CpuConfig::tiny_test());
-            on_walker(&mut standalone, tape);
-            tape(&mut pooled.batch());
-            assert_same(&standalone, &pooled, "walker thread vs inline");
+            let mut piped = SimCpu::new(CpuConfig::tiny_test());
+            on_walker(&mut piped, tape);
+            assert_same(&piped, &reference, "walker thread vs inline");
         }
     }
 
@@ -573,7 +580,7 @@ mod tests {
         let mut others: Vec<SimCpu> = (0..cores)
             .map(|_| SimCpu::new(CpuConfig::tiny_test()))
             .collect();
-        let mut reference = pool_core();
+        let mut reference = SimCpu::new(CpuConfig::tiny_test());
         on_walker(&mut first, |b| {
             tape(b);
             let mut open: Vec<BatchCpu<'_>> = others.iter_mut().map(SimCpu::batch).collect();
@@ -591,8 +598,8 @@ mod tests {
                 tape(other);
             }
         });
-        tape(&mut reference.batch());
-        tape(&mut reference.batch());
+        inline(&mut reference, tape);
+        inline(&mut reference, tape);
         assert_same(&first, &reference, "the core that went inline mid-batch");
         for other in &others {
             assert_same(other, &reference, "an inline core");
@@ -605,7 +612,7 @@ mod tests {
             return;
         }
         let mut piped = SimCpu::new(CpuConfig::tiny_test());
-        let mut reference = pool_core();
+        let mut reference = SimCpu::new(CpuConfig::tiny_test());
         let drained = walker_batches();
         let unwound = panic::catch_unwind(AssertUnwindSafe(|| {
             on_walker(&mut piped, |b| {
@@ -615,11 +622,11 @@ mod tests {
         }));
         assert!(unwound.is_err());
         assert!(walker_batches() > drained, "the walker drained the batch");
-        tape(&mut reference.batch());
+        inline(&mut reference, tape);
         assert_same(&piped, &reference, "after the unwind");
         // The core and the walker serve the next batch as before.
         on_walker(&mut piped, tape);
-        tape(&mut reference.batch());
+        inline(&mut reference, tape);
         assert_same(&piped, &reference, "the next batch");
     }
 }

@@ -58,10 +58,6 @@ pub struct SimCpu {
     /// the [`Counters`] bank: the solver's counter model is
     /// socket-agnostic and must not see a new dimension.
     pub(crate) remote_accesses: u64,
-    /// Whether the core belongs to a [`crate::CpuPool`]: its workers
-    /// already occupy the host cores, so its batches walk the hierarchy
-    /// inline rather than on the walker thread.
-    pub(crate) pooled: bool,
 }
 
 impl SimCpu {
@@ -79,7 +75,6 @@ impl SimCpu {
             socket: 0,
             placement: NumaPlacement::single(),
             remote_accesses: 0,
-            pooled: false,
             config,
         }
     }

@@ -30,11 +30,11 @@
 //!
 //! Everything is deterministic: the same event stream produces the same
 //! counter values on every run, which makes the reproduction testable.
-//! That holds across host threads too: a standalone core's batched
-//! events ([`BatchCpu`]) hand their cache-hierarchy walks to one
-//! process-wide walker thread, which applies them in program order while
-//! the row loop runs on ([`walker_batches`] counts its batches); pool
-//! cores walk inline.
+//! That holds across host threads too: a core's batched events
+//! ([`BatchCpu`]) hand their cache-hierarchy walks to one process-wide
+//! walker thread when it is free, which applies them in program order
+//! while the row loop runs on ([`walker_batches`] counts its batches);
+//! otherwise they walk inline.
 //!
 //! ## Quick example
 //!

@@ -2,27 +2,26 @@
 //! an optional **socket model** for the shared last-level cache.
 //!
 //! Each core is a full [`SimCpu`]: its own private L1/L2, branch
-//! predictor, stream state and free-running PMU bank. A pool core's
-//! batches walk its hierarchy inline on its worker thread — the workers
-//! already occupy the host cores — while a standalone core's batches may
-//! hand theirs to the walker thread: the hierarchy moves to the walker
-//! for one batch and back; it is never shared. What cores share depends
-//! on the pool's [`LlcMode`]:
+//! predictor, stream state and free-running PMU bank. Its batches hand
+//! their hierarchy walks to the walker thread under the same rule as a
+//! standalone core's: the hierarchy moves to the walker for one batch and
+//! back; it is never shared. What cores share depends on the pool's
+//! [`LlcMode`]:
 //!
 //! * [`LlcMode::Private`] — every core keeps the full configured LLC, as
 //!   if each sat on its own socket. Right for one query on one core;
 //!   optimistic for co-running work (N private LLCs beat one socket).
 //! * [`LlcMode::Shared`] — the configured LLC is the *socket's*, and
-//!   co-running cores contend for it. Because workers are real threads,
-//!   contention is modelled **deterministically** by way-partitioning
-//!   rather than by a shared mutable cache: callers declare each core's
+//!   co-running cores contend for it. Contention is modelled
+//!   **deterministically** by way-partitioning rather than by a shared
+//!   mutable cache: callers declare each core's
 //!   hot-set footprint at region boundaries
 //!   ([`CpuPool::declare_footprints`]), the pool computes every core's
 //!   capacity share with [`partition_llc_ways`] (a pure function of the
 //!   declared footprints), and each core's hierarchy is restricted to
 //!   its slice. Per-core simulated cycles therefore depend only on the
-//!   declared co-runner set — never on host thread scheduling — and
-//!   query *results* never depend on cache state at all.
+//!   declared co-runner set, and query *results* never depend on cache
+//!   state at all.
 //!
 //! The pool's timing view is the one a wall clock would see: the
 //! parallel region is as slow as its busiest core ([`CpuPool::max_cycles`]),
@@ -169,13 +168,8 @@ impl CpuPool {
             (1..=cores).contains(&sockets),
             "sockets must be in 1..=cores"
         );
-        let core = || {
-            let mut core = SimCpu::new(config.clone());
-            core.pooled = true;
-            core
-        };
         let mut pool = Self {
-            cores: (0..cores).map(|_| core()).collect(),
+            cores: (0..cores).map(|_| SimCpu::new(config.clone())).collect(),
             mode,
             sockets,
             footprints: vec![0; cores],

@@ -23,14 +23,13 @@
 //! hierarchy moves to the walker for one batch and back; it is never
 //! shared.
 //!
-//! A standalone [`SimCpu`] pipes its batches when the walker is free and
-//! the host has a core to spare for it: the open batches of the process,
-//! on any core, plus the walker must not outnumber the host cores. Pool
-//! cores walk inline: their workers already occupy the host cores. So
-//! does a batch that finds the walker serving another core, or no core
-//! to spare (a one-core host never has one) — and a piped batch that
-//! sees the host fill up (another batch opened) hands its walks back and
-//! goes on inline. Both sides wait for each other with a short spin and
+//! A [`SimCpu`] — standalone or a pool's — pipes its batches when the
+//! walker is free and the host has a core to spare for it: the open
+//! batches of the process, on any core, plus the walker must not
+//! outnumber the host cores. A batch that finds the walker serving
+//! another core, or no core to spare (a one-core host never has one),
+//! walks inline — and a piped batch that sees the host fill up (another
+//! batch opened) hands its walks back and goes on inline. Both sides wait for each other with a short spin and
 //! then park; the idle walker parks with no timed wake-ups. If the walker
 //! thread dies (a walk panicked), the panic surfaces in the batch it was
 //! serving and every later batch walks inline.
@@ -284,11 +283,7 @@ impl Walks {
     /// may have it (see the [module documentation](self)).
     pub(crate) fn open(cpu: &mut SimCpu) -> Self {
         OPEN_BATCHES.fetch_add(1, Ordering::Relaxed);
-        let walker = Walker::take(cpu);
-        if cpu.pooled {
-            return Walks::Inline(walker);
-        }
-        Feed::open(walker).map_or_else(Walks::Inline, Walks::Piped)
+        Feed::open(Walker::take(cpu)).map_or_else(Walks::Inline, Walks::Piped)
     }
 
     /// Apply, or queue, a touch of `line`.

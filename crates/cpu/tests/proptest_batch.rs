@@ -3,11 +3,12 @@
 //! tapes — mixed loads (random, sequential, spans), branches, and
 //! instruction charges, with and without NUMA remote pricing — and the
 //! bulk sequential-element path matches per-element loads from any warm
-//! state. Each batched tape runs twice: on a standalone core, whose
-//! batches hand their walks to the walker thread (on a host with two
-//! cores or more), and on the core of a 1-core [`CpuPool`], which walks
-//! inline; the two must agree on counters, remote accesses, the predictor
-//! and every cache set.
+//! state. Each batched tape runs twice: on a core whose batches hand
+//! their walks to the walker thread (on a host with two cores or more),
+//! and on a core whose batches run while decoy cores hold a batch open on
+//! every host core, so they find no host core to spare and walk inline;
+//! the two must agree on counters, remote accesses, the predictor and
+//! every cache set.
 //!
 //! Case count is the vendored proptest default (256), pinnable via the
 //! upstream-compatible `PROPTEST_CASES` environment variable (CI pins it
@@ -17,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use popt_cpu::{walker_batches, BatchCpu, BranchSite, CpuConfig, CpuPool, NumaPlacement, SimCpu};
+use popt_cpu::{walker_batches, BatchCpu, BranchSite, CpuConfig, NumaPlacement, SimCpu};
 
 fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state << 13;
@@ -26,7 +27,7 @@ fn xorshift(state: &mut u64) -> u64 {
     *state
 }
 
-/// A scalar core, a standalone core and the core of a 1-core pool, each
+/// Three cores — scalar, batched, and batched beside a decoy — each
 /// optionally on `socket` of a two-socket placement.
 fn cpu_trio(numa: bool, socket: usize) -> (SimCpu, SimCpu, SimCpu) {
     let configure = |mut c: SimCpu| {
@@ -39,9 +40,21 @@ fn cpu_trio(numa: bool, socket: usize) -> (SimCpu, SimCpu, SimCpu) {
         }
         c
     };
-    let standalone = || configure(SimCpu::new(CpuConfig::tiny_test()));
-    let pooled = configure(CpuPool::new(CpuConfig::tiny_test(), 1).cores()[0].clone());
-    (standalone(), standalone(), pooled)
+    let core = || configure(SimCpu::new(CpuConfig::tiny_test()));
+    (core(), core(), core())
+}
+
+/// Run `events` in one batch on `cpu` while one decoy core per host core
+/// holds a batch open: the open batches then fill the host, so `cpu`'s
+/// batch finds no host core to spare and walks inline, whatever
+/// concurrently running cases hold.
+fn beside_decoy(cpu: &mut SimCpu, events: impl FnOnce(&mut BatchCpu<'_>)) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut decoys: Vec<SimCpu> = (0..cores)
+        .map(|_| SimCpu::new(CpuConfig::tiny_test()))
+        .collect();
+    let _open: Vec<_> = decoys.iter_mut().map(SimCpu::batch).collect();
+    events(&mut cpu.batch());
 }
 
 /// Everything a simulated core carries.
@@ -183,7 +196,7 @@ proptest! {
     /// guard (quiet branch/load forms included) leaves identical PMU
     /// counters, cycles, and hierarchy state. State identity is probed
     /// by replaying a second tape after the first comparison; the
-    /// standalone and pool cores are compared whole.
+    /// batched core and the one beside a decoy are compared whole.
     #[test]
     fn batched_event_tape_matches_scalar(
         seed in any::<u64>(),
@@ -192,12 +205,12 @@ proptest! {
         socket in 0usize..2,
     ) {
         let drained = walker_batches();
-        let (mut scalar, mut batched, mut pooled) = cpu_trio(numa, socket);
+        let (mut scalar, mut batched, mut inline) = cpu_trio(numa, socket);
         for round in 0..2 {
             let s = (seed ^ ((round as u64) << 32)) | 1;
             scalar_tape(&mut scalar, s, ops);
             batched_tape(&mut batched.batch(), s, ops);
-            batched_tape(&mut pooled.batch(), s, ops);
+            beside_decoy(&mut inline, |b| batched_tape(b, s, ops));
             prop_assert_eq!(
                 scalar.counters(),
                 batched.counters(),
@@ -207,14 +220,14 @@ proptest! {
                 socket
             );
             prop_assert_eq!(scalar.cycles(), batched.cycles());
-            assert_same_core(&batched, &pooled);
+            assert_same_core(&batched, &inline);
         }
         assert_walker_drained_since(drained);
     }
 
     /// Bulk sequential element accounting equals per-element loads for
     /// every alignment, element width, and warm-cache entry state, on
-    /// the standalone and the pool core alike.
+    /// the batched core and the one beside a decoy alike.
     #[test]
     fn bulk_elements_match_per_element_loads(
         seed in any::<u64>(),
@@ -225,20 +238,20 @@ proptest! {
         let mut s = seed | 1;
         let elem = 1u64 << elem_pow; // 1, 2, 4, 8 bytes
         let addr = xorshift(&mut s) % (64 * 300);
-        let (mut scalar, mut batched, mut pooled) = cpu_trio(false, 0);
+        let (mut scalar, mut batched, mut inline) = cpu_trio(false, 0);
         if warm {
             // Leave the stream mid-line so the leading-hit rule engages.
             let w = addr.saturating_sub(elem * 3);
             scalar.load(0, w, elem as u32);
             batched.batch().load(0, w, elem as u32);
-            pooled.batch().load(0, w, elem as u32);
+            beside_decoy(&mut inline, |b| b.load(0, w, elem as u32));
         }
         for k in 0..n {
             scalar.load(0, addr + k * elem, elem as u32);
         }
         bulk_elements(&mut batched.batch(), addr, elem, n);
-        bulk_elements(&mut pooled.batch(), addr, elem, n);
+        beside_decoy(&mut inline, |b| bulk_elements(b, addr, elem, n));
         prop_assert_eq!(scalar.counters(), batched.counters());
-        assert_same_core(&batched, &pooled);
+        assert_same_core(&batched, &inline);
     }
 }

@@ -94,9 +94,9 @@ pub fn event_json(record: &TraceRecord) -> String {
 }
 
 /// A full Chrome trace document over the given records. Records are
-/// sorted by `(query, cycles, lane, ordinal)` first, so the document is
-/// deterministic even when the in-memory sink collected events in
-/// host-interleaving order.
+/// sorted by `(query, cycles, lane, ordinal)` first, so the document
+/// reads in simulated-time order whatever order the sink collected
+/// events in.
 pub fn chrome_trace(records: &[TraceRecord]) -> String {
     let mut sorted: Vec<&TraceRecord> = records.iter().collect();
     sorted.sort_by_key(|r| (r.query, r.stamp.cycles, r.stamp.lane, r.stamp.ordinal));

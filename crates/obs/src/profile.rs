@@ -61,9 +61,8 @@ pub struct ProfSlice {
     pub start_cycles: u64,
     /// Attributed cycles.
     pub cycles: u64,
-    /// Per-worker emission sequence (deterministic sort key: a worker's
-    /// own slice order is simulation-determined even when cross-worker
-    /// collection order is host-elastic).
+    /// Per-worker emission sequence (sort key: a worker's own slice
+    /// order, whatever order the workers' slices were collected in).
     pub seq: u64,
 }
 
@@ -263,10 +262,9 @@ impl Profiler {
             })
     }
 
-    /// All recorded slices, deterministically ordered by
-    /// `(worker, seq)` — each worker's own timeline order is
-    /// simulation-determined even when the cross-worker collection
-    /// order was host-elastic.
+    /// All recorded slices, ordered by `(worker, seq)` — each worker's
+    /// own timeline order, whatever order the workers' slices were
+    /// collected in.
     pub fn slices(&self) -> Vec<ProfSlice> {
         let inner = self.inner.lock().expect("profiler lock");
         let mut slices = inner.slices.clone();

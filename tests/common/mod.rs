@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use popt::core::exec::program::CompiledProgram;
 use popt::core::plan::{Expr, LogicalPlan, PlanBuilder};
-use popt::cpu::{walker_batches, CacheLevelConfig, CpuConfig, CpuPool, SimCpu};
+use popt::cpu::{walker_batches, CacheLevelConfig, CpuConfig, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::xorshift64;
 
@@ -125,11 +125,18 @@ pub fn build<'t>(
         .expect("program compiles")
 }
 
-/// The core of a 1-core pool built from `config`: its batches walk the
-/// cache hierarchy inline, where a standalone core's run on the walker
-/// thread whenever the host has a second core and the walker is free.
-pub fn pool_core(config: CpuConfig) -> SimCpu {
-    CpuPool::new(config, 1).cores()[0].clone()
+/// Run `f` while one decoy core per host core holds a batch open: the
+/// open batches then fill the host, so every batch `f` opens finds no
+/// host core to spare and walks the cache hierarchy inline — whatever
+/// concurrently running tests hold — where it would otherwise run on the
+/// walker whenever the host has a second core and the walker is free.
+pub fn beside_decoy<R>(f: impl FnOnce() -> R) -> R {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut decoys: Vec<SimCpu> = (0..cores)
+        .map(|_| SimCpu::new(CpuConfig::tiny_test()))
+        .collect();
+    let _open: Vec<_> = decoys.iter_mut().map(SimCpu::batch).collect();
+    f()
 }
 
 /// With two host cores or more, the walker thread must have drained a

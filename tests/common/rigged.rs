@@ -1,6 +1,7 @@
-//! A delegating progressive target with two injected faults, for tests
+//! A delegating progressive target with three injected faults, for tests
 //! that must force what the §4.4 policy never does on its own: a
-//! `set_order` that fails mid-round, and trials that always regress.
+//! `set_order` that fails mid-round, trials that always regress, and a
+//! shard that panics mid-run.
 
 use popt::core::exec::scan::VectorStats;
 use popt::core::{EngineError, Peo, ProgressiveTarget, ShardableTarget, TargetShard};
@@ -23,12 +24,14 @@ pub fn injected() -> EngineError {
 ///   exploratory ones included. Each such range is charged more per tuple
 ///   than the one before: the serial drive judges a trial scheduled right
 ///   after a revert against the reverted trial's own vector, which a flat
-///   charge would let the second trial match.
+///   charge would let the second trial match;
+/// * every shard panics at its `panic_at`-th range run (1-based).
 pub struct Rigged<T> {
     inner: T,
     start: Peo,
     calls: usize,
     fail_at: usize,
+    panic_at: usize,
     penalty: Penalty,
 }
 
@@ -51,13 +54,15 @@ impl Penalty {
 }
 
 impl<T: ProgressiveTarget> Rigged<T> {
-    /// Transparent until `with_failing_set_order` / `with_regressing_trials`.
+    /// Transparent until `with_failing_set_order` /
+    /// `with_panicking_shards_at` / `with_regressing_trials`.
     pub fn new(inner: T) -> Self {
         Self {
             start: inner.order(),
             inner,
             calls: 0,
             fail_at: usize::MAX,
+            panic_at: usize::MAX,
             penalty: Penalty {
                 per_tuple: 0,
                 charged: 0,
@@ -68,6 +73,12 @@ impl<T: ProgressiveTarget> Rigged<T> {
     /// Fail the `k`-th `set_order` call (1-based).
     pub fn with_failing_set_order(mut self, k: usize) -> Self {
         self.fail_at = k;
+        self
+    }
+
+    /// Make every shard panic at its `k`-th range run (1-based).
+    pub fn with_panicking_shards_at(mut self, k: usize) -> Self {
+        self.panic_at = k;
         self
     }
 
@@ -141,12 +152,14 @@ impl<T: ProgressiveTarget> ProgressiveTarget for Rigged<T> {
 }
 
 /// A shard of a [`Rigged`] target: charges the same penalty (escalating
-/// on its own), never fails.
+/// on its own), never fails, and panics at its `panic_at`-th range run.
 pub struct RiggedShard<S> {
     inner: S,
     order: Peo,
     start: Peo,
     penalty: Penalty,
+    runs: usize,
+    panic_at: usize,
 }
 
 impl<S: TargetShard> TargetShard for RiggedShard<S> {
@@ -156,6 +169,8 @@ impl<S: TargetShard> TargetShard for RiggedShard<S> {
         Ok(())
     }
     fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
+        self.runs += 1;
+        assert!(self.runs != self.panic_at, "injected shard panic");
         let stats = self.inner.run_range(cpu, start, end);
         self.penalty.charge(stats, &self.order, &self.start)
     }
@@ -170,6 +185,8 @@ impl<T: ShardableTarget> ShardableTarget for Rigged<T> {
             order: self.inner.order(),
             start: self.start.clone(),
             penalty: self.penalty.clone(),
+            runs: 0,
+            panic_at: self.panic_at,
         })
     }
 }

@@ -2,10 +2,12 @@
 //! `set_order` that fails in the middle of a reoptimization round must
 //! surface that error from the serial drive *and* from the pooled one —
 //! no panic, no hang, no silently dropped round — and the failing
-//! worker's siblings must stop at their next morsel boundary instead of
-//! finishing the scan. Trials made to regress exercise the serial drive's
-//! revert paths: the rejection memory, a trial on the last vector, and
-//! stall exploration.
+//! worker's siblings must not finish the scan. A shard that panics
+//! mid-run unwinds to the caller and leaves the pool usable. Trials made
+//! to regress exercise the serial drive's revert paths: the rejection
+//! memory, a trial on the last vector, and stall exploration.
+
+use std::panic::{self, AssertUnwindSafe};
 
 use popt::core::parallel::{run_parallel_target_observed, MorselConfig};
 use popt::core::plan::SelectionPlan;
@@ -56,12 +58,12 @@ fn serial_drive_returns_the_injected_error() {
     }
 }
 
-/// The pooled drive at 1, 2 and 4 workers. Its worker scaffold (one
-/// mutex, first error kept, siblings stopped at their next boundary
-/// lock) and morsel step are the query server's too, so this also covers
-/// the server's error path, which no test can reach from outside: a
-/// served query's `CompiledTarget` never fails `set_order` on a valid
-/// order.
+/// The pooled drive at 1, 2 and 4 workers. Its driver (one host thread
+/// stepping the workers in simulated-time order; a step's error ends the
+/// run at once, so no sibling takes another step) and its morsel steps
+/// are the query server's too, so this also covers the server's error
+/// path, which no test can reach from outside: a served query's
+/// `CompiledTarget` never fails `set_order` on a valid order.
 #[test]
 fn pooled_drive_returns_the_injected_error_and_siblings_stop() {
     let star = star_schema(ROWS, 0x57A12);
@@ -83,9 +85,9 @@ fn pooled_drive_returns_the_injected_error_and_siblings_stop() {
     for workers in [1, 2, 4] {
         let (clean, clean_cycles) = run(workers, usize::MAX);
         clean.expect("the wrapper is transparent until it fails");
-        // The master target's first `set_order` calls re-establish the
-        // published order around the first fitted round (before the fit
-        // and after it); later ones also cover trial resolution.
+        // The master target's first `set_order` calls set the published
+        // order at the start of each due round; later ones also cover
+        // trial resolution.
         for fail_at in 1..=4 {
             let (report, cycles) = run(workers, fail_at);
             assert_eq!(
@@ -93,14 +95,49 @@ fn pooled_drive_returns_the_injected_error_and_siblings_stop() {
                 Err(injected()),
                 "workers={workers} fail_at={fail_at}"
             );
-            // The failing worker stops at once and its siblings at their
-            // next boundary: most of the 64 morsels never run.
+            // The run stops at the failing step: most of the 64 morsels
+            // never run.
             assert!(
                 cycles < clean_cycles / 2,
                 "workers={workers} fail_at={fail_at}: \
                  {cycles} of {clean_cycles} cycles still executed"
             );
         }
+    }
+}
+
+/// A shard that panics mid-run unwinds through the pooled driver to the
+/// caller, at 1, 2 and 4 workers, with no lock to poison and no worker
+/// thread to join: the same pool then runs the scan to the answer a
+/// fresh pool gives.
+#[test]
+fn a_panicking_shard_unwinds_to_the_caller_and_the_pool_runs_on() {
+    let star = star_schema(ROWS, 0x57A12);
+    let run = |pool: &mut CpuPool, panic_at: usize| {
+        let mut program = star_program(&star, Some(0.5), [0.5, 0.5, 0.5]);
+        program.reorder(&START).unwrap();
+        let mut target =
+            Rigged::new(CompiledTarget::new(&mut program)).with_panicking_shards_at(panic_at);
+        run_parallel_target_observed(
+            &mut target,
+            MorselConfig::new(1024),
+            pool,
+            Some(&config()),
+            &ExecObservers::none(),
+        )
+    };
+    for workers in [1, 2, 4] {
+        let fresh = run(&mut CpuPool::new(small_cache_cpu(), workers), usize::MAX)
+            .expect("the wrapper is transparent until it panics");
+        let mut pool = CpuPool::new(small_cache_cpu(), workers);
+        let unwound = panic::catch_unwind(AssertUnwindSafe(|| run(&mut pool, 3)));
+        assert!(unwound.is_err(), "workers={workers}: the panic must unwind");
+        let again = run(&mut pool, usize::MAX).expect("the pool runs on");
+        assert_eq!(
+            (again.qualified, again.sum, again.morsels),
+            (fresh.qualified, fresh.sum, fresh.morsels),
+            "workers={workers}"
+        );
     }
 }
 

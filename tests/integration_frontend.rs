@@ -115,10 +115,8 @@ fn frontend_program_is_a_drop_in_for_its_scalar_oracle() {
         "same trajectory, same simulated cost"
     );
 
-    // Morsel-parallel with shared reoptimization: same results at every
-    // worker count. (Wall cycles are not compared: morsel→worker
-    // assignment follows host thread timing, so only the *results* are
-    // deterministic across runs.)
+    // Morsel-parallel with shared reoptimization: the same run at every
+    // worker count — results, switches and wall cycles.
     for workers in [1usize, 2, 4] {
         let mut prog = program(&fact, &dim, 500);
         let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
@@ -142,6 +140,8 @@ fn frontend_program_is_a_drop_in_for_its_scalar_oracle() {
         .unwrap();
         assert_eq!(p.qualified, q.qualified, "workers={workers}");
         assert_eq!(p.sum, q.sum);
+        assert_eq!(p.wall_cycles, q.wall_cycles, "workers={workers}");
+        assert_eq!(p, q, "workers={workers}: same simulated run");
     }
 }
 

@@ -624,16 +624,15 @@ fn priorities_order_completion_under_contention() {
 }
 
 /// Mid-run order-cache publication: a query's converged order and
-/// calibration publish at *query completion* (under the coordination
-/// lock), so a long open-loop stream warms its own later arrivals —
-/// within one batch, without waiting for the batch to drain.
+/// calibration publish at *query completion*, so a long open-loop
+/// stream warms its own later arrivals — within one batch, without
+/// waiting for the batch to drain.
 #[test]
 fn completed_query_warms_a_later_arrival_in_the_same_batch() {
     let (fact, _dim) = tables(0x0A51);
     let plan = scan_plan([200, 500, 800]);
     // Far enough out that the first instance has certainly completed
-    // (in simulated time) before the second arrives; with one worker
-    // the host-time order matches, so the test is fully deterministic.
+    // (in simulated time) before the second arrives.
     let late_arrival = 100_000_000u64;
 
     let mut server = QueryServer::new(config(true));
@@ -742,14 +741,12 @@ fn tables_n(rows: usize, seed: u64) -> (Table, Table) {
     (fact, dim)
 }
 
-/// Regression against the reverted-shared-cursor hazard, for dynamic
-/// LLC repartitioning: every way recomputation is keyed to events in
-/// the worker's *own* claim stream (a query draining locally), never to
-/// global completion state another worker races to update. Two runs of
-/// the same staggered batch on a multi-worker two-socket shared pool
-/// must therefore produce the *entire* report — per-worker busy cycles
-/// and per-query execution cycles included — bit-for-bit, and results
-/// must match solo execution.
+/// Dynamic LLC repartitioning is keyed to events in the worker's *own*
+/// claim stream (a query draining locally). Two runs of the same
+/// staggered batch on a multi-worker two-socket shared pool must produce
+/// the *entire* report — per-worker busy cycles and per-query execution
+/// cycles included — bit-for-bit, and results must match solo
+/// execution.
 #[test]
 fn dynamic_repartition_cycles_are_host_schedule_independent() {
     let (fact, dim) = tables(0xD27A);

@@ -101,8 +101,6 @@ fn star_parallel_matches_serial_for_one_and_many_workers() {
     assert_eq!(serial.qualified, expect.qualified);
 
     for workers in [1usize, 4, 8] {
-        let mut program = star_program(&star, Some(0.5), [0.5, 0.5, 0.5]);
-        let mut pool = CpuPool::new(small_cache_cpu(), workers);
         // Cache-friendly morsels (L2-fitted) rather than one fixed size:
         // convergence needs enough morsel boundaries per worker for the
         // three calibration probes plus the estimator's trials — at 8
@@ -110,14 +108,20 @@ fn star_parallel_matches_serial_for_one_and_many_workers() {
         // boundaries per worker, too few to finish calibrating.
         let morsels = MorselConfig::cache_friendly(&small_cache_cpu(), 32);
         assert!(morsels.morsel_tuples < 4_096, "sizing tracks the tiny L2");
-        let report = run_parallel_program(
-            &mut program,
-            &[PART, SUPPLIER, CUSTOMER, 0],
-            morsels,
-            &mut pool,
-            Some(&config()),
-        )
-        .unwrap();
+        let run = || {
+            let mut program = star_program(&star, Some(0.5), [0.5, 0.5, 0.5]);
+            let mut pool = CpuPool::new(small_cache_cpu(), workers);
+            run_parallel_program(
+                &mut program,
+                &[PART, SUPPLIER, CUSTOMER, 0],
+                morsels,
+                &mut pool,
+                Some(&config()),
+            )
+            .unwrap()
+        };
+        let report = run();
+        assert_eq!(run(), report, "workers={workers}: a second run differs");
         assert_eq!(report.qualified, expect.qualified, "workers={workers}");
         assert_eq!(report.sum, expect.sum, "workers={workers}");
         let pos = |stage: usize| {

@@ -4,10 +4,11 @@
 //! PMU counter state for random workloads and vector boundaries, and an
 //! identical full [`ParallelReport`] across socket counts, worker
 //! counts, LLC modes, and progressive reoptimization. Every serial case
-//! also runs the fast path on the core of a 1-core pool, whose batches
-//! walk the cache hierarchy inline, against the standalone core, whose
-//! batches hand their walks to the walker thread — and asserts, on a
-//! host with two cores or more, that the walker thread drained batches.
+//! also runs the fast path on a core whose batches run while decoy cores
+//! hold a batch open on every host core, and so walk the cache hierarchy
+//! inline, against a core
+//! whose batches hand their walks to the walker thread — and asserts, on
+//! a host with two cores or more, that the walker thread drained batches.
 //!
 //! Case count is the vendored proptest default (256), pinnable via the
 //! upstream-compatible `PROPTEST_CASES` environment variable (CI runs
@@ -120,7 +121,7 @@ proptest! {
         let drained = popt::cpu::walker_batches();
         let mut cpu_f = SimCpu::new(CpuConfig::tiny_test());
         let mut cpu_o = SimCpu::new(CpuConfig::tiny_test());
-        let mut cpu_p = common::pool_core(CpuConfig::tiny_test());
+        let mut cpu_i = SimCpu::new(CpuConfig::tiny_test());
         // Also exercise re-chaining: reverse the order mid-run.
         let order: Vec<usize> = (0..stages).rev().collect();
         let mut start = 0usize;
@@ -134,14 +135,14 @@ proptest! {
             }
             let sf = fast.run_range(&mut cpu_f, start, end);
             let so = oracle.run_range(&mut cpu_o, start, end);
-            let sp = fast.run_range(&mut cpu_p, start, end);
+            let si = common::beside_decoy(|| fast.run_range(&mut cpu_i, start, end));
             prop_assert_eq!(&sf, &so, "vector {}..{}", start, end);
             prop_assert_eq!(cpu_f.counters(), cpu_o.counters());
-            prop_assert_eq!(&sp, &sf, "pool core, vector {}..{}", start, end);
-            prop_assert_eq!(cpu_p.counters(), cpu_f.counters());
+            prop_assert_eq!(&si, &sf, "inline core, vector {}..{}", start, end);
+            prop_assert_eq!(cpu_i.counters(), cpu_f.counters());
             start = end;
         }
-        prop_assert!(cpu_p.predictor() == cpu_f.predictor(), "pool core predictor");
+        prop_assert!(cpu_i.predictor() == cpu_f.predictor(), "inline core predictor");
         common::assert_walker_drained_since(drained);
     }
 
@@ -220,13 +221,13 @@ proptest! {
         let mut cpu_f = SimCpu::new(CpuConfig::tiny_test());
         let mut cpu_o = SimCpu::new(CpuConfig::tiny_test());
         let mut cpu_l = SimCpu::new(CpuConfig::tiny_test());
-        let mut cpu_p = common::pool_core(CpuConfig::tiny_test());
+        let mut cpu_i = SimCpu::new(CpuConfig::tiny_test());
         let mut start = 0usize;
         while start < ROWS {
             let end = (start + vector).min(ROWS);
             fast.set_scalar_oracle(false);
             let sf = fast.run_range(&mut cpu_f, start, end);
-            let sp = fast.run_range(&mut cpu_p, start, end);
+            let si = common::beside_decoy(|| fast.run_range(&mut cpu_i, start, end));
             fast.set_scalar_oracle(true);
             let so = fast.run_range(&mut cpu_o, start, end);
             let sl = lowered.run_range(&mut cpu_l, start, end);
@@ -235,9 +236,9 @@ proptest! {
             prop_assert_eq!(&sl, &sf, "lowered, vector {}..{} peo {:?}", start, end, &peo);
             prop_assert_eq!(cpu_l.counters(), cpu_f.counters());
             prop_assert!(cpu_l.predictor() == cpu_f.predictor(), "predictor, peo {:?}", &peo);
-            prop_assert_eq!(&sp, &sf, "pool core, vector {}..{}", start, end);
-            prop_assert_eq!(cpu_p.counters(), cpu_f.counters());
-            prop_assert!(cpu_p.predictor() == cpu_f.predictor(), "pool core predictor");
+            prop_assert_eq!(&si, &sf, "inline core, vector {}..{}", start, end);
+            prop_assert_eq!(cpu_i.counters(), cpu_f.counters());
+            prop_assert!(cpu_i.predictor() == cpu_f.predictor(), "inline core predictor");
             start = end;
         }
         common::assert_walker_drained_since(drained);
@@ -259,15 +260,10 @@ proptest! {
         );
     }
 
-    /// Morsel-parallel execution: with reoptimization off the batched
-    /// fast path and the scalar oracle produce the **same full report**
-    /// — per-worker cycles, wall cycles, counters, final orders —
-    /// across socket counts, worker counts, and LLC modes. With
-    /// progressive reoptimization on, trial leasing is resolved by
-    /// host thread arrival order, so two *runs* (of either path) may
-    /// legitimately take different switch sequences; there the oracle
-    /// comparison pins the ground truth (qualified, sum, morsels), the
-    /// same contract the other parallel proptests use.
+    /// Morsel-parallel execution: the batched fast path and the scalar
+    /// oracle produce the **same full report** — per-worker cycles, wall
+    /// cycles, counters, switches, final orders — across socket counts,
+    /// worker counts, LLC modes, and reoptimization off and on.
     #[test]
     fn parallel_report_matches_oracle(
         stages in 1usize..4,
@@ -299,19 +295,11 @@ proptest! {
                     )
                     .expect("parallel run succeeds")
                 };
-                let fast = run(false);
-                let oracle = run(true);
-                if progressive {
-                    prop_assert_eq!(fast.qualified, oracle.qualified);
-                    prop_assert_eq!(fast.sum, oracle.sum);
-                    prop_assert_eq!(fast.morsels, oracle.morsels);
-                } else {
-                    prop_assert_eq!(
-                        &fast, &oracle,
-                        "mode={:?} sockets={} workers={} morsel={}",
-                        mode, sockets, workers, morsel_tuples
-                    );
-                }
+                prop_assert_eq!(
+                    &run(false), &run(true),
+                    "mode={:?} sockets={} workers={} morsel={} progressive={}",
+                    mode, sockets, workers, morsel_tuples, progressive
+                );
             }
         }
     }

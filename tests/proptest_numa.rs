@@ -8,10 +8,8 @@
 //!   to the serial single-core executor;
 //! * a 1-socket NUMA pool is the flat pre-NUMA pool *exactly*: the whole
 //!   [`ParallelReport`] — per-worker cycles included — matches the
-//!   `CpuPool::with_mode` run bit-for-bit. (Cycle equality is asserted
-//!   without reoptimization: with trials on a multi-worker pool, *which*
-//!   rounds run is elastic by design. Result equality is asserted in the
-//!   first property for both.)
+//!   `CpuPool::with_mode` run bit-for-bit, with reoptimization off and
+//!   on.
 //!
 //! Case count is the vendored proptest default (256), pinnable via the
 //! upstream-compatible `PROPTEST_CASES` environment variable.
@@ -92,9 +90,8 @@ proptest! {
     }
 
     /// A 1-socket NUMA pool is the flat pre-NUMA pool bit-for-bit: same
-    /// results, same per-worker cycles, same counters — the whole report
-    /// matches. (Static order: cycle determinism across repeated
-    /// multi-worker runs holds without trial scheduling.)
+    /// results, same per-worker cycles, same counters, same switches —
+    /// the whole report matches, with reoptimization off and on.
     #[test]
     fn one_socket_pool_is_the_flat_pool_exactly(
         stages in 2usize..4,
@@ -105,33 +102,37 @@ proptest! {
         morsel_tuples in 128usize..1500,
     ) {
         let (fact, dim) = tables(seed);
+        let config = ProgressiveConfig { reop_interval: 2 };
         for mode in [LlcMode::Private, LlcMode::Shared] {
-            let order: Vec<usize> = (0..stages).collect();
-            let mut flat_program = build(&fact, &dim, stages, kinds, lit);
-            let mut flat_pool = CpuPool::with_mode(CpuConfig::tiny_test(), workers, mode);
-            let flat = run_parallel_program(
-                &mut flat_program,
-                &order,
-                MorselConfig::new(morsel_tuples),
-                &mut flat_pool,
-                None,
-            ).expect("flat run succeeds");
+            for reopt in [None, Some(&config)] {
+                let order: Vec<usize> = (0..stages).collect();
+                let mut flat_program = build(&fact, &dim, stages, kinds, lit);
+                let mut flat_pool = CpuPool::with_mode(CpuConfig::tiny_test(), workers, mode);
+                let flat = run_parallel_program(
+                    &mut flat_program,
+                    &order,
+                    MorselConfig::new(morsel_tuples),
+                    &mut flat_pool,
+                    reopt,
+                ).expect("flat run succeeds");
 
-            let mut numa_program = build(&fact, &dim, stages, kinds, lit);
-            let mut numa_pool = CpuPool::with_topology(CpuConfig::tiny_test(), workers, mode, 1);
-            let numa = run_parallel_program(
-                &mut numa_program,
-                &order,
-                MorselConfig::new(morsel_tuples),
-                &mut numa_pool,
-                None,
-            ).expect("1-socket run succeeds");
+                let mut numa_program = build(&fact, &dim, stages, kinds, lit);
+                let mut numa_pool =
+                    CpuPool::with_topology(CpuConfig::tiny_test(), workers, mode, 1);
+                let numa = run_parallel_program(
+                    &mut numa_program,
+                    &order,
+                    MorselConfig::new(morsel_tuples),
+                    &mut numa_pool,
+                    reopt,
+                ).expect("1-socket run succeeds");
 
-            prop_assert_eq!(
-                &numa, &flat,
-                "mode={:?} workers={} morsel={}",
-                mode, workers, morsel_tuples
-            );
+                prop_assert_eq!(
+                    &numa, &flat,
+                    "mode={:?} workers={} morsel={} reopt={}",
+                    mode, workers, morsel_tuples, reopt.is_some()
+                );
+            }
         }
     }
 }

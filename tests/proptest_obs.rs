@@ -6,17 +6,9 @@
 //! For random mixed programs, across sockets × workers × LLC mode ×
 //! reopt on/off:
 //!
-//! * results are always identical between the traced and untraced run
-//!   of the same configuration;
-//! * whenever the untraced run itself is cycle-deterministic — reopt
-//!   off (any worker count), or reopt on with one worker — the whole
-//!   [`ParallelReport`] matches bit-for-bit: accepted orders,
-//!   per-worker cycles and counters included. (With trials on a
-//!   multi-worker pool, *which* rounds run is host-interleaving-elastic
-//!   by design — two untraced runs may already publish different
-//!   near-optimal orders — so full-report equality is exactly as strong
-//!   a claim as repeated untraced runs support, the same contract
-//!   `proptest_numa` pins for the NUMA layer.)
+//! * the whole [`ParallelReport`] is identical between the traced and
+//!   untraced run of the same configuration: results, accepted orders,
+//!   per-worker cycles and counters included;
 //! * the trace itself is complete: one `morsel` claim event per morsel
 //!   the report counts, exactly one `complete` event, every stamp's
 //!   lane within the tracer's lane count, and the Chrome-trace export
@@ -146,28 +138,20 @@ proptest! {
                     );
 
                     // Full-report bit-identity — accepted orders,
-                    // per-worker cycles, counters — wherever the
-                    // untraced run itself is cycle-deterministic. (With
-                    // reopt on a multi-worker pool, *which* rounds run
-                    // is host-interleaving-elastic by design, so two
-                    // untraced runs may already publish different
-                    // near-optimal orders; tracing can only be held to
-                    // the determinism the engine itself provides.)
-                    if !progressive || workers == 1 {
-                        prop_assert_eq!(
-                            &traced.report.final_order,
-                            &plain.report.final_order
-                        );
-                        prop_assert_eq!(
-                            &traced.report.socket_orders,
-                            &plain.report.socket_orders
-                        );
-                        prop_assert_eq!(
-                            &traced.report, &plain.report,
-                            "sockets={} mode={:?} workers={} progressive={}",
-                            sockets, mode, workers, progressive
-                        );
-                    }
+                    // per-worker cycles, counters.
+                    prop_assert_eq!(
+                        &traced.report.final_order,
+                        &plain.report.final_order
+                    );
+                    prop_assert_eq!(
+                        &traced.report.socket_orders,
+                        &plain.report.socket_orders
+                    );
+                    prop_assert_eq!(
+                        &traced.report, &plain.report,
+                        "sockets={} mode={:?} workers={} progressive={}",
+                        sockets, mode, workers, progressive
+                    );
 
                     // Trace completeness: one claim event per morsel,
                     // exactly one completion, every lane in range, all

@@ -1,7 +1,11 @@
 //! Property: morsel-driven parallel execution is observationally
 //! equivalent to the single-core executor — identical `qualified` and
 //! `sum` for random workloads, worker counts, and morsel sizes, with
-//! and without progressive reoptimization.
+//! and without progressive reoptimization — and deterministic: a second
+//! run of the same configuration gives an equal [`ParallelReport`],
+//! across workers × sockets × LLC mode × reopt on/off.
+//!
+//! [`ParallelReport`]: popt::core::parallel::ParallelReport
 //!
 //! Case count is the vendored proptest default (256), pinnable via the
 //! upstream-compatible `PROPTEST_CASES` environment variable (CI pins it
@@ -13,7 +17,7 @@ use popt::core::parallel::{run_parallel_program, MorselConfig};
 use popt::core::plan::SelectionPlan;
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
-use popt::cpu::{CpuConfig, CpuPool, SimCpu};
+use popt::cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::xorshift64;
 
@@ -22,7 +26,8 @@ use common::{build, tables, ROWS};
 
 proptest! {
     /// Parallel program execution: identical results for every worker
-    /// count and morsel size, baseline and progressive.
+    /// count, socket count, LLC mode and morsel size, baseline and
+    /// progressive, and a second run reproduces the whole report.
     #[test]
     fn parallel_pipeline_is_exact(
         stages in 2usize..5,
@@ -37,24 +42,42 @@ proptest! {
         let mut cpu = SimCpu::new(CpuConfig::tiny_test());
         let expect = serial.run_range(&mut cpu, 0, ROWS);
 
-        for progressive in [false, true] {
-            let mut program = build(&fact, &dim, stages, kinds, lit);
-            let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-            let config = ProgressiveConfig { reop_interval: 2 };
-            let report = run_parallel_program(
-                &mut program,
-                &(0..stages).collect::<Vec<_>>(),
-                MorselConfig::new(morsel_tuples),
-                &mut pool,
-                progressive.then_some(&config),
-            ).expect("parallel run succeeds");
-            prop_assert_eq!(
-                report.qualified, expect.qualified,
-                "workers={} morsel={} progressive={}", workers, morsel_tuples, progressive
-            );
-            prop_assert_eq!(report.sum, expect.sum);
-            // The caller's program ends in the published order.
-            prop_assert_eq!(program.order(), &report.final_order[..]);
+        let config = ProgressiveConfig { reop_interval: 2 };
+        for sockets in [1usize, 2] {
+            if sockets > workers {
+                continue;
+            }
+            for mode in [LlcMode::Private, LlcMode::Shared] {
+                for progressive in [false, true] {
+                    let run = || {
+                        let mut program = build(&fact, &dim, stages, kinds, lit);
+                        let mut pool =
+                            CpuPool::with_topology(CpuConfig::tiny_test(), workers, mode, sockets);
+                        let report = run_parallel_program(
+                            &mut program,
+                            &(0..stages).collect::<Vec<_>>(),
+                            MorselConfig::new(morsel_tuples),
+                            &mut pool,
+                            progressive.then_some(&config),
+                        ).expect("parallel run succeeds");
+                        (report, program.order().to_vec())
+                    };
+                    let (report, order) = run();
+                    prop_assert_eq!(
+                        report.qualified, expect.qualified,
+                        "workers={} sockets={} mode={:?} morsel={} progressive={}",
+                        workers, sockets, mode, morsel_tuples, progressive
+                    );
+                    prop_assert_eq!(report.sum, expect.sum);
+                    // The caller's program ends in the published order.
+                    prop_assert_eq!(&order, &report.final_order);
+                    prop_assert_eq!(
+                        &run().0, &report,
+                        "a second run differs: workers={} sockets={} mode={:?} progressive={}",
+                        workers, sockets, mode, progressive
+                    );
+                }
+            }
         }
     }
 
@@ -95,17 +118,21 @@ proptest! {
         let expect = compiled.run_range(&mut cpu, 0, ROWS);
 
         for progressive in [false, true] {
-            let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
             let config = ProgressiveConfig { reop_interval: 2 };
-            let report = run_parallel_program(
-                &mut compiled.clone(),
-                &peo,
-                MorselConfig::new(morsel_tuples),
-                &mut pool,
-                progressive.then_some(&config),
-            ).expect("parallel run succeeds");
+            let run = || {
+                let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
+                run_parallel_program(
+                    &mut compiled.clone(),
+                    &peo,
+                    MorselConfig::new(morsel_tuples),
+                    &mut pool,
+                    progressive.then_some(&config),
+                ).expect("parallel run succeeds")
+            };
+            let report = run();
             prop_assert_eq!(report.qualified, expect.qualified);
             prop_assert_eq!(report.sum, expect.sum);
+            prop_assert_eq!(&run(), &report, "a second run differs");
         }
     }
 }

@@ -20,10 +20,10 @@
 //! shortcut could silently corrupt: remote-access counts, the whole
 //! predictor state (every automaton and the history register) and the
 //! contents of every cache set. Every serial case runs the fast path on
-//! a standalone core, whose batches hand their walks to the walker
-//! thread, and again on the core of a 1-core pool, which walks inline;
-//! both are compared whole against the oracle, and on a host with two
-//! cores or more the walker thread must have drained batches.
+//! a core whose batches hand their walks to the walker thread, and again
+//! on one whose batches run while decoy cores hold a batch open on every
+//! host core, and so walk inline; both are compared whole against the oracle, and on a host
+//! with two cores or more the walker thread must have drained batches.
 
 use proptest::prelude::*;
 
@@ -198,16 +198,11 @@ fn predictor(history_pick: usize, states: u8, skewed: bool, table_pick: usize) -
     }
 }
 
-/// A fresh core — standalone, or with `pooled` the core of a 1-core pool;
-/// with `numa`, on socket 1 of a two-socket placement that homes the
-/// first half of every fact column on socket 0 (so the bulk load path
-/// crosses home segments) and interleaves the rest.
-fn core(cfg: &CpuConfig, fact: &Table, numa: bool, pooled: bool) -> SimCpu {
-    let mut cpu = if pooled {
-        common::pool_core(cfg.clone())
-    } else {
-        SimCpu::new(cfg.clone())
-    };
+/// A fresh core; with `numa`, on socket 1 of a two-socket placement that
+/// homes the first half of every fact column on socket 0 (so the bulk
+/// load path crosses home segments) and interleaves the rest.
+fn core(cfg: &CpuConfig, fact: &Table, numa: bool) -> SimCpu {
+    let mut cpu = SimCpu::new(cfg.clone());
     if numa {
         let mut placement = NumaPlacement::interleaved(2);
         for c in 0..4 {
@@ -278,9 +273,9 @@ proptest! {
         oracle.set_scalar_oracle(true);
         let cfg = cpu_config(scaled, predictor(history_pick, states, skewed, table_pick));
         let drained = popt::cpu::walker_batches();
-        let mut cpu_f = core(&cfg, &fact, numa, false);
-        let mut cpu_o = core(&cfg, &fact, numa, false);
-        let mut cpu_p = core(&cfg, &fact, numa, true);
+        let mut cpu_f = core(&cfg, &fact, numa);
+        let mut cpu_o = core(&cfg, &fact, numa);
+        let mut cpu_i = core(&cfg, &fact, numa);
         let reversed: Vec<usize> = (0..fast.len()).rev().collect();
         let mut start = 0usize;
         let mut flipped = false;
@@ -293,13 +288,14 @@ proptest! {
             }
             let sf = fast.run_range(&mut cpu_f, start, end);
             let so = oracle.run_range(&mut cpu_o, start, end);
-            prop_assert_eq!(&fast.run_range(&mut cpu_p, start, end), &sf, "pool core");
+            let si = common::beside_decoy(|| fast.run_range(&mut cpu_i, start, end));
+            prop_assert_eq!(&si, &sf, "inline core");
             prop_assert_eq!(&sf, &so, "vector {}..{}", start, end);
             prop_assert_eq!(cpu_f.counters(), cpu_o.counters(), "vector {}..{}", start, end);
             start = end;
         }
         assert_same_core(&cpu_f, &cpu_o);
-        assert_same_core(&cpu_p, &cpu_o);
+        assert_same_core(&cpu_i, &cpu_o);
         common::assert_walker_drained_since(drained);
     }
 
@@ -349,9 +345,9 @@ proptest! {
         oracle.set_scalar_oracle(true);
         let cfg = cpu_config(scaled, predictor(history_pick, states, skewed, table_pick));
         let drained = popt::cpu::walker_batches();
-        let mut cpu_f = core(&cfg, &fact, numa, false);
-        let mut cpu_o = core(&cfg, &fact, numa, false);
-        let mut cpu_p = core(&cfg, &fact, numa, true);
+        let mut cpu_f = core(&cfg, &fact, numa);
+        let mut cpu_o = core(&cfg, &fact, numa);
+        let mut cpu_i = core(&cfg, &fact, numa);
         let n = fast.len();
         let rotated: Vec<usize> = (0..n).map(|k| (k + n - 1) % n).collect();
         let mut start = 0usize;
@@ -365,13 +361,14 @@ proptest! {
             }
             let sf = fast.run_range(&mut cpu_f, start, end);
             let so = oracle.run_range(&mut cpu_o, start, end);
-            prop_assert_eq!(&fast.run_range(&mut cpu_p, start, end), &sf, "pool core");
+            let si = common::beside_decoy(|| fast.run_range(&mut cpu_i, start, end));
+            prop_assert_eq!(&si, &sf, "inline core");
             prop_assert_eq!(&sf, &so, "vector {}..{}", start, end);
             prop_assert_eq!(cpu_f.counters(), cpu_o.counters(), "vector {}..{}", start, end);
             start = end;
         }
         assert_same_core(&cpu_f, &cpu_o);
-        assert_same_core(&cpu_p, &cpu_o);
+        assert_same_core(&cpu_i, &cpu_o);
         common::assert_walker_drained_since(drained);
     }
 
@@ -411,21 +408,22 @@ proptest! {
         oracle.set_scalar_oracle(true);
         let cfg = cpu_config(scaled, predictor(history_pick, states, skewed, table_pick));
         let drained = popt::cpu::walker_batches();
-        let mut cpu_f = core(&cfg, &fact, numa, false);
-        let mut cpu_o = core(&cfg, &fact, numa, false);
-        let mut cpu_p = core(&cfg, &fact, numa, true);
+        let mut cpu_f = core(&cfg, &fact, numa);
+        let mut cpu_o = core(&cfg, &fact, numa);
+        let mut cpu_i = core(&cfg, &fact, numa);
         let mut start = 0usize;
         while start < ROWS {
             let end = (start + vector).min(ROWS);
             let sf = fast.run_range(&mut cpu_f, start, end);
             let so = oracle.run_range(&mut cpu_o, start, end);
-            prop_assert_eq!(&fast.run_range(&mut cpu_p, start, end), &sf, "pool core");
+            let si = common::beside_decoy(|| fast.run_range(&mut cpu_i, start, end));
+            prop_assert_eq!(&si, &sf, "inline core");
             prop_assert_eq!(&sf, &so, "vector {}..{} peo {:?}", start, end, &peo);
             prop_assert_eq!(cpu_f.counters(), cpu_o.counters(), "vector {}..{}", start, end);
             start = end;
         }
         assert_same_core(&cpu_f, &cpu_o);
-        assert_same_core(&cpu_p, &cpu_o);
+        assert_same_core(&cpu_i, &cpu_o);
         common::assert_walker_drained_since(drained);
     }
 

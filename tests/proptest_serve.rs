@@ -1,10 +1,14 @@
 //! Property: serving a random mix of queries — scan/program kinds,
-//! random priorities, arrival times, worker counts and morsel sizes,
-//! with and without progressive reoptimization — yields per-query
-//! results bit-identical to running each query alone on a single core.
+//! random priorities, arrival times, worker counts, socket counts, LLC
+//! modes and morsel sizes, with and without progressive reoptimization —
+//! yields per-query results bit-identical to running each query alone on
+//! a single core, and a second run of the same batch on a fresh server
+//! gives an equal [`ServeReport`].
 //!
 //! Case count is the vendored proptest default (256), pinnable via the
 //! upstream-compatible `PROPTEST_CASES` environment variable.
+//!
+//! [`ServeReport`]: popt::core::serve::ServeReport
 
 use proptest::prelude::*;
 
@@ -14,7 +18,7 @@ use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
 use popt::core::MorselConfig;
-use popt::cpu::{CpuConfig, CpuPool, SimCpu};
+use popt::cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::xorshift64;
 
@@ -80,7 +84,8 @@ fn build_program<'t>(fact: &'t Table, dim: &'t Table, lit: i64) -> CompiledProgr
 
 proptest! {
     /// Every admitted query's (qualified, sum) equals its solo
-    /// single-core execution, regardless of the mix around it.
+    /// single-core execution, regardless of the mix around it, and a
+    /// second run of the batch reproduces the whole report.
     #[test]
     fn served_queries_are_exact(
         seed in any::<u64>(),
@@ -97,14 +102,10 @@ proptest! {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let priorities = [Priority::Low, Priority::Normal, Priority::High];
 
-        // Solo references and specs, one per query.
+        // Each query's (literal, arrival, priority, is-a-scan), and its
+        // solo reference.
+        let mut queries = Vec::new();
         let mut refs = Vec::new();
-        let mut server = QueryServer::new(ServeConfig {
-            morsels: MorselConfig::new(morsel_tuples),
-            reopt: reopt.then_some(ProgressiveConfig { reop_interval: 2 }),
-            use_order_cache: use_cache,
-            dynamic_repartition: false,
-        });
         for k in 0..nqueries {
             let lit = 100 + (xorshift64(&mut state) % 800) as i64;
             let arrival = if arrival_spread == 0 {
@@ -113,45 +114,70 @@ proptest! {
                 xorshift64(&mut state) % arrival_spread
             };
             let priority = priorities[(priority_bits >> (2 * k)) as usize % 3];
-            if (kinds >> k) & 1 == 0 {
-                let plan = scan_plan(lit);
-                let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-                let expect = CompiledProgram::from_selection(&fact, &plan, &[1, 0])
+            let scan = (kinds >> k) & 1 == 0;
+            let mut cpu = SimCpu::new(CpuConfig::tiny_test());
+            let expect = if scan {
+                CompiledProgram::from_selection(&fact, &scan_plan(lit), &[1, 0])
                     .expect("compiles")
-                    .run_range(&mut cpu, 0, ROWS);
-                refs.push((expect.qualified, expect.sum));
-                server.admit(QuerySpec::scan(
-                    format!("q{k}"), &fact, plan, vec![1, 0], priority, arrival,
-                ));
+                    .run_range(&mut cpu, 0, ROWS)
             } else {
-                let mut program = build_program(&fact, &dim, lit);
-                let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-                let expect = program.run_range(&mut cpu, 0, ROWS);
-                refs.push((expect.qualified, expect.sum));
-                // Served from the join-first order.
-                program.reorder(&[1, 0]).expect("valid order");
-                server.admit(QuerySpec::compiled(
-                    format!("q{k}"),
-                    program,
-                    priority,
-                    arrival,
-                ));
+                build_program(&fact, &dim, lit).run_range(&mut cpu, 0, ROWS)
+            };
+            refs.push((expect.qualified, expect.sum));
+            queries.push((lit, arrival, priority, scan));
+        }
+        // A fresh server (cold order cache) with the batch admitted.
+        let server = || {
+            let mut server = QueryServer::new(ServeConfig {
+                morsels: MorselConfig::new(morsel_tuples),
+                reopt: reopt.then_some(ProgressiveConfig { reop_interval: 2 }),
+                use_order_cache: use_cache,
+                dynamic_repartition: false,
+            });
+            for (k, &(lit, arrival, priority, scan)) in queries.iter().enumerate() {
+                if scan {
+                    server.admit(QuerySpec::scan(
+                        format!("q{k}"), &fact, scan_plan(lit), vec![1, 0], priority, arrival,
+                    ));
+                } else {
+                    // Served from the join-first order.
+                    let mut program = build_program(&fact, &dim, lit);
+                    program.reorder(&[1, 0]).expect("valid order");
+                    server.admit(QuerySpec::compiled(format!("q{k}"), program, priority, arrival));
+                }
+            }
+            server
+        };
+
+        for sockets in [1usize, 2] {
+            if sockets > workers {
+                continue;
+            }
+            for mode in [LlcMode::Private, LlcMode::Shared] {
+                let run = || {
+                    let mut pool =
+                        CpuPool::with_topology(CpuConfig::tiny_test(), workers, mode, sockets);
+                    server().run(&mut pool).expect("serve run succeeds")
+                };
+                let report = run();
+                prop_assert_eq!(report.queries.len(), nqueries);
+                for (q, &(qualified, sum)) in report.queries.iter().zip(&refs) {
+                    prop_assert_eq!(
+                        q.qualified, qualified,
+                        "{} diverged (workers={}, sockets={}, mode={:?}, morsel={}, reopt={}, cache={})",
+                        &q.label, workers, sockets, mode, morsel_tuples, reopt, use_cache
+                    );
+                    prop_assert_eq!(q.sum, sum, "{} sum diverged", &q.label);
+                    prop_assert!(q.latency_cycles >= q.queue_cycles);
+                    prop_assert!(q.morsels > 0);
+                }
+                prop_assert!(report.occupancy > 0.0 && report.occupancy <= 1.0 + 1e-12);
+                prop_assert_eq!(
+                    &run(), &report,
+                    "a second run differs: workers={} sockets={} mode={:?} reopt={}",
+                    workers, sockets, mode, reopt
+                );
             }
         }
-
-        let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-        let report = server.run(&mut pool).expect("serve run succeeds");
-        prop_assert_eq!(report.queries.len(), nqueries);
-        for (q, &(qualified, sum)) in report.queries.iter().zip(&refs) {
-            prop_assert_eq!(
-                q.qualified, qualified,
-                "{} diverged (workers={}, morsel={}, reopt={}, cache={})",
-                &q.label, workers, morsel_tuples, reopt, use_cache
-            );
-            prop_assert_eq!(q.sum, sum, "{} sum diverged", &q.label);
-            prop_assert!(q.latency_cycles >= q.queue_cycles);
-            prop_assert!(q.morsels > 0);
-        }
-        prop_assert!(report.occupancy > 0.0 && report.occupancy <= 1.0 + 1e-12);
     }
 }
