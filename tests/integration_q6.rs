@@ -1,8 +1,12 @@
 //! Cross-crate integration: TPC-H Q6 end to end — storage generation,
 //! engine execution on the simulated CPU, progressive optimization.
 
+use popt::core::exec::VectorStats;
 use popt::core::plan::SelectionPlan;
-use popt::core::query::{QueryBuilder, RunMode};
+use popt::core::progressive::{run_progressive_program_observed, ProgressiveConfig, VectorConfig};
+use popt::core::query::{QueryBuilder, QueryReport, RunMode};
+use popt::core::{CompiledProgram, ExecObservers};
+use popt::cpu::{CpuConfig, SimCpu};
 use popt::storage::distribution::Layout;
 use popt::storage::tpch::{generate_lineitem, TpchConfig};
 
@@ -180,4 +184,71 @@ fn different_cpu_presets_agree_on_results() {
             "results must not depend on the CPU"
         );
     }
+}
+
+/// A static run is the vector loop with no rounds: `RunMode::Baseline`
+/// is exactly one `run_range` per vector range of the start order, on a
+/// fresh default core, and reports no optimizer activity.
+#[test]
+fn baseline_mode_is_a_plain_vector_loop_over_the_lowered_program() {
+    let t = table();
+    let plan = QueryBuilder::q6_plan();
+    let start = vec![2, 0, 4, 1, 3];
+    let vectors = VectorConfig {
+        vector_tuples: 4096,
+        max_vectors: None,
+    };
+    let r = QueryBuilder::new(&t, plan.clone())
+        .initial_peo(start.clone())
+        .vector_tuples(vectors.vector_tuples)
+        .run(RunMode::Baseline)
+        .expect("baseline runs");
+
+    let program = CompiledProgram::from_selection(&t, &plan, &start).expect("lowers");
+    let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
+    let ranges = vectors.ranges(t.rows()).expect("valid vectors");
+    let mut total = VectorStats::zero();
+    for &(lo, hi) in &ranges {
+        total.accumulate(&program.run_range(&mut cpu, lo, hi));
+    }
+    assert_eq!(r.result.rows_qualified, total.qualified);
+    assert_eq!(r.result.sum, total.sum);
+    assert_eq!(r.cycles, total.counters.cycles);
+    assert_eq!(r.counters, total.counters);
+    assert_eq!(r.vectors, ranges.len());
+    assert!(r.switches.is_empty());
+    assert_eq!(r.estimates, 0);
+    assert_eq!(r.final_peo, start);
+}
+
+/// `RunMode::Progressive` is the serial drive over the lowered program,
+/// whole report for whole report.
+#[test]
+fn progressive_mode_is_the_serial_drive_over_the_lowered_program() {
+    let t = table();
+    let plan = QueryBuilder::q6_plan();
+    let start = vec![4, 3, 2, 1, 0];
+    let vectors = VectorConfig {
+        vector_tuples: 2048,
+        max_vectors: None,
+    };
+    let r = QueryBuilder::new(&t, plan.clone())
+        .initial_peo(start.clone())
+        .vector_tuples(vectors.vector_tuples)
+        .run(RunMode::Progressive { reop_interval: 2 })
+        .expect("progressive runs");
+
+    let mut program = CompiledProgram::from_selection(&t, &plan, &start).expect("lowers");
+    let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
+    let reference = run_progressive_program_observed(
+        &mut program,
+        &start,
+        vectors,
+        &mut cpu,
+        &ProgressiveConfig { reop_interval: 2 },
+        &ExecObservers::none(),
+    )
+    .expect("progressive runs");
+    assert!(reference.estimates > 0);
+    assert_eq!(r, QueryReport::from(reference));
 }
