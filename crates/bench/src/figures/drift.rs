@@ -38,9 +38,7 @@ use std::sync::Arc;
 use popt_core::exec::program::CompiledProgram;
 use popt_core::parallel::{run_parallel_program_observed, MorselConfig};
 use popt_core::plan::{Expr, PlanBuilder};
-use popt_core::progressive::{
-    run_progressive_program, run_progressive_program_observed, ProgressiveConfig, VectorConfig,
-};
+use popt_core::progressive::{run_progressive_program_observed, ProgressiveConfig, VectorConfig};
 use popt_core::ExecObservers;
 use popt_cpu::{CpuPool, LlcMode, SimCpu};
 use popt_obs::{DriftObservatory, MetricsRegistry, Profiler};
@@ -142,12 +140,13 @@ pub fn run(ctx: &FigureCtx) {
     // unobserved serial run must be bit-identical, field for field.
     let mut plain_program = build();
     let mut plain_cpu = SimCpu::new(scaled_cpu());
-    let plain = run_progressive_program(
+    let plain = run_progressive_program_observed(
         &mut plain_program,
         &initial,
         vectors,
         &mut plain_cpu,
         &serial_config,
+        &ExecObservers::none(),
     )
     .expect("plain serial run");
     check(

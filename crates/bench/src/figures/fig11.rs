@@ -7,9 +7,7 @@
 //! baselines span the best/worst range.
 
 use popt_core::plan::Peo;
-use popt_core::progressive::{run_baseline, run_progressive, ProgressiveConfig, VectorConfig};
-use popt_core::query::QueryBuilder;
-use popt_cpu::{CpuConfig, SimCpu};
+use popt_core::query::{QueryBuilder, RunMode};
 use popt_storage::tpch::{generate_lineitem, TpchConfig};
 
 use crate::common::{banner, fmt, header, parallel_map, row, subsample, FigureCtx};
@@ -30,22 +28,17 @@ pub fn run(ctx: &FigureCtx) {
     if ctx.quick {
         peos = subsample(&peos, 24);
     }
-    let vectors = VectorConfig {
-        vector_tuples,
-        max_vectors: None,
+    let run = |peo: &Peo, mode| {
+        QueryBuilder::new(&table, plan.clone())
+            .initial_peo(peo.clone())
+            .vector_tuples(vector_tuples)
+            .run(mode)
     };
-    let config = ProgressiveConfig { reop_interval: 10 };
 
     let results: Vec<(Peo, f64, f64)> = parallel_map(&peos, |peo| {
-        let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
-        let base = run_baseline(&table, &plan, peo, vectors, &mut cpu).expect("baseline runs");
-        let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
-        let prog = run_progressive(&table, &plan, peo, vectors, &mut cpu, &config)
-            .expect("progressive runs");
-        assert_eq!(
-            base.qualified, prog.qualified,
-            "result must be PEO-invariant"
-        );
+        let base = run(peo, RunMode::Baseline).expect("baseline runs");
+        let prog = run(peo, RunMode::Progressive { reop_interval: 10 }).expect("progressive runs");
+        assert_eq!(base.result, prog.result, "result must be PEO-invariant");
         (peo.clone(), base.millis, prog.millis)
     });
 

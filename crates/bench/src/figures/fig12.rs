@@ -5,11 +5,9 @@
 //! progressive runtime over the same 120 initial PEOs for reoptimization
 //! intervals 10, 75 and 200 vectors.
 
-use popt_core::plan::SelectionPlan;
+use popt_core::plan::{Peo, SelectionPlan};
 use popt_core::predicate::{CompareOp, Predicate};
-use popt_core::progressive::{run_baseline, run_progressive, ProgressiveConfig, VectorConfig};
-use popt_core::query::{Q6_DISCOUNT_HI, Q6_DISCOUNT_LO, Q6_QUANTITY};
-use popt_cpu::{CpuConfig, SimCpu};
+use popt_core::query::{QueryBuilder, RunMode, Q6_DISCOUNT_HI, Q6_DISCOUNT_LO, Q6_QUANTITY};
 use popt_storage::stats;
 use popt_storage::tpch::{generate_lineitem, TpchConfig};
 
@@ -53,10 +51,6 @@ pub fn run(ctx: &FigureCtx) {
     let base_sample = ctx.scale(120, 12);
     let prog_sample = ctx.scale(24, 6);
     let table = generate_lineitem(&TpchConfig::with_rows(rows));
-    let vectors = VectorConfig {
-        vector_tuples,
-        max_vectors: None,
-    };
 
     header(&[
         "shipdate_sel_pct",
@@ -72,27 +66,24 @@ pub fn run(ctx: &FigureCtx) {
         let all_peos = plan.all_peos();
         let base_peos = subsample(&all_peos, base_sample);
         let prog_peos = subsample(&all_peos, prog_sample);
-
-        let base: Vec<f64> = parallel_map(&base_peos, |peo| {
-            let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
-            run_baseline(&table, &plan, peo, vectors, &mut cpu)
-                .expect("baseline runs")
+        let millis = |peo: &Peo, mode| {
+            QueryBuilder::new(&table, plan.clone())
+                .initial_peo(peo.clone())
+                .vector_tuples(vector_tuples)
+                .run(mode)
+                .expect("query runs")
                 .millis
-        });
+        };
+
+        let base: Vec<f64> = parallel_map(&base_peos, |peo| millis(peo, RunMode::Baseline));
         let min = base.iter().copied().fold(f64::INFINITY, f64::min);
         let max = base.iter().copied().fold(0.0f64, f64::max);
         let avg = base.iter().sum::<f64>() / base.len() as f64;
 
         let mut avgs = Vec::new();
-        for &reop in REOP_INTERVALS {
-            let config = ProgressiveConfig {
-                reop_interval: reop,
-            };
+        for &reop_interval in REOP_INTERVALS {
             let runs: Vec<f64> = parallel_map(&prog_peos, |peo| {
-                let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
-                run_progressive(&table, &plan, peo, vectors, &mut cpu, &config)
-                    .expect("progressive runs")
-                    .millis
+                millis(peo, RunMode::Progressive { reop_interval })
             });
             avgs.push(runs.iter().sum::<f64>() / runs.len() as f64);
         }

@@ -7,9 +7,7 @@
 //! the premise "the sampled vector predicts the future" fails and
 //! improvements shrink.
 
-use popt_core::progressive::{run_baseline, run_progressive, ProgressiveConfig, VectorConfig};
-use popt_core::query::QueryBuilder;
-use popt_cpu::{CpuConfig, SimCpu};
+use popt_core::query::{QueryBuilder, RunMode};
 use popt_storage::distribution::Layout;
 use popt_storage::tpch::{generate_lineitem, TpchConfig};
 
@@ -41,31 +39,24 @@ pub fn run(ctx: &FigureCtx) {
     ];
     let plan = QueryBuilder::q6_plan();
     let peos = subsample(&plan.all_peos(), peo_sample);
-    let vectors = VectorConfig {
-        vector_tuples,
-        max_vectors: None,
-    };
 
     for (label, layout) in layouts {
         note!("# panel {label}");
         let table = generate_lineitem(&TpchConfig::with_rows(rows).shipdate_layout(layout));
         let runs: Vec<(f64, Vec<f64>)> = parallel_map(&peos, |peo| {
-            let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
-            let base = run_baseline(&table, &plan, peo, vectors, &mut cpu)
-                .expect("baseline runs")
-                .millis;
-            let mut reops = Vec::new();
-            for &reop in REOP_INTERVALS {
-                let config = ProgressiveConfig {
-                    reop_interval: reop,
-                };
-                let mut cpu = SimCpu::new(CpuConfig::xeon_e5_2630_v2());
-                reops.push(
-                    run_progressive(&table, &plan, peo, vectors, &mut cpu, &config)
-                        .expect("progressive runs")
-                        .millis,
-                );
-            }
+            let millis = |mode| {
+                QueryBuilder::new(&table, plan.clone())
+                    .initial_peo(peo.clone())
+                    .vector_tuples(vector_tuples)
+                    .run(mode)
+                    .expect("query runs")
+                    .millis
+            };
+            let base = millis(RunMode::Baseline);
+            let reops = REOP_INTERVALS
+                .iter()
+                .map(|&reop_interval| millis(RunMode::Progressive { reop_interval }))
+                .collect();
             (base, reops)
         });
         let mut sorted = runs;

@@ -14,7 +14,8 @@
 //! counts; window labels L1/L2/L3 refer to those scaled capacities.
 
 use popt_core::plan::{Expr, PlanBuilder};
-use popt_core::progressive::{run_progressive_program, ProgressiveConfig, VectorConfig};
+use popt_core::progressive::{run_progressive_program_observed, ProgressiveConfig, VectorConfig};
+use popt_core::ExecObservers;
 use popt_cpu::{CacheLevelConfig, CpuConfig, SimCpu};
 use popt_storage::distribution::knuth_shuffle_window;
 use popt_storage::{AddressSpace, ColumnData, Table};
@@ -141,7 +142,7 @@ pub fn run(ctx: &FigureCtx) {
         let worse: [usize; 2] = if sel_ms <= join_ms { [1, 0] } else { [0, 1] };
         let mut program = build();
         let mut cpu = SimCpu::new(scaled_cpu());
-        let prog = run_progressive_program(
+        let prog = run_progressive_program_observed(
             &mut program,
             &worse,
             VectorConfig {
@@ -150,6 +151,7 @@ pub fn run(ctx: &FigureCtx) {
             },
             &mut cpu,
             &ProgressiveConfig { reop_interval: 2 },
+            &ExecObservers::none(),
         )
         .expect("progressive pipeline runs");
         assert_eq!(prog.qualified, q1, "progressive must not change the result");

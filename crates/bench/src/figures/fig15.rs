@@ -10,8 +10,9 @@
 //! (Equation 1 comparison) uses to flip the order.
 
 use popt_core::plan::{Expr, PlanBuilder};
-use popt_core::progressive::{run_progressive_program, ProgressiveConfig, VectorConfig};
+use popt_core::progressive::{run_progressive_program_observed, ProgressiveConfig, VectorConfig};
 use popt_core::sortedness::{recommend_join_order, JoinObservation};
+use popt_core::ExecObservers;
 use popt_cost::join_model::JoinGeometry;
 use popt_cpu::{CacheLevelConfig, CpuConfig, SimCpu};
 use popt_storage::{AddressSpace, ColumnData, Table};
@@ -139,7 +140,7 @@ pub fn run(ctx: &FigureCtx) {
         // orders join and flip the order at runtime (Section 5.6).
         let mut program = build();
         let mut cpu = SimCpu::new(scaled_cpu());
-        let prog = run_progressive_program(
+        let prog = run_progressive_program_observed(
             &mut program,
             &[1, 0],
             VectorConfig {
@@ -148,6 +149,7 @@ pub fn run(ctx: &FigureCtx) {
             },
             &mut cpu,
             &ProgressiveConfig { reop_interval: 2 },
+            &ExecObservers::none(),
         )
         .expect("progressive program runs");
         assert_eq!(prog.qualified, q1, "progressive must not change the result");
@@ -275,7 +277,7 @@ fn convergence_sweep(fact: &Table, orders: &Table, part: &Table) {
     let sweep = parallel_map(&grid, |&(reop_interval, vector_tuples)| {
         let mut program = build();
         let mut cpu = SimCpu::new(scaled_cpu());
-        let prog = run_progressive_program(
+        let prog = run_progressive_program_observed(
             &mut program,
             &[1, 0],
             VectorConfig {
@@ -284,6 +286,7 @@ fn convergence_sweep(fact: &Table, orders: &Table, part: &Table) {
             },
             &mut cpu,
             &ProgressiveConfig { reop_interval },
+            &ExecObservers::none(),
         )
         .expect("progressive program runs");
         (reop_interval, vector_tuples, prog.millis)

@@ -24,7 +24,7 @@ use popt_core::parallel::{
     run_parallel_program_observed, MorselConfig, MorselDispatcher, ParallelReport,
 };
 use popt_core::plan::{Expr, PlanBuilder};
-use popt_core::progressive::{run_progressive_program, ProgressiveConfig, VectorConfig};
+use popt_core::progressive::{run_progressive_program_observed, ProgressiveConfig, VectorConfig};
 use popt_cost::cycles::fleet_occupancy_per_socket;
 use popt_cpu::{CpuPool, LlcMode, NumaPlacement, SimCpu};
 
@@ -98,7 +98,7 @@ fn sweep<'t>(
     let config = ProgressiveConfig { reop_interval: 4 };
     let mut serial_program = build();
     let mut serial_cpu = SimCpu::new(scaled_cpu());
-    let serial = run_progressive_program(
+    let serial = run_progressive_program_observed(
         &mut serial_program,
         initial_order,
         VectorConfig {
@@ -107,6 +107,7 @@ fn sweep<'t>(
         },
         &mut serial_cpu,
         &config,
+        &ExecObservers::none(),
     )
     .expect("serial progressive runs");
 
@@ -650,9 +651,10 @@ pub fn run(ctx: &FigureCtx) {
         "# expectation: near-linear speedup (morsel dispatch is barrier-free; the \
          optimizer runs once per interval on one core), identical results at every \
          worker count, and the pool converging to the serial loop's final order — \
-         at high worker counts, ties between near-equal tail stages may \
-         occasionally resolve into a different near-optimal order (the locality \
-         ranking itself, co-clustered join ahead of random joins, always holds)"
+         where it does not (star-3join at high worker counts), the pool settles on \
+         another near-optimal order of its near-equal tail stages, the same one on \
+         every run, and the locality ranking itself (co-clustered join ahead of \
+         random joins) holds at every worker count"
     );
     if let Some(capture) = &capture {
         capture.write();

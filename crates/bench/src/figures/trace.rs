@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use popt_core::observe::ExecObservers;
-use popt_core::parallel::{run_parallel_program, run_parallel_program_observed, MorselConfig};
+use popt_core::parallel::{run_parallel_program_observed, MorselConfig};
 use popt_core::plan::{Expr, PlanBuilder};
 use popt_core::progressive::ProgressiveConfig;
 use popt_core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
@@ -90,12 +90,13 @@ pub fn run(ctx: &FigureCtx) {
     let run_pair = |workers: usize, query: usize| {
         let mut plain_program = build();
         let mut plain_pool = CpuPool::new(scaled_cpu(), workers);
-        let plain = run_parallel_program(
+        let plain = run_parallel_program_observed(
             &mut plain_program,
             &[1, 0],
             morsels,
             &mut plain_pool,
             Some(&config),
+            &ExecObservers::none(),
         )
         .expect("untraced run");
         let sink = Arc::new(MemorySink::new());

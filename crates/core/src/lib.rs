@@ -29,11 +29,11 @@
 //!   by estimated cost per input tuple, calibrating probe locality from
 //!   the counters (Sections 5.5–5.6);
 //! * [`parallel`] — morsel-driven parallel execution with *shared*
-//!   progressive reoptimization: worker threads drive independent
-//!   simulated cores over cache-friendly morsels, per-worker counter
-//!   samples fuse into one pool-wide estimate, accepted orders are
-//!   epoch-published to every worker, and trial orders are leased to
-//!   exactly one core;
+//!   progressive reoptimization: one driver steps independent simulated
+//!   cores over cache-friendly morsels in simulated-time order,
+//!   per-worker counter samples fuse into one pool-wide estimate,
+//!   accepted orders are epoch-published to every worker, and trial
+//!   orders are leased to exactly one core;
 //! * [`serve`] — multi-query serving over the shared pool: admission by
 //!   arrival time, stride scheduling by priority, per-query progressive
 //!   coordination, and a cross-query order/calibration cache that lets a
@@ -73,15 +73,14 @@ pub use error::EngineError;
 pub use exec::program::{CompiledProgram, CompiledStage};
 pub use observe::ExecObservers;
 pub use parallel::{
-    run_parallel_program, run_parallel_program_observed, run_parallel_target_observed,
-    MorselConfig, MorselDispatcher, ParallelReport, ShardableTarget, TargetShard,
+    run_parallel_program_observed, run_parallel_target_observed, MorselConfig, MorselDispatcher,
+    ParallelReport, ShardableTarget, TargetShard,
 };
 pub use plan::{Expr, LogicalNode, LogicalPlan, Peo, PlanBuilder, SelectionPlan};
 pub use predicate::{CompareOp, Predicate};
 pub use progressive::{
-    run_baseline, run_progressive, run_progressive_program, run_progressive_program_observed,
-    run_progressive_target_observed, CompiledTarget, ProgressiveConfig, ProgressiveReport,
-    ProgressiveTarget, VectorConfig,
+    run_progressive_program_observed, run_progressive_target_observed, CompiledTarget,
+    ProgressiveConfig, ProgressiveReport, ProgressiveTarget, VectorConfig,
 };
 pub use query::{QueryBuilder, QueryReport, RunMode};
 pub use serve::{

@@ -9,7 +9,8 @@
 //!
 //! [`ExecObservers`] is the carrier every `*_observed` entry point takes
 //! ([`run_progressive_target_observed`], [`run_parallel_target_observed`]
-//! and friends); the plain entry points pass [`ExecObservers::none`].
+//! and the `_program_observed` doors over them); an unobserved run passes
+//! [`ExecObservers::none`].
 //!
 //! [`run_progressive_target_observed`]: crate::progressive::run_progressive_target_observed
 //! [`run_parallel_target_observed`]: crate::parallel::run_parallel_target_observed
@@ -38,7 +39,7 @@ pub struct ExecObservers {
 }
 
 impl ExecObservers {
-    /// No observers — the plain entry points' carrier.
+    /// No observers — an unobserved run's carrier.
     pub fn none() -> Self {
         Self::default()
     }

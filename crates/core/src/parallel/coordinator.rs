@@ -826,30 +826,12 @@ pub(crate) fn report_morsel<T: ShardableTarget>(
 }
 
 /// Execute a compiled program with morsel-driven parallelism, optionally
-/// with shared progressive operator reordering. The program is left in
-/// the final accepted order. The parallel generalization of
-/// [`crate::progressive::run_baseline`] /
-/// [`crate::progressive::run_progressive_program`].
-pub fn run_parallel_program(
-    program: &mut crate::exec::program::CompiledProgram<'_>,
-    initial_order: &[usize],
-    morsels: MorselConfig,
-    pool: &mut CpuPool,
-    reopt: Option<&ProgressiveConfig>,
-) -> Result<ParallelReport, EngineError> {
-    run_parallel_program_observed(
-        program,
-        initial_order,
-        morsels,
-        pool,
-        reopt,
-        &ExecObservers::none(),
-    )
-}
-
-/// [`run_parallel_program`] with observers attached (see
-/// [`ExecObservers`]); every observer is non-invasive — the report is
-/// bit-identical to the unobserved run's.
+/// with shared progressive operator reordering (`reopt = None` runs the
+/// start order throughout). The program is left in the final accepted
+/// order. The parallel generalization of
+/// [`crate::progressive::run_progressive_program_observed`]. Observers
+/// (see [`ExecObservers`]; [`ExecObservers::none`] for none) are
+/// non-invasive — the report is bit-identical to the unobserved run's.
 pub fn run_parallel_program_observed(
     program: &mut crate::exec::program::CompiledProgram<'_>,
     initial_order: &[usize],

@@ -15,8 +15,8 @@
 //!   cycle counts, and every reoptimization decision, are reproducible
 //!   on any machine;
 //! * a progressive **coordinator** ([`run_parallel_target_observed`]),
-//!   the pooled drive of the same §4.4 policy object the serial
-//!   `run_progressive*` runners drive:
+//!   the pooled drive of the same §4.4 policy object the serial drive
+//!   ([`crate::progressive::run_progressive_target_observed`]) runs:
 //!   per-worker counter samples are fused into one pool-wide estimate,
 //!   accepted operator orders are epoch-published (workers re-chain
 //!   their pre-compiled primitives at the next morsel boundary), and
@@ -30,8 +30,10 @@
 //! independently order-switchable executor over the same immutable
 //! data). The engine's one target, the compiled program's
 //! [`crate::progressive::CompiledTarget`], shards into
-//! [`CompiledShard`]s; [`run_parallel_program`] runs any program — a
-//! lowered multi-selection scan as much as a join pipeline.
+//! [`CompiledShard`]s; [`run_parallel_program_observed`] runs any
+//! program — a lowered multi-selection scan as much as a join pipeline.
+//! These two `_observed` doors are the only pooled entry points; an
+//! unobserved run passes [`crate::ExecObservers::none`].
 //!
 //! Results are bit-identical to the single-core executor for any worker
 //! count and morsel size: qualifying counts and aggregate sums are
@@ -40,9 +42,10 @@
 //!
 //! ```
 //! use popt_core::exec::CompiledProgram;
-//! use popt_core::parallel::{run_parallel_program, MorselConfig};
+//! use popt_core::parallel::{run_parallel_program_observed, MorselConfig};
 //! use popt_core::plan::SelectionPlan;
 //! use popt_core::predicate::{CompareOp, Predicate};
+//! use popt_core::ExecObservers;
 //! use popt_cpu::{CpuConfig, CpuPool};
 //! use popt_storage::{AddressSpace, ColumnData, Table};
 //!
@@ -57,12 +60,13 @@
 //!     SelectionPlan::new(vec![Predicate::new("a", CompareOp::Lt, 50)], vec![]).unwrap();
 //! let mut program = CompiledProgram::from_selection(&table, &plan, &[0]).unwrap();
 //! let mut pool = CpuPool::new(CpuConfig::tiny_test(), 4);
-//! let report = run_parallel_program(
+//! let report = run_parallel_program_observed(
 //!     &mut program,
 //!     &[0],
 //!     MorselConfig::new(1024),
 //!     &mut pool,
 //!     None, // baseline; Some(&ProgressiveConfig) enables reopt
+//!     &ExecObservers::none(),
 //! )
 //! .unwrap();
 //! assert_eq!(report.qualified, 3200); // 64 cycles of 128 values, 50 qualify each
@@ -73,8 +77,7 @@ pub mod coordinator;
 pub mod morsel;
 
 pub use coordinator::{
-    run_parallel_program, run_parallel_program_observed, run_parallel_target_observed,
-    ParallelReport,
+    run_parallel_program_observed, run_parallel_target_observed, ParallelReport,
 };
 pub use morsel::{MorselConfig, MorselDispatcher};
 

@@ -68,12 +68,12 @@
 //! *operator* orders — expensive selections versus foreign-key join
 //! filters — and treat a join as one more filter of the short-circuit
 //! loop. Every query therefore runs as one [`CompiledProgram`]: a
-//! [`SelectionPlan`] lowers to a probe-free one
-//! ([`CompiledProgram::from_selection`]; [`run_baseline`],
-//! [`run_progressive`]), a logical plan to one that may probe
-//! ([`run_progressive_program`]). The drives reach it through one target,
-//! [`CompiledTarget`], which reads the paper's split off the program
-//! itself, not off the entry point that built it:
+//! [`SelectionPlan`](crate::plan::SelectionPlan) lowers to a probe-free one
+//! ([`CompiledProgram::from_selection`], which is what
+//! [`crate::query::QueryBuilder`] runs), a logical plan to one that may
+//! probe ([`run_progressive_program_observed`]). The drives reach it
+//! through one target, [`CompiledTarget`], which reads the paper's split
+//! off the program itself, not off the entry point that built it:
 //!
 //! * **no probe stage — the §4.4 scan.** Every stage streams its own
 //!   column at a uniform charge, so the reorder rule is ascending
@@ -94,13 +94,12 @@ use popt_cost::estimate::{estimate_counters, PlanGeometry};
 use popt_cpu::pmu::CounterDelta;
 use popt_cpu::{CpuConfig, NumaPlacement, SimCpu};
 use popt_solver::{CalibrationSnapshot, SampledCounters};
-use popt_storage::Table;
 
 use crate::error::EngineError;
 use crate::exec::program::CompiledProgram;
 use crate::exec::scan::VectorStats;
 use crate::observe::{morsel_stage_parts, ExecObservers};
-use crate::plan::{order_by_cost_per_tuple, order_by_selectivity, Peo, SelectionPlan};
+use crate::plan::{order_by_cost_per_tuple, order_by_selectivity, Peo};
 use crate::policy::{book_fit, Fit, ReoptPolicy};
 pub use crate::policy::{CYCLES_PER_ESTIMATOR_EVAL, REGRESSION_TOLERANCE, REJECTION_TTL};
 
@@ -132,8 +131,8 @@ impl Default for ProgressiveConfig {
 }
 
 impl ProgressiveConfig {
-    /// Reject a configuration no drive can run: every drive calls this
-    /// before it executes anything.
+    /// Reject a configuration no drive can run: every drive given one
+    /// calls this before it executes anything.
     pub(crate) fn validate(&self) -> Result<(), EngineError> {
         if self.reop_interval == 0 {
             return Err(EngineError::InvalidVectorConfig("reop_interval = 0".into()));
@@ -185,38 +184,6 @@ pub struct ProgressiveReport {
     pub per_vector_cycles: Vec<u64>,
 }
 
-impl ProgressiveReport {
-    // Private assembly helper for the two runners; the argument list is
-    // the report's field list, so grouping them into a carrier struct
-    // would just duplicate the type.
-    #[allow(clippy::too_many_arguments)]
-    fn from_run(
-        accumulated: VectorStats,
-        vectors: usize,
-        switches: Vec<SwitchEvent>,
-        estimates: usize,
-        optimizer_cycles: u64,
-        final_peo: Peo,
-        per_vector_cycles: Vec<u64>,
-        frequency_ghz: f64,
-    ) -> Self {
-        let cycles = accumulated.counters.cycles + optimizer_cycles;
-        Self {
-            qualified: accumulated.qualified,
-            sum: accumulated.sum,
-            cycles,
-            millis: cycles as f64 / (frequency_ghz * 1e6),
-            vectors,
-            switches,
-            estimates,
-            optimizer_cycles,
-            final_peo,
-            counters: accumulated.counters,
-            per_vector_cycles,
-        }
-    }
-}
-
 /// Vectorization parameters of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VectorConfig {
@@ -250,37 +217,6 @@ impl VectorConfig {
         }
         Ok(out)
     }
-}
-
-/// Execute `plan` with a fixed PEO — the paper's "common execution
-/// pattern" baseline.
-pub fn run_baseline(
-    table: &Table,
-    plan: &SelectionPlan,
-    peo: &[usize],
-    vectors: VectorConfig,
-    cpu: &mut SimCpu,
-) -> Result<ProgressiveReport, EngineError> {
-    let program = CompiledProgram::from_selection(table, plan, peo)?;
-    let ranges = vectors.ranges(table.rows())?;
-    let mut total = VectorStats::zero();
-    let mut per_vector = Vec::with_capacity(ranges.len());
-    for &(start, end) in &ranges {
-        let stats = program.run_range(cpu, start, end);
-        per_vector.push(stats.counters.cycles);
-        total.accumulate(&stats);
-    }
-    let freq = cpu.config().timing.frequency_ghz;
-    Ok(ProgressiveReport::from_run(
-        total,
-        ranges.len(),
-        Vec::new(),
-        0,
-        0,
-        peo.to_vec(),
-        per_vector,
-        freq,
-    ))
 }
 
 /// An executor the progressive loop can drive: it owns an order over its
@@ -660,47 +596,16 @@ impl ProgressiveTarget for CompiledTarget<'_, '_> {
     }
 }
 
-/// Execute `plan` starting from `initial_peo` with progressive
-/// optimization enabled.
-pub fn run_progressive(
-    table: &Table,
-    plan: &SelectionPlan,
-    initial_peo: &[usize],
-    vectors: VectorConfig,
-    cpu: &mut SimCpu,
-    config: &ProgressiveConfig,
-) -> Result<ProgressiveReport, EngineError> {
-    let mut program = CompiledProgram::from_selection(table, plan, initial_peo)?;
-    run_progressive_program(&mut program, initial_peo, vectors, cpu, config)
-}
-
 /// Execute a compiled program starting from `initial_order` with
 /// progressive operator reordering enabled (Sections 5.5–5.6) — the
 /// execution entry point the frontend's `plan → passes → compile` chain
 /// feeds into: stages are reordered by estimated cost per input tuple,
 /// with probe clustering calibrated from the sampled counters and
-/// trial-vector accept/revert semantics shared with the scan path.
+/// trial-vector accept/revert semantics shared with the scan path. Pass
+/// [`ExecObservers::none`] for an unobserved run (see
+/// [`run_progressive_target_observed`] for the observation contract).
 ///
 /// The program is left in the final order the run converged to.
-pub fn run_progressive_program(
-    program: &mut CompiledProgram<'_>,
-    initial_order: &[usize],
-    vectors: VectorConfig,
-    cpu: &mut SimCpu,
-    config: &ProgressiveConfig,
-) -> Result<ProgressiveReport, EngineError> {
-    run_progressive_program_observed(
-        program,
-        initial_order,
-        vectors,
-        cpu,
-        config,
-        &ExecObservers::none(),
-    )
-}
-
-/// [`run_progressive_program`] with observers attached (see
-/// [`run_progressive_target_observed`] for the observation contract).
 pub fn run_progressive_program_observed(
     program: &mut CompiledProgram<'_>,
     initial_order: &[usize],
@@ -732,7 +637,24 @@ pub fn run_progressive_target_observed<T: ProgressiveTarget>(
     config: &ProgressiveConfig,
     obs: &ExecObservers,
 ) -> Result<ProgressiveReport, EngineError> {
-    config.validate()?;
+    serial_drive(target, vectors, cpu, Some(config), obs)
+}
+
+/// The serial drive itself. With `reopt = None` no round is ever due, so
+/// no trial is ever scheduled: the loop is one `run_range` per vector
+/// under the start order — the paper's "common execution pattern"
+/// baseline, which [`crate::query::QueryBuilder`] runs for
+/// [`crate::query::RunMode::Baseline`].
+pub(crate) fn serial_drive<T: ProgressiveTarget>(
+    target: &mut T,
+    vectors: VectorConfig,
+    cpu: &mut SimCpu,
+    reopt: Option<&ProgressiveConfig>,
+    obs: &ExecObservers,
+) -> Result<ProgressiveReport, EngineError> {
+    if let Some(config) = reopt {
+        config.validate()?;
+    }
     let ranges = vectors.ranges(target.rows())?;
     let cpu_cfg = cpu.config().clone();
     // The capacity every fit prices against: this core's LLC slice (the
@@ -800,7 +722,8 @@ pub fn run_progressive_target_observed<T: ProgressiveTarget>(
         total.accumulate(&stats);
 
         let at = v_idx + 1;
-        if at % config.reop_interval != 0 || at == ranges.len() {
+        let due = reopt.is_some_and(|config| at % config.reop_interval == 0);
+        if !due || at == ranges.len() {
             continue;
         }
         if policy.open_round(target, &mut switches, at, cpt) {
@@ -824,22 +747,26 @@ pub fn run_progressive_target_observed<T: ProgressiveTarget>(
         prof.finish(&[prof_pos]);
     }
 
-    let freq = cpu.config().timing.frequency_ghz;
-    Ok(ProgressiveReport::from_run(
-        total,
-        ranges.len(),
+    let cycles = total.counters.cycles + optimizer_cycles;
+    Ok(ProgressiveReport {
+        qualified: total.qualified,
+        sum: total.sum,
+        cycles,
+        millis: cycles as f64 / (cpu_cfg.timing.frequency_ghz * 1e6),
+        vectors: ranges.len(),
         switches,
         estimates,
         optimizer_cycles,
-        target.order(),
-        per_vector,
-        freq,
-    ))
+        final_peo: target.order(),
+        counters: total.counters,
+        per_vector_cycles: per_vector,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::SelectionPlan;
     use crate::predicate::{CompareOp, Predicate};
     use popt_cpu::CpuConfig;
     use popt_storage::{AddressSpace, ColumnData, Table};
@@ -890,21 +817,42 @@ mod tests {
         }
     }
 
+    /// `plan` lowered from `peo` and driven serially on a fresh `cpu`:
+    /// static with `reopt = None`, progressive otherwise.
+    fn run_selection(
+        t: &Table,
+        plan: &SelectionPlan,
+        peo: &[usize],
+        vectors: VectorConfig,
+        cpu: CpuConfig,
+        reopt: Option<&ProgressiveConfig>,
+    ) -> Result<ProgressiveReport, EngineError> {
+        let mut program = CompiledProgram::from_selection(t, plan, peo)?;
+        let mut cpu = SimCpu::new(cpu);
+        let mut target = CompiledTarget::new(&mut program);
+        serial_drive(
+            &mut target,
+            vectors,
+            &mut cpu,
+            reopt,
+            &ExecObservers::none(),
+        )
+    }
+
     #[test]
     fn baseline_and_progressive_agree_on_results() {
         let t = skewed_table(16_384);
         let plan = skewed_plan();
         let worst = vec![2usize, 1, 0];
-        let mut cpu1 = SimCpu::new(CpuConfig::ivy_bridge());
-        let base = run_baseline(&t, &plan, &worst, vectors(), &mut cpu1).unwrap();
-        let mut cpu2 = SimCpu::new(CpuConfig::ivy_bridge());
-        let prog = run_progressive(
+        let base =
+            run_selection(&t, &plan, &worst, vectors(), CpuConfig::ivy_bridge(), None).unwrap();
+        let prog = run_selection(
             &t,
             &plan,
             &worst,
             vectors(),
-            &mut cpu2,
-            &ProgressiveConfig { reop_interval: 2 },
+            CpuConfig::ivy_bridge(),
+            Some(&ProgressiveConfig { reop_interval: 2 }),
         )
         .unwrap();
         assert_eq!(base.qualified, prog.qualified);
@@ -916,14 +864,13 @@ mod tests {
         let t = skewed_table(16_384);
         let plan = skewed_plan();
         let worst = vec![2usize, 1, 0]; // hi, mid, lo: descending selectivity
-        let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let prog = run_progressive(
+        let prog = run_selection(
             &t,
             &plan,
             &worst,
             vectors(),
-            &mut cpu,
-            &ProgressiveConfig { reop_interval: 2 },
+            CpuConfig::ivy_bridge(),
+            Some(&ProgressiveConfig { reop_interval: 2 }),
         )
         .unwrap();
         assert_eq!(
@@ -941,16 +888,15 @@ mod tests {
         let t = skewed_table(16_384);
         let plan = skewed_plan();
         let worst = vec![2usize, 1, 0];
-        let mut cpu1 = SimCpu::new(CpuConfig::ivy_bridge());
-        let base = run_baseline(&t, &plan, &worst, vectors(), &mut cpu1).unwrap();
-        let mut cpu2 = SimCpu::new(CpuConfig::ivy_bridge());
-        let prog = run_progressive(
+        let base =
+            run_selection(&t, &plan, &worst, vectors(), CpuConfig::ivy_bridge(), None).unwrap();
+        let prog = run_selection(
             &t,
             &plan,
             &worst,
             vectors(),
-            &mut cpu2,
-            &ProgressiveConfig { reop_interval: 1 },
+            CpuConfig::ivy_bridge(),
+            Some(&ProgressiveConfig { reop_interval: 1 }),
         )
         .unwrap();
         assert!(
@@ -966,14 +912,13 @@ mod tests {
         let t = skewed_table(16_384);
         let plan = skewed_plan();
         let best = vec![0usize, 1, 2];
-        let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let prog = run_progressive(
+        let prog = run_selection(
             &t,
             &plan,
             &best,
             vectors(),
-            &mut cpu,
-            &ProgressiveConfig { reop_interval: 2 },
+            CpuConfig::ivy_bridge(),
+            Some(&ProgressiveConfig { reop_interval: 2 }),
         )
         .unwrap();
         // No net change of order; sporadic trial switches must revert.
@@ -984,14 +929,13 @@ mod tests {
     fn zero_reop_interval_is_rejected() {
         let t = skewed_table(1024);
         let plan = skewed_plan();
-        let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-        let err = run_progressive(
+        let err = run_selection(
             &t,
             &plan,
             &[0, 1, 2],
             vectors(),
-            &mut cpu,
-            &ProgressiveConfig { reop_interval: 0 },
+            CpuConfig::tiny_test(),
+            Some(&ProgressiveConfig { reop_interval: 0 }),
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::InvalidVectorConfig(_)));
@@ -1016,14 +960,13 @@ mod tests {
     fn optimizer_cycles_are_accounted() {
         let t = skewed_table(8192);
         let plan = skewed_plan();
-        let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let prog = run_progressive(
+        let prog = run_selection(
             &t,
             &plan,
             &[2, 1, 0],
             vectors(),
-            &mut cpu,
-            &ProgressiveConfig { reop_interval: 1 },
+            CpuConfig::ivy_bridge(),
+            Some(&ProgressiveConfig { reop_interval: 1 }),
         )
         .unwrap();
         assert!(prog.optimizer_cycles > 0);
@@ -1143,12 +1086,13 @@ mod tests {
             let bad = bad_static.run_range(&mut static_cpu, 0, n).counters.cycles;
             let mut program = build(&fact, &dim, "fk_rand", false);
             let mut cpu = SimCpu::new(small_cache_cpu());
-            let prog = run_progressive_program(
+            let prog = run_progressive_program_observed(
                 &mut program,
                 &[1, 0],
                 pipeline_vectors(),
                 &mut cpu,
                 &config(),
+                &ExecObservers::none(),
             )
             .unwrap();
             assert_eq!(prog.final_peo, vec![0, 1], "{:?}", prog.switches);
@@ -1167,12 +1111,13 @@ mod tests {
             let (fact, dim) = tables(n);
             let mut program = build(&fact, &dim, "fk_seq", false);
             let mut cpu = SimCpu::new(small_cache_cpu());
-            let prog = run_progressive_program(
+            let prog = run_progressive_program_observed(
                 &mut program,
                 &[0, 1],
                 pipeline_vectors(),
                 &mut cpu,
                 &config(),
+                &ExecObservers::none(),
             )
             .unwrap();
             assert_eq!(prog.final_peo, vec![1, 0], "{:?}", prog.switches);
@@ -1189,12 +1134,13 @@ mod tests {
             let expect = static_program.run_range(&mut cpu1, 0, n);
             let mut program = build(&fact, &dim, "fk_rand", true);
             let mut cpu2 = SimCpu::new(small_cache_cpu());
-            let prog = run_progressive_program(
+            let prog = run_progressive_program_observed(
                 &mut program,
                 &[1, 0],
                 pipeline_vectors(),
                 &mut cpu2,
                 &config(),
+                &ExecObservers::none(),
             )
             .unwrap();
             assert_eq!(prog.qualified, expect.qualified);
@@ -1209,12 +1155,13 @@ mod tests {
             let (fact, dim) = tables(n);
             let mut program = build(&fact, &dim, "fk_rand", false);
             let mut cpu = SimCpu::new(small_cache_cpu());
-            let prog = run_progressive_program(
+            let prog = run_progressive_program_observed(
                 &mut program,
                 &[0, 1],
                 pipeline_vectors(),
                 &mut cpu,
                 &config(),
+                &ExecObservers::none(),
             )
             .unwrap();
             assert_eq!(prog.final_peo, vec![0, 1], "{:?}", prog.switches);
@@ -1254,8 +1201,7 @@ mod tests {
         // suite, whose rigged target makes every trial regress.)
         let t = skewed_table(16_384);
         let plan = skewed_plan();
-        let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let converging = run_progressive(
+        let converging = run_selection(
             &t,
             &plan,
             &[2, 1, 0],
@@ -1263,8 +1209,8 @@ mod tests {
                 vector_tuples: 512,
                 max_vectors: None,
             },
-            &mut cpu,
-            &ProgressiveConfig { reop_interval: 1 },
+            CpuConfig::ivy_bridge(),
+            Some(&ProgressiveConfig { reop_interval: 1 }),
         )
         .unwrap();
         assert!(converging.switches.iter().all(|s| !s.exploratory));

@@ -1,18 +1,23 @@
 //! High-level query API: build, configure, run, report.
 //!
-//! Wraps plan construction, CPU selection and the baseline/progressive
-//! runners behind a builder, and ships the paper's workhorse query — TPC-H
-//! Q6 in the five-predicate form of Section 5.2 (shipdate window, discount
-//! window, quantity cap, 120 possible PEOs) — as a preset.
+//! The door for a [`SelectionPlan`]: a builder that picks the start order,
+//! the vectors and the simulated CPU, lowers the plan through
+//! [`CompiledProgram::from_selection`] and runs it on the serial drive,
+//! with or without reoptimization rounds. It ships the paper's workhorse
+//! query — TPC-H Q6 in the five-predicate form of Section 5.2 (shipdate
+//! window, discount window, quantity cap, 120 possible PEOs) — as a
+//! preset.
 
 use popt_cpu::{CpuConfig, SimCpu};
 use popt_storage::Table;
 
 use crate::error::EngineError;
+use crate::exec::program::CompiledProgram;
+use crate::observe::ExecObservers;
 use crate::plan::{Peo, SelectionPlan};
 use crate::predicate::{CompareOp, Predicate};
 use crate::progressive::{
-    run_baseline, run_progressive, ProgressiveConfig, ProgressiveReport, SwitchEvent, VectorConfig,
+    serial_drive, CompiledTarget, ProgressiveConfig, ProgressiveReport, SwitchEvent, VectorConfig,
 };
 
 /// Day numbers (since 1992-01-01) of the Q6 shipdate window
@@ -189,25 +194,25 @@ impl<'t> QueryBuilder<'t> {
 
     /// Execute and report.
     pub fn run(self, mode: RunMode) -> Result<QueryReport, EngineError> {
-        let peo = match self.initial_peo {
-            Some(p) => {
-                self.plan.validate_peo(&p)?;
-                p
-            }
-            None => self.plan.identity_peo(),
-        };
+        // `from_selection` rejects an invalid start order.
+        let peo = self.initial_peo.unwrap_or_else(|| self.plan.identity_peo());
         let vectors = VectorConfig {
             vector_tuples: self.vector_tuples,
             max_vectors: self.max_vectors,
         };
-        let mut cpu = SimCpu::new(self.cpu_config);
-        let report = match mode {
-            RunMode::Baseline => run_baseline(self.table, &self.plan, &peo, vectors, &mut cpu)?,
-            RunMode::Progressive { reop_interval } => {
-                let config = ProgressiveConfig { reop_interval };
-                run_progressive(self.table, &self.plan, &peo, vectors, &mut cpu, &config)?
-            }
+        let reopt = match mode {
+            RunMode::Baseline => None,
+            RunMode::Progressive { reop_interval } => Some(ProgressiveConfig { reop_interval }),
         };
+        let mut program = CompiledProgram::from_selection(self.table, &self.plan, &peo)?;
+        let mut cpu = SimCpu::new(self.cpu_config);
+        let report = serial_drive(
+            &mut CompiledTarget::new(&mut program),
+            vectors,
+            &mut cpu,
+            reopt.as_ref(),
+            &ExecObservers::none(),
+        )?;
         Ok(report.into())
     }
 }

@@ -46,9 +46,10 @@ fn allocations() -> u64 {
 }
 
 use popt_core::exec::CompiledProgram;
-use popt_core::parallel::{run_parallel_program, MorselConfig};
+use popt_core::parallel::{run_parallel_program_observed, MorselConfig};
 use popt_core::plan::SelectionPlan;
 use popt_core::predicate::{CompareOp, Predicate};
+use popt_core::ExecObservers;
 use popt_cpu::{walker_batches, CpuConfig, CpuPool, SimCpu};
 use popt_storage::{AddressSpace, ColumnData, Table};
 
@@ -223,12 +224,13 @@ fn parallel_morsel_loop_is_allocation_free() {
         let mut program = CompiledProgram::from_selection(&t, &plan(), &[0, 1]).unwrap();
         let mut pool = CpuPool::new(CpuConfig::tiny_test(), 4);
         let before = allocations();
-        let report = run_parallel_program(
+        let report = run_parallel_program_observed(
             &mut program,
             &[0, 1],
             MorselConfig::new(512),
             &mut pool,
             None,
+            &ExecObservers::none(),
         )
         .unwrap();
         let delta = allocations() - before;

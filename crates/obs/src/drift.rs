@@ -28,7 +28,7 @@
 //! [`CycleParams`]: ../../popt_cost/cycles/struct.CycleParams.html
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::metrics::MetricsRegistry;
 
@@ -122,9 +122,10 @@ struct DriftInner {
 }
 
 /// Records predicted-vs-observed residuals per `(metric, stage key)`
-/// series. Shareable across worker threads (`&self` recording behind an
-/// internal mutex, the same shape as a trace sink); entirely outside the
-/// simulated-cost path.
+/// series, entirely outside the simulated-cost path. Recording takes
+/// `&self` behind an internal mutex (the same shape as a trace sink)
+/// because a run holds the observatory as an `Arc` and callers may share
+/// it across their own threads.
 #[derive(Debug, Default)]
 pub struct DriftObservatory {
     window: usize,
@@ -132,6 +133,10 @@ pub struct DriftObservatory {
 }
 
 impl DriftObservatory {
+    fn lock(&self) -> MutexGuard<'_, DriftInner> {
+        self.inner.lock().expect("drift lock")
+    }
+
     /// An observatory with the [`DEFAULT_DRIFT_WINDOW`].
     pub fn new() -> Self {
         Self::with_window(DEFAULT_DRIFT_WINDOW)
@@ -151,7 +156,7 @@ impl DriftObservatory {
         if !predicted.is_finite() || !observed.is_finite() {
             return;
         }
-        let mut inner = self.inner.lock().expect("drift lock");
+        let mut inner = self.lock();
         inner.total += 1;
         let series = inner
             .series
@@ -166,12 +171,12 @@ impl DriftObservatory {
     /// Total samples ever recorded (including ones that fell out of
     /// their window).
     pub fn samples_recorded(&self) -> u64 {
-        self.inner.lock().expect("drift lock").total
+        self.lock().total
     }
 
     /// Statistics of one series, if it has samples.
     pub fn stats(&self, metric: &str, stage_key: u64) -> Option<DriftStats> {
-        let inner = self.inner.lock().expect("drift lock");
+        let inner = self.lock();
         inner
             .series
             .get(&(metric.to_string(), stage_key))
@@ -180,7 +185,7 @@ impl DriftObservatory {
 
     /// All series with their statistics, sorted by `(metric, key)`.
     pub fn series(&self) -> Vec<((String, u64), DriftStats)> {
-        let inner = self.inner.lock().expect("drift lock");
+        let inner = self.lock();
         inner
             .series
             .iter()
@@ -192,7 +197,7 @@ impl DriftObservatory {
     /// `metric` — the figure-gate summary ("after dividing out constant
     /// bias, how far off is the model's shape at worst?").
     pub fn worst_calibrated_mean(&self, metric: &str) -> Option<f64> {
-        let inner = self.inner.lock().expect("drift lock");
+        let inner = self.lock();
         inner
             .series
             .iter()

@@ -22,7 +22,7 @@
 //! summary.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::json::validate_json;
 
@@ -84,15 +84,20 @@ struct ProfInner {
     finished: bool,
 }
 
-/// Collects attributed cycles per worker lane. Shareable across worker
-/// threads (`&self` recording behind an internal mutex); entirely
-/// outside the simulated-cost path.
+/// Collects attributed cycles per worker lane, entirely outside the
+/// simulated-cost path. Recording takes `&self` behind an internal mutex
+/// because a run holds the profiler as an `Arc` and callers may share it
+/// across their own threads.
 #[derive(Debug)]
 pub struct Profiler {
     inner: Mutex<ProfInner>,
 }
 
 impl Profiler {
+    fn lock(&self) -> MutexGuard<'_, ProfInner> {
+        self.inner.lock().expect("profiler lock")
+    }
+
     /// A profiler for a pool of `workers` workers.
     pub fn new(workers: usize) -> Self {
         Self {
@@ -116,7 +121,7 @@ impl Profiler {
         start_cycles: u64,
         parts: &[(usize, u64)],
     ) {
-        let mut inner = self.inner.lock().expect("profiler lock");
+        let mut inner = self.lock();
         let mut pos = start_cycles;
         for &(stage, cycles) in parts {
             let seq = {
@@ -146,7 +151,7 @@ impl Profiler {
         if cycles == 0 {
             return;
         }
-        let mut inner = self.inner.lock().expect("profiler lock");
+        let mut inner = self.lock();
         let seq = {
             let lanes = match inner.workers.get_mut(worker) {
                 Some(l) => l,
@@ -171,7 +176,7 @@ impl Profiler {
     /// (execution + optimizer): the wall clock is their max, and each
     /// worker's idle lane is filled up to it. Idempotent per run.
     pub fn finish(&self, per_worker_cycles: &[u64]) {
-        let mut inner = self.inner.lock().expect("profiler lock");
+        let mut inner = self.lock();
         if inner.finished {
             return;
         }
@@ -205,17 +210,17 @@ impl Profiler {
 
     /// Whether [`Profiler::finish`] ran.
     pub fn finished(&self) -> bool {
-        self.inner.lock().expect("profiler lock").finished
+        self.lock().finished
     }
 
     /// The pool wall clock recorded at finish.
     pub fn wall_cycles(&self) -> u64 {
-        self.inner.lock().expect("profiler lock").wall_cycles
+        self.lock().wall_cycles
     }
 
     /// Per-worker `(stage total, optimizer, idle)` cycles.
     pub fn worker_lanes(&self, worker: usize) -> (u64, u64, u64) {
-        let inner = self.inner.lock().expect("profiler lock");
+        let inner = self.lock();
         inner.workers.get(worker).map_or((0, 0, 0), |l| {
             (l.stages.values().sum(), l.optimizer, l.idle)
         })
@@ -223,7 +228,7 @@ impl Profiler {
 
     /// Pool-wide attributed cycles per stage (plan-indexed).
     pub fn stage_totals(&self) -> BTreeMap<usize, u64> {
-        let inner = self.inner.lock().expect("profiler lock");
+        let inner = self.lock();
         let mut totals = BTreeMap::new();
         for lanes in &inner.workers {
             for (&stage, &cycles) in &lanes.stages {
@@ -237,7 +242,7 @@ impl Profiler {
     /// [`Profiler::finish`], conservation makes this exactly
     /// `wall_cycles × workers`.
     pub fn total_attributed(&self) -> u64 {
-        let inner = self.inner.lock().expect("profiler lock");
+        let inner = self.lock();
         inner
             .workers
             .iter()
@@ -248,7 +253,7 @@ impl Profiler {
     /// Bit-exact conservation: per worker, stage + optimizer lanes equal
     /// the reported cycles and adding idle reaches the wall clock.
     pub fn conserves(&self) -> bool {
-        let inner = self.inner.lock().expect("profiler lock");
+        let inner = self.lock();
         if !inner.finished {
             return false;
         }
@@ -266,7 +271,7 @@ impl Profiler {
     /// own timeline order, whatever order the workers' slices were
     /// collected in.
     pub fn slices(&self) -> Vec<ProfSlice> {
-        let inner = self.inner.lock().expect("profiler lock");
+        let inner = self.lock();
         let mut slices = inner.slices.clone();
         slices.sort_by_key(|s| (s.worker, s.seq));
         slices
@@ -306,7 +311,7 @@ impl Profiler {
             .collect();
         let (mut opt, mut idle) = (0u64, 0u64);
         {
-            let inner = self.inner.lock().expect("profiler lock");
+            let inner = self.lock();
             for l in &inner.workers {
                 opt += l.optimizer;
                 idle += l.idle;

@@ -8,14 +8,14 @@
 //! event construction entirely; see [`crate::tracer::Tracer::emit`]).
 
 use std::io::Write;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::chrome;
 use crate::event::TraceRecord;
 
-/// Where trace records go. Implementations must be shareable across the
-/// worker threads of a pool; recording happens under the caller's own
-/// locking discipline plus whatever the sink needs internally.
+/// Where trace records go. Implementations are `Send + Sync` and record
+/// through `&self`, because a tracer holds its sink as an `Arc` and
+/// callers may share it across their own threads.
 pub trait TraceSink: Send + Sync {
     /// Whether the sink wants events at all. `false` lets emitters skip
     /// event construction — the entire cost of disabled tracing.
@@ -52,6 +52,10 @@ pub struct MemorySink {
 }
 
 impl MemorySink {
+    fn lock(&self) -> MutexGuard<'_, Vec<TraceRecord>> {
+        self.records.lock().expect("sink lock")
+    }
+
     /// An empty in-memory sink.
     pub fn new() -> Self {
         Self::default()
@@ -59,17 +63,17 @@ impl MemorySink {
 
     /// Records collected so far (cloned; the sink keeps collecting).
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.records.lock().expect("sink lock").clone()
+        self.lock().clone()
     }
 
     /// Drain the collected records.
     pub fn take(&self) -> Vec<TraceRecord> {
-        std::mem::take(&mut *self.records.lock().expect("sink lock"))
+        std::mem::take(&mut *self.lock())
     }
 
     /// Number of records collected.
     pub fn len(&self) -> usize {
-        self.records.lock().expect("sink lock").len()
+        self.lock().len()
     }
 
     /// Whether no record was collected.
@@ -80,7 +84,7 @@ impl MemorySink {
 
 impl TraceSink for MemorySink {
     fn record(&self, record: TraceRecord) {
-        self.records.lock().expect("sink lock").push(record);
+        self.lock().push(record);
     }
 }
 
@@ -110,15 +114,19 @@ impl StreamSink {
         })
     }
 
+    fn lock(&self) -> MutexGuard<'_, StreamState> {
+        self.state.lock().expect("stream lock")
+    }
+
     /// Records streamed so far.
     pub fn written(&self) -> usize {
-        self.state.lock().expect("stream lock").written
+        self.lock().written
     }
 }
 
 impl TraceSink for StreamSink {
     fn record(&self, record: TraceRecord) {
-        let mut st = self.state.lock().expect("stream lock");
+        let mut st = self.lock();
         if st.finished {
             return;
         }
@@ -134,7 +142,7 @@ impl TraceSink for StreamSink {
     }
 
     fn finish(&self) {
-        let mut st = self.state.lock().expect("stream lock");
+        let mut st = self.lock();
         if st.finished {
             return;
         }

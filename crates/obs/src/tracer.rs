@@ -19,10 +19,9 @@ use std::sync::Arc;
 use crate::event::{Stamp, TraceEvent, TraceRecord};
 use crate::sink::{NullSink, TraceSink};
 
-/// Per-lane stamp state. Relaxed ordering is sufficient: the clock cell
-/// is written by its owning worker and read either from that worker's
-/// own call path or under the coordinator mutex that already orders the
-/// cross-thread handoff.
+/// Per-lane stamp state. Relaxed ordering is sufficient: the engine
+/// writes and reads every lane from the one thread that drives the run;
+/// the cells are atomic only so a shared tracer stays `Sync`.
 #[derive(Debug, Default)]
 struct Lane {
     clock: AtomicU64,
@@ -87,7 +86,7 @@ impl Tracer {
     fn lane(&self, lane: usize) -> &Lane {
         // Defensive clamp: a lane index past the end (misconfigured
         // tracer) lands on the coordinator lane instead of panicking
-        // inside the engine's locked sections.
+        // mid-run.
         self.lanes
             .get(lane)
             .unwrap_or_else(|| self.lanes.last().expect("tracer has at least one lane"))

@@ -6,15 +6,16 @@
 //! rejected or what a fit is charged shows up as a diff of these texts —
 //! far inside the 10 % tolerance the figure baselines allow.
 
-use popt::core::parallel::{run_parallel_program, MorselConfig, ParallelReport};
+use popt::core::parallel::{run_parallel_program_observed, MorselConfig, ParallelReport};
 use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::{
-    run_progressive, run_progressive_program, ProgressiveConfig, ProgressiveReport, SwitchEvent,
+    run_progressive_program_observed, ProgressiveConfig, ProgressiveReport, SwitchEvent,
     VectorConfig,
 };
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig, ServeReport};
 use popt::core::CompiledProgram;
+use popt::core::ExecObservers;
 use popt::cpu::pmu::CounterDelta;
 use popt::cpu::{CpuPool, SimCpu};
 use popt::storage::distribution::correlated_pair;
@@ -204,9 +205,9 @@ fn serial_correlated_scan_reverts_suppresses_then_explores() {
     let t = correlated_table();
     let plan = correlated_plan();
     let mut cpu = SimCpu::new(popt::cpu::CpuConfig::ivy_bridge());
-    let report = run_progressive(
-        &t,
-        &plan,
+    let mut program = CompiledProgram::from_selection(&t, &plan, &[0, 1, 2]).unwrap();
+    let report = run_progressive_program_observed(
+        &mut program,
         &[0, 1, 2],
         VectorConfig {
             vector_tuples: 2048,
@@ -214,6 +215,7 @@ fn serial_correlated_scan_reverts_suppresses_then_explores() {
         },
         &mut cpu,
         &scan_config(),
+        &ExecObservers::none(),
     )
     .unwrap();
     assert_pinned(&render_serial(&report), SCAN_SERIAL);
@@ -236,12 +238,13 @@ fn one_worker_pool_correlated_scan() {
     let t = correlated_table();
     let plan = correlated_plan();
     let mut pool = CpuPool::new(popt::cpu::CpuConfig::ivy_bridge(), 1);
-    let report = run_parallel_program(
+    let report = run_parallel_program_observed(
         &mut CompiledProgram::from_selection(&t, &plan, &[0, 1, 2]).unwrap(),
         &[0, 1, 2],
         MorselConfig::new(2048),
         &mut pool,
         Some(&scan_config()),
+        &ExecObservers::none(),
     )
     .unwrap();
     assert_pinned(&render_parallel(&report), SCAN_POOL);
@@ -284,7 +287,7 @@ fn serial_star_spends_probes_and_calibrates() {
     let star = star();
     let mut program = star_plan(&star);
     let mut cpu = SimCpu::new(small_cache_cpu());
-    let report = run_progressive_program(
+    let report = run_progressive_program_observed(
         &mut program,
         &STAR_START,
         VectorConfig {
@@ -293,6 +296,7 @@ fn serial_star_spends_probes_and_calibrates() {
         },
         &mut cpu,
         &scan_config(),
+        &ExecObservers::none(),
     )
     .unwrap();
     assert_pinned(&render_serial(&report), STAR_SERIAL);
@@ -317,12 +321,13 @@ fn one_worker_pool_star() {
     let star = star();
     let mut program = star_plan(&star);
     let mut pool = CpuPool::new(small_cache_cpu(), 1);
-    let report = run_parallel_program(
+    let report = run_parallel_program_observed(
         &mut program,
         &STAR_START,
         MorselConfig::new(2048),
         &mut pool,
         Some(&scan_config()),
+        &ExecObservers::none(),
     )
     .unwrap();
     assert_pinned(&render_parallel(&report), STAR_POOL);
@@ -368,7 +373,7 @@ fn coinciding_round_reuses_a_surviving_trial_fit_and_refits_after_a_revert() {
     let star = star();
     let mut program = star_plan(&star);
     let mut cpu = SimCpu::new(small_cache_cpu());
-    let report = run_progressive_program(
+    let report = run_progressive_program_observed(
         &mut program,
         &STAR_START,
         VectorConfig {
@@ -377,6 +382,7 @@ fn coinciding_round_reuses_a_surviving_trial_fit_and_refits_after_a_revert() {
         },
         &mut cpu,
         &ProgressiveConfig { reop_interval: 1 },
+        &ExecObservers::none(),
     )
     .unwrap();
     assert_pinned(&render_serial(&report), EVERY_VECTOR);

@@ -3,8 +3,8 @@
 
 use popt::core::plan::SelectionPlan;
 use popt::core::predicate::{CompareOp, Predicate};
-use popt::core::progressive::{run_baseline, run_progressive, ProgressiveConfig, VectorConfig};
-use popt::cpu::{CpuConfig, SimCpu};
+use popt::core::query::{QueryBuilder, QueryReport, RunMode};
+use popt::cpu::CpuConfig;
 use popt::storage::distribution::correlated_pair;
 use popt::storage::{AddressSpace, ColumnData, Table};
 
@@ -13,6 +13,18 @@ fn splitmix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+const PROGRESSIVE: RunMode = RunMode::Progressive { reop_interval: 2 };
+
+/// `plan` from `peo` in 8192-tuple vectors on a fresh Ivy Bridge core.
+fn run(t: &Table, plan: &SelectionPlan, peo: &[usize], mode: RunMode) -> QueryReport {
+    QueryBuilder::new(t, plan.clone())
+        .initial_peo(peo.to_vec())
+        .vector_tuples(8_192)
+        .cpu(CpuConfig::ivy_bridge())
+        .run(mode)
+        .unwrap()
 }
 
 /// A table whose selectivity relationship *flips* halfway through: in the
@@ -61,14 +73,7 @@ fn selectivity_drift_triggers_mid_query_reordering() {
         vec![],
     )
     .unwrap();
-    let vectors = VectorConfig {
-        vector_tuples: 8_192,
-        max_vectors: None,
-    };
-    let config = ProgressiveConfig { reop_interval: 2 };
-
-    let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-    let prog = run_progressive(&t, &plan, &[0, 1], vectors, &mut cpu, &config).unwrap();
+    let prog = run(&t, &plan, &[0, 1], PROGRESSIVE);
     // First half: `a` is dilute (0..100) so `a<50` passes ~50% while
     // `b<50` passes ~5% — optimal order [1,0]. Second half: roles swap —
     // optimal order [0,1]. The run must switch and end on [0,1].
@@ -81,9 +86,8 @@ fn selectivity_drift_triggers_mid_query_reordering() {
 
     // And it must beat both static orders.
     for peo in [[0usize, 1], [1, 0]] {
-        let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-        let base = run_baseline(&t, &plan, &peo, vectors, &mut cpu).unwrap();
-        assert_eq!(base.qualified, prog.qualified);
+        let base = run(&t, &plan, &peo, RunMode::Baseline);
+        assert_eq!(base.result, prog.result);
         assert!(
             prog.cycles < base.cycles,
             "static {peo:?}: {} cycles, progressive {}",
@@ -114,13 +118,7 @@ fn correlated_predicates_do_not_thrash_the_optimizer() {
         vec![],
     )
     .unwrap();
-    let vectors = VectorConfig {
-        vector_tuples: 8_192,
-        max_vectors: None,
-    };
-    let config = ProgressiveConfig { reop_interval: 2 };
-    let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-    let prog = run_progressive(&t, &plan, &[0, 1], vectors, &mut cpu, &config).unwrap();
+    let prog = run(&t, &plan, &[0, 1], PROGRESSIVE);
 
     let reverted = prog.switches.iter().filter(|s| s.reverted).count();
     assert!(
@@ -130,8 +128,7 @@ fn correlated_predicates_do_not_thrash_the_optimizer() {
     );
 
     // Cost must stay close to the better static order.
-    let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-    let base = run_baseline(&t, &plan, &[0, 1], vectors, &mut cpu).unwrap();
+    let base = run(&t, &plan, &[0, 1], RunMode::Baseline);
     assert!(
         (prog.cycles as f64) < base.cycles as f64 * 1.25,
         "progressive {} vs static {}",
@@ -148,11 +145,6 @@ fn exploration_is_stall_gated() {
     // estimator/measurement disagreement may probe alternate orders, but
     // must stay within a modest premium of the static plan.
     let rows = 1 << 17;
-    let vectors = VectorConfig {
-        vector_tuples: 8_192,
-        max_vectors: None,
-    };
-    let config = ProgressiveConfig { reop_interval: 2 };
 
     // Converging workload: no exploratory switches at all.
     let t = drift_table(rows);
@@ -164,8 +156,7 @@ fn exploration_is_stall_gated() {
         vec![],
     )
     .unwrap();
-    let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-    let converging = run_progressive(&t, &plan, &[0, 1], vectors, &mut cpu, &config).unwrap();
+    let converging = run(&t, &plan, &[0, 1], PROGRESSIVE);
     assert!(
         converging.switches.iter().all(|s| !s.exploratory),
         "{:?}",
@@ -187,10 +178,8 @@ fn exploration_is_stall_gated() {
         vec![],
     )
     .unwrap();
-    let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-    let with = run_progressive(&t, &plan, &[0, 1], vectors, &mut cpu, &config).unwrap();
-    let mut cpu = SimCpu::new(CpuConfig::ivy_bridge());
-    let base = run_baseline(&t, &plan, &[0, 1], vectors, &mut cpu).unwrap();
-    assert_eq!(with.qualified, base.qualified);
+    let with = run(&t, &plan, &[0, 1], PROGRESSIVE);
+    let base = run(&t, &plan, &[0, 1], RunMode::Baseline);
+    assert_eq!(with.result, base.result);
     assert!((with.cycles as f64) < base.cycles as f64 * 1.3);
 }

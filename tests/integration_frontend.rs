@@ -5,10 +5,11 @@
 //! events — and its literal-free template signature must warm the order
 //! cache across sliding parameters.
 
-use popt::core::parallel::{run_parallel_program, MorselConfig};
+use popt::core::parallel::{run_parallel_program_observed, MorselConfig};
 use popt::core::plan::{passes, Expr, PlanBuilder};
-use popt::core::progressive::{run_progressive_program, ProgressiveConfig, VectorConfig};
+use popt::core::progressive::{run_progressive_program_observed, ProgressiveConfig, VectorConfig};
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
+use popt::core::ExecObservers;
 use popt::cpu::{CpuConfig, CpuPool, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::xorshift64;
@@ -104,12 +105,26 @@ fn frontend_program_is_a_drop_in_for_its_scalar_oracle() {
     };
     let mut prog = program(&fact, &dim, 500);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let via_program =
-        run_progressive_program(&mut prog, &[1, 0], vectors, &mut cpu, &reopt).unwrap();
+    let via_program = run_progressive_program_observed(
+        &mut prog,
+        &[1, 0],
+        vectors,
+        &mut cpu,
+        &reopt,
+        &ExecObservers::none(),
+    )
+    .unwrap();
     let mut reference = oracle(&fact, &dim, 500);
     let mut cpu = SimCpu::new(CpuConfig::tiny_test());
-    let via_oracle =
-        run_progressive_program(&mut reference, &[1, 0], vectors, &mut cpu, &reopt).unwrap();
+    let via_oracle = run_progressive_program_observed(
+        &mut reference,
+        &[1, 0],
+        vectors,
+        &mut cpu,
+        &reopt,
+        &ExecObservers::none(),
+    )
+    .unwrap();
     assert_eq!(
         via_program, via_oracle,
         "same trajectory, same simulated cost"
@@ -120,22 +135,24 @@ fn frontend_program_is_a_drop_in_for_its_scalar_oracle() {
     for workers in [1usize, 2, 4] {
         let mut prog = program(&fact, &dim, 500);
         let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-        let p = run_parallel_program(
+        let p = run_parallel_program_observed(
             &mut prog,
             &[1, 0],
             MorselConfig::new(1024),
             &mut pool,
             Some(&reopt),
+            &ExecObservers::none(),
         )
         .unwrap();
         let mut reference = oracle(&fact, &dim, 500);
         let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-        let q = run_parallel_program(
+        let q = run_parallel_program_observed(
             &mut reference,
             &[1, 0],
             MorselConfig::new(1024),
             &mut pool,
             Some(&reopt),
+            &ExecObservers::none(),
         )
         .unwrap();
         assert_eq!(p.qualified, q.qualified, "workers={workers}");

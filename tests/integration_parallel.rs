@@ -8,12 +8,15 @@
 //! ≥ 2.5× wall-clock speedup over one on the Figure-14-style workload.
 
 use popt::core::exec::program::CompiledProgram;
-use popt::core::parallel::{run_parallel_program, run_parallel_target_observed, MorselConfig};
+use popt::core::parallel::{
+    run_parallel_program_observed, run_parallel_target_observed, MorselConfig,
+};
 use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::{
-    run_baseline, run_progressive_program, CompiledTarget, ProgressiveConfig, VectorConfig,
+    run_progressive_program_observed, CompiledTarget, ProgressiveConfig, VectorConfig,
 };
+use popt::core::query::{QueryBuilder, RunMode};
 use popt::core::ExecObservers;
 use popt::cpu::{CpuConfig, CpuPool, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
@@ -67,18 +70,13 @@ fn parallel_scan_is_bit_identical_to_serial_for_any_worker_count() {
     let n = 1 << 15;
     let (t, plan) = scan_table(n);
     let peo = [2usize, 1, 0];
-    let mut serial_cpu = SimCpu::new(CpuConfig::ivy_bridge());
-    let serial = run_baseline(
-        &t,
-        &plan,
-        &peo,
-        VectorConfig {
-            vector_tuples: 2048,
-            max_vectors: None,
-        },
-        &mut serial_cpu,
-    )
-    .unwrap();
+    let serial = QueryBuilder::new(&t, plan.clone())
+        .initial_peo(peo.to_vec())
+        .vector_tuples(2048)
+        .cpu(CpuConfig::ivy_bridge())
+        .run(RunMode::Baseline)
+        .unwrap()
+        .result;
 
     for workers in [1usize, 2, 4, 8] {
         for morsel_tuples in [1_000usize, 4_096] {
@@ -86,16 +84,17 @@ fn parallel_scan_is_bit_identical_to_serial_for_any_worker_count() {
             for progressive in [false, true] {
                 let mut pool = CpuPool::new(CpuConfig::ivy_bridge(), workers);
                 let config = ProgressiveConfig { reop_interval: 2 };
-                let report = run_parallel_program(
+                let report = run_parallel_program_observed(
                     &mut CompiledProgram::from_selection(&t, &plan, &peo).unwrap(),
                     &peo,
                     MorselConfig::new(morsel_tuples),
                     &mut pool,
                     progressive.then_some(&config),
+                    &ExecObservers::none(),
                 )
                 .unwrap();
                 assert_eq!(
-                    report.qualified, serial.qualified,
+                    report.qualified, serial.rows_qualified,
                     "workers={workers} morsel={morsel_tuples} progressive={progressive}"
                 );
                 assert_eq!(report.sum, serial.sum);
@@ -110,12 +109,13 @@ fn parallel_progressive_scan_converges_like_serial() {
     let n = 1 << 16;
     let (t, plan) = scan_table(n);
     let mut pool = CpuPool::new(CpuConfig::ivy_bridge(), 4);
-    let report = run_parallel_program(
+    let report = run_parallel_program_observed(
         &mut CompiledProgram::from_selection(&t, &plan, &[2, 1, 0]).unwrap(),
         &[2, 1, 0], // descending selectivity: worst order
         MorselConfig::new(2_048),
         &mut pool,
         Some(&ProgressiveConfig { reop_interval: 2 }),
+        &ExecObservers::none(),
     )
     .unwrap();
     assert_eq!(
@@ -140,7 +140,7 @@ fn parallel_pipeline_matches_serial_and_converges_to_same_order() {
     // Serial progressive from the bad (join-first) order.
     let mut serial_program = build_program(&fact, &dim);
     let mut cpu = SimCpu::new(small_cache_cpu());
-    let serial = run_progressive_program(
+    let serial = run_progressive_program_observed(
         &mut serial_program,
         &[1, 0],
         VectorConfig {
@@ -149,18 +149,20 @@ fn parallel_pipeline_matches_serial_and_converges_to_same_order() {
         },
         &mut cpu,
         &ProgressiveConfig { reop_interval: 2 },
+        &ExecObservers::none(),
     )
     .unwrap();
 
     // Parallel progressive from the same bad order, 4 workers.
     let mut program = build_program(&fact, &dim);
     let mut pool = CpuPool::new(small_cache_cpu(), 4);
-    let report = run_parallel_program(
+    let report = run_parallel_program_observed(
         &mut program,
         &[1, 0],
         MorselConfig::new(4_096),
         &mut pool,
         Some(&ProgressiveConfig { reop_interval: 2 }),
+        &ExecObservers::none(),
     )
     .unwrap();
 
@@ -181,12 +183,13 @@ fn four_workers_speed_up_the_pipeline_at_least_2_5x() {
     let run = |workers: usize| {
         let mut program = build_program(&fact, &dim);
         let mut pool = CpuPool::new(small_cache_cpu(), workers);
-        run_parallel_program(
+        run_parallel_program_observed(
             &mut program,
             &[0, 1],
             MorselConfig::new(4_096),
             &mut pool,
             None,
+            &ExecObservers::none(),
         )
         .unwrap()
     };
@@ -235,24 +238,26 @@ fn rejected_trials_never_spread_and_always_revert() {
 fn zero_reop_interval_and_zero_morsel_are_rejected() {
     let (t, plan) = scan_table(1 << 12);
     let mut pool = CpuPool::new(CpuConfig::tiny_test(), 2);
-    let err = run_parallel_program(
+    let err = run_parallel_program_observed(
         &mut CompiledProgram::from_selection(&t, &plan, &[0, 1, 2]).unwrap(),
         &[0, 1, 2],
         MorselConfig::new(0),
         &mut pool,
         None,
+        &ExecObservers::none(),
     )
     .unwrap_err();
     assert!(matches!(
         err,
         popt::core::EngineError::InvalidVectorConfig(_)
     ));
-    let err = run_parallel_program(
+    let err = run_parallel_program_observed(
         &mut CompiledProgram::from_selection(&t, &plan, &[0, 1, 2]).unwrap(),
         &[0, 1, 2],
         MorselConfig::new(1_024),
         &mut pool,
         Some(&ProgressiveConfig { reop_interval: 0 }),
+        &ExecObservers::none(),
     )
     .unwrap_err();
     assert!(matches!(

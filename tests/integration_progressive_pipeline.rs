@@ -9,7 +9,8 @@
 
 use popt::core::exec::program::CompiledProgram;
 use popt::core::plan::{Expr, PlanBuilder};
-use popt::core::progressive::{run_progressive_program, ProgressiveConfig, VectorConfig};
+use popt::core::progressive::{run_progressive_program_observed, ProgressiveConfig, VectorConfig};
+use popt::core::ExecObservers;
 use popt::cpu::SimCpu;
 use popt::storage::distribution::knuth_shuffle_window;
 use popt::storage::{AddressSpace, ColumnData, Table};
@@ -86,7 +87,7 @@ fn assert_progressive_recovers(window: usize) {
 
     let mut program = build_program(&fact, &dim, false);
     let mut cpu = SimCpu::new(small_cache_cpu());
-    let prog = run_progressive_program(
+    let prog = run_progressive_program_observed(
         &mut program,
         &worse_order,
         VectorConfig {
@@ -95,6 +96,7 @@ fn assert_progressive_recovers(window: usize) {
         },
         &mut cpu,
         &ProgressiveConfig { reop_interval: 2 },
+        &ExecObservers::none(),
     )
     .expect("progressive program runs");
 
@@ -149,7 +151,7 @@ fn progressive_pipeline_aggregate_is_order_independent() {
 
     let mut program = build_program(&fact, &dim, true);
     let mut cpu = SimCpu::new(small_cache_cpu());
-    let prog = run_progressive_program(
+    let prog = run_progressive_program_observed(
         &mut program,
         &[0, 1],
         VectorConfig {
@@ -158,6 +160,7 @@ fn progressive_pipeline_aggregate_is_order_independent() {
         },
         &mut cpu,
         &ProgressiveConfig { reop_interval: 2 },
+        &ExecObservers::none(),
     )
     .expect("progressive program runs");
     assert_eq!(prog.qualified, expect.qualified);

@@ -5,10 +5,11 @@
 //! under contention — and never, in any mode, moves a query result.
 
 use popt::core::exec::program::CompiledProgram;
-use popt::core::parallel::{run_parallel_program, MorselConfig};
+use popt::core::parallel::{run_parallel_program_observed, MorselConfig};
 use popt::core::plan::{order_by_cost_per_tuple, Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
+use popt::core::ExecObservers;
 use popt::cost::cycles::{stage_costs_per_input_tuple, CycleParams};
 use popt::cpu::{CpuPool, LlcMode, SimCpu};
 use popt::storage::Table;
@@ -41,12 +42,13 @@ fn build<'t>(fact: &'t Table, dim: &'t Table, extra: u64) -> CompiledProgram<'t>
 fn wall_cycles(fact: &Table, dim: &Table, workers: usize, mode: LlcMode) -> (u64, (u64, i64)) {
     let mut program = build(fact, dim, 50);
     let mut pool = CpuPool::with_mode(small_cache_cpu(), workers, mode);
-    let report = run_parallel_program(
+    let report = run_parallel_program_observed(
         &mut program,
         &[0, 1],
         MorselConfig::new(1024),
         &mut pool,
         None, // baseline: fully deterministic per-core cycles
+        &ExecObservers::none(),
     )
     .unwrap();
     (report.wall_cycles, (report.qualified, report.sum))

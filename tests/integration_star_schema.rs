@@ -9,8 +9,9 @@
 //! reordering must never change the query result, single- or
 //! multi-worker.
 
-use popt::core::parallel::{run_parallel_program, MorselConfig};
-use popt::core::progressive::{run_progressive_program, ProgressiveConfig, VectorConfig};
+use popt::core::parallel::{run_parallel_program_observed, MorselConfig};
+use popt::core::progressive::{run_progressive_program_observed, ProgressiveConfig, VectorConfig};
+use popt::core::ExecObservers;
 use popt::cpu::{CpuPool, SimCpu};
 use popt_bench::figures::workload::{star_program, star_schema, StarSchema};
 
@@ -46,7 +47,7 @@ fn calibration_attributes_locality_with_three_probes_per_sample() {
     // of the co-clustered one, the selection last.
     let mut program = star_program(&star, Some(0.5), [0.5, 0.5, 0.5]);
     let mut cpu2 = SimCpu::new(small_cache_cpu());
-    let prog = run_progressive_program(
+    let prog = run_progressive_program_observed(
         &mut program,
         &[PART, SUPPLIER, CUSTOMER, 0],
         VectorConfig {
@@ -55,6 +56,7 @@ fn calibration_attributes_locality_with_three_probes_per_sample() {
         },
         &mut cpu2,
         &config(),
+        &ExecObservers::none(),
     )
     .unwrap();
 
@@ -87,7 +89,7 @@ fn star_parallel_matches_serial_for_one_and_many_workers() {
     // Serial progressive reference order.
     let mut serial_program = star_program(&star, Some(0.5), [0.5, 0.5, 0.5]);
     let mut serial_cpu = SimCpu::new(small_cache_cpu());
-    let serial = run_progressive_program(
+    let serial = run_progressive_program_observed(
         &mut serial_program,
         &[PART, SUPPLIER, CUSTOMER, 0],
         VectorConfig {
@@ -96,6 +98,7 @@ fn star_parallel_matches_serial_for_one_and_many_workers() {
         },
         &mut serial_cpu,
         &config(),
+        &ExecObservers::none(),
     )
     .unwrap();
     assert_eq!(serial.qualified, expect.qualified);
@@ -111,12 +114,13 @@ fn star_parallel_matches_serial_for_one_and_many_workers() {
         let run = || {
             let mut program = star_program(&star, Some(0.5), [0.5, 0.5, 0.5]);
             let mut pool = CpuPool::new(small_cache_cpu(), workers);
-            run_parallel_program(
+            run_parallel_program_observed(
                 &mut program,
                 &[PART, SUPPLIER, CUSTOMER, 0],
                 morsels,
                 &mut pool,
                 Some(&config()),
+                &ExecObservers::none(),
             )
             .unwrap()
         };

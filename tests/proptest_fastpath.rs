@@ -17,11 +17,12 @@
 use proptest::prelude::*;
 
 use popt::core::exec::program::CompiledProgram;
-use popt::core::parallel::{run_parallel_program, MorselConfig};
+use popt::core::parallel::{run_parallel_program_observed, MorselConfig};
 use popt::core::plan::SelectionPlan;
 use popt::core::plan::{Expr, LogicalPlan, PlanBuilder};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
+use popt::core::ExecObservers;
 use popt::cost::estimate::estimate_counters;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
@@ -286,12 +287,12 @@ proptest! {
                     program.set_scalar_oracle(oracle);
                     let mut pool =
                         CpuPool::with_topology(CpuConfig::tiny_test(), workers, mode, sockets);
-                    run_parallel_program(
+                    run_parallel_program_observed(
                         &mut program,
                         &order,
                         MorselConfig::new(morsel_tuples),
                         &mut pool,
-                        progressive.then_some(&config),
+                        progressive.then_some(&config), &ExecObservers::none(),
                     )
                     .expect("parallel run succeeds")
                 };

@@ -16,8 +16,9 @@
 
 use proptest::prelude::*;
 
-use popt::core::parallel::{run_parallel_program, MorselConfig};
+use popt::core::parallel::{run_parallel_program_observed, MorselConfig};
 use popt::core::progressive::ProgressiveConfig;
+use popt::core::ExecObservers;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode, NumaPlacement, SimCpu};
 
 mod common;
@@ -62,12 +63,12 @@ proptest! {
                         pool.set_placement(&placement);
                     }
                     let config = ProgressiveConfig { reop_interval: 2 };
-                    let report = run_parallel_program(
+                    let report = run_parallel_program_observed(
                         &mut program,
                         &(0..stages).collect::<Vec<_>>(),
                         MorselConfig::new(morsel_tuples),
                         &mut pool,
-                        progressive.then_some(&config),
+                        progressive.then_some(&config), &ExecObservers::none(),
                     ).expect("parallel run succeeds");
                     prop_assert_eq!(
                         report.qualified, expect.qualified,
@@ -108,23 +109,23 @@ proptest! {
                 let order: Vec<usize> = (0..stages).collect();
                 let mut flat_program = build(&fact, &dim, stages, kinds, lit);
                 let mut flat_pool = CpuPool::with_mode(CpuConfig::tiny_test(), workers, mode);
-                let flat = run_parallel_program(
+                let flat = run_parallel_program_observed(
                     &mut flat_program,
                     &order,
                     MorselConfig::new(morsel_tuples),
                     &mut flat_pool,
-                    reopt,
+                    reopt, &ExecObservers::none(),
                 ).expect("flat run succeeds");
 
                 let mut numa_program = build(&fact, &dim, stages, kinds, lit);
                 let mut numa_pool =
                     CpuPool::with_topology(CpuConfig::tiny_test(), workers, mode, 1);
-                let numa = run_parallel_program(
+                let numa = run_parallel_program_observed(
                     &mut numa_program,
                     &order,
                     MorselConfig::new(morsel_tuples),
                     &mut numa_pool,
-                    reopt,
+                    reopt, &ExecObservers::none(),
                 ).expect("1-socket run succeeds");
 
                 prop_assert_eq!(

@@ -25,9 +25,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use popt::core::parallel::{
-    run_parallel_program, run_parallel_program_observed, MorselConfig, ParallelReport,
-};
+use popt::core::parallel::{run_parallel_program_observed, MorselConfig, ParallelReport};
 use popt::core::progressive::ProgressiveConfig;
 use popt::core::ExecObservers;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode};
@@ -79,12 +77,13 @@ fn run_config(
             lanes: tracer.lanes(),
         }
     } else {
-        let report = run_parallel_program(
+        let report = run_parallel_program_observed(
             &mut program,
             &order,
             MorselConfig::new(morsel_tuples),
             &mut pool,
             reopt,
+            &ExecObservers::none(),
         )
         .expect("untraced run succeeds");
         Run {
@@ -200,12 +199,12 @@ proptest! {
 
         let mut plain_program = build(&fact, &dim, stages, kinds, lit);
         let mut plain_pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-        let plain = run_parallel_program(
+        let plain = run_parallel_program_observed(
             &mut plain_program,
             &order,
             MorselConfig::new(morsel_tuples),
             &mut plain_pool,
-            None,
+            None, &ExecObservers::none(),
         )
         .expect("untraced run succeeds");
 

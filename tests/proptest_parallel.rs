@@ -13,10 +13,11 @@
 
 use proptest::prelude::*;
 
-use popt::core::parallel::{run_parallel_program, MorselConfig};
+use popt::core::parallel::{run_parallel_program_observed, MorselConfig};
 use popt::core::plan::SelectionPlan;
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::ProgressiveConfig;
+use popt::core::ExecObservers;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::xorshift64;
@@ -53,12 +54,12 @@ proptest! {
                         let mut program = build(&fact, &dim, stages, kinds, lit);
                         let mut pool =
                             CpuPool::with_topology(CpuConfig::tiny_test(), workers, mode, sockets);
-                        let report = run_parallel_program(
+                        let report = run_parallel_program_observed(
                             &mut program,
                             &(0..stages).collect::<Vec<_>>(),
                             MorselConfig::new(morsel_tuples),
                             &mut pool,
-                            progressive.then_some(&config),
+                            progressive.then_some(&config), &ExecObservers::none(),
                         ).expect("parallel run succeeds");
                         (report, program.order().to_vec())
                     };
@@ -121,12 +122,12 @@ proptest! {
             let config = ProgressiveConfig { reop_interval: 2 };
             let run = || {
                 let mut pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-                run_parallel_program(
+                run_parallel_program_observed(
                     &mut compiled.clone(),
                     &peo,
                     MorselConfig::new(morsel_tuples),
                     &mut pool,
-                    progressive.then_some(&config),
+                    progressive.then_some(&config), &ExecObservers::none(),
                 ).expect("parallel run succeeds")
             };
             let report = run();

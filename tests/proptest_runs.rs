@@ -28,9 +28,10 @@
 use proptest::prelude::*;
 
 use popt::core::exec::program::CompiledProgram;
-use popt::core::parallel::{run_parallel_program, MorselConfig};
+use popt::core::parallel::{run_parallel_program_observed, MorselConfig};
 use popt::core::plan::{Expr, LogicalPlan, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
+use popt::core::ExecObservers;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode, NumaPlacement, PredictorConfig, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::fig14::scaled_cpu;
@@ -455,12 +456,12 @@ proptest! {
             program.set_scalar_oracle(oracle);
             let order: Vec<usize> = (0..program.len()).collect();
             let mut pool = CpuPool::with_topology(cfg.clone(), workers, llc, sockets);
-            run_parallel_program(
+            run_parallel_program_observed(
                 &mut program,
                 &order,
                 MorselConfig::new(morsel_tuples),
                 &mut pool,
-                None,
+                None, &ExecObservers::none(),
             )
             .expect("parallel run succeeds")
         };

@@ -10,8 +10,9 @@
 
 use proptest::prelude::*;
 
-use popt::core::parallel::{run_parallel_program, MorselConfig};
+use popt::core::parallel::{run_parallel_program_observed, MorselConfig};
 use popt::core::progressive::ProgressiveConfig;
+use popt::core::ExecObservers;
 use popt::cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
 
 mod common;
@@ -39,12 +40,12 @@ proptest! {
                 let mut program = build(&fact, &dim, stages, kinds, lit);
                 let mut pool = CpuPool::with_mode(CpuConfig::tiny_test(), workers, mode);
                 let config = ProgressiveConfig { reop_interval: 2 };
-                let report = run_parallel_program(
+                let report = run_parallel_program_observed(
                     &mut program,
                     &(0..stages).collect::<Vec<_>>(),
                     MorselConfig::new(morsel_tuples),
                     &mut pool,
-                    progressive.then_some(&config),
+                    progressive.then_some(&config), &ExecObservers::none(),
                 ).expect("parallel run succeeds");
                 prop_assert_eq!(
                     report.qualified, expect.qualified,
