@@ -13,7 +13,7 @@
 //! * [`header`] — the column names of the figure's table;
 //! * [`row`] — one data row (zipped against the last [`header`] in JSON
 //!   mode);
-//! * [`note!`] — free-form commentary (`# `-prefixed in text mode).
+//! * `note!` — free-form commentary (`# `-prefixed in text mode).
 //!
 //! With `--json` the same calls emit one JSON object per line
 //! (`{"type":"banner"|"header"|"row"|"note", "figure": ..., ...}`), so a
@@ -307,7 +307,7 @@ pub fn row<S: AsRef<str>>(cells: &[S]) {
 
 /// Emit one commentary line. Text mode prints it verbatim (figures pass
 /// `# `-prefixed text); JSON mode strips the comment prefix and wraps
-/// the rest in a `note` object. Use via the [`note!`] macro.
+/// the rest in a `note` object. Use via the `note!` macro.
 pub fn note_line(text: &str) {
     let rep = REPORTER.lock().expect("reporter lock");
     if rep.json {
@@ -590,7 +590,6 @@ mod tests {
         let cap = TraceCapture::from_ctx(&ctx, 4).expect("tracing requested");
         assert_eq!(cap.next_query(), 0);
         assert_eq!(cap.next_query(), 1);
-        assert!(cap.tracer().enabled());
         assert_eq!(cap.tracer().lanes(), 5);
         assert!(cap.records().is_empty());
     }

@@ -41,7 +41,7 @@ use popt_core::plan::{Expr, PlanBuilder};
 use popt_core::progressive::{run_progressive_program_observed, ProgressiveConfig, VectorConfig};
 use popt_core::ExecObservers;
 use popt_cpu::{CpuPool, LlcMode, SimCpu};
-use popt_obs::{DriftObservatory, MetricsRegistry, Profiler};
+use popt_obs::{DriftObservatory, Profiler};
 
 use crate::common::{banner, bench_metric, bench_metric_tol, check, fmt, header, row, FigureCtx};
 use crate::figures::fig15::scaled_cpu;
@@ -235,14 +235,12 @@ pub fn run(ctx: &FigureCtx) {
         "the profiler's optimizer lane must equal the report's optimizer cycles",
     );
 
-    // --- The gate + registry export. ---
+    // --- The gate. ---
     let serial_worst = serial_worst.expect("serial run fitted at least once");
-    let mut reg = MetricsRegistry::new();
-    drift_serial.export(&mut reg);
     note!(
         "# drift: serial crossover recorded {} samples over {} series",
-        reg.counter("drift.samples"),
-        reg.counter("drift.series"),
+        drift_serial.samples_recorded(),
+        drift_serial.series().len(),
     );
     let show = |w: Option<f64>| w.map_or("n/a".to_string(), fmt);
     note!(

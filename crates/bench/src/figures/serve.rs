@@ -30,8 +30,6 @@ use popt_cost::cycles::fleet_occupancy_per_socket;
 use popt_cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
 use popt_storage::Table;
 
-use popt_obs::MetricsRegistry;
-
 use crate::common::{
     banner, bench_metric, bench_metric_tol, fmt, header, row, FigureCtx, TraceCapture,
 };
@@ -236,16 +234,14 @@ fn trace_export(ctx: &FigureCtx, mix: &Mix, refs: &[(u64, i64); 3], shared: bool
     let mut pool = make_pool(4, shared);
     let report = server.run(&mut pool).expect("traced serve batch runs");
     mix.assert_exact(&report.queries, refs);
-    let mut reg = MetricsRegistry::new();
-    report.record_metrics(&mut reg);
-    server.cache().record_metrics(&mut reg);
+    let stats = server.cache().stats();
     note!(
         "# traced batch: queries={} warm_starts={} cache hits={} misses={} evictions={}",
-        reg.counter("serve.queries"),
-        reg.counter("serve.warm_starts"),
-        reg.counter("cache.hits"),
-        reg.counter("cache.misses"),
-        reg.counter("cache.evictions"),
+        report.queries.len(),
+        report.queries.iter().filter(|q| q.warm_start).count(),
+        stats.hits,
+        stats.misses,
+        stats.evictions,
     );
     capture.write();
 }

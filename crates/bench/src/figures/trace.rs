@@ -8,7 +8,7 @@
 //!   LLC-thrashing random FK probe, started join-first so the loop has
 //!   work to do) runs twice, on one worker and on a pool, with
 //!   reoptimization on: once untraced, once with the full event stream
-//!   captured. Each pair's [`ParallelReport`]s must compare equal
+//!   captured. Each pair's `ParallelReport`s must compare equal
 //!   field-for-field — cycles, switches, orders, counters — because
 //!   every stamp reads simulated clocks the engine already maintains and
 //!   the sink hangs outside the costed path.
@@ -35,7 +35,7 @@ use popt_core::plan::{Expr, PlanBuilder};
 use popt_core::progressive::ProgressiveConfig;
 use popt_core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
 use popt_cpu::CpuPool;
-use popt_obs::{decision_log, validate_json, MemorySink, MetricsRegistry, TraceRecord, Tracer};
+use popt_obs::{decision_log, validate_json, MemorySink, TraceRecord, Tracer};
 
 use crate::common::{banner_with, check, fmt, header, row, FigureCtx};
 use crate::figures::fig15::scaled_cpu;
@@ -169,15 +169,17 @@ pub fn run(ctx: &FigureCtx) {
         "reoptimization rounds must be traced",
     );
 
-    let mut reg = MetricsRegistry::new();
-    traced_nw.record_metrics(&mut reg);
+    let occupancy = if traced_nw.wall_cycles == 0 {
+        0.0
+    } else {
+        traced_nw.total_cycles as f64 / (traced_nw.wall_cycles as f64 * traced_nw.workers as f64)
+    };
     note!(
-        "# metrics: runs={} morsels={} switches={} estimates={} occupancy={}",
-        reg.counter("parallel.runs"),
-        reg.counter("parallel.morsels"),
-        reg.counter("parallel.switches"),
-        reg.counter("parallel.estimates"),
-        fmt(reg.gauge("parallel.occupancy").unwrap_or(0.0)),
+        "# metrics: runs=1 morsels={} switches={} estimates={} occupancy={}",
+        traced_nw.morsels,
+        traced_nw.switches.len(),
+        traced_nw.estimates,
+        fmt(occupancy),
     );
 
     // --- Part 3: serving decisions through the explain log. ---
@@ -234,17 +236,20 @@ pub fn run(ctx: &FigureCtx) {
         report.queries[0].warm_start,
         "the second batch must warm-start from the first instance's template",
     );
-    let mut serve_reg = MetricsRegistry::new();
-    cold.record_metrics(&mut serve_reg);
-    report.record_metrics(&mut serve_reg);
-    server.cache().record_metrics(&mut serve_reg);
+    // Counts sum over both batches; occupancy is the warm batch's.
+    let batches = [&cold, &report];
+    let stats = server.cache().stats();
     note!(
         "# serve metrics: queries={} warm_starts={} cache hits={} misses={} occupancy={}",
-        serve_reg.counter("serve.queries"),
-        serve_reg.counter("serve.warm_starts"),
-        serve_reg.counter("cache.hits"),
-        serve_reg.counter("cache.misses"),
-        fmt(serve_reg.gauge("serve.occupancy").unwrap_or(0.0)),
+        batches.iter().map(|b| b.queries.len()).sum::<usize>(),
+        batches
+            .iter()
+            .flat_map(|b| &b.queries)
+            .filter(|q| q.warm_start)
+            .count(),
+        stats.hits,
+        stats.misses,
+        fmt(report.occupancy),
     );
 
     // The human-readable decision log: every non-morsel event, ordered

@@ -399,7 +399,7 @@ impl<'t> CompiledProgram<'t> {
 
     /// Execute rows `start..end`; measurement semantics identical to the
     /// scan executor. Dispatches to the batched row kernel
-    /// ([`crate::exec::kernel`]) unless the scalar oracle was requested or
+    /// (`exec::kernel`) unless the scalar oracle was requested or
     /// the program shape exceeds the kernel's fixed scratch.
     pub fn run_range(&self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
         assert!(start <= end && end <= self.rows, "row range out of bounds");
@@ -805,6 +805,45 @@ mod tests {
             let mut c = cpu();
             let batched = program.run_range(&mut c, 0, n as usize);
             assert_eq!(batched, stats, "batched path must report the same events");
+        }
+    }
+
+    /// Past the row kernel's fixed scratch (12 stages) `run_range` falls
+    /// back to the scalar oracle: a 13-stage program builds no kernel and
+    /// leaves its core exactly as `run_range_scalar` does — stats,
+    /// counters and predictor state — under its start order and after a
+    /// reorder.
+    #[test]
+    fn programs_past_the_kernel_scratch_fall_back_to_the_scalar_oracle() {
+        let (fact, dim) = tables(3000, 64);
+        let build = |filters: i64| {
+            let mut plan = PlanBuilder::scan(&fact);
+            for k in 0..filters {
+                plan = plan.filter(Expr::col("val").less_than(99 - k));
+            }
+            plan.join(&dim, "fk", Expr::col("payload").equal_to(0))
+                .aggregate("val")
+                .build()
+                .compile()
+                .unwrap()
+        };
+        assert!(build(11).kernel().is_some(), "12 stages fit the scratch");
+        let mut program = build(12);
+        assert_eq!(program.len(), 13);
+        assert!(program.kernel().is_none(), "13 stages exceed the scratch");
+
+        let (mut fast, mut scalar) = (cpu(), cpu());
+        let reversed: Vec<usize> = (0..13).rev().collect();
+        for (order, range) in [(None, 0..1000), (Some(&reversed), 1000..3000)] {
+            if let Some(order) = order {
+                program.reorder(order).unwrap();
+            }
+            let got = program.run_range(&mut fast, range.start, range.end);
+            let want = program.run_range_scalar(&mut scalar, range.start, range.end);
+            assert!(want.qualified > 0, "the case must qualify rows");
+            assert_eq!(got, want, "order {:?}", program.order());
+            assert_eq!(fast.counters(), scalar.counters());
+            assert!(fast.predictor() == scalar.predictor(), "predictor state");
         }
     }
 

@@ -64,7 +64,7 @@ impl ExecObservers {
 
     /// Emit one decision event when a tracer is attached: on `lane` (a
     /// worker's; `None` = the coordinator lane), tagged with the traced
-    /// query. No tracer (or a disabled one) never builds `event`.
+    /// query. Without a tracer `event` is never built.
     pub(crate) fn emit(&self, lane: Option<usize>, event: impl FnOnce() -> TraceEvent) {
         if let Some((tracer, query)) = &self.trace {
             tracer.emit(

@@ -26,13 +26,13 @@
 //!   while the other workers keep streaming under the incumbent order.
 //!
 //! Both pooled drives — this module's [`run_parallel_target_observed`]
-//! (one [`CoordState`] per run) and the serving layer (`crate::serve`,
+//! (one `CoordState` per run) and the serving layer (`crate::serve`,
 //! one per admitted query) — run on one driver, written once here:
-//! [`run_workers`] steps every worker on the calling thread, always the
+//! `run_workers` steps every worker on the calling thread, always the
 //! one with the lowest simulated clock `(now, w)`. A worker alternates
 //! two steps: its *boundary* (claim a morsel, sync its order or lease a
-//! trial through [`CoordState::begin_morsel`], and execute the morsel on
-//! its core — [`run_morsel`]) and its *report* ([`report_morsel`]: the
+//! trial through `CoordState::begin_morsel`, and execute the morsel on
+//! its core — `run_morsel`) and its *report* (`report_morsel`: the
 //! coordination step, any estimator fit run inline and charged to that
 //! worker's clock). Every coordination decision is therefore applied in
 //! simulated-time order, so a pooled run is a pure function of its
@@ -46,7 +46,7 @@ use popt_cost::cycles::{fleet_speedup, fleet_wall_cycles};
 use popt_cost::estimate::PlanGeometry;
 use popt_cpu::pmu::CounterDelta;
 use popt_cpu::{CpuConfig, CpuPool, LlcMode, NumaPlacement, SimCpu};
-use popt_obs::{MetricsRegistry, Profiler, TraceEvent, Tracer};
+use popt_obs::{Profiler, TraceEvent, Tracer};
 use popt_solver::SampledCounters;
 
 use crate::error::EngineError;
@@ -105,36 +105,6 @@ impl ParallelReport {
     /// Wall-clock speedup over a reference single-worker run.
     pub fn speedup_over(&self, reference_wall_cycles: u64) -> f64 {
         fleet_speedup(reference_wall_cycles, &self.per_worker_cycles)
-    }
-
-    /// Feed the run's aggregates into a metrics registry (post-hoc; the
-    /// registry never sits on the simulated-cost path).
-    pub fn record_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.inc("parallel.runs", 1);
-        reg.inc("parallel.morsels", self.morsels as u64);
-        reg.inc("parallel.estimates", self.estimates as u64);
-        reg.inc("parallel.optimizer_cycles", self.optimizer_cycles);
-        reg.inc("parallel.switches", self.switches.len() as u64);
-        reg.inc(
-            "parallel.switches_reverted",
-            self.switches.iter().filter(|s| s.reverted).count() as u64,
-        );
-        reg.inc("parallel.cycles", self.total_cycles);
-        reg.inc("parallel.llc_misses", self.counters.l3_misses);
-        reg.inc("parallel.memory_accesses", self.counters.memory_accesses);
-        reg.set_gauge("parallel.remote_access_pct", self.remote_access_pct);
-        reg.set_gauge(
-            "parallel.occupancy",
-            if self.wall_cycles == 0 {
-                0.0
-            } else {
-                self.total_cycles as f64 / (self.wall_cycles as f64 * self.workers as f64)
-            },
-        );
-        reg.observe("parallel.wall_cycles", self.wall_cycles);
-        for &c in &self.per_worker_cycles {
-            reg.observe("parallel.worker_cycles", c);
-        }
     }
 }
 

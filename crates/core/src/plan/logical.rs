@@ -94,11 +94,6 @@ impl Expr {
         Expr::Cmp(Box::new(self), CompareOp::Eq, Box::new(rhs.into()))
     }
 
-    /// `self != rhs`.
-    pub fn not_equal_to(self, rhs: impl Into<Expr>) -> Expr {
-        Expr::Cmp(Box::new(self), CompareOp::Ne, Box::new(rhs.into()))
-    }
-
     /// `self AND rhs`.
     pub fn and(self, rhs: impl Into<Expr>) -> Expr {
         Expr::And(Box::new(self), Box::new(rhs.into()))

@@ -623,7 +623,7 @@ pub fn run_progressive_program_observed(
 /// one vector at a time on one core, a round after every
 /// `reop_interval`-th vector, every trial resolved by the vector after
 /// its switch (see the module docs for what the drive decides and what
-/// the shared [`ReoptPolicy`] does).
+/// the shared `ReoptPolicy` does).
 ///
 /// Observers are non-invasive — the report is bit-identical with and
 /// without them: the profiler receives every vector's cycles (attributed

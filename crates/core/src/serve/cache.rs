@@ -95,7 +95,6 @@ pub struct WarmRecordOutcome {
 
 /// Cumulative lifecycle counters for an [`OrderCache`]: every lookup,
 /// record, divergence, eviction, and streak reset since construction.
-/// Feed them into a metrics registry with [`OrderCache::record_metrics`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Warm-start lookups that found a usable entry.
@@ -113,18 +112,6 @@ pub struct CacheStats {
     /// Cold records that discarded a non-zero divergence streak — the
     /// formerly silent reset-on-cold, now counted.
     pub cold_streak_resets: u64,
-}
-
-impl CacheStats {
-    /// Warm-hit rate over all lookups (0.0 when none happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// The cross-query order/calibration cache a [`crate::serve::QueryServer`]
@@ -164,28 +151,6 @@ impl OrderCache {
     /// Cumulative lifecycle counters since construction.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Feed the cache's lifecycle counters and current occupancy into a
-    /// metrics registry.
-    pub fn record_metrics(&self, reg: &mut popt_obs::MetricsRegistry) {
-        let s = &self.stats;
-        reg.inc("cache.hits", s.hits);
-        reg.inc("cache.misses", s.misses);
-        reg.inc("cache.cold_records", s.cold_records);
-        reg.inc("cache.warm_records", s.warm_records);
-        reg.inc("cache.divergences", s.divergences);
-        reg.inc("cache.evictions", s.evictions);
-        reg.inc("cache.cold_streak_resets", s.cold_streak_resets);
-        reg.set_gauge("cache.hit_rate", s.hit_rate());
-        reg.set_gauge("cache.entries", self.entries.len() as f64);
-        let max_streak = self
-            .entries
-            .values()
-            .map(|e| e.diverged_streak)
-            .max()
-            .unwrap_or(0);
-        reg.set_gauge("cache.max_diverged_streak", max_streak as f64);
     }
 
     /// Warm-start lookup: the entry for `signature`, if one exists whose
@@ -507,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_lookups_and_render_into_the_registry() {
+    fn stats_count_lookups_and_records() {
         let t = table();
         let sig = scan_signature(&t, &plan(10));
         let mut cache = OrderCache::new();
@@ -516,13 +481,8 @@ mod tests {
         assert!(cache.lookup(&sig).is_some());
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
-        assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
-        let mut reg = popt_obs::MetricsRegistry::new();
-        cache.record_metrics(&mut reg);
-        assert_eq!(reg.counter("cache.hits"), 1);
-        assert_eq!(reg.counter("cache.cold_records"), 1);
-        assert_eq!(reg.gauge("cache.entries"), Some(1.0));
-        assert_eq!(reg.gauge("cache.hit_rate"), Some(0.5));
+        assert_eq!(cache.stats().cold_records, 1);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   [`StrideScheduler`] which active query to serve next; shares
 //!   converge to the priority weights, and no query starves.
 //! * **Per-query coordination** — each admitted query owns a full
-//!   [`CoordState`]: its own epoch-published order, sample windows,
+//!   `CoordState`: its own epoch-published order, sample windows,
 //!   trial leasing and rejection memory, exactly as if it ran alone on
 //!   the pool. Workers run on the dedicated pool's driver and steps
 //!   ([`crate::parallel::coordinator`]): every worker's boundary and
@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use popt_cost::cycles::{fleet_occupancy, fleet_wall_cycles_interleaved};
 use popt_cpu::CpuPool;
-use popt_obs::{DriftObservatory, MetricsRegistry, TraceEvent, Tracer};
+use popt_obs::{DriftObservatory, TraceEvent, Tracer};
 use popt_storage::Table;
 
 use crate::error::EngineError;
@@ -300,40 +300,6 @@ impl ServeReport {
         let idx = ((latencies.len() - 1) as f64 * fraction.clamp(0.0, 1.0)).round() as usize;
         Some(latencies[idx])
     }
-
-    /// Fold the batch outcome into a metrics registry: batch counters
-    /// (`serve.*`), occupancy/throughput gauges, and latency/queueing
-    /// histograms both pooled and split per priority class.
-    pub fn record_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.inc("serve.batches", 1);
-        reg.inc("serve.queries", self.queries.len() as u64);
-        reg.inc("serve.wall_cycles", self.wall_cycles);
-        reg.inc("serve.busy_cycles", self.busy_cycles);
-        reg.inc("serve.idle_cycles", self.idle_cycles);
-        reg.set_gauge("serve.occupancy", self.occupancy);
-        reg.set_gauge("serve.throughput_qps", self.throughput_qps());
-        for q in &self.queries {
-            reg.inc("serve.morsels", q.morsels as u64);
-            reg.inc("serve.switches", q.switches.len() as u64);
-            reg.inc(
-                "serve.switches_reverted",
-                q.switches.iter().filter(|s| s.reverted).count() as u64,
-            );
-            reg.inc("serve.estimates", q.estimates as u64);
-            reg.inc("serve.optimizer_cycles", q.optimizer_cycles);
-            if q.warm_start {
-                reg.inc("serve.warm_starts", 1);
-            }
-            reg.observe("serve.latency_cycles", q.latency_cycles);
-            reg.observe("serve.queue_cycles", q.queue_cycles);
-            let by_class = match q.priority {
-                Priority::Low => "serve.latency_cycles.low",
-                Priority::Normal => "serve.latency_cycles.normal",
-                Priority::High => "serve.latency_cycles.high",
-            };
-            reg.observe(by_class, q.latency_cycles);
-        }
-    }
 }
 
 /// The multi-query serving layer. Holds the submitted batch and the
@@ -365,7 +331,7 @@ impl<'t> QueryServer<'t> {
     /// consultation, morsel claims, reopt rounds, trial leases, order
     /// publications, completion) into the tracer's sink. Tracing is
     /// non-invasive — simulated cycles, results, and accepted orders are
-    /// bit-identical with the tracer attached, detached, or disabled.
+    /// bit-identical with the tracer attached or detached.
     pub fn set_tracer(&mut self, tracer: Arc<Tracer>) {
         self.observers.trace = Some((tracer, 0));
     }
@@ -427,14 +393,9 @@ impl<'t> QueryServer<'t> {
         // instance happened to start with — bypass it entirely.
         let cache_on = self.config.use_order_cache && reopt.is_some();
         // One branch decides observability for the whole batch: with no
-        // tracer (or a disabled sink) every emission below is a single
-        // `if` on a `None`/false and no event payload is ever built.
-        let trace: Option<&Arc<Tracer>> = self
-            .observers
-            .trace
-            .as_ref()
-            .map(|(tracer, _)| tracer)
-            .filter(|t| t.enabled());
+        // tracer attached every emission below is a single `if` on a
+        // `None` and no event payload is ever built.
+        let trace: Option<&Arc<Tracer>> = self.observers.trace.as_ref().map(|(tracer, _)| tracer);
 
         let metas: Vec<(String, Priority, u64)> = self
             .specs

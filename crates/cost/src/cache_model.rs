@@ -1,6 +1,6 @@
 //! The cache access cost model of Section 3.1.
 //!
-//! Extends the generic model of Pirk et al. [17]: the first predicate of a
+//! Extends the generic model of Pirk et al. \[17\]: the first predicate of a
 //! PEO induces a *single sequential* access pattern over its column; every
 //! later predicate induces a *sequential scan with conditional read* whose
 //! line-access count depends on the fraction of tuples surviving the
@@ -92,26 +92,6 @@ pub fn l3_accesses_unmodified(geom: &CacheGeometry, n: u64, density: f64) -> f64
     touched_lines(geom, n, density)
 }
 
-/// The remote-access latency class of the two-socket extension: expected
-/// stall cycles for one access that misses the LLC, given the
-/// probability `remote_fraction` that the line's home is another socket.
-///
-/// Equation 1 counts *misses*; this prices each one. A local miss costs
-/// `base_cycles` (the random or sequential memory latency); a remote
-/// miss additionally pays the NUMA hop `remote_extra_cycles`. Because
-/// `remote_fraction` is derived from the static `NumaPlacement` (a pure
-/// function of address ranges, never of host scheduling), the blended
-/// price — and hence every per-socket cost estimate built on it — is
-/// deterministic.
-pub fn remote_access_cycles(
-    base_cycles: f64,
-    remote_extra_cycles: f64,
-    remote_fraction: f64,
-) -> f64 {
-    let rf = remote_fraction.clamp(0.0, 1.0);
-    base_cycles + rf * remote_extra_cycles
-}
-
 /// Fraction of touched lines whose predecessor line was *not* touched —
 /// the "random" (non-sequential) share of the access stream, used by the
 /// cycle model to blend sequential and random memory latency.
@@ -189,15 +169,6 @@ mod tests {
         for d in [0.01, 0.05, 0.2, 0.7] {
             assert!(l3_accesses(&GEOM, 100_000, d) >= l3_accesses_unmodified(&GEOM, 100_000, d));
         }
-    }
-
-    #[test]
-    fn remote_class_interpolates_between_local_and_full_hop() {
-        assert_eq!(remote_access_cycles(180.0, 90.0, 0.0), 180.0);
-        assert_eq!(remote_access_cycles(180.0, 90.0, 1.0), 270.0);
-        assert_eq!(remote_access_cycles(180.0, 90.0, 0.5), 225.0);
-        // Out-of-range fractions clamp rather than extrapolate.
-        assert_eq!(remote_access_cycles(24.0, 90.0, 2.0), 114.0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! For a sequence of join operators, the relative cost is determined by
 //! the number of accesses into the joined relation and their locality.
 //! The paper replaces the original Manegold et al. miss equation with one
-//! grounded in the external memory model [1]:
+//! grounded in the external memory model \[1\]:
 //!
 //! ```text
 //! Mr_i = C_i                                   if C_i <  #_i   (fits in cache)

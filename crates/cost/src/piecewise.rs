@@ -1,4 +1,4 @@
-//! The piecewise branch misprediction estimate of Zeuch et al. [23]
+//! The piecewise branch misprediction estimate of Zeuch et al. \[23\]
 //! (Equation 3), the baseline the paper's Markov model improves on.
 //!
 //! Below 50% selectivity the predictor settles on "taken" and mispredicts

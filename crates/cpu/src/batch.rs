@@ -286,7 +286,7 @@ impl<'a> BatchCpu<'a> {
     /// the line size, no element straddles a line, so the per-element
     /// walk reduces to "one touch at each new line, element hits for the
     /// rest" — `n − touches` hits plus the same ordered sequence of
-    /// sequential line touches, which [`BatchCpu::walk_dense_lines`]
+    /// sequential line touches, which `BatchCpu::walk_dense_lines`
     /// applies (in closed form when the span is clean). Misaligned
     /// shapes fall back to the per-element loop.
     pub fn load_elements_seq(&mut self, llpo: &mut u64, addr: u64, elem: u64, n: u64) -> u64 {

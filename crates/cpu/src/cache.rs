@@ -50,7 +50,7 @@ pub struct LevelStats {
 ///   age `a` is "ages below `a` grow by one, this slot becomes 0", and
 ///   the victim of a fill is the slot whose age is `ways − 1`.
 ///
-/// A vacant slot holds the tag [`VACANT`] and ranks behind every
+/// A vacant slot holds the tag `VACANT` and ranks behind every
 /// occupant, so "the slot of age `ways − 1`" is a vacant slot until the
 /// set's allocation is full and its LRU occupant from then on — a fill
 /// needs no occupancy count and no separate vacancy search. All storage

@@ -181,7 +181,7 @@ impl CpuConfig {
     }
 
     /// Sandy Bridge analogue — same branching behaviour as Ivy Bridge
-    /// (Zeuch et al. [23] report no change across Sandy/Ivy/Haswell).
+    /// (Zeuch et al. \[23\] report no change across Sandy/Ivy/Haswell).
     pub fn sandy_bridge() -> Self {
         let mut c = Self::base(
             "Sandy Bridge",

@@ -64,7 +64,7 @@ fn arg_json(arg: &Arg) -> String {
 }
 
 /// One record as a Chrome trace event object.
-pub fn event_json(record: &TraceRecord) -> String {
+fn event_json(record: &TraceRecord) -> String {
     use crate::event::TraceEvent;
     let mut args: Vec<String> = vec![
         format!("\"query\":{}", record.query),

@@ -30,8 +30,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, MutexGuard};
 
-use crate::metrics::MetricsRegistry;
-
 /// Samples kept per `(metric, stage key)` series; older samples fall
 /// out so the statistics describe recent drift, not the whole history.
 pub const DEFAULT_DRIFT_WINDOW: usize = 64;
@@ -205,46 +203,6 @@ impl DriftObservatory {
             .map(|(_, s)| s.stats().calibrated_mean_rel_err)
             .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
-
-    /// Export per-series gauges and the sample counter into `reg`. Keys:
-    /// `drift.<metric>.<stage key in hex>.<stat>`.
-    pub fn export(&self, reg: &mut MetricsRegistry) {
-        let series = self.series();
-        reg.inc("drift.samples", self.samples_recorded());
-        reg.inc("drift.series", series.len() as u64);
-        for ((metric, key), s) in series {
-            let prefix = format!("drift.{metric}.{key:016x}");
-            reg.set_gauge(&format!("{prefix}.mean_rel_err"), s.mean_rel_err);
-            reg.set_gauge(&format!("{prefix}.max_rel_err"), s.max_rel_err);
-            reg.set_gauge(&format!("{prefix}.sign_bias"), s.sign_bias);
-            reg.set_gauge(&format!("{prefix}.scale"), s.scale);
-            reg.set_gauge(
-                &format!("{prefix}.cal_mean_rel_err"),
-                s.calibrated_mean_rel_err,
-            );
-        }
-    }
-
-    /// Deterministic plain-text table of every series, one line each.
-    pub fn render(&self) -> String {
-        let mut out = String::from(
-            "metric           stage_key         n  mean_err  max_err   bias    scale  cal_mean\n",
-        );
-        for ((metric, key), s) in self.series() {
-            out.push_str(&format!(
-                "{:<16} {:016x} {:>3}  {:>7.4}  {:>7.4}  {:>5.2}  {:>7.4}  {:>8.4}\n",
-                metric,
-                key,
-                s.samples,
-                s.mean_rel_err,
-                s.max_rel_err,
-                s.sign_bias,
-                s.scale,
-                s.calibrated_mean_rel_err,
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -330,26 +288,5 @@ mod tests {
         let k1 = d.stats("cpt", 1).unwrap().calibrated_mean_rel_err;
         assert!((worst - k1).abs() < 1e-12, "worst {worst} vs key-1 {k1}");
         assert!(worst > 0.1);
-    }
-
-    #[test]
-    fn export_and_render_are_deterministic() {
-        let d = DriftObservatory::new();
-        d.record("cpt", 0xabc, 2.0, 1.0);
-        d.record("bnt", 0xdef, 5.0, 5.0);
-        let mut reg = MetricsRegistry::new();
-        d.export(&mut reg);
-        assert_eq!(reg.counter("drift.samples"), 2);
-        assert_eq!(reg.counter("drift.series"), 2);
-        assert!(reg
-            .gauge("drift.cpt.0000000000000abc.mean_rel_err")
-            .is_some());
-        assert!(reg.gauge("drift.bnt.0000000000000def.scale").is_some());
-        let r1 = d.render();
-        let r2 = d.render();
-        assert_eq!(r1, r2);
-        let bnt = r1.find("bnt").unwrap();
-        let cpt = r1.find("cpt").unwrap();
-        assert!(bnt < cpt, "series render sorted by (metric, key)");
     }
 }

@@ -5,27 +5,28 @@
 //! crate gives the engine's own decisions the same property. Every
 //! decision point — trial leases, accepts/reverts, order publications,
 //! cache warm-hits, LLC repartitions, socket homing — can emit a
-//! structured [`event::TraceEvent`] into a [`sink::TraceSink`] that
+//! structured [`event::TraceEvent`] into a [`sink::MemorySink`] that
 //! hangs *outside* the simulated-cost path: tracing burns zero simulated
-//! cycles, so enabling it is bit-identical to disabling it (pinned by
-//! `tests/proptest_obs.rs` in the workspace root).
+//! cycles, so a traced run is bit-identical to an untraced one (pinned
+//! by `tests/proptest_obs.rs` in the workspace root).
 //!
 //! Determinism is load-bearing and host time never enters a trace.
 //! Events are stamped by [`tracer::Tracer`] with `(lane, simulated
 //! cycle, ordinal)` where the cycle comes from a per-lane clock cell the
 //! owning worker publishes at morsel boundaries and the ordinal from a
 //! per-lane counter — both pure functions of the simulation, not of the
-//! host scheduler. A disabled sink costs one branch; event payloads are
-//! built lazily and never constructed when tracing is off.
+//! host scheduler. Tracing is off exactly when no tracer is attached:
+//! the engine's hot path is then one `None` check, and no event payload
+//! is ever built. Run-level counts and gauges are not restated here —
+//! the engine's reports (`ParallelReport`, `ServeReport`, the order
+//! cache's `CacheStats`) are the metrics.
 //!
 //! * [`event`] — the event taxonomy (admit → socket-home → morsel →
 //!   reopt round → trial lease/accept/revert → order publish → cache
 //!   hit/record/evict → LLC repartition → completion);
-//! * [`sink`] — the [`sink::TraceSink`] trait with null, in-memory, and
-//!   streaming-JSON implementations;
-//! * [`tracer`] — per-lane clocks/ordinals and lazy emission;
-//! * [`metrics`] — counters, gauges, and fixed-bucket histograms,
-//!   snapshotable at any point;
+//! * [`sink`] — the in-memory [`sink::MemorySink`] every tracer records
+//!   into;
+//! * [`tracer`] — per-lane clocks/ordinals and stamping;
 //! * [`chrome`] — Chrome-trace-event JSON export (Perfetto per-core
 //!   timelines);
 //! * [`json`] — the workspace's one dependency-free JSON parser and
@@ -44,7 +45,6 @@ pub mod drift;
 pub mod event;
 pub mod explain;
 pub mod json;
-pub mod metrics;
 pub mod profile;
 pub mod sink;
 pub mod tracer;
@@ -54,7 +54,6 @@ pub use drift::{DriftObservatory, DriftStats};
 pub use event::{Arg, Stamp, TraceEvent, TraceRecord};
 pub use explain::{decision_line, decision_log};
 pub use json::{parse_json, validate_json, Json};
-pub use metrics::{Histogram, MetricsRegistry};
 pub use profile::{apportion, ProfLane, ProfSlice, Profiler};
-pub use sink::{MemorySink, NullSink, StreamSink, TraceSink};
+pub use sink::MemorySink;
 pub use tracer::Tracer;

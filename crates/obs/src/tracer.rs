@@ -1,4 +1,4 @@
-//! Deterministic stamping and lazy emission.
+//! Deterministic stamping.
 //!
 //! A [`Tracer`] owns one *lane* per worker plus a coordinator lane. Each
 //! lane carries a simulated-cycle clock cell and an ordinal counter. The
@@ -8,16 +8,15 @@
 //! never enters a stamp; two runs of the same deterministic configuration
 //! produce identical stamps.
 //!
-//! Emission is lazy: [`Tracer::emit`] takes a closure so that when the
-//! sink is disabled no event payload (orders, selectivity vectors, label
-//! strings) is ever constructed. The cost of disabled tracing is one
-//! branch on an already-loaded bool.
+//! Tracing is off exactly when no tracer is attached: the engine holds
+//! an `Option`, so an untraced run never reaches [`Tracer::emit`] and
+//! builds no event payload (orders, selectivity vectors, label strings).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::event::{Stamp, TraceEvent, TraceRecord};
-use crate::sink::{NullSink, TraceSink};
+use crate::sink::MemorySink;
 
 /// Per-lane stamp state. Relaxed ordering is sufficient: the engine
 /// writes and reads every lane from the one thread that drives the run;
@@ -28,42 +27,28 @@ struct Lane {
     ordinal: AtomicU64,
 }
 
-/// Stamps and emits trace events into a shared [`TraceSink`].
+/// Stamps and emits trace events into a shared [`MemorySink`].
 pub struct Tracer {
-    sink: Arc<dyn TraceSink>,
+    sink: Arc<MemorySink>,
     lanes: Vec<Lane>,
-    enabled: bool,
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
             .field("lanes", &self.lanes.len())
-            .field("enabled", &self.enabled)
             .finish()
     }
 }
 
 impl Tracer {
-    /// A tracer with `lanes` stamp lanes feeding `sink`.
-    pub fn new(sink: Arc<dyn TraceSink>, lanes: usize) -> Self {
-        let enabled = sink.enabled();
+    /// A tracer for a pool of `workers` workers feeding `sink`: one lane
+    /// per worker plus the coordinator lane ([`Self::coordinator_lane`]).
+    pub fn for_workers(sink: Arc<MemorySink>, workers: usize) -> Self {
         Self {
             sink,
-            lanes: (0..lanes.max(1)).map(|_| Lane::default()).collect(),
-            enabled,
+            lanes: (0..=workers).map(|_| Lane::default()).collect(),
         }
-    }
-
-    /// A tracer for a pool of `workers` workers: one lane per worker
-    /// plus the coordinator lane ([`Self::coordinator_lane`]).
-    pub fn for_workers(sink: Arc<dyn TraceSink>, workers: usize) -> Self {
-        Self::new(sink, workers + 1)
-    }
-
-    /// A disabled tracer (null sink); stamps nothing, emits nothing.
-    pub fn disabled() -> Self {
-        Self::new(Arc::new(NullSink), 1)
     }
 
     /// The lane reserved for events not attributable to a single worker
@@ -77,28 +62,21 @@ impl Tracer {
         self.lanes.len()
     }
 
-    /// Whether the sink wants events. When `false`, `emit` closures are
-    /// never invoked.
-    pub fn enabled(&self) -> bool {
-        self.enabled
+    /// Defensive clamp: a lane index past the end (misconfigured tracer)
+    /// lands on the coordinator lane instead of panicking mid-run.
+    fn clamp(&self, lane: usize) -> usize {
+        lane.min(self.coordinator_lane())
     }
 
     fn lane(&self, lane: usize) -> &Lane {
-        // Defensive clamp: a lane index past the end (misconfigured
-        // tracer) lands on the coordinator lane instead of panicking
-        // mid-run.
-        self.lanes
-            .get(lane)
-            .unwrap_or_else(|| self.lanes.last().expect("tracer has at least one lane"))
+        &self.lanes[self.clamp(lane)]
     }
 
     /// Publish `lane`'s simulated wall position. Called by the owning
     /// worker at morsel boundaries so subsequent events on the lane are
     /// stamped at that position.
     pub fn set_clock(&self, lane: usize, cycles: u64) {
-        if self.enabled {
-            self.lane(lane).clock.store(cycles, Ordering::Relaxed);
-        }
+        self.lane(lane).clock.store(cycles, Ordering::Relaxed);
     }
 
     /// The lane's last published simulated wall position.
@@ -107,11 +85,8 @@ impl Tracer {
     }
 
     /// Emit an event on `lane` for `query`, stamped at the lane's
-    /// current clock. The closure runs only when the sink is enabled.
+    /// current clock.
     pub fn emit(&self, lane: usize, query: usize, f: impl FnOnce() -> TraceEvent) {
-        if !self.enabled {
-            return;
-        }
         let cycles = self.lane(lane).clock.load(Ordering::Relaxed);
         self.emit_at(lane, query, cycles, f);
     }
@@ -119,32 +94,23 @@ impl Tracer {
     /// Emit an event stamped at an explicit cycle position (e.g. a
     /// morsel's start rather than the lane clock at its end).
     pub fn emit_at(&self, lane: usize, query: usize, cycles: u64, f: impl FnOnce() -> TraceEvent) {
-        if !self.enabled {
-            return;
-        }
         let cell = self.lane(lane);
         let ordinal = cell.ordinal.fetch_add(1, Ordering::Relaxed);
         self.sink.record(TraceRecord {
             query,
             stamp: Stamp {
-                lane: lane.min(self.lanes.len() - 1),
+                lane: self.clamp(lane),
                 cycles,
                 ordinal,
             },
             event: f(),
         });
     }
-
-    /// Flush/close the underlying sink.
-    pub fn finish(&self) {
-        self.sink.finish();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::MemorySink;
 
     fn event() -> TraceEvent {
         TraceEvent::Complete {
@@ -153,15 +119,6 @@ mod tests {
             morsels: 3,
             wall_cycles: 4,
         }
-    }
-
-    #[test]
-    fn disabled_tracer_never_builds_events() {
-        let tracer = Tracer::disabled();
-        assert!(!tracer.enabled());
-        tracer.set_clock(0, 99);
-        tracer.emit(0, 0, || panic!("closure must not run when disabled"));
-        assert_eq!(tracer.clock(0), 0, "disabled tracer skips clock writes");
     }
 
     #[test]
@@ -217,7 +174,7 @@ mod tests {
     #[test]
     fn out_of_range_lane_clamps_to_coordinator() {
         let sink = Arc::new(MemorySink::new());
-        let tracer = Tracer::new(sink.clone(), 2);
+        let tracer = Tracer::for_workers(sink.clone(), 1);
         tracer.set_clock(1, 11);
         tracer.emit(9, 3, event);
         let records = sink.take();

@@ -1,4 +1,4 @@
-//! A from-scratch, box-bounded Nelder–Mead downhill simplex [15].
+//! A from-scratch, box-bounded Nelder–Mead downhill simplex \[15\].
 //!
 //! The paper evaluated NLopt's algorithm portfolio and chose Nelder–Mead
 //! as the local optimizer "because it performs best for our selectivity

@@ -5,8 +5,7 @@
 //! clustered (Knuth-shuffled within a bounded window — "within the time
 //! frame of a month"), and fully random. Figure 14 generalizes the window
 //! to a sweep from one tuple up to "Mem" (unbounded). This module provides
-//! those layouts plus Zipf skew and correlated pair generation (Section
-//! 4.5).
+//! those layouts plus correlated pair generation (Section 4.5).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,32 +74,6 @@ pub fn knuth_shuffle_window<T>(data: &mut [T], window: usize, seed: u64) {
             block.swap(i, j);
         }
     }
-}
-
-/// Draw `n` samples from a Zipf distribution over `1..=universe` with
-/// exponent `theta` (θ = 0 is uniform; θ ≈ 1 is classic Zipf), using
-/// inverse-CDF sampling over precomputed cumulative weights.
-///
-/// Used to generate the skewed value distributions of Section 4.5.
-pub fn zipf(n: usize, universe: u32, theta: f64, seed: u64) -> Vec<i32> {
-    assert!(universe >= 1);
-    assert!(theta >= 0.0);
-    let mut cdf = Vec::with_capacity(universe as usize);
-    let mut acc = 0.0f64;
-    for k in 1..=universe {
-        acc += 1.0 / f64::from(k).powf(theta);
-        cdf.push(acc);
-    }
-    let total = acc;
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let u = rng.gen_range(0.0..total);
-            // Binary search for the first cumulative weight >= u.
-            let idx = cdf.partition_point(|&c| c < u);
-            (idx as i32) + 1
-        })
-        .collect()
 }
 
 /// Generate a pair of correlated columns: `b[i] = a[i] + noise` where noise
@@ -189,27 +162,6 @@ mod tests {
         let mut c: Vec<i32> = (0..500).collect();
         knuth_shuffle(&mut c, 10);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn zipf_skews_towards_small_values() {
-        let samples = zipf(100_000, 100, 1.0, 5);
-        let ones = samples.iter().filter(|&&v| v == 1).count();
-        let hundreds = samples.iter().filter(|&&v| v == 100).count();
-        assert!(
-            ones > 50 * hundreds.max(1),
-            "ones={ones} hundreds={hundreds}"
-        );
-        assert!(samples.iter().all(|&v| (1..=100).contains(&v)));
-    }
-
-    #[test]
-    fn zipf_theta_zero_is_roughly_uniform() {
-        let samples = zipf(100_000, 10, 0.0, 5);
-        for k in 1..=10 {
-            let c = samples.iter().filter(|&&v| v == k).count();
-            assert!((8_000..12_000).contains(&c), "value {k}: {c}");
-        }
     }
 
     #[test]

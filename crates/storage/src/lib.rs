@@ -5,7 +5,7 @@
 //! tables the paper's evaluation uses (`lineitem`, `orders`, `part`,
 //! Section 5.1) and the value-distribution knobs of Sections 5.3–5.6:
 //! sorted, window-clustered (Knuth shuffle within a bounded window) and
-//! fully random layouts, plus Zipf skew and correlated column pairs.
+//! fully random layouts, plus correlated column pairs.
 //!
 //! Columns live in a **simulated address space** ([`addr::AddressSpace`])
 //! so the `popt-cpu` cache hierarchy sees realistic, non-aliasing physical

@@ -14,9 +14,10 @@
 //! * [`solver`] — search-space restriction, start-point selection and the
 //!   bounded Nelder–Mead selectivity estimator;
 //! * [`obs`] — non-invasive observability: deterministic structured
-//!   traces stamped in simulated cycles, a metrics registry, and the
-//!   Chrome-trace / decision-log exporters (tracing on or off is
-//!   bit-identical — see the README's "Observability" section);
+//!   traces stamped in simulated cycles, the model-drift observatory,
+//!   the per-stage cycle profiler, and the Chrome-trace / decision-log
+//!   exporters (tracing on or off is bit-identical — see the README's
+//!   "Observability" section);
 //! * [`core`] — the vectorized execution engine and the progressive
 //!   optimizer itself, unified across executors: the multi-selection
 //!   scan and compiled selection/join-filter programs share one §4.4

@@ -415,7 +415,7 @@ fn config_validation_and_empty_batches() {
     assert_eq!(report.throughput_qps(), 0.0);
     assert!(report.latency_percentile(None, 0.5).is_none());
 
-    // reop_interval = 0 is rejected before any thread spawns.
+    // reop_interval = 0 is rejected before any query runs a morsel.
     let mut server = QueryServer::new(ServeConfig {
         reopt: Some(ProgressiveConfig { reop_interval: 0 }),
         ..ServeConfig::default()

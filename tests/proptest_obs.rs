@@ -181,50 +181,6 @@ proptest! {
         }
     }
 
-    /// A disabled tracer (the default, hot-path-off configuration)
-    /// behaves exactly like no tracer: nothing is recorded, and the
-    /// report still matches the untraced run bit-for-bit when the run
-    /// is cycle-deterministic.
-    #[test]
-    fn disabled_tracer_records_nothing(
-        stages in 2usize..4,
-        kinds in any::<u64>(),
-        lit in 100i64..900,
-        seed in any::<u64>(),
-        workers in 1usize..5,
-        morsel_tuples in 128usize..1500,
-    ) {
-        let (fact, dim) = tables(seed);
-        let order: Vec<usize> = (0..stages).collect();
-
-        let mut plain_program = build(&fact, &dim, stages, kinds, lit);
-        let mut plain_pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-        let plain = run_parallel_program_observed(
-            &mut plain_program,
-            &order,
-            MorselConfig::new(morsel_tuples),
-            &mut plain_pool,
-            None, &ExecObservers::none(),
-        )
-        .expect("untraced run succeeds");
-
-        let tracer = Arc::new(Tracer::disabled());
-        let mut traced_program = build(&fact, &dim, stages, kinds, lit);
-        let mut traced_pool = CpuPool::new(CpuConfig::tiny_test(), workers);
-        let traced = run_parallel_program_observed(
-            &mut traced_program,
-            &order,
-            MorselConfig::new(morsel_tuples),
-            &mut traced_pool,
-            None,
-            &ExecObservers::none().with_trace(Arc::clone(&tracer), 0),
-        )
-        .expect("disabled-tracer run succeeds");
-
-        prop_assert_eq!(&traced, &plain);
-        prop_assert!(!tracer.enabled());
-    }
-
     /// The per-stage cycle profiler is non-invasive and conservative:
     /// attaching it never moves a result, full-report bit-identity holds
     /// exactly where the engine itself is cycle-deterministic, and every
