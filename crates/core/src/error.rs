@@ -22,6 +22,9 @@ pub enum EngineError {
     },
     /// A vectorization parameter is zero or otherwise unusable.
     InvalidVectorConfig(String),
+    /// The reoptimization interval is zero: no drive can wait zero
+    /// vectors or morsels between rounds.
+    ZeroReopInterval,
     /// A predicate expression has a shape the compiled stage form cannot
     /// express (e.g. a disjunction of non-constant terms, or a constant-
     /// false filter that would qualify nothing).
@@ -53,6 +56,7 @@ impl fmt::Display for EngineError {
                 write!(f, "PEO {got:?} is not a permutation of 0..{expected}")
             }
             EngineError::InvalidVectorConfig(msg) => write!(f, "invalid vector config: {msg}"),
+            EngineError::ZeroReopInterval => write!(f, "reop_interval must be at least 1"),
             EngineError::UnsupportedExpr(msg) => {
                 write!(f, "unsupported predicate expression: {msg}")
             }

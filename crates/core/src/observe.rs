@@ -70,7 +70,7 @@ impl ExecObservers {
             tracer.emit(
                 lane.unwrap_or_else(|| tracer.coordinator_lane()),
                 *query,
-                event,
+                event(),
             );
         }
     }

@@ -739,15 +739,19 @@ pub(crate) fn run_morsel<S: TargetShard>(
         // The morsel's end, where the report's decision events (accept,
         // revert, reopt) stamp.
         tracer.set_clock(w, worker.now());
-        tracer.emit(w, query, || TraceEvent::MorselClaim {
-            socket,
-            start_row: start,
-            rows: end - start,
-            start_cycles: start_pos,
-            cycles: stats.counters.cycles,
-            trial,
-            epoch: ws.epoch,
-        });
+        tracer.emit(
+            w,
+            query,
+            TraceEvent::MorselClaim {
+                socket,
+                start_row: start,
+                rows: end - start,
+                start_cycles: start_pos,
+                cycles: stats.counters.cycles,
+                trial,
+                epoch: ws.epoch,
+            },
+        );
     }
     Ok(Step::Report(Executed {
         query,
@@ -863,14 +867,15 @@ where
             LlcMode::Shared => "shared",
             LlcMode::Private => "private",
         };
-        let shares = llc_shares.clone();
-        tracer.emit(tracer.coordinator_lane(), *query, || {
+        tracer.emit(
+            tracer.coordinator_lane(),
+            *query,
             TraceEvent::LlcRepartition {
                 scope: "batch",
                 mode,
-                shares,
-            }
-        });
+                shares: llc_shares.clone(),
+            },
+        );
     }
 
     // Every shard starts under the target's initial order; each worker
@@ -934,15 +939,17 @@ where
     // representative (`final_order` carries the same choice).
     coord.target.set_order(&socket_orders[0])?;
     if let Some((tracer, query)) = &obs.trace {
-        let morsels = coord.morsels_done;
-        tracer.emit_at(tracer.coordinator_lane(), *query, wall_cycles, || {
+        tracer.emit_at(
+            tracer.coordinator_lane(),
+            *query,
+            wall_cycles,
             TraceEvent::Complete {
                 qualified: total.qualified,
                 sum: total.sum,
-                morsels,
+                morsels: coord.morsels_done,
                 wall_cycles,
-            }
-        });
+            },
+        );
     }
     Ok(ParallelReport {
         qualified: total.qualified,

@@ -22,12 +22,19 @@ pub const REGRESSION_TOLERANCE: f64 = 0.02;
 /// optimization time Section 5.7 discusses, paid by the query.
 pub const CYCLES_PER_ESTIMATOR_EVAL: u64 = 60;
 
-/// Optimization rounds for which a *reverted* order is remembered and
-/// not re-proposed. Correlated predicates (e.g. two bounds on one
-/// column, Section 4.5) make the independence-based reorder disagree
-/// with measured reality; without this memory the optimizer would pay a
-/// failed trial vector at every interval.
+/// Optimization rounds for which a rejected estimator proposal counts as
+/// *active disagreement* — what the stall test reads — and for which a
+/// reverted order is first suppressed. Correlated predicates (e.g. two
+/// bounds on one column, Section 4.5) make the independence-based
+/// reorder disagree with measured reality; without this memory the
+/// optimizer would pay a failed trial vector at every interval.
 pub const REJECTION_TTL: usize = 2;
+
+/// Longest suppression, in rounds, of an order rejected again and again:
+/// each repeat rejection since the last accept doubles the order's
+/// suppression (`REJECTION_TTL`, then 2×, 4× … rounds) up to this cap, so
+/// a converged run stops re-paying for a trial it keeps reverting.
+pub const REJECTION_BACKOFF_CAP: usize = 16;
 
 /// One estimator fit: the geometry and sample it was fitted against,
 /// and what the estimator found.
@@ -90,6 +97,15 @@ pub(crate) struct Trial {
     leased: bool,
 }
 
+/// An order a trial reverted, and its back-off.
+struct Rejection {
+    order: Peo,
+    /// Round of its latest rejection.
+    at: usize,
+    /// Rounds after `at` for which the estimator may not re-propose it.
+    suppressed_for: usize,
+}
+
 /// The policy state of one independently optimizing unit — the whole
 /// serial run, or one socket of a pool: the accepted order, the pending
 /// trial, the rejection memory, and the round counters the stall test
@@ -98,8 +114,11 @@ pub(crate) struct ReoptPolicy {
     /// The accepted evaluation order.
     published: Peo,
     trial: Option<Trial>,
-    /// Recently reverted orders: (order, round it was rejected at).
-    rejected: Vec<(Peo, usize)>,
+    /// Orders reverted since the last accept, each with its back-off.
+    rejected: Vec<Rejection>,
+    /// Round of the latest reverted *estimator* proposal: the
+    /// disagreement the stall test reads.
+    disagreed_at: Option<usize>,
     round: usize,
     /// Round of the most recent *accepted* switch (for stall detection).
     last_accept_round: usize,
@@ -111,6 +130,7 @@ impl ReoptPolicy {
             published,
             trial: None,
             rejected: Vec::new(),
+            disagreed_at: None,
             round: 0,
             last_accept_round: 0,
         }
@@ -148,12 +168,11 @@ impl ReoptPolicy {
         Some((trial.order.clone(), trial.baseline_cpt))
     }
 
-    /// Open a reoptimization round: age out rejections, then take one of
-    /// the cheap paths — stall exploration or a measurement probe, each
-    /// scheduled as an exploratory trial — or return `true`: the round
-    /// needs an estimator fit, closed by [`ReoptPolicy::consider`].
-    /// `at` labels a scheduled switch; `baseline_cpt` is what its trial
-    /// will be judged against.
+    /// Open a reoptimization round: take one of the cheap paths — stall
+    /// exploration or a measurement probe, each scheduled as an
+    /// exploratory trial — or return `true`: the round needs an estimator
+    /// fit, closed by [`ReoptPolicy::consider`]. `at` labels a scheduled
+    /// switch; `baseline_cpt` is what its trial will be judged against.
     pub(crate) fn open_round<T: ProgressiveTarget>(
         &mut self,
         target: &mut T,
@@ -163,11 +182,6 @@ impl ReoptPolicy {
     ) -> bool {
         self.round += 1;
         let round = self.round;
-        // Every round ages the memory — including rounds that end up
-        // exploratory — so a stale revert cannot suppress a proposal for
-        // longer than its TTL.
-        self.rejected
-            .retain(|(_, rejected_at)| round - rejected_at <= REJECTION_TTL);
 
         // Explore a rotated order when optimization has stalled
         // (Section 4.5: "periodically execute different PEOs"). The tail
@@ -175,10 +189,17 @@ impl ReoptPolicy {
         // fewest tuples — so rotating it to the front gives it full
         // exposure and escapes local optima of the under-determined
         // estimation. "Stalled" requires both no recently accepted
-        // switch AND an active disagreement (a recently rejected
-        // proposal): a run that keeps converging, or one where the
-        // estimator proposes nothing, never pays for exploration.
-        let stalled = round >= self.last_accept_round + 3 && !self.rejected.is_empty();
+        // switch AND an active disagreement: an estimator proposal
+        // rejected within the last `REJECTION_TTL` rounds. A run that
+        // keeps converging, or one where the estimator proposes nothing,
+        // never pays for exploration; nor do reverted explorations keep
+        // a stall going on their own. The window is fixed, not the
+        // proposal's back-off: a long back-off would hold the run stalled
+        // and exploring.
+        let stalled = round >= self.last_accept_round + 3
+            && self
+                .disagreed_at
+                .is_some_and(|rejected_at| round - rejected_at <= REJECTION_TTL);
         if stalled && round % 2 == 0 {
             let mut explored = self.published.clone();
             explored.rotate_right(1);
@@ -200,10 +221,10 @@ impl ReoptPolicy {
         true
     }
 
-    /// Close a fitted round with the target's proposal: drop it if a
-    /// recent trial already rejected that order (the correlation guard),
-    /// otherwise schedule it as a trial when it differs from the
-    /// accepted order.
+    /// Close a fitted round with the target's proposal: drop it while a
+    /// trial's rejection of that order still suppresses it (the
+    /// correlation guard), otherwise schedule it as a trial when it
+    /// differs from the accepted order.
     pub(crate) fn consider(
         &mut self,
         proposed: Peo,
@@ -211,7 +232,12 @@ impl ReoptPolicy {
         at: usize,
         baseline_cpt: f64,
     ) {
-        if self.rejected.iter().any(|(order, _)| order == &proposed) {
+        let round = self.round;
+        if self
+            .rejected
+            .iter()
+            .any(|r| r.order == proposed && round - r.at <= r.suppressed_for)
+        {
             return;
         }
         if proposed != self.published {
@@ -245,8 +271,9 @@ impl ReoptPolicy {
     /// The accept/revert verdict for the pending trial, which ran at
     /// `trial_cpt` cycles per tuple: a regression past the tolerance
     /// keeps the accepted order and remembers the candidate as rejected;
-    /// anything else publishes the candidate. Returns the trial and
-    /// whether it was reverted; `None` when no trial is pending.
+    /// anything else publishes the candidate and forgets every back-off.
+    /// Returns the trial and whether it was reverted; `None` when no
+    /// trial is pending.
     pub(crate) fn resolve_trial(
         &mut self,
         trial_cpt: f64,
@@ -255,13 +282,38 @@ impl ReoptPolicy {
         let trial = self.trial.take()?;
         let reverted = trial_cpt > trial.baseline_cpt * (1.0 + REGRESSION_TOLERANCE);
         if reverted {
-            switches[trial.switch_idx].reverted = true;
-            self.rejected.push((trial.order.clone(), self.round));
+            let switch = &mut switches[trial.switch_idx];
+            switch.reverted = true;
+            self.reject(&trial.order, switch.exploratory);
         } else {
             self.published.clone_from(&trial.order);
             self.last_accept_round = self.round;
+            self.rejected.clear();
         }
         Some((trial, reverted))
+    }
+
+    /// Remember a reverted trial of `order`. The order is suppressed for
+    /// `REJECTION_TTL` rounds, and for twice as long as last time (up to
+    /// `REJECTION_BACKOFF_CAP`) when it is rejected again; a rejected
+    /// *estimator* proposal also opens the disagreement window of the
+    /// stall test. A reverted exploration never does.
+    fn reject(&mut self, order: &Peo, exploratory: bool) {
+        let at = self.round;
+        match self.rejected.iter_mut().find(|r| &r.order == order) {
+            Some(r) => {
+                r.at = at;
+                r.suppressed_for = (2 * r.suppressed_for).min(REJECTION_BACKOFF_CAP);
+            }
+            None => self.rejected.push(Rejection {
+                order: order.clone(),
+                at,
+                suppressed_for: REJECTION_TTL,
+            }),
+        }
+        if !exploratory {
+            self.disagreed_at = Some(at);
+        }
     }
 
     /// End of stream: a trial that never ran was never accepted either,

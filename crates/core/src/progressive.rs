@@ -17,17 +17,23 @@
 //!
 //! Skew is caught by the periodic re-sampling itself; correlation is
 //! additionally probed by occasional exploratory orders once optimization
-//! stalls (Section 4.5). The loop's fixed parameters — the accept/revert
-//! slack, the rejection memory and the per-evaluation optimizer charge —
-//! are the constants [`REGRESSION_TOLERANCE`], [`REJECTION_TTL`] and
+//! stalls (Section 4.5) — no accepted switch for three rounds while an
+//! estimator proposal was rejected within the last [`REJECTION_TTL`]
+//! rounds (a reverted exploration never counts). A rejected order is not
+//! re-proposed for [`REJECTION_TTL`] rounds, twice as long at each repeat
+//! rejection up to [`REJECTION_BACKOFF_CAP`], and every such back-off is
+//! forgotten when an order is accepted. The loop's fixed parameters — the
+//! accept/revert slack, the rejection memory and the per-evaluation
+//! optimizer charge — are the constants [`REGRESSION_TOLERANCE`],
+//! [`REJECTION_TTL`], [`REJECTION_BACKOFF_CAP`] and
 //! [`CYCLES_PER_ESTIMATOR_EVAL`]; the reoptimization interval is the one
 //! setting ([`ProgressiveConfig`]).
 //!
 //! ## One policy, two drives
 //!
-//! Every *decision* of that loop — aging the rejection memory, the stall
+//! Every *decision* of that loop — the rejection back-off, the stall
 //! test and its rotated exploratory order, spending a measurement probe,
-//! skipping a recently rejected proposal, scheduling a trial, the
+//! skipping a still-suppressed proposal, scheduling a trial, the
 //! accept/revert verdict, abandoning a trial at end of stream, and what a
 //! fit is charged and teaches — is stated once, in the crate-private
 //! `policy` module. This module holds the **serial drive**
@@ -101,7 +107,9 @@ use crate::exec::scan::VectorStats;
 use crate::observe::{morsel_stage_parts, ExecObservers};
 use crate::plan::{order_by_cost_per_tuple, order_by_selectivity, Peo};
 use crate::policy::{book_fit, Fit, ReoptPolicy};
-pub use crate::policy::{CYCLES_PER_ESTIMATOR_EVAL, REGRESSION_TOLERANCE, REJECTION_TTL};
+pub use crate::policy::{
+    CYCLES_PER_ESTIMATOR_EVAL, REGRESSION_TOLERANCE, REJECTION_BACKOFF_CAP, REJECTION_TTL,
+};
 
 /// Streaming footprint one scanned column claims in the last-level
 /// cache, for [`ProgressiveTarget::hot_set_bytes`] declarations: streamed
@@ -135,7 +143,7 @@ impl ProgressiveConfig {
     /// calls this before it executes anything.
     pub(crate) fn validate(&self) -> Result<(), EngineError> {
         if self.reop_interval == 0 {
-            return Err(EngineError::InvalidVectorConfig("reop_interval = 0".into()));
+            return Err(EngineError::ZeroReopInterval);
         }
         Ok(())
     }
@@ -938,7 +946,7 @@ mod tests {
             Some(&ProgressiveConfig { reop_interval: 0 }),
         )
         .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidVectorConfig(_)));
+        assert_eq!(err, EngineError::ZeroReopInterval);
     }
 
     #[test]
@@ -1195,8 +1203,8 @@ mod tests {
 
     #[test]
     fn converging_run_never_explores() {
-        // Stall exploration needs a recently rejected proposal and no
-        // recent accept; a run that keeps converging has neither. (That a
+        // Stall exploration needs a recently rejected estimator proposal
+        // and no recent accept; a run that keeps converging has neither. (That a
         // stalled run does explore is pinned by the fault-injection
         // suite, whose rigged target makes every trial regress.)
         let t = skewed_table(16_384);

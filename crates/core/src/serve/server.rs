@@ -491,28 +491,48 @@ impl<'t> QueryServer<'t> {
         if let Some(tracer) = trace {
             let lane = tracer.coordinator_lane();
             for (qid, (label, priority, arrival)) in metas.iter().enumerate() {
-                tracer.emit_at(lane, qid, *arrival, || TraceEvent::Admit {
-                    label: label.clone(),
-                    priority: priority.label(),
-                    arrival_cycles: *arrival,
-                });
+                tracer.emit_at(
+                    lane,
+                    qid,
+                    *arrival,
+                    TraceEvent::Admit {
+                        label: label.clone(),
+                        priority: priority.label(),
+                        arrival_cycles: *arrival,
+                    },
+                );
                 if cache_on {
-                    tracer.emit_at(lane, qid, *arrival, || TraceEvent::CacheLookup {
-                        hit: warms[qid].is_some(),
-                        mid_run: false,
-                        order: warms[qid].clone(),
-                    });
+                    tracer.emit_at(
+                        lane,
+                        qid,
+                        *arrival,
+                        TraceEvent::CacheLookup {
+                            hit: warms[qid].is_some(),
+                            mid_run: false,
+                            order: warms[qid].clone(),
+                        },
+                    );
                 }
-                tracer.emit_at(lane, qid, *arrival, || TraceEvent::SocketHome {
-                    socket: homes[qid],
-                    footprint_bytes: footprints[qid],
-                });
+                tracer.emit_at(
+                    lane,
+                    qid,
+                    *arrival,
+                    TraceEvent::SocketHome {
+                        socket: homes[qid],
+                        footprint_bytes: footprints[qid],
+                    },
+                );
             }
-            tracer.emit_at(lane, 0, 0, || TraceEvent::LlcRepartition {
-                scope: "batch",
-                mode: if shared_socket { "shared" } else { "private" },
-                shares: budgets.clone(),
-            });
+            tracer.emit_at(
+                lane,
+                0,
+                0,
+                TraceEvent::LlcRepartition {
+                    scope: "batch",
+                    mode: if shared_socket { "shared" } else { "private" },
+                    shares: budgets.clone(),
+                },
+            );
         }
 
         // Per-worker state, minted before the mutable borrows below: each
@@ -844,11 +864,16 @@ impl<'t> ServerState<'_, '_, 't> {
                 if let Some(cache) = self.cache.as_deref_mut() {
                     let hit = cache.lookup(&entry.signature);
                     if let Some(tracer) = ctx.tracer {
-                        tracer.emit_at(w, qid, now, || TraceEvent::CacheLookup {
-                            hit: hit.is_some(),
-                            mid_run: true,
-                            order: hit.as_ref().map(|h| h.order.clone()),
-                        });
+                        tracer.emit_at(
+                            w,
+                            qid,
+                            now,
+                            TraceEvent::CacheLookup {
+                                hit: hit.is_some(),
+                                mid_run: true,
+                                order: hit.as_ref().map(|h| h.order.clone()),
+                            },
+                        );
                     }
                     if let Some(hit) = hit {
                         if entry.coord.reseed(&hit.order, hit.calibration.as_ref()) {
@@ -877,11 +902,16 @@ impl<'t> ServerState<'_, '_, 't> {
             let mine = co.iter().position(|&q| q == qid).expect("qid is in co");
             worker.core.set_llc_ways(shares[mine] as usize);
             if let Some(tracer) = ctx.tracer {
-                tracer.emit_at(w, qid, now, || TraceEvent::LlcRepartition {
-                    scope: "worker",
-                    mode: "shared",
-                    shares: shares.iter().map(|&s| u64::from(s)).collect(),
-                });
+                tracer.emit_at(
+                    w,
+                    qid,
+                    now,
+                    TraceEvent::LlcRepartition {
+                        scope: "worker",
+                        mode: "shared",
+                        shares: shares.iter().map(|&s| u64::from(s)).collect(),
+                    },
+                );
             }
         }
         run_morsel(worker, &mut local.shards[qid], action, range, qid, ctx)
@@ -924,12 +954,17 @@ impl<'t> ServerState<'_, '_, 't> {
         // feeds the staleness accounting instead.
         entry.coord.abandon_trials();
         if let Some(tracer) = ctx.tracer {
-            tracer.emit_at(w, qid, vt, || TraceEvent::Complete {
-                qualified: entry.totals.qualified,
-                sum: entry.totals.sum,
-                morsels: entry.completed,
-                wall_cycles: vt,
-            });
+            tracer.emit_at(
+                w,
+                qid,
+                vt,
+                TraceEvent::Complete {
+                    qualified: entry.totals.qualified,
+                    sum: entry.totals.sum,
+                    morsels: entry.completed,
+                    wall_cycles: vt,
+                },
+            );
         }
         let Some(cache) = self.cache.as_deref_mut() else {
             return Ok(());
@@ -957,7 +992,7 @@ impl<'t> ServerState<'_, '_, 't> {
             }
         };
         if let Some(tracer) = ctx.tracer {
-            tracer.emit_at(w, qid, vt, || event);
+            tracer.emit_at(w, qid, vt, event);
         }
         Ok(())
     }

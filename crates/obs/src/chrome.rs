@@ -9,7 +9,7 @@
 use crate::event::{Arg, TraceRecord};
 
 /// Escape a string for embedding in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
+fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

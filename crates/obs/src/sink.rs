@@ -38,16 +38,6 @@ impl MemorySink {
         std::mem::take(&mut *self.lock())
     }
 
-    /// Number of records collected.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether no record was collected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Record one event (the tracer's one write path).
     pub(crate) fn record(&self, record: TraceRecord) {
         self.lock().push(record);
@@ -79,14 +69,13 @@ mod tests {
     #[test]
     fn memory_sink_collects_and_drains() {
         let sink = MemorySink::new();
-        assert!(sink.is_empty());
+        assert!(sink.snapshot().is_empty());
         sink.record(record(0));
         sink.record(record(1));
-        assert_eq!(sink.len(), 2);
         assert_eq!(sink.snapshot().len(), 2);
         let drained = sink.take();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[1].stamp.ordinal, 1);
-        assert!(sink.is_empty());
+        assert!(sink.snapshot().is_empty());
     }
 }

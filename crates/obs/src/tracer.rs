@@ -79,21 +79,16 @@ impl Tracer {
         self.lane(lane).clock.store(cycles, Ordering::Relaxed);
     }
 
-    /// The lane's last published simulated wall position.
-    pub fn clock(&self, lane: usize) -> u64 {
-        self.lane(lane).clock.load(Ordering::Relaxed)
-    }
-
     /// Emit an event on `lane` for `query`, stamped at the lane's
     /// current clock.
-    pub fn emit(&self, lane: usize, query: usize, f: impl FnOnce() -> TraceEvent) {
+    pub fn emit(&self, lane: usize, query: usize, event: TraceEvent) {
         let cycles = self.lane(lane).clock.load(Ordering::Relaxed);
-        self.emit_at(lane, query, cycles, f);
+        self.emit_at(lane, query, cycles, event);
     }
 
     /// Emit an event stamped at an explicit cycle position (e.g. a
     /// morsel's start rather than the lane clock at its end).
-    pub fn emit_at(&self, lane: usize, query: usize, cycles: u64, f: impl FnOnce() -> TraceEvent) {
+    pub fn emit_at(&self, lane: usize, query: usize, cycles: u64, event: TraceEvent) {
         let cell = self.lane(lane);
         let ordinal = cell.ordinal.fetch_add(1, Ordering::Relaxed);
         self.sink.record(TraceRecord {
@@ -103,7 +98,7 @@ impl Tracer {
                 cycles,
                 ordinal,
             },
-            event: f(),
+            event,
         });
     }
 }
@@ -130,10 +125,10 @@ mod tests {
 
         tracer.set_clock(0, 100);
         tracer.set_clock(1, 50);
-        tracer.emit(0, 0, event);
-        tracer.emit(0, 0, event);
-        tracer.emit(1, 0, event);
-        tracer.emit_at(1, 0, 7, event);
+        tracer.emit(0, 0, event());
+        tracer.emit(0, 0, event());
+        tracer.emit(1, 0, event());
+        tracer.emit_at(1, 0, 7, event());
 
         let records = sink.take();
         assert_eq!(records.len(), 4);
@@ -176,7 +171,7 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         let tracer = Tracer::for_workers(sink.clone(), 1);
         tracer.set_clock(1, 11);
-        tracer.emit(9, 3, event);
+        tracer.emit(9, 3, event());
         let records = sink.take();
         assert_eq!(records[0].stamp.lane, 1);
         assert_eq!(records[0].stamp.cycles, 11);

@@ -1,7 +1,8 @@
-//! A delegating progressive target with three injected faults, for tests
-//! that must force what the §4.4 policy never does on its own: a
-//! `set_order` that fails mid-round, trials that always regress, and a
-//! shard that panics mid-run.
+//! A delegating progressive target with injected faults, for tests that
+//! must force what the §4.4 policy never does on its own: a `set_order`
+//! that fails mid-round, trials that always regress (but for one spared
+//! order), a measurement probe asked for at every round, and a shard that
+//! panics mid-run.
 
 use popt::core::exec::scan::VectorStats;
 use popt::core::{EngineError, Peo, ProgressiveTarget, ShardableTarget, TargetShard};
@@ -24,7 +25,9 @@ pub fn injected() -> EngineError {
 ///   exploratory ones included. Each such range is charged more per tuple
 ///   than the one before: the serial drive judges a trial scheduled right
 ///   after a revert against the reverted trial's own vector, which a flat
-///   charge would let the second trial match;
+///   charge would let the second trial match. A spared order is never
+///   charged, so its trial stands or falls on its own cost;
+/// * `take_probe_order` offers the same probe order at every round;
 /// * every shard panics at its `panic_at`-th range run (1-based).
 pub struct Rigged<T> {
     inner: T,
@@ -33,6 +36,7 @@ pub struct Rigged<T> {
     fail_at: usize,
     panic_at: usize,
     penalty: Penalty,
+    probe: Option<Peo>,
 }
 
 /// The escalating charge of ranges run under a non-start order: the
@@ -41,11 +45,12 @@ pub struct Rigged<T> {
 struct Penalty {
     per_tuple: u64,
     charged: u64,
+    spared: Option<Peo>,
 }
 
 impl Penalty {
     fn charge(&mut self, mut stats: VectorStats, order: &[usize], start: &[usize]) -> VectorStats {
-        if order != start {
+        if order != start && self.spared.as_deref() != Some(order) {
             self.charged += 1;
             stats.counters.0.cycles += self.charged * self.per_tuple * stats.tuples;
         }
@@ -55,7 +60,8 @@ impl Penalty {
 
 impl<T: ProgressiveTarget> Rigged<T> {
     /// Transparent until `with_failing_set_order` /
-    /// `with_panicking_shards_at` / `with_regressing_trials`.
+    /// `with_panicking_shards_at` / `with_regressing_trials` /
+    /// `with_probe_every_round`.
     pub fn new(inner: T) -> Self {
         Self {
             start: inner.order(),
@@ -66,7 +72,9 @@ impl<T: ProgressiveTarget> Rigged<T> {
             penalty: Penalty {
                 per_tuple: 0,
                 charged: 0,
+                spared: None,
             },
+            probe: None,
         }
     }
 
@@ -86,6 +94,18 @@ impl<T: ProgressiveTarget> Rigged<T> {
     /// 1000 extra cycles per tuple more than the one before.
     pub fn with_regressing_trials(mut self) -> Self {
         self.penalty.per_tuple = 1000;
+        self
+    }
+
+    /// Never charge ranges run under `order` (see `with_regressing_trials`).
+    pub fn sparing(mut self, order: &[usize]) -> Self {
+        self.penalty.spared = Some(order.to_vec());
+        self
+    }
+
+    /// Offer `order` as a measurement probe at every round.
+    pub fn with_probe_every_round(mut self, order: &[usize]) -> Self {
+        self.probe = Some(order.to_vec());
         self
     }
 }
@@ -132,7 +152,7 @@ impl<T: ProgressiveTarget> ProgressiveTarget for Rigged<T> {
         self.inner.calibrate(geom, sampled, survivors)
     }
     fn take_probe_order(&mut self) -> Option<Peo> {
-        self.inner.take_probe_order()
+        self.probe.clone().or_else(|| self.inner.take_probe_order())
     }
     fn wants_trial_calibration(&self) -> bool {
         self.inner.wants_trial_calibration()

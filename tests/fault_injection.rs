@@ -5,7 +5,8 @@
 //! worker's siblings must not finish the scan. A shard that panics
 //! mid-run unwinds to the caller and leaves the pool usable. Trials made
 //! to regress exercise the serial drive's revert paths: the rejection
-//! memory, a trial on the last vector, and stall exploration.
+//! back-off and its reset on accept, a trial on the last vector, stall
+//! exploration, and reverted explorations that never open one.
 
 use std::panic::{self, AssertUnwindSafe};
 
@@ -14,9 +15,9 @@ use popt::core::plan::SelectionPlan;
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::{
     run_progressive_target_observed, CompiledTarget, ProgressiveConfig, ProgressiveReport,
-    VectorConfig, REJECTION_TTL,
+    VectorConfig, REJECTION_BACKOFF_CAP, REJECTION_TTL,
 };
-use popt::core::{CompiledProgram, ExecObservers};
+use popt::core::{CompiledProgram, ExecObservers, Peo};
 use popt::cpu::{CpuConfig, CpuPool, SimCpu};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::{star_program, star_schema};
@@ -170,11 +171,16 @@ fn skewed_plan() -> SelectionPlan {
 }
 
 /// The serial drive over the skewed scan from the worst order
-/// `[hi, mid, lo]`, one round per vector, every trial made to regress.
-fn regressing_scan(rows: usize, vector_tuples: usize) -> ProgressiveReport {
+/// `[hi, mid, lo]`, one round per vector, on the rigged target `rig`
+/// makes of it.
+fn rigged_scan(
+    rows: usize,
+    vector_tuples: usize,
+    rig: impl for<'p, 't> FnOnce(Rigged<CompiledTarget<'p, 't>>) -> Rigged<CompiledTarget<'p, 't>>,
+) -> ProgressiveReport {
     let t = skewed_table(rows);
     let mut program = CompiledProgram::from_selection(&t, &skewed_plan(), &[2, 1, 0]).unwrap();
-    let mut target = Rigged::new(CompiledTarget::new(&mut program)).with_regressing_trials();
+    let mut target = rig(Rigged::new(CompiledTarget::new(&mut program)));
     run_progressive_target_observed(
         &mut target,
         VectorConfig {
@@ -188,42 +194,123 @@ fn regressing_scan(rows: usize, vector_tuples: usize) -> ProgressiveReport {
     .unwrap()
 }
 
+/// [`rigged_scan`] with every trial made to regress.
+fn regressing_scan(rows: usize, vector_tuples: usize) -> ProgressiveReport {
+    rigged_scan(rows, vector_tuples, |rigged| {
+        rigged.with_regressing_trials()
+    })
+}
+
+/// The gaps, in vectors, between successive estimator proposals of each
+/// order, in the order the orders were first proposed.
+fn reproposal_gaps(report: &ProgressiveReport) -> Vec<(Peo, Vec<usize>)> {
+    let mut gaps: Vec<(Peo, Vec<usize>, usize)> = Vec::new();
+    for s in report.switches.iter().filter(|s| !s.exploratory) {
+        match gaps.iter_mut().find(|(order, _, _)| order == &s.to) {
+            Some((_, g, last)) => {
+                g.push(s.vector - *last);
+                *last = s.vector;
+            }
+            None => gaps.push((s.to.clone(), Vec::new(), s.vector)),
+        }
+    }
+    gaps.into_iter().map(|(order, g, _)| (order, g)).collect()
+}
+
+/// Rounds the policy suppresses an order after its `k`-th rejection
+/// (1-based) since the last accept.
+fn backoff(k: u32) -> usize {
+    (REJECTION_TTL << (k - 1)).min(REJECTION_BACKOFF_CAP)
+}
+
 #[test]
 fn rejection_ttl_gates_reproposal_of_reverted_orders() {
-    // Every trial regresses: the estimator keeps proposing the same
-    // better order, each proposal is reverted, and the rejection memory
-    // must suppress the re-proposal for exactly `REJECTION_TTL` rounds —
-    // pruned every reopt round, so proposals resume on schedule.
-    let prog = regressing_scan(16_384, 512);
+    // Every trial regresses: the estimator keeps proposing better orders
+    // and every proposal is reverted. The first rejection of an order
+    // suppresses it for `REJECTION_TTL` rounds and each repeat for twice
+    // as long as the last, up to `REJECTION_BACKOFF_CAP`; with
+    // reop_interval = 1 a round opens after every vector.
+    let prog = regressing_scan(1 << 16, 512);
     assert!(prog.switches.iter().all(|s| s.reverted));
-    // Stall exploration interleaves its own (reverted) trials; the
-    // rejection memory governs the estimator's proposals.
-    let proposals: Vec<_> = prog.switches.iter().filter(|s| !s.exploratory).collect();
-    // With reop_interval = 1, rounds advance one per vector: two
-    // proposals of the same order must be separated by more than the
-    // TTL, and pruning every round means they are not separated by much
-    // more (trial + revert + ttl rounds of suppression).
-    let mut reproposals = 0;
-    for (k, later) in proposals.iter().enumerate() {
-        let Some(earlier) = proposals[..k].iter().rev().find(|s| s.to == later.to) else {
-            continue;
-        };
-        reproposals += 1;
-        let gap = later.vector - earlier.vector;
-        assert!(
-            gap > REJECTION_TTL,
-            "re-proposed within TTL: {:?}",
-            prog.switches
-        );
-        assert!(
-            gap <= REJECTION_TTL + 3,
-            "pruning skipped rounds: {:?}",
-            prog.switches
-        );
+    let gaps = reproposal_gaps(&prog);
+    for (order, gaps) in &gaps {
+        for (k, &gap) in (1..).zip(gaps) {
+            assert!(
+                gap > backoff(k),
+                "{order:?} re-proposed within its back-off: {:?}",
+                prog.switches
+            );
+        }
     }
+    // The estimator's steady proposal comes back one round after its
+    // suppression ends once the rounds after each rejection are the
+    // estimator's (early on, other proposals and the explorations of the
+    // stall window take some): its gaps double up to the cap, then hold.
+    let (order, steady) = &gaps[0];
+    let expected: Vec<usize> = (3..=steady.len() as u32).map(|k| backoff(k) + 1).collect();
+    assert_eq!(steady[2..], expected, "{order:?}: {:?}", prog.switches);
     assert!(
-        reproposals >= 2,
-        "rejections must age out and re-propose: {:?}",
+        expected
+            .iter()
+            .filter(|&&g| g == REJECTION_BACKOFF_CAP + 1)
+            .count()
+            >= 2,
+        "the back-off must reach its cap and stay there: {steady:?}"
+    );
+}
+
+#[test]
+fn an_accepted_order_clears_the_back_off() {
+    // Every trial regresses but the stall exploration's `[lo, hi, mid]`:
+    // the estimator's `[lo, mid, hi]` is rejected, the exploration is
+    // accepted, and from then on `[lo, mid, hi]` backs off as if it had
+    // never been rejected — its first post-accept rejection suppresses
+    // it for `REJECTION_TTL` rounds again, not twice that.
+    let prog = rigged_scan(1 << 16, 512, |rigged| {
+        rigged.with_regressing_trials().sparing(&[0, 2, 1])
+    });
+    let accepted = prog
+        .switches
+        .iter()
+        .find(|s| !s.reverted)
+        .unwrap_or_else(|| panic!("the spared order must be accepted: {:?}", prog.switches));
+    assert!(accepted.exploratory && accepted.to == [0, 2, 1]);
+    assert_eq!(prog.final_peo, vec![0, 2, 1]);
+    let proposals = |before: bool| -> Vec<usize> {
+        prog.switches
+            .iter()
+            .filter(|s| !s.exploratory && s.to == [0, 1, 2])
+            .filter(|s| (s.vector < accepted.vector) == before)
+            .map(|s| s.vector)
+            .collect()
+    };
+    assert!(!proposals(true).is_empty(), "{:?}", prog.switches);
+    let after = proposals(false);
+    let gaps: Vec<usize> = after.windows(2).map(|w| w[1] - w[0]).collect();
+    let expected: Vec<usize> = (1..=gaps.len() as u32).map(|k| backoff(k) + 1).collect();
+    assert!(gaps.len() >= 4, "{:?}", prog.switches);
+    assert_eq!(gaps, expected, "{:?}", prog.switches);
+}
+
+#[test]
+fn reverted_explorations_alone_never_open_stall_exploration() {
+    // A target that asks for the same measurement probe at every round,
+    // every trial regressing: every round spends the probe and every
+    // probe is reverted, but no estimator proposal is ever rejected, so
+    // the run never counts as stalled and never explores the rotated
+    // order `[lo, hi, mid]`.
+    let prog = rigged_scan(1 << 14, 512, |rigged| {
+        rigged
+            .with_regressing_trials()
+            .with_probe_every_round(&[0, 1, 2])
+    });
+    assert_eq!(prog.estimates, 0);
+    assert_eq!(prog.switches.len(), prog.vectors - 1, "{:?}", prog.switches);
+    assert!(
+        prog.switches
+            .iter()
+            .all(|s| s.exploratory && s.reverted && s.to == [0, 1, 2]),
+        "{:?}",
         prog.switches
     );
 }

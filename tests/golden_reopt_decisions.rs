@@ -185,19 +185,16 @@ fn scan_config() -> ProgressiveConfig {
     ProgressiveConfig { reop_interval: 2 }
 }
 
-const SCAN_SERIAL: &str = r"qualified=6247 sum=963455 cycles=1118233 vectors=32 estimates=9 optimizer_cycles=127380 final_peo=[0, 1, 2]
-counters: instr=554213 cycles=990853 br=166636 taken=124825 not_taken=41811 mp_t=5068 mp_nt=23900 l1=12001 l1_hit=0 l1_elem=95346 l2=12001 l3=12240 l3_miss=12240
-per_vector_fnv=0x20d4c1b16685b35b
+const SCAN_SERIAL: &str = r"qualified=6247 sum=963455 cycles=1152584 vectors=32 estimates=12 optimizer_cycles=168300 final_peo=[0, 1, 2]
+counters: instr=559249 cycles=984284 br=167895 taken=124825 not_taken=43070 mp_t=4987 mp_nt=23952 l1=12083 l1_hit=0 l1_elem=96523 l2=12083 l3=12260 l3_miss=12260
+per_vector_fnv=0x06e536103baa3c3e
   switch @2 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=false
   switch @6 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
   switch @8 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
-  switch @12 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
-  switch @14 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
+  switch @12 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
   switch @16 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
-  switch @20 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
   switch @22 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
   switch @24 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
-  switch @28 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
 ";
 
 #[test]
@@ -221,16 +218,15 @@ fn serial_correlated_scan_reverts_suppresses_then_explores() {
     assert_pinned(&render_serial(&report), SCAN_SERIAL);
 }
 
-const SCAN_POOL: &str = r"qualified=6247 sum=963455 wall=1083694 total=1083694 workers=1 morsels=32 per_worker=[1083694] estimates=7 optimizer_cycles=97440 final_order=[0, 1, 2] socket_orders=[[0, 1, 2]] remote_pct=0
-counters: instr=557777 cycles=986254 br=167527 taken=124825 not_taken=42702 mp_t=5049 mp_nt=23880 l1=12055 l1_hit=0 l1_elem=96183 l2=12055 l3=12246 l3_miss=12246
+const SCAN_POOL: &str = r"qualified=6247 sum=963455 wall=1111371 total=1111371 workers=1 morsels=32 per_worker=[1111371] estimates=9 optimizer_cycles=129420 final_order=[0, 1, 2] socket_orders=[[0, 1, 2]] remote_pct=0
+counters: instr=559005 cycles=981951 br=167834 taken=124825 not_taken=43009 mp_t=4911 mp_nt=23927 l1=12099 l1_hit=0 l1_elem=96446 l2=12099 l3=12268 l3_miss=12268
   switch @2 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=false
   switch @5 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
   switch @10 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
-  switch @15 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
-  switch @18 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
-  switch @21 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
-  switch @26 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
-  switch @29 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
+  switch @15 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
+  switch @20 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
+  switch @27 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
+  switch @30 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
 ";
 
 #[test]
@@ -265,9 +261,9 @@ fn star_plan(star: &StarSchema) -> CompiledProgram<'_> {
     star_program(star, Some(0.5), [0.5, 0.5, 0.5])
 }
 
-const STAR_SERIAL: &str = r"qualified=4075 sum=201988 cycles=4428720 vectors=32 estimates=20 optimizer_cycles=635760 final_peo=[1, 3, 2, 0]
-counters: instr=2165011 cycles=3792960 br=188239 taken=126997 not_taken=61242 mp_t=23103 mp_nt=23145 l1=77743 l1_hit=7918 l1_elem=153677 l2=69825 l3=71725 l3_miss=22932
-per_vector_fnv=0xf1f8709440357f64
+const STAR_SERIAL: &str = r"qualified=4075 sum=201988 cycles=4437761 vectors=32 estimates=21 optimizer_cycles=660360 final_peo=[1, 3, 2, 0]
+counters: instr=2096101 cycles=3777401 br=188146 taken=126997 not_taken=61149 mp_t=23134 mp_nt=23180 l1=79226 l1_hit=8234 l1_elem=153553 l2=70992 l3=72190 l3_miss=22944
+per_vector_fnv=0x005ee0add038dbcb
   switch @2 [3, 2, 1, 0] -> [3, 0, 2, 1] reverted=true exploratory=false
   switch @4 [3, 2, 1, 0] -> [2, 3, 1, 0] reverted=true exploratory=true
   switch @6 [3, 2, 1, 0] -> [1, 3, 2, 0] reverted=false exploratory=true
@@ -277,9 +273,9 @@ per_vector_fnv=0xf1f8709440357f64
   switch @16 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
   switch @18 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
   switch @20 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
-  switch @24 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
-  switch @26 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
+  switch @26 [1, 3, 2, 0] -> [3, 1, 0, 2] reverted=true exploratory=false
   switch @28 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
+  switch @30 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
 ";
 
 #[test]
@@ -339,9 +335,9 @@ fn one_worker_pool_star() {
 // round; a reverted trial leaves a stale sample and the round refits.
 // ---------------------------------------------------------------------
 
-const EVERY_VECTOR: &str = r"qualified=4075 sum=201988 cycles=5211100 vectors=32 estimates=37 optimizer_cycles=1156980 final_peo=[3, 1, 2, 0]
-counters: instr=2364361 cycles=4054120 br=188022 taken=126997 not_taken=61025 mp_t=26431 mp_nt=26344 l1=86648 l1_hit=10387 l1_elem=139758 l2=76261 l3=71148 l3_miss=23098
-per_vector_fnv=0x49a0085ebaf8a8b0
+const EVERY_VECTOR: &str = r"qualified=4075 sum=201988 cycles=5277484 vectors=32 estimates=39 optimizer_cycles=1229100 final_peo=[3, 1, 2, 0]
+counters: instr=2206485 cycles=4048384 br=187938 taken=126997 not_taken=60941 mp_t=26710 mp_nt=26681 l1=91719 l1_hit=11307 l1_elem=138088 l2=80412 l3=74071 l3_miss=22974
+per_vector_fnv=0xaf950e7aa76f2857
   switch @1 [3, 2, 1, 0] -> [3, 0, 2, 1] reverted=false exploratory=false
   switch @2 [3, 0, 2, 1] -> [2, 3, 0, 1] reverted=true exploratory=true
   switch @3 [3, 0, 2, 1] -> [1, 3, 0, 2] reverted=false exploratory=true
@@ -356,16 +352,16 @@ per_vector_fnv=0x49a0085ebaf8a8b0
   switch @13 [1, 3, 0, 2] -> [3, 1, 2, 0] reverted=false exploratory=false
   switch @14 [3, 1, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
   switch @16 [3, 1, 2, 0] -> [0, 3, 1, 2] reverted=true exploratory=true
-  switch @18 [3, 1, 2, 0] -> [0, 3, 1, 2] reverted=true exploratory=true
+  switch @18 [3, 1, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
   switch @20 [3, 1, 2, 0] -> [0, 3, 1, 2] reverted=true exploratory=true
   switch @21 [3, 1, 2, 0] -> [3, 1, 0, 2] reverted=false exploratory=false
   switch @22 [3, 1, 0, 2] -> [1, 3, 2, 0] reverted=false exploratory=false
   switch @23 [1, 3, 2, 0] -> [3, 1, 0, 2] reverted=true exploratory=false
   switch @25 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
   switch @26 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=false exploratory=true
-  switch @28 [0, 1, 3, 2] -> [1, 3, 2, 0] reverted=false exploratory=false
-  switch @29 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
-  switch @30 [1, 3, 2, 0] -> [3, 1, 2, 0] reverted=false exploratory=false
+  switch @27 [0, 1, 3, 2] -> [3, 2, 1, 0] reverted=true exploratory=false
+  switch @28 [0, 1, 3, 2] -> [3, 1, 2, 0] reverted=false exploratory=false
+  switch @29 [3, 1, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
 ";
 
 #[test]
@@ -426,25 +422,23 @@ fn coinciding_round_reuses_a_surviving_trial_fit_and_refits_after_a_revert() {
 // One 1-worker server batch of two templates.
 // ---------------------------------------------------------------------
 
-const SERVE_BATCH: &str = r"workers=1 wall=2508980 busy=2508980 idle=0 per_worker_busy=[2508980] per_worker_idle=[0]
-corr-scan: qualified=6247 sum=963455 morsels=32 exec=988315 optimizer=97740 latency=2508980 queue=0 estimates=7 final_order=[0, 1, 2] warm=false
+const SERVE_BATCH: &str = r"workers=1 wall=2574605 busy=2574605 idle=0 per_worker_busy=[2574605] per_worker_idle=[0]
+corr-scan: qualified=6247 sum=963455 morsels=32 exec=983847 optimizer=129720 latency=2574605 queue=0 estimates=9 final_order=[0, 1, 2] warm=false
   switch @2 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=false
   switch @5 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
   switch @10 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
-  switch @15 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
-  switch @18 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
-  switch @21 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
-  switch @26 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
-  switch @29 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
-star-2join: qualified=9 sum=460 morsels=32 exec=1167745 optimizer=255180 latency=1712251 queue=30998 estimates=17 final_order=[2, 0, 1] warm=false
+  switch @15 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
+  switch @20 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
+  switch @27 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
+  switch @30 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
+star-2join: qualified=9 sum=460 morsels=32 exec=1226498 optimizer=234540 latency=1750244 queue=30998 estimates=16 final_order=[2, 0, 1] warm=false
   switch @2 [1, 2, 0] -> [0, 1, 2] reverted=false exploratory=false
   switch @5 [0, 1, 2] -> [2, 0, 1] reverted=false exploratory=true
   switch @8 [2, 0, 1] -> [2, 1, 0] reverted=true exploratory=false
   switch @15 [2, 0, 1] -> [2, 1, 0] reverted=true exploratory=false
   switch @20 [2, 0, 1] -> [1, 2, 0] reverted=true exploratory=true
-  switch @23 [2, 0, 1] -> [2, 1, 0] reverted=false exploratory=false
-  switch @26 [2, 1, 0] -> [2, 0, 1] reverted=false exploratory=false
-  switch @29 [2, 0, 1] -> [2, 1, 0] reverted=true exploratory=false
+  switch @27 [2, 0, 1] -> [2, 1, 0] reverted=true exploratory=false
+  switch @30 [2, 0, 1] -> [1, 2, 0] reverted=true exploratory=true
 ";
 
 #[test]

@@ -102,8 +102,8 @@ fn correlated_predicates_do_not_thrash_the_optimizer() {
     // Two predicates on (almost) the same values: conditional selectivity
     // of the second is near 1 whichever runs first, so reordering cannot
     // help. The optimizer must settle instead of paying an endless
-    // sequence of trial-and-revert vectors (the rejection memory,
-    // REJECTION_TTL rounds long).
+    // sequence of trial-and-revert vectors (the rejection back-off:
+    // REJECTION_TTL rounds, doubled at each repeat rejection).
     let rows = 1 << 17;
     let (a, b) = correlated_pair(rows, 1000, 5, 0xC0DE);
     let mut space = AddressSpace::new();
@@ -140,7 +140,7 @@ fn correlated_predicates_do_not_thrash_the_optimizer() {
 #[test]
 fn exploration_is_stall_gated() {
     // Exploration (Section 4.5) only fires when optimization stalls —
-    // i.e. proposals keep getting rejected. A continuously converging
+    // i.e. estimator proposals keep getting rejected. A continuously converging
     // workload must never pay for it; a correlated workload that causes
     // estimator/measurement disagreement may probe alternate orders, but
     // must stay within a modest premium of the static plan.

@@ -260,8 +260,5 @@ fn zero_reop_interval_and_zero_morsel_are_rejected() {
         &ExecObservers::none(),
     )
     .unwrap_err();
-    assert!(matches!(
-        err,
-        popt::core::EngineError::InvalidVectorConfig(_)
-    ));
+    assert_eq!(err, popt::core::EngineError::ZeroReopInterval);
 }

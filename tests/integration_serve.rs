@@ -428,7 +428,10 @@ fn config_validation_and_empty_batches() {
         Priority::Normal,
         0,
     ));
-    assert!(server.run(&mut pool).is_err());
+    assert_eq!(
+        server.run(&mut pool).err(),
+        Some(EngineError::ZeroReopInterval)
+    );
 
     // morsel_tuples = 0 is rejected by the dispatcher.
     let mut server = QueryServer::new(ServeConfig {
