@@ -21,9 +21,15 @@
 //!   measured under a stale epoch still count toward the query result
 //!   but are excluded from the sample window.
 //! * **Trial leasing** — a scheduled trial is leased to exactly one
-//!   worker: it runs one morsel under the candidate order and resolves
-//!   it. A bad candidate therefore never runs on more than one core,
-//!   while the other workers keep streaming under the incumbent order.
+//!   worker that has run a morsel under the socket's accepted order: it
+//!   runs one morsel under the candidate order and resolves it against
+//!   that previous morsel's cycles per tuple (same core, adjacent work,
+//!   so a core's cold first morsel never judges a trial). A bad candidate
+//!   therefore never runs on more than one core, while the other workers
+//!   keep streaming under the incumbent order.
+//! * **Probes between rounds** — a measurement probe needs no sample, so
+//!   once a socket has opened its first round it is scheduled at the
+//!   next in-epoch report with no trial pending, not an interval later.
 //!
 //! Both pooled drives — this module's [`run_parallel_target_observed`]
 //! (one `CoordState` per run) and the serving layer (`crate::serve`,
@@ -129,8 +135,9 @@ pub(crate) enum BoundaryAction {
 /// Per-socket slice of the coordination state: the socket's §4.4
 /// policy (accepted order, pending trial, rejection memory, rounds) plus
 /// what only a pooled drive needs around it — the epoch its workers sync
-/// to, the in-epoch morsel count that makes a round due, and the epoch
-/// average trials are judged against. Sockets optimize independently — a
+/// to, the in-epoch morsel count that makes a round due, and the LLC
+/// share its fits price with. (A trial's baseline is per worker, not per
+/// socket: `CoordState::last_cpt`.) Sockets optimize independently — a
 /// trial accepted on socket 0 never re-chains socket 1's workers — which
 /// is what lets the two halves of a NUMA pool converge to *different*
 /// accepted orders when their placements price the same dims
@@ -141,14 +148,6 @@ struct SocketCoord {
     /// when it moves.
     epoch: u64,
     morsels_since_reopt: usize,
-    /// Cycles and tuples accumulated under the current epoch's order —
-    /// their ratio is the accepted order's cycles-per-tuple, the
-    /// reference a trial must not regress from. An *average* over the
-    /// whole epoch (not the most recent morsel) so the reference does
-    /// not depend on which worker happened to report last, nor on one
-    /// core's momentary cache state.
-    epoch_cycles: u64,
-    epoch_tuples: u64,
     /// Effective LLC capacity (bytes) this socket's morsels run against
     /// — the smallest member share under contention, the full LLC
     /// otherwise. Every estimator fit prices its geometry with this
@@ -163,23 +162,8 @@ impl SocketCoord {
             policy: ReoptPolicy::new(published),
             epoch: 0,
             morsels_since_reopt: 0,
-            epoch_cycles: 0,
-            epoch_tuples: 0,
             llc_share_bytes,
         }
-    }
-
-    /// The baseline of a trial scheduled now. Rounds only open after a
-    /// full interval of in-epoch morsels, so the average is populated.
-    fn epoch_cpt(&self) -> f64 {
-        self.epoch_cycles as f64 / self.epoch_tuples.max(1) as f64
-    }
-
-    /// The order of the trial a worker of this socket is resolving.
-    fn leased_trial(&self) -> &Peo {
-        self.policy
-            .trial_order()
-            .expect("a leased trial to resolve")
     }
 }
 
@@ -205,6 +189,10 @@ pub(crate) struct CoordState<'a, T> {
     placement: NumaPlacement,
     /// Per-worker sample windows under the worker's socket epoch order.
     windows: Vec<VectorStats>,
+    /// Per worker, the cycles per tuple of its last morsel under its
+    /// socket's accepted order — the baseline of a trial it leases; `None`
+    /// until it has run one under the current epoch.
+    last_cpt: Vec<Option<f64>>,
     pub(crate) switches: Vec<SwitchEvent>,
     pub(crate) estimates: usize,
     /// Optimizer cycles of every fit this state booked (each worker's
@@ -266,6 +254,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             socket_of,
             placement,
             windows: vec![VectorStats::zero(); workers],
+            last_cpt: vec![None; workers],
             switches: Vec::new(),
             estimates: 0,
             optimizer_cycles: 0,
@@ -303,19 +292,18 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
 
     /// Boundary sync for worker `w`, which last chained its shard under
     /// `local_epoch`: lease a pending trial on `w`'s socket so the
-    /// candidate runs on exactly this core, or tell the worker which
+    /// candidate runs on exactly this core — when `w` has a morsel under
+    /// the accepted order to judge it against — or tell the worker which
     /// published order to adopt. The caller applies the returned order
     /// to its worker-private shard.
     pub(crate) fn begin_morsel(&mut self, w: usize, local_epoch: u64) -> BoundaryAction {
         let s = self.socket_of[w];
         let sc = &mut self.sockets[s];
-        // Ground the comparison in this core's own recent rate under the
-        // incumbent order when it has one — consecutive morsels on one
-        // core control for cache state, like the serial drive's
-        // vector-to-vector comparison. The socket-wide epoch average
-        // (snapshot at scheduling) remains the fallback for a cold core.
-        let own_cpt = (self.windows[w].tuples > 0).then(|| self.windows[w].cycles_per_tuple());
-        if let Some((order, baseline_cpt)) = sc.policy.lease_trial(own_cpt) {
+        // Same core, adjacent work: the serial drive's vector-to-vector
+        // comparison.
+        let lease =
+            self.last_cpt[w].and_then(|cpt| Some((sc.policy.lease_trial(cpt)?.clone(), cpt)));
+        if let Some((order, baseline_cpt)) = lease {
             self.obs.emit(Some(w), || TraceEvent::TrialLease {
                 socket: s,
                 order: order.clone(),
@@ -348,15 +336,16 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         spent
     }
 
-    /// Report of a morsel worker `w` ran under its leased trial: count
-    /// the morsel, learn from its one-morsel sample under the trial order
-    /// (when the target calibrates from trials), then let the policy
-    /// accept — which publishes a new epoch — or revert. Returns the
-    /// published order and epoch after resolution, for the resolving
+    /// Report of a morsel worker `w` ran under its leased trial `order`:
+    /// count the morsel, learn from its one-morsel sample under the trial
+    /// order (when the target calibrates from trials), then let the
+    /// policy accept — which publishes a new epoch — or revert. Returns
+    /// the published order and epoch after resolution, for the resolving
     /// worker's shard, and the optimizer cycles charged to `w`.
     pub(crate) fn resolve_trial(
         &mut self,
         w: usize,
+        order: &Peo,
         stats: &VectorStats,
         cpu_cfg: &CpuConfig,
     ) -> Result<(Peo, u64, u64), EngineError> {
@@ -365,60 +354,67 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         let cpt = stats.cycles_per_tuple();
         let mut spent = 0;
         if self.target.wants_trial_calibration() {
-            self.target.set_order(self.sockets[s].leased_trial())?;
+            self.target.set_order(order)?;
             let sampled = stats.sampled_counters();
             let fit = Fit::run(self.geometry(s, sampled.n_input, cpu_cfg), sampled);
             spent = self.book(&fit, cpt);
         }
         let sc = &mut self.sockets[s];
-        let (trial, reverted) = sc
+        // Invariant: a worker reports a trial only for the lease
+        // `begin_morsel` gave it, and nothing but this report clears a
+        // leased trial. `tests/proptest_parallel.rs` holds it: its 1–8
+        // worker, 1–2 socket pools lease and resolve trials throughout.
+        let (order, baseline_cpt, reverted) = sc
             .policy
             .resolve_trial(cpt, &mut self.switches)
-            .expect("a leased trial to resolve");
+            .expect("a leased trial is resolved by its lessee alone");
         self.target.set_order(sc.policy.published())?;
         if reverted {
             self.obs.emit(Some(w), || TraceEvent::TrialRevert {
                 socket: s,
-                order: trial.order.clone(),
-                baseline_cpt: trial.baseline_cpt,
+                order,
+                baseline_cpt,
                 trial_cpt: cpt,
             });
         } else {
             sc.epoch += 1;
             sc.morsels_since_reopt = 0;
-            sc.epoch_cycles = stats.counters.cycles;
-            sc.epoch_tuples = stats.tuples;
             self.obs.emit(Some(w), || TraceEvent::TrialAccept {
                 socket: s,
-                order: trial.order.clone(),
-                baseline_cpt: trial.baseline_cpt,
+                order: order.clone(),
+                baseline_cpt,
                 trial_cpt: cpt,
                 epoch: sc.epoch,
             });
             self.obs.emit(Some(w), || TraceEvent::OrderPublish {
                 socket: s,
-                order: trial.order.clone(),
+                order,
                 epoch: sc.epoch,
                 warm_seed: false,
             });
-            // The socket's windows and epoch reference sampled the
-            // superseded order; the trial morsel is the new epoch's
-            // first observation. Other sockets' windows are untouched.
+            // The socket's windows and baselines sampled the superseded
+            // order; the trial morsel is the new epoch's first
+            // observation, and the resolving worker's baseline. Other
+            // sockets' workers are untouched.
             for (wi, window) in self.windows.iter_mut().enumerate() {
                 if self.socket_of[wi] == s {
                     *window = VectorStats::zero();
+                    self.last_cpt[wi] = None;
                 }
             }
+            self.last_cpt[w] = Some(cpt);
         }
         let sc = &self.sockets[s];
         Ok((sc.policy.published().clone(), sc.epoch, spent))
     }
 
     /// Report of a morsel worker `w` ran under the accepted order of
-    /// `epoch`: accumulate it into `w`'s sample window and, when the
-    /// interval is due (and `work_remains` — a trial scheduled after the
-    /// last morsel was claimed could never run), run one reoptimization
-    /// round. Returns the optimizer cycles charged to `w`.
+    /// `epoch`: accumulate it into `w`'s sample window and baseline and,
+    /// while work remains (a trial scheduled after the last morsel was
+    /// claimed could never run) and no trial is pending, run a
+    /// reoptimization round when the interval is due, or else spend a
+    /// measurement probe once the socket has opened its first round.
+    /// Returns the optimizer cycles charged to `w`.
     pub(crate) fn note_normal(
         &mut self,
         w: usize,
@@ -432,24 +428,27 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         let s = self.socket_of[w];
         if epoch != self.sockets[s].epoch {
             // Measured under a stale epoch: counts toward the result,
-            // excluded from the sample window.
+            // excluded from the sample window and the baseline.
             return Ok(0);
         }
         self.windows[w].accumulate(stats);
+        self.last_cpt[w] = Some(stats.cycles_per_tuple());
         let sc = &mut self.sockets[s];
-        sc.epoch_cycles += stats.counters.cycles;
-        sc.epoch_tuples += stats.tuples;
         sc.morsels_since_reopt += 1;
-        match reopt {
-            Some(cfg)
-                if sc.morsels_since_reopt >= cfg.reop_interval
-                    && sc.policy.trial_order().is_none()
-                    && work_remains =>
-            {
-                self.reoptimize(w, cpu_cfg)
-            }
-            _ => Ok(0),
+        let Some(cfg) = reopt.filter(|_| !sc.policy.trial_pending() && work_remains) else {
+            return Ok(0);
+        };
+        if sc.morsels_since_reopt >= cfg.reop_interval {
+            return self.reoptimize(w, cpu_cfg);
         }
+        if sc.policy.round() > 0 {
+            // The probe choice reads the target's order: the socket's.
+            self.target.set_order(sc.policy.published())?;
+            self.sockets[s]
+                .policy
+                .probe(self.target, &mut self.switches, self.morsels_done);
+        }
+        Ok(0)
     }
 
     /// One reoptimization round on worker `w`'s socket `s`: the policy
@@ -468,13 +467,10 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         self.target.set_order(self.sockets[s].policy.published())?;
         let sc = &mut self.sockets[s];
         sc.morsels_since_reopt = 0;
-        let baseline_cpt = sc.epoch_cpt();
-        if !sc.policy.open_round(
-            self.target,
-            &mut self.switches,
-            self.morsels_done,
-            baseline_cpt,
-        ) {
+        if !sc
+            .policy
+            .open_round(self.target, &mut self.switches, self.morsels_done)
+        {
             return Ok(0);
         }
 
@@ -512,12 +508,8 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             fit_error: fit.estimate.objective,
             proposed: (&proposed != sc.policy.published()).then(|| proposed.clone()),
         });
-        sc.policy.consider(
-            proposed,
-            &mut self.switches,
-            self.morsels_done,
-            baseline_cpt,
-        );
+        sc.policy
+            .consider(proposed, &mut self.switches, self.morsels_done);
         Ok(spent)
     }
 
@@ -666,8 +658,9 @@ impl<'c> Worker<'c> {
 
 /// A worker's executor for one query: the shard, the epoch it last
 /// synced to, and the order it runs under (mirrored for profiler
-/// attribution — shards expose no order accessor, and the coordinator's
-/// view can move between this worker's boundaries).
+/// attribution and for resolving a leased trial — shards expose no order
+/// accessor, and the coordinator's view can move between this worker's
+/// boundaries).
 pub(crate) struct WorkerShard<S> {
     shard: S,
     pub(crate) epoch: u64,
@@ -778,7 +771,8 @@ pub(crate) fn report_morsel<T: ShardableTarget>(
     let opt = if executed.trial {
         // Adopt whatever order the resolution left published (the trial
         // order if accepted, the incumbent if not).
-        let (published, epoch, opt) = coord.resolve_trial(w, &executed.stats, ctx.cpu_cfg)?;
+        let (published, epoch, opt) =
+            coord.resolve_trial(w, &ws.order, &executed.stats, ctx.cpu_cfg)?;
         ws.rechain(published)?;
         ws.epoch = epoch;
         opt

@@ -25,13 +25,15 @@ pub type Peo = Vec<usize>;
 
 /// Whether `order` is a permutation of `0..stages` — the one validity
 /// rule every order-bearing structure shares (plans, programs, the
-/// serving layer's order cache).
+/// serving layer's order cache). Quadratic in the stage count but
+/// allocation-free: a pool re-validates its accepted order between
+/// morsels.
 pub fn is_valid_peo(order: &[usize], stages: usize) -> bool {
-    let mut seen = vec![false; stages];
     order.len() == stages
         && order
             .iter()
-            .all(|&i| i < stages && !std::mem::replace(&mut seen[i], true))
+            .enumerate()
+            .all(|(k, &i)| i < stages && !order[..k].contains(&i))
 }
 
 /// A multi-selection query plan with a sum aggregate.

@@ -87,14 +87,13 @@ pub(crate) fn book_fit<T: ProgressiveTarget>(
 }
 
 /// A candidate order awaiting its one trial vector (or morsel).
-pub(crate) struct Trial {
-    pub(crate) order: Peo,
-    /// Accepted-order cycles-per-tuple the trial must not regress from.
-    pub(crate) baseline_cpt: f64,
+struct Trial {
+    order: Peo,
     switch_idx: usize,
-    /// Whether a runner has taken the trial (see
-    /// [`ReoptPolicy::lease_trial`]).
-    leased: bool,
+    /// Cycles-per-tuple the trial must not regress from, fixed when a
+    /// runner leases it (see [`ReoptPolicy::lease_trial`]); `None` while
+    /// no runner has.
+    baseline_cpt: Option<f64>,
 }
 
 /// An order a trial reverted, and its back-off.
@@ -151,34 +150,31 @@ impl ReoptPolicy {
         self.round
     }
 
-    /// The order of the pending trial, if any.
-    pub(crate) fn trial_order(&self) -> Option<&Peo> {
-        self.trial.as_ref().map(|t| &t.order)
+    /// Whether a trial is pending, leased or not.
+    pub(crate) fn trial_pending(&self) -> bool {
+        self.trial.is_some()
     }
 
-    /// Hand the pending trial to exactly one runner: returns its order
-    /// and baseline once, `None` to everyone after. `rebase` replaces
-    /// the baseline with one the leasing drive trusts more.
-    pub(crate) fn lease_trial(&mut self, rebase: Option<f64>) -> Option<(Peo, f64)> {
-        let trial = self.trial.as_mut().filter(|t| !t.leased)?;
-        trial.leased = true;
-        if let Some(cpt) = rebase {
-            trial.baseline_cpt = cpt;
-        }
-        Some((trial.order.clone(), trial.baseline_cpt))
+    /// Hand the pending trial to exactly one runner, to be judged against
+    /// `baseline_cpt`: the cycles per tuple of the last vector or morsel
+    /// the runner's core ran under the accepted order (§4.4's "pre-switch
+    /// vector"). Returns the trial's order once, `None` to everyone after.
+    pub(crate) fn lease_trial(&mut self, baseline_cpt: f64) -> Option<&Peo> {
+        let trial = self.trial.as_mut().filter(|t| t.baseline_cpt.is_none())?;
+        trial.baseline_cpt = Some(baseline_cpt);
+        Some(&trial.order)
     }
 
     /// Open a reoptimization round: take one of the cheap paths — stall
     /// exploration or a measurement probe, each scheduled as an
     /// exploratory trial — or return `true`: the round needs an estimator
     /// fit, closed by [`ReoptPolicy::consider`]. `at` labels a scheduled
-    /// switch; `baseline_cpt` is what its trial will be judged against.
+    /// switch.
     pub(crate) fn open_round<T: ProgressiveTarget>(
         &mut self,
         target: &mut T,
         switches: &mut Vec<SwitchEvent>,
         at: usize,
-        baseline_cpt: f64,
     ) -> bool {
         self.round += 1;
         let round = self.round;
@@ -204,34 +200,40 @@ impl ReoptPolicy {
             let mut explored = self.published.clone();
             explored.rotate_right(1);
             if explored != self.published {
-                self.schedule(explored, true, switches, at, baseline_cpt);
+                self.schedule(explored, true, switches, at);
             }
             return false;
         }
+        !self.probe(target, switches, at)
+    }
 
-        // Measurement probe: an order the target wants to observe once
-        // (e.g. an unmeasured join moved to the front). Runs under the
-        // same trial semantics as any other switch.
-        if let Some(probe) = target.take_probe_order() {
-            if probe != self.published {
-                self.schedule(probe, true, switches, at, baseline_cpt);
-                return false;
+    /// Schedule a measurement probe — an order the target wants to
+    /// observe once (e.g. an unmeasured join moved to the front) — as an
+    /// exploratory trial, under the same semantics as any other switch.
+    /// Returns whether one was scheduled. A probe runs no fit, so it
+    /// needs no sample: besides every round that neither explores nor
+    /// fits, the pooled drive spends one between rounds (see
+    /// [`crate::progressive`], "One policy, two drives").
+    pub(crate) fn probe<T: ProgressiveTarget>(
+        &mut self,
+        target: &mut T,
+        switches: &mut Vec<SwitchEvent>,
+        at: usize,
+    ) -> bool {
+        match target.take_probe_order() {
+            Some(probe) if probe != self.published => {
+                self.schedule(probe, true, switches, at);
+                true
             }
+            _ => false,
         }
-        true
     }
 
     /// Close a fitted round with the target's proposal: drop it while a
     /// trial's rejection of that order still suppresses it (the
     /// correlation guard), otherwise schedule it as a trial when it
     /// differs from the accepted order.
-    pub(crate) fn consider(
-        &mut self,
-        proposed: Peo,
-        switches: &mut Vec<SwitchEvent>,
-        at: usize,
-        baseline_cpt: f64,
-    ) {
+    pub(crate) fn consider(&mut self, proposed: Peo, switches: &mut Vec<SwitchEvent>, at: usize) {
         let round = self.round;
         if self
             .rejected
@@ -241,7 +243,7 @@ impl ReoptPolicy {
             return;
         }
         if proposed != self.published {
-            self.schedule(proposed, false, switches, at, baseline_cpt);
+            self.schedule(proposed, false, switches, at);
         }
     }
 
@@ -251,7 +253,6 @@ impl ReoptPolicy {
         exploratory: bool,
         switches: &mut Vec<SwitchEvent>,
         at: usize,
-        baseline_cpt: f64,
     ) {
         switches.push(SwitchEvent {
             vector: at,
@@ -262,25 +263,26 @@ impl ReoptPolicy {
         });
         self.trial = Some(Trial {
             order,
-            baseline_cpt,
             switch_idx: switches.len() - 1,
-            leased: false,
+            baseline_cpt: None,
         });
     }
 
-    /// The accept/revert verdict for the pending trial, which ran at
-    /// `trial_cpt` cycles per tuple: a regression past the tolerance
-    /// keeps the accepted order and remembers the candidate as rejected;
-    /// anything else publishes the candidate and forgets every back-off.
-    /// Returns the trial and whether it was reverted; `None` when no
-    /// trial is pending.
+    /// The accept/revert verdict for the leased trial, which ran at
+    /// `trial_cpt` cycles per tuple: a regression past the tolerance over
+    /// its lease's baseline keeps the accepted order and remembers the
+    /// candidate as rejected; anything else publishes the candidate and
+    /// forgets every back-off. Returns the trial's order, its baseline
+    /// and whether it was reverted; `None` when no leased trial is
+    /// pending.
     pub(crate) fn resolve_trial(
         &mut self,
         trial_cpt: f64,
         switches: &mut [SwitchEvent],
-    ) -> Option<(Trial, bool)> {
+    ) -> Option<(Peo, f64, bool)> {
+        let baseline_cpt = self.trial.as_ref()?.baseline_cpt?;
         let trial = self.trial.take()?;
-        let reverted = trial_cpt > trial.baseline_cpt * (1.0 + REGRESSION_TOLERANCE);
+        let reverted = trial_cpt > baseline_cpt * (1.0 + REGRESSION_TOLERANCE);
         if reverted {
             let switch = &mut switches[trial.switch_idx];
             switch.reverted = true;
@@ -290,7 +292,7 @@ impl ReoptPolicy {
             self.last_accept_round = self.round;
             self.rejected.clear();
         }
-        Some((trial, reverted))
+        Some((trial.order, baseline_cpt, reverted))
     }
 
     /// Remember a reverted trial of `order`. The order is suppressed for

@@ -46,15 +46,24 @@
 //!   vector while another remains. Pooled: after `reop_interval` morsels
 //!   ran *under the socket's current epoch* with no trial pending, while
 //!   another morsel remains unclaimed. A pool has no single vector clock,
-//!   and morsels run under a superseded order must not count.
+//!   and morsels run under a superseded order must not count. Once a
+//!   socket has opened its first round, the pool also spends a
+//!   measurement probe the target still wants at every in-epoch report
+//!   with no trial pending: a probe runs no fit, so it needs no sample
+//!   window, and on the benchmark's pooled star the earlier probes repay
+//!   on every seed. The serial drive keeps probes to its rounds: spending
+//!   one at every vector with no trial pending measured −1.7 / −1.4 /
+//!   −1.1 / +1.0 % simulated cycles on the benchmark's serial star join
+//!   (four seeds) — not a gain on every input.
 //! * **What the sample is.** Serial: the vector that just ran. Pooled:
 //!   the socket's per-worker windows since the last round, fused — so one
 //!   fit per interval serves every core.
-//! * **The trial baseline.** Serial: the cycles-per-tuple of the vector
-//!   before the trial (same core, adjacent rows). Pooled: the epoch
-//!   average, rebased to the leasing worker's own window when it has one
-//!   — there is no "previous vector" across cores, and one core's
-//!   momentary cache state must not judge another's trial.
+//! * **The trial baseline — one rule, measured by each drive.** Both hand
+//!   the policy, at the lease, the cycles per tuple of the last vector or
+//!   morsel the leasing core ran under the accepted order: §4.4's
+//!   "pre-switch vector", same core, adjacent work. Serially that is the
+//!   vector before the trial; in a pool only a worker that has run a
+//!   morsel under its socket's current epoch may lease.
 //! * **Fit reuse (serial only).** When a trial vector is also a round's
 //!   vector, the round reuses the trial's fit — unless the trial was
 //!   reverted, which leaves the sample describing an order no longer in
@@ -693,8 +702,8 @@ pub(crate) fn serial_drive<T: ProgressiveTarget>(
         }
         prof_pos += stats.counters.cycles;
         per_vector.push(stats.counters.cycles);
-        // The sample of every fit below, and the baseline of any trial
-        // scheduled below: the vector that just ran.
+        // The sample of every fit below, and the baseline of a trial
+        // leased below: the vector that just ran.
         let cpt = stats.cycles_per_tuple();
         let mut fit_vector = |target: &mut T, learn: bool| {
             let sampled = stats.sampled_counters();
@@ -713,14 +722,14 @@ pub(crate) fn serial_drive<T: ProgressiveTarget>(
         // fit serves a coinciding round while the trial's order stands.
         let mut trial_fit = None;
         let mut sample_is_stale = false;
-        if policy.trial_order().is_some() {
+        if policy.trial_pending() {
             // Trial vectors double as measurement opportunities: fit the
             // sample *under the order that produced it* and let the
             // target calibrate, before any revert discards that order.
             if target.wants_trial_calibration() {
                 trial_fit = Some(fit_vector(target, true));
             }
-            if let Some((_, true)) = policy.resolve_trial(cpt, &mut switches) {
+            if let Some((.., true)) = policy.resolve_trial(cpt, &mut switches) {
                 target.set_order(policy.published())?;
                 trial_fit = None;
                 sample_is_stale = true;
@@ -734,15 +743,15 @@ pub(crate) fn serial_drive<T: ProgressiveTarget>(
         if !due || at == ranges.len() {
             continue;
         }
-        if policy.open_round(target, &mut switches, at, cpt) {
+        if policy.open_round(target, &mut switches, at) {
             // After a revert the sample describes the trial order, the
             // geometry the reinstated one: a residual the model never
             // produced must not reach the calibration or the drift series.
             let fit = trial_fit.unwrap_or_else(|| fit_vector(target, !sample_is_stale));
             let proposed = target.propose_order(&fit.geom, &fit.estimate.selectivities);
-            policy.consider(proposed, &mut switches, at, cpt);
+            policy.consider(proposed, &mut switches, at);
         }
-        if let Some(order) = policy.trial_order() {
+        if let Some(order) = policy.lease_trial(cpt) {
             target.set_order(order)?;
         }
     }

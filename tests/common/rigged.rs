@@ -1,8 +1,8 @@
 //! A delegating progressive target with injected faults, for tests that
 //! must force what the §4.4 policy never does on its own: a `set_order`
 //! that fails mid-round, trials that always regress (but for one spared
-//! order), a measurement probe asked for at every round, and a shard that
-//! panics mid-run.
+//! order), a measurement probe asked for at every round, a shard that
+//! panics mid-run, and shards whose first range runs cold.
 
 use popt::core::exec::scan::VectorStats;
 use popt::core::{EngineError, Peo, ProgressiveTarget, ShardableTarget, TargetShard};
@@ -28,7 +28,9 @@ pub fn injected() -> EngineError {
 ///   charge would let the second trial match. A spared order is never
 ///   charged, so its trial stands or falls on its own cost;
 /// * `take_probe_order` offers the same probe order at every round;
-/// * every shard panics at its `panic_at`-th range run (1-based).
+/// * every shard panics at its `panic_at`-th range run (1-based);
+/// * every shard's first range run is charged [`COLD_CHARGE`] extra
+///   cycles per tuple, like a core whose caches start empty.
 pub struct Rigged<T> {
     inner: T,
     start: Peo,
@@ -37,7 +39,11 @@ pub struct Rigged<T> {
     panic_at: usize,
     penalty: Penalty,
     probe: Option<Peo>,
+    cold_shards: bool,
 }
+
+/// Extra cycles per tuple a cold shard's first range run is charged.
+pub const COLD_CHARGE: u64 = 1000;
 
 /// The escalating charge of ranges run under a non-start order: the
 /// `k`-th such range costs `k * per_tuple` extra cycles per tuple.
@@ -75,6 +81,7 @@ impl<T: ProgressiveTarget> Rigged<T> {
                 spared: None,
             },
             probe: None,
+            cold_shards: false,
         }
     }
 
@@ -106,6 +113,13 @@ impl<T: ProgressiveTarget> Rigged<T> {
     /// Offer `order` as a measurement probe at every round.
     pub fn with_probe_every_round(mut self, order: &[usize]) -> Self {
         self.probe = Some(order.to_vec());
+        self
+    }
+
+    /// Charge every shard's first range run [`COLD_CHARGE`] extra cycles
+    /// per tuple.
+    pub fn with_cold_shards(mut self) -> Self {
+        self.cold_shards = true;
         self
     }
 }
@@ -172,7 +186,8 @@ impl<T: ProgressiveTarget> ProgressiveTarget for Rigged<T> {
 }
 
 /// A shard of a [`Rigged`] target: charges the same penalty (escalating
-/// on its own), never fails, and panics at its `panic_at`-th range run.
+/// on its own), never fails, panics at its `panic_at`-th range run, and
+/// runs its first range cold when `cold`.
 pub struct RiggedShard<S> {
     inner: S,
     order: Peo,
@@ -180,6 +195,7 @@ pub struct RiggedShard<S> {
     penalty: Penalty,
     runs: usize,
     panic_at: usize,
+    cold: bool,
 }
 
 impl<S: TargetShard> TargetShard for RiggedShard<S> {
@@ -191,7 +207,10 @@ impl<S: TargetShard> TargetShard for RiggedShard<S> {
     fn run_range(&mut self, cpu: &mut SimCpu, start: usize, end: usize) -> VectorStats {
         self.runs += 1;
         assert!(self.runs != self.panic_at, "injected shard panic");
-        let stats = self.inner.run_range(cpu, start, end);
+        let mut stats = self.inner.run_range(cpu, start, end);
+        if self.cold && self.runs == 1 {
+            stats.counters.0.cycles += COLD_CHARGE * stats.tuples;
+        }
         self.penalty.charge(stats, &self.order, &self.start)
     }
 }
@@ -207,6 +226,7 @@ impl<T: ShardableTarget> ShardableTarget for Rigged<T> {
             penalty: self.penalty.clone(),
             runs: 0,
             panic_at: self.panic_at,
+            cold: self.cold_shards,
         })
     }
 }

@@ -6,7 +6,9 @@
 //! mid-run unwinds to the caller and leaves the pool usable. Trials made
 //! to regress exercise the serial drive's revert paths: the rejection
 //! back-off and its reset on accept, a trial on the last vector, stall
-//! exploration, and reverted explorations that never open one.
+//! exploration, and reverted explorations that never open one. Shards
+//! whose first range runs cold show that a pooled trial is judged against
+//! its core's previous warm morsel.
 
 use std::panic::{self, AssertUnwindSafe};
 
@@ -87,8 +89,8 @@ fn pooled_drive_returns_the_injected_error_and_siblings_stop() {
         let (clean, clean_cycles) = run(workers, usize::MAX);
         clean.expect("the wrapper is transparent until it fails");
         // The master target's first `set_order` calls set the published
-        // order at the start of each due round; later ones also cover
-        // trial resolution.
+        // order at the start of each due round and before each probe
+        // between rounds; later ones also cover trial resolution.
         for fail_at in 1..=4 {
             let (report, cycles) = run(workers, fail_at);
             assert_eq!(
@@ -343,4 +345,38 @@ fn exploration_fires_when_stalled() {
         "{:?}",
         stalled.switches
     );
+}
+
+#[test]
+fn a_pooled_trial_is_judged_against_its_cores_previous_warm_morsel() {
+    // One worker over the skewed scan from its best order `[lo, mid, hi]`,
+    // a round every two morsels, each offering the probe `[mid, lo, hi]`
+    // (slower: the 50 % predicate runs on every tuple). The shard's first
+    // morsel runs cold, charged `COLD_CHARGE` cycles per tuple more than
+    // any probe costs. Every probe is slower than the morsel before it,
+    // so every one is reverted — even the first, which a baseline
+    // averaged over a window holding the cold morsel would accept.
+    let t = skewed_table(1 << 14);
+    let mut program = CompiledProgram::from_selection(&t, &skewed_plan(), &[0, 1, 2]).unwrap();
+    let mut target = Rigged::new(CompiledTarget::new(&mut program))
+        .with_cold_shards()
+        .with_probe_every_round(&[1, 0, 2]);
+    let report = run_parallel_target_observed(
+        &mut target,
+        MorselConfig::new(512),
+        &mut CpuPool::new(CpuConfig::ivy_bridge(), 1),
+        Some(&config()),
+        &ExecObservers::none(),
+    )
+    .unwrap();
+    assert!(!report.switches.is_empty());
+    assert!(
+        report
+            .switches
+            .iter()
+            .all(|s| s.reverted && s.exploratory && s.to == [1, 0, 2]),
+        "{:?}",
+        report.switches
+    );
+    assert_eq!(report.final_order, vec![0, 1, 2]);
 }

@@ -298,18 +298,16 @@ fn serial_star_spends_probes_and_calibrates() {
     assert_pinned(&render_serial(&report), STAR_SERIAL);
 }
 
-const STAR_POOL: &str = r"qualified=4075 sum=201988 wall=4274219 total=4274219 workers=1 morsels=32 per_worker=[4274219] estimates=15 optimizer_cycles=491040 final_order=[1, 3, 0, 2] socket_orders=[[1, 3, 0, 2]] remote_pct=0
-counters: instr=2231139 cycles=3783179 br=187825 taken=126997 not_taken=60828 mp_t=23396 mp_nt=23203 l1=77510 l1_hit=8278 l1_elem=151485 l2=69232 l3=68978 l3_miss=22840
-  switch @2 [3, 2, 1, 0] -> [3, 0, 2, 1] reverted=false exploratory=false
-  switch @5 [3, 0, 2, 1] -> [2, 3, 0, 1] reverted=true exploratory=true
-  switch @8 [3, 0, 2, 1] -> [1, 3, 0, 2] reverted=false exploratory=true
-  switch @11 [1, 3, 0, 2] -> [0, 1, 3, 2] reverted=true exploratory=false
-  switch @14 [1, 3, 0, 2] -> [3, 0, 1, 2] reverted=true exploratory=false
-  switch @17 [1, 3, 0, 2] -> [2, 1, 3, 0] reverted=true exploratory=true
-  switch @20 [1, 3, 0, 2] -> [3, 1, 2, 0] reverted=true exploratory=false
-  switch @23 [1, 3, 0, 2] -> [2, 1, 3, 0] reverted=true exploratory=true
-  switch @26 [1, 3, 0, 2] -> [3, 0, 1, 2] reverted=true exploratory=false
-  switch @29 [1, 3, 0, 2] -> [2, 1, 3, 0] reverted=true exploratory=true
+const STAR_POOL: &str = r"qualified=4075 sum=201988 wall=4139638 total=4139638 workers=1 morsels=32 per_worker=[4139638] estimates=16 optimizer_cycles=485760 final_order=[1, 3, 2, 0] socket_orders=[[1, 3, 2, 0]] remote_pct=0
+counters: instr=1927151 cycles=3653878 br=188015 taken=126997 not_taken=61018 mp_t=21929 mp_nt=22055 l1=78263 l1_hit=8055 l1_elem=158064 l2=70208 l3=72044 l3_miss=22913
+  switch @2 [3, 2, 1, 0] -> [3, 0, 2, 1] reverted=true exploratory=false
+  switch @4 [3, 2, 1, 0] -> [2, 3, 1, 0] reverted=true exploratory=true
+  switch @6 [3, 2, 1, 0] -> [1, 3, 2, 0] reverted=false exploratory=true
+  switch @9 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
+  switch @12 [1, 3, 2, 0] -> [3, 1, 0, 2] reverted=true exploratory=false
+  switch @17 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
+  switch @20 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
+  switch @23 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
 ";
 
 #[test]
@@ -327,6 +325,39 @@ fn one_worker_pool_star() {
     )
     .unwrap();
     assert_pinned(&render_parallel(&report), STAR_POOL);
+}
+
+#[test]
+fn one_worker_pool_spends_probes_on_consecutive_reports() {
+    // A probe runs no fit, so once the first round has opened the pool
+    // spends the star's measurement probes as fast as trials resolve: one
+    // at each in-epoch report with no trial pending — two morsels apart
+    // (the probe's trial, then one morsel under the accepted order) —
+    // not one per `reop_interval` morsels.
+    let star = star();
+    let mut program = star_plan(&star);
+    let mut pool = CpuPool::new(small_cache_cpu(), 1);
+    let report = run_parallel_program_observed(
+        &mut program,
+        &STAR_START,
+        MorselConfig::new(2048),
+        &mut pool,
+        Some(&ProgressiveConfig { reop_interval: 8 }),
+        &ExecObservers::none(),
+    )
+    .unwrap();
+    let switches = &report.switches;
+    assert!(
+        switches
+            .first()
+            .is_some_and(|s| s.vector == 8 && !s.exploratory),
+        "the first round fits: {switches:?}"
+    );
+    let probes = switches[1..].iter().take_while(|s| s.exploratory).count();
+    assert!(probes >= 2, "{switches:?}");
+    for pair in switches[..=probes].windows(2) {
+        assert_eq!(pair[1].vector, pair[0].vector + 2, "{switches:?}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -422,8 +453,8 @@ fn coinciding_round_reuses_a_surviving_trial_fit_and_refits_after_a_revert() {
 // One 1-worker server batch of two templates.
 // ---------------------------------------------------------------------
 
-const SERVE_BATCH: &str = r"workers=1 wall=2574605 busy=2574605 idle=0 per_worker_busy=[2574605] per_worker_idle=[0]
-corr-scan: qualified=6247 sum=963455 morsels=32 exec=983847 optimizer=129720 latency=2574605 queue=0 estimates=9 final_order=[0, 1, 2] warm=false
+const SERVE_BATCH: &str = r"workers=1 wall=2461097 busy=2461097 idle=0 per_worker_busy=[2461097] per_worker_idle=[0]
+corr-scan: qualified=6247 sum=963455 morsels=32 exec=983796 optimizer=128880 latency=2461097 queue=0 estimates=9 final_order=[0, 1, 2] warm=false
   switch @2 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=false
   switch @5 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
   switch @10 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
@@ -431,14 +462,14 @@ corr-scan: qualified=6247 sum=963455 morsels=32 exec=983847 optimizer=129720 lat
   switch @20 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
   switch @27 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
   switch @30 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
-star-2join: qualified=9 sum=460 morsels=32 exec=1226498 optimizer=234540 latency=1750244 queue=30998 estimates=16 final_order=[2, 0, 1] warm=false
-  switch @2 [1, 2, 0] -> [0, 1, 2] reverted=false exploratory=false
-  switch @5 [0, 1, 2] -> [2, 0, 1] reverted=false exploratory=true
-  switch @8 [2, 0, 1] -> [2, 1, 0] reverted=true exploratory=false
-  switch @15 [2, 0, 1] -> [2, 1, 0] reverted=true exploratory=false
-  switch @20 [2, 0, 1] -> [1, 2, 0] reverted=true exploratory=true
-  switch @27 [2, 0, 1] -> [2, 1, 0] reverted=true exploratory=false
-  switch @30 [2, 0, 1] -> [1, 2, 0] reverted=true exploratory=true
+star-2join: qualified=9 sum=460 morsels=32 exec=1089761 optimizer=258660 latency=1636691 queue=30998 estimates=17 final_order=[2, 0, 1] warm=false
+  switch @2 [1, 2, 0] -> [0, 1, 2] reverted=true exploratory=false
+  switch @4 [1, 2, 0] -> [2, 1, 0] reverted=false exploratory=true
+  switch @7 [2, 1, 0] -> [2, 0, 1] reverted=false exploratory=false
+  switch @10 [2, 0, 1] -> [2, 1, 0] reverted=true exploratory=false
+  switch @17 [2, 0, 1] -> [2, 1, 0] reverted=true exploratory=false
+  switch @22 [2, 0, 1] -> [1, 2, 0] reverted=true exploratory=true
+  switch @29 [2, 0, 1] -> [2, 1, 0] reverted=true exploratory=false
 ";
 
 #[test]
