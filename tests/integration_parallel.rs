@@ -274,7 +274,7 @@ fn shared_llc_star_settles_on_one_order_on_every_seed() {
     // Two workers on one shared 256 KiB LLC, 256 morsels, a round every
     // 4: each core's first morsel runs cold. A trial judged against a
     // window that includes it can accept a slower order, and then the
-    // run settles on another order and pays ~15 % more, on some seeds
+    // run settles on another order and pays ~13 % more, on some seeds
     // only. Judged against the leasing core's previous (warm) morsel,
     // every seed settles on one order inside a narrow band.
     let mut cpu = CpuConfig::xeon_e5_2630_v2();
