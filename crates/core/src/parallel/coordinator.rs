@@ -21,10 +21,11 @@
 //!   measured under a stale epoch still count toward the query result
 //!   but are excluded from the sample window.
 //! * **Trial leasing** — a scheduled trial is leased to exactly one
-//!   worker that has run a morsel under the socket's accepted order: it
-//!   runs one morsel under the candidate order and resolves it against
-//!   that previous morsel's cycles per tuple (same core, adjacent work,
-//!   so a core's cold first morsel never judges a trial). A bad candidate
+//!   worker that has run a warm morsel under the socket's accepted order:
+//!   it runs one morsel under the candidate order and resolves it against
+//!   that previous morsel's cycles per tuple (same core, adjacent work;
+//!   a core's first morsel of the query, run on cold caches, is never a
+//!   baseline). A bad candidate
 //!   therefore never runs on more than one core, while the other workers
 //!   keep streaming under the incumbent order.
 //! * **Probes between rounds** — a measurement probe needs no sample, so
@@ -191,8 +192,12 @@ pub(crate) struct CoordState<'a, T> {
     windows: Vec<VectorStats>,
     /// Per worker, the cycles per tuple of its last morsel under its
     /// socket's accepted order — the baseline of a trial it leases; `None`
-    /// until it has run one under the current epoch.
+    /// until it has run one under the current epoch. A worker's first
+    /// morsel never sets it: that morsel ran on caches holding none of the
+    /// query's data.
     last_cpt: Vec<Option<f64>>,
+    /// Per worker, whether it has reported a morsel of this query.
+    warm: Vec<bool>,
     pub(crate) switches: Vec<SwitchEvent>,
     pub(crate) estimates: usize,
     /// Optimizer cycles of every fit this state booked (each worker's
@@ -255,6 +260,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             placement,
             windows: vec![VectorStats::zero(); workers],
             last_cpt: vec![None; workers],
+            warm: vec![false; workers],
             switches: Vec::new(),
             estimates: 0,
             optimizer_cycles: 0,
@@ -366,7 +372,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         // worker, 1–2 socket pools lease and resolve trials throughout.
         let (order, baseline_cpt, reverted) = sc
             .policy
-            .resolve_trial(cpt, &mut self.switches)
+            .resolve_trial(cpt, stats.tuples, &mut self.switches)
             .expect("a leased trial is resolved by its lessee alone");
         self.target.set_order(sc.policy.published())?;
         if reverted {
@@ -426,13 +432,16 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
     ) -> Result<u64, EngineError> {
         self.morsels_done += 1;
         let s = self.socket_of[w];
+        let cold = !std::mem::replace(&mut self.warm[w], true);
         if epoch != self.sockets[s].epoch {
             // Measured under a stale epoch: counts toward the result,
             // excluded from the sample window and the baseline.
             return Ok(0);
         }
         self.windows[w].accumulate(stats);
-        self.last_cpt[w] = Some(stats.cycles_per_tuple());
+        if !cold {
+            self.last_cpt[w] = Some(stats.cycles_per_tuple());
+        }
         let sc = &mut self.sockets[s];
         sc.morsels_since_reopt += 1;
         let Some(cfg) = reopt.filter(|_| !sc.policy.trial_pending() && work_remains) else {
@@ -768,6 +777,11 @@ pub(crate) fn report_morsel<T: ShardableTarget>(
     work_remains: bool,
 ) -> Result<(), EngineError> {
     let w = worker.w;
+    // Every morsel counts toward the socket's regret budget: trials and
+    // stale-epoch morsels too.
+    coord.sockets[coord.socket_of[w]]
+        .policy
+        .note_executed(executed.stats.counters.cycles);
     let opt = if executed.trial {
         // Adopt whatever order the resolution left published (the trial
         // order if accepted, the incumbent if not).

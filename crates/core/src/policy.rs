@@ -15,11 +15,15 @@ use crate::plan::Peo;
 use crate::progressive::{ProgressiveTarget, SwitchEvent};
 
 /// Relative cycles-per-tuple slack before a trial counts as a regression
-/// and the previous order is reinstated.
+/// and the previous order is reinstated — and the share of a unit's
+/// executed cycles its reverted trials may lose before an order they
+/// reverted is tried again (the regret budget, `ReoptPolicy`).
 pub const REGRESSION_TOLERANCE: f64 = 0.02;
 
-/// Simulated cycles charged per estimator objective evaluation: the
-/// optimization time Section 5.7 discusses, paid by the query.
+/// Simulated cycles charged per estimator objective *call*: the
+/// optimization time Section 5.7 discusses, paid by the query. A simplex
+/// candidate that repeats a point the search holds reuses its value and
+/// costs nothing.
 pub const CYCLES_PER_ESTIMATOR_EVAL: u64 = 60;
 
 /// Optimization rounds for which a rejected estimator proposal counts as
@@ -107,8 +111,16 @@ struct Rejection {
 
 /// The policy state of one independently optimizing unit — the whole
 /// serial run, or one socket of a pool: the accepted order, the pending
-/// trial, the rejection memory, and the round counters the stall test
-/// reads. Switches are logged into the caller's per-query switch list.
+/// trial, the rejection memory, the round counters the stall test reads,
+/// and the regret budget. Switches are logged into the caller's per-query
+/// switch list.
+///
+/// The regret budget: a trial that repeats an order reverted since the
+/// last accept — an estimator re-proposal whose back-off expired, or the
+/// stall exploration's rotated order — is scheduled only while the cycles
+/// lost to reverted trials stay within `REGRESSION_TOLERANCE` of the
+/// cycles the unit executed. A first-time order (a probe, a new proposal,
+/// a new exploration) always runs.
 pub(crate) struct ReoptPolicy {
     /// The accepted evaluation order.
     published: Peo,
@@ -121,6 +133,11 @@ pub(crate) struct ReoptPolicy {
     round: usize,
     /// Round of the most recent *accepted* switch (for stall detection).
     last_accept_round: usize,
+    /// Cycles lost to reverted trials: over each, its trial cycles per
+    /// tuple above its baseline's, times its tuples.
+    lost: f64,
+    /// Cycles of every vector or morsel the unit ran, trials included.
+    executed: u64,
 }
 
 impl ReoptPolicy {
@@ -132,6 +149,8 @@ impl ReoptPolicy {
             disagreed_at: None,
             round: 0,
             last_accept_round: 0,
+            lost: 0.0,
+            executed: 0,
         }
     }
 
@@ -155,6 +174,12 @@ impl ReoptPolicy {
         self.trial.is_some()
     }
 
+    /// Count the cycles of one vector or morsel the unit ran, whatever it
+    /// ran under: the regret budget's denominator.
+    pub(crate) fn note_executed(&mut self, cycles: u64) {
+        self.executed += cycles;
+    }
+
     /// Hand the pending trial to exactly one runner, to be judged against
     /// `baseline_cpt`: the cycles per tuple of the last vector or morsel
     /// the runner's core ran under the accepted order (§4.4's "pre-switch
@@ -168,8 +193,9 @@ impl ReoptPolicy {
     /// Open a reoptimization round: take one of the cheap paths — stall
     /// exploration or a measurement probe, each scheduled as an
     /// exploratory trial — or return `true`: the round needs an estimator
-    /// fit, closed by [`ReoptPolicy::consider`]. `at` labels a scheduled
-    /// switch.
+    /// fit, closed by [`ReoptPolicy::consider`]. A stalled round whose
+    /// exploration the regret budget refuses fits nothing either. `at`
+    /// labels a scheduled switch.
     pub(crate) fn open_round<T: ProgressiveTarget>(
         &mut self,
         target: &mut T,
@@ -199,7 +225,7 @@ impl ReoptPolicy {
         if stalled && round % 2 == 0 {
             let mut explored = self.published.clone();
             explored.rotate_right(1);
-            if explored != self.published {
+            if explored != self.published && !self.repeat_unaffordable(&explored) {
                 self.schedule(explored, true, switches, at);
             }
             return false;
@@ -231,20 +257,30 @@ impl ReoptPolicy {
 
     /// Close a fitted round with the target's proposal: drop it while a
     /// trial's rejection of that order still suppresses it (the
-    /// correlation guard), otherwise schedule it as a trial when it
-    /// differs from the accepted order.
+    /// correlation guard) or the regret budget cannot pay for repeating
+    /// it, otherwise schedule it as a trial when it differs from the
+    /// accepted order.
     pub(crate) fn consider(&mut self, proposed: Peo, switches: &mut Vec<SwitchEvent>, at: usize) {
         let round = self.round;
         if self
             .rejected
             .iter()
             .any(|r| r.order == proposed && round - r.at <= r.suppressed_for)
+            || self.repeat_unaffordable(&proposed)
         {
             return;
         }
         if proposed != self.published {
             self.schedule(proposed, false, switches, at);
         }
+    }
+
+    /// Whether a trial of `order` repeats an order reverted since the last
+    /// accept while the reverted trials have lost more than
+    /// `REGRESSION_TOLERANCE` of the executed cycles.
+    fn repeat_unaffordable(&self, order: &Peo) -> bool {
+        self.lost > REGRESSION_TOLERANCE * self.executed as f64
+            && self.rejected.iter().any(|r| &r.order == order)
     }
 
     fn schedule(
@@ -268,22 +304,24 @@ impl ReoptPolicy {
         });
     }
 
-    /// The accept/revert verdict for the leased trial, which ran at
-    /// `trial_cpt` cycles per tuple: a regression past the tolerance over
-    /// its lease's baseline keeps the accepted order and remembers the
-    /// candidate as rejected; anything else publishes the candidate and
-    /// forgets every back-off. Returns the trial's order, its baseline
-    /// and whether it was reverted; `None` when no leased trial is
-    /// pending.
+    /// The accept/revert verdict for the leased trial, which ran `tuples`
+    /// at `trial_cpt` cycles per tuple: a regression past the tolerance
+    /// over its lease's baseline keeps the accepted order, remembers the
+    /// candidate as rejected and charges the cycles it lost to the regret
+    /// budget; anything else publishes the candidate and forgets every
+    /// back-off. Returns the trial's order, its baseline and whether it
+    /// was reverted; `None` when no leased trial is pending.
     pub(crate) fn resolve_trial(
         &mut self,
         trial_cpt: f64,
+        tuples: u64,
         switches: &mut [SwitchEvent],
     ) -> Option<(Peo, f64, bool)> {
         let baseline_cpt = self.trial.as_ref()?.baseline_cpt?;
         let trial = self.trial.take()?;
         let reverted = trial_cpt > baseline_cpt * (1.0 + REGRESSION_TOLERANCE);
         if reverted {
+            self.lost += (trial_cpt - baseline_cpt) * tuples as f64;
             let switch = &mut switches[trial.switch_idx];
             switch.reverted = true;
             self.reject(&trial.order, switch.exploratory);

@@ -22,8 +22,13 @@
 //! rounds (a reverted exploration never counts). A rejected order is not
 //! re-proposed for [`REJECTION_TTL`] rounds, twice as long at each repeat
 //! rejection up to [`REJECTION_BACKOFF_CAP`], and every such back-off is
-//! forgotten when an order is accepted. The loop's fixed parameters — the
-//! accept/revert slack, the rejection memory and the per-evaluation
+//! forgotten when an order is accepted. A trial that would repeat an
+//! order reverted since the last accept — a re-proposal whose back-off
+//! expired, or the stall exploration's rotated order — also waits while
+//! the cycles lost to reverted trials exceed [`REGRESSION_TOLERANCE`] of
+//! the cycles executed (the regret budget); a first-time order always
+//! runs. The loop's fixed parameters — the accept/revert slack, which is
+//! also the budget's share, the rejection memory and the per-call
 //! optimizer charge — are the constants [`REGRESSION_TOLERANCE`],
 //! [`REJECTION_TTL`], [`REJECTION_BACKOFF_CAP`] and
 //! [`CYCLES_PER_ESTIMATOR_EVAL`]; the reoptimization interval is the one
@@ -33,10 +38,13 @@
 //!
 //! Every *decision* of that loop — the rejection back-off, the stall
 //! test and its rotated exploratory order, spending a measurement probe,
-//! skipping a still-suppressed proposal, scheduling a trial, the
-//! accept/revert verdict, abandoning a trial at end of stream, and what a
-//! fit is charged and teaches — is stated once, in the crate-private
-//! `policy` module. This module holds the **serial drive**
+//! skipping a still-suppressed proposal, the regret budget, scheduling a
+//! trial, the accept/revert verdict, abandoning a trial at end of stream,
+//! and what a fit is charged and teaches — is stated once, in the
+//! crate-private `policy` module. Each drive reports the cycles of every
+//! vector or morsel it runs to the policy once, as it reports them: the
+//! budget's executed cycles (a pool's per socket, trial and stale-epoch
+//! morsels included). This module holds the **serial drive**
 //! ([`run_progressive_target_observed`]: one core, one vector at a time);
 //! [`crate::parallel`] holds the **pooled drive** (N workers over
 //! morsels, also what the query server runs per query). A drive owns
@@ -63,7 +71,8 @@
 //!   morsel the leasing core ran under the accepted order: §4.4's
 //!   "pre-switch vector", same core, adjacent work. Serially that is the
 //!   vector before the trial; in a pool only a worker that has run a
-//!   morsel under its socket's current epoch may lease.
+//!   morsel under its socket's current epoch may lease, and a worker's
+//!   first morsel of the query — run on cold caches — never counts.
 //! * **Fit reuse (serial only).** When a trial vector is also a round's
 //!   vector, the round reuses the trial's fit — unless the trial was
 //!   reverted, which leaves the sample describing an order no longer in
@@ -694,6 +703,7 @@ pub(crate) fn serial_drive<T: ProgressiveTarget>(
 
     for (v_idx, &(start, end)) in ranges.iter().enumerate() {
         let stats = target.run_range(cpu, start, end);
+        policy.note_executed(stats.counters.cycles);
         if let Some(prof) = &obs.profiler {
             // `order()` still names the order this vector ran under —
             // switches happen below, after the measurements are taken.
@@ -729,7 +739,7 @@ pub(crate) fn serial_drive<T: ProgressiveTarget>(
             if target.wants_trial_calibration() {
                 trial_fit = Some(fit_vector(target, true));
             }
-            if let Some((.., true)) = policy.resolve_trial(cpt, &mut switches) {
+            if let Some((.., true)) = policy.resolve_trial(cpt, stats.tuples, &mut switches) {
                 target.set_order(policy.published())?;
                 trial_fit = None;
                 sample_is_stale = true;

@@ -1,8 +1,9 @@
 //! A delegating progressive target with injected faults, for tests that
 //! must force what the §4.4 policy never does on its own: a `set_order`
 //! that fails mid-round, trials that always regress (but for one spared
-//! order), a measurement probe asked for at every round, a shard that
-//! panics mid-run, and shards whose first range runs cold.
+//! order) — by far or by a set share — a measurement probe asked for at
+//! every round, a shard that panics mid-run, and shards whose first range
+//! runs cold.
 
 use popt::core::exec::scan::VectorStats;
 use popt::core::{EngineError, Peo, ProgressiveTarget, ShardableTarget, TargetShard};
@@ -25,8 +26,11 @@ pub fn injected() -> EngineError {
 ///   exploratory ones included. Each such range is charged more per tuple
 ///   than the one before: the serial drive judges a trial scheduled right
 ///   after a revert against the reverted trial's own vector, which a flat
-///   charge would let the second trial match. A spared order is never
-///   charged, so its trial stands or falls on its own cost;
+///   charge would let the second trial match. Or, with
+///   `with_trials_slower_by`, each such range costs a set share more per
+///   tuple than the range run before it (by the target or that shard), so
+///   a reverted trial loses a known share of a vector. A spared order is
+///   never charged, so its trial stands or falls on its own cost;
 /// * `take_probe_order` offers the same probe order at every round;
 /// * every shard panics at its `panic_at`-th range run (1-based);
 /// * every shard's first range run is charged [`COLD_CHARGE`] extra
@@ -45,12 +49,16 @@ pub struct Rigged<T> {
 /// Extra cycles per tuple a cold shard's first range run is charged.
 pub const COLD_CHARGE: u64 = 1000;
 
-/// The escalating charge of ranges run under a non-start order: the
-/// `k`-th such range costs `k * per_tuple` extra cycles per tuple.
+/// The charge of ranges run under a non-start order: either the `k`-th
+/// such range costs `k * per_tuple` extra cycles per tuple, or each costs
+/// `1 + share` times the cycles per tuple of the range before it.
 #[derive(Clone)]
 struct Penalty {
     per_tuple: u64,
     charged: u64,
+    share: f64,
+    /// Cycles per tuple of the last range run.
+    last_cpt: f64,
     spared: Option<Peo>,
 }
 
@@ -58,8 +66,15 @@ impl Penalty {
     fn charge(&mut self, mut stats: VectorStats, order: &[usize], start: &[usize]) -> VectorStats {
         if order != start && self.spared.as_deref() != Some(order) {
             self.charged += 1;
-            stats.counters.0.cycles += self.charged * self.per_tuple * stats.tuples;
+            let cycles = &mut stats.counters.0.cycles;
+            if self.share > 0.0 {
+                let cpt = self.last_cpt * (1.0 + self.share);
+                *cycles = (cpt * stats.tuples as f64).ceil() as u64;
+            } else {
+                *cycles += self.charged * self.per_tuple * stats.tuples;
+            }
         }
+        self.last_cpt = stats.cycles_per_tuple();
         stats
     }
 }
@@ -67,7 +82,8 @@ impl Penalty {
 impl<T: ProgressiveTarget> Rigged<T> {
     /// Transparent until `with_failing_set_order` /
     /// `with_panicking_shards_at` / `with_regressing_trials` /
-    /// `with_probe_every_round`.
+    /// `with_trials_slower_by` / `with_probe_every_round` /
+    /// `with_cold_shards`.
     pub fn new(inner: T) -> Self {
         Self {
             start: inner.order(),
@@ -78,6 +94,8 @@ impl<T: ProgressiveTarget> Rigged<T> {
             penalty: Penalty {
                 per_tuple: 0,
                 charged: 0,
+                share: 0.0,
+                last_cpt: 0.0,
                 spared: None,
             },
             probe: None,
@@ -101,6 +119,13 @@ impl<T: ProgressiveTarget> Rigged<T> {
     /// 1000 extra cycles per tuple more than the one before.
     pub fn with_regressing_trials(mut self) -> Self {
         self.penalty.per_tuple = 1000;
+        self
+    }
+
+    /// Charge every range run under an order other than the start order
+    /// `1 + share` times the cycles per tuple of the range run before it.
+    pub fn with_trials_slower_by(mut self, share: f64) -> Self {
+        self.penalty.share = share;
         self
     }
 

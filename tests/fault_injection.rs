@@ -6,21 +6,27 @@
 //! mid-run unwinds to the caller and leaves the pool usable. Trials made
 //! to regress exercise the serial drive's revert paths: the rejection
 //! back-off and its reset on accept, a trial on the last vector, stall
-//! exploration, and reverted explorations that never open one. Shards
-//! whose first range runs cold show that a pooled trial is judged against
-//! its core's previous warm morsel.
+//! exploration, and reverted explorations that never open one. Trials
+//! made to regress by a set share show the regret budget: serially and
+//! pooled, an order reverted since the last accept is tried again only
+//! while the reverted trials have lost at most `REGRESSION_TOLERANCE` of
+//! the executed cycles. Shards whose first range runs cold show that a
+//! pooled trial is judged against its core's previous warm morsel, never
+//! against its cold first one.
 
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::Arc;
 
 use popt::core::parallel::{run_parallel_target_observed, MorselConfig};
 use popt::core::plan::SelectionPlan;
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::{
     run_progressive_target_observed, CompiledTarget, ProgressiveConfig, ProgressiveReport,
-    VectorConfig, REJECTION_BACKOFF_CAP, REJECTION_TTL,
+    SwitchEvent, VectorConfig, REGRESSION_TOLERANCE, REJECTION_BACKOFF_CAP, REJECTION_TTL,
 };
 use popt::core::{CompiledProgram, ExecObservers, Peo};
 use popt::cpu::{CpuConfig, CpuPool, SimCpu};
+use popt::obs::{MemorySink, TraceEvent, Tracer};
 use popt::storage::{AddressSpace, ColumnData, Table};
 use popt_bench::figures::workload::{star_program, star_schema};
 
@@ -172,13 +178,22 @@ fn skewed_plan() -> SelectionPlan {
     .unwrap()
 }
 
+/// What the rigged scans below make of the target.
+type Rig = dyn for<'p, 't> Fn(Rigged<CompiledTarget<'p, 't>>) -> Rigged<CompiledTarget<'p, 't>>;
+
 /// The serial drive over the skewed scan from the worst order
 /// `[hi, mid, lo]`, one round per vector, on the rigged target `rig`
 /// makes of it.
-fn rigged_scan(
+fn rigged_scan(rows: usize, vector_tuples: usize, rig: &Rig) -> ProgressiveReport {
+    rigged_scan_every(rows, vector_tuples, 1, rig)
+}
+
+/// [`rigged_scan`] with a round every `reop_interval` vectors.
+fn rigged_scan_every(
     rows: usize,
     vector_tuples: usize,
-    rig: impl for<'p, 't> FnOnce(Rigged<CompiledTarget<'p, 't>>) -> Rigged<CompiledTarget<'p, 't>>,
+    reop_interval: usize,
+    rig: &Rig,
 ) -> ProgressiveReport {
     let t = skewed_table(rows);
     let mut program = CompiledProgram::from_selection(&t, &skewed_plan(), &[2, 1, 0]).unwrap();
@@ -190,7 +205,7 @@ fn rigged_scan(
             max_vectors: None,
         },
         &mut SimCpu::new(CpuConfig::ivy_bridge()),
-        &ProgressiveConfig { reop_interval: 1 },
+        &ProgressiveConfig { reop_interval },
         &ExecObservers::none(),
     )
     .unwrap()
@@ -198,7 +213,7 @@ fn rigged_scan(
 
 /// [`rigged_scan`] with every trial made to regress.
 fn regressing_scan(rows: usize, vector_tuples: usize) -> ProgressiveReport {
-    rigged_scan(rows, vector_tuples, |rigged| {
+    rigged_scan(rows, vector_tuples, &|rigged| {
         rigged.with_regressing_trials()
     })
 }
@@ -225,14 +240,22 @@ fn backoff(k: u32) -> usize {
     (REJECTION_TTL << (k - 1)).min(REJECTION_BACKOFF_CAP)
 }
 
+/// A share by which a trial regresses past the tolerance but loses so
+/// little that the regret budget never binds on the scans below: the
+/// back-off alone spaces the repeats.
+const SLIGHTLY: f64 = 0.021;
+
 #[test]
 fn rejection_ttl_gates_reproposal_of_reverted_orders() {
-    // Every trial regresses: the estimator keeps proposing better orders
-    // and every proposal is reverted. The first rejection of an order
-    // suppresses it for `REJECTION_TTL` rounds and each repeat for twice
-    // as long as the last, up to `REJECTION_BACKOFF_CAP`; with
-    // reop_interval = 1 a round opens after every vector.
-    let prog = regressing_scan(1 << 16, 512);
+    // Every trial regresses, slightly: the estimator keeps proposing
+    // better orders and every proposal is reverted. The first rejection
+    // of an order suppresses it for `REJECTION_TTL` rounds and each
+    // repeat for twice as long as the last, up to `REJECTION_BACKOFF_CAP`;
+    // with reop_interval = 1 a round opens after every vector.
+    let prog = rigged_scan(1 << 16, 512, &|rigged| {
+        rigged.with_trials_slower_by(SLIGHTLY)
+    });
+    assert_budget_never_binds(&prog);
     assert!(prog.switches.iter().all(|s| s.reverted));
     let gaps = reproposal_gaps(&prog);
     for (order, gaps) in &gaps {
@@ -263,14 +286,15 @@ fn rejection_ttl_gates_reproposal_of_reverted_orders() {
 
 #[test]
 fn an_accepted_order_clears_the_back_off() {
-    // Every trial regresses but the stall exploration's `[lo, hi, mid]`:
-    // the estimator's `[lo, mid, hi]` is rejected, the exploration is
-    // accepted, and from then on `[lo, mid, hi]` backs off as if it had
-    // never been rejected — its first post-accept rejection suppresses
-    // it for `REJECTION_TTL` rounds again, not twice that.
-    let prog = rigged_scan(1 << 16, 512, |rigged| {
-        rigged.with_regressing_trials().sparing(&[0, 2, 1])
+    // Every trial regresses, slightly, but the stall exploration's
+    // `[lo, hi, mid]`: the estimator's `[lo, mid, hi]` is rejected, the
+    // exploration is accepted, and from then on `[lo, mid, hi]` backs off
+    // as if it had never been rejected — its first post-accept rejection
+    // suppresses it for `REJECTION_TTL` rounds again, not twice that.
+    let prog = rigged_scan(1 << 16, 512, &|rigged| {
+        rigged.with_trials_slower_by(SLIGHTLY).sparing(&[0, 2, 1])
     });
+    assert_budget_never_binds(&prog);
     let accepted = prog
         .switches
         .iter()
@@ -301,7 +325,7 @@ fn reverted_explorations_alone_never_open_stall_exploration() {
     // probe is reverted, but no estimator proposal is ever rejected, so
     // the run never counts as stalled and never explores the rotated
     // order `[lo, hi, mid]`.
-    let prog = rigged_scan(1 << 14, 512, |rigged| {
+    let prog = rigged_scan(1 << 14, 512, &|rigged| {
         rigged
             .with_regressing_trials()
             .with_probe_every_round(&[0, 1, 2])
@@ -379,4 +403,239 @@ fn a_pooled_trial_is_judged_against_its_cores_previous_warm_morsel() {
         report.switches
     );
     assert_eq!(report.final_order, vec![0, 1, 2]);
+}
+
+/// One vector or morsel of a run, in the order it reported: its cycles,
+/// its tuples, and, for a reverted trial, its baseline and its own cycles
+/// per tuple.
+struct Ran {
+    cycles: u64,
+    tuples: u64,
+    reverted_trial: Option<(f64, f64)>,
+}
+
+/// A serial run's vectors, `vector_tuples` each.
+fn serial_ran(report: &ProgressiveReport, vector_tuples: u64) -> Vec<Ran> {
+    let cpt = |v: usize| report.per_vector_cycles[v] as f64 / vector_tuples as f64;
+    let mut ran: Vec<Ran> = report
+        .per_vector_cycles
+        .iter()
+        .map(|&cycles| Ran {
+            cycles,
+            tuples: vector_tuples,
+            reverted_trial: None,
+        })
+        .collect();
+    // A switch scheduled after vector `v - 1` runs its trial as vector
+    // `v`, judged against vector `v - 1`.
+    for s in report.switches.iter().filter(|s| s.reverted) {
+        if let Some(trial) = ran.get_mut(s.vector) {
+            trial.reverted_trial = Some((cpt(s.vector - 1), cpt(s.vector)));
+        }
+    }
+    ran
+}
+
+/// The morsels of a traced one-worker pooled run.
+fn pooled_ran(sink: &MemorySink) -> Vec<Ran> {
+    let mut ran: Vec<Ran> = Vec::new();
+    for record in sink.snapshot() {
+        match record.event {
+            TraceEvent::MorselClaim { rows, cycles, .. } => ran.push(Ran {
+                cycles,
+                tuples: rows as u64,
+                reverted_trial: None,
+            }),
+            TraceEvent::TrialRevert {
+                baseline_cpt,
+                trial_cpt,
+                ..
+            } => {
+                let trial = ran.last_mut().expect("a trial reverts after its morsel");
+                trial.reverted_trial = Some((baseline_cpt, trial_cpt));
+            }
+            _ => {}
+        }
+    }
+    ran
+}
+
+/// The regret budget replayed over `ran`: after each of the first `k`
+/// vectors or morsels reported, whether the reverted trials had lost
+/// more than `REGRESSION_TOLERANCE` of the executed cycles (index `k`),
+/// summed as the policy sums them.
+fn over_budget(ran: &[Ran]) -> Vec<bool> {
+    let (mut lost, mut executed) = (0.0, 0u64);
+    let mut over = vec![false];
+    for r in ran {
+        executed += r.cycles;
+        if let Some((baseline_cpt, trial_cpt)) = r.reverted_trial {
+            lost += (trial_cpt - baseline_cpt) * r.tuples as f64;
+        }
+        over.push(lost > REGRESSION_TOLERANCE * executed as f64);
+    }
+    over
+}
+
+/// Per switch (in scheduling order): whether it repeats an order reverted
+/// since the last accept.
+fn repeats(switches: &[SwitchEvent]) -> Vec<bool> {
+    let mut reverted: Vec<&Peo> = Vec::new();
+    switches
+        .iter()
+        .map(|s| {
+            let repeat = reverted.contains(&&s.to);
+            if s.reverted {
+                reverted.push(&s.to);
+            } else {
+                reverted.clear();
+            }
+            repeat
+        })
+        .collect()
+}
+
+/// The budget never bound in `report`: the reverted trials never lost
+/// more than `REGRESSION_TOLERANCE` of the executed cycles, so it could
+/// hold back no repeat.
+fn assert_budget_never_binds(report: &ProgressiveReport) {
+    let over = over_budget(&serial_ran(report, 512));
+    let first = over.iter().position(|&o| o);
+    assert!(
+        first.is_none(),
+        "the budget bound at {first:?}: {:?}",
+        report.switches
+    );
+}
+
+/// Trials regressing by this share lose half a vector each: the budget
+/// binds at once and frees up again once 25 vectors per revert ran.
+const NOTABLY: f64 = 0.5;
+
+/// The skewed scan from `[hi, mid, lo]`, every trial but the stall
+/// exploration's `[lo, hi, mid]` regressing by `share`, a round every 2
+/// vectors or morsels of 512 tuples: serially, and on a traced one-worker
+/// pool. Accepting the exploration makes every order a first-time one
+/// again, while the budget still holds what the reverts lost. Returns
+/// each run's vectors or morsels and switches.
+fn budgeted_runs(share: f64) -> [(&'static str, Vec<Ran>, Vec<SwitchEvent>); 2] {
+    let rows = 1 << 17;
+    let rig: &Rig = &move |rigged| rigged.with_trials_slower_by(share).sparing(&[0, 2, 1]);
+    let serial = rigged_scan_every(rows, 512, 2, rig);
+
+    let t = skewed_table(rows);
+    let mut program = CompiledProgram::from_selection(&t, &skewed_plan(), &[2, 1, 0]).unwrap();
+    let mut target = rig(Rigged::new(CompiledTarget::new(&mut program)));
+    let sink = Arc::new(MemorySink::new());
+    let tracer = Arc::new(Tracer::for_workers(Arc::clone(&sink), 1));
+    let pooled = run_parallel_target_observed(
+        &mut target,
+        MorselConfig::new(512),
+        &mut CpuPool::new(CpuConfig::ivy_bridge(), 1),
+        Some(&config()),
+        &ExecObservers::none().with_trace(tracer, 0),
+    )
+    .unwrap();
+    [
+        ("serial", serial_ran(&serial, 512), serial.switches),
+        ("pooled", pooled_ran(&sink), pooled.switches),
+    ]
+}
+
+#[test]
+fn the_regret_budget_holds_back_repeats_but_not_first_time_orders() {
+    // Serially and pooled: no order reverted since the last accept is
+    // tried again while the reverts have lost more than
+    // `REGRESSION_TOLERANCE` of the executed cycles, but first-time
+    // orders (the exploration, and the proposal after its accept) are.
+    for (drive, ran, switches) in budgeted_runs(NOTABLY) {
+        let over = over_budget(&ran);
+        let mut first_time_over = 0;
+        for (s, repeat) in switches.iter().zip(repeats(&switches)) {
+            assert!(
+                !(repeat && over[s.vector]),
+                "{drive}: repeat {s:?} scheduled over the budget: {switches:?}"
+            );
+            first_time_over += usize::from(!repeat && over[s.vector]);
+        }
+        assert!(
+            first_time_over > 0,
+            "{drive}: no first-time order was tried over the budget: {switches:?}"
+        );
+    }
+}
+
+#[test]
+fn repeat_trials_resume_once_enough_work_has_run() {
+    // The same runs with trials that lose little never bind the budget.
+    // Where they lose much, fewer repeats run — but some still do once
+    // the budget bound: enough work ran since to pay for them.
+    let repeats_of = |share| {
+        budgeted_runs(share).map(|(drive, ran, switches)| {
+            let over = over_budget(&ran);
+            let after = over.iter().position(|&o| o).unwrap_or(usize::MAX);
+            let scheduled: Vec<usize> = switches
+                .iter()
+                .zip(repeats(&switches))
+                .filter(|(_, repeat)| *repeat)
+                .map(|(s, _)| s.vector)
+                .collect();
+            (drive, after, scheduled, switches)
+        })
+    };
+    for (free, (drive, first_over, held, switches)) in
+        repeats_of(SLIGHTLY).into_iter().zip(repeats_of(NOTABLY))
+    {
+        assert_eq!(
+            free.1,
+            usize::MAX,
+            "{drive}: the slight rig bound the budget"
+        );
+        assert!(
+            held.len() < free.2.len(),
+            "{drive}: no repeat held back: {held:?} vs {:?}",
+            free.2
+        );
+        assert!(
+            held.iter().any(|&v| v > first_over),
+            "{drive}: no repeat after the budget bound at {first_over}: {switches:?}"
+        );
+    }
+}
+
+#[test]
+fn a_cores_cold_first_morsel_never_judges_a_trial() {
+    // The skewed scan from its best order, a slower probe offered at
+    // every round, and every shard's first morsel cold, at 1, 2 and 4
+    // workers and a round every 2, 4 and 8 morsels: a worker leases only
+    // once it has run a warm morsel under the accepted order, so every
+    // probe is reverted.
+    let t = skewed_table(1 << 14);
+    for workers in [1, 2, 4] {
+        for reop_interval in [2, 4, 8] {
+            let mut program =
+                CompiledProgram::from_selection(&t, &skewed_plan(), &[0, 1, 2]).unwrap();
+            let mut target = Rigged::new(CompiledTarget::new(&mut program))
+                .with_cold_shards()
+                .with_probe_every_round(&[1, 0, 2]);
+            let report = run_parallel_target_observed(
+                &mut target,
+                MorselConfig::new(512),
+                &mut CpuPool::new(CpuConfig::ivy_bridge(), workers),
+                Some(&ProgressiveConfig { reop_interval }),
+                &ExecObservers::none(),
+            )
+            .unwrap();
+            assert!(
+                !report.switches.is_empty(),
+                "workers={workers} interval={reop_interval}"
+            );
+            assert!(
+                report.switches.iter().all(|s| s.reverted),
+                "workers={workers} interval={reop_interval}: {:?}",
+                report.switches
+            );
+            assert_eq!(report.final_order, vec![0, 1, 2]);
+        }
+    }
 }

@@ -11,7 +11,7 @@ use popt::core::plan::{Expr, PlanBuilder, SelectionPlan};
 use popt::core::predicate::{CompareOp, Predicate};
 use popt::core::progressive::{
     run_progressive_program_observed, ProgressiveConfig, ProgressiveReport, SwitchEvent,
-    VectorConfig,
+    VectorConfig, REJECTION_TTL,
 };
 use popt::core::serve::{Priority, QueryServer, QuerySpec, ServeConfig, ServeReport};
 use popt::core::CompiledProgram;
@@ -185,12 +185,11 @@ fn scan_config() -> ProgressiveConfig {
     ProgressiveConfig { reop_interval: 2 }
 }
 
-const SCAN_SERIAL: &str = r"qualified=6247 sum=963455 cycles=1152584 vectors=32 estimates=12 optimizer_cycles=168300 final_peo=[0, 1, 2]
-counters: instr=559249 cycles=984284 br=167895 taken=124825 not_taken=43070 mp_t=4987 mp_nt=23952 l1=12083 l1_hit=0 l1_elem=96523 l2=12083 l3=12260 l3_miss=12260
-per_vector_fnv=0x06e536103baa3c3e
+const SCAN_SERIAL: &str = r"qualified=6247 sum=963455 cycles=1067447 vectors=32 estimates=12 optimizer_cycles=84960 final_peo=[0, 1, 2]
+counters: instr=561037 cycles=982487 br=168342 taken=124825 not_taken=43517 mp_t=4977 mp_nt=23979 l1=12112 l1_hit=0 l1_elem=96941 l2=12112 l3=12264 l3_miss=12264
+per_vector_fnv=0x411b95ae3677feb2
   switch @2 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=false
   switch @6 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
-  switch @8 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
   switch @12 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
   switch @16 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
   switch @22 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
@@ -218,7 +217,7 @@ fn serial_correlated_scan_reverts_suppresses_then_explores() {
     assert_pinned(&render_serial(&report), SCAN_SERIAL);
 }
 
-const SCAN_POOL: &str = r"qualified=6247 sum=963455 wall=1111371 total=1111371 workers=1 morsels=32 per_worker=[1111371] estimates=9 optimizer_cycles=129420 final_order=[0, 1, 2] socket_orders=[[0, 1, 2]] remote_pct=0
+const SCAN_POOL: &str = r"qualified=6247 sum=963455 wall=1041411 total=1041411 workers=1 morsels=32 per_worker=[1041411] estimates=9 optimizer_cycles=59460 final_order=[0, 1, 2] socket_orders=[[0, 1, 2]] remote_pct=0
 counters: instr=559005 cycles=981951 br=167834 taken=124825 not_taken=43009 mp_t=4911 mp_nt=23927 l1=12099 l1_hit=0 l1_elem=96446 l2=12099 l3=12268 l3_miss=12268
   switch @2 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=false
   switch @5 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
@@ -261,21 +260,15 @@ fn star_plan(star: &StarSchema) -> CompiledProgram<'_> {
     star_program(star, Some(0.5), [0.5, 0.5, 0.5])
 }
 
-const STAR_SERIAL: &str = r"qualified=4075 sum=201988 cycles=4437761 vectors=32 estimates=21 optimizer_cycles=660360 final_peo=[1, 3, 2, 0]
-counters: instr=2096101 cycles=3777401 br=188146 taken=126997 not_taken=61149 mp_t=23134 mp_nt=23180 l1=79226 l1_hit=8234 l1_elem=153553 l2=70992 l3=72190 l3_miss=22944
-per_vector_fnv=0x005ee0add038dbcb
+const STAR_SERIAL: &str = r"qualified=4075 sum=201988 cycles=4141244 vectors=32 estimates=17 optimizer_cycles=554640 final_peo=[1, 3, 2, 0]
+counters: instr=1847199 cycles=3586604 br=188019 taken=126997 not_taken=61022 mp_t=21370 mp_nt=21368 l1=77525 l1_hit=7883 l1_elem=160628 l2=69642 l3=71706 l3_miss=22913
+per_vector_fnv=0xb25b1b091fabfc34
   switch @2 [3, 2, 1, 0] -> [3, 0, 2, 1] reverted=true exploratory=false
   switch @4 [3, 2, 1, 0] -> [2, 3, 1, 0] reverted=true exploratory=true
   switch @6 [3, 2, 1, 0] -> [1, 3, 2, 0] reverted=false exploratory=true
   switch @8 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
   switch @12 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
   switch @14 [1, 3, 2, 0] -> [3, 1, 0, 2] reverted=true exploratory=false
-  switch @16 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
-  switch @18 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
-  switch @20 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
-  switch @26 [1, 3, 2, 0] -> [3, 1, 0, 2] reverted=true exploratory=false
-  switch @28 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
-  switch @30 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
 ";
 
 #[test]
@@ -298,16 +291,14 @@ fn serial_star_spends_probes_and_calibrates() {
     assert_pinned(&render_serial(&report), STAR_SERIAL);
 }
 
-const STAR_POOL: &str = r"qualified=4075 sum=201988 wall=4139638 total=4139638 workers=1 morsels=32 per_worker=[4139638] estimates=16 optimizer_cycles=485760 final_order=[1, 3, 2, 0] socket_orders=[[1, 3, 2, 0]] remote_pct=0
-counters: instr=1927151 cycles=3653878 br=188015 taken=126997 not_taken=61018 mp_t=21929 mp_nt=22055 l1=78263 l1_hit=8055 l1_elem=158064 l2=70208 l3=72044 l3_miss=22913
+const STAR_POOL: &str = r"qualified=4075 sum=201988 wall=4116461 total=4116461 workers=1 morsels=32 per_worker=[4116461] estimates=16 optimizer_cycles=529380 final_order=[1, 3, 2, 0] socket_orders=[[1, 3, 2, 0]] remote_pct=0
+counters: instr=1847205 cycles=3587081 br=187980 taken=126997 not_taken=60983 mp_t=21375 mp_nt=21347 l1=77460 l1_hit=7897 l1_elem=160606 l2=69563 l3=71678 l3_miss=22915
   switch @2 [3, 2, 1, 0] -> [3, 0, 2, 1] reverted=true exploratory=false
   switch @4 [3, 2, 1, 0] -> [2, 3, 1, 0] reverted=true exploratory=true
   switch @6 [3, 2, 1, 0] -> [1, 3, 2, 0] reverted=false exploratory=true
   switch @9 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
   switch @12 [1, 3, 2, 0] -> [3, 1, 0, 2] reverted=true exploratory=false
   switch @17 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
-  switch @20 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
-  switch @23 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
 ";
 
 #[test]
@@ -366,9 +357,9 @@ fn one_worker_pool_spends_probes_on_consecutive_reports() {
 // round; a reverted trial leaves a stale sample and the round refits.
 // ---------------------------------------------------------------------
 
-const EVERY_VECTOR: &str = r"qualified=4075 sum=201988 cycles=5277484 vectors=32 estimates=39 optimizer_cycles=1229100 final_peo=[3, 1, 2, 0]
-counters: instr=2206485 cycles=4048384 br=187938 taken=126997 not_taken=60941 mp_t=26710 mp_nt=26681 l1=91719 l1_hit=11307 l1_elem=138088 l2=80412 l3=74071 l3_miss=22974
-per_vector_fnv=0xaf950e7aa76f2857
+const EVERY_VECTOR: &str = r"qualified=4075 sum=201988 cycles=5140636 vectors=32 estimates=35 optimizer_cycles=1119720 final_peo=[3, 1, 2, 0]
+counters: instr=2064651 cycles=4020916 br=188125 taken=126997 not_taken=61128 mp_t=26847 mp_nt=27065 l1=95205 l1_hit=12245 l1_elem=138242 l2=82960 l3=74046 l3_miss=23031
+per_vector_fnv=0xd5bc413e48b93088
   switch @1 [3, 2, 1, 0] -> [3, 0, 2, 1] reverted=false exploratory=false
   switch @2 [3, 0, 2, 1] -> [2, 3, 0, 1] reverted=true exploratory=true
   switch @3 [3, 0, 2, 1] -> [1, 3, 0, 2] reverted=false exploratory=true
@@ -383,16 +374,7 @@ per_vector_fnv=0xaf950e7aa76f2857
   switch @13 [1, 3, 0, 2] -> [3, 1, 2, 0] reverted=false exploratory=false
   switch @14 [3, 1, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
   switch @16 [3, 1, 2, 0] -> [0, 3, 1, 2] reverted=true exploratory=true
-  switch @18 [3, 1, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
-  switch @20 [3, 1, 2, 0] -> [0, 3, 1, 2] reverted=true exploratory=true
-  switch @21 [3, 1, 2, 0] -> [3, 1, 0, 2] reverted=false exploratory=false
-  switch @22 [3, 1, 0, 2] -> [1, 3, 2, 0] reverted=false exploratory=false
-  switch @23 [1, 3, 2, 0] -> [3, 1, 0, 2] reverted=true exploratory=false
-  switch @25 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
-  switch @26 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=false exploratory=true
-  switch @27 [0, 1, 3, 2] -> [3, 2, 1, 0] reverted=true exploratory=false
-  switch @28 [0, 1, 3, 2] -> [3, 1, 2, 0] reverted=false exploratory=false
-  switch @29 [3, 1, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
+  switch @21 [3, 1, 2, 0] -> [3, 0, 1, 2] reverted=true exploratory=false
 ";
 
 #[test]
@@ -417,10 +399,23 @@ fn coinciding_round_reuses_a_surviving_trial_fit_and_refits_after_a_revert() {
     // The fit count separates reuse from refit. With a round after every
     // vector but the last, and every trial resolved (and fitted, the
     // target calibrates from trials) on the vector after its switch:
-    // a round that schedules an exploratory switch fits nothing; any
-    // other round fits once — unless the vector was a trial that
-    // survived, whose resolution fit the round reuses.
+    // a round that schedules an exploratory switch fits nothing, nor
+    // does a stalled even round whose exploration the regret budget
+    // refuses; any other round fits once — unless the vector was a trial
+    // that survived, whose resolution fit the round reuses.
     let trial_at = |v: usize| report.switches.iter().find(|s| s.vector == v);
+    // Round `r` opens after vector `r - 1`, once every switch scheduled
+    // before it resolved; stalled: three rounds since the last accept
+    // and an estimator proposal reverted within `REJECTION_TTL` rounds.
+    let stalled_even_round = |r: usize| {
+        let last = |resolved_as: fn(&SwitchEvent) -> bool| {
+            let before = report.switches.iter().filter(|s| s.vector < r);
+            before.filter(|s| resolved_as(s)).map(|s| s.vector).max()
+        };
+        r % 2 == 0
+            && r >= last(|s| !s.reverted).unwrap_or(0) + 3
+            && last(|s| s.reverted && !s.exploratory).is_some_and(|d| r - d <= REJECTION_TTL)
+    };
     let mut fits = 0;
     let (mut reused, mut refitted) = (0, 0);
     for v in 0..report.vectors {
@@ -429,7 +424,7 @@ fn coinciding_round_reuses_a_surviving_trial_fit_and_refits_after_a_revert() {
         if v + 1 == report.vectors {
             continue;
         }
-        if trial_at(v + 1).is_some_and(|s| s.exploratory) {
+        if trial_at(v + 1).is_some_and(|s| s.exploratory) || stalled_even_round(v + 1) {
             continue;
         }
         match trial {
@@ -453,8 +448,8 @@ fn coinciding_round_reuses_a_surviving_trial_fit_and_refits_after_a_revert() {
 // One 1-worker server batch of two templates.
 // ---------------------------------------------------------------------
 
-const SERVE_BATCH: &str = r"workers=1 wall=2461097 busy=2461097 idle=0 per_worker_busy=[2461097] per_worker_idle=[0]
-corr-scan: qualified=6247 sum=963455 morsels=32 exec=983796 optimizer=128880 latency=2461097 queue=0 estimates=9 final_order=[0, 1, 2] warm=false
+const SERVE_BATCH: &str = r"workers=1 wall=2154391 busy=2154391 idle=0 per_worker_busy=[2154391] per_worker_idle=[0]
+corr-scan: qualified=6247 sum=963455 morsels=32 exec=983721 optimizer=57600 latency=2154391 queue=0 estimates=9 final_order=[0, 1, 2] warm=false
   switch @2 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=false
   switch @5 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
   switch @10 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
@@ -462,14 +457,11 @@ corr-scan: qualified=6247 sum=963455 morsels=32 exec=983796 optimizer=128880 lat
   switch @20 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
   switch @27 [0, 1, 2] -> [0, 2, 1] reverted=true exploratory=false
   switch @30 [0, 1, 2] -> [2, 0, 1] reverted=true exploratory=true
-star-2join: qualified=9 sum=460 morsels=32 exec=1089761 optimizer=258660 latency=1636691 queue=30998 estimates=17 final_order=[2, 0, 1] warm=false
+star-2join: qualified=9 sum=460 morsels=32 exec=985450 optimizer=127620 latency=1379680 queue=30998 estimates=17 final_order=[2, 0, 1] warm=false
   switch @2 [1, 2, 0] -> [0, 1, 2] reverted=true exploratory=false
   switch @4 [1, 2, 0] -> [2, 1, 0] reverted=false exploratory=true
   switch @7 [2, 1, 0] -> [2, 0, 1] reverted=false exploratory=false
   switch @10 [2, 0, 1] -> [2, 1, 0] reverted=true exploratory=false
-  switch @17 [2, 0, 1] -> [2, 1, 0] reverted=true exploratory=false
-  switch @22 [2, 0, 1] -> [1, 2, 0] reverted=true exploratory=true
-  switch @29 [2, 0, 1] -> [2, 1, 0] reverted=true exploratory=false
 ";
 
 #[test]
