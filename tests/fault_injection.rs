@@ -373,36 +373,44 @@ fn exploration_fires_when_stalled() {
 
 #[test]
 fn a_pooled_trial_is_judged_against_its_cores_previous_warm_morsel() {
-    // One worker over the skewed scan from its best order `[lo, mid, hi]`,
-    // a round every two morsels, each offering the probe `[mid, lo, hi]`
-    // (slower: the 50 % predicate runs on every tuple). The shard's first
-    // morsel runs cold, charged `COLD_CHARGE` cycles per tuple more than
-    // any probe costs. Every probe is slower than the morsel before it,
-    // so every one is reverted — even the first, which a baseline
-    // averaged over a window holding the cold morsel would accept.
+    // 1, 2 and 4 workers over the skewed scan from its best order
+    // `[lo, mid, hi]`, a round every 2, 4 and 8 morsels, each offering
+    // the probe `[mid, lo, hi]` (slower: the 50 % predicate runs on every
+    // tuple). Every shard's first morsel runs cold, charged `COLD_CHARGE`
+    // cycles per tuple more than any probe costs, so it is never a
+    // baseline: a worker leases only once it has run a warm morsel under
+    // the accepted order. Every probe is slower than that morsel, so
+    // every one is reverted — even the first, which a baseline holding
+    // the cold morsel would accept.
     let t = skewed_table(1 << 14);
-    let mut program = CompiledProgram::from_selection(&t, &skewed_plan(), &[0, 1, 2]).unwrap();
-    let mut target = Rigged::new(CompiledTarget::new(&mut program))
-        .with_cold_shards()
-        .with_probe_every_round(&[1, 0, 2]);
-    let report = run_parallel_target_observed(
-        &mut target,
-        MorselConfig::new(512),
-        &mut CpuPool::new(CpuConfig::ivy_bridge(), 1),
-        Some(&config()),
-        &ExecObservers::none(),
-    )
-    .unwrap();
-    assert!(!report.switches.is_empty());
-    assert!(
-        report
-            .switches
-            .iter()
-            .all(|s| s.reverted && s.exploratory && s.to == [1, 0, 2]),
-        "{:?}",
-        report.switches
-    );
-    assert_eq!(report.final_order, vec![0, 1, 2]);
+    for workers in [1, 2, 4] {
+        for reop_interval in [2, 4, 8] {
+            let mut program =
+                CompiledProgram::from_selection(&t, &skewed_plan(), &[0, 1, 2]).unwrap();
+            let mut target = Rigged::new(CompiledTarget::new(&mut program))
+                .with_cold_shards()
+                .with_probe_every_round(&[1, 0, 2]);
+            let report = run_parallel_target_observed(
+                &mut target,
+                MorselConfig::new(512),
+                &mut CpuPool::new(CpuConfig::ivy_bridge(), workers),
+                Some(&ProgressiveConfig { reop_interval }),
+                &ExecObservers::none(),
+            )
+            .unwrap();
+            let case = format!("workers={workers} interval={reop_interval}");
+            assert!(!report.switches.is_empty(), "{case}");
+            assert!(
+                report
+                    .switches
+                    .iter()
+                    .all(|s| s.reverted && s.exploratory && s.to == [1, 0, 2]),
+                "{case}: {:?}",
+                report.switches
+            );
+            assert_eq!(report.final_order, vec![0, 1, 2], "{case}");
+        }
+    }
 }
 
 /// One vector or morsel of a run, in the order it reported: its cycles,
@@ -600,42 +608,5 @@ fn repeat_trials_resume_once_enough_work_has_run() {
             held.iter().any(|&v| v > first_over),
             "{drive}: no repeat after the budget bound at {first_over}: {switches:?}"
         );
-    }
-}
-
-#[test]
-fn a_cores_cold_first_morsel_never_judges_a_trial() {
-    // The skewed scan from its best order, a slower probe offered at
-    // every round, and every shard's first morsel cold, at 1, 2 and 4
-    // workers and a round every 2, 4 and 8 morsels: a worker leases only
-    // once it has run a warm morsel under the accepted order, so every
-    // probe is reverted.
-    let t = skewed_table(1 << 14);
-    for workers in [1, 2, 4] {
-        for reop_interval in [2, 4, 8] {
-            let mut program =
-                CompiledProgram::from_selection(&t, &skewed_plan(), &[0, 1, 2]).unwrap();
-            let mut target = Rigged::new(CompiledTarget::new(&mut program))
-                .with_cold_shards()
-                .with_probe_every_round(&[1, 0, 2]);
-            let report = run_parallel_target_observed(
-                &mut target,
-                MorselConfig::new(512),
-                &mut CpuPool::new(CpuConfig::ivy_bridge(), workers),
-                Some(&ProgressiveConfig { reop_interval }),
-                &ExecObservers::none(),
-            )
-            .unwrap();
-            assert!(
-                !report.switches.is_empty(),
-                "workers={workers} interval={reop_interval}"
-            );
-            assert!(
-                report.switches.iter().all(|s| s.reverted),
-                "workers={workers} interval={reop_interval}: {:?}",
-                report.switches
-            );
-            assert_eq!(report.final_order, vec![0, 1, 2]);
-        }
     }
 }
