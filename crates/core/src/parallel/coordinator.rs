@@ -21,16 +21,15 @@
 //!   measured under a stale epoch still count toward the query result
 //!   but are excluded from the sample window.
 //! * **Trial leasing** — a scheduled trial is leased to exactly one
-//!   worker that has run a warm morsel under the socket's accepted order:
-//!   it runs one morsel under the candidate order and resolves it against
-//!   that previous morsel's cycles per tuple (same core, adjacent work;
-//!   a core's first morsel of the query, run on cold caches, is never a
-//!   baseline). A bad candidate
-//!   therefore never runs on more than one core, while the other workers
-//!   keep streaming under the incumbent order.
-//! * **Probes between rounds** — a measurement probe needs no sample, so
-//!   once a socket has opened its first round it is scheduled at the
-//!   next in-epoch report with no trial pending, not an interval later.
+//!   worker that has a trial baseline (the policy's one baseline type,
+//!   one per worker: its last warm morsel under the socket's accepted
+//!   order): it runs one morsel under the candidate order and resolves it
+//!   against that baseline. A bad candidate therefore never runs on more
+//!   than one core, while the other workers keep streaming under the
+//!   incumbent order.
+//! * **Probes between rounds** — every in-epoch report that opens no
+//!   round calls the policy's between-rounds probe, as the serial drive
+//!   does at every vector that opens none.
 //!
 //! Both pooled drives — this module's [`run_parallel_target_observed`]
 //! (one `CoordState` per run) and the serving layer (`crate::serve`,
@@ -60,7 +59,7 @@ use crate::error::EngineError;
 use crate::exec::scan::VectorStats;
 use crate::observe::{morsel_stage_parts, ExecObservers};
 use crate::plan::Peo;
-use crate::policy::{book_fit, Fit, ReoptPolicy};
+use crate::policy::{book_fit, Fit, ReoptPolicy, TrialBaseline};
 use crate::progressive::{ProgressiveConfig, SwitchEvent};
 
 use super::morsel::{MorselConfig, MorselDispatcher};
@@ -138,7 +137,7 @@ pub(crate) enum BoundaryAction {
 /// what only a pooled drive needs around it — the epoch its workers sync
 /// to, the in-epoch morsel count that makes a round due, and the LLC
 /// share its fits price with. (A trial's baseline is per worker, not per
-/// socket: `CoordState::last_cpt`.) Sockets optimize independently — a
+/// socket: `CoordState::baselines`.) Sockets optimize independently — a
 /// trial accepted on socket 0 never re-chains socket 1's workers — which
 /// is what lets the two halves of a NUMA pool converge to *different*
 /// accepted orders when their placements price the same dims
@@ -190,14 +189,8 @@ pub(crate) struct CoordState<'a, T> {
     placement: NumaPlacement,
     /// Per-worker sample windows under the worker's socket epoch order.
     windows: Vec<VectorStats>,
-    /// Per worker, the cycles per tuple of its last morsel under its
-    /// socket's accepted order — the baseline of a trial it leases; `None`
-    /// until it has run one under the current epoch. A worker's first
-    /// morsel never sets it: that morsel ran on caches holding none of the
-    /// query's data.
-    last_cpt: Vec<Option<f64>>,
-    /// Per worker, whether it has reported a morsel of this query.
-    warm: Vec<bool>,
+    /// Per worker, the baseline of a trial it leases.
+    baselines: Vec<TrialBaseline>,
     pub(crate) switches: Vec<SwitchEvent>,
     pub(crate) estimates: usize,
     /// Optimizer cycles of every fit this state booked (each worker's
@@ -259,8 +252,7 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             socket_of,
             placement,
             windows: vec![VectorStats::zero(); workers],
-            last_cpt: vec![None; workers],
-            warm: vec![false; workers],
+            baselines: vec![TrialBaseline::default(); workers],
             switches: Vec::new(),
             estimates: 0,
             optimizer_cycles: 0,
@@ -307,9 +299,8 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         let sc = &mut self.sockets[s];
         // Same core, adjacent work: the serial drive's vector-to-vector
         // comparison.
-        let lease =
-            self.last_cpt[w].and_then(|cpt| Some((sc.policy.lease_trial(cpt)?.clone(), cpt)));
-        if let Some((order, baseline_cpt)) = lease {
+        let lease = sc.policy.lease_trial(&self.baselines[w]);
+        if let Some((order, baseline_cpt)) = lease.map(|(order, cpt)| (order.clone(), cpt)) {
             self.obs.emit(Some(w), || TraceEvent::TrialLease {
                 socket: s,
                 order: order.clone(),
@@ -405,10 +396,10 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             for (wi, window) in self.windows.iter_mut().enumerate() {
                 if self.socket_of[wi] == s {
                     *window = VectorStats::zero();
-                    self.last_cpt[wi] = None;
+                    self.baselines[wi].invalidate();
                 }
             }
-            self.last_cpt[w] = Some(cpt);
+            self.baselines[w].note_accepted(cpt);
         }
         let sc = &self.sockets[s];
         Ok((sc.policy.published().clone(), sc.epoch, spent))
@@ -418,9 +409,9 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
     /// `epoch`: accumulate it into `w`'s sample window and baseline and,
     /// while work remains (a trial scheduled after the last morsel was
     /// claimed could never run) and no trial is pending, run a
-    /// reoptimization round when the interval is due, or else spend a
-    /// measurement probe once the socket has opened its first round.
-    /// Returns the optimizer cycles charged to `w`.
+    /// reoptimization round when the interval is due, or else offer the
+    /// report to the policy's between-rounds probe. Returns the optimizer
+    /// cycles charged to `w`.
     pub(crate) fn note_normal(
         &mut self,
         w: usize,
@@ -432,16 +423,14 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
     ) -> Result<u64, EngineError> {
         self.morsels_done += 1;
         let s = self.socket_of[w];
-        let cold = !std::mem::replace(&mut self.warm[w], true);
-        if epoch != self.sockets[s].epoch {
+        let current = epoch == self.sockets[s].epoch;
+        self.baselines[w].note_run(stats.cycles_per_tuple(), current);
+        if !current {
             // Measured under a stale epoch: counts toward the result,
             // excluded from the sample window and the baseline.
             return Ok(0);
         }
         self.windows[w].accumulate(stats);
-        if !cold {
-            self.last_cpt[w] = Some(stats.cycles_per_tuple());
-        }
         let sc = &mut self.sockets[s];
         sc.morsels_since_reopt += 1;
         let Some(cfg) = reopt.filter(|_| !sc.policy.trial_pending() && work_remains) else {
@@ -450,13 +439,13 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         if sc.morsels_since_reopt >= cfg.reop_interval {
             return self.reoptimize(w, cpu_cfg);
         }
-        if sc.policy.round() > 0 {
-            // The probe choice reads the target's order: the socket's.
-            self.target.set_order(sc.policy.published())?;
-            self.sockets[s]
-                .policy
-                .probe(self.target, &mut self.switches, self.morsels_done);
-        }
+        // The probe choice reads the target's order: the socket's.
+        self.target.set_order(sc.policy.published())?;
+        self.sockets[s].policy.probe_between_rounds(
+            self.target,
+            &mut self.switches,
+            self.morsels_done,
+        );
         Ok(0)
     }
 

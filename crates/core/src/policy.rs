@@ -90,6 +90,45 @@ pub(crate) fn book_fit<T: ProgressiveTarget>(
     fit.estimate.evaluations as u64 * CYCLES_PER_ESTIMATOR_EVAL
 }
 
+/// The trial baseline of one core — §4.4's "pre-switch vector": the
+/// cycles per tuple of the last vector or morsel the core ran under the
+/// accepted order. The core's first run never counts (it ran on caches
+/// holding none of the query's data); an accepted trial's own run sets
+/// it (it is the new order's first observation) and a reverted trial's
+/// leaves it as it was (it measured an order no longer in effect). The
+/// serial drive keeps one, the pooled drive one per worker.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct TrialBaseline {
+    /// Whether the core has run a vector or morsel of the unit.
+    warm: bool,
+    /// `None` until the core has run a warm one under the accepted order.
+    cpt: Option<f64>,
+}
+
+impl TrialBaseline {
+    /// A vector or morsel the core ran other than as a trial, at `cpt`
+    /// cycles per tuple: under the accepted order when `current`, else
+    /// under a superseded one (a pool's stale epoch), which only warms
+    /// the core.
+    pub(crate) fn note_run(&mut self, cpt: f64, current: bool) {
+        let cold = !std::mem::replace(&mut self.warm, true);
+        if current && !cold {
+            self.cpt = Some(cpt);
+        }
+    }
+
+    /// The core's trial ran at `cpt` and was accepted.
+    pub(crate) fn note_accepted(&mut self, cpt: f64) {
+        self.cpt = Some(cpt);
+    }
+
+    /// The accepted order moved under the core (another core's trial was
+    /// accepted): nothing it ran measured the new order.
+    pub(crate) fn invalidate(&mut self) {
+        self.cpt = None;
+    }
+}
+
 /// A candidate order awaiting its one trial vector (or morsel).
 struct Trial {
     order: Peo,
@@ -181,13 +220,14 @@ impl ReoptPolicy {
     }
 
     /// Hand the pending trial to exactly one runner, to be judged against
-    /// `baseline_cpt`: the cycles per tuple of the last vector or morsel
-    /// the runner's core ran under the accepted order (§4.4's "pre-switch
-    /// vector"). Returns the trial's order once, `None` to everyone after.
-    pub(crate) fn lease_trial(&mut self, baseline_cpt: f64) -> Option<&Peo> {
+    /// the runner core's `baseline`. Returns the trial's order and the
+    /// baseline's cycles per tuple once, `None` to everyone after — and
+    /// to a core with no baseline yet.
+    pub(crate) fn lease_trial(&mut self, baseline: &TrialBaseline) -> Option<(&Peo, f64)> {
+        let baseline_cpt = baseline.cpt?;
         let trial = self.trial.as_mut().filter(|t| t.baseline_cpt.is_none())?;
         trial.baseline_cpt = Some(baseline_cpt);
-        Some(&trial.order)
+        Some((&trial.order, baseline_cpt))
     }
 
     /// Open a reoptimization round: take one of the cheap paths — stall
@@ -233,14 +273,30 @@ impl ReoptPolicy {
         !self.probe(target, switches, at)
     }
 
+    /// The between-rounds probe: at a vector or morsel report that opens
+    /// no round, with work remaining (which the drive checks), schedule
+    /// the measurement probe the target still wants — once the unit has
+    /// opened its first round and while no trial is pending. A probe runs
+    /// no fit, so it needs no sample window: a program with K unmeasured
+    /// joins spends its probes at consecutive reports, not one per round.
+    pub(crate) fn probe_between_rounds<T: ProgressiveTarget>(
+        &mut self,
+        target: &mut T,
+        switches: &mut Vec<SwitchEvent>,
+        at: usize,
+    ) {
+        if self.round() > 0 && !self.trial_pending() {
+            self.probe(target, switches, at);
+        }
+    }
+
     /// Schedule a measurement probe — an order the target wants to
     /// observe once (e.g. an unmeasured join moved to the front) — as an
     /// exploratory trial, under the same semantics as any other switch.
-    /// Returns whether one was scheduled. A probe runs no fit, so it
-    /// needs no sample: besides every round that neither explores nor
-    /// fits, the pooled drive spends one between rounds (see
-    /// [`crate::progressive`], "One policy, two drives").
-    pub(crate) fn probe<T: ProgressiveTarget>(
+    /// Returns whether one was scheduled. Besides every round that
+    /// neither explores nor fits, one is spent between rounds
+    /// ([`ReoptPolicy::probe_between_rounds`]).
+    fn probe<T: ProgressiveTarget>(
         &mut self,
         target: &mut T,
         switches: &mut Vec<SwitchEvent>,

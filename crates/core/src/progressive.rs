@@ -37,11 +37,12 @@
 //! ## One policy, two drives
 //!
 //! Every *decision* of that loop — the rejection back-off, the stall
-//! test and its rotated exploratory order, spending a measurement probe,
-//! skipping a still-suppressed proposal, the regret budget, scheduling a
-//! trial, the accept/revert verdict, abandoning a trial at end of stream,
-//! and what a fit is charged and teaches — is stated once, in the
-//! crate-private `policy` module. Each drive reports the cycles of every
+//! test and its rotated exploratory order, spending a measurement probe
+//! (at a round, or between rounds), skipping a still-suppressed proposal,
+//! the regret budget, scheduling a trial, the trial baseline, the
+//! accept/revert verdict, abandoning a trial at end of stream, and what a
+//! fit is charged and teaches — is stated once, in the crate-private
+//! `policy` module. Each drive reports the cycles of every
 //! vector or morsel it runs to the policy once, as it reports them: the
 //! budget's executed cycles (a pool's per socket, trial and stale-epoch
 //! morsels included). This module holds the **serial drive**
@@ -51,28 +52,29 @@
 //! only what legitimately differs, which is exactly this:
 //!
 //! * **When a round is due.** Serial: after every `reop_interval`-th
-//!   vector while another remains. Pooled: after `reop_interval` morsels
-//!   ran *under the socket's current epoch* with no trial pending, while
-//!   another morsel remains unclaimed. A pool has no single vector clock,
-//!   and morsels run under a superseded order must not count. Once a
-//!   socket has opened its first round, the pool also spends a
-//!   measurement probe the target still wants at every in-epoch report
-//!   with no trial pending: a probe runs no fit, so it needs no sample
-//!   window, and on the benchmark's pooled star the earlier probes repay
-//!   on every seed. The serial drive keeps probes to its rounds: spending
-//!   one at every vector with no trial pending measured −1.7 / −1.4 /
-//!   −1.1 / +1.0 % simulated cycles on the benchmark's serial star join
-//!   (four seeds) — not a gain on every input.
+//!   vector while another remains and no trial is pending. Pooled: after
+//!   `reop_interval` morsels ran *under the socket's current epoch* with
+//!   no trial pending, while another morsel remains unclaimed. A pool has
+//!   no single vector clock, and morsels run under a superseded order
+//!   must not count. Every other report with work remaining is offered
+//!   to the policy's between-rounds probe, which both drives call: once
+//!   the unit has opened its first round, a measurement probe the target
+//!   still wants is spent whenever no trial is pending — a probe runs no
+//!   fit, so it needs no sample window. Serially a trial's own vector
+//!   report can spend the next probe; a pooled trial morsel's report only
+//!   resolves the trial, so the next probe waits for the report after.
 //! * **What the sample is.** Serial: the vector that just ran. Pooled:
 //!   the socket's per-worker windows since the last round, fused — so one
 //!   fit per interval serves every core.
-//! * **The trial baseline — one rule, measured by each drive.** Both hand
-//!   the policy, at the lease, the cycles per tuple of the last vector or
-//!   morsel the leasing core ran under the accepted order: §4.4's
-//!   "pre-switch vector", same core, adjacent work. Serially that is the
-//!   vector before the trial; in a pool only a worker that has run a
-//!   morsel under its socket's current epoch may lease, and a worker's
-//!   first morsel of the query — run on cold caches — never counts.
+//! * **Which core a trial runs on.** Serially the one core; in a pool the
+//!   first worker to reach a morsel boundary with a baseline. Either way
+//!   a trial is judged against the leasing core's baseline, one policy
+//!   type for both drives (one value serially, one per worker pooled):
+//!   the cycles per tuple of the last vector or morsel that core ran
+//!   under the accepted order — §4.4's "pre-switch vector", same core,
+//!   adjacent work — never its first (cold) one, set by an accepted
+//!   trial's own run and left as it was by a reverted one. A trial
+//!   scheduled before the core has a baseline waits for one.
 //! * **Fit reuse (serial only).** When a trial vector is also a round's
 //!   vector, the round reuses the trial's fit — unless the trial was
 //!   reverted, which leaves the sample describing an order no longer in
@@ -124,7 +126,7 @@ use crate::exec::program::CompiledProgram;
 use crate::exec::scan::VectorStats;
 use crate::observe::{morsel_stage_parts, ExecObservers};
 use crate::plan::{order_by_cost_per_tuple, order_by_selectivity, Peo};
-use crate::policy::{book_fit, Fit, ReoptPolicy};
+use crate::policy::{book_fit, Fit, ReoptPolicy, TrialBaseline};
 pub use crate::policy::{
     CYCLES_PER_ESTIMATOR_EVAL, REGRESSION_TOLERANCE, REJECTION_BACKOFF_CAP, REJECTION_TTL,
 };
@@ -170,7 +172,9 @@ impl ProgressiveConfig {
 /// One PEO switch performed during execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwitchEvent {
-    /// Vector index at which the switch took effect.
+    /// Vector index at which the switch was scheduled: its trial runs as
+    /// that vector, or — scheduled before the core had a trial baseline —
+    /// as the vector after the one that gives it one.
     pub vector: usize,
     /// Order before the switch.
     pub from: Peo,
@@ -647,9 +651,10 @@ pub fn run_progressive_program_observed(
 
 /// The serial drive of the §4.4 policy over any [`ProgressiveTarget`]:
 /// one vector at a time on one core, a round after every
-/// `reop_interval`-th vector, every trial resolved by the vector after
-/// its switch (see the module docs for what the drive decides and what
-/// the shared `ReoptPolicy` does).
+/// `reop_interval`-th vector, every trial run as the vector after its
+/// switch once the core has a baseline, and resolved by it (see the
+/// module docs for what the drive decides and what the shared
+/// `ReoptPolicy` does).
 ///
 /// Observers are non-invasive — the report is bit-identical with and
 /// without them: the profiler receives every vector's cycles (attributed
@@ -693,6 +698,9 @@ pub(crate) fn serial_drive<T: ProgressiveTarget>(
     let mut estimates = 0usize;
     let mut optimizer_cycles = 0u64;
     let mut policy = ReoptPolicy::new(target.order());
+    let mut baseline = TrialBaseline::default();
+    // Whether the vector about to run is the leased trial's.
+    let mut on_trial = false;
     // Observation-only state: literal-free keys and profiling weights
     // (plan-indexed, order-independent), and the profiler's timeline
     // position (executed + optimizer cycles so far).
@@ -712,8 +720,7 @@ pub(crate) fn serial_drive<T: ProgressiveTarget>(
         }
         prof_pos += stats.counters.cycles;
         per_vector.push(stats.counters.cycles);
-        // The sample of every fit below, and the baseline of a trial
-        // leased below: the vector that just ran.
+        // The sample of every fit below: the vector that just ran.
         let cpt = stats.cycles_per_tuple();
         let mut fit_vector = |target: &mut T, learn: bool| {
             let sampled = stats.sampled_counters();
@@ -732,28 +739,37 @@ pub(crate) fn serial_drive<T: ProgressiveTarget>(
         // fit serves a coinciding round while the trial's order stands.
         let mut trial_fit = None;
         let mut sample_is_stale = false;
-        if policy.trial_pending() {
+        if std::mem::take(&mut on_trial) {
             // Trial vectors double as measurement opportunities: fit the
             // sample *under the order that produced it* and let the
             // target calibrate, before any revert discards that order.
             if target.wants_trial_calibration() {
                 trial_fit = Some(fit_vector(target, true));
             }
-            if let Some((.., true)) = policy.resolve_trial(cpt, stats.tuples, &mut switches) {
+            let verdict = policy.resolve_trial(cpt, stats.tuples, &mut switches);
+            if verdict.is_some_and(|(.., reverted)| reverted) {
                 target.set_order(policy.published())?;
                 trial_fit = None;
                 sample_is_stale = true;
+            } else {
+                baseline.note_accepted(cpt);
             }
+        } else {
+            baseline.note_run(cpt, true);
         }
 
         total.accumulate(&stats);
 
         let at = v_idx + 1;
-        let due = reopt.is_some_and(|config| at % config.reop_interval == 0);
-        if !due || at == ranges.len() {
+        let Some(config) = reopt.filter(|_| at < ranges.len()) else {
             continue;
-        }
-        if policy.open_round(target, &mut switches, at) {
+        };
+        // A trial still pending at a due round waits for a baseline (the
+        // first round's, after the cold vector 0) and holds the round, as
+        // in a pool.
+        if at % config.reop_interval != 0 {
+            policy.probe_between_rounds(target, &mut switches, at);
+        } else if !policy.trial_pending() && policy.open_round(target, &mut switches, at) {
             // After a revert the sample describes the trial order, the
             // geometry the reinstated one: a residual the model never
             // produced must not reach the calibration or the drift series.
@@ -761,8 +777,9 @@ pub(crate) fn serial_drive<T: ProgressiveTarget>(
             let proposed = target.propose_order(&fit.geom, &fit.estimate.selectivities);
             policy.consider(proposed, &mut switches, at);
         }
-        if let Some(order) = policy.lease_trial(cpt) {
+        if let Some((order, _)) = policy.lease_trial(&baseline) {
             target.set_order(order)?;
+            on_trial = true;
         }
     }
     policy.abandon_trial(&mut switches);

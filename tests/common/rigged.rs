@@ -20,18 +20,17 @@ pub fn injected() -> EngineError {
 ///
 /// * the `fail_at`-th `set_order` call (1-based) of the target itself
 ///   fails with [`injected`] (shards never fail), and
-/// * every range run under an order other than the order `inner` started
-///   in — by the target or by any of its shards — is charged extra
-///   cycles, so every trial of another order regresses and is reverted,
-///   exploratory ones included. Each such range is charged more per tuple
-///   than the one before: the serial drive judges a trial scheduled right
-///   after a revert against the reverted trial's own vector, which a flat
-///   charge would let the second trial match. Or, with
-///   `with_trials_slower_by`, each such range costs a set share more per
-///   tuple than the range run before it (by the target or that shard), so
-///   a reverted trial loses a known share of a vector. A spared order is
-///   never charged, so its trial stands or falls on its own cost;
-/// * `take_probe_order` offers the same probe order at every round;
+/// * with `with_regressing_trials` or `with_trials_slower_by`, every
+///   range run under an order other than the order `inner` started in —
+///   by the target or by any of its shards — costs more per tuple than
+///   the last range run (by the target or that shard) under an uncharged
+///   order: 1000 cycles more, or a set share more. That range is what a
+///   trial is judged against, so every trial of another order regresses
+///   by that much and is reverted, exploratory ones included. A spared
+///   order is never charged, so its trial stands or falls on its own
+///   cost;
+/// * `take_probe_order` offers the given probe orders in turn, one each
+///   time the policy asks;
 /// * every shard panics at its `panic_at`-th range run (1-based);
 /// * every shard's first range run is charged [`COLD_CHARGE`] extra
 ///   cycles per tuple, like a core whose caches start empty.
@@ -42,39 +41,38 @@ pub struct Rigged<T> {
     fail_at: usize,
     panic_at: usize,
     penalty: Penalty,
-    probe: Option<Peo>,
+    probes: Vec<Peo>,
+    probes_taken: usize,
     cold_shards: bool,
 }
 
 /// Extra cycles per tuple a cold shard's first range run is charged.
 pub const COLD_CHARGE: u64 = 1000;
 
-/// The charge of ranges run under a non-start order: either the `k`-th
-/// such range costs `k * per_tuple` extra cycles per tuple, or each costs
-/// `1 + share` times the cycles per tuple of the range before it.
+/// The charge of ranges run under a charged order (neither the start
+/// order nor the spared one).
 #[derive(Clone)]
 struct Penalty {
-    per_tuple: u64,
-    charged: u64,
-    share: f64,
-    /// Cycles per tuple of the last range run.
-    last_cpt: f64,
+    /// `(share, per_tuple)`: a charged range costs `base × (1 + share) +
+    /// per_tuple` cycles per tuple; `None` charges nothing.
+    slower: Option<(f64, f64)>,
+    /// `base`: cycles per tuple of the last range run under an uncharged
+    /// order.
+    base_cpt: f64,
     spared: Option<Peo>,
 }
 
 impl Penalty {
     fn charge(&mut self, mut stats: VectorStats, order: &[usize], start: &[usize]) -> VectorStats {
-        if order != start && self.spared.as_deref() != Some(order) {
-            self.charged += 1;
-            let cycles = &mut stats.counters.0.cycles;
-            if self.share > 0.0 {
-                let cpt = self.last_cpt * (1.0 + self.share);
-                *cycles = (cpt * stats.tuples as f64).ceil() as u64;
-            } else {
-                *cycles += self.charged * self.per_tuple * stats.tuples;
-            }
+        let Some((share, per_tuple)) = self.slower else {
+            return stats;
+        };
+        if order == start || self.spared.as_deref() == Some(order) {
+            self.base_cpt = stats.cycles_per_tuple();
+        } else {
+            let cpt = self.base_cpt * (1.0 + share) + per_tuple;
+            stats.counters.0.cycles = (cpt * stats.tuples as f64).ceil() as u64;
         }
-        self.last_cpt = stats.cycles_per_tuple();
         stats
     }
 }
@@ -82,8 +80,7 @@ impl Penalty {
 impl<T: ProgressiveTarget> Rigged<T> {
     /// Transparent until `with_failing_set_order` /
     /// `with_panicking_shards_at` / `with_regressing_trials` /
-    /// `with_trials_slower_by` / `with_probe_every_round` /
-    /// `with_cold_shards`.
+    /// `with_trials_slower_by` / `with_probes` / `with_cold_shards`.
     pub fn new(inner: T) -> Self {
         Self {
             start: inner.order(),
@@ -92,13 +89,12 @@ impl<T: ProgressiveTarget> Rigged<T> {
             fail_at: usize::MAX,
             panic_at: usize::MAX,
             penalty: Penalty {
-                per_tuple: 0,
-                charged: 0,
-                share: 0.0,
-                last_cpt: 0.0,
+                slower: None,
+                base_cpt: 0.0,
                 spared: None,
             },
-            probe: None,
+            probes: Vec::new(),
+            probes_taken: 0,
             cold_shards: false,
         }
     }
@@ -116,16 +112,18 @@ impl<T: ProgressiveTarget> Rigged<T> {
     }
 
     /// Charge every range run under an order other than the start order
-    /// 1000 extra cycles per tuple more than the one before.
+    /// 1000 cycles per tuple more than the last range run under an
+    /// uncharged order.
     pub fn with_regressing_trials(mut self) -> Self {
-        self.penalty.per_tuple = 1000;
+        self.penalty.slower = Some((0.0, 1000.0));
         self
     }
 
     /// Charge every range run under an order other than the start order
-    /// `1 + share` times the cycles per tuple of the range run before it.
+    /// `1 + share` times the cycles per tuple of the last range run under
+    /// an uncharged order.
     pub fn with_trials_slower_by(mut self, share: f64) -> Self {
-        self.penalty.share = share;
+        self.penalty.slower = Some((share, 0.0));
         self
     }
 
@@ -135,9 +133,11 @@ impl<T: ProgressiveTarget> Rigged<T> {
         self
     }
 
-    /// Offer `order` as a measurement probe at every round.
-    pub fn with_probe_every_round(mut self, order: &[usize]) -> Self {
-        self.probe = Some(order.to_vec());
+    /// Offer `orders` as measurement probes, in turn and over again, one
+    /// each time the policy asks for one (at every round, and between
+    /// rounds once the first opened).
+    pub fn with_probes(mut self, orders: &[&[usize]]) -> Self {
+        self.probes = orders.iter().map(|order| order.to_vec()).collect();
         self
     }
 
@@ -191,7 +191,11 @@ impl<T: ProgressiveTarget> ProgressiveTarget for Rigged<T> {
         self.inner.calibrate(geom, sampled, survivors)
     }
     fn take_probe_order(&mut self) -> Option<Peo> {
-        self.probe.clone().or_else(|| self.inner.take_probe_order())
+        if self.probes.is_empty() {
+            return self.inner.take_probe_order();
+        }
+        self.probes_taken += 1;
+        Some(self.probes[(self.probes_taken - 1) % self.probes.len()].clone())
     }
     fn wants_trial_calibration(&self) -> bool {
         self.inner.wants_trial_calibration()
@@ -210,8 +214,8 @@ impl<T: ProgressiveTarget> ProgressiveTarget for Rigged<T> {
     }
 }
 
-/// A shard of a [`Rigged`] target: charges the same penalty (escalating
-/// on its own), never fails, panics at its `panic_at`-th range run, and
+/// A shard of a [`Rigged`] target: charges the same penalty (against
+/// its own uncharged ranges), never fails, panics at its `panic_at`-th range run, and
 /// runs its first range cold when `cold`.
 pub struct RiggedShard<S> {
     inner: S,

@@ -12,7 +12,9 @@
 //! while the reverted trials have lost at most `REGRESSION_TOLERANCE` of
 //! the executed cycles. Shards whose first range runs cold show that a
 //! pooled trial is judged against its core's previous warm morsel, never
-//! against its cold first one.
+//! against its cold first one; a probe slower than the accepted order but
+//! faster than the reverted trial just before it shows that neither
+//! drive judges a trial against a reverted one.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
@@ -324,14 +326,14 @@ fn reverted_explorations_alone_never_open_stall_exploration() {
     // every trial regressing: every round spends the probe and every
     // probe is reverted, but no estimator proposal is ever rejected, so
     // the run never counts as stalled and never explores the rotated
-    // order `[lo, hi, mid]`.
+    // order `[lo, hi, mid]`. A round opens after every vector but the
+    // last, except after vector 1: vector 0 ran cold and is no baseline,
+    // so the first probe waits for vector 1 and runs as vector 2.
     let prog = rigged_scan(1 << 14, 512, &|rigged| {
-        rigged
-            .with_regressing_trials()
-            .with_probe_every_round(&[0, 1, 2])
+        rigged.with_regressing_trials().with_probes(&[&[0, 1, 2]])
     });
     assert_eq!(prog.estimates, 0);
-    assert_eq!(prog.switches.len(), prog.vectors - 1, "{:?}", prog.switches);
+    assert_eq!(prog.switches.len(), prog.vectors - 2, "{:?}", prog.switches);
     assert!(
         prog.switches
             .iter()
@@ -346,8 +348,9 @@ fn trial_on_last_vector_is_still_resolved() {
     // Schedule the only possible switch so that its trial vector is the
     // final vector of the scan: the regression must be detected and the
     // switch reverted rather than silently accepted.
-    let prog = regressing_scan(4096, 2048); // 2 vectors: reopt after v0, trial = v1
-    assert_eq!(prog.vectors, 2);
+    // 3 vectors: reopt after v0, v1 warms the baseline, trial = v2.
+    let prog = regressing_scan(6144, 2048);
+    assert_eq!(prog.vectors, 3);
     assert_eq!(prog.switches.len(), 1, "{:?}", prog.switches);
     assert!(
         prog.switches[0].reverted,
@@ -389,7 +392,7 @@ fn a_pooled_trial_is_judged_against_its_cores_previous_warm_morsel() {
                 CompiledProgram::from_selection(&t, &skewed_plan(), &[0, 1, 2]).unwrap();
             let mut target = Rigged::new(CompiledTarget::new(&mut program))
                 .with_cold_shards()
-                .with_probe_every_round(&[1, 0, 2]);
+                .with_probes(&[&[1, 0, 2]]);
             let report = run_parallel_target_observed(
                 &mut target,
                 MorselConfig::new(512),
@@ -413,6 +416,86 @@ fn a_pooled_trial_is_judged_against_its_cores_previous_warm_morsel() {
     }
 }
 
+/// The probe `with_trials_slower_by(1.0)` charges twice the accepted
+/// order's cycles per tuple in the baseline test below.
+const CHARGED: [usize; 3] = [2, 1, 0];
+/// The probe it spares: slower than `[lo, mid, hi]` (the 50 % predicate
+/// runs on every tuple), faster than a `CHARGED` trial.
+const SPARED: [usize; 3] = [1, 0, 2];
+
+#[test]
+fn a_trial_after_a_revert_is_judged_against_the_accepted_order() {
+    // The skewed scan from its best order `[lo, mid, hi]`, a round after
+    // every vector or morsel, each spending a probe: `CHARGED` and
+    // `SPARED` in turn. Serially, a `SPARED` trial runs right after a
+    // reverted `CHARGED` one; judged against that reverted trial's vector
+    // it would be accepted. Judged against the last vector run under the
+    // accepted order, it is reverted — and so is every trial of the
+    // 1-worker pool, whose baseline never was a trial morsel.
+    let t = skewed_table(1 << 14);
+    let vector_tuples = 512;
+    let rigged = |program| {
+        Rigged::new(CompiledTarget::new(program))
+            .with_trials_slower_by(1.0)
+            .sparing(&SPARED)
+            .with_probes(&[&CHARGED, &SPARED])
+    };
+    let every = ProgressiveConfig { reop_interval: 1 };
+
+    let mut program = CompiledProgram::from_selection(&t, &skewed_plan(), &[0, 1, 2]).unwrap();
+    let serial = run_progressive_target_observed(
+        &mut rigged(&mut program),
+        VectorConfig {
+            vector_tuples,
+            max_vectors: None,
+        },
+        &mut SimCpu::new(CpuConfig::ivy_bridge()),
+        &every,
+        &ExecObservers::none(),
+    )
+    .unwrap();
+    let ran = serial_ran(&serial, vector_tuples as u64);
+    let cpt = |v: usize| serial.per_vector_cycles[v] as f64 / vector_tuples as f64;
+    let after_revert: Vec<usize> = serial
+        .switches
+        .windows(2)
+        .filter(|pair| pair[0].to == CHARGED && pair[1].to == SPARED)
+        .map(|pair| (serial_trial_vector(&pair[0]), serial_trial_vector(&pair[1])))
+        .filter(|&(charged, spared)| spared == charged + 1 && spared < ran.len())
+        .map(|(_, spared)| spared)
+        .collect();
+    assert!(!after_revert.is_empty(), "{:?}", serial.switches);
+    for v in after_revert {
+        let (baseline_cpt, trial_cpt) = ran[v].reverted_trial.expect("reverted");
+        assert!(
+            baseline_cpt * (1.0 + REGRESSION_TOLERANCE) < trial_cpt && trial_cpt < cpt(v - 1),
+            "vector {v}: baseline {baseline_cpt}, trial {trial_cpt}, reverted trial before {}",
+            cpt(v - 1)
+        );
+    }
+
+    let mut program = CompiledProgram::from_selection(&t, &skewed_plan(), &[0, 1, 2]).unwrap();
+    let pooled = run_parallel_target_observed(
+        &mut rigged(&mut program),
+        MorselConfig::new(vector_tuples),
+        &mut CpuPool::new(CpuConfig::ivy_bridge(), 1),
+        Some(&every),
+        &ExecObservers::none(),
+    )
+    .unwrap();
+    for (drive, switches, last) in [
+        ("serial", &serial.switches, &serial.final_peo),
+        ("pooled", &pooled.switches, &pooled.final_order),
+    ] {
+        assert!(
+            switches.iter().any(|s| s.to == SPARED),
+            "{drive}: {switches:?}"
+        );
+        assert!(switches.iter().all(|s| s.reverted), "{drive}: {switches:?}");
+        assert_eq!(last, &vec![0, 1, 2], "{drive}");
+    }
+}
+
 /// One vector or morsel of a run, in the order it reported: its cycles,
 /// its tuples, and, for a reverted trial, its baseline and its own cycles
 /// per tuple.
@@ -422,24 +505,36 @@ struct Ran {
     reverted_trial: Option<(f64, f64)>,
 }
 
-/// A serial run's vectors, `vector_tuples` each.
+/// The vector that runs the trial of `switch` in a serial run: a switch
+/// scheduled after vector `v - 1` runs its trial as vector `v` — but not
+/// before vector 2, since vector 0 ran cold and is no baseline.
+fn serial_trial_vector(switch: &SwitchEvent) -> usize {
+    switch.vector.max(2)
+}
+
+/// A serial run's vectors, `vector_tuples` each. A trial is judged
+/// against the last vector before it that ran under the accepted order:
+/// an accepted trial's own, never a reverted trial's, never vector 0.
 fn serial_ran(report: &ProgressiveReport, vector_tuples: u64) -> Vec<Ran> {
     let cpt = |v: usize| report.per_vector_cycles[v] as f64 / vector_tuples as f64;
-    let mut ran: Vec<Ran> = report
-        .per_vector_cycles
-        .iter()
-        .map(|&cycles| Ran {
+    let mut baseline = None;
+    let mut ran = Vec::new();
+    for (v, &cycles) in report.per_vector_cycles.iter().enumerate() {
+        let trial = report.switches.iter().find(|s| serial_trial_vector(s) == v);
+        let mut reverted_trial = None;
+        match trial {
+            Some(s) if s.reverted => {
+                let baseline_cpt = baseline.expect("a trial is leased against a baseline");
+                reverted_trial = Some((baseline_cpt, cpt(v)));
+            }
+            _ if v > 0 => baseline = Some(cpt(v)),
+            _ => {}
+        }
+        ran.push(Ran {
             cycles,
             tuples: vector_tuples,
-            reverted_trial: None,
-        })
-        .collect();
-    // A switch scheduled after vector `v - 1` runs its trial as vector
-    // `v`, judged against vector `v - 1`.
-    for s in report.switches.iter().filter(|s| s.reverted) {
-        if let Some(trial) = ran.get_mut(s.vector) {
-            trial.reverted_trial = Some((cpt(s.vector - 1), cpt(s.vector)));
-        }
+            reverted_trial,
+        });
     }
     ran
 }

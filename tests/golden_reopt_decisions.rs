@@ -260,15 +260,15 @@ fn star_plan(star: &StarSchema) -> CompiledProgram<'_> {
     star_program(star, Some(0.5), [0.5, 0.5, 0.5])
 }
 
-const STAR_SERIAL: &str = r"qualified=4075 sum=201988 cycles=4141244 vectors=32 estimates=17 optimizer_cycles=554640 final_peo=[1, 3, 2, 0]
-counters: instr=1847199 cycles=3586604 br=188019 taken=126997 not_taken=61022 mp_t=21370 mp_nt=21368 l1=77525 l1_hit=7883 l1_elem=160628 l2=69642 l3=71706 l3_miss=22913
-per_vector_fnv=0xb25b1b091fabfc34
+const STAR_SERIAL: &str = r"qualified=4075 sum=201988 cycles=4242261 vectors=32 estimates=19 optimizer_cycles=709860 final_peo=[1, 3, 2, 0]
+counters: instr=1832567 cycles=3532401 br=187823 taken=126997 not_taken=60826 mp_t=20667 mp_nt=20712 l1=74563 l1_hit=7375 l1_elem=163486 l2=67188 l3=69989 l3_miss=23042
+per_vector_fnv=0x5f0db07c3a1217e4
   switch @2 [3, 2, 1, 0] -> [3, 0, 2, 1] reverted=true exploratory=false
-  switch @4 [3, 2, 1, 0] -> [2, 3, 1, 0] reverted=true exploratory=true
-  switch @6 [3, 2, 1, 0] -> [1, 3, 2, 0] reverted=false exploratory=true
-  switch @8 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
-  switch @12 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
-  switch @14 [1, 3, 2, 0] -> [3, 1, 0, 2] reverted=true exploratory=false
+  switch @3 [3, 2, 1, 0] -> [2, 3, 1, 0] reverted=true exploratory=true
+  switch @4 [3, 2, 1, 0] -> [1, 3, 2, 0] reverted=false exploratory=true
+  switch @6 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
+  switch @16 [1, 3, 2, 0] -> [3, 1, 2, 0] reverted=true exploratory=false
+  switch @20 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
 ";
 
 #[test]
@@ -319,35 +319,59 @@ fn one_worker_pool_star() {
 }
 
 #[test]
-fn one_worker_pool_spends_probes_on_consecutive_reports() {
-    // A probe runs no fit, so once the first round has opened the pool
-    // spends the star's measurement probes as fast as trials resolve: one
-    // at each in-epoch report with no trial pending — two morsels apart
-    // (the probe's trial, then one morsel under the accepted order) —
-    // not one per `reop_interval` morsels.
-    let star = star();
-    let mut program = star_plan(&star);
-    let mut pool = CpuPool::new(small_cache_cpu(), 1);
-    let report = run_parallel_program_observed(
-        &mut program,
-        &STAR_START,
-        MorselConfig::new(2048),
-        &mut pool,
-        Some(&ProgressiveConfig { reop_interval: 8 }),
+fn both_drives_spend_every_wanted_probe_at_consecutive_reports() {
+    // Figure 15's convergence sweep at its longest interval — a round
+    // every 50 vectors or morsels of 1024 tuples — on the star started
+    // select-first, so that all three joins are unmeasured. A probe runs
+    // no fit, so once the first round has opened (and spent the first
+    // probe) each drive spends the other two as fast as trials resolve:
+    // at every report that opens no round while no trial is pending, not
+    // one per round. Serially that is the trial vector's own report; in
+    // a pool the trial morsel's report only resolves it, so the next
+    // probe comes at the report after.
+    let star = star_schema(1 << 17, 0x57A12);
+    let start = [0, 1, 2, 3];
+    let config = ProgressiveConfig { reop_interval: 50 };
+    let serial = run_progressive_program_observed(
+        &mut star_plan(&star),
+        &start,
+        VectorConfig {
+            vector_tuples: 1024,
+            max_vectors: None,
+        },
+        &mut SimCpu::new(small_cache_cpu()),
+        &config,
         &ExecObservers::none(),
     )
     .unwrap();
-    let switches = &report.switches;
-    assert!(
-        switches
-            .first()
-            .is_some_and(|s| s.vector == 8 && !s.exploratory),
-        "the first round fits: {switches:?}"
-    );
-    let probes = switches[1..].iter().take_while(|s| s.exploratory).count();
-    assert!(probes >= 2, "{switches:?}");
-    for pair in switches[..=probes].windows(2) {
-        assert_eq!(pair[1].vector, pair[0].vector + 2, "{switches:?}");
+    let pooled = run_parallel_program_observed(
+        &mut star_plan(&star),
+        &start,
+        MorselConfig::new(1024),
+        &mut CpuPool::new(small_cache_cpu(), 1),
+        Some(&config),
+        &ExecObservers::none(),
+    )
+    .unwrap();
+    for (drive, switches, apart) in [
+        ("serial", &serial.switches, 1),
+        ("pooled", &pooled.switches, 2),
+    ] {
+        let probes = &switches[..3.min(switches.len())];
+        let mut fronts: Vec<usize> = probes.iter().map(|s| s.to[0]).collect();
+        fronts.sort_unstable();
+        assert!(
+            fronts == [1, 2, 3] && probes.iter().all(|s| s.exploratory),
+            "{drive}: one probe per join first: {switches:?}"
+        );
+        assert_eq!(probes[0].vector, 50, "{drive}: round 1 probes");
+        for pair in probes.windows(2) {
+            assert_eq!(
+                pair[1].vector,
+                pair[0].vector + apart,
+                "{drive}: {switches:?}"
+            );
+        }
     }
 }
 
@@ -357,24 +381,21 @@ fn one_worker_pool_spends_probes_on_consecutive_reports() {
 // round; a reverted trial leaves a stale sample and the round refits.
 // ---------------------------------------------------------------------
 
-const EVERY_VECTOR: &str = r"qualified=4075 sum=201988 cycles=5140636 vectors=32 estimates=35 optimizer_cycles=1119720 final_peo=[3, 1, 2, 0]
-counters: instr=2064651 cycles=4020916 br=188125 taken=126997 not_taken=61128 mp_t=26847 mp_nt=27065 l1=95205 l1_hit=12245 l1_elem=138242 l2=82960 l3=74046 l3_miss=23031
-per_vector_fnv=0xd5bc413e48b93088
-  switch @1 [3, 2, 1, 0] -> [3, 0, 2, 1] reverted=false exploratory=false
-  switch @2 [3, 0, 2, 1] -> [2, 3, 0, 1] reverted=true exploratory=true
-  switch @3 [3, 0, 2, 1] -> [1, 3, 0, 2] reverted=false exploratory=true
-  switch @4 [1, 3, 0, 2] -> [3, 0, 1, 2] reverted=true exploratory=false
-  switch @5 [1, 3, 0, 2] -> [3, 1, 2, 0] reverted=false exploratory=false
-  switch @6 [3, 1, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
-  switch @8 [3, 1, 2, 0] -> [0, 3, 1, 2] reverted=true exploratory=true
-  switch @9 [3, 1, 2, 0] -> [3, 1, 0, 2] reverted=false exploratory=false
-  switch @10 [3, 1, 0, 2] -> [1, 3, 2, 0] reverted=false exploratory=false
+const EVERY_VECTOR: &str = r"qualified=4075 sum=201988 cycles=4784502 vectors=32 estimates=34 optimizer_cycles=1122600 final_peo=[1, 3, 0, 2]
+counters: instr=2145979 cycles=3661902 br=187955 taken=126997 not_taken=60958 mp_t=22089 mp_nt=21985 l1=73316 l1_hit=7655 l1_elem=157904 l2=65661 l3=65894 l3_miss=23016
+per_vector_fnv=0x00bfc4348bc17216
+  switch @1 [3, 2, 1, 0] -> [3, 0, 2, 1] reverted=true exploratory=false
+  switch @3 [3, 2, 1, 0] -> [2, 3, 1, 0] reverted=true exploratory=true
+  switch @4 [3, 2, 1, 0] -> [1, 3, 2, 0] reverted=false exploratory=true
+  switch @5 [1, 3, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
+  switch @6 [1, 3, 2, 0] -> [3, 1, 2, 0] reverted=true exploratory=false
+  switch @7 [1, 3, 2, 0] -> [0, 1, 3, 2] reverted=true exploratory=true
+  switch @8 [1, 3, 2, 0] -> [3, 1, 0, 2] reverted=true exploratory=false
   switch @11 [1, 3, 2, 0] -> [1, 3, 0, 2] reverted=false exploratory=false
   switch @12 [1, 3, 0, 2] -> [3, 0, 1, 2] reverted=true exploratory=false
-  switch @13 [1, 3, 0, 2] -> [3, 1, 2, 0] reverted=false exploratory=false
-  switch @14 [3, 1, 2, 0] -> [3, 2, 1, 0] reverted=true exploratory=false
-  switch @16 [3, 1, 2, 0] -> [0, 3, 1, 2] reverted=true exploratory=true
-  switch @21 [3, 1, 2, 0] -> [3, 0, 1, 2] reverted=true exploratory=false
+  switch @13 [1, 3, 0, 2] -> [3, 1, 2, 0] reverted=true exploratory=false
+  switch @15 [1, 3, 0, 2] -> [2, 1, 3, 0] reverted=true exploratory=true
+  switch @17 [1, 3, 0, 2] -> [0, 1, 3, 2] reverted=true exploratory=false
 ";
 
 #[test]
@@ -398,19 +419,29 @@ fn coinciding_round_reuses_a_surviving_trial_fit_and_refits_after_a_revert() {
 
     // The fit count separates reuse from refit. With a round after every
     // vector but the last, and every trial resolved (and fitted, the
-    // target calibrates from trials) on the vector after its switch:
-    // a round that schedules an exploratory switch fits nothing, nor
-    // does a stalled even round whose exploration the regret budget
-    // refuses; any other round fits once — unless the vector was a trial
-    // that survived, whose resolution fit the round reuses.
-    let trial_at = |v: usize| report.switches.iter().find(|s| s.vector == v);
-    // Round `r` opens after vector `r - 1`, once every switch scheduled
-    // before it resolved; stalled: three rounds since the last accept
-    // and an estimator proposal reverted within `REJECTION_TTL` rounds.
-    let stalled_even_round = |r: usize| {
+    // target calibrates from trials) on the vector it ran as: a round
+    // that schedules an exploratory switch fits nothing, nor does a
+    // stalled even round whose exploration the regret budget refuses;
+    // any other round fits once — unless the vector was a trial that
+    // survived, whose resolution fit the round reuses. A switch
+    // scheduled after vector `v - 1` runs its trial as vector `v`, except
+    // the first round's: vector 0 ran cold and is no baseline, so that
+    // trial waits for vector 1 and runs as vector 2, and no round opens
+    // after vector 1 while it is pending.
+    let waited = report.switches.first().is_some_and(|s| s.vector == 1);
+    let ran_as = |s: &SwitchEvent| s.vector.max(2);
+    let trial_ran_as = |v: usize| report.switches.iter().find(|s| ran_as(s) == v);
+    // The policy's count of the round that opens after vector `v`.
+    let round_after = |v: usize| if waited && v >= 2 { v } else { v + 1 };
+    // Stalled: three rounds since the last accept and an estimator
+    // proposal reverted within `REJECTION_TTL` rounds, each stamped with
+    // the rounds opened before its trial resolved.
+    let stalled_even_round_after = |v: usize| {
+        let r = round_after(v);
         let last = |resolved_as: fn(&SwitchEvent) -> bool| {
-            let before = report.switches.iter().filter(|s| s.vector < r);
-            before.filter(|s| resolved_as(s)).map(|s| s.vector).max()
+            let before = report.switches.iter().filter(|s| ran_as(s) <= v);
+            let stamps = before.filter(|s| resolved_as(s));
+            stamps.map(|s| round_after(ran_as(s) - 1)).max()
         };
         r % 2 == 0
             && r >= last(|s| !s.reverted).unwrap_or(0) + 3
@@ -419,12 +450,13 @@ fn coinciding_round_reuses_a_surviving_trial_fit_and_refits_after_a_revert() {
     let mut fits = 0;
     let (mut reused, mut refitted) = (0, 0);
     for v in 0..report.vectors {
-        let trial = trial_at(v);
+        let trial = trial_ran_as(v);
         fits += usize::from(trial.is_some());
-        if v + 1 == report.vectors {
+        if v + 1 == report.vectors || (waited && v == 1) {
             continue;
         }
-        if trial_at(v + 1).is_some_and(|s| s.exploratory) || stalled_even_round(v + 1) {
+        let scheduled = report.switches.iter().find(|s| s.vector == v + 1);
+        if scheduled.is_some_and(|s| s.exploratory) || stalled_even_round_after(v) {
             continue;
         }
         match trial {
