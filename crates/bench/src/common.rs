@@ -1,29 +1,35 @@
-//! Shared harness utilities: scaling, the figure reporter (text or
-//! JSON-lines output, config provenance on every banner), trace capture
-//! for `--trace-out`, and a small work-stealing parallel map (figures
-//! sweep hundreds of independent simulator runs).
+//! Shared harness utilities: scaling, the [`Figure`] value every figure
+//! returns (its one printer renders text or JSON lines, with config
+//! provenance on every banner), trace capture for `--trace-out`, and a
+//! small work-stealing parallel map (figures sweep hundreds of
+//! independent simulator runs).
 //!
-//! # The reporter
+//! # Figures are values
 //!
-//! Every figure routes its output through four calls instead of ad-hoc
-//! `println!`s:
+//! Every figure's `run` builds and returns one [`Figure`] instead of
+//! printing as it goes:
 //!
-//! * [`banner`] — figure id + title, stamped with the run's config
-//!   provenance (quick/full, LLC mode, sockets, tracing);
-//! * [`header`] — the column names of the figure's table;
-//! * [`row`] — one data row (zipped against the last [`header`] in JSON
-//!   mode);
-//! * `note!` — free-form commentary (`# `-prefixed in text mode).
+//! * [`Figure::new`] — figure id + title, stamped with the run's config
+//!   provenance (quick/full, LLC mode, sockets, tracing) and whatever
+//!   the figure pins;
+//! * [`Figure::header`] — the column names of the figure's table;
+//! * [`Figure::row`] — one data row (zipped against the last header in
+//!   JSON);
+//! * [`Figure::note`] — free-form commentary (`# `-prefixed in text);
+//! * [`Figure::metric`] — a number the regression gate
+//!   ([`crate::regress`]) compares against its committed baseline.
 //!
-//! With `--json` the same calls emit one JSON object per line
-//! (`{"type":"banner"|"header"|"row"|"note", "figure": ..., ...}`), so a
-//! harness can consume every figure without scraping tab columns. The
-//! two modes carry identical information.
+//! [`Figure::render`] is the one printer. Text is tab-separated; with
+//! `--json` every line is one JSON object
+//! (`{"type":"banner"|"header"|"row"|"note", "figure": ..., ...}`),
+//! closed by the figure's metrics `snapshot`, so a harness can consume
+//! every figure without scraping tab columns. The two modes carry
+//! identical information.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use popt_obs::{chrome_trace, validate_json, MemorySink, TraceRecord, Tracer};
+use popt_obs::{chrome_trace, validate_json, MemorySink, Tracer};
 
 /// Global knobs for a figure run.
 #[derive(Debug, Clone)]
@@ -41,9 +47,6 @@ pub struct FigureCtx {
     /// and remote-socket misses pay the deterministic latency surcharge;
     /// `1` is the flat pre-NUMA pool.
     pub sockets: usize,
-    /// Emit machine-readable JSON lines instead of tab-separated text
-    /// (`--json`).
-    pub json: bool,
     /// Write a Chrome-trace-event JSON of the figure's traced runs to
     /// this path (`--trace-out PATH`). Tracing is non-invasive: the
     /// printed simulated cycles are bit-identical with or without it.
@@ -52,13 +55,12 @@ pub struct FigureCtx {
 
 impl FigureCtx {
     /// A context with default knobs (full scale, private LLC, one
-    /// socket, text output, no tracing).
+    /// socket, no tracing).
     pub fn plain() -> Self {
         Self {
             quick: false,
             shared_llc: false,
             sockets: 1,
-            json: false,
             trace_out: None,
         }
     }
@@ -71,43 +73,7 @@ impl FigureCtx {
             full
         }
     }
-
-    /// The base config-provenance pairs stamped under every banner.
-    fn provenance(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("mode", if self.quick { "quick" } else { "full" }.into()),
-            (
-                "llc",
-                if self.shared_llc { "shared" } else { "private" }.into(),
-            ),
-            ("sockets", self.sockets.to_string()),
-            (
-                "trace",
-                match &self.trace_out {
-                    Some(path) => path.clone(),
-                    None => "off".into(),
-                },
-            ),
-        ]
-    }
 }
-
-/// The reporter's shared state: output mode, the figure being printed,
-/// the column names its last [`header`] declared, and the benchmark
-/// metrics recorded since the last [`take_metrics`].
-struct Reporter {
-    json: bool,
-    figure: String,
-    columns: Vec<String>,
-    metrics: Vec<BenchMetric>,
-}
-
-static REPORTER: Mutex<Reporter> = Mutex::new(Reporter {
-    json: false,
-    figure: String::new(),
-    columns: Vec::new(),
-    metrics: Vec::new(),
-});
 
 /// One recorded benchmark metric: the measured value plus the relative
 /// tolerance the regression gate ([`crate::regress`]) compares it under.
@@ -122,56 +88,15 @@ pub struct BenchMetric {
     pub tol: f64,
 }
 
-/// Default relative tolerance for [`bench_metric`]: tight enough that a
+/// Default relative tolerance for [`Figure::metric`]: tight enough that a
 /// 20% cycle regression on a deterministic metric always trips the gate.
 pub const DEFAULT_METRIC_TOL: f64 = 0.10;
 
-/// Record a benchmark metric at the [`DEFAULT_METRIC_TOL`]. Use only for
-/// values that are a pure function of the simulation (serial or
-/// 1-worker cycle counts, qualified/sum results, morsel counts).
-pub fn bench_metric(name: &str, value: f64) {
-    bench_metric_tol(name, value, DEFAULT_METRIC_TOL);
-}
-
-/// Record a benchmark metric with an explicit relative tolerance. Values
-/// that move with any change to where a pool's trials and rounds land
-/// (multi-worker walls, latency percentiles under reoptimization) need a
-/// loose tolerance; last write
-/// wins when a figure re-records a name. The tolerance must lie in
-/// `[0, 1)`: at `tol >= 1` a value that collapsed to zero still passes,
-/// so the gate could never trip downward.
-pub fn bench_metric_tol(name: &str, value: f64, tol: f64) {
-    assert!(
-        value.is_finite() && (0.0..1.0).contains(&tol),
-        "bench metric {name}: non-finite value {value} or tolerance {tol} outside [0, 1)"
-    );
-    let mut rep = REPORTER.lock().expect("reporter lock");
-    if let Some(m) = rep.metrics.iter_mut().find(|m| m.name == name) {
-        m.value = value;
-        m.tol = tol;
-    } else {
-        rep.metrics.push(BenchMetric {
-            name: name.to_string(),
-            value,
-            tol,
-        });
-    }
-}
-
-/// Drain the metrics recorded since the last call (insertion order).
-pub fn take_metrics() -> Vec<BenchMetric> {
-    std::mem::take(&mut REPORTER.lock().expect("reporter lock").metrics)
-}
-
-/// A finite `f64` as a JSON number (Rust's shortest-roundtrip `Display`
-/// never emits exponents or non-finite tokens for finite values).
-fn json_num(x: f64) -> String {
-    format!("{x}")
-}
-
 /// The canonical `BENCH_<figure>.json` snapshot document: figure id, the
 /// scale mode it was measured under, and every metric with its value and
-/// tolerance, in recording order.
+/// tolerance, in recording order. Values print through Rust's
+/// shortest-roundtrip `Display`, which never emits exponents or
+/// non-finite tokens for the finite values a metric holds.
 pub fn snapshot_json(figure: &str, mode: &str, metrics: &[BenchMetric]) -> String {
     let fields: Vec<String> = metrics
         .iter()
@@ -179,8 +104,8 @@ pub fn snapshot_json(figure: &str, mode: &str, metrics: &[BenchMetric]) -> Strin
             format!(
                 "\"{}\":{{\"value\":{},\"tol\":{}}}",
                 esc(&m.name),
-                json_num(m.value),
-                json_num(m.tol)
+                m.value,
+                m.tol
             )
         })
         .collect();
@@ -192,13 +117,7 @@ pub fn snapshot_json(figure: &str, mode: &str, metrics: &[BenchMetric]) -> Strin
     )
 }
 
-/// The snapshot as one `--json` reporter line (`"type":"snapshot"`).
-pub fn snapshot_line(figure: &str, mode: &str, metrics: &[BenchMetric]) -> String {
-    let doc = snapshot_json(figure, mode, metrics);
-    format!("{{\"type\":\"snapshot\",{}", &doc.trim_end()[1..])
-}
-
-/// Minimal JSON string escaping (the reporter emits only strings it
+/// Minimal JSON string escaping (the printer emits only strings it
 /// formatted itself, but labels may carry quotes or backslashes).
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -216,127 +135,176 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// Print a figure banner stamped with the run's config provenance, and
-/// reset the reporter's column state for the new figure.
-pub fn banner(ctx: &FigureCtx, id: &str, title: &str) {
-    banner_with(ctx, id, title, &[]);
+/// One line of a figure's table, in print order.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Line {
+    /// Column names: JSON rows after it key their cells by them.
+    Header(Vec<String>),
+    /// One data row.
+    Row(Vec<String>),
+    /// Commentary, printed verbatim as text (figures pass `# `-prefixed
+    /// text; JSON strips that prefix).
+    Note(String),
 }
 
-/// [`banner`] with figure-specific provenance appended (worker counts,
-/// morsel sizing, reoptimization cadence — whatever the figure pins).
-pub fn banner_with(ctx: &FigureCtx, id: &str, title: &str, extras: &[(&str, String)]) {
-    let mut rep = REPORTER.lock().expect("reporter lock");
-    rep.json = ctx.json;
-    rep.figure = id.to_string();
-    rep.columns.clear();
-    rep.metrics.clear();
-    let mut pairs = ctx.provenance();
-    for (k, v) in extras {
-        pairs.push((k, v.clone()));
+/// What one figure run produced: its banner, its table and commentary in
+/// print order, and the metrics it recorded for the regression gate.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Figure {
+    /// Figure id (`"7"`, `"scale"`, ...).
+    pub(crate) id: String,
+    /// Banner title.
+    pub(crate) title: String,
+    /// Config provenance: the run's knobs, then the figure's own.
+    pub(crate) config: Vec<(String, String)>,
+    /// Header, row and note lines in print order.
+    pub(crate) lines: Vec<Line>,
+    /// Recorded metrics in first-recording order (last write wins).
+    pub metrics: Vec<BenchMetric>,
+}
+
+impl Figure {
+    /// An empty figure under a banner stamped with the run's config
+    /// provenance; a figure appends what it pins (worker counts, morsel
+    /// sizing, reoptimization cadence) to its `config`.
+    pub fn new(ctx: &FigureCtx, id: &str, title: &str) -> Self {
+        let config = [
+            ("mode", if ctx.quick { "quick" } else { "full" }),
+            ("llc", if ctx.shared_llc { "shared" } else { "private" }),
+            ("sockets", &ctx.sockets.to_string()),
+            ("trace", ctx.trace_out.as_deref().unwrap_or("off")),
+        ];
+        Self {
+            id: id.into(),
+            title: title.into(),
+            config: config.map(|(k, v)| (k.into(), v.into())).into(),
+            lines: Vec::new(),
+            metrics: Vec::new(),
+        }
     }
-    if rep.json {
-        let config: Vec<String> = pairs
-            .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", esc(k), esc(v)))
-            .collect();
-        println!(
-            "{{\"type\":\"banner\",\"figure\":\"{}\",\"title\":\"{}\",\"config\":{{{}}}}}",
-            esc(id),
-            esc(title),
-            config.join(",")
+
+    /// Declare the table's column names.
+    pub fn header<S: AsRef<str>>(&mut self, cells: &[S]) {
+        let cells = cells.iter().map(|c| c.as_ref().to_string()).collect();
+        self.lines.push(Line::Header(cells));
+    }
+
+    /// Add one data row.
+    pub fn row<S: AsRef<str>>(&mut self, cells: &[S]) {
+        let cells = cells.iter().map(|c| c.as_ref().to_string()).collect();
+        self.lines.push(Line::Row(cells));
+    }
+
+    /// Add one commentary line (`# `-prefixed by convention).
+    pub fn note(&mut self, text: impl Into<String>) {
+        self.lines.push(Line::Note(text.into()));
+    }
+
+    /// Record a benchmark metric at the [`DEFAULT_METRIC_TOL`]. Use only
+    /// for values that are a pure function of the simulation (serial or
+    /// 1-worker cycle counts, qualified/sum results, morsel counts).
+    pub fn metric(&mut self, name: &str, value: f64) {
+        self.metric_tol(name, value, DEFAULT_METRIC_TOL);
+    }
+
+    /// Record a benchmark metric with an explicit relative tolerance.
+    /// Values that move with any change to where a pool's trials and
+    /// rounds land (multi-worker walls, latency percentiles under
+    /// reoptimization) need a loose tolerance; last write wins when a
+    /// figure re-records a name. The tolerance must lie in `[0, 1)`: at
+    /// `tol >= 1` a value that collapsed to zero still passes, so the
+    /// gate could never trip downward.
+    pub fn metric_tol(&mut self, name: &str, value: f64, tol: f64) {
+        assert!(
+            value.is_finite() && (0.0..1.0).contains(&tol),
+            "bench metric {name}: non-finite value {value} or tolerance {tol} outside [0, 1)"
         );
-    } else {
-        println!("\n### Figure {id}: {title}");
-        let joined: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        println!("# config: {}", joined.join(" "));
+        match self.metrics.iter_mut().find(|m| m.name == name) {
+            Some(m) => (m.value, m.tol) = (value, tol),
+            None => self.metrics.push(BenchMetric {
+                name: name.into(),
+                value,
+                tol,
+            }),
+        }
     }
-}
 
-/// Declare the figure's column names. Subsequent [`row`] calls zip
-/// against these names in JSON mode.
-pub fn header<S: AsRef<str>>(cells: &[S]) {
-    let mut rep = REPORTER.lock().expect("reporter lock");
-    rep.columns = cells.iter().map(|c| c.as_ref().to_string()).collect();
-    if rep.json {
-        let cols: Vec<String> = rep
-            .columns
-            .iter()
-            .map(|c| format!("\"{}\"", esc(c)))
-            .collect();
-        println!(
-            "{{\"type\":\"header\",\"figure\":\"{}\",\"columns\":[{}]}}",
-            esc(&rep.figure),
-            cols.join(",")
-        );
-    } else {
-        let joined: Vec<&str> = cells.iter().map(AsRef::as_ref).collect();
-        println!("{}", joined.join("\t"));
-    }
-}
-
-/// Print one data row: tab-separated in text mode, an object keyed by
-/// the last [`header`]'s column names in JSON mode (positional
-/// `"c<N>"` keys when a figure never declared columns or the widths
-/// disagree — the row is never silently truncated).
-pub fn row<S: AsRef<str>>(cells: &[S]) {
-    let rep = REPORTER.lock().expect("reporter lock");
-    if rep.json {
-        let fields: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let key = rep
-                    .columns
-                    .get(i)
-                    .filter(|_| rep.columns.len() == cells.len())
-                    .cloned()
-                    .unwrap_or_else(|| format!("c{i}"));
-                format!("\"{}\":\"{}\"", esc(&key), esc(c.as_ref()))
-            })
-            .collect();
-        println!(
-            "{{\"type\":\"row\",\"figure\":\"{}\",\"cells\":{{{}}}}}",
-            esc(&rep.figure),
-            fields.join(",")
-        );
-    } else {
-        let joined: Vec<&str> = cells.iter().map(AsRef::as_ref).collect();
-        println!("{}", joined.join("\t"));
-    }
-}
-
-/// Emit one commentary line. Text mode prints it verbatim (figures pass
-/// `# `-prefixed text); JSON mode strips the comment prefix and wraps
-/// the rest in a `note` object. Use via the `note!` macro.
-pub fn note_line(text: &str) {
-    let rep = REPORTER.lock().expect("reporter lock");
-    if rep.json {
-        let stripped = text.strip_prefix("# ").unwrap_or(text);
-        println!(
-            "{{\"type\":\"note\",\"figure\":\"{}\",\"text\":\"{}\"}}",
-            esc(&rep.figure),
-            esc(stripped)
-        );
-    } else {
-        println!("{text}");
-    }
-}
-
-/// `println!`-compatible commentary through the reporter: text mode
-/// prints the formatted line, `--json` mode wraps it in a `note` object.
-#[macro_export]
-macro_rules! note {
-    ($($arg:tt)*) => {
-        $crate::common::note_line(&format!($($arg)*))
-    };
-}
-
-/// A figure-level invariant: panics with the failing figure's id in the
-/// message so a multi-figure run points at the culprit.
-pub fn check(cond: bool, msg: &str) {
-    if !cond {
-        let figure = REPORTER.lock().expect("reporter lock").figure.clone();
-        panic!("figure {figure}: {msg}");
+    /// The one printer: the banner, then every line — tab-separated text,
+    /// or one JSON object per line with `json`, each row keyed by the
+    /// last header's column names (positional `"c<N>"` keys when no
+    /// header came first or the widths disagree — a row is never
+    /// silently truncated). With `json` and `snapshot`, a figure that
+    /// recorded metrics closes with one `"type":"snapshot"` line: the
+    /// document `regress --bless` commits, so a harness can diff
+    /// without the subcommand.
+    pub fn render(&self, json: bool, snapshot: bool) -> String {
+        let id = esc(&self.id);
+        // Every JSON line opens with its type and the figure id.
+        let obj = |kind: &str, body: String| {
+            format!("{{\"type\":\"{kind}\",\"figure\":\"{id}\",{body}}}\n")
+        };
+        let mut out = if json {
+            let config: Vec<String> = self
+                .config
+                .iter()
+                .map(|(k, v)| format!("\"{}\":\"{}\"", esc(k), esc(v)))
+                .collect();
+            let title = esc(&self.title);
+            obj(
+                "banner",
+                format!("\"title\":\"{title}\",\"config\":{{{}}}", config.join(",")),
+            )
+        } else {
+            let config: Vec<String> = self
+                .config
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect();
+            let (id, title) = (&self.id, &self.title);
+            format!(
+                "\n### Figure {id}: {title}\n# config: {}\n",
+                config.join(" ")
+            )
+        };
+        let mut columns: &[String] = &[];
+        for line in &self.lines {
+            out += &match (line, json) {
+                (Line::Header(cells) | Line::Row(cells), false) => cells.join("\t") + "\n",
+                (Line::Note(text), false) => format!("{text}\n"),
+                (Line::Header(cells), true) => {
+                    columns = cells;
+                    let cols: Vec<String> =
+                        cells.iter().map(|c| format!("\"{}\"", esc(c))).collect();
+                    obj("header", format!("\"columns\":[{}]", cols.join(",")))
+                }
+                (Line::Row(cells), true) => {
+                    let keyed = columns.len() == cells.len();
+                    let fields: Vec<String> = cells
+                        .iter()
+                        .enumerate()
+                        .map(|(i, c)| {
+                            let key = if keyed {
+                                esc(&columns[i])
+                            } else {
+                                format!("c{i}")
+                            };
+                            format!("\"{key}\":\"{}\"", esc(c))
+                        })
+                        .collect();
+                    obj("row", format!("\"cells\":{{{}}}", fields.join(",")))
+                }
+                (Line::Note(text), true) => {
+                    let text = esc(text.strip_prefix("# ").unwrap_or(text));
+                    obj("note", format!("\"text\":\"{text}\""))
+                }
+            };
+        }
+        if json && snapshot && !self.metrics.is_empty() {
+            let mode = self.config.iter().find(|(k, _)| k == "mode");
+            let doc = snapshot_json(&self.id, mode.map_or("", |(_, v)| v), &self.metrics);
+            out.push_str(&format!("{{\"type\":\"snapshot\",{}", &doc[1..]));
+        }
+        out
     }
 }
 
@@ -376,24 +344,20 @@ impl TraceCapture {
         self.next_query.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Records captured so far (for in-figure summaries).
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.sink.snapshot()
-    }
-
     /// Export everything captured to the `--trace-out` path as Chrome
-    /// trace-event JSON, validating the emitted text parses.
-    pub fn write(&self) {
+    /// trace-event JSON, validating the emitted text parses, and note the
+    /// export on the figure.
+    pub fn write(&self, fig: &mut Figure) {
         let records = self.sink.snapshot();
         let json = chrome_trace(&records);
         validate_json(&json).expect("chrome trace export is valid JSON");
         std::fs::write(&self.path, &json).expect("trace output path is writable");
-        note!(
+        fig.note(format!(
             "# trace: {} events -> {} ({} bytes)",
             records.len(),
             self.path,
             json.len()
-        );
+        ));
     }
 }
 
@@ -424,7 +388,9 @@ pub fn subsample<T: Clone>(items: &[T], k: usize) -> Vec<T> {
 ///
 /// Each worker owns a `SimCpu`-style context created inside `f`; items are
 /// claimed from an atomic cursor so long-running simulator sweeps balance
-/// across threads.
+/// across threads. Each thread hands back its `(index, result)` pairs
+/// through its join handle, merged in index order; a panicking worker
+/// re-raises its panic here.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -439,25 +405,28 @@ where
         return items.iter().map(&f).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                results.lock().expect("no poisoned workers")[i] = Some(r);
-            });
-        }
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            return done;
+                        }
+                        done.push((i, f(&items[i])));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    results
-        .into_inner()
-        .expect("workers joined")
-        .into_iter()
-        .map(|r| r.expect("every index visited"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -510,7 +479,7 @@ mod tests {
         ctx.shared_llc = true;
         ctx.sockets = 2;
         ctx.trace_out = Some("/tmp/t.json".into());
-        let pairs = ctx.provenance();
+        let pairs = Figure::new(&ctx, "t", "provenance").config;
         let get = |k: &str| {
             pairs
                 .iter()
@@ -533,25 +502,26 @@ mod tests {
     }
 
     #[test]
-    fn bench_metrics_drain_in_order_and_last_write_wins() {
-        take_metrics(); // isolate from other tests sharing the reporter
-        bench_metric("a", 1.0);
-        bench_metric_tol("b", 2.0, 0.5);
-        bench_metric_tol("a", 3.0, 0.2); // re-record replaces in place
-        let metrics = take_metrics();
-        assert_eq!(metrics.len(), 2);
-        assert_eq!(metrics[0].name, "a");
-        assert_eq!(metrics[0].value, 3.0);
-        assert_eq!(metrics[0].tol, 0.2);
-        assert_eq!(metrics[1].name, "b");
-        assert_eq!(metrics[1].tol, 0.5);
-        assert!(take_metrics().is_empty(), "drained");
+    fn figure_metrics_keep_order_and_last_write_wins() {
+        let mut fig = Figure::new(&FigureCtx::plain(), "t", "metrics");
+        fig.metric("a", 1.0);
+        fig.metric_tol("b", 2.0, 0.5);
+        fig.metric_tol("a", 3.0, 0.2); // re-record replaces in place
+        assert_eq!(fig.metrics.len(), 2);
+        assert_eq!(fig.metrics[0].name, "a");
+        assert_eq!(fig.metrics[0].value, 3.0);
+        assert_eq!(fig.metrics[0].tol, 0.2);
+        assert_eq!(fig.metrics[1].name, "b");
+        assert_eq!(fig.metrics[1].tol, 0.5);
+        let other = Figure::new(&FigureCtx::plain(), "u", "fresh");
+        assert!(other.metrics.is_empty(), "each figure owns its metrics");
     }
 
     #[test]
     #[should_panic(expected = "outside [0, 1)")]
     fn bench_metric_tol_refuses_a_gate_that_cannot_trip() {
-        bench_metric_tol("collapsed", 1.0, 4.0);
+        let mut fig = Figure::new(&FigureCtx::plain(), "t", "metrics");
+        fig.metric_tol("collapsed", 1.0, 4.0);
     }
 
     #[test]
@@ -577,9 +547,21 @@ mod tests {
             doc.ends_with('\n'),
             "committed baselines end with a newline"
         );
-        let line = snapshot_line("scale", "quick", &metrics);
-        validate_json(&line).expect("snapshot line is valid JSON");
-        assert!(line.starts_with("{\"type\":\"snapshot\","));
+        let mut ctx = FigureCtx::plain();
+        ctx.quick = true;
+        let mut fig = Figure::new(&ctx, "scale", "gate");
+        for m in &metrics {
+            fig.metric_tol(&m.name, m.value, m.tol);
+        }
+        let text = fig.render(true, true);
+        let line = text.lines().last().expect("rendered lines");
+        validate_json(line).expect("snapshot line is valid JSON");
+        assert_eq!(
+            line,
+            format!("{{\"type\":\"snapshot\",{}", &doc.trim_end()[1..])
+        );
+        assert!(!fig.render(true, false).contains("\"type\":\"snapshot\""));
+        assert!(!fig.render(false, true).contains("\"type\":\"snapshot\""));
     }
 
     #[test]
@@ -591,6 +573,6 @@ mod tests {
         assert_eq!(cap.next_query(), 0);
         assert_eq!(cap.next_query(), 1);
         assert_eq!(cap.tracer().lanes(), 5);
-        assert!(cap.records().is_empty());
+        assert!(cap.sink.snapshot().is_empty());
     }
 }

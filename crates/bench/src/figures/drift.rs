@@ -43,10 +43,9 @@ use popt_core::ExecObservers;
 use popt_cpu::{CpuPool, LlcMode, SimCpu};
 use popt_obs::{DriftObservatory, Profiler};
 
-use crate::common::{banner, bench_metric, bench_metric_tol, check, fmt, header, row, FigureCtx};
+use crate::common::{fmt, Figure, FigureCtx};
 use crate::figures::fig15::scaled_cpu;
 use crate::figures::workload::{fig14_mem_tables, DOMAIN};
-use crate::note;
 
 /// The ≤ 15% calibrated cycles-per-tuple gate of the figure.
 pub const CPT_GATE: f64 = 0.15;
@@ -54,9 +53,9 @@ pub const CPT_GATE: f64 = 0.15;
 /// Print one observatory's series under a run label and return the
 /// worst calibrated mean cycles-per-tuple error (None when the run
 /// never fitted).
-fn print_drift(run: &str, drift: &DriftObservatory) -> Option<f64> {
+fn print_drift(fig: &mut Figure, run: &str, drift: &DriftObservatory) -> Option<f64> {
     for ((metric, key), s) in drift.series() {
-        row(&[
+        fig.row(&[
             run.to_string(),
             metric.clone(),
             format!("{key:016x}"),
@@ -73,8 +72,8 @@ fn print_drift(run: &str, drift: &DriftObservatory) -> Option<f64> {
 }
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
-    banner(
+pub fn run(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(
         ctx,
         "drift",
         "Model-drift observatory and per-stage cycle profiler on the L3-crossover workload",
@@ -105,7 +104,7 @@ pub fn run(ctx: &FigureCtx) {
     let mut static_cpu = SimCpu::new(scaled_cpu());
     let expect = build().run_range(&mut static_cpu, 0, rows);
 
-    header(&[
+    fig.header(&[
         "run",
         "metric",
         "stage_key",
@@ -149,7 +148,7 @@ pub fn run(ctx: &FigureCtx) {
         &ExecObservers::none(),
     )
     .expect("plain serial run");
-    check(
+    assert!(
         observed.qualified == plain.qualified
             && observed.sum == plain.sum
             && observed.cycles == plain.cycles
@@ -157,14 +156,14 @@ pub fn run(ctx: &FigureCtx) {
             && observed.switches == plain.switches,
         "attaching drift+profiler must not change the serial run",
     );
-    check(
+    assert!(
         observed.qualified == expect.qualified && observed.sum == expect.sum,
         "serial crossover result must match the static executor",
     );
-    let serial_worst = print_drift("serial", &drift_serial);
+    let serial_worst = print_drift(&mut fig, "serial", &drift_serial);
 
     // --- 4-worker private pool. ---
-    let run_pool = |label: &str, mut pool: CpuPool| {
+    let run_pool = |fig: &mut Figure, label: &str, mut pool: CpuPool| {
         let drift = Arc::new(DriftObservatory::new());
         let prof = Arc::new(Profiler::new(pool.cores().len()));
         let obs = ExecObservers::none()
@@ -180,43 +179,46 @@ pub fn run(ctx: &FigureCtx) {
             &obs,
         )
         .expect("observed parallel run");
-        check(
+        assert!(
             report.qualified == expect.qualified && report.sum == expect.sum,
             "parallel observed result must match the static executor",
         );
-        check(
+        assert!(
             prof.conserves(),
             "profiled cycles must sum bit-exactly to the pool wall clock",
         );
-        check(
+        assert!(
             prof.total_attributed() == prof.wall_cycles() * report.workers as u64,
             "attributed total must equal wall x workers",
         );
-        let worst = print_drift(label, &drift);
+        let worst = print_drift(fig, label, &drift);
         (report, prof, worst)
     };
-    let (par_report, _par_prof, par_worst) = run_pool("parallel-4w", CpuPool::new(scaled_cpu(), 4));
+    let (par_report, _par_prof, par_worst) =
+        run_pool(&mut fig, "parallel-4w", CpuPool::new(scaled_cpu(), 4));
     let (_shared_report, _shared_prof, shared_worst) = run_pool(
+        &mut fig,
         "shared-llc-4w",
         CpuPool::with_mode(scaled_cpu(), 4, LlcMode::Shared),
     );
     let (numa_report, _numa_prof, numa_worst) = run_pool(
+        &mut fig,
         "numa-2s",
         CpuPool::with_topology(scaled_cpu(), 4, LlcMode::Private, 2),
     );
 
     // --- Serial profile: conservation + flame. ---
-    check(
+    assert!(
         prof_serial.conserves(),
         "serial profile must conserve against the reported cycles",
     );
-    check(
+    assert!(
         prof_serial.wall_cycles() == observed.cycles,
         "serial profile wall must equal the report's total cycles",
     );
-    note!("# serial flame (cycles per lane, share of attributed total):");
+    fig.note("# serial flame (cycles per lane, share of attributed total):");
     for line in prof_serial.flame().lines() {
-        note!("#   {line}");
+        fig.note(format!("#   {line}"));
     }
     let totals = prof_serial.stage_totals();
     let join_cycles = totals.get(&1).copied().unwrap_or(0);
@@ -225,38 +227,38 @@ pub fn run(ctx: &FigureCtx) {
     // LLC-thrashing probe only sees survivors — which lane accumulates
     // more *total* cycles depends on how long convergence took, but both
     // stages must have executed and been attributed.
-    check(
+    assert!(
         join_cycles > 0 && scan_cycles > 0,
         "both stages must receive profile attribution",
     );
     let (_, opt_cycles, _) = prof_serial.worker_lanes(0);
-    check(
+    assert!(
         opt_cycles == observed.optimizer_cycles,
         "the profiler's optimizer lane must equal the report's optimizer cycles",
     );
 
     // --- The gate. ---
     let serial_worst = serial_worst.expect("serial run fitted at least once");
-    note!(
+    fig.note(format!(
         "# drift: serial crossover recorded {} samples over {} series",
         drift_serial.samples_recorded(),
         drift_serial.series().len(),
-    );
+    ));
     let show = |w: Option<f64>| w.map_or("n/a".to_string(), fmt);
-    note!(
+    fig.note(format!(
         "# drift: worst calibrated cpt mean error — serial {} | parallel {} | shared {} | numa {}",
         fmt(serial_worst),
         show(par_worst),
         show(shared_worst),
         show(numa_worst),
-    );
-    note!(
+    ));
+    fig.note(format!(
         "# drift gate: serial calibrated cpt mean {} <= {}: {}",
         fmt(serial_worst),
         CPT_GATE,
         serial_worst <= CPT_GATE,
-    );
-    check(
+    ));
+    assert!(
         serial_worst <= CPT_GATE,
         "calibrated cycles-per-tuple drift exceeded the 15% gate",
     );
@@ -264,18 +266,18 @@ pub fn run(ctx: &FigureCtx) {
     // Regression-gate metrics: the serial run at a tight tolerance; pool
     // walls and their drift errors, which move with any change to where
     // the pool's trials and rounds land, at a loose one.
-    bench_metric("serial.cycles", observed.cycles as f64);
-    bench_metric("serial.qualified", observed.qualified as f64);
-    bench_metric("serial.stage1_profile_cycles", join_cycles as f64);
-    bench_metric_tol("serial.cal_cpt_worst", serial_worst, 0.5);
-    bench_metric_tol("parallel.wall_cycles", par_report.wall_cycles as f64, 0.35);
-    bench_metric_tol(
+    fig.metric("serial.cycles", observed.cycles as f64);
+    fig.metric("serial.qualified", observed.qualified as f64);
+    fig.metric("serial.stage1_profile_cycles", join_cycles as f64);
+    fig.metric_tol("serial.cal_cpt_worst", serial_worst, 0.5);
+    fig.metric_tol("parallel.wall_cycles", par_report.wall_cycles as f64, 0.35);
+    fig.metric_tol(
         "numa.remote_access_pct",
         numa_report.remote_access_pct,
         0.35,
     );
 
-    note!(
+    fig.note(
         "# expectation: the raw cycles-per-tuple error carries the constant bias \
          between the analytic CycleParams defaults and the scaled simulated \
          hierarchy (visible as a stable window scale), while the calibrated \
@@ -283,6 +285,7 @@ pub fn run(ctx: &FigureCtx) {
          on — stays within the 15% gate on the crossover; contention the model \
          does not price (shared-LLC capacity, NUMA remote surcharges) shows up \
          as extra calibrated error, and the profiler's stage/optimizer/idle \
-         lanes conserve bit-exactly on every configuration"
+         lanes conserve bit-exactly on every configuration",
     );
+    fig
 }

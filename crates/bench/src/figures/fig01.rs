@@ -12,20 +12,19 @@ use popt_cpu::{CpuConfig, SimCpu};
 use popt_storage::stats;
 use popt_storage::tpch::{generate_lineitem, TpchConfig};
 
-use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
-use crate::note;
+use crate::common::{fmt, parallel_map, Figure, FigureCtx};
 
 /// Shipdate selectivities in percent (log scale, as in the figure).
 pub const SELECTIVITIES_PCT: &[f64] = &[0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0];
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
-    banner(ctx, "1", "Best v. Worst plan costs for TPC-H Query 6");
+pub fn run(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(ctx, "1", "Best v. Worst plan costs for TPC-H Query 6");
     let rows = ctx.scale(1 << 20, 1 << 17);
     let table = generate_lineitem(&TpchConfig::with_rows(rows));
     let shipdate = table.column("l_shipdate").unwrap();
 
-    header(&["shipdate_sel_pct", "best_ms", "worst_ms", "worst/best"]);
+    fig.header(&["shipdate_sel_pct", "best_ms", "worst_ms", "worst/best"]);
     let mut max_ratio: f64 = 0.0;
     for &pct in SELECTIVITIES_PCT {
         let literal = if pct >= 100.0 {
@@ -47,7 +46,8 @@ pub fn run(ctx: &FigureCtx) {
         let to_ms = |c: f64| c / 2.6e6;
         let ratio = worst / best;
         max_ratio = max_ratio.max(ratio);
-        row(&[fmt(pct), fmt(to_ms(best)), fmt(to_ms(worst)), fmt(ratio)]);
+        fig.row(&[fmt(pct), fmt(to_ms(best)), fmt(to_ms(worst)), fmt(ratio)]);
     }
-    note!("# max worst/best ratio: {}", fmt(max_ratio));
+    fig.note(format!("# max worst/best ratio: {}", fmt(max_ratio)));
+    fig
 }

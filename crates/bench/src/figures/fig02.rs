@@ -9,12 +9,12 @@
 use popt_core::exec::program::CompiledProgram;
 use popt_cpu::{CpuConfig, SimCpu};
 
-use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
+use crate::common::{fmt, parallel_map, Figure, FigureCtx};
 use crate::figures::workload::{uniform_plan, uniform_table};
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
-    banner(
+pub fn run(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(
         ctx,
         "2",
         "Counter overview (single selection, selectivity sweep)",
@@ -45,7 +45,7 @@ pub fn run(ctx: &FigureCtx) {
             *mx = mx.max(v);
         }
     }
-    header(&[
+    fig.header(&[
         "sel_pct",
         "l3_access_pct",
         "branch_taken_pct",
@@ -59,6 +59,7 @@ pub fn run(ctx: &FigureCtx) {
         for (v, mx) in m.iter().zip(&maxima) {
             cells.push(fmt(if *mx > 0.0 { v / mx * 100.0 } else { 0.0 }));
         }
-        row(&cells);
+        fig.row(&cells);
     }
+    fig
 }

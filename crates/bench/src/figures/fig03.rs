@@ -10,9 +10,8 @@ use popt_core::exec::program::CompiledProgram;
 use popt_cost::markov::ChainSpec;
 use popt_cpu::{CpuConfig, SimCpu};
 
-use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
+use crate::common::{fmt, parallel_map, Figure, FigureCtx};
 use crate::figures::workload::{uniform_plan, uniform_table};
-use crate::note;
 
 /// The chain configurations of the figure's legend.
 pub fn chains() -> Vec<ChainSpec> {
@@ -29,8 +28,8 @@ pub fn chains() -> Vec<ChainSpec> {
 }
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
-    banner(ctx, "3", "Markov model state counts vs. measured sample");
+pub fn run(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(ctx, "3", "Markov model state counts vs. measured sample");
     let rows = ctx.scale(1 << 19, 1 << 15);
     let table = uniform_table(rows, 1, 0xF1603);
     let specs = chains();
@@ -54,11 +53,11 @@ pub fn run(ctx: &FigureCtx) {
         (1, "(b) not-taken mispredictions, % of branches"),
         (2, "(c) all mispredictions, % of branches"),
     ] {
-        note!("# panel {label}");
+        fig.note(format!("# panel {label}"));
         let mut cols = vec!["sel_pct".to_string()];
         cols.extend(specs.iter().map(|s| s.label()));
         cols.push("ivy_sample".into());
-        header(&cols);
+        fig.header(&cols);
         for (s, sample) in sels.iter().zip(&samples) {
             let p = s / 100.0;
             let mut cells = vec![fmt(*s)];
@@ -77,7 +76,8 @@ pub fn run(ctx: &FigureCtx) {
                 _ => sample.2,
             };
             cells.push(fmt(measured));
-            row(&cells);
+            fig.row(&cells);
         }
     }
+    fig
 }

@@ -10,13 +10,12 @@ use popt_cost::branch_costs::estimate_peo_branches;
 use popt_cost::markov::ChainSpec;
 use popt_cpu::{CpuConfig, SimCpu};
 
-use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
+use crate::common::{fmt, parallel_map, Figure, FigureCtx};
 use crate::figures::workload::{uniform_plan, uniform_table};
-use crate::note;
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
-    banner(
+pub fn run(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(
         ctx,
         "4",
         "Two-predicate mispredictions: measured / predicted",
@@ -53,7 +52,7 @@ pub fn run(ctx: &FigureCtx) {
         )
     });
 
-    header(&[
+    fig.header(&[
         "sel1",
         "sel2",
         "ratio_not_taken_mp",
@@ -62,7 +61,7 @@ pub fn run(ctx: &FigureCtx) {
     ]);
     let mut worst: f64 = 1.0;
     for ((p1, p2), (rnt, rt, rall)) in grid.iter().zip(&results) {
-        row(&[fmt(*p1), fmt(*p2), fmt(*rnt), fmt(*rt), fmt(*rall)]);
+        fig.row(&[fmt(*p1), fmt(*p2), fmt(*rnt), fmt(*rt), fmt(*rall)]);
         // Track the worst overall-MP deviation over the interior grid
         // (corners have near-zero counts and noisy ratios).
         if *p1 > 0.05 && *p1 < 0.95 && *p2 > 0.05 && *p2 < 0.95 {
@@ -70,5 +69,9 @@ pub fn run(ctx: &FigureCtx) {
             worst = worst.max(r.max(1.0 / r.max(1e-9)));
         }
     }
-    note!("# worst interior all-MP deviation factor: {}", fmt(worst));
+    fig.note(format!(
+        "# worst interior all-MP deviation factor: {}",
+        fmt(worst)
+    ));
+    fig
 }

@@ -12,12 +12,12 @@ use popt_cost::markov::ChainSpec;
 use popt_cost::piecewise;
 use popt_cpu::{CpuConfig, SimCpu};
 
-use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
+use crate::common::{fmt, parallel_map, Figure, FigureCtx};
 use crate::figures::workload::{uniform_plan, uniform_table};
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
-    banner(
+pub fn run(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(
         ctx,
         "6",
         "Branch counters across microarchitectures vs. estimates",
@@ -45,7 +45,7 @@ pub fn run(ctx: &FigureCtx) {
         "est_nottak_mp".into(),
         "zeuch_mp".into(),
     ]);
-    header(&cols);
+    fig.header(&cols);
 
     let measurements = parallel_map(&sels, |&pct| {
         archs
@@ -79,6 +79,7 @@ pub fn run(ctx: &FigureCtx) {
         cells.push(fmt(probs.mp_taken * n));
         cells.push(fmt(probs.mp_not_taken * n));
         cells.push(fmt(piecewise::mp_count(rows as u64, p)));
-        row(&cells);
+        fig.row(&cells);
     }
+    fig
 }

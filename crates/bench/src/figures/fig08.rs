@@ -8,17 +8,16 @@
 
 use popt_cost::estimate::{estimate_counters, PlanGeometry};
 
-use crate::common::{banner, fmt, header, row, FigureCtx};
-use crate::note;
+use crate::common::{fmt, Figure, FigureCtx};
 
 /// Tuples assumed by the figure (matches the paper's 10 M).
 pub const TUPLES: u64 = 10_000_000;
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
-    banner(ctx, "8", "Two-predicate counter predictions (model only)");
+pub fn run(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(ctx, "8", "Two-predicate counter predictions (model only)");
     let geom = PlanGeometry::uniform_i32(TUPLES, 2);
-    header(&[
+    fig.header(&[
         "sel1",
         "sel2",
         "bnt",
@@ -32,7 +31,7 @@ pub fn run(ctx: &FigureCtx) {
             let p2 = f64::from(j) / 10.0;
             let n = TUPLES as f64;
             let est = estimate_counters(&geom, &[n * p1, n * p1 * p2]);
-            row(&[
+            fig.row(&[
                 fmt(p1),
                 fmt(p2),
                 fmt(est.bnt),
@@ -46,12 +45,13 @@ pub fn run(ctx: &FigureCtx) {
     // (20%, 40%).
     let a = estimate_counters(&geom, &[TUPLES as f64 * 0.4, TUPLES as f64 * 0.08]);
     let b = estimate_counters(&geom, &[TUPLES as f64 * 0.2, TUPLES as f64 * 0.08]);
-    note!(
+    fig.note(format!(
         "# (40%,20%) vs (20%,40%): BNT {} vs {}, MP-not-taken {} vs {} — at least one \
          counter separates the two orders",
         fmt(a.bnt),
         fmt(b.bnt),
         fmt(a.mp_not_taken),
         fmt(b.mp_not_taken),
-    );
+    ));
+    fig
 }

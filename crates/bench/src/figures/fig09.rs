@@ -8,11 +8,11 @@
 use popt_solver::bounds::SearchBounds;
 use popt_solver::start_points::StartPointGenerator;
 
-use crate::common::{banner, fmt, header, row, FigureCtx};
+use crate::common::{fmt, Figure, FigureCtx};
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
-    banner(
+pub fn run(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(
         ctx,
         "9",
         "Start point selection (2-D example, 25% overall selectivity)",
@@ -23,8 +23,9 @@ pub fn run(ctx: &FigureCtx) {
     };
     let null = StartPointGenerator::null_hypothesis(2, 2, 100, 25);
     let generator = StartPointGenerator::new(bounds, null);
-    header(&["point", "a1", "a2"]);
+    fig.header(&["point", "a1", "a2"]);
     for (i, p) in generator.take(10).enumerate() {
-        row(&[format!("C{}", i + 1), fmt(p[0]), fmt(p[1])]);
+        fig.row(&[format!("C{}", i + 1), fmt(p[0]), fmt(p[1])]);
     }
+    fig
 }

@@ -10,12 +10,11 @@ use popt_core::plan::Peo;
 use popt_core::query::{QueryBuilder, RunMode};
 use popt_storage::tpch::{generate_lineitem, TpchConfig};
 
-use crate::common::{banner, fmt, header, parallel_map, row, subsample, FigureCtx};
-use crate::note;
+use crate::common::{fmt, parallel_map, subsample, Figure, FigureCtx};
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
-    banner(
+pub fn run(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(
         ctx,
         "11",
         "TPC-H common case: 120 Q6 PEOs, baseline vs. progressive",
@@ -44,26 +43,27 @@ pub fn run(ctx: &FigureCtx) {
 
     let mut sorted = results;
     sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-    header(&["permutation_rank", "baseline_ms", "optimized_ms", "peo"]);
+    fig.header(&["permutation_rank", "baseline_ms", "optimized_ms", "peo"]);
     for (rank, (peo, base, prog)) in sorted.iter().enumerate() {
-        row(&[rank.to_string(), fmt(*base), fmt(*prog), format!("{peo:?}")]);
+        fig.row(&[rank.to_string(), fmt(*base), fmt(*prog), format!("{peo:?}")]);
     }
     let worst_base = sorted.iter().map(|r| r.1).fold(0.0f64, f64::max);
     let best_base = sorted.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
     let avg_base: f64 = sorted.iter().map(|r| r.1).sum::<f64>() / sorted.len() as f64;
     let worst_prog = sorted.iter().map(|r| r.2).fold(0.0f64, f64::max);
     let avg_prog: f64 = sorted.iter().map(|r| r.2).sum::<f64>() / sorted.len() as f64;
-    note!(
+    fig.note(format!(
         "# baseline best/avg/worst: {}/{}/{} ms; progressive avg/worst: {}/{} ms",
         fmt(best_base),
         fmt(avg_base),
         fmt(worst_base),
         fmt(avg_prog),
         fmt(worst_prog)
-    );
-    note!(
+    ));
+    fig.note(format!(
         "# improvement: avg {}x, worst-case {}x",
         fmt(avg_base / avg_prog),
         fmt(worst_base / worst_prog)
-    );
+    ));
+    fig
 }

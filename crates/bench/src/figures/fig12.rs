@@ -11,8 +11,7 @@ use popt_core::query::{QueryBuilder, RunMode, Q6_DISCOUNT_HI, Q6_DISCOUNT_LO, Q6
 use popt_storage::stats;
 use popt_storage::tpch::{generate_lineitem, TpchConfig};
 
-use crate::common::{banner, fmt, header, parallel_map, row, subsample, FigureCtx};
-use crate::note;
+use crate::common::{fmt, parallel_map, subsample, Figure, FigureCtx};
 
 /// Shipdate selectivities in percent (log scale).
 pub const SELECTIVITIES_PCT: &[f64] = &[0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0];
@@ -41,8 +40,8 @@ pub fn q6_with_shipdate_selectivity(table: &popt_storage::Table, pct: f64) -> Se
 }
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
-    banner(ctx, "12", "Q6 with varying shipdate selectivity");
+pub fn run(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(ctx, "12", "Q6 with varying shipdate selectivity");
     let rows = ctx.scale(1 << 20, 1 << 17);
     let vector_tuples = ctx.scale(4_096, 2_048);
     // Baselines are cheap enough to run for every PEO (their min/max are
@@ -52,7 +51,7 @@ pub fn run(ctx: &FigureCtx) {
     let prog_sample = ctx.scale(24, 6);
     let table = generate_lineitem(&TpchConfig::with_rows(rows));
 
-    header(&[
+    fig.header(&[
         "shipdate_sel_pct",
         "min_base_ms",
         "max_base_ms",
@@ -87,7 +86,7 @@ pub fn run(ctx: &FigureCtx) {
             });
             avgs.push(runs.iter().sum::<f64>() / runs.len() as f64);
         }
-        row(&[
+        fig.row(&[
             fmt(pct),
             fmt(min),
             fmt(max),
@@ -97,5 +96,6 @@ pub fn run(ctx: &FigureCtx) {
             fmt(avgs[2]),
         ]);
     }
-    note!("# expectation: avg_reop10 tracks min_base in the 0.1–10% band");
+    fig.note("# expectation: avg_reop10 tracks min_base in the 0.1–10% band");
+    fig
 }

@@ -11,8 +11,7 @@ use popt_core::query::{QueryBuilder, RunMode};
 use popt_storage::distribution::Layout;
 use popt_storage::tpch::{generate_lineitem, TpchConfig};
 
-use crate::common::{banner, fmt, header, parallel_map, row, subsample, FigureCtx};
-use crate::note;
+use crate::common::{fmt, parallel_map, subsample, Figure, FigureCtx};
 
 /// The reoptimization intervals of the figure.
 pub const REOP_INTERVALS: &[usize] = &[10, 75, 200];
@@ -22,8 +21,8 @@ pub const REOP_INTERVALS: &[usize] = &[10, 75, 200];
 type PeoRun = (f64, Vec<f64>);
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
-    banner(
+pub fn run(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(
         ctx,
         "13",
         "Q6 on sorted / clustered / random shipdate layouts",
@@ -41,7 +40,7 @@ pub fn run(ctx: &FigureCtx) {
     let peos = subsample(&plan.all_peos(), peo_sample);
 
     for (label, layout) in layouts {
-        note!("# panel {label}");
+        fig.note(format!("# panel {label}"));
         let table = generate_lineitem(&TpchConfig::with_rows(rows).shipdate_layout(layout));
         let runs: Vec<(f64, Vec<f64>)> = parallel_map(&peos, |peo| {
             let millis = |mode| {
@@ -61,7 +60,7 @@ pub fn run(ctx: &FigureCtx) {
         });
         let mut sorted = runs;
         sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        header(&[
+        fig.header(&[
             "permutation_rank",
             "baseline_ms",
             "reop10_ms",
@@ -69,7 +68,7 @@ pub fn run(ctx: &FigureCtx) {
             "reop200_ms",
         ]);
         for (rank, (base, reops)) in sorted.iter().enumerate() {
-            row(&[
+            fig.row(&[
                 rank.to_string(),
                 fmt(*base),
                 fmt(reops[0]),
@@ -80,12 +79,13 @@ pub fn run(ctx: &FigureCtx) {
         let avg = |f: &dyn Fn(&PeoRun) -> f64| -> f64 {
             sorted.iter().map(f).sum::<f64>() / sorted.len() as f64
         };
-        note!(
+        fig.note(format!(
             "# avg baseline {} ms; avg reop10 {} ms; avg reop75 {} ms; avg reop200 {} ms",
             fmt(avg(&|r| r.0)),
             fmt(avg(&|r| r.1[0])),
             fmt(avg(&|r| r.1[1])),
             fmt(avg(&|r| r.1[2])),
-        );
+        ));
     }
+    fig
 }

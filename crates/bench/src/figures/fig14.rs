@@ -20,9 +20,8 @@ use popt_cpu::{CacheLevelConfig, CpuConfig, SimCpu};
 use popt_storage::distribution::knuth_shuffle_window;
 use popt_storage::{AddressSpace, ColumnData, Table};
 
-use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
+use crate::common::{fmt, parallel_map, Figure, FigureCtx};
 use crate::figures::workload::DOMAIN;
-use crate::note;
 
 /// The scaled-down hierarchy: 8 KiB L1 / 64 KiB L2 / 1 MiB L3.
 pub fn scaled_cpu() -> CpuConfig {
@@ -95,12 +94,12 @@ fn fact_and_dim(rows: usize, window: usize, seed: u64) -> (Table, Table) {
 }
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
-    banner(ctx, "14", "Sortedness: selection-first vs. join-first");
+pub fn run(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(ctx, "14", "Sortedness: selection-first vs. join-first");
     let rows = ctx.scale(1 << 21, 1 << 17);
     let windows = windows(rows);
 
-    header(&[
+    fig.header(&[
         "sortedness",
         "sel_first_ms",
         "join_first_ms",
@@ -176,7 +175,7 @@ pub fn run(ctx: &FigureCtx) {
         } else {
             "selection-first"
         };
-        row(&[
+        fig.row(&[
             label.to_string(),
             fmt(sel_ms),
             fmt(join_ms),
@@ -187,10 +186,11 @@ pub fn run(ctx: &FigureCtx) {
             prog_final.to_string(),
         ]);
     }
-    note!(
+    fig.note(
         "# expectation: join-first wins while the shuffle window fits the caches, \
               selection-first wins at Mem; the L3-miss columns expose the crossover. \
               progressive starts from the worse static order on every row and should \
-              track the winner's time closely on both sides of the crossover"
+              track the winner's time closely on both sides of the crossover",
     );
+    fig
 }

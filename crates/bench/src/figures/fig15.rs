@@ -17,9 +17,8 @@ use popt_cost::join_model::JoinGeometry;
 use popt_cpu::{CacheLevelConfig, CpuConfig, SimCpu};
 use popt_storage::{AddressSpace, ColumnData, Table};
 
-use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
-use crate::figures::workload::DOMAIN;
-use crate::note;
+use crate::common::{fmt, parallel_map, Figure, FigureCtx};
+use crate::figures::workload::{xorshift64, DOMAIN};
 
 /// A hierarchy scaled so that *both* dimension tables exceed the LLC
 /// (in the paper, `orders` and `part` both dwarf the 15 MiB L3 at
@@ -54,12 +53,7 @@ fn tables(rows: usize, seed: u64) -> (Table, Table, Table) {
     let orders_n = rows / 4;
     let part_n = (orders_n / 8).max(16); // "about eight times smaller"
     let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as i64
-    };
+    let mut next = move || xorshift64(&mut state) as i64;
     let mut space = AddressSpace::new();
     let mut fact = Table::new("lineitem");
     fact.add_column(
@@ -90,15 +84,15 @@ fn tables(rows: usize, seed: u64) -> (Table, Table, Table) {
 }
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
-    banner(
+pub fn run(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(
         ctx,
         "15",
         "Foreign-key join order: orders-first vs. part-first",
     );
     let rows = ctx.scale(1 << 21, 1 << 17);
     let (fact, orders, part) = tables(rows, 0xF1615);
-    note!("# frontend: PlanBuilder -> optimizer passes -> CompiledProgram");
+    fig.note("# frontend: PlanBuilder -> optimizer passes -> CompiledProgram");
 
     let sels: Vec<f64> = (2..=10).map(|i| i as f64 / 10.0).collect();
     let results = parallel_map(&sels, |&sel| {
@@ -158,7 +152,7 @@ pub fn run(ctx: &FigureCtx) {
         (sel, o_ms, p_ms, prog.millis, o_miss, p_miss, flipped)
     });
 
-    header(&[
+    fig.header(&[
         "join_sel_pct",
         "orders_first_ms",
         "part_first_ms",
@@ -172,7 +166,7 @@ pub fn run(ctx: &FigureCtx) {
         // At 100% selectivity nothing filters and the two pipelines do
         // identical work — compare with an epsilon for that tie.
         orders_always_faster &= *o_ms <= p_ms * 1.001;
-        row(&[
+        fig.row(&[
             fmt(sel * 100.0),
             fmt(*o_ms),
             fmt(*p_ms),
@@ -182,7 +176,9 @@ pub fn run(ctx: &FigureCtx) {
             flipped.to_string(),
         ]);
     }
-    note!("# orders-first faster at every selectivity: {orders_always_faster}");
+    fig.note(format!(
+        "# orders-first faster at every selectivity: {orders_always_faster}"
+    ));
 
     // The detector's view (Section 5.6): probe each dimension for one
     // sample and ask which join should go first.
@@ -214,14 +210,15 @@ pub fn run(ctx: &FigureCtx) {
         probe(&part, "l_partkey", "p_retailprice", "part"),
     ];
     let order = recommend_join_order(&obs);
-    note!(
+    fig.note(format!(
         "# detector recommends joining {} first (patterns: orders={:?}, part={:?})",
         obs[order[0]].name,
         obs[0].pattern(),
         obs[1].pattern()
-    );
+    ));
 
-    convergence_sweep(&fact, &orders, &part);
+    convergence_sweep(&mut fig, &fact, &orders, &part);
+    fig
 }
 
 /// The fig12/fig13-style convergence study for operator reordering:
@@ -229,7 +226,7 @@ pub fn run(ctx: &FigureCtx) {
 /// and report where the convergence cost (late switching plus trial
 /// vectors plus estimator time, all starting from the textbook
 /// part-first order) crosses the static-order gap.
-fn convergence_sweep(fact: &Table, orders: &Table, part: &Table) {
+fn convergence_sweep(fig: &mut Figure, fact: &Table, orders: &Table, part: &Table) {
     let literal = DOMAIN / 2;
     let build = || {
         PlanBuilder::scan(fact)
@@ -259,9 +256,9 @@ fn convergence_sweep(fact: &Table, orders: &Table, part: &Table) {
     let best_ms = static_ms(true); // orders-first (co-clustered) wins
     let worst_ms = static_ms(false); // the textbook part-first order
 
-    note!("\n# convergence sweep at 50% join selectivity: where does the");
-    note!("# reop_interval x vector-size convergence cost cross the static gap?");
-    header(&[
+    fig.note("\n# convergence sweep at 50% join selectivity: where does the");
+    fig.note("# reop_interval x vector-size convergence cost cross the static gap?");
+    fig.header(&[
         "reop_interval",
         "vector_tuples",
         "progressive_ms",
@@ -292,7 +289,7 @@ fn convergence_sweep(fact: &Table, orders: &Table, part: &Table) {
         (reop_interval, vector_tuples, prog.millis)
     });
     for (reop_interval, vector_tuples, prog_ms) in sweep {
-        row(&[
+        fig.row(&[
             reop_interval.to_string(),
             vector_tuples.to_string(),
             fmt(prog_ms),
@@ -302,9 +299,9 @@ fn convergence_sweep(fact: &Table, orders: &Table, part: &Table) {
             (prog_ms < worst_ms).to_string(),
         ]);
     }
-    note!(
+    fig.note(
         "# expectation: short intervals and small vectors converge early enough to \
          beat the worst static order at modest overhead over the best; very long \
-         intervals on few vectors approach the worst order's time"
+         intervals on few vectors approach the worst order's time",
     );
 }

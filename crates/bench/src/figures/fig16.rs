@@ -10,16 +10,15 @@ use popt_core::exec::enumerator::EnumeratedSelection;
 use popt_core::exec::program::CompiledProgram;
 use popt_cpu::{CpuConfig, SimCpu};
 
-use crate::common::{banner, fmt, header, parallel_map, row, FigureCtx};
+use crate::common::{fmt, parallel_map, Figure, FigureCtx};
 use crate::figures::workload::{uniform_plan, uniform_table};
-use crate::note;
 
 /// Tuples per vector for the PMU-sampled variant.
 pub const VECTOR_TUPLES: usize = 8_192;
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
-    banner(ctx, "16", "Overhead: enumerator vs. performance counters");
+pub fn run(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(ctx, "16", "Overhead: enumerator vs. performance counters");
     let rows = ctx.scale(1 << 19, 1 << 15);
     let max_preds = 10usize;
     let table = uniform_table(rows, max_preds, 0xF1616);
@@ -59,16 +58,17 @@ pub fn run(ctx: &FigureCtx) {
         )
     });
 
-    header(&["predicates", "enumerator_overhead_pct", "papi_overhead_pct"]);
+    fig.header(&["predicates", "enumerator_overhead_pct", "papi_overhead_pct"]);
     for (p, enum_pct, pmu_pct) in &results {
-        row(&[p.to_string(), fmt(*enum_pct), fmt(*pmu_pct)]);
+        fig.row(&[p.to_string(), fmt(*enum_pct), fmt(*pmu_pct)]);
     }
     let max_enum = results.iter().map(|r| r.1).fold(0.0f64, f64::max);
     let max_pmu = results.iter().map(|r| r.2).fold(0.0f64, f64::max);
-    note!(
+    fig.note(format!(
         "# max enumerator overhead {}%, max PMU overhead {}% (ratio {}x)",
         fmt(max_enum),
         fmt(max_pmu),
         fmt(max_enum / max_pmu.max(1e-9))
-    );
+    ));
+    fig
 }

@@ -21,7 +21,7 @@ pub mod serve;
 pub mod trace;
 pub mod workload;
 
-use crate::common::FigureCtx;
+use crate::common::{Figure, FigureCtx};
 
 /// All figure ids in paper order, plus the beyond-the-paper parallel
 /// scaling study (`scale`), the multi-query serving study (`serve`),
@@ -33,10 +33,11 @@ pub const ALL: &[&str] = &[
     "trace", "drift",
 ];
 
-/// Dispatch a figure by id; returns false for unknown ids (the CLI turns
-/// that into a non-zero exit with the known ids printed).
-pub fn run(id: &str, ctx: &FigureCtx) -> bool {
-    match id {
+/// Run a figure by id and return what it produced; `None` for unknown
+/// ids (the CLI turns that into a non-zero exit with the known ids
+/// printed).
+pub fn run(id: &str, ctx: &FigureCtx) -> Option<Figure> {
+    Some(match id {
         "1" => fig01::run(ctx),
         "2" => fig02::run(ctx),
         "3" => fig03::run(ctx),
@@ -55,9 +56,8 @@ pub fn run(id: &str, ctx: &FigureCtx) -> bool {
         "serve" => serve::run(ctx),
         "trace" => trace::run(ctx),
         "drift" => drift::run(ctx),
-        _ => return false,
-    }
-    true
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -67,13 +67,13 @@ mod tests {
     #[test]
     fn unknown_ids_are_rejected_and_known_ids_are_unique() {
         // `run` must refuse ids it does not know (the CLI exits non-zero
-        // and prints `ALL` when it sees `false`), and every advertised
+        // and prints `ALL` when it sees `None`), and every advertised
         // id must be unique and non-empty.
         let mut ctx = FigureCtx::plain();
         ctx.quick = true;
-        assert!(!run("not-a-figure", &ctx));
-        assert!(!run("", &ctx));
-        assert!(!run("Serve", &ctx), "ids are case-sensitive");
+        assert!(run("not-a-figure", &ctx).is_none());
+        assert!(run("", &ctx).is_none());
+        assert!(run("Serve", &ctx).is_none(), "ids are case-sensitive");
         let mut seen = std::collections::HashSet::new();
         for id in ALL {
             assert!(!id.is_empty());

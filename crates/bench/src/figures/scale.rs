@@ -28,15 +28,12 @@ use popt_core::progressive::{run_progressive_program_observed, ProgressiveConfig
 use popt_cost::cycles::fleet_occupancy_per_socket;
 use popt_cpu::{CpuPool, LlcMode, NumaPlacement, SimCpu};
 
-use crate::common::{
-    banner, bench_metric, bench_metric_tol, fmt, header, row, FigureCtx, TraceCapture,
-};
+use crate::common::{fmt, Figure, FigureCtx, TraceCapture};
 use crate::figures::fig15::scaled_cpu;
 use crate::figures::workload::{
     fig14_mem_tables, mem_tables_with_dim, numa_banded_tables, numa_two_dim_tables, star_program,
     star_schema, DOMAIN,
 };
-use crate::note;
 
 /// Worker counts of the sweep.
 pub const WORKER_COUNTS: &[usize] = &[1, 2, 4, 8];
@@ -140,9 +137,9 @@ fn sweep<'t>(
         .collect()
 }
 
-fn print_sweep(label: &str, points: &[SweepPoint]) {
+fn print_sweep(fig: &mut Figure, label: &str, points: &[SweepPoint]) {
     for p in points {
-        row(&[
+        fig.row(&[
             label.to_string(),
             p.workers.to_string(),
             fmt(p.wall_ms),
@@ -164,8 +161,8 @@ fn print_sweep(label: &str, points: &[SweepPoint]) {
     // shaped decision sequence — tight default tolerance; multi-worker
     // speedup moves with where the pool's trials and rounds land under
     // reoptimization — loose tolerance.
-    bench_metric(&format!("{label}.wall_ms_1w"), one.wall_ms);
-    bench_metric_tol(&format!("{label}.speedup_4w"), four.speedup, 0.35);
+    fig.metric(&format!("{label}.wall_ms_1w"), one.wall_ms);
+    fig.metric_tol(&format!("{label}.speedup_4w"), four.speedup, 0.35);
     assert!(
         points.iter().all(|p| p.exact),
         "{label}: parallel result must be bit-identical to the single-core executor"
@@ -175,12 +172,12 @@ fn print_sweep(label: &str, points: &[SweepPoint]) {
         "{label}: 4-worker speedup {:.2} < 2.5",
         four.speedup
     );
-    note!(
+    fig.note(format!(
         "# {label}: 4-worker speedup {} (>= 2.5: {}), converged to serial order: {}",
         fmt(four.speedup),
         four.speedup >= 2.5,
         four.matches_serial
-    );
+    ));
 }
 
 /// One workload's private-vs-shared contention sweep: the same pipeline
@@ -199,6 +196,7 @@ struct ContentionSweep {
 /// shared mode; a dim small enough for the worst share never notices the
 /// partition.
 fn contention_sweep(
+    fig: &mut Figure,
     label: &str,
     rows: usize,
     dim_rows: usize,
@@ -255,7 +253,7 @@ fn contention_sweep(
                 sweep.wall_4w[m] = report.wall_cycles;
                 sweep.speedup_4w[m] = speedup;
             }
-            row(&[
+            fig.row(&[
                 label.to_string(),
                 mode_label.to_string(),
                 workers.to_string(),
@@ -272,14 +270,14 @@ fn contention_sweep(
 
 /// The `--shared-llc` variant: where the private model's near-linear
 /// speedup survives the socket and where it breaks.
-fn run_shared(ctx: &FigureCtx) {
-    banner(
+fn run_shared(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(
         ctx,
         "scale",
         "Shared-LLC socket: capacity contention vs near-linear scaling",
     );
     let rows = ctx.scale(1 << 20, 1 << 18);
-    header(&[
+    fig.header(&[
         "workload",
         "llc_mode",
         "workers",
@@ -293,8 +291,22 @@ fn run_shared(ctx: &FigureCtx) {
     // Dimensions sized against the scaled CPU's 128 KiB socket LLC:
     // 24 Ki tuples (96 KiB) fit the socket but thrash a 4-worker share;
     // 2 Ki tuples (8 KiB) fit even the 8-worker share.
-    let thrash = contention_sweep("llc-thrash", rows, 24 * 1024, 0x5CA1E, capture.as_ref());
-    let resident = contention_sweep("llc-resident", rows, 2 * 1024, 0x0D1, capture.as_ref());
+    let thrash = contention_sweep(
+        &mut fig,
+        "llc-thrash",
+        rows,
+        24 * 1024,
+        0x5CA1E,
+        capture.as_ref(),
+    );
+    let resident = contention_sweep(
+        &mut fig,
+        "llc-resident",
+        rows,
+        2 * 1024,
+        0x0D1,
+        capture.as_ref(),
+    );
 
     assert!(
         thrash.exact && resident.exact,
@@ -302,18 +314,18 @@ fn run_shared(ctx: &FigureCtx) {
     );
     let slowdown = |s: &ContentionSweep| (s.wall_4w[1] as f64 / s.wall_4w[0] as f64 - 1.0) * 100.0;
     let (thrash_pct, resident_pct) = (slowdown(&thrash), slowdown(&resident));
-    note!(
+    fig.note(format!(
         "# llc-thrash: shared-socket 4-worker slowdown {}% vs private, speedup {} -> {}",
         fmt(thrash_pct),
         fmt(thrash.speedup_4w[0]),
         fmt(thrash.speedup_4w[1]),
-    );
-    note!(
+    ));
+    fig.note(format!(
         "# llc-resident: shared-socket 4-worker slowdown {}% vs private, speedup {} -> {}",
         fmt(resident_pct),
         fmt(resident.speedup_4w[0]),
         fmt(resident.speedup_4w[1]),
-    );
+    ));
     assert!(
         resident.speedup_4w[1] >= 2.5,
         "cache-resident workload must stay near-linear on the shared socket \
@@ -336,21 +348,23 @@ fn run_shared(ctx: &FigureCtx) {
         "cache-resident workload must not pay for a partition it fits \
          (got {resident_pct:.2}%)"
     );
-    note!(
+    fig.note(
         "# expectation: the partition leaves each of N cores 1/N of the socket; a \
          probed dimension that fits the socket but not the share turns LLC hits \
          into memory misses and sub-linear speedup, while a share-resident \
          working set keeps the private model's near-linear scaling — and results \
-         are bit-identical in both modes at every worker count"
+         are bit-identical in both modes at every worker count",
     );
     if let Some(capture) = &capture {
-        capture.write();
+        capture.write(&mut fig);
     }
+    fig
 }
 
 /// One printed row of the NUMA study: per-socket occupancy and accepted
 /// orders are `|`-joined so each socket gets a column slot.
 fn numa_row(
+    fig: &mut Figure,
     experiment: &str,
     placement: &str,
     report: &ParallelReport,
@@ -366,7 +380,7 @@ fn numa_row(
         .iter()
         .map(|o| format!("{o:?}").replace(' ', ""))
         .collect();
-    row(&[
+    fig.row(&[
         experiment.to_string(),
         placement.to_string(),
         report.workers.to_string(),
@@ -394,9 +408,9 @@ fn numa_row(
 ///   Each socket's loop should converge to probing its local dimension
 ///   first: the published per-socket orders end up different while
 ///   results stay bit-identical to the single-core executor.
-fn run_numa(ctx: &FigureCtx) {
+fn run_numa(ctx: &FigureCtx) -> Figure {
     let sockets = ctx.sockets;
-    banner(
+    let mut fig = Figure::new(
         ctx,
         "scale",
         "NUMA pool: affinity-pinned placement vs interleave, per-socket order divergence",
@@ -404,7 +418,7 @@ fn run_numa(ctx: &FigureCtx) {
     let rows = ctx.scale(1 << 20, 1 << 18);
     let workers = 4.max(sockets);
     let capture = TraceCapture::from_ctx(ctx, workers);
-    header(&[
+    fig.header(&[
         "experiment",
         "placement",
         "workers",
@@ -455,7 +469,7 @@ fn run_numa(ctx: &FigureCtx) {
     }
 
     // Static order, no reopt: the A/B pair isolates *placement*.
-    let run_placement = |label: &str, placement: Option<&NumaPlacement>| {
+    let run_placement = |fig: &mut Figure, label: &str, placement: Option<&NumaPlacement>| {
         let mut program = build();
         let mut pool = CpuPool::with_topology(scaled_cpu(), workers, LlcMode::Private, sockets);
         if let Some(p) = placement {
@@ -470,24 +484,24 @@ fn run_numa(ctx: &FigureCtx) {
             capture.as_ref(),
         );
         let exact = report.qualified == expect.qualified && report.sum == expect.sum;
-        numa_row("affinity", label, &report, sockets, exact);
+        numa_row(fig, "affinity", label, &report, sockets, exact);
         assert!(
             exact,
             "affinity/{label}: NUMA placement moves cycles, never results"
         );
         report
     };
-    let interleave = run_placement("interleave", None);
-    let pin = run_placement("pinned", Some(&pinned));
+    let interleave = run_placement(&mut fig, "interleave", None);
+    let pin = run_placement(&mut fig, "pinned", Some(&pinned));
 
     let margin = (interleave.wall_cycles as f64 / pin.wall_cycles as f64 - 1.0) * 100.0;
-    note!(
+    fig.note(format!(
         "# affinity: pinned placement beats interleave by {}% wall clock \
          (remote accesses {}% -> {}%)",
         fmt(margin),
         fmt(interleave.remote_access_pct),
         fmt(pin.remote_access_pct),
-    );
+    ));
     assert!(
         pin.remote_access_pct < interleave.remote_access_pct,
         "pinning the bands must cut remote accesses ({} -> {})",
@@ -550,8 +564,15 @@ fn run_numa(ctx: &FigureCtx) {
         capture.as_ref(),
     );
     let exact_b = report_b.qualified == expect_b.qualified && report_b.sum == expect_b.sum;
-    numa_row("divergence", "dim-homed", &report_b, sockets, exact_b);
-    note!(
+    numa_row(
+        &mut fig,
+        "divergence",
+        "dim-homed",
+        &report_b,
+        sockets,
+        exact_b,
+    );
+    fig.note(format!(
         "# divergence: per-socket accepted orders {}",
         report_b
             .socket_orders
@@ -559,7 +580,7 @@ fn run_numa(ctx: &FigureCtx) {
             .map(|o| format!("{o:?}").replace(' ', ""))
             .collect::<Vec<_>>()
             .join(" | "),
-    );
+    ));
     assert!(
         exact_b,
         "divergence: per-socket orders move cycles, never results"
@@ -573,31 +594,30 @@ fn run_numa(ctx: &FigureCtx) {
         "socket 1 must converge to probing its local dim_b first"
     );
 
-    note!(
+    fig.note(
         "# expectation: pinning morsel bands and their dimension slices to the \
          claiming socket removes the remote-access surcharge the interleaved \
          default pays (the same addresses are touched either way — only the \
          homes differ), and with reoptimization on, sockets whose placements \
          price the same dims differently publish *different* accepted orders, \
          each probing its local dimension first — results bit-identical to the \
-         single-core executor throughout"
+         single-core executor throughout",
     );
     if let Some(capture) = &capture {
-        capture.write();
+        capture.write(&mut fig);
     }
+    fig
 }
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
+pub fn run(ctx: &FigureCtx) -> Figure {
     if ctx.sockets > 1 {
-        run_numa(ctx);
-        return;
+        return run_numa(ctx);
     }
     if ctx.shared_llc {
-        run_shared(ctx);
-        return;
+        return run_shared(ctx);
     }
-    banner(
+    let mut fig = Figure::new(
         ctx,
         "scale",
         "Morsel-driven parallel scaling with shared progressive reoptimization",
@@ -607,7 +627,7 @@ pub fn run(ctx: &FigureCtx) {
     // speedup column measures coordination overhead, not scaling.
     let rows = ctx.scale(1 << 21, 1 << 18);
 
-    header(&[
+    fig.header(&[
         "workload",
         "workers",
         "wall_ms",
@@ -632,6 +652,7 @@ pub fn run(ctx: &FigureCtx) {
     let capture = TraceCapture::from_ctx(ctx, *WORKER_COUNTS.last().expect("sweep counts"));
     // Hot bytes per tuple: fk + val + dimension probe, 4 B each.
     print_sweep(
+        &mut fig,
         "fig14-mem",
         &sweep(&build_fig14, &[1, 0], 12, capture.as_ref()),
     );
@@ -643,20 +664,22 @@ pub fn run(ctx: &FigureCtx) {
     let build_star = || star_program(&star, Some(0.5), [0.5, 0.5, 0.5]);
     // Hot bytes per tuple: val + 3 FKs + 3 probes + agg, 4 B each.
     print_sweep(
+        &mut fig,
         "star-3join",
         &sweep(&build_star, &[3, 2, 1, 0], 32, capture.as_ref()),
     );
 
-    note!(
+    fig.note(
         "# expectation: near-linear speedup (morsel dispatch is barrier-free; the \
          optimizer runs once per interval on one core), identical results at every \
          worker count, and the pool converging to the serial loop's final order — \
          where it does not (star-3join at 1 worker, and on the --quick input at 4 \
          and 8), the pool settles on another near-optimal order of its near-equal \
          tail stages, the same one on every run, and the locality ranking itself \
-         (co-clustered join ahead of random joins) holds at every worker count"
+         (co-clustered join ahead of random joins) holds at every worker count",
     );
     if let Some(capture) = &capture {
-        capture.write();
+        capture.write(&mut fig);
     }
+    fig
 }

@@ -30,14 +30,11 @@ use popt_cost::cycles::fleet_occupancy_per_socket;
 use popt_cpu::{CpuConfig, CpuPool, LlcMode, SimCpu};
 use popt_storage::Table;
 
-use crate::common::{
-    banner, bench_metric, bench_metric_tol, fmt, header, row, FigureCtx, TraceCapture,
-};
+use crate::common::{fmt, Figure, FigureCtx, TraceCapture};
 use crate::figures::fig15::scaled_cpu;
 use crate::figures::workload::{
     fig14_mem_tables, mem_tables_with_dim, uniform_plan, uniform_table, xorshift64, DOMAIN,
 };
-use crate::note;
 
 /// Worker counts of the closed-loop sweep.
 pub const WORKER_COUNTS: &[usize] = &[1, 2, 4, 8];
@@ -71,12 +68,15 @@ struct Mix {
     dim: Table,
     bg_table: Table,
     bg_plan: SelectionPlan,
+    /// Solo single-core (qualified, sum) of each template, in
+    /// (scan, pipeline, background) order.
+    refs: [(u64, i64); 3],
 }
 
 impl Mix {
     fn new(scan_rows: usize, pipe_rows: usize, bg_rows: usize) -> Self {
         let (fact, dim) = fig14_mem_tables(pipe_rows, 0x5CA1E);
-        Self {
+        let mut mix = Self {
             scan_table: uniform_table(scan_rows, 3, 0x5E21),
             // Well-separated selectivities: near-tied tail stages would
             // let one noisy early estimate flip a warm-seeded optimum
@@ -88,7 +88,10 @@ impl Mix {
             dim,
             bg_table: uniform_table(bg_rows, 2, 0xB612),
             bg_plan: uniform_plan(&[0.9, 0.5]),
-        }
+            refs: [(0, 0); 3],
+        };
+        mix.refs = mix.solo_refs();
+        mix
     }
 
     /// The selection+join program over the Mem tables, built through
@@ -155,7 +158,8 @@ impl Mix {
 
     /// Assert every outcome matches its template's solo reference
     /// (labels are "<template>-<k>").
-    fn assert_exact(&self, outcomes: &[QueryOutcome], refs: &[(u64, i64); 3]) -> bool {
+    fn assert_exact(&self, outcomes: &[QueryOutcome]) -> bool {
+        let refs = &self.refs;
         for q in outcomes {
             let (qualified, sum) = match q.label.split('-').next().expect("labelled template") {
                 "scan" => refs[0],
@@ -222,7 +226,7 @@ fn run_batch_with(
 /// trial verdicts, all stamped with simulated cycles. Tracing is
 /// non-invasive, so the traced batch passes the same exact-results check
 /// every untraced experiment passes.
-fn trace_export(ctx: &FigureCtx, mix: &Mix, refs: &[(u64, i64); 3], shared: bool) {
+fn trace_export(fig: &mut Figure, ctx: &FigureCtx, mix: &Mix, shared: bool) {
     let Some(capture) = TraceCapture::from_ctx(ctx, 4) else {
         return;
     };
@@ -233,21 +237,21 @@ fn trace_export(ctx: &FigureCtx, mix: &Mix, refs: &[(u64, i64); 3], shared: bool
     }
     let mut pool = make_pool(4, shared);
     let report = server.run(&mut pool).expect("traced serve batch runs");
-    mix.assert_exact(&report.queries, refs);
+    mix.assert_exact(&report.queries);
     let stats = server.cache().stats();
-    note!(
+    fig.note(format!(
         "# traced batch: queries={} warm_starts={} cache hits={} misses={} evictions={}",
         report.queries.len(),
         report.queries.iter().filter(|q| q.warm_start).count(),
         stats.hits,
         stats.misses,
         stats.evictions,
-    );
-    capture.write();
+    ));
+    capture.write(fig);
 }
 
-fn throughput_sweep(mix: &Mix, refs: &[(u64, i64); 3], shared: bool) -> (f64, f64) {
-    header(&[
+fn throughput_sweep(fig: &mut Figure, mix: &Mix, shared: bool) -> (f64, f64) {
+    fig.header(&[
         "sweep",
         "workers",
         "queries",
@@ -260,18 +264,18 @@ fn throughput_sweep(mix: &Mix, refs: &[(u64, i64); 3], shared: bool) -> (f64, f6
     let mut at_4w = 0.0f64;
     for &workers in WORKER_COUNTS {
         let report = run_batch(closed_loop_batch(mix), workers, shared);
-        let exact = mix.assert_exact(&report.queries, refs);
+        let exact = mix.assert_exact(&report.queries);
         let qps = report.throughput_qps();
         if workers == 1 {
             at_1w = qps;
             // Deterministic: one worker serializes every claim and fit.
-            bench_metric("closed_loop.wall_ms_1w", report.wall_millis);
+            fig.metric("closed_loop.wall_ms_1w", report.wall_millis);
         }
         if workers == 4 {
             at_4w = qps;
-            bench_metric_tol("closed_loop.qps_4w", qps, 0.35);
+            fig.metric_tol("closed_loop.qps_4w", qps, 0.35);
         }
-        row(&[
+        fig.row(&[
             "closed-loop".to_string(),
             workers.to_string(),
             report.queries.len().to_string(),
@@ -284,7 +288,7 @@ fn throughput_sweep(mix: &Mix, refs: &[(u64, i64); 3], shared: bool) -> (f64, f6
     (at_1w, at_4w)
 }
 
-fn open_loop_latency(mix: &Mix, refs: &[(u64, i64); 3], n: usize) {
+fn open_loop_latency(fig: &mut Figure, mix: &Mix, n: usize) {
     // Self-calibrating load: measure the 4-worker closed-loop service
     // rate of the scan template, then space arrivals to ~80% of it.
     let probe = {
@@ -323,9 +327,9 @@ fn open_loop_latency(mix: &Mix, refs: &[(u64, i64); 3], n: usize) {
             ..config()
         },
     );
-    mix.assert_exact(&report.queries, refs);
+    mix.assert_exact(&report.queries);
 
-    header(&[
+    fig.header(&[
         "priority",
         "n",
         "latency_p50_ms",
@@ -352,7 +356,7 @@ fn open_loop_latency(mix: &Mix, refs: &[(u64, i64); 3], n: usize) {
         p99_by_class.push(p99);
         let queue_mean =
             class.iter().map(|q| q.queue_cycles).sum::<u64>() as f64 / class.len() as f64;
-        row(&[
+        fig.row(&[
             priority.label().to_string(),
             class.len().to_string(),
             fmt(cycles_to_ms(p50)),
@@ -360,7 +364,7 @@ fn open_loop_latency(mix: &Mix, refs: &[(u64, i64); 3], n: usize) {
             fmt(cycles_to_ms(p99)),
             fmt(queue_mean / (serve_cpu().timing.frequency_ghz * 1e6)),
         ]);
-        bench_metric_tol(
+        fig.metric_tol(
             &format!("open_loop.{}.p99_ms", priority.label()),
             cycles_to_ms(p99),
             0.35,
@@ -374,14 +378,14 @@ fn open_loop_latency(mix: &Mix, refs: &[(u64, i64); 3], n: usize) {
         "p99 latency must order high <= normal <= low, got {:?} cycles",
         p99_by_class
     );
-    note!(
+    fig.note(
         "# open loop at ~80% load, one template across classes: stride weights \
          (16/4/1) order the classes' delays high <= normal <= low — asserted \
-         at p99, the tail the weights exist to protect"
+         at p99, the tail the weights exist to protect",
     );
 }
 
-fn warm_vs_cold<'t>(mix: &'t Mix, refs: &[(u64, i64); 3], shared: bool) {
+fn warm_vs_cold<'t>(fig: &mut Figure, mix: &'t Mix, shared: bool) {
     // One instance per template: co-scheduling two *identical* queries
     // lets their lockstep morsels share streamed lines in each core's
     // physical cache, a windfall that would mask the convergence and
@@ -405,7 +409,7 @@ fn warm_vs_cold<'t>(mix: &'t Mix, refs: &[(u64, i64); 3], shared: bool) {
     batch(&mut server);
     let mut pool = make_pool(4, shared);
     let cold = server.run(&mut pool).expect("cold batch runs");
-    mix.assert_exact(&cold.queries, refs);
+    mix.assert_exact(&cold.queries);
     assert!(
         cold.queries.iter().all(|q| !q.warm_start),
         "first batch must be cold"
@@ -414,13 +418,13 @@ fn warm_vs_cold<'t>(mix: &'t Mix, refs: &[(u64, i64); 3], shared: bool) {
     batch(&mut server);
     let mut pool = make_pool(4, shared);
     let warm = server.run(&mut pool).expect("warm batch runs");
-    mix.assert_exact(&warm.queries, refs);
+    mix.assert_exact(&warm.queries);
     assert!(
         warm.queries.iter().all(|q| q.warm_start),
         "second batch must hit the order cache"
     );
 
-    header(&[
+    fig.header(&[
         "template",
         "cold_cost_ms",
         "warm_cost_ms",
@@ -474,13 +478,13 @@ fn warm_vs_cold<'t>(mix: &'t Mix, refs: &[(u64, i64); 3], shared: bool) {
         let (cold_pct, warm_pct) = (overhead(cold_cost), overhead(warm_cost));
         // Best is a solo single-core static run; the served costs move
         // with where the pool's trials and rounds land.
-        bench_metric(&format!("warmcold.{template}.best_ms"), cycles_to_ms(best));
-        bench_metric_tol(
+        fig.metric(&format!("warmcold.{template}.best_ms"), cycles_to_ms(best));
+        fig.metric_tol(
             &format!("warmcold.{template}.cold_ms"),
             cycles_to_ms(cold_cost),
             0.5,
         );
-        bench_metric_tol(
+        fig.metric_tol(
             &format!("warmcold.{template}.warm_ms"),
             cycles_to_ms(warm_cost),
             0.5,
@@ -491,7 +495,7 @@ fn warm_vs_cold<'t>(mix: &'t Mix, refs: &[(u64, i64); 3], shared: bool) {
         // same tie behaviour the scaling figure documents), so only the
         // two-stage pipeline admits an exact-permutation check.
         let converged = warm_order.first() == optimal.first();
-        row(&[
+        fig.row(&[
             template.to_string(),
             fmt(cycles_to_ms(cold_cost)),
             fmt(cycles_to_ms(warm_cost)),
@@ -527,18 +531,18 @@ fn warm_vs_cold<'t>(mix: &'t Mix, refs: &[(u64, i64); 3], shared: bool) {
         }
     }
     if shared {
-        note!(
+        fig.note(
             "# note: on the shared socket each core holds a slice of ONE LLC, so \
              the negative overheads the private model produced (N private LLCs \
              beating the solo reference) disappear — overhead is convergence cost \
-             plus real capacity contention, both >= 0"
+             plus real capacity contention, both >= 0",
         );
     } else {
-        note!(
+        fig.note(
             "# note: overhead is vs a solo single-core run under the optimal order; \
              served morsels run on 4 cores with private caches (4x the aggregate \
              LLC), so a probe-heavy template pays almost no capacity cost and can \
-             even sit below the solo reference — --shared-llc closes that loophole"
+             even sit below the solo reference — --shared-llc closes that loophole",
         );
     }
 }
@@ -552,7 +556,7 @@ fn warm_vs_cold<'t>(mix: &'t Mix, refs: &[(u64, i64); 3], shared: bool) {
 /// socket the slices shrink until the two hot sets no longer fit
 /// together, and the physical eviction pushes the high-priority query's
 /// latency past anything the scheduler alone could explain.
-fn isolation(ctx: &FigureCtx) -> [f64; 2] {
+fn isolation(fig: &mut Figure, ctx: &FigureCtx) -> [f64; 2] {
     let rows = ctx.scale(1 << 17, 1 << 15);
     // 6 Ki tuples = 24 KiB: fits a 4-worker share of the 128 KiB socket.
     let (hp_fact, hp_dim) = mem_tables_with_dim(rows, 6 * 1024, 0xF00D);
@@ -569,7 +573,7 @@ fn isolation(ctx: &FigureCtx) -> [f64; 2] {
             .expect("plan lowers")
     }
 
-    header(&[
+    fig.header(&[
         "experiment",
         "llc_mode",
         "hp_solo_ms",
@@ -598,7 +602,7 @@ fn isolation(ctx: &FigureCtx) -> [f64; 2] {
         assert_eq!(solo_hp.sum, corun_hp.sum, "co-running moved the aggregate");
         inflation[m] =
             (corun_hp.latency_cycles as f64 / solo_hp.latency_cycles as f64 - 1.0) * 100.0;
-        row(&[
+        fig.row(&[
             "isolation".to_string(),
             if shared { "shared" } else { "private" }.to_string(),
             fmt(cycles_to_ms(solo_hp.latency_cycles)),
@@ -617,9 +621,9 @@ fn isolation(ctx: &FigureCtx) -> [f64; 2] {
 /// table reruns the batch on *shared*-LLC sockets with and without
 /// dynamic repartitioning: with it on, a query completing hands its LLC
 /// ways back to the co-runners still live on that socket.
-fn run_numa(ctx: &FigureCtx) {
+fn run_numa(ctx: &FigureCtx) -> Figure {
     let sockets = ctx.sockets;
-    banner(
+    let mut fig = Figure::new(
         ctx,
         "serve",
         "Multi-query serving across sockets: footprint placement and dynamic repartition",
@@ -629,9 +633,8 @@ fn run_numa(ctx: &FigureCtx) {
         ctx.scale(1 << 20, 1 << 18),
         ctx.scale(1 << 19, 1 << 17),
     );
-    let refs = mix.solo_refs();
 
-    header(&[
+    fig.header(&[
         "sweep",
         "workers",
         "sockets",
@@ -655,7 +658,7 @@ fn run_numa(ctx: &FigureCtx) {
         }
         let mut pool = CpuPool::with_topology(serve_cpu(), workers, LlcMode::Private, sockets);
         let report = server.run(&mut pool).expect("serve batch runs");
-        let exact = mix.assert_exact(&report.queries, &refs);
+        let exact = mix.assert_exact(&report.queries);
         let qps = report.throughput_qps();
         if workers == counts[0] {
             at_min = qps;
@@ -667,7 +670,7 @@ fn run_numa(ctx: &FigureCtx) {
             .iter()
             .map(|&o| fmt(o))
             .collect();
-        row(&[
+        fig.row(&[
             "closed-loop".to_string(),
             workers.to_string(),
             sockets.to_string(),
@@ -678,11 +681,11 @@ fn run_numa(ctx: &FigureCtx) {
             exact.to_string(),
         ]);
     }
-    note!(
+    fig.note(format!(
         "# serve ({sockets} sockets): throughput {} -> {} qps across the worker sweep",
         fmt(at_min),
         fmt(at_max),
-    );
+    ));
     assert!(
         at_max > at_min,
         "adding workers across sockets must still raise throughput \
@@ -728,7 +731,7 @@ fn run_numa(ctx: &FigureCtx) {
         solo(&bg_short_fact, &bg_short_dim, rows / 8),
     ];
 
-    header(&[
+    fig.header(&[
         "experiment",
         "co_runner",
         "dynamic_repartition",
@@ -788,7 +791,7 @@ fn run_numa(ctx: &FigureCtx) {
                 .filter(|q| q.label.starts_with("fg"))
                 .map(|q| q.exec_cycles)
                 .sum::<u64>();
-            row(&[
+            fig.row(&[
                 "repartition".to_string(),
                 bg_label.to_string(),
                 dynamic.to_string(),
@@ -802,12 +805,12 @@ fn run_numa(ctx: &FigureCtx) {
         }
     }
     let reclaim = (fg_exec[0][1] as f64 / fg_exec[1][1] as f64 - 1.0) * 100.0;
-    note!(
+    fig.note(format!(
         "# repartition: with per-query way slicing on, a short co-runner's \
          completion hands its ways back early — the foreground pipeline runs {}% \
          cheaper than against a long co-runner that holds its slice to the end",
         fmt(reclaim),
-    );
+    ));
     assert!(
         fg_exec[1][1] < fg_exec[0][1],
         "the completion-event reclaim must show: fg exec vs short co-runner {} \
@@ -826,22 +829,23 @@ fn run_numa(ctx: &FigureCtx) {
         );
     }
 
-    note!(
+    fig.note(
         "# expectation: footprint placement keeps every query on one socket (its \
          budget a slice of that socket's partition), throughput keeps scaling as \
          workers spread over sockets, and per-query way slicing — recomputed \
          at deterministic completion events — prices declared contention while \
          co-runners live and hands a finished query's ways back to the \
-         survivors — results bit-identical to solo execution throughout"
+         survivors — results bit-identical to solo execution throughout",
     );
-    trace_export(ctx, &mix, &refs, false);
+    trace_export(&mut fig, ctx, &mix, false);
+    fig
 }
 
 /// The `--shared-llc` variant: the serving experiments on one socket,
 /// where capacity contention erodes the scheduler's isolation bound and
 /// removes the private model's negative warm overheads.
-fn run_shared(ctx: &FigureCtx) {
-    banner(
+fn run_shared(ctx: &FigureCtx) -> Figure {
+    let mut fig = Figure::new(
         ctx,
         "serve",
         "Multi-query serving on a shared-LLC socket: contention vs isolation",
@@ -851,30 +855,29 @@ fn run_shared(ctx: &FigureCtx) {
         ctx.scale(1 << 20, 1 << 18),
         ctx.scale(1 << 19, 1 << 17),
     );
-    let refs = mix.solo_refs();
 
-    let (at_1w, at_4w) = throughput_sweep(&mix, &refs, true);
-    note!(
+    let (at_1w, at_4w) = throughput_sweep(&mut fig, &mix, true);
+    fig.note(format!(
         "# serve (shared socket): 4-worker throughput {} qps vs 1-worker {} qps \
          ({:.2}x; contention makes this sub-linear where the private model scaled \
          near-linearly)",
         fmt(at_4w),
         fmt(at_1w),
         at_4w / at_1w
-    );
+    ));
     assert!(
         at_4w >= 1.5 * at_1w,
         "even a contended socket must scale somewhat: {at_4w:.2} < 1.5x {at_1w:.2}"
     );
 
-    let inflation = isolation(ctx);
-    note!(
+    let inflation = isolation(&mut fig, ctx);
+    fig.note(format!(
         "# isolation: probe-heavy low-priority co-runner inflates high-priority \
          latency {}% on the shared socket vs {}% private — the stride bound \
          (6.03%) only survives while the LLC is not a shared resource",
         fmt(inflation[1]),
         fmt(inflation[0]),
-    );
+    ));
     assert!(
         inflation[1] > 6.03,
         "shared-socket inflation {:.2}% must exceed the private-mode stride \
@@ -888,28 +891,27 @@ fn run_shared(ctx: &FigureCtx) {
         inflation[0]
     );
 
-    warm_vs_cold(&mix, &refs, true);
-    note!(
+    warm_vs_cold(&mut fig, &mix, true);
+    fig.note(
         "# expectation: one socket's capacity is a shared resource — throughput \
          scales sub-linearly for LLC-hungry templates, a probe-heavy co-runner \
          breaks the scheduler's isolation bound by evicting the foreground \
          query's hot set, warm overheads stay non-negative, and every query's \
-         result remains bit-identical to solo execution"
+         result remains bit-identical to solo execution",
     );
-    trace_export(ctx, &mix, &refs, true);
+    trace_export(&mut fig, ctx, &mix, true);
+    fig
 }
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
+pub fn run(ctx: &FigureCtx) -> Figure {
     if ctx.sockets > 1 {
-        run_numa(ctx);
-        return;
+        return run_numa(ctx);
     }
     if ctx.shared_llc {
-        run_shared(ctx);
-        return;
+        return run_shared(ctx);
     }
-    banner(
+    let mut fig = Figure::new(
         ctx,
         "serve",
         "Multi-query serving: admission, priority scheduling, cross-query order reuse",
@@ -919,29 +921,29 @@ pub fn run(ctx: &FigureCtx) {
         ctx.scale(1 << 20, 1 << 18),
         ctx.scale(1 << 19, 1 << 17),
     );
-    let refs = mix.solo_refs();
 
-    let (at_1w, at_4w) = throughput_sweep(&mix, &refs, false);
+    let (at_1w, at_4w) = throughput_sweep(&mut fig, &mix, false);
     assert!(
         at_4w >= 2.0 * at_1w,
         "4-worker throughput {at_4w:.2} qps < 2x 1-worker {at_1w:.2} qps"
     );
-    note!(
+    fig.note(format!(
         "# serve: 4-worker throughput {} qps vs 1-worker {} qps (>= 2x 1-worker: {})",
         fmt(at_4w),
         fmt(at_1w),
         at_4w >= 2.0 * at_1w
-    );
+    ));
 
-    open_loop_latency(&mix, &refs, ctx.scale(30, 12));
-    warm_vs_cold(&mix, &refs, false);
+    open_loop_latency(&mut fig, &mix, ctx.scale(30, 12));
+    warm_vs_cold(&mut fig, &mix, false);
 
-    note!(
+    fig.note(
         "# expectation: throughput scales with workers (stride scheduling keeps \
          every class served, morsel claims stay barrier-free), per-priority \
          latency separates by weight under load, warm templates start at the \
          converged order/calibration and skip the convergence overhead cold \
-         starts pay — with every query's result bit-identical to solo execution"
+         starts pay — with every query's result bit-identical to solo execution",
     );
-    trace_export(ctx, &mix, &refs, false);
+    trace_export(&mut fig, ctx, &mix, false);
+    fig
 }

@@ -37,10 +37,9 @@ use popt_core::serve::{Priority, QueryServer, QuerySpec, ServeConfig};
 use popt_cpu::CpuPool;
 use popt_obs::{decision_log, validate_json, MemorySink, TraceRecord, Tracer};
 
-use crate::common::{banner_with, check, fmt, header, row, FigureCtx};
+use crate::common::{fmt, Figure, FigureCtx};
 use crate::figures::fig15::scaled_cpu;
 use crate::figures::workload::{fig14_mem_tables, DOMAIN};
-use crate::note;
 
 /// Workers of the multi-worker census run.
 const WORKERS: usize = 4;
@@ -54,20 +53,22 @@ fn count_kinds(records: &[TraceRecord]) -> BTreeMap<&'static str, usize> {
 }
 
 /// Run the figure.
-pub fn run(ctx: &FigureCtx) {
+pub fn run(ctx: &FigureCtx) -> Figure {
     let rows = ctx.scale(1 << 19, 1 << 17);
     let config = ProgressiveConfig { reop_interval: 4 };
     let morsels = MorselConfig::cache_friendly(&scaled_cpu(), 12);
-    banner_with(
+    let mut fig = Figure::new(
         ctx,
         "trace",
         "Non-invasive decision trace: bit-identity, event census, explain log",
-        &[
-            ("workers", WORKERS.to_string()),
-            ("morsel_tuples", morsels.morsel_tuples.to_string()),
-            ("reop_interval", config.reop_interval.to_string()),
-        ],
     );
+    for (key, value) in [
+        ("workers", WORKERS),
+        ("morsel_tuples", morsels.morsel_tuples),
+        ("reop_interval", config.reop_interval),
+    ] {
+        fig.config.push((key.into(), value.to_string()));
+    }
     let (fact, dim) = fig14_mem_tables(rows, 0x5CA1E);
     let build = || {
         PlanBuilder::scan(&fact)
@@ -80,7 +81,7 @@ pub fn run(ctx: &FigureCtx) {
     };
 
     // --- Part 1: tracing on/off bit-identity. ---
-    header(&[
+    fig.header(&[
         "pair",
         "workers",
         "reopt",
@@ -116,55 +117,55 @@ pub fn run(ctx: &FigureCtx) {
     };
 
     let (plain_1w, traced_1w, records_1w) = run_pair(1, 0);
-    row(&[
+    fig.row(&[
         "solo".to_string(),
         "1".to_string(),
         "on".to_string(),
         (plain_1w.wall_cycles == traced_1w.wall_cycles).to_string(),
         (plain_1w == traced_1w).to_string(),
     ]);
-    check(
+    assert!(
         plain_1w == traced_1w,
         "1-worker traced report must equal the untraced report field-for-field",
     );
-    check(
+    assert!(
         !records_1w.is_empty(),
         "the traced run must actually emit events",
     );
 
     let (plain_nw, traced_nw, records_nw) = run_pair(WORKERS, 1);
-    row(&[
+    fig.row(&[
         "pool".to_string(),
         WORKERS.to_string(),
         "on".to_string(),
         (plain_nw.wall_cycles == traced_nw.wall_cycles).to_string(),
         (plain_nw == traced_nw).to_string(),
     ]);
-    check(
+    assert!(
         plain_nw == traced_nw,
         "multi-worker traced report must equal the untraced report field-for-field",
     );
 
     // --- Part 2: event census of the traced multi-worker run. ---
     let kinds = count_kinds(&records_nw);
-    header(&["event_kind", "count"]);
+    fig.header(&["event_kind", "count"]);
     for (kind, count) in &kinds {
-        row(&[kind.to_string(), count.to_string()]);
+        fig.row(&[kind.to_string(), count.to_string()]);
     }
     let morsel_events = kinds.get("morsel").copied().unwrap_or(0);
-    check(
+    assert!(
         morsel_events == traced_nw.morsels,
         "one claim event per executed morsel (the trace is complete, not sampled)",
     );
-    check(
+    assert!(
         kinds.get("complete").copied().unwrap_or(0) == 1,
         "exactly one completion event per run",
     );
-    check(
+    assert!(
         kinds.get("llc_repartition").copied().unwrap_or(0) >= 1,
         "the batch-boundary LLC declaration must be traced",
     );
-    check(
+    assert!(
         kinds.get("reopt_round").copied().unwrap_or(0) >= 1,
         "reoptimization rounds must be traced",
     );
@@ -174,13 +175,13 @@ pub fn run(ctx: &FigureCtx) {
     } else {
         traced_nw.total_cycles as f64 / (traced_nw.wall_cycles as f64 * traced_nw.workers as f64)
     };
-    note!(
+    fig.note(format!(
         "# metrics: runs=1 morsels={} switches={} estimates={} occupancy={}",
         traced_nw.morsels,
         traced_nw.switches.len(),
         traced_nw.estimates,
         fmt(occupancy),
-    );
+    ));
 
     // --- Part 3: serving decisions through the explain log. ---
     let serve_cpu = scaled_cpu();
@@ -207,7 +208,7 @@ pub fn run(ctx: &FigureCtx) {
     ));
     let mut pool = CpuPool::new(serve_cpu.clone(), WORKERS);
     let cold = server.run(&mut pool).expect("cold serve batch");
-    check(
+    assert!(
         !cold.queries[0].warm_start,
         "the first instance of a template must start cold",
     );
@@ -224,22 +225,22 @@ pub fn run(ctx: &FigureCtx) {
     let report = server.run(&mut pool).expect("warm serve batch");
     let serve_records = sink.take();
     let serve_kinds = count_kinds(&serve_records);
-    check(
+    assert!(
         serve_kinds.get("admit").copied().unwrap_or(0) == 2,
         "both admissions must be traced",
     );
-    check(
+    assert!(
         serve_kinds.get("cache_record").copied().unwrap_or(0) == 2,
         "both completions must publish to the cache",
     );
-    check(
+    assert!(
         report.queries[0].warm_start,
         "the second batch must warm-start from the first instance's template",
     );
     // Counts sum over both batches; occupancy is the warm batch's.
     let batches = [&cold, &report];
     let stats = server.cache().stats();
-    note!(
+    fig.note(format!(
         "# serve metrics: queries={} warm_starts={} cache hits={} misses={} occupancy={}",
         batches.iter().map(|b| b.queries.len()).sum::<usize>(),
         batches
@@ -250,14 +251,14 @@ pub fn run(ctx: &FigureCtx) {
         stats.hits,
         stats.misses,
         fmt(report.occupancy),
-    );
+    ));
 
     // The human-readable decision log: every non-morsel event, ordered
     // by (query, cycles, lane, ordinal). Print the serving batch's head.
     let log = decision_log(&serve_records);
-    note!("# explain (first decisions of the serving batch):");
+    fig.note("# explain (first decisions of the serving batch):");
     for line in log.lines().take(10) {
-        note!("#   {line}");
+        fig.note(format!("#   {line}"));
     }
 
     // --- Export. ---
@@ -269,25 +270,26 @@ pub fn run(ctx: &FigureCtx) {
     match &ctx.trace_out {
         Some(path) => {
             std::fs::write(path, &json).expect("trace output path is writable");
-            note!(
+            fig.note(format!(
                 "# trace: {} events -> {} ({} bytes)",
                 all.len(),
                 path,
                 json.len()
-            );
+            ));
         }
-        None => note!(
+        None => fig.note(format!(
             "# chrome trace: {} events, {} bytes (pass --trace-out PATH to write it)",
             all.len(),
             json.len()
-        ),
+        )),
     }
 
-    note!(
+    fig.note(
         "# expectation: tracing changes nothing the simulator measures — the \
          1-worker traced/untraced reports are equal field-for-field, the pool \
          run's results and orders match bit-for-bit, and every executed morsel \
          appears exactly once in the event stream with its (worker, simulated \
-         cycle) stamp"
+         cycle) stamp",
     );
+    fig
 }

@@ -8,7 +8,7 @@
 //! figures regress --quick --bless  # re-record the baselines
 //! ```
 
-use popt_bench::common::{snapshot_json, snapshot_line, take_metrics, FigureCtx};
+use popt_bench::common::{snapshot_json, Figure, FigureCtx};
 use popt_bench::figures;
 use popt_bench::regress;
 
@@ -31,11 +31,23 @@ fn print_usage() {
     eprintln!("  --bless           with regress: rewrite the committed baselines instead");
 }
 
-/// The `regress` subcommand: replay each figure, drain its recorded
-/// metrics, and compare (or `--bless`) against the committed baseline.
+/// Run one figure; an unknown id exits 2 with the known ids printed.
+fn run_figure(id: &str, ctx: &FigureCtx) -> Figure {
+    figures::run(id, ctx).unwrap_or_else(|| {
+        eprintln!(
+            "unknown figure id {id:?}; known: {}",
+            figures::ALL.join(", ")
+        );
+        std::process::exit(2);
+    })
+}
+
+/// The `regress` subcommand: replay and print each figure, then compare
+/// its recorded metrics (or `--bless` them) against the committed
+/// baseline.
 /// Exit codes: 2 for setup errors (missing/invalid/mode-mismatched
 /// baseline, bad inflate), 1 for an out-of-tolerance metric, 0 clean.
-fn run_regress(ctx: &FigureCtx, ids: &[&str], bless: bool) -> ! {
+fn run_regress(ctx: &FigureCtx, json: bool, ids: &[&str], bless: bool) -> ! {
     let ids = if ids.is_empty() {
         regress::DEFAULT_IDS
     } else {
@@ -94,15 +106,9 @@ fn run_regress(ctx: &FigureCtx, ids: &[&str], bless: bool) -> ! {
 
     let mut failed = false;
     for (k, id) in ids.iter().enumerate() {
-        if !figures::run(id, ctx) {
-            eprintln!(
-                "unknown figure id {id:?}; known: {}",
-                figures::ALL.join(", ")
-            );
-            std::process::exit(2);
-        }
-        let metrics = take_metrics();
-        if metrics.is_empty() {
+        let figure = run_figure(id, ctx);
+        print!("{}", figure.render(json, false));
+        if figure.metrics.is_empty() {
             eprintln!("error: figure {id:?} records no metrics — nothing to gate");
             std::process::exit(2);
         }
@@ -111,16 +117,16 @@ fn run_regress(ctx: &FigureCtx, ids: &[&str], bless: bool) -> ! {
             if let Some(dir) = path.parent() {
                 std::fs::create_dir_all(dir).expect("baselines directory is creatable");
             }
-            std::fs::write(&path, snapshot_json(id, mode, &metrics))
+            std::fs::write(&path, snapshot_json(id, mode, &figure.metrics))
                 .expect("baseline path is writable");
             println!(
                 "regress {id}: blessed {} metrics -> {}",
-                metrics.len(),
+                figure.metrics.len(),
                 path.display()
             );
             continue;
         }
-        let (deltas, new) = regress::compare(&baselines[k], &metrics, inflate);
+        let (deltas, new) = regress::compare(&baselines[k], &figure.metrics, inflate);
         let mut figure_failed = false;
         for d in &deltas {
             let verdict = if d.pass { "ok" } else { "FAIL" };
@@ -209,7 +215,6 @@ fn main() {
         quick,
         shared_llc,
         sockets,
-        json,
         trace_out,
     };
 
@@ -227,7 +232,7 @@ fn main() {
     }
 
     if ids[0] == "regress" {
-        run_regress(&ctx, &ids[1..], bless);
+        run_regress(&ctx, json, &ids[1..], bless);
     }
     if bless {
         eprintln!("error: --bless only applies to the regress subcommand");
@@ -244,23 +249,8 @@ fn main() {
     let started = std::time::Instant::now();
     for id in &selected {
         let t0 = std::time::Instant::now();
-        if !figures::run(id, &ctx) {
-            eprintln!(
-                "unknown figure id {id:?}; known: {}",
-                figures::ALL.join(", ")
-            );
-            std::process::exit(2);
-        }
-        // In --json mode every figure's recorded metrics close its output
-        // as one "snapshot" line — the same document `regress --bless`
-        // commits, so a harness can diff without the subcommand.
-        let metrics = take_metrics();
-        if ctx.json && !metrics.is_empty() {
-            println!(
-                "{}",
-                snapshot_line(id, if ctx.quick { "quick" } else { "full" }, &metrics)
-            );
-        }
+        let figure = run_figure(id, &ctx);
+        print!("{}", figure.render(json, true));
         eprintln!("# figure {id} done in {:.1}s", t0.elapsed().as_secs_f64());
     }
     eprintln!(

@@ -1,9 +1,9 @@
 //! Perf-baseline regression gate: replay figures, diff their metric
 //! snapshots against committed baselines.
 //!
-//! Figures record named metrics through [`crate::common::bench_metric`]
-//! while they print their tables; `figures regress` replays the selected
-//! figures, drains those metrics, and compares each against the
+//! Each figure records named metrics on the [`crate::common::Figure`] it
+//! returns; `figures regress` replays the selected figures, reads those
+//! metrics, and compares each against the
 //! committed `bench/baselines/BENCH_<figure>.json` snapshot. A metric
 //! fails when its replayed value lands outside `baseline * (1 ± tol)`,
 //! where `tol` is the per-metric relative tolerance the baseline
