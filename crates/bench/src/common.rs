@@ -103,7 +103,7 @@ pub fn snapshot_json(figure: &str, mode: &str, metrics: &[BenchMetric]) -> Strin
         .map(|m| {
             format!(
                 "\"{}\":{{\"value\":{},\"tol\":{}}}",
-                esc(&m.name),
+                json_escape(&m.name),
                 m.value,
                 m.tol
             )
@@ -111,15 +111,15 @@ pub fn snapshot_json(figure: &str, mode: &str, metrics: &[BenchMetric]) -> Strin
         .collect();
     format!(
         "{{\"figure\":\"{}\",\"mode\":\"{}\",\"metrics\":{{{}}}}}\n",
-        esc(figure),
-        esc(mode),
+        json_escape(figure),
+        json_escape(mode),
         fields.join(",")
     )
 }
 
 /// Minimal JSON string escaping (the printer emits only strings it
 /// formatted itself, but labels may carry quotes or backslashes).
-fn esc(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -238,7 +238,7 @@ impl Figure {
     /// document `regress --bless` commits, so a harness can diff
     /// without the subcommand.
     pub fn render(&self, json: bool, snapshot: bool) -> String {
-        let id = esc(&self.id);
+        let id = json_escape(&self.id);
         // Every JSON line opens with its type and the figure id.
         let obj = |kind: &str, body: String| {
             format!("{{\"type\":\"{kind}\",\"figure\":\"{id}\",{body}}}\n")
@@ -247,9 +247,9 @@ impl Figure {
             let config: Vec<String> = self
                 .config
                 .iter()
-                .map(|(k, v)| format!("\"{}\":\"{}\"", esc(k), esc(v)))
+                .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
                 .collect();
-            let title = esc(&self.title);
+            let title = json_escape(&self.title);
             obj(
                 "banner",
                 format!("\"title\":\"{title}\",\"config\":{{{}}}", config.join(",")),
@@ -273,8 +273,10 @@ impl Figure {
                 (Line::Note(text), false) => format!("{text}\n"),
                 (Line::Header(cells), true) => {
                     columns = cells;
-                    let cols: Vec<String> =
-                        cells.iter().map(|c| format!("\"{}\"", esc(c))).collect();
+                    let cols: Vec<String> = cells
+                        .iter()
+                        .map(|c| format!("\"{}\"", json_escape(c)))
+                        .collect();
                     obj("header", format!("\"columns\":[{}]", cols.join(",")))
                 }
                 (Line::Row(cells), true) => {
@@ -284,17 +286,17 @@ impl Figure {
                         .enumerate()
                         .map(|(i, c)| {
                             let key = if keyed {
-                                esc(&columns[i])
+                                json_escape(&columns[i])
                             } else {
                                 format!("c{i}")
                             };
-                            format!("\"{key}\":\"{}\"", esc(c))
+                            format!("\"{key}\":\"{}\"", json_escape(c))
                         })
                         .collect();
                     obj("row", format!("\"cells\":{{{}}}", fields.join(",")))
                 }
                 (Line::Note(text), true) => {
-                    let text = esc(text.strip_prefix("# ").unwrap_or(text));
+                    let text = json_escape(text.strip_prefix("# ").unwrap_or(text));
                     obj("note", format!("\"text\":\"{text}\""))
                 }
             };
@@ -495,7 +497,7 @@ mod tests {
 
     #[test]
     fn json_escaping_survives_validation() {
-        let escaped = esc("a\"b\\c\nd\te\u{1}");
+        let escaped = json_escape("a\"b\\c\nd\te\u{1}");
         assert!(!escaped.contains('\n'));
         let quoted = format!("\"{escaped}\"");
         validate_json(&quoted).expect("escaped string is valid JSON");

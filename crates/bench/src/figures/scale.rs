@@ -673,8 +673,8 @@ pub fn run(ctx: &FigureCtx) -> Figure {
         "# expectation: near-linear speedup (morsel dispatch is barrier-free; the \
          optimizer runs once per interval on one core), identical results at every \
          worker count, and the pool converging to the serial loop's final order — \
-         where it does not (star-3join at 1 worker, and on the --quick input at 4 \
-         and 8), the pool settles on another near-optimal order of its near-equal \
+         where it does not (star-3join at 2 and 8 workers, and on the --quick input \
+         at 4), the pool settles on another near-optimal order of its near-equal \
          tail stages, the same one on every run, and the locality ranking itself \
          (co-clustered join ahead of random joins) holds at every worker count",
     );

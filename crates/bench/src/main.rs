@@ -8,7 +8,7 @@
 //! figures regress --quick --bless  # re-record the baselines
 //! ```
 
-use popt_bench::common::{snapshot_json, Figure, FigureCtx};
+use popt_bench::common::{json_escape, snapshot_json, Figure, FigureCtx};
 use popt_bench::figures;
 use popt_bench::regress;
 
@@ -119,10 +119,16 @@ fn run_regress(ctx: &FigureCtx, json: bool, ids: &[&str], bless: bool) -> ! {
             }
             std::fs::write(&path, snapshot_json(id, mode, &figure.metrics))
                 .expect("baseline path is writable");
-            println!(
-                "regress {id}: blessed {} metrics -> {}",
-                figure.metrics.len(),
-                path.display()
+            let (count, path) = (figure.metrics.len(), path.display().to_string());
+            say(
+                json,
+                "regress",
+                format!("regress {id}: blessed {count} metrics -> {path}"),
+                &[
+                    ("figure", jstr(id)),
+                    ("blessed", count.to_string()),
+                    ("path", jstr(&path)),
+                ],
             );
             continue;
         }
@@ -134,32 +140,103 @@ fn run_regress(ctx: &FigureCtx, json: bool, ids: &[&str], bless: bool) -> ! {
                 Some(v) => format!("{v:.6}"),
                 None => "missing".into(),
             };
-            println!(
-                "regress {id}: {} baseline={:.6} current={current} delta={:+.2}% tol={:.0}% {verdict}",
-                d.name,
-                d.baseline,
-                d.rel_delta * 100.0,
-                d.tol * 100.0,
+            let (delta_pct, tol_pct) = (d.rel_delta * 100.0, d.tol * 100.0);
+            say(
+                json,
+                "regress",
+                format!(
+                    "regress {id}: {} baseline={:.6} current={current} delta={delta_pct:+.2}% \
+                     tol={tol_pct:.0}% {verdict}",
+                    d.name, d.baseline,
+                ),
+                &[
+                    ("figure", jstr(id)),
+                    ("metric", jstr(&d.name)),
+                    ("baseline", jnum(d.baseline)),
+                    ("current", d.current.map_or("null".into(), jnum)),
+                    ("delta_pct", jnum(delta_pct)),
+                    ("tol_pct", jnum(tol_pct)),
+                    ("verdict", jstr(verdict)),
+                ],
             );
             figure_failed |= !d.pass;
         }
         for name in &new {
-            println!("regress {id}: {name} is new (not in the baseline) — consider --bless");
+            say(
+                json,
+                "regress",
+                format!("regress {id}: {name} is new (not in the baseline) — consider --bless"),
+                &[
+                    ("figure", jstr(id)),
+                    ("metric", jstr(name)),
+                    ("verdict", jstr("new")),
+                ],
+            );
         }
-        println!(
-            "regress {id}: {} ({} metrics, {} new)",
-            if figure_failed { "FAIL" } else { "PASS" },
-            deltas.len(),
-            new.len()
+        let verdict = if figure_failed { "FAIL" } else { "PASS" };
+        let (metrics, fresh) = (deltas.len(), new.len());
+        say(
+            json,
+            "regress",
+            format!("regress {id}: {verdict} ({metrics} metrics, {fresh} new)"),
+            &[
+                ("figure", jstr(id)),
+                ("verdict", jstr(verdict)),
+                ("metrics", metrics.to_string()),
+                ("new", fresh.to_string()),
+            ],
         );
         failed |= figure_failed;
     }
     if failed {
+        // The text summary of a failed gate goes to stderr; with `json`
+        // stdout still closes with the summary object.
+        if json {
+            say(
+                json,
+                "regress_summary",
+                String::new(),
+                &[("verdict", jstr("FAIL"))],
+            );
+        }
         eprintln!("regress: FAIL — at least one metric drifted past its baseline tolerance");
         std::process::exit(1);
     }
-    println!("regress: all replayed metrics within baseline tolerance");
+    say(
+        json,
+        "regress_summary",
+        "regress: all replayed metrics within baseline tolerance".into(),
+        &[("verdict", jstr("PASS"))],
+    );
     std::process::exit(0);
+}
+
+/// Print `text` as is, or with `json` one JSON object of type `kind`
+/// holding `fields` (each value already JSON).
+fn say(json: bool, kind: &str, text: String, fields: &[(&str, String)]) {
+    if json {
+        let body: Vec<String> = fields
+            .iter()
+            .map(|(k, v)| format!(",\"{k}\":{v}"))
+            .collect();
+        println!("{{\"type\":\"{kind}\"{}}}", body.concat());
+    } else {
+        println!("{text}");
+    }
+}
+
+/// `s` as a JSON string.
+fn jstr(s: &str) -> String {
+    format!("\"{}\"", json_escape(s))
+}
+
+/// `x` as a JSON number (`null` when not finite, which JSON cannot hold).
+fn jnum(x: f64) -> String {
+    if x.is_finite() {
+        x.to_string()
+    } else {
+        "null".into()
+    }
 }
 
 fn main() {

@@ -28,8 +28,10 @@
 //!   than one core, while the other workers keep streaming under the
 //!   incumbent order.
 //! * **Probes between rounds** — every in-epoch report that opens no
-//!   round calls the policy's between-rounds probe, as the serial drive
-//!   does at every vector that opens none.
+//!   round, and every trial morsel's report once it has resolved the
+//!   trial, goes through one helper (`CoordState::offer_probe`) to the
+//!   policy's between-rounds probe, as the serial drive offers every
+//!   vector that opens none, its trial vectors included.
 //!
 //! Both pooled drives — this module's [`run_parallel_target_observed`]
 //! (one `CoordState` per run) and the serving layer (`crate::serve`,
@@ -336,15 +338,18 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
     /// Report of a morsel worker `w` ran under its leased trial `order`:
     /// count the morsel, learn from its one-morsel sample under the trial
     /// order (when the target calibrates from trials), then let the
-    /// policy accept — which publishes a new epoch — or revert. Returns
-    /// the published order and epoch after resolution, for the resolving
-    /// worker's shard, and the optimizer cycles charged to `w`.
+    /// policy accept — which publishes a new epoch — or revert, and,
+    /// while work remains, offer the report to the policy's
+    /// between-rounds probe, as the serial drive offers a trial vector's.
+    /// Returns the published order and epoch after resolution, for the
+    /// resolving worker's shard, and the optimizer cycles charged to `w`.
     pub(crate) fn resolve_trial(
         &mut self,
         w: usize,
         order: &Peo,
         stats: &VectorStats,
         cpu_cfg: &CpuConfig,
+        work_remains: bool,
     ) -> Result<(Peo, u64, u64), EngineError> {
         self.morsels_done += 1;
         let s = self.socket_of[w];
@@ -401,6 +406,10 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
             }
             self.baselines[w].note_accepted(cpt);
         }
+        // Only a reoptimizing run schedules trials: no setting to check.
+        if work_remains {
+            self.offer_probe(s)?;
+        }
         let sc = &self.sockets[s];
         Ok((sc.policy.published().clone(), sc.epoch, spent))
     }
@@ -439,14 +448,20 @@ impl<'a, T: ShardableTarget> CoordState<'a, T> {
         if sc.morsels_since_reopt >= cfg.reop_interval {
             return self.reoptimize(w, cpu_cfg);
         }
-        // The probe choice reads the target's order: the socket's.
-        self.target.set_order(sc.policy.published())?;
-        self.sockets[s].policy.probe_between_rounds(
-            self.target,
-            &mut self.switches,
-            self.morsels_done,
-        );
+        self.offer_probe(s)?;
         Ok(0)
+    }
+
+    /// Offer a report that opens no round on socket `s` — a trial's,
+    /// once resolved, or one under the accepted order — to the policy's
+    /// between-rounds probe. The caller checks that the run reoptimizes
+    /// and that work remains.
+    fn offer_probe(&mut self, s: usize) -> Result<(), EngineError> {
+        // The probe choice reads the target's order: the socket's.
+        let policy = &mut self.sockets[s].policy;
+        self.target.set_order(policy.published())?;
+        policy.probe_between_rounds(self.target, &mut self.switches, self.morsels_done);
+        Ok(())
     }
 
     /// One reoptimization round on worker `w`'s socket `s`: the policy
@@ -775,7 +790,7 @@ pub(crate) fn report_morsel<T: ShardableTarget>(
         // Adopt whatever order the resolution left published (the trial
         // order if accepted, the incumbent if not).
         let (published, epoch, opt) =
-            coord.resolve_trial(w, &ws.order, &executed.stats, ctx.cpu_cfg)?;
+            coord.resolve_trial(w, &ws.order, &executed.stats, ctx.cpu_cfg, work_remains)?;
         ws.rechain(published)?;
         ws.epoch = epoch;
         opt

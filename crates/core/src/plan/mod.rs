@@ -17,6 +17,8 @@ pub mod passes;
 
 pub use logical::{Expr, LogicalNode, LogicalPlan, PlanBuilder};
 
+use std::cmp::Ordering;
+
 use crate::error::EngineError;
 use crate::predicate::Predicate;
 
@@ -111,12 +113,21 @@ fn permutations(current: &mut Vec<usize>, k: usize, out: &mut Vec<Peo>) {
     }
 }
 
+/// `partial_cmp` with NaN sorted after every number (and equal to NaN):
+/// a stage whose estimate went NaN ranks last instead of panicking the
+/// sort. Unlike `total_cmp`, −0.0 and +0.0 stay equal, so a tie still
+/// falls to the plan index.
+fn nan_last(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 /// Order predicate indices ascending by estimated selectivity — the
 /// reorder rule of Section 4.4 ("we reorder the predicates according to
 /// the best estimation so far"): most selective first minimizes work.
 ///
 /// `selectivities` are given in the order of `current_peo`; the result is
-/// a new PEO over plan indices.
+/// a new PEO over plan indices. A NaN estimate sorts last.
 pub fn order_by_selectivity(current_peo: &[usize], selectivities: &[f64]) -> Peo {
     assert_eq!(current_peo.len(), selectivities.len());
     let mut pairs: Vec<(f64, usize)> = selectivities
@@ -125,7 +136,7 @@ pub fn order_by_selectivity(current_peo: &[usize], selectivities: &[f64]) -> Peo
         .zip(current_peo.iter().copied())
         .collect();
     // Stable order with plan index as tie-breaker for determinism.
-    pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    pairs.sort_by(|a, b| nan_last(a.0, b.0).then(a.1.cmp(&b.1)));
     pairs.into_iter().map(|(_, idx)| idx).collect()
 }
 
@@ -138,7 +149,8 @@ pub fn order_by_selectivity(current_peo: &[usize], selectivities: &[f64]) -> Peo
 ///
 /// `costs` and `selectivities` are given in the order of `current_order`;
 /// a stage with selectivity ≥ 1 filters nothing and sorts last (by cost,
-/// then plan index).
+/// then plan index), and a NaN selectivity after it. A NaN cost counts as
+/// free.
 pub fn order_by_cost_per_tuple(
     current_order: &[usize],
     costs: &[f64],
@@ -161,9 +173,8 @@ pub fn order_by_cost_per_tuple(
         })
         .collect();
     entries.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .expect("ranks are not NaN")
-            .then(a.1.partial_cmp(&b.1).expect("costs are not NaN"))
+        nan_last(a.0, b.0)
+            .then(nan_last(a.1, b.1))
             .then(a.2.cmp(&b.2))
     });
     entries.into_iter().map(|(_, _, idx)| idx).collect()
@@ -264,6 +275,24 @@ mod tests {
         // Two non-filtering stages tie-break by cost, then plan index.
         let order = order_by_cost_per_tuple(&peo, &[1.0, 5.0, 1.0], &[1.0, 1.0, 0.5]);
         assert_eq!(order, vec![2, 0, 1]);
+    }
+
+    #[test]
+    fn nan_estimates_sort_last_without_panicking() {
+        let peo = vec![0usize, 1, 2, 3];
+        let sels = [f64::NAN, 0.5, -0.0, 0.0];
+        // NaN goes last; the signed zeros tie and fall to the plan index.
+        assert_eq!(order_by_selectivity(&peo, &sels), vec![2, 3, 1, 0]);
+        assert_eq!(order_by_selectivity(&[3, 2, 1, 0], &sels), vec![0, 1, 2, 3]);
+        // A NaN selectivity makes a NaN rank; a NaN cost counts as free.
+        let order = order_by_cost_per_tuple(&peo, &[1.0, 1.0, f64::NAN, 1.0], &sels);
+        assert_eq!(order, vec![2, 3, 1, 0]);
+        for (a, b) in [(1.0, 2.0), (-0.0, 0.0), (0.0, 0.0), (f64::INFINITY, 1.0)] {
+            assert_eq!(nan_last(a, b), a.partial_cmp(&b).unwrap(), "{a} vs {b}");
+        }
+        assert_eq!(nan_last(f64::NAN, f64::INFINITY), Ordering::Greater);
+        assert_eq!(nan_last(1.0, f64::NAN), Ordering::Less);
+        assert_eq!(nan_last(f64::NAN, f64::NAN), Ordering::Equal);
     }
 
     #[test]

@@ -90,6 +90,16 @@ pub(crate) fn book_fit<T: ProgressiveTarget>(
     fit.estimate.evaluations as u64 * CYCLES_PER_ESTIMATOR_EVAL
 }
 
+/// Whether `order`'s front stage is a join `target` has already measured
+/// at the front (its calibration's `measured` flag). A probe-free program
+/// has no calibration, so nothing of it counts as measured.
+fn front_measured<T: ProgressiveTarget>(target: &T, order: &[usize]) -> bool {
+    let front = order.first().copied();
+    target
+        .calibration_snapshot()
+        .is_some_and(|cal| front.is_some_and(|j| cal.measured.get(j) == Some(&true)))
+}
+
 /// The trial baseline of one core — §4.4's "pre-switch vector": the
 /// cycles per tuple of the last vector or morsel the core ran under the
 /// accepted order. The core's first run never counts (it ran on caches
@@ -234,8 +244,9 @@ impl ReoptPolicy {
     /// exploration or a measurement probe, each scheduled as an
     /// exploratory trial — or return `true`: the round needs an estimator
     /// fit, closed by [`ReoptPolicy::consider`]. A stalled round whose
-    /// exploration the regret budget refuses fits nothing either. `at`
-    /// labels a scheduled switch.
+    /// exploration the regret budget refuses, or whose exploration would
+    /// only re-measure a join already measured at the front, fits nothing
+    /// either. `at` labels a scheduled switch.
     pub(crate) fn open_round<T: ProgressiveTarget>(
         &mut self,
         target: &mut T,
@@ -257,7 +268,9 @@ impl ReoptPolicy {
         // never pays for exploration; nor do reverted explorations keep
         // a stall going on their own. The window is fixed, not the
         // proposal's back-off: a long back-off would hold the run stalled
-        // and exploring.
+        // and exploring. An exploration that leads with a join the target
+        // has already measured at the front (its probe ran there) would
+        // repeat that measurement: the round skips it.
         let stalled = round >= self.last_accept_round + 3
             && self
                 .disagreed_at
@@ -265,7 +278,10 @@ impl ReoptPolicy {
         if stalled && round % 2 == 0 {
             let mut explored = self.published.clone();
             explored.rotate_right(1);
-            if explored != self.published && !self.repeat_unaffordable(&explored) {
+            if explored != self.published
+                && !front_measured(target, &explored)
+                && !self.repeat_unaffordable(&explored)
+            {
                 self.schedule(explored, true, switches, at);
             }
             return false;
@@ -274,8 +290,9 @@ impl ReoptPolicy {
     }
 
     /// The between-rounds probe: at a vector or morsel report that opens
-    /// no round, with work remaining (which the drive checks), schedule
-    /// the measurement probe the target still wants — once the unit has
+    /// no round — a trial's own report included, once the trial is
+    /// resolved — with work remaining (which the drive checks), schedule
+    /// the measurement probe the target still wants, once the unit has
     /// opened its first round and while no trial is pending. A probe runs
     /// no fit, so it needs no sample window: a program with K unmeasured
     /// joins spends its probes at consecutive reports, not one per round.

@@ -19,20 +19,24 @@
 //! additionally probed by occasional exploratory orders once optimization
 //! stalls (Section 4.5) — no accepted switch for three rounds while an
 //! estimator proposal was rejected within the last [`REJECTION_TTL`]
-//! rounds (a reverted exploration never counts). A rejected order is not
-//! re-proposed for [`REJECTION_TTL`] rounds, twice as long at each repeat
-//! rejection up to [`REJECTION_BACKOFF_CAP`], and every such back-off is
-//! forgotten when an order is accepted. A trial that would repeat an
-//! order reverted since the last accept — a re-proposal whose back-off
-//! expired, or the stall exploration's rotated order — also waits while
-//! the cycles lost to reverted trials exceed [`REGRESSION_TOLERANCE`] of
-//! the cycles executed (the regret budget); a first-time order always
-//! runs. The loop's fixed parameters — the accept/revert slack, which is
-//! also the budget's share, the rejection memory and the per-call
-//! optimizer charge — are the constants [`REGRESSION_TOLERANCE`],
-//! [`REJECTION_TTL`], [`REJECTION_BACKOFF_CAP`] and
-//! [`CYCLES_PER_ESTIMATOR_EVAL`]; the reoptimization interval is the one
-//! setting ([`ProgressiveConfig`]).
+//! rounds (a reverted exploration never counts). An exploration whose
+//! rotated order leads with a join the target has already measured at
+//! the front (a probe or an earlier run calibrated it there) would repeat
+//! that measurement, so that stalled round schedules nothing and fits
+//! nothing; a probe-free scan has no calibration and always explores. A
+//! rejected order is not re-proposed for [`REJECTION_TTL`] rounds, twice
+//! as long at each repeat rejection up to [`REJECTION_BACKOFF_CAP`], and
+//! every such back-off is forgotten when an order is accepted. A trial
+//! that would repeat an order reverted since the last accept — a
+//! re-proposal whose back-off expired, or the stall exploration's rotated
+//! order — also waits while the cycles lost to reverted trials exceed
+//! [`REGRESSION_TOLERANCE`] of the cycles executed (the regret budget); a
+//! first-time order always runs. The loop's fixed parameters — the
+//! accept/revert slack, which is also the budget's share, the rejection
+//! memory and the per-call optimizer charge — are the constants
+//! [`REGRESSION_TOLERANCE`], [`REJECTION_TTL`], [`REJECTION_BACKOFF_CAP`]
+//! and [`CYCLES_PER_ESTIMATOR_EVAL`]; the reoptimization interval is the
+//! one setting ([`ProgressiveConfig`]).
 //!
 //! ## One policy, two drives
 //!
@@ -56,13 +60,13 @@
 //!   `reop_interval` morsels ran *under the socket's current epoch* with
 //!   no trial pending, while another morsel remains unclaimed. A pool has
 //!   no single vector clock, and morsels run under a superseded order
-//!   must not count. Every other report with work remaining is offered
-//!   to the policy's between-rounds probe, which both drives call: once
-//!   the unit has opened its first round, a measurement probe the target
-//!   still wants is spent whenever no trial is pending — a probe runs no
-//!   fit, so it needs no sample window. Serially a trial's own vector
-//!   report can spend the next probe; a pooled trial morsel's report only
-//!   resolves the trial, so the next probe waits for the report after.
+//!   must not count. Every other report with work remaining — a trial's
+//!   own vector or morsel report included, once it has resolved the
+//!   trial — is offered to the policy's between-rounds probe, which both
+//!   drives call: once the unit has opened its first round, a measurement
+//!   probe the target still wants is spent whenever no trial is pending —
+//!   a probe runs no fit, so it needs no sample window, and K unmeasured
+//!   joins are probed at K consecutive reports in either drive.
 //! * **What the sample is.** Serial: the vector that just ran. Pooled:
 //!   the socket's per-worker windows since the last round, fused — so one
 //!   fit per interval serves every core.

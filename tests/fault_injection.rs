@@ -6,7 +6,9 @@
 //! mid-run unwinds to the caller and leaves the pool usable. Trials made
 //! to regress exercise the serial drive's revert paths: the rejection
 //! back-off and its reset on accept, a trial on the last vector, stall
-//! exploration, and reverted explorations that never open one. Trials
+//! exploration, and reverted explorations that never open one; on a star
+//! whose probes measured every join, neither drive's stall exploration
+//! moves a measured join back to the front. Trials
 //! made to regress by a set share show the regret budget: serially and
 //! pooled, an order reverted since the last accept is tried again only
 //! while the reverted trials have lost at most `REGRESSION_TOLERANCE` of
@@ -26,7 +28,7 @@ use popt::core::progressive::{
     run_progressive_target_observed, CompiledTarget, ProgressiveConfig, ProgressiveReport,
     SwitchEvent, VectorConfig, REGRESSION_TOLERANCE, REJECTION_BACKOFF_CAP, REJECTION_TTL,
 };
-use popt::core::{CompiledProgram, ExecObservers, Peo};
+use popt::core::{CompiledProgram, ExecObservers, Peo, ProgressiveTarget};
 use popt::cpu::{CpuConfig, CpuPool, SimCpu};
 use popt::obs::{MemorySink, TraceEvent, Tracer};
 use popt::storage::{AddressSpace, ColumnData, Table};
@@ -372,6 +374,84 @@ fn exploration_fires_when_stalled() {
         "{:?}",
         stalled.switches
     );
+}
+
+#[test]
+fn stall_exploration_skips_join_fronts_already_measured() {
+    // The star started select-first, every trial regressing slightly (so
+    // the regret budget never holds an exploration back): the target's
+    // own probes move each join to the front once, and each probe's trial
+    // fit calibrates that join there before the probe reverts. Every
+    // estimator proposal then reverts too and the run stalls. The stall
+    // exploration rotates the select-first order's tail join to the
+    // front — the order its probe already ran — so no stalled round
+    // schedules it again: serially, nor in 1- and 2-worker pools.
+    let star = star_schema(ROWS, 0x57A12);
+    let start = [0, 3, 2, 1];
+    let is_join = |stage: usize| stage != 0;
+    let check = |drive: &str, switches: &[SwitchEvent], measured: &[bool]| {
+        assert_eq!(measured, [false, true, true, true], "{drive}: {switches:?}");
+        assert!(switches.iter().all(|s| s.reverted), "{drive}: {switches:?}");
+        assert!(
+            switches.iter().any(|s| !s.exploratory),
+            "{drive}: no estimator proposal to stall on: {switches:?}"
+        );
+        for (k, s) in switches.iter().enumerate() {
+            // One trial is pending at a time, so every earlier switch's
+            // trial ran, and calibrated its front join, before this one
+            // was scheduled.
+            let front = s.to[0];
+            let ran_before = switches[..k].iter().any(|e| e.to[0] == front);
+            assert!(
+                !(s.exploratory && is_join(front) && ran_before),
+                "{drive}: switch {k} explores join {front}, measured at the front: {switches:?}"
+            );
+        }
+    };
+    // `None` drives the star serially, `Some(n)` on an `n`-worker pool.
+    let run = |workers: Option<usize>| {
+        let mut program = star_program(&star, Some(0.5), [0.5, 0.5, 0.5]);
+        program.reorder(&start).unwrap();
+        let mut target =
+            Rigged::new(CompiledTarget::new(&mut program)).with_trials_slower_by(SLIGHTLY);
+        let switches = match workers {
+            None => {
+                run_progressive_target_observed(
+                    &mut target,
+                    VectorConfig {
+                        vector_tuples: 1024,
+                        max_vectors: None,
+                    },
+                    &mut SimCpu::new(small_cache_cpu()),
+                    &config(),
+                    &ExecObservers::none(),
+                )
+                .unwrap()
+                .switches
+            }
+            Some(workers) => {
+                run_parallel_target_observed(
+                    &mut target,
+                    MorselConfig::new(1024),
+                    &mut CpuPool::new(small_cache_cpu(), workers),
+                    Some(&config()),
+                    &ExecObservers::none(),
+                )
+                .unwrap()
+                .switches
+            }
+        };
+        let cal = target.calibration_snapshot().expect("a star calibrates");
+        (switches, cal.measured)
+    };
+    for (drive, workers) in [
+        ("serial", None),
+        ("1 worker", Some(1)),
+        ("2 workers", Some(2)),
+    ] {
+        let (switches, measured) = run(workers);
+        check(drive, &switches, &measured);
+    }
 }
 
 #[test]
